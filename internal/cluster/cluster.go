@@ -141,6 +141,9 @@ type Cluster struct {
 	racks     map[string]*Rack
 	rackOrder []string
 	placement map[netsim.Endpoint]string
+	// epoch counts changes to what NodeOf can answer (AddNode, Place,
+	// RemoveNode), so callers may cache a resolved *Node. See Epoch.
+	epoch uint64
 	// used counts placed instances per node; opUsed counts them per
 	// (node, operator) for the rack-local policy.
 	used   map[string]int
@@ -189,6 +192,7 @@ func (c *Cluster) AddNode(name string, speed, migBandwidth float64) *Node {
 	n := &Node{Name: name, Speed: speed, MigrationBandwidth: migBandwidth}
 	c.nodes[name] = n
 	c.order = append(c.order, name)
+	c.epoch++
 	return n
 }
 
@@ -225,6 +229,7 @@ func (c *Cluster) RemoveNode(name string) {
 		return
 	}
 	delete(c.nodes, name)
+	c.epoch++
 	for i, n := range c.order {
 		if n == name {
 			c.order = append(c.order[:i], c.order[i+1:]...)
@@ -247,6 +252,7 @@ func (c *Cluster) Place(ep netsim.Endpoint, node string) {
 		c.opUsed[old][ep.Op]--
 	}
 	c.placement[ep] = node
+	c.epoch++
 	c.used[node]++
 	if c.opUsed[node] == nil {
 		c.opUsed[node] = make(map[string]int)
@@ -273,6 +279,12 @@ func (c *Cluster) NodeOf(ep netsim.Endpoint) *Node {
 	}
 	return c.nodes[c.order[0]]
 }
+
+// Epoch identifies the current instance→node resolution: a *Node obtained
+// from NodeOf stays the right answer for its endpoint while Epoch is
+// unchanged. It is never 0 (New registers a node), so 0 can mean "nothing
+// cached". Cache the node, not its fields: Speed and Dead change in place.
+func (c *Cluster) Epoch() uint64 { return c.epoch }
 
 // SpeedOf returns the processing-speed factor for an instance. An instance
 // whose node was removed keeps speed 1 so a draining pipeline can still make

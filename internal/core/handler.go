@@ -44,18 +44,20 @@ func (h *SchedulingHandler) Next(in *engine.Instance) (netsim.Message, *netsim.E
 	}
 	queued := false
 	// Pass 1 — inter-channel: serve the first channel whose head is
-	// processable, round-robin for fairness.
-	for k := 0; k < n; k++ {
-		h.rr = (h.rr + 1) % n
-		e := ins[h.rr]
-		if in.EdgeBlocked(e) || e.InboxLen() == 0 {
-			continue
-		}
-		queued = true
-		if in.CanProcess(e.InboxAt(0), e) {
-			return e.PopInbox(), e, engine.NextOK
+	// processable, round-robin for fairness: one lap over the channels that
+	// have data and are not blocked, from the slot after rr, wrapping.
+	start := (h.rr + 1) % n
+	for _, span := range [2][2]int{{start, n}, {0, start}} {
+		for slot := in.NextReady(span[0], span[1]); slot >= 0; slot = in.NextReady(slot+1, span[1]) {
+			queued = true
+			e := ins[slot]
+			if in.CanProcess(e.InboxAt(0), e) {
+				h.rr = slot
+				return e.PopInbox(), e, engine.NextOK
+			}
 		}
 	}
+	h.rr %= n // a full lap leaves rr where it was, folded into range
 	if !queued {
 		return nil, nil, engine.NextIdle
 	}

@@ -9,6 +9,19 @@
 // The engine deliberately mirrors the pieces of Apache Flink that the paper's
 // mechanisms manipulate, at the granularity the paper reasons about: output
 // caches, input buffers, barriers, key groups, and routing tables.
+//
+// The per-message path indexes instead of hashing, and does not grow with
+// fan-in. On the input side every channel of an instance has a slot — its
+// position in InEdges — and the per-channel state (last watermark, alignment
+// block, "inbox non-empty") is slot-indexed; the edges keep the non-empty set
+// current themselves, so an input handler finds the next admissible channel
+// with NextReady, a find-next-set-bit, not by polling every channel.
+// DetachInput renumbers the slots behind the channel it removes, and a call
+// naming a channel that is no longer an input is ignored. On the output side
+// each instance resolves its downstream operators once, at construction, into
+// ports (stream edge, channels, routing table, rebalance cursor) in
+// Graph.Outputs order; the by-name accessors (OutEdges, Routing, SetRouting,
+// SendControl) are the only users of a name index.
 package engine
 
 import (
@@ -191,13 +204,11 @@ func (rt *Runtime) wire(from, to *Instance, se dataflow.StreamEdge) {
 	e := netsim.NewEdge(rt.Sched, from.Endpoint(), to.Endpoint(), cfg)
 	e.SetReceiver(func(*netsim.Edge) { to.Wake() })
 	e.SetSenderWake(func() { from.Wake() })
-	from.addOutput(se.To, to.Index, e)
+	port := from.portByOp[se.To]
+	from.addOutput(port, to.Index, e)
 	to.addInput(e)
-	if se.Exchange == dataflow.ExchangeKeyed {
-		toSpec := rt.Graph.Operator(se.To)
-		if from.routing[se.To] == nil {
-			from.routing[se.To] = dataflow.NewRoutingTable(toSpec.MaxKeyGroups, toSpec.Parallelism)
-		}
+	if se.Exchange == dataflow.ExchangeKeyed && port.routing == nil {
+		port.routing = dataflow.NewRoutingTable(port.maxKeyGroups, rt.Graph.Operator(se.To).Parallelism)
 	}
 }
 

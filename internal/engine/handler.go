@@ -30,7 +30,7 @@ type InputHandler interface {
 // round-robin order of data availability, and once it commits to a channel
 // whose head record cannot be processed, the whole task blocks on it until
 // the record becomes processable — exactly the baseline suspension behaviour
-// the paper attacks with Record Scheduling.
+// the paper attacks with Record Scheduling. rr is the slot served last.
 type NativeHandler struct {
 	rr    int
 	stuck *netsim.Edge
@@ -53,24 +53,28 @@ func (h *NativeHandler) Next(in *Instance) (netsim.Message, *netsim.Edge, NextSt
 			return e.PopInbox(), e, NextOK
 		}
 	}
-	n := len(in.InEdges())
+	n := len(in.ins)
 	if n == 0 {
 		return nil, nil, NextIdle
 	}
-	for k := 0; k < n; k++ {
-		h.rr = (h.rr + 1) % n
-		e := in.InEdges()[h.rr]
-		if in.EdgeBlocked(e) || e.InboxLen() == 0 {
-			continue
-		}
-		m := e.InboxAt(0)
-		if !in.CanProcess(m, e) {
-			// Commit to this channel and block: stock engines cannot skip
-			// within or across channels once data is at the gate.
-			h.stuck = e
-			return nil, e, NextSuspended
-		}
-		return e.PopInbox(), e, NextOK
+	// The next channel after rr, wrapping, that has data and is not blocked:
+	// what a round-robin poll of every channel would stop at.
+	start := (h.rr + 1) % n
+	slot := in.NextReady(start, n)
+	if slot < 0 {
+		slot = in.NextReady(0, start)
 	}
-	return nil, nil, NextIdle
+	if slot < 0 {
+		h.rr %= n // a full fruitless lap leaves rr where it was, folded into range
+		return nil, nil, NextIdle
+	}
+	h.rr = slot
+	e := in.ins[slot]
+	if !in.CanProcess(e.InboxAt(0), e) {
+		// Commit to this channel and block: stock engines cannot skip
+		// within or across channels once data is at the gate.
+		h.stuck = e
+		return nil, e, NextSuspended
+	}
+	return e.PopInbox(), e, NextOK
 }

@@ -2,8 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 
+	"drrs/internal/cluster"
 	"drrs/internal/dataflow"
 	"drrs/internal/netsim"
 	"drrs/internal/simtime"
@@ -52,16 +55,47 @@ type pendingEmit struct {
 	msg  netsim.Message
 }
 
+// outPort is an instance's resolved view of one downstream operator:
+// everything Emit needs to route a record there without a lookup.
+type outPort struct {
+	dataflow.StreamEdge
+	// maxKeyGroups is the downstream operator's key-group count (keyed
+	// exchange only).
+	maxKeyGroups int
+	// edges are the channels toward the downstream instances, by index.
+	edges []*netsim.Edge
+	// routing is this sender's key-group → instance table (keyed only).
+	routing *dataflow.RoutingTable
+	// rr is the next rebalance target.
+	rr int
+}
+
+// wmUnset marks an input channel that has not delivered a watermark yet. It
+// is below every real or seeded watermark (seeds are -1 and 1<<62).
+const wmUnset = simtime.Time(math.MinInt64)
+
 // Instance is one parallel subtask of an operator.
 type Instance struct {
 	rt    *Runtime
 	Spec  *dataflow.OperatorSpec
 	Index int
+	name  string
 
-	ins     []*netsim.Edge
-	outs    map[string][]*netsim.Edge
-	routing map[string]*dataflow.RoutingTable
-	rrNext  map[string]int
+	// ins are the input channels in wiring order. A channel's position here
+	// is its slot (netsim.Edge.Slot); ready, blocked and wm are indexed by
+	// it, and DetachInput renumbers the channels behind the one it removes.
+	ins []*netsim.Edge
+	// ready holds the slots whose inbox is non-empty (the edges maintain it),
+	// blocked the alignment-blocked slots; handlers poll ready &^ blocked.
+	ready, blocked netsim.SlotSet
+	// wm is the last watermark seen per slot, wmUnset before the first.
+	wm    []simtime.Time
+	curWM simtime.Time
+
+	// ports are the downstream operators in Graph.Outputs order, resolved
+	// once at construction; portByOp serves the by-name accessors only.
+	ports    []*outPort
+	portByOp map[string]*outPort
 
 	store   *state.Store
 	logic   dataflow.Logic
@@ -80,11 +114,7 @@ type Instance struct {
 	// emitting the checkpoint barrier with this id.
 	PauseAfterCkpt int64
 
-	blockedEdges map[*netsim.Edge]bool
-	aligners     map[string]map[*netsim.Edge]bool
-
-	wmPer map[*netsim.Edge]simtime.Time
-	curWM simtime.Time
+	aligners map[string]map[*netsim.Edge]bool
 
 	backlog netsim.Deque[netsim.Message]
 	srcRng  *simtime.RNG
@@ -92,6 +122,11 @@ type Instance struct {
 	suspended  bool
 	wakeQueued bool
 	costRng    *simtime.RNG
+	// node caches Cluster.NodeOf for costOf, valid while the cluster's
+	// placement epoch equals nodeEpoch (0: nothing cached). The node, not its
+	// speed, is cached: stragglers change Node.Speed in place.
+	node      *cluster.Node
+	nodeEpoch uint64
 
 	// dead marks a crashed instance (its node failed): Halted, state wiped,
 	// inputs queueing. See Fail/Revive.
@@ -116,19 +151,27 @@ type Instance struct {
 }
 
 func (rt *Runtime) newInstance(spec *dataflow.OperatorSpec, idx int) *Instance {
+	sidx := strconv.Itoa(idx)
+	outs := rt.Graph.Outputs(spec.Name)
 	in := &Instance{
-		rt:           rt,
-		Spec:         spec,
-		Index:        idx,
-		outs:         make(map[string][]*netsim.Edge),
-		routing:      make(map[string]*dataflow.RoutingTable),
-		rrNext:       make(map[string]int),
-		blockedEdges: make(map[*netsim.Edge]bool),
-		aligners:     make(map[string]map[*netsim.Edge]bool),
-		wmPer:        make(map[*netsim.Edge]simtime.Time),
-		curWM:        -1,
-		costRng:      simtime.NewRNG(rt.Cfg.Seed, fmt.Sprintf("cost/%s/%d", spec.Name, idx)),
-		srcRng:       simtime.NewRNG(rt.Cfg.Seed, fmt.Sprintf("src/%s/%d", spec.Name, idx)),
+		rt:       rt,
+		Spec:     spec,
+		Index:    idx,
+		name:     spec.Name + "[" + sidx + "]",
+		ports:    make([]*outPort, len(outs)),
+		portByOp: make(map[string]*outPort, len(outs)),
+		aligners: make(map[string]map[*netsim.Edge]bool),
+		curWM:    -1,
+		costRng:  simtime.NewRNG(rt.Cfg.Seed, "cost/"+spec.Name+"/"+sidx),
+		srcRng:   simtime.NewRNG(rt.Cfg.Seed, "src/"+spec.Name+"/"+sidx),
+	}
+	for i, se := range outs {
+		p := &outPort{StreamEdge: se}
+		if se.Exchange == dataflow.ExchangeKeyed {
+			p.maxKeyGroups = rt.Graph.Operator(se.To).MaxKeyGroups
+		}
+		in.ports[i] = p
+		in.portByOp[se.To] = p
 	}
 	maxKG := spec.MaxKeyGroups
 	if maxKG == 0 {
@@ -153,7 +196,7 @@ func (in *Instance) Endpoint() netsim.Endpoint {
 }
 
 // Name returns "op[idx]".
-func (in *Instance) Name() string { return in.Endpoint().String() }
+func (in *Instance) Name() string { return in.name }
 
 // Store exposes the instance's keyed state.
 func (in *Instance) Store() *state.Store { return in.store }
@@ -181,35 +224,85 @@ func (in *Instance) InEdges() []*netsim.Edge { return in.ins }
 
 // OutEdges returns the channels toward a downstream operator, indexed by the
 // target instance index.
-func (in *Instance) OutEdges(op string) []*netsim.Edge { return in.outs[op] }
+func (in *Instance) OutEdges(op string) []*netsim.Edge {
+	if p := in.portByOp[op]; p != nil {
+		return p.edges
+	}
+	return nil
+}
 
 // Routing returns this instance's routing table toward a keyed downstream
 // operator.
-func (in *Instance) Routing(op string) *dataflow.RoutingTable { return in.routing[op] }
+func (in *Instance) Routing(op string) *dataflow.RoutingTable {
+	if p := in.portByOp[op]; p != nil {
+		return p.routing
+	}
+	return nil
+}
 
 // SetRouting replaces a routing table (used when installing planned tables).
-func (in *Instance) SetRouting(op string, rt *dataflow.RoutingTable) { in.routing[op] = rt }
-
-func (in *Instance) addInput(e *netsim.Edge) { in.ins = append(in.ins, e) }
-func (in *Instance) addOutput(op string, idx int, e *netsim.Edge) {
-	edges := in.outs[op]
-	if idx != len(edges) {
-		panic(fmt.Sprintf("engine: out-of-order wiring %s→%s[%d], have %d", in.Name(), op, idx, len(edges)))
+func (in *Instance) SetRouting(op string, rt *dataflow.RoutingTable) {
+	p := in.portByOp[op]
+	if p == nil {
+		panic(fmt.Sprintf("engine: SetRouting %s→%s: no such output", in.name, op))
 	}
-	in.outs[op] = append(edges, e)
+	p.routing = rt
+}
+
+// addInput appends e to the input list and gives it the next slot.
+func (in *Instance) addInput(e *netsim.Edge) {
+	slot := len(in.ins)
+	in.ins = append(in.ins, e)
+	in.wm = append(in.wm, wmUnset)
+	in.ready.Grow(slot + 1)
+	in.blocked.Grow(slot + 1)
+	e.BindInput(&in.ready, slot)
+}
+
+func (in *Instance) addOutput(p *outPort, idx int, e *netsim.Edge) {
+	if idx != len(p.edges) {
+		panic(fmt.Sprintf("engine: out-of-order wiring %s→%s[%d], have %d", in.name, p.To, idx, len(p.edges)))
+	}
+	p.edges = append(p.edges, e)
+}
+
+// slotOf returns e's slot, or -1 when e is not (or no longer) an input of
+// this instance — control messages can outlive the channel they name.
+func (in *Instance) slotOf(e *netsim.Edge) int {
+	if s := e.Slot(); uint(s) < uint(len(in.ins)) && in.ins[s] == e {
+		return s
+	}
+	return -1
 }
 
 // BlockEdge excludes an input channel from the handler (alignment blocking).
-func (in *Instance) BlockEdge(e *netsim.Edge) { in.blockedEdges[e] = true }
+func (in *Instance) BlockEdge(e *netsim.Edge) {
+	if s := in.slotOf(e); s >= 0 {
+		in.blocked.Set(s)
+	}
+}
 
 // UnblockEdge re-admits a blocked channel and wakes the instance.
 func (in *Instance) UnblockEdge(e *netsim.Edge) {
-	delete(in.blockedEdges, e)
+	if s := in.slotOf(e); s >= 0 {
+		in.blocked.Clear(s)
+	}
 	in.Wake()
 }
 
-// EdgeBlocked reports whether e is alignment-blocked.
-func (in *Instance) EdgeBlocked(e *netsim.Edge) bool { return in.blockedEdges[e] }
+// EdgeBlocked reports whether e is alignment-blocked. A channel that is no
+// longer an input is not.
+func (in *Instance) EdgeBlocked(e *netsim.Edge) bool {
+	s := in.slotOf(e)
+	return s >= 0 && in.blocked.Has(s)
+}
+
+// NextReady returns the lowest slot in [from, to) whose channel has a queued
+// message and is not alignment-blocked, or -1. Input handlers scan with it;
+// the channel is InEdges()[slot].
+func (in *Instance) NextReady(from, to int) int {
+	return in.ready.NextAndNot(in.blocked, from, to)
+}
 
 // BacklogLen reports the source backlog size (0 for non-sources).
 func (in *Instance) BacklogLen() int { return in.backlog.Len() }
@@ -296,7 +389,7 @@ func (in *Instance) costOf(m netsim.Message) simtime.Duration {
 			return 2 * controlCost
 		}
 		c := in.costRng.Jitter(in.Spec.CostPerRecord, in.Spec.CostJitter)
-		speed := in.rt.Cluster.SpeedOf(in.Endpoint())
+		speed := in.speed()
 		if speed != 1.0 && speed > 0 {
 			c = simtime.Duration(float64(c) / speed)
 		}
@@ -311,6 +404,18 @@ func (in *Instance) costOf(m netsim.Message) simtime.Duration {
 	default:
 		return controlCost
 	}
+}
+
+// speed is Cluster.SpeedOf(in.Endpoint()) without the per-record placement
+// lookups: the node is re-resolved only when the placement epoch moved.
+func (in *Instance) speed() float64 {
+	if ep := in.rt.Cluster.Epoch(); ep != in.nodeEpoch {
+		in.node, in.nodeEpoch = in.rt.Cluster.NodeOf(in.Endpoint()), ep
+	}
+	if in.node == nil {
+		return 1 // node removed; see Cluster.SpeedOf
+	}
+	return in.node.Speed
 }
 
 func (in *Instance) process(m netsim.Message, e *netsim.Edge) {
@@ -377,7 +482,7 @@ func (in *Instance) Fail() []int {
 	// the input channels admissible, or the revived instance deadlocks
 	// waiting on markers that can never arrive (its inboxes fill, upstream
 	// backpressures, and the records are neither delivered nor counted lost).
-	clear(in.blockedEdges)
+	clear(in.blocked)
 	clear(in.aligners)
 	lost := in.store.Groups()
 	for _, kg := range lost {
@@ -480,15 +585,14 @@ func (in *Instance) Emit(r *netsim.Record) {
 	if r == in.recycleCandidate {
 		in.recycleCandidate = nil // forwarded: the pointer lives on downstream
 	}
-	outs := in.rt.Graph.Outputs(in.Spec.Name)
-	for i, se := range outs {
+	for i, p := range in.ports {
 		rec := r
 		if i > 0 {
 			c := in.rt.recPool.Get()
 			*c = *r
 			rec = c
 		}
-		in.routeTo(se, rec)
+		in.routeTo(p, rec)
 	}
 }
 
@@ -508,21 +612,19 @@ func (in *Instance) InstanceIndex() int { return in.Index }
 // CurrentWatermark implements dataflow.OpContext.
 func (in *Instance) CurrentWatermark() simtime.Time { return in.curWM }
 
-func (in *Instance) routeTo(se dataflow.StreamEdge, r *netsim.Record) {
-	edges := in.outs[se.To]
+func (in *Instance) routeTo(p *outPort, r *netsim.Record) {
+	edges := p.edges
 	if len(edges) == 0 {
 		return
 	}
-	switch se.Exchange {
+	switch p.Exchange {
 	case dataflow.ExchangeKeyed:
-		toSpec := in.rt.Graph.Operator(se.To)
-		kg := state.KeyGroupOf(r.Key, toSpec.MaxKeyGroups)
+		kg := state.KeyGroupOf(r.Key, p.maxKeyGroups)
 		r.KeyGroup = kg
-		idx := in.routing[se.To].Owner(kg)
-		in.send(edges[idx], r)
+		in.send(edges[p.routing.Owner(kg)], r)
 	case dataflow.ExchangeRebalance:
-		i := in.rrNext[se.To]
-		in.rrNext[se.To] = (i + 1) % len(edges)
+		i := p.rr
+		p.rr = (i + 1) % len(edges)
 		in.send(edges[i], r)
 	case dataflow.ExchangeBroadcast:
 		for i, e := range edges {
@@ -579,8 +681,8 @@ func (in *Instance) RedirectPending(from, to *netsim.Edge, take func(*netsim.Rec
 // broadcastControl enqueues a control message to every output edge of every
 // downstream operator, preserving order relative to pending records.
 func (in *Instance) broadcastControl(m netsim.Message) {
-	for _, se := range in.rt.Graph.Outputs(in.Spec.Name) {
-		for _, e := range in.outs[se.To] {
+	for _, p := range in.ports {
+		for _, e := range p.edges {
 			in.send(e, m)
 		}
 	}
@@ -593,8 +695,7 @@ func (in *Instance) ForwardMarker(r *netsim.Record) { in.forwardMarker(r) }
 // forwardMarker passes a latency marker downstream, or records its latency at
 // a sink (no outputs).
 func (in *Instance) forwardMarker(r *netsim.Record) {
-	outs := in.rt.Graph.Outputs(in.Spec.Name)
-	if len(outs) == 0 {
+	if len(in.ports) == 0 {
 		in.rt.Latency.Observe(in.rt.Sched.Now(), r.IngestTime)
 		if in.rt.OnMarkerSink != nil {
 			in.rt.OnMarkerSink(r)
@@ -611,12 +712,13 @@ func (in *Instance) forwardMarker(r *netsim.Record) {
 
 func (in *Instance) onWatermark(w *netsim.Watermark, e *netsim.Edge) {
 	if e != nil {
-		in.wmPer[e] = w.WM
+		if s := in.slotOf(e); s >= 0 {
+			in.wm[s] = w.WM
+		}
 	}
 	min := simtime.Time(-1)
-	for _, edge := range in.ins {
-		wm, ok := in.wmPer[edge]
-		if !ok {
+	for _, wm := range in.wm {
+		if wm == wmUnset {
 			return // some channel has no watermark yet
 		}
 		if min == -1 || wm < min {
@@ -635,8 +737,8 @@ func (in *Instance) onWatermark(w *netsim.Watermark, e *netsim.Edge) {
 // SeedWatermark initializes a channel's watermark (used when a scaling
 // mechanism wires a new instance so its windows don't stall forever).
 func (in *Instance) SeedWatermark(e *netsim.Edge, wm simtime.Time) {
-	if _, ok := in.wmPer[e]; !ok {
-		in.wmPer[e] = wm
+	if s := in.slotOf(e); s >= 0 && in.wm[s] == wmUnset {
+		in.wm[s] = wm
 	}
 }
 
@@ -657,7 +759,7 @@ func (in *Instance) BroadcastControl(m netsim.Message) { in.broadcastControl(m) 
 // SendControl enqueues a control message toward one downstream instance,
 // preserving order relative to pending emissions.
 func (in *Instance) SendControl(op string, idx int, m netsim.Message) {
-	in.send(in.outs[op][idx], m)
+	in.send(in.portByOp[op].edges[idx], m)
 }
 
 // alignOn records that barrier key arrived on e, blocks e, and reports

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"drrs/internal/dataflow"
 	"drrs/internal/netsim"
@@ -40,8 +41,8 @@ func (rt *Runtime) AddInstance(op string, idx int) *Instance {
 			rt.wire(in, to, se)
 		}
 		if se.Exchange == dataflow.ExchangeKeyed {
-			if sib := rt.Instance(op, 0); sib != nil && sib.routing[se.To] != nil {
-				in.routing[se.To] = sib.routing[se.To].Clone()
+			if sib := rt.Instance(op, 0); sib != nil && sib.Routing(se.To) != nil {
+				in.SetRouting(se.To, sib.Routing(se.To).Clone())
 			}
 		}
 	}
@@ -75,16 +76,25 @@ func (rt *Runtime) ConnectInstances(src, dst *Instance) *netsim.Edge {
 }
 
 // DetachInput removes an auxiliary input channel from dst (scaling cleanup,
-// so alignment counts return to normal after the scaling completes).
+// so alignment counts return to normal after the scaling completes). The
+// channels behind it move down one slot, taking their watermark and their
+// ready and blocked bits along; e itself becomes a stale edge, which every
+// per-channel entry point of dst ignores.
 func (rt *Runtime) DetachInput(dst *Instance, e *netsim.Edge) {
-	for i, have := range dst.ins {
-		if have == e {
-			dst.ins = append(dst.ins[:i], dst.ins[i+1:]...)
-			delete(dst.wmPer, e)
-			delete(dst.blockedEdges, e)
-			return
-		}
+	i := dst.slotOf(e)
+	if i < 0 {
+		return
 	}
+	dst.ins = slices.Delete(dst.ins, i, i+1)
+	dst.wm = slices.Delete(dst.wm, i, i+1)
+	e.UnbindInput()
+	n := len(dst.ins)
+	for j := i; j < n; j++ {
+		dst.blocked.Assign(j, dst.blocked.Has(j+1))
+		dst.ins[j].BindInput(&dst.ready, j)
+	}
+	dst.blocked.Clear(n)
+	dst.ready.Clear(n)
 }
 
 // PredecessorInstances returns the live instances of every direct

@@ -43,6 +43,13 @@ type Edge struct {
 	outbox Deque[Message]
 	inbox  Deque[Message]
 
+	// slot and ready tie the edge to its receiver's input list: slot is the
+	// edge's position there (-1 while unbound) and ready is the receiver's
+	// set of channels with a non-empty inbox, which the edge keeps current
+	// wherever its inbox changes.
+	slot  int
+	ready *SlotSet
+
 	// arrivals is the ordered pending-arrival queue of messages on the link.
 	// Arrival instants are nondecreasing (a FIFO link admits no overtaking),
 	// so a single outstanding timer at the head instant drains the whole
@@ -88,6 +95,7 @@ func NewEdge(s *simtime.Scheduler, src, dst Endpoint, cfg EdgeConfig) *Edge {
 		Bandwidth: cfg.Bandwidth,
 		OutCap:    cfg.OutCap,
 		InCap:     cfg.InCap,
+		slot:      -1,
 	}
 	// Prebound so the hot path never allocates a closure.
 	e.deliverFn = e.deliver
@@ -100,6 +108,36 @@ func NewEdge(s *simtime.Scheduler, src, dst Endpoint, cfg EdgeConfig) *Edge {
 
 // SetReceiver installs the arrival callback (the receiving instance's wake).
 func (e *Edge) SetReceiver(fn func(*Edge)) { e.onArrival = fn }
+
+// BindInput makes the edge input channel number slot of a receiver whose
+// non-empty-inbox set is ready (already grown to hold slot), and brings the
+// edge's bit up to date. Rebinding with a new slot renumbers the channel.
+func (e *Edge) BindInput(ready *SlotSet, slot int) {
+	e.ready, e.slot = ready, slot
+	ready.Assign(slot, e.inbox.Len() > 0)
+}
+
+// UnbindInput detaches the edge from its receiver's input list. The caller
+// owns the vacated bit.
+func (e *Edge) UnbindInput() { e.ready, e.slot = nil, -1 }
+
+// Slot reports the edge's position in its receiver's input list, -1 while
+// unbound.
+func (e *Edge) Slot() int { return e.slot }
+
+// inboxFilled / inboxDrained keep the receiver's ready set in step with the
+// inbox after a push / a removal.
+func (e *Edge) inboxFilled() {
+	if e.ready != nil {
+		e.ready.Set(e.slot)
+	}
+}
+
+func (e *Edge) inboxDrained() {
+	if e.ready != nil && e.inbox.Len() == 0 {
+		e.ready.Clear(e.slot)
+	}
+}
 
 // SetSenderWake installs the callback fired (asynchronously) when outbox
 // space frees up, so a blocked sender can resume emitting.
@@ -217,6 +255,7 @@ func (e *Edge) deliver() {
 		} else {
 			e.inbox.PushBack(m)
 		}
+		e.inboxFilled()
 		e.Delivered++
 		e.DeliveredBytes += uint64(m.SizeBytes())
 		if e.onArrival != nil {
@@ -235,6 +274,7 @@ func (e *Edge) InboxAt(i int) Message { return e.inbox.At(i) }
 // PopInbox consumes the inbox head and re-pumps the link.
 func (e *Edge) PopInbox() Message {
 	m := e.inbox.PopFront()
+	e.inboxDrained()
 	e.pump()
 	return m
 }
@@ -243,13 +283,17 @@ func (e *Edge) PopInbox() Message {
 // and re-pumps the link.
 func (e *Edge) RemoveInboxAt(i int) Message {
 	m := e.inbox.RemoveAt(i)
+	e.inboxDrained()
 	e.pump()
 	return m
 }
 
 // PushFrontInbox returns a message to the inbox head (used when a handler
 // peeks a message it cannot yet consume).
-func (e *Edge) PushFrontInbox(m Message) { e.inbox.PushFront(m) }
+func (e *Edge) PushFrontInbox(m Message) {
+	e.inbox.PushFront(m)
+	e.inboxFilled()
+}
 
 // OutboxLen reports the number of messages waiting in the output cache.
 func (e *Edge) OutboxLen() int { return e.outbox.Len() }
