@@ -166,7 +166,10 @@ func BenchmarkFig15_Sensitivity(b *testing.B) {
 	skews := []float64{0, 1.0}
 	for i := 0; i < b.N; i++ {
 		for _, mech := range []string{"drrs", "megaphone", "meces"} {
-			pts, _ := bench.Fig15(1, rates, states, skews, []string{mech})
+			pts, _, err := bench.Harness{}.Fig15(1, rates, states, skews, []string{mech})
+			if err != nil {
+				b.Fatal(err)
+			}
 			var sum float64
 			for _, p := range pts {
 				sum += p.Deviation

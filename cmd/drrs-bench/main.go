@@ -31,19 +31,23 @@
 // the evolutionary RNG stream), ablation, all.
 // -workload accepts any registered scenario (see -list); fig10's default
 // "all" covers the paper's q7, q8, twitch; sweep's default "all" covers
-// every registered scenario. -topology/-placement force every run onto a
-// named cluster substrate / placement policy; -driver/-policy force how runs
-// are driven (scripted wave program vs closed-loop controller and which
-// control policy decides); -faults forces every run's fault plan (a fault
-// spec like "crash@12s:node=r0n1,restart=6s;ckpt=2s", or "off" to disable
-// the chaos scenarios' own plans).
+// every registered scenario. The shared override flags rewrite each scenario
+// where a run constructs it: -topology/-placement name its cluster substrate /
+// placement policy; -driver/-policy how it is driven (scripted wave program
+// vs closed-loop controller and which control policy decides); -faults its
+// fault plan (a spec like "crash@12s:node=r0n1,restart=6s;ckpt=2s", or "off"
+// to drop a chaos scenario's own). What a mode varies itself is the later,
+// more specific rewrite and wins: a search candidate's policy, the topology
+// figure's placement columns, a counterfactual's interventions.
 //
 // -chaos N is the deterministic chaos search: N seeds (from -seed) ×
 // scenarios (-workload, default the chaos trio) × mechanisms (-mechanisms)
 // with randomized generated fault plans, every oracle checked on every run,
 // each case executed twice for the determinism oracle, and any failing plan
 // shrunk to a minimal self-reproducing spec string. Exits 1 when violations
-// are found; -json writes them as a machine-readable artifact.
+// are found; -json writes them as a machine-readable artifact. -faults with
+// -chaos is a usage error: the search generates its own plans, and -faults
+// alone is how a printed repro line replays one.
 //
 // -counterfactual runs one closed-loop scenario twice — unforced, then with
 // the intervention spec applied to the controller's decision sequence
@@ -76,6 +80,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -125,7 +130,7 @@ type perfRecord struct {
 func main() {
 	experiment := flag.String("experiment", "all", "fig2 | fig10 | fig14 | fig15 | multiwave | sweep | topology | search | ablation | all")
 	workloadName := flag.String("workload", "all", "registered scenario name, comma list, or all (see -list)")
-	mechanisms := flag.String("mechanisms", "", "comma list of mechanisms for multiwave/sweep/topology (default drrs,meces,megaphone)")
+	mechanisms := flag.String("mechanisms", "", "comma list of mechanisms for multiwave/sweep/topology (default drrs,meces,megaphone) from: "+strings.Join(bench.MechanismNames(), " | "))
 	seeds := flag.Int("seeds", 3, "number of repeated runs per configuration")
 	baseSeed := flag.Int64("seed", 1, "base seed")
 	parallel := flag.Int("parallel", 0, "worker goroutines for independent runs (0 = GOMAXPROCS, 1 = sequential)")
@@ -193,17 +198,19 @@ func main() {
 		os.Exit(2)
 	}
 	if *experiment == "topology" && opts.Placement != "" {
-		// The topology figure IS the placement comparison; an override would
-		// collapse both columns onto one policy.
+		// The figure's own placement columns are the later rewrite and win.
 		fmt.Fprintf(os.Stderr, "drrs-bench: -placement is ignored by -experiment topology (it compares policies itself)\n")
-		opts.Placement = ""
 	}
-	if err := opts.Apply(); err != nil {
+	if *chaosN > 0 && opts.Faults != "" {
+		fmt.Fprintf(os.Stderr, "drrs-bench: -chaos generates its own fault plans; -faults replays one plan without -chaos\n")
+		os.Exit(2)
+	}
+	overrides, err := opts.Overrides()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", err)
 		os.Exit(2)
 	}
-
-	bench.Workers = *parallel
+	h := bench.Harness{Workers: *parallel, Overrides: overrides}
 
 	var seedList []int64
 	for i := 0; i < *seeds; i++ {
@@ -211,26 +218,19 @@ func main() {
 	}
 	mechList := splitList(*mechanisms)
 	for _, m := range mechList {
-		// Mechanisms panics on unknown names; surface that as a usage error
-		// instead of a stack trace from inside a worker goroutine.
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", r)
-					os.Exit(2)
-				}
-			}()
-			bench.Mechanisms(m)
-		}()
+		if !slices.Contains(bench.MechanismNames(), m) {
+			fmt.Fprintf(os.Stderr, "drrs-bench: bench: unknown mechanism %q\n", m)
+			os.Exit(2)
+		}
 	}
 
 	// Trace mode: -record captures one run's arrival stream to a file;
 	// -replay without an explicit -experiment runs the recorded stream back
 	// through one scenario and prints the digest (the byte-identity check).
-	// -replay with an explicit -experiment falls through: the whole figure
-	// run consumes the trace via the installed override.
+	// -replay with an explicit -experiment falls through: every run of the
+	// figure consumes the trace via the harness overrides.
 	if opts.Record != "" || (opts.Replay != "" && !flagWasSet("experiment")) {
-		runTrace(&opts, *workloadName, mechList, *baseSeed)
+		runTrace(h, &opts, *workloadName, mechList, *baseSeed)
 		return
 	}
 
@@ -238,13 +238,13 @@ func main() {
 	// its exit code (1 = violations found, 2 = usage error) and its own -json
 	// artifact shape.
 	if *chaosN > 0 {
-		os.Exit(runChaos(*chaosN, *workloadName, mechList, *baseSeed, *parallel, *jsonOut))
+		os.Exit(runChaos(h, *chaosN, *workloadName, mechList, *baseSeed, *jsonOut))
 	}
 
 	// Counterfactual mode is a single-run diff, like -record/-replay: one
 	// scenario, one seed, one mechanism, two executions.
 	if *counterfactual != "" {
-		runCounterfactual(*counterfactual, *workloadName, mechList, *baseSeed)
+		runCounterfactual(h, *counterfactual, *workloadName, mechList, *baseSeed)
 		return
 	}
 
@@ -317,20 +317,26 @@ func main() {
 		Experiment:  *experiment,
 		Seeds:       seedList,
 	}
-	run := func(name string, fn func() bench.FigureResult) {
-		ev0 := bench.EventsSimulated.Load()
+	run := func(fn func() (bench.FigureResult, error)) {
+		if exitCode != 0 {
+			return
+		}
 		t0 := time.Now() //lint:allow nowallclock bench-runner wall budget: measures host time around a finished run
-		res := fn()
+		res, err := fn()
 		wall := time.Since(t0) //lint:allow nowallclock bench-runner wall budget: measures host time around a finished run
-		events := bench.EventsSimulated.Load() - ev0
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", err)
+			exitCode = 2
+			return
+		}
 		perf.Figures = append(perf.Figures, figurePerf{
 			Name:         res.Title,
 			WallMS:       float64(wall.Microseconds()) / 1000,
-			Events:       events,
-			EventsPerSec: float64(events) / wall.Seconds(),
+			Events:       res.Events,
+			EventsPerSec: float64(res.Events) / wall.Seconds(),
 		})
 		jsonRec.Figures = append(jsonRec.Figures, figureJSON{Title: res.Title, Rows: res.Rows})
-		fmt.Printf("==== %s (wall %v, %d events) ====\n%s\n", res.Title, wall.Round(time.Millisecond), events, res.Text)
+		fmt.Printf("==== %s (wall %v, %d events) ====\n%s\n", res.Title, wall.Round(time.Millisecond), res.Events, res.Text)
 	}
 	defer func() {
 		if *jsonOut == "" {
@@ -370,95 +376,71 @@ func main() {
 		fmt.Printf("perf record written to %s\n", *perfOut)
 	}()
 
+	fig15 := func() (bench.FigureResult, error) {
+		_, res, err := h.Fig15(*baseSeed,
+			[]float64{6000, 10000, 12000},
+			[]int{5 << 20, 15 << 20, 30 << 20},
+			[]float64{0, 0.5, 1.0, 1.5},
+			nil)
+		return res, err
+	}
 	switch *experiment {
 	case "fig2":
-		run("fig2", func() bench.FigureResult { return bench.Fig2(seedList) })
+		run(func() (bench.FigureResult, error) { return h.Fig2(seedList) })
 	case "fig10":
 		for _, wl := range workloads(*workloadName, []string{"q7", "q8", "twitch"}) {
-			wl := wl
-			run(wl, func() bench.FigureResult { return bench.HeadToHead(wl, seedList) })
+			run(func() (bench.FigureResult, error) { return h.HeadToHead(wl, seedList) })
 		}
 	case "fig14":
-		run("fig14", func() bench.FigureResult { return bench.Fig14(seedList) })
+		run(func() (bench.FigureResult, error) { return h.Fig14(seedList) })
 	case "fig15":
-		run("fig15", func() bench.FigureResult {
-			_, res := bench.Fig15(*baseSeed,
-				[]float64{6000, 10000, 12000},
-				[]int{5 << 20, 15 << 20, 30 << 20},
-				[]float64{0, 0.5, 1.0, 1.5},
-				nil)
-			return res
-		})
+		run(fig15)
 	case "multiwave":
 		for _, wl := range workloads(*workloadName, []string{"flash-crowd", "diurnal", "twitch-rebound"}) {
-			wl := wl
-			run(wl, func() bench.FigureResult { return bench.MultiWave(wl, mechList, seedList) })
+			run(func() (bench.FigureResult, error) { return h.MultiWave(wl, mechList, seedList) })
 		}
 	case "sweep":
-		run("sweep", func() bench.FigureResult {
-			return bench.Sweep(workloads(*workloadName, bench.ScenarioNames()), mechList, seedList)
+		run(func() (bench.FigureResult, error) {
+			return h.Sweep(workloads(*workloadName, bench.ScenarioNames()), mechList, seedList)
 		})
 	case "topology":
 		for _, wl := range workloads(*workloadName, []string{"rack-skew", "hetero-tiers"}) {
-			wl := wl
-			run(wl, func() bench.FigureResult { return bench.TopologyFigure(wl, mechList, seedList) })
+			run(func() (bench.FigureResult, error) { return h.TopologyFigure(wl, mechList, seedList) })
 		}
 	case "control":
 		for _, wl := range workloads(*workloadName, []string{"flash-crowd-reactive", "diurnal-autoscale", "oscillation-guard"}) {
-			wl := wl
-			run(wl, func() bench.FigureResult { return bench.ControlFigure(wl, mechList, seedList) })
+			run(func() (bench.FigureResult, error) { return h.ControlFigure(wl, mechList, seedList) })
 		}
 	case "search":
 		for _, wl := range workloads(*workloadName, []string{"flash-crowd-reactive"}) {
-			wl := wl
 			mech := "drrs"
 			if len(mechList) > 0 {
 				mech = mechList[0]
 			}
-			run("search/"+wl, func() bench.FigureResult {
-				return policysearch.Search(policysearch.SearchConfig{
+			run(func() (bench.FigureResult, error) {
+				return policysearch.Search(h, policysearch.SearchConfig{
 					Scenario: wl, Mechanism: mech, Seeds: seedList,
 					Mode: *searchMode, SearchSeed: *searchSeed, Space: space,
 				})
 			})
 		}
 	case "ablation":
-		run("ablation", func() bench.FigureResult { return ablation(*baseSeed) })
+		run(func() (bench.FigureResult, error) { return h.Ablation(*baseSeed) })
 	case "all":
-		run("fig2", func() bench.FigureResult { return bench.Fig2(seedList) })
+		run(func() (bench.FigureResult, error) { return h.Fig2(seedList) })
 		for _, wl := range []string{"q7", "q8", "twitch"} {
-			wl := wl
-			run(wl, func() bench.FigureResult { return bench.HeadToHead(wl, seedList) })
+			run(func() (bench.FigureResult, error) { return h.HeadToHead(wl, seedList) })
 		}
-		run("fig14", func() bench.FigureResult { return bench.Fig14(seedList) })
-		run("multiwave", func() bench.FigureResult { return bench.MultiWave("flash-crowd", mechList, seedList) })
-		run("topology", func() bench.FigureResult { return bench.TopologyFigure("rack-skew", mechList, seedList) })
-		run("control", func() bench.FigureResult { return bench.ControlFigure("flash-crowd-reactive", mechList, seedList) })
-		run("fig15", func() bench.FigureResult {
-			_, res := bench.Fig15(*baseSeed,
-				[]float64{6000, 10000, 12000},
-				[]int{5 << 20, 15 << 20, 30 << 20},
-				[]float64{0, 0.5, 1.0, 1.5},
-				nil)
-			return res
-		})
+		run(func() (bench.FigureResult, error) { return h.Fig14(seedList) })
+		run(func() (bench.FigureResult, error) { return h.MultiWave("flash-crowd", mechList, seedList) })
+		run(func() (bench.FigureResult, error) { return h.TopologyFigure("rack-skew", mechList, seedList) })
+		run(func() (bench.FigureResult, error) { return h.ControlFigure("flash-crowd-reactive", mechList, seedList) })
+		run(fig15)
 	default:
 		// Unreachable: experiment names are validated before profiling starts.
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		exitCode = 2
 	}
-}
-
-// ablation runs the design-choice sweeps DESIGN.md calls out (beyond the
-// paper's Fig 14): subscale granularity, Record Scheduling buffer depth,
-// node concurrency, and Megaphone's batch size.
-func ablation(seed int64) bench.FigureResult {
-	var b []string
-	b = append(b, bench.FormatSweep("DRRS subscale size (Twitch)", bench.SweepSubscaleSize(seed, []int{1, 4, 8, 32, 128})))
-	b = append(b, bench.FormatSweep("DRRS record-scheduling buffer depth (Twitch)", bench.SweepBufferDepth(seed, []int{1, 20, 200})))
-	b = append(b, bench.FormatSweep("DRRS node concurrency (sensitivity cluster)", bench.SweepNodeConcurrency(seed, []int{1, 2, 4})))
-	b = append(b, bench.FormatSweep("Megaphone batch size (Twitch)", bench.SweepMegaphoneBatch(seed, []int{1, 4, 16, 111})))
-	return bench.FigureResult{Title: "ablation", Text: strings.Join(b, "\n")}
 }
 
 // chaosJSON is the -chaos -json artifact: the search bounds plus every
@@ -490,16 +472,16 @@ type chaosViolation struct {
 // runChaos is the -chaos N mode: generated fault plans over N seeds ×
 // scenarios × mechanisms, every oracle on every run, shrinking armed.
 // Returns the process exit code: 0 clean, 1 violations found, 2 usage error.
-func runChaos(n int, workloadName string, mechList []string, baseSeed int64, workers int, jsonOut string) (code int) {
+func runChaos(h bench.Harness, n int, workloadName string, mechList []string, baseSeed int64, jsonOut string) (code int) {
 	defer func() {
-		// Unknown scenario names surface as panics from the registry; report
-		// them as usage errors rather than worker stack traces.
+		// Unknown scenario names (and overrides a scenario cannot take) panic
+		// while the search builds its cases; report them as usage errors.
 		if r := recover(); r != nil {
 			fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", r)
 			code = 2
 		}
 	}()
-	cfg := chaos.Config{Mechanisms: mechList, Workers: workers, Shrink: true}
+	cfg := chaos.Config{Mechanisms: mechList, Workers: h.Workers, Overrides: h.Overrides, Shrink: true}
 	if workloadName != "all" {
 		cfg.Scenarios = splitList(workloadName)
 	}
@@ -560,7 +542,7 @@ func runChaos(n int, workloadName string, mechList []string, baseSeed int64, wor
 // runCounterfactual is the -counterfactual mode: parse the intervention
 // spec, run one (workload, mechanism, seed) tuple with and without it, and
 // print the side-by-side outcome diff.
-func runCounterfactual(spec, workloadName string, mechList []string, seed int64) {
+func runCounterfactual(h bench.Harness, spec, workloadName string, mechList []string, seed int64) {
 	defer func() {
 		if r := recover(); r != nil {
 			fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", r)
@@ -581,7 +563,11 @@ func runCounterfactual(spec, workloadName string, mechList []string, seed int64)
 	if len(mechList) > 0 {
 		mech = mechList[0]
 	}
-	cf := policysearch.RunCounterfactual(names[0], mech, seed, ivs)
+	cf, err := policysearch.RunCounterfactual(h, names[0], mech, seed, ivs)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", err)
+		os.Exit(2)
+	}
 	fmt.Print(cf.FormatDiff())
 }
 
@@ -602,7 +588,7 @@ func flagWasSet(name string) bool {
 // replay feeds a recorded one back. Both print the outcome digest, so
 // byte-identity between a recorded run and its replay is checkable from the
 // shell.
-func runTrace(opts *cliopts.Common, workloadName string, mechList []string, seed int64) {
+func runTrace(h bench.Harness, opts *cliopts.Common, workloadName string, mechList []string, seed int64) {
 	defer func() {
 		if r := recover(); r != nil {
 			fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", r)
@@ -618,7 +604,11 @@ func runTrace(opts *cliopts.Common, workloadName string, mechList []string, seed
 	if len(mechList) > 0 {
 		mech = mechList[0]
 	}
-	sc := bench.ScenarioByName(names[0], seed)
+	sc, err := h.Scenario(names[0], seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", err)
+		os.Exit(2)
+	}
 	factory := func() scaling.Mechanism { return bench.Mechanisms(mech) }
 
 	fmt.Printf("workload   : %s (seed %d, mechanism %s)\n", names[0], seed, mech)

@@ -58,11 +58,16 @@ func main() {
 		}
 	}()
 
-	if err := opts.Apply(); err != nil {
+	overrides, err := opts.Overrides()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "drrs-sim: %v\n", err)
 		os.Exit(2)
 	}
-	sc := bench.ScenarioByName(*workloadName, *seed)
+	sc, err := overrides.Apply(bench.ScenarioByName(*workloadName, *seed))
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "drrs-sim: %v\n", err)
+		os.Exit(2)
+	}
 	newMech := func() scaling.Mechanism { return bench.Mechanisms(*mechName) }
 	t0 := time.Now() //lint:allow nowallclock wall-clock report column; measured around a finished run
 	// Fresh mechanism per wave: multi-wave scenarios rescale repeatedly, and
@@ -92,7 +97,7 @@ func main() {
 	}
 	fmt.Printf("virtual    : %v simulated in %v wall\n", simtime.Duration(o.EndAt), wall.Round(time.Millisecond))
 	if o.Mechanism != "no-scale" {
-		// ProgramString reflects the -driver/-policy override, like the run.
+		// sc is the overridden scenario, so the program line is the run's.
 		fmt.Printf("scaling    : %s-driven, program %s, first request at %v, completed=%v\n",
 			o.Driver, sc.ProgramString(), o.ScaleAt, o.Done)
 		if len(o.Decisions) > 0 {

@@ -29,7 +29,7 @@ func main() {
 	for _, mech := range []string{"drrs", "megaphone", "meces"} {
 		t0 := time.Now() //lint:allow nowallclock wall-clock report column; measured around a finished run
 		fmt.Printf("%-12s", mech)
-		pts, _ := bench.Fig15(1, []float64{rate}, []int{stateBytes}, skews, []string{mech})
+		pts, _, _ := bench.Harness{}.Fig15(1, []float64{rate}, []int{stateBytes}, skews, []string{mech}) // no overrides, so no error
 		for _, s := range skews {
 			for _, p := range pts {
 				if p.Skew == s {

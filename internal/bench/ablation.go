@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"drrs/internal/core"
+	"drrs/internal/scaling"
 	"drrs/internal/scaling/megaphone"
 	"drrs/internal/simtime"
 )
@@ -23,92 +24,96 @@ type SweepPoint struct {
 	ScalingSec   float64
 	SuspMs       float64
 	PropMs       float64
-	MaxActive    int
 	MigrationSec float64
+	Events       uint64 // Outcome.Events, for perf accounting
 }
 
-func sweepRun(sc Scenario, mech interface {
-	Name() string
-}, o Outcome) SweepPoint {
-	p := SweepPoint{
-		Label:        mech.Name(),
-		PeakMs:       o.PeakIn(o.ScaleAt, o.EndAt),
-		AvgMs:        o.AvgIn(o.ScaleAt, o.EndAt),
-		ScalingSec:   o.ScalingPeriod().Seconds(),
-		SuspMs:       o.Scale.CumulativeSuspension().Millis(),
-		PropMs:       o.Scale.CumulativePropagationDelay().Millis(),
-		MigrationSec: o.Scale.MigrationDuration().Seconds(),
-	}
-	return p
-}
-
-// SweepSubscaleSize runs full DRRS on the Twitch scenario with varying
-// subscale granularity (key groups per subscale). The paper's default is
-// small subscales; degenerate settings recover DR-only behaviour (one giant
-// subscale) or pure per-group scheduling (size 1).
-func SweepSubscaleSize(seed int64, sizes []int) []SweepPoint {
-	var out []SweepPoint
-	for _, size := range sizes {
-		opt := core.FullDRRS()
-		opt.SubscaleKGs = size
-		mech := core.New(opt)
-		o := TwitchScenario(seed).Run(mech)
-		p := sweepRun(TwitchScenario(seed), mech, o)
-		p.Label = fmt.Sprintf("subscale=%d", size)
-		p.MaxActive = mech.MaxActive
-		out = append(out, p)
-	}
-	return out
-}
-
-// SweepBufferDepth varies Record Scheduling's intra-channel buffer (the
-// paper fixes 200 records ≈ 200 KB per scaling instance).
-func SweepBufferDepth(seed int64, depths []int) []SweepPoint {
-	var out []SweepPoint
-	for _, d := range depths {
-		opt := core.FullDRRS()
-		opt.BufferDepth = d
-		mech := core.New(opt)
-		o := TwitchScenario(seed).Run(mech)
-		p := sweepRun(TwitchScenario(seed), mech, o)
-		p.Label = fmt.Sprintf("depth=%d", d)
-		out = append(out, p)
-	}
-	return out
-}
-
-// SweepNodeConcurrency varies the subscale scheduler's per-node concurrency
-// threshold (the paper fixes 2 "to avoid potential resource contention") on
-// the 4-node sensitivity cluster, where it actually binds.
-func SweepNodeConcurrency(seed int64, limits []int) []SweepPoint {
-	var out []SweepPoint
-	for _, l := range limits {
-		opt := core.FullDRRS()
-		opt.NodeConcurrency = l
-		mech := core.New(opt)
-		sc := SensitivityScenario(seed, 8000, 15<<20, 0.5)
+// sweep runs one knob sweep: per setting, a fresh registered scenario driven
+// by the hand-built mechanism point returns (with the setting's label). The
+// runs are sequential: RunSpec names mechanisms, and these have no name.
+func (h Harness) sweep(scenario string, seed int64, vals []int, point func(v int) (string, scaling.Mechanism)) ([]SweepPoint, error) {
+	out := make([]SweepPoint, 0, len(vals))
+	for _, v := range vals {
+		sc, err := h.Scenario(scenario, seed)
+		if err != nil {
+			return nil, err
+		}
+		label, mech := point(v)
 		o := sc.Run(mech)
-		p := sweepRun(sc, mech, o)
-		p.Label = fmt.Sprintf("conc=%d", l)
-		p.MaxActive = mech.MaxActive
-		out = append(out, p)
+		out = append(out, SweepPoint{
+			Label:        label,
+			PeakMs:       o.PeakIn(o.ScaleAt, o.EndAt),
+			AvgMs:        o.AvgIn(o.ScaleAt, o.EndAt),
+			ScalingSec:   o.ScalingPeriod().Seconds(),
+			SuspMs:       o.Scale.CumulativeSuspension().Millis(),
+			PropMs:       o.Scale.CumulativePropagationDelay().Millis(),
+			MigrationSec: o.Scale.MigrationDuration().Seconds(),
+			Events:       o.Events,
+		})
 	}
-	return out
+	return out, nil
 }
 
-// SweepMegaphoneBatch varies Megaphone's reconfiguration bin size: its
-// fundamental trade-off between suspension (grows with batch) and scaling
-// duration / propagation (shrink with batch).
-func SweepMegaphoneBatch(seed int64, batches []int) []SweepPoint {
-	var out []SweepPoint
-	for _, b := range batches {
-		mech := &megaphone.Mechanism{BatchKGs: b}
-		o := TwitchScenario(seed).Run(mech)
-		p := sweepRun(TwitchScenario(seed), mech, o)
-		p.Label = fmt.Sprintf("batch=%d", b)
-		out = append(out, p)
+// drrsWith builds a full-DRRS mechanism with one option changed.
+func drrsWith(set func(*core.Options)) scaling.Mechanism {
+	opt := core.FullDRRS()
+	set(&opt)
+	return core.New(opt)
+}
+
+// subscaleSize varies full DRRS's subscale granularity (key groups per
+// subscale). The paper's default is small subscales; degenerate settings
+// recover DR-only behaviour (one giant subscale) or pure per-group scheduling
+// (size 1).
+func subscaleSize(size int) (string, scaling.Mechanism) {
+	return fmt.Sprintf("subscale=%d", size), drrsWith(func(o *core.Options) { o.SubscaleKGs = size })
+}
+
+// bufferDepth varies Record Scheduling's intra-channel buffer (the paper
+// fixes 200 records ≈ 200 KB per scaling instance).
+func bufferDepth(d int) (string, scaling.Mechanism) {
+	return fmt.Sprintf("depth=%d", d), drrsWith(func(o *core.Options) { o.BufferDepth = d })
+}
+
+// nodeConcurrency varies the subscale scheduler's per-node concurrency
+// threshold (the paper fixes 2 "to avoid potential resource contention").
+func nodeConcurrency(l int) (string, scaling.Mechanism) {
+	return fmt.Sprintf("conc=%d", l), drrsWith(func(o *core.Options) { o.NodeConcurrency = l })
+}
+
+// megaphoneBatch varies Megaphone's reconfiguration bin size: its fundamental
+// trade-off between suspension (grows with batch) and scaling duration /
+// propagation (shrink with batch).
+func megaphoneBatch(b int) (string, scaling.Mechanism) {
+	return fmt.Sprintf("batch=%d", b), &megaphone.Mechanism{BatchKGs: b}
+}
+
+// Ablation runs the four sweeps as one figure: the DRRS knobs on Twitch, node
+// concurrency on the 4-node sensitivity cluster (where it actually binds).
+func (h Harness) Ablation(seed int64) (FigureResult, error) {
+	res := FigureResult{Title: "ablation"}
+	var tables []string
+	for _, sw := range []struct {
+		title, scenario string
+		vals            []int
+		point           func(int) (string, scaling.Mechanism)
+	}{
+		{"DRRS subscale size (Twitch)", "twitch", []int{1, 4, 8, 32, 128}, subscaleSize},
+		{"DRRS record-scheduling buffer depth (Twitch)", "twitch", []int{1, 20, 200}, bufferDepth},
+		{"DRRS node concurrency (sensitivity cluster)", "sensitivity", []int{1, 2, 4}, nodeConcurrency},
+		{"Megaphone batch size (Twitch)", "twitch", []int{1, 4, 16, 111}, megaphoneBatch},
+	} {
+		pts, err := h.sweep(sw.scenario, seed, sw.vals, sw.point)
+		if err != nil {
+			return res, err
+		}
+		for _, p := range pts {
+			res.Events += p.Events
+		}
+		tables = append(tables, FormatSweep(sw.title, pts))
 	}
-	return out
+	res.Text = strings.Join(tables, "\n")
+	return res, nil
 }
 
 // FormatSweep renders sweep points as a table.

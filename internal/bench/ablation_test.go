@@ -9,7 +9,11 @@ func TestSweepMegaphoneBatchTradeoff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep simulates several runs")
 	}
-	pts := SweepMegaphoneBatch(1, []int{1, 16, 111})
+	t.Parallel()
+	pts, err := Harness{}.sweep("twitch", 1, []int{1, 16, 111}, megaphoneBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Megaphone's fundamental trade-off: larger bins migrate faster and
 	// propagate less…
 	if !(pts[0].MigrationSec > pts[1].MigrationSec && pts[1].MigrationSec > pts[2].MigrationSec) {
@@ -29,7 +33,11 @@ func TestSweepSubscaleSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep simulates several runs")
 	}
-	pts := SweepSubscaleSize(1, []int{1, 8, 128})
+	t.Parallel()
+	pts, err := Harness{}.sweep("twitch", 1, []int{1, 8, 128}, subscaleSize)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// One-group subscales pay per-subscale signal cost: cumulative
 	// propagation must exceed the default's.
 	if pts[0].PropMs <= pts[1].PropMs {

@@ -34,14 +34,9 @@ type Scenario struct {
 	// scenarios set Job + Traffic instead and leave Build nil.
 	Build func(seed int64) (*dataflow.Graph, *engine.CollectSink)
 	// Job and Traffic describe the scenario through the split workload API:
-	// when Traffic is non-nil the run builds workload.BuildJob(Job, Traffic)
-	// — with the -replay override's trace swapped in for Traffic, and a
-	// Recorder wrapped around it under RecordWith.
+	// when Traffic is non-nil the run builds workload.BuildJob(Job, Traffic).
 	Job     workload.JobConfig
 	Traffic workload.Traffic
-	// recorder, when set by RecordWith, tees the effective traffic into a
-	// Trace as the run consumes it.
-	recorder *workload.Recorder
 	// ScaleOp is the operator being rescaled.
 	ScaleOp string
 	// NewParallelism is the post-scaling parallelism of the classic
@@ -54,8 +49,8 @@ type Scenario struct {
 	// Driver overrides how the scenario is driven: nil replays the scripted
 	// wave program above (ScriptDriver); a ControllerDriver closes the loop
 	// with a control policy deciding when and how far to scale. Scenarios
-	// with a Driver keep NewParallelism/Waves as their scripted fallback for
-	// the -driver script comparison.
+	// with a Driver keep NewParallelism/Waves as their scripted fallback
+	// (Overrides{Driver: "script"} clears Driver).
 	Driver Driver
 	// Warmup is the steady-state period before the first scaling request
 	// (the paper uses 300 s; scenarios scale it down).
@@ -67,19 +62,17 @@ type Scenario struct {
 	// Engine overrides engine defaults.
 	Engine engine.Config
 	// Cluster builds the deployment; nil means one node with
-	// MigrationBandwidth bytes/s. SetClusterOverride (drrs-bench -topology)
-	// replaces it for the run.
+	// MigrationBandwidth bytes/s.
 	Cluster func(s *simtime.Scheduler) *cluster.Cluster
 	// Placement names the placement policy installed on the cluster
 	// ("spread", "pack", "rack-local"; empty keeps the cluster factory's
-	// choice). SetClusterOverride (drrs-bench -placement) takes precedence.
+	// choice).
 	Placement string
 	// MigrationBandwidth applies when Cluster is nil (default 4 MB/s — the
 	// paper's 1 Gbps scaled down with the state sizes).
 	MigrationBandwidth float64
 	// Faults is the scenario's declarative fault plan (nil = healthy run —
 	// no injector, no checkpointer, byte-identical to pre-fault builds).
-	// SetFaultsOverride (drrs-bench -faults) replaces it for the run.
 	Faults *faults.Plan
 	// Inspect, when set, runs against the still-live runtime after the
 	// outcome is sealed but before RunWith returns — the chaos oracles'
@@ -93,7 +86,8 @@ type Scenario struct {
 
 // WithPlacement returns a copy of the scenario running under the named
 // placement policy — the knob the topology figure flips to contrast
-// rack-local against spread scale-out on an otherwise identical run.
+// rack-local against spread scale-out on an otherwise identical run. Like
+// every Scenario rewrite, the later one wins (see Overrides).
 func (sc Scenario) WithPlacement(policy string) Scenario {
 	cluster.PolicyByName(policy) // validate eagerly
 	sc.Placement = policy
@@ -121,8 +115,7 @@ func (sc Scenario) Program() []Wave {
 }
 
 // ProgramString renders the driving program for listings: "→12→8" for a
-// scripted program, "reactive/<policy>" for a closed-loop scenario. It
-// reflects the -driver/-policy override, like the runs themselves.
+// scripted program, "reactive/<policy>" for a closed-loop scenario.
 func (sc Scenario) ProgramString() string {
 	return sc.driver().Describe(&sc)
 }
@@ -230,10 +223,11 @@ func (sc Scenario) Run(mech scaling.Mechanism) Outcome {
 }
 
 // RunWith executes the scenario under its Driver — the scripted wave program
-// by default, a closed-loop controller when the scenario (or the CLI
-// override) says so — calling newMech once per scaling operation (nil = no
-// scaling). The scenario's Build must bound its generators to Warmup+Measure
-// (HorizonOf helps), or the drain would never terminate.
+// by default, a closed-loop controller when the scenario says so — calling
+// newMech once per scaling operation (nil = no scaling). It reads nothing but
+// the Scenario value: whoever varies a run rewrites that first (Overrides).
+// The scenario's Build must bound its generators to Warmup+Measure (HorizonOf
+// helps), or the drain would never terminate.
 func (sc Scenario) RunWith(newMech func() scaling.Mechanism) Outcome {
 	g, _ := sc.buildGraph()
 	// Captured before any scaling mutates the graph: the instance-seconds
@@ -259,7 +253,7 @@ func (sc Scenario) RunWith(newMech func() scaling.Mechanism) Outcome {
 
 	// The fault injector (and its checkpointer) exists only when a plan does,
 	// so healthy runs schedule no extra events and stay byte-identical.
-	inj := faults.NewInjector(rt, sc.faultPlan(), sc.Seed)
+	inj := faults.NewInjector(rt, sc.Faults, sc.Seed)
 	inj.Start()
 
 	first := newMech()
@@ -293,7 +287,6 @@ func (sc Scenario) RunWith(newMech func() scaling.Mechanism) Outcome {
 	out.Events = s.Processed()
 	out.TransferredBytes = cl.TransferredBytes()
 	out.CrossRackBytes = cl.CrossRackBytes()
-	EventsSimulated.Add(s.Processed())
 	out.Latency = rt.Latency
 	out.Throughput = rt.Throughput
 	out.Scale = rt.Scale
@@ -323,17 +316,14 @@ func (sc Scenario) RunWith(newMech func() scaling.Mechanism) Outcome {
 	return out
 }
 
-// buildCluster resolves the run's deployment substrate: the -topology
-// override, else the scenario's cluster factory, else the default flat node;
-// then the -placement override, else the scenario's Placement policy, on top.
+// buildCluster resolves the run's deployment substrate: the scenario's
+// cluster factory, else the default flat node; then the scenario's Placement
+// policy on top.
 func (sc Scenario) buildCluster(s *simtime.Scheduler) *cluster.Cluster {
 	var cl *cluster.Cluster
-	switch {
-	case clusterOverride.topology != "":
-		cl = TopologyByName(clusterOverride.topology)(s)
-	case sc.Cluster != nil:
+	if sc.Cluster != nil {
 		cl = sc.Cluster(s)
-	default:
+	} else {
 		cl = cluster.New(s)
 		bw := sc.MigrationBandwidth
 		if bw == 0 {
@@ -341,13 +331,8 @@ func (sc Scenario) buildCluster(s *simtime.Scheduler) *cluster.Cluster {
 		}
 		cl.Node("local").MigrationBandwidth = bw
 	}
-	switch {
-	case sc.Placement != "":
-		// Explicit per-scenario placement (WithPlacement — the topology
-		// figure's two columns) outranks the CLI-wide override.
+	if sc.Placement != "" {
 		cl.SetPolicy(cluster.PolicyByName(sc.Placement))
-	case clusterOverride.placement != "":
-		cl.SetPolicy(cluster.PolicyByName(clusterOverride.placement))
 	}
 	return cl
 }

@@ -24,11 +24,13 @@ func TestNewStat(t *testing.T) {
 	}
 }
 
+// TestMechanismsRegistry also keeps MechanismNames (what the CLIs validate
+// against) in step with the factory: every listed name builds.
 func TestMechanismsRegistry(t *testing.T) {
-	for _, name := range []string{
-		"drrs", "drrs-dr", "drrs-schedule", "drrs-subscale",
-		"meces", "megaphone", "otfs", "otfs-allatonce", "unbound",
-	} {
+	for _, name := range MechanismNames() {
+		if name == "no-scale" {
+			continue
+		}
 		m := Mechanisms(name)
 		if m == nil {
 			t.Fatalf("mechanism %s is nil", name)
@@ -123,11 +125,11 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 // instead of panicking on outs[mech][0] deep inside rendering.
 func TestFigureSeedValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"HeadToHead": func() { HeadToHead("twitch", nil) },
-		"Fig2":       func() { Fig2(nil) },
-		"Fig14":      func() { Fig14([]int64{}) },
-		"MultiWave":  func() { MultiWave("flash-crowd", nil, nil) },
-		"Sweep":      func() { Sweep(nil, nil, nil) },
+		"HeadToHead": func() { Harness{}.HeadToHead("twitch", nil) },
+		"Fig2":       func() { Harness{}.Fig2(nil) },
+		"Fig14":      func() { Harness{}.Fig14([]int64{}) },
+		"MultiWave":  func() { Harness{}.MultiWave("flash-crowd", nil, nil) },
+		"Sweep":      func() { Harness{}.Sweep(nil, nil, nil) },
 	} {
 		func() {
 			defer func() {
@@ -183,6 +185,7 @@ func TestHeadlineShapeTwitch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("headline shape test simulates ~150 virtual seconds")
 	}
+	t.Parallel()
 	drrs := TwitchScenario(3).Run(Mechanisms("drrs"))
 	meces := TwitchScenario(3).Run(Mechanisms("meces"))
 	mega := TwitchScenario(3).Run(Mechanisms("megaphone"))
@@ -218,6 +221,7 @@ func TestFig2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig2 shape test simulates ~150 virtual seconds")
 	}
+	t.Parallel()
 	unbound := TwitchScenario(4).Run(Mechanisms("unbound"))
 	otfs := TwitchScenario(4).Run(Mechanisms("otfs"))
 	base := TwitchScenario(4).Run(nil)

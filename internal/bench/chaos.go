@@ -87,41 +87,6 @@ func faultSummary(inj *faults.Injector, rt *engine.Runtime, decisions []control.
 	return fs
 }
 
-// faultsOverride is the -faults CLI override; see SetFaultsOverride.
-var faultsOverride struct {
-	set  bool
-	plan *faults.Plan
-}
-
-// SetFaultsOverride forces every subsequent run's fault plan: a fault spec
-// (faults.ParseSpec grammar) replaces each scenario's own plan, "off"
-// disables fault injection entirely, and "" keeps the scenario's choice.
-// Specs are validated eagerly; call before runs start (the worker pool reads
-// the override unsynchronized), mirroring SetClusterOverride.
-func SetFaultsOverride(spec string) {
-	switch spec {
-	case "":
-		faultsOverride.set, faultsOverride.plan = false, nil
-	case "off":
-		faultsOverride.set, faultsOverride.plan = true, nil
-	default:
-		p, err := faults.ParseSpec(spec)
-		if err != nil {
-			panic(err)
-		}
-		faultsOverride.set, faultsOverride.plan = true, p
-	}
-}
-
-// faultPlan resolves the run's fault plan: the CLI override (possibly "off"),
-// else the scenario's own.
-func (sc *Scenario) faultPlan() *faults.Plan {
-	if faultsOverride.set {
-		return faultsOverride.plan
-	}
-	return sc.Faults
-}
-
 func init() {
 	Register(Definition{Name: "node-loss-mid-migrate",
 		Description: "reactive scale-out whose destination node crashes mid-migration; checkpoint restore + re-plan",

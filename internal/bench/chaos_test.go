@@ -35,6 +35,7 @@ func TestNodeLossRecoveryTentpole(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos runs simulate ~30 virtual seconds")
 	}
+	t.Parallel()
 	for _, seed := range []int64{1, 2} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -91,6 +92,7 @@ func TestChaosScenariosDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos runs simulate ~30 virtual seconds each")
 	}
+	t.Parallel()
 	for _, name := range []string{"straggler-rack", "flaky-uplink"} {
 		for _, seed := range []int64{1, 2} {
 			name, seed := name, seed
@@ -124,6 +126,7 @@ func TestLegacyMechanismsSurviveNodeLoss(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos runs simulate ~30 virtual seconds per mechanism")
 	}
+	t.Parallel()
 	for _, mech := range []string{"meces", "megaphone", "otfs", "stop-restart", "unbound"} {
 		for _, seed := range []int64{1, 2} {
 			mech, seed := mech, seed

@@ -1,17 +1,22 @@
-// Package cliopts binds and applies the run-override flags shared by
-// cmd/drrs-bench and cmd/drrs-sim: cluster topology, placement policy,
-// driving mode, control policy, fault plan, and trace record/replay. Both
-// binaries get the same flag names, help text, and validation from one
-// place, so they cannot drift.
+// Package cliopts binds the run-override flags shared by cmd/drrs-bench and
+// cmd/drrs-sim — cluster topology, placement policy, driving mode, control
+// policy, fault plan, trace record/replay — and parses them once into a
+// bench.Overrides value. Both binaries get the same flag names, help text,
+// and validation from one place, so they cannot drift.
 package cliopts
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 
 	"drrs/internal/bench"
+	"drrs/internal/cluster"
 	"drrs/internal/control"
+	"drrs/internal/faults"
+	"drrs/internal/workload"
 )
 
 // Common holds the shared override flags after parsing.
@@ -43,31 +48,38 @@ func (c *Common) Bind(fs *flag.FlagSet) {
 		"replay a recorded trace file as the run's traffic")
 }
 
-// Apply validates the parsed flags and installs the bench-wide overrides.
-// The bench setters validate eagerly by panicking (they run before any
-// simulation); Apply converts those panics into errors so the binaries can
-// print a usage message instead of a stack trace.
-func (c *Common) Apply() (err error) {
+// Overrides validates the parsed flags (names, fault-spec grammar, trace file)
+// and returns them as the value the binaries hand to a bench.Harness or Apply
+// to their one scenario. Every failure is a usage error.
+func (c *Common) Overrides() (bench.Overrides, error) {
 	if c.Record != "" && c.Replay != "" {
-		return fmt.Errorf("-record and -replay are mutually exclusive: a replayed run would just re-record its input trace")
+		return bench.Overrides{}, fmt.Errorf("-record and -replay are mutually exclusive: a replayed run would just re-record its input trace")
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("%v", r)
+	ov := bench.Overrides{Topology: c.Topology, Placement: c.Placement, Driver: c.Driver, Policy: c.Policy}
+	check := func(kind, name string, known []string) error {
+		if name == "" || slices.Contains(known, name) {
+			return nil
 		}
-	}()
-	bench.SetClusterOverride(c.Topology, c.Placement)
-	bench.SetDriverOverride(c.Driver, c.Policy)
-	bench.SetFaultsOverride(c.Faults)
-	bench.SetTrafficOverride(c.Replay)
-	return nil
-}
-
-// Reset clears every bench-wide override Apply installs; tests use it to
-// leave the process-global state clean.
-func Reset() {
-	bench.SetClusterOverride("", "")
-	bench.SetDriverOverride("", "")
-	bench.SetFaultsOverride("")
-	bench.SetTrafficOverride("")
+		return fmt.Errorf("bench: unknown %s %q (known: %s)", kind, name, strings.Join(known, ", "))
+	}
+	err := errors.Join(
+		check("topology", c.Topology, bench.Topologies()),
+		check("placement policy", c.Placement, cluster.PolicyNames()),
+		check("driver", c.Driver, []string{"script", "controller"}),
+		check("policy", c.Policy, control.PolicyNames()))
+	if err != nil {
+		return ov, err
+	}
+	ov.NoFaults = c.Faults == "off"
+	if c.Faults != "" && !ov.NoFaults {
+		if ov.Faults, err = faults.ParseSpec(c.Faults); err != nil {
+			return ov, err
+		}
+	}
+	if c.Replay != "" {
+		if ov.Replay, err = workload.ReadTraceFile(c.Replay); err != nil {
+			return ov, fmt.Errorf("-replay: %w", err)
+		}
+	}
+	return ov, nil
 }

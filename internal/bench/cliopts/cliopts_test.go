@@ -34,33 +34,52 @@ func TestBindRegistersSharedFlags(t *testing.T) {
 	}
 }
 
-func TestApplyInstallsAndResetClears(t *testing.T) {
-	defer Reset()
-	dir := t.TempDir()
+// writeTrace writes a minimal valid trace file and returns its path.
+func writeTrace(t *testing.T) string {
+	t.Helper()
 	trace := workload.Synthesize(workload.Live(workload.Spec{
 		Cohorts:  []workload.Cohort{workload.DefaultCohort()},
 		Duration: 100,
 	}), 1)
-	path := filepath.Join(dir, "t.trace")
+	path := filepath.Join(t.TempDir(), "t.trace")
 	if err := trace.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	c := parse(t, "-topology", "rack4x4", "-driver", "controller", "-policy", "backlog",
-		"-faults", "off", "-replay", path)
-	if err := c.Apply(); err != nil {
-		t.Fatalf("Apply: %v", err)
+	return path
+}
+
+// TestOverridesCarryEveryFlag: every shared flag lands in the returned value
+// — the names verbatim, -faults as a parsed plan or the off marker, -replay
+// as the decoded trace — and nowhere else.
+func TestOverridesCarryEveryFlag(t *testing.T) {
+	ov, err := parse(t, "-topology", "rack4x4", "-placement", "pack", "-driver", "controller",
+		"-policy", "backlog", "-faults", "off", "-replay", writeTrace(t)).Overrides()
+	if err != nil {
+		t.Fatalf("Overrides: %v", err)
 	}
-	Reset()
-	// After Reset a scenario runs with its own choices again; the cheapest
-	// observable check is that Apply+Reset round-trips without panicking and
-	// a followup Apply of empty options succeeds.
-	if err := parse(t).Apply(); err != nil {
-		t.Fatalf("Apply of empty options after Reset: %v", err)
+	if ov.Topology != "rack4x4" || ov.Placement != "pack" || ov.Driver != "controller" || ov.Policy != "backlog" {
+		t.Errorf("names did not carry over: %+v", ov)
+	}
+	if !ov.NoFaults || ov.Faults != nil {
+		t.Errorf("-faults off: NoFaults=%v Faults=%v", ov.NoFaults, ov.Faults)
+	}
+	if ov.Replay == nil || ov.Replay.SourceParallelism != 1 {
+		t.Errorf("-replay did not decode the trace: %v", ov.Replay)
+	}
+
+	ov, err = parse(t, "-faults", "crash@12s:node=r0n1,restart=6s;ckpt=2s").Overrides()
+	if err != nil {
+		t.Fatalf("Overrides: %v", err)
+	}
+	if ov.NoFaults || ov.Faults == nil || len(ov.Faults.Faults) != 1 {
+		t.Errorf("-faults <spec>: NoFaults=%v Faults=%+v", ov.NoFaults, ov.Faults)
+	}
+	if ov, err = parse(t).Overrides(); err != nil || ov != (bench.Overrides{}) {
+		t.Errorf("no flags should yield the zero Overrides: %+v, %v", ov, err)
 	}
 }
 
 func TestApplyRejectsBadValuesAsErrors(t *testing.T) {
-	defer Reset()
 	for _, args := range [][]string{
 		{"-topology", "nonexistent"},
 		{"-placement", "nonexistent"},
@@ -69,35 +88,34 @@ func TestApplyRejectsBadValuesAsErrors(t *testing.T) {
 		{"-faults", "gibberish"},
 		{"-replay", "does-not-exist.trace"},
 	} {
-		c := parse(t, args...)
-		if err := c.Apply(); err == nil {
-			t.Errorf("Apply(%v) accepted a bad value", args)
+		if _, err := parse(t, args...).Overrides(); err == nil {
+			t.Errorf("Overrides(%v) accepted a bad value", args)
 		}
-		Reset()
 	}
 }
 
 func TestApplyRejectsRecordPlusReplay(t *testing.T) {
-	defer Reset()
-	c := parse(t, "-record", "a.trace", "-replay", "b.trace")
-	err := c.Apply()
+	_, err := parse(t, "-record", "a.trace", "-replay", "b.trace").Overrides()
 	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("Apply allowed -record with -replay: %v", err)
+		t.Fatalf("Overrides allowed -record with -replay: %v", err)
 	}
 }
 
-// TestDriverOverrideReachesRuns exercises the full path: Apply installs the
-// override, and a scripted scenario then runs controller-driven.
+// TestDriverOverrideReachesRuns exercises the full path: the flags parse into
+// an Overrides value, and a scripted scenario rewritten by it runs
+// controller-driven.
 func TestDriverOverrideReachesRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full scenario")
 	}
-	defer Reset()
-	c := parse(t, "-driver", "controller", "-policy", "backlog")
-	if err := c.Apply(); err != nil {
+	ov, err := parse(t, "-driver", "controller", "-policy", "backlog").Overrides()
+	if err != nil {
 		t.Fatal(err)
 	}
-	sc := bench.ScenarioByName("flash-crowd", 1)
+	sc, err := ov.Apply(bench.ScenarioByName("flash-crowd", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	out := sc.RunWith(func() scaling.Mechanism { return bench.Mechanisms("drrs") })
 	if out.Driver != "controller" {
 		t.Fatalf("override did not reach the run: driver %q", out.Driver)

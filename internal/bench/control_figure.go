@@ -15,13 +15,16 @@ import (
 // late, so the policy sees backlog for longer, decides differently, and may
 // supersede it mid-flight — mechanism rankings here are outcomes of the
 // whole control loop, not of an identical fixed schedule.
-func ControlFigure(workloadName string, mechs []string, seeds []int64) FigureResult {
+func (h Harness) ControlFigure(workloadName string, mechs []string, seeds []int64) (FigureResult, error) {
 	mustSeeds("Control", seeds)
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "meces", "megaphone"}
 	}
-	sc := ScenarioByName(workloadName, 0)
-	outs := compare(func(seed int64) Scenario { return ScenarioByName(workloadName, seed) }, mechs, seeds)
+	outs, events, err := h.compare(workloadName, mechs, seeds)
+	if err != nil {
+		return FigureResult{}, err
+	}
+	sc, _ := h.Scenario(workloadName, 0) // for the header; compare just applied the same overrides
 	from, to := measureWindow(outs)
 
 	var b strings.Builder
@@ -91,7 +94,7 @@ func ControlFigure(workloadName string, mechs []string, seeds []int64) FigureRes
 		}
 		fmt.Fprintf(&b, "%s:\n%s", mech, FormatDecisions(outs[mech][0]))
 	}
-	return FigureResult{Title: "control/" + workloadName, Text: b.String(), Rows: rows}
+	return FigureResult{Title: "control/" + workloadName, Text: b.String(), Rows: rows, Events: events}, nil
 }
 
 // FinalParallelism reports where the run's control loop left the operator:

@@ -88,6 +88,7 @@ func TestTwitchScenarioDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("determinism test simulates ~200 virtual seconds")
 	}
+	t.Parallel()
 	const seed = 11
 	a := TwitchScenario(seed).Run(Mechanisms("drrs"))
 	b := TwitchScenario(seed).Run(Mechanisms("drrs"))
@@ -110,6 +111,7 @@ func TestFlashCrowdMultiWaveDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-wave determinism test simulates ~90 virtual seconds")
 	}
+	t.Parallel()
 	runOnce := func() Outcome {
 		return FlashCrowdScenario(11).RunWith(func() scaling.Mechanism { return Mechanisms("drrs") })
 	}
@@ -147,6 +149,7 @@ func TestControllerScenarioDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("controller determinism test simulates ~90 virtual seconds")
 	}
+	t.Parallel()
 	runOnce := func() Outcome {
 		return ScenarioByName("flash-crowd-reactive", 11).
 			RunWith(func() scaling.Mechanism { return Mechanisms("drrs") })
@@ -172,6 +175,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel-equality test simulates ~200 virtual seconds")
 	}
+	t.Parallel()
 	specs := []RunSpec{
 		{Scenario: TwitchScenario(7), Mechanism: "otfs"},
 		{Scenario: TwitchScenario(7), Mechanism: "no-scale"},

@@ -276,8 +276,8 @@ func (d *ControllerDriver) Finish(r *Run) {
 
 // WithInterventions returns a copy of the scenario whose controller driver
 // forces the given counterfactual interventions. It panics on scripted
-// scenarios — a wave program has no policy decisions to fork; use the
-// -driver controller override first.
+// scenarios — a wave program has no policy decisions to fork; apply
+// Overrides{Driver: "controller"} first.
 func (sc Scenario) WithInterventions(ivs []control.Intervention) Scenario {
 	own, ok := sc.driver().(*ControllerDriver)
 	if !ok {
@@ -289,51 +289,10 @@ func (sc Scenario) WithInterventions(ivs []control.Intervention) Scenario {
 	return sc
 }
 
-// driverOverride forces every subsequent run onto a driver/policy; see
-// SetDriverOverride.
-var driverOverride struct{ mode, policy string }
-
-// SetDriverOverride forces every subsequent scenario run onto the named
-// driver ("script" | "controller") and, for controller driving, the named
-// policy. Empty strings keep each scenario's own choice. Names are validated
-// eagerly; call it before runs start (the worker pool reads the override
-// unsynchronized), mirroring SetClusterOverride.
-func SetDriverOverride(mode, policy string) {
-	switch mode {
-	case "", "script", "controller":
-	default:
-		panic(fmt.Sprintf("bench: unknown driver %q (script | controller)", mode))
-	}
-	if policy != "" {
-		control.PolicyByName(policy, control.PolicyParams{})
-	}
-	driverOverride.mode = mode
-	driverOverride.policy = policy
-}
-
-// driver resolves the run's Driver: the CLI override first, then the
-// scenario's own Driver, then the classic scripted wave program.
+// driver resolves the run's Driver: the scenario's own, else the classic
+// scripted wave program.
 func (sc *Scenario) driver() Driver {
-	switch driverOverride.mode {
-	case "script":
-		return &ScriptDriver{Waves: sc.Program()}
-	case "controller":
-		d := &ControllerDriver{Policy: "backlog"}
-		if own, ok := sc.Driver.(*ControllerDriver); ok {
-			clone := *own
-			d = &clone
-		}
-		if driverOverride.policy != "" {
-			d.Policy = driverOverride.policy
-		}
-		return d
-	}
 	if sc.Driver != nil {
-		if own, ok := sc.Driver.(*ControllerDriver); ok && driverOverride.policy != "" {
-			clone := *own
-			clone.Policy = driverOverride.policy
-			return &clone
-		}
 		return sc.Driver
 	}
 	return &ScriptDriver{Waves: sc.Program()}

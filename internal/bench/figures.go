@@ -16,8 +16,15 @@ import (
 	"drrs/internal/simtime"
 )
 
+// MechanismNames lists the report names Mechanisms accepts, for flag
+// validation and help text.
+func MechanismNames() []string {
+	return []string{"drrs", "drrs-dr", "drrs-schedule", "drrs-subscale", "meces", "megaphone",
+		"otfs", "otfs-allatonce", "stop-restart", "unbound", "no-scale"}
+}
+
 // Mechanisms builds a fresh mechanism by report name (fresh per run: the
-// implementations carry per-operation state).
+// implementations carry per-operation state). Unknown names panic.
 func Mechanisms(name string) scaling.Mechanism {
 	switch name {
 	case "drrs":
@@ -64,7 +71,8 @@ type FigureResult struct {
 	Title string
 	Text  string
 	// Rows maps a label ("drrs", "meces", …) to its headline numbers.
-	Rows map[string]Row
+	Rows   map[string]Row
+	Events uint64 // Outcome.Events summed over the figure's runs (perf accounting)
 }
 
 // Row is one mechanism's headline numbers for a figure.
@@ -188,22 +196,26 @@ func measureWindow(outs map[string][]Outcome) (simtime.Time, simtime.Time) {
 	return from, to
 }
 
-// compare runs one scenario under several mechanisms across seeds (in
-// parallel across Workers; each run is independently deterministic) and
-// aggregates the paper's headline metrics.
-func compare(scenario func(int64) Scenario, mechs []string, seeds []int64) map[string][]Outcome {
+// compare runs one registered scenario under several mechanisms across seeds
+// (in parallel across Workers; each run is independently deterministic) and
+// groups the outcomes by mechanism.
+func (h Harness) compare(scenario string, mechs []string, seeds []int64) (map[string][]Outcome, uint64, error) {
 	specs := make([]RunSpec, 0, len(mechs)*len(seeds))
 	for _, mech := range mechs {
 		for _, seed := range seeds {
-			specs = append(specs, RunSpec{Scenario: scenario(seed), Mechanism: mech})
+			sc, err := h.Scenario(scenario, seed)
+			if err != nil {
+				return nil, 0, err
+			}
+			specs = append(specs, RunSpec{Scenario: sc, Mechanism: mech})
 		}
 	}
-	results := RunParallel(specs, Workers)
+	results := RunParallel(specs, h.Workers)
 	outs := make(map[string][]Outcome)
 	for i, sp := range specs {
 		outs[sp.Mechanism] = append(outs[sp.Mechanism], results[i])
 	}
-	return outs
+	return outs, SumEvents(results), nil
 }
 
 func rowsFrom(outs map[string][]Outcome) map[string]Row {
@@ -248,9 +260,12 @@ func sortedKeys[V any](m map[string]V) []string {
 // Fig2 regenerates the motivation experiment: Unbound vs OTFS (generalized
 // on-the-fly scaling with fluid migration) vs No Scale on the Twitch
 // workload under a fixed input rate.
-func Fig2(seeds []int64) FigureResult {
+func (h Harness) Fig2(seeds []int64) (FigureResult, error) {
 	mustSeeds("Fig2", seeds)
-	outs := compare(TwitchScenario, []string{"unbound", "otfs", "no-scale"}, seeds)
+	outs, events, err := h.compare("twitch", []string{"unbound", "otfs", "no-scale"}, seeds)
+	if err != nil {
+		return FigureResult{}, err
+	}
 	from, to := measureWindow(outs)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 2 — Unbound vs OTFS vs No Scale (Twitch), window [%v, %v]\n", from, to)
@@ -266,16 +281,18 @@ func Fig2(seeds []int64) FigureResult {
 		rows[mech] = r
 		fmt.Fprintf(&b, "%-10s %20s %20s\n", mech, r.PeakMs, r.AvgMs)
 	}
-	return FigureResult{Title: "fig2", Text: b.String(), Rows: rows}
+	return FigureResult{Title: "fig2", Text: b.String(), Rows: rows, Events: events}, nil
 }
 
 // HeadToHead runs the Fig 10–13 experiment set for one workload (q7, q8,
 // twitch) against Meces and Megaphone, producing all four figures' data from
 // the same runs, as the paper does.
-func HeadToHead(workloadName string, seeds []int64) FigureResult {
+func (h Harness) HeadToHead(workloadName string, seeds []int64) (FigureResult, error) {
 	mustSeeds("HeadToHead", seeds)
-	outs := compare(func(seed int64) Scenario { return ScenarioByName(workloadName, seed) },
-		[]string{"drrs", "meces", "megaphone"}, seeds)
+	outs, events, err := h.compare(workloadName, []string{"drrs", "meces", "megaphone"}, seeds)
+	if err != nil {
+		return FigureResult{}, err
+	}
 	rows := rowsFrom(outs)
 	from, to := measureWindow(outs)
 
@@ -335,15 +352,17 @@ func HeadToHead(workloadName string, seeds []int64) FigureResult {
 			}
 		}
 	}
-	return FigureResult{Title: "fig10-13/" + workloadName, Text: b.String(), Rows: rows}
+	return FigureResult{Title: "fig10-13/" + workloadName, Text: b.String(), Rows: rows, Events: events}, nil
 }
 
 // Fig14 regenerates the ablation: full DRRS vs DR-only vs Schedule-only vs
 // Subscale-only on the Twitch workload.
-func Fig14(seeds []int64) FigureResult {
+func (h Harness) Fig14(seeds []int64) (FigureResult, error) {
 	mustSeeds("Fig14", seeds)
-	outs := compare(TwitchScenario,
-		[]string{"drrs", "drrs-dr", "drrs-schedule", "drrs-subscale"}, seeds)
+	outs, events, err := h.compare("twitch", []string{"drrs", "drrs-dr", "drrs-schedule", "drrs-subscale"}, seeds)
+	if err != nil {
+		return FigureResult{}, err
+	}
 	rows := rowsFrom(outs)
 	from, to := measureWindow(outs)
 	var b strings.Builder
@@ -353,7 +372,7 @@ func Fig14(seeds []int64) FigureResult {
 		r := rows[mech]
 		fmt.Fprintf(&b, "%-15s %20s %20s\n", mech, r.PeakMs, r.AvgMs)
 	}
-	return FigureResult{Title: "fig14", Text: b.String(), Rows: rows}
+	return FigureResult{Title: "fig14", Text: b.String(), Rows: rows, Events: events}, nil
 }
 
 // MultiWave regenerates the multi-wave track for one registered scenario:
@@ -361,13 +380,16 @@ func Fig14(seeds []int64) FigureResult {
 // scale-back), and the table reports each wave's scaling period, migration
 // duration, suspension, and propagation delay separately — the per-wave
 // decomposition single-wave figures cannot show.
-func MultiWave(workloadName string, mechs []string, seeds []int64) FigureResult {
+func (h Harness) MultiWave(workloadName string, mechs []string, seeds []int64) (FigureResult, error) {
 	mustSeeds("MultiWave", seeds)
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "meces", "megaphone"}
 	}
-	sc := ScenarioByName(workloadName, 0)
-	outs := compare(func(seed int64) Scenario { return ScenarioByName(workloadName, seed) }, mechs, seeds)
+	outs, events, err := h.compare(workloadName, mechs, seeds)
+	if err != nil {
+		return FigureResult{}, err
+	}
+	sc, _ := h.Scenario(workloadName, 0) // for the header; compare just applied the same overrides
 	from, to := measureWindow(outs)
 
 	var b strings.Builder
@@ -426,14 +448,14 @@ func MultiWave(workloadName string, mechs []string, seeds []int64) FigureResult 
 		}
 		fmt.Fprintf(&b, "%-16s %s\n", mech, Sparkline(outs[mech][0], simtime.Second, from, to))
 	}
-	return FigureResult{Title: "multiwave/" + workloadName, Text: b.String(), Rows: rows}
+	return FigureResult{Title: "multiwave/" + workloadName, Text: b.String(), Rows: rows, Events: events}, nil
 }
 
 // Sweep fans every (scenario × mechanism × seed) combination out across the
 // worker pool and reports one aggregated row per (scenario, mechanism) pair —
 // the bulk comparison harness for registered scenarios beyond the paper's
 // fixed figure set.
-func Sweep(scenarioNames []string, mechs []string, seeds []int64) FigureResult {
+func (h Harness) Sweep(scenarioNames []string, mechs []string, seeds []int64) (FigureResult, error) {
 	mustSeeds("Sweep", seeds)
 	if len(scenarioNames) == 0 {
 		scenarioNames = ScenarioNames()
@@ -447,12 +469,16 @@ func Sweep(scenarioNames []string, mechs []string, seeds []int64) FigureResult {
 	for _, scn := range scenarioNames {
 		for _, mech := range mechs {
 			for _, seed := range seeds {
-				specs = append(specs, RunSpec{Scenario: ScenarioByName(scn, seed), Mechanism: mech})
+				sc, err := h.Scenario(scn, seed)
+				if err != nil {
+					return FigureResult{}, err
+				}
+				specs = append(specs, RunSpec{Scenario: sc, Mechanism: mech})
 				cells = append(cells, cell{scenario: scn, mech: mech})
 			}
 		}
 	}
-	results := RunParallel(specs, Workers)
+	results := RunParallel(specs, h.Workers)
 	byCell := make(map[cell][]Outcome)
 	for i, c := range cells {
 		byCell[c] = append(byCell[c], results[i])
@@ -491,7 +517,7 @@ func Sweep(scenarioNames []string, mechs []string, seeds []int64) FigureResult {
 				scn, mech, r.PeakMs, r.AvgMs, r.ScalingSec, r.SuspensionMs, done, len(runs))
 		}
 	}
-	return FigureResult{Title: "sweep", Text: b.String(), Rows: rows}
+	return FigureResult{Title: "sweep", Text: b.String(), Rows: rows, Events: SumEvents(results)}, nil
 }
 
 // SensitivityPoint is one cell of the Fig 15 grid.
@@ -508,7 +534,7 @@ type SensitivityPoint struct {
 // Fig15 regenerates the sensitivity grid: input rate × state size × skew →
 // throughput deviation for DRRS, Megaphone, and Meces on the simulated
 // 4-node cluster. Rates in records/s, stateBytes total across keys.
-func Fig15(seed int64, rates []float64, stateBytes []int, skews []float64, mechs []string) ([]SensitivityPoint, FigureResult) {
+func (h Harness) Fig15(seed int64, rates []float64, stateBytes []int, skews []float64, mechs []string) ([]SensitivityPoint, FigureResult, error) {
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "megaphone", "meces"}
 	}
@@ -519,7 +545,11 @@ func Fig15(seed int64, rates []float64, stateBytes []int, skews []float64, mechs
 		for _, skew := range skews {
 			for _, sb := range stateBytes {
 				for _, rate := range rates {
-					specs = append(specs, RunSpec{Scenario: SensitivityScenario(seed, rate, sb, skew), Mechanism: mech})
+					sc, err := h.Overrides.Apply(SensitivityScenario(seed, rate, sb, skew))
+					if err != nil {
+						return nil, FigureResult{}, err
+					}
+					specs = append(specs, RunSpec{Scenario: sc, Mechanism: mech})
 					cells = append(cells, SensitivityPoint{
 						Mechanism: mech, RatePerSec: rate, StateBytes: sb, Skew: skew,
 					})
@@ -527,7 +557,7 @@ func Fig15(seed int64, rates []float64, stateBytes []int, skews []float64, mechs
 			}
 		}
 	}
-	results := RunParallel(specs, Workers)
+	results := RunParallel(specs, h.Workers)
 	pts := cells
 	for i, o := range results {
 		pts[i].Deviation = o.Throughput.DeviationFrom(pts[i].RatePerSec, o.ScaleAt, o.EndAt)
@@ -556,5 +586,5 @@ func Fig15(seed int64, rates []float64, stateBytes []int, skews []float64, mechs
 			}
 		}
 	}
-	return pts, FigureResult{Title: "fig15", Text: b.String()}
+	return pts, FigureResult{Title: "fig15", Text: b.String(), Events: SumEvents(results)}, nil
 }

@@ -78,6 +78,7 @@ func TestInstanceSecondsInRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two simulated scenarios")
 	}
+	t.Parallel()
 	sc := TwitchScenario(7)
 	noScale := sc.Run(nil)
 	if noScale.InstanceSeconds <= 0 {

@@ -24,6 +24,17 @@ var goldenDigests = []struct {
 }{
 	{"twitch", "drrs", 7, 0x79187e882232338c},
 	{"twitch", "no-scale", 7, 0xe14e359c8c083a1d},
+	// One pin per baseline mechanism (and the schedule-only ablation, which
+	// takes core's non-DR path): the prerequisite for porting them off the
+	// legacy Starter adapter (ROADMAP item 2, Mechanisms). Recorded at commit
+	// 2ac2be7, stable across two in-process runs each.
+	{"twitch", "meces", 7, 0x3888ea5b06f56131},
+	{"twitch", "megaphone", 7, 0x464d9e008d9397f9},
+	{"twitch", "otfs", 7, 0xe2f1a9fce8d38e25},
+	{"twitch", "otfs-allatonce", 7, 0x64ae9ba11ff3f91e},
+	{"twitch", "stop-restart", 7, 0xc80b900b56151a98},
+	{"twitch", "unbound", 7, 0x81c170642245d066},
+	{"twitch", "drrs-schedule", 7, 0x531a379581f5566b},
 	{"bigcluster-128", "drrs", 3, 0xc0ecb820c15b5e67},
 	// Closed-loop: the digest additionally folds in the controller's
 	// decision audit trail, so a policy or controller change that shifts any
@@ -73,8 +84,8 @@ func TestGoldenDigests(t *testing.T) {
 		t.Skip("golden runs simulate a few hundred virtual seconds")
 	}
 	for _, c := range goldenDigests {
-		c := c
 		t.Run(c.scenario+"/"+c.mech, func(t *testing.T) {
+			t.Parallel() // a run reads nothing but its Scenario value
 			// RunWith with a fresh-factory: controller scenarios launch as
 			// many operations as the policy decides.
 			o := ScenarioByName(c.scenario, c.seed).
@@ -94,6 +105,7 @@ func TestOutcomeDigestSensitivity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("digest sensitivity simulates two scenario runs")
 	}
+	t.Parallel()
 	a := OutcomeDigest(TwitchScenario(7).Run(nil))
 	b := OutcomeDigest(TwitchScenario(8).Run(nil))
 	if a == b {

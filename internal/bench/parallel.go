@@ -8,20 +8,33 @@ import (
 	"drrs/internal/scaling"
 )
 
-// Workers is the scenario-runner worker count used by the figure harnesses:
-// 0 (the default) means GOMAXPROCS, 1 forces sequential execution.
-// cmd/drrs-bench exposes it as -parallel.
+// Harness is what the figure, sweep, ablation, policy-search and
+// counterfactual entry points hang off; the zero value changes no scenario.
 //
 // Parallelism is across runs only: each simulation owns a private scheduler,
 // clock, RNG streams, and metrics, and stays single-threaded and
 // deterministic. Results are therefore bit-for-bit identical at any worker
 // count; only wall time changes.
-var Workers int
+type Harness struct {
+	// Workers is the pool size (cmd/drrs-bench -parallel): <= 0 means
+	// GOMAXPROCS, 1 forces sequential execution.
+	Workers   int
+	Overrides Overrides
+}
 
-// EventsSimulated counts scheduler events fired across all Scenario.Run
-// calls in this process (atomically, so parallel runs can share it). The
-// perf reporter in cmd/drrs-bench reads deltas around each figure.
-var EventsSimulated atomic.Uint64
+// Scenario builds a registered scenario with the overrides applied — the
+// construction site every further rewrite starts from.
+func (h Harness) Scenario(name string, seed int64) (Scenario, error) {
+	return h.Overrides.Apply(ScenarioByName(name, seed))
+}
+
+// SumEvents totals the scheduler events the outcomes fired.
+func SumEvents(outs []Outcome) (n uint64) {
+	for i := range outs {
+		n += outs[i].Events
+	}
+	return n
+}
 
 // RunSpec names one independent (scenario, mechanism) run for RunParallel.
 // The mechanism is constructed inside the worker, fresh per scaling wave

@@ -75,27 +75,6 @@ func TopologyByName(name string) func(*simtime.Scheduler) *cluster.Cluster {
 	}
 }
 
-// clusterOverride is the -topology/-placement CLI override; see
-// SetClusterOverride.
-var clusterOverride struct{ topology, placement string }
-
-// SetClusterOverride forces every subsequent scenario run onto the named
-// topology and/or placement policy; empty strings keep the scenario's own
-// choice, and Scenario.Placement (set by WithPlacement, as TopologyFigure
-// does) still wins over the placement override. Names are validated eagerly.
-// Call it before runs start: the worker pool reads the overrides
-// unsynchronized.
-func SetClusterOverride(topology, placement string) {
-	if topology != "" {
-		TopologyByName(topology)
-	}
-	if placement != "" {
-		cluster.PolicyByName(placement)
-	}
-	clusterOverride.topology = topology
-	clusterOverride.placement = placement
-}
-
 func init() {
 	Register(Definition{Name: "rack-skew",
 		Description: "custom job packed onto one of 4 racks; scale-out lands rack-local vs cross-rack",
@@ -231,7 +210,7 @@ func HeteroTiersScenario(seed int64) Scenario {
 // cross-rack migration traffic; the gap between the columns is the price of
 // ignoring the rack fabric. Scaling and migration columns sum across all
 // launched waves of multi-wave programs.
-func TopologyFigure(workloadName string, mechs []string, seeds []int64) FigureResult {
+func (h Harness) TopologyFigure(workloadName string, mechs []string, seeds []int64) (FigureResult, error) {
 	mustSeeds("TopologyFigure", seeds)
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "meces", "megaphone"}
@@ -243,12 +222,16 @@ func TopologyFigure(workloadName string, mechs []string, seeds []int64) FigureRe
 	for _, p := range placements {
 		for _, mech := range mechs {
 			for _, seed := range seeds {
-				specs = append(specs, RunSpec{Scenario: ScenarioByName(workloadName, seed).WithPlacement(p), Mechanism: mech})
+				sc, err := h.Scenario(workloadName, seed)
+				if err != nil {
+					return FigureResult{}, err
+				}
+				specs = append(specs, RunSpec{Scenario: sc.WithPlacement(p), Mechanism: mech})
 				cells = append(cells, cell{placement: p, mech: mech})
 			}
 		}
 	}
-	results := RunParallel(specs, Workers)
+	results := RunParallel(specs, h.Workers)
 	byCell := make(map[cell][]Outcome)
 	for i, c := range cells {
 		byCell[c] = append(byCell[c], results[i])
@@ -282,5 +265,5 @@ func TopologyFigure(workloadName string, mechs []string, seeds []int64) FigureRe
 		}
 	}
 	b.WriteString("\nthe placement policy governs the whole deployment (initial layout and\nevery wave); rack-local keeps state transfers off the shared uplinks,\nand XRack is the traffic spread placement pushes through them.\n")
-	return FigureResult{Title: "topology/" + workloadName, Text: b.String(), Rows: rows}
+	return FigureResult{Title: "topology/" + workloadName, Text: b.String(), Rows: rows, Events: SumEvents(results)}, nil
 }

@@ -39,33 +39,35 @@ func TestTopologyByName(t *testing.T) {
 }
 
 func TestClusterOverrideResolution(t *testing.T) {
-	defer SetClusterOverride("", "")
-	s := simtime.NewScheduler()
-	sc := TwitchScenario(1)
-
-	SetClusterOverride("rack4x4", "")
-	cl := sc.buildCluster(s)
-	if len(cl.Racks()) != 4 || cl.PolicyName() != "rack-local" {
-		t.Fatalf("topology override not applied: racks=%d policy=%q", len(cl.Racks()), cl.PolicyName())
+	build := func(ov Overrides, rewrite func(Scenario) Scenario) (racks int, policy string) {
+		sc, err := ov.Apply(TwitchScenario(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl := rewrite(sc).buildCluster(simtime.NewScheduler())
+		return len(cl.Racks()), cl.PolicyName()
 	}
+	asIs := func(sc Scenario) Scenario { return sc }
 
-	SetClusterOverride("rack4x4", "pack")
-	cl = sc.buildCluster(simtime.NewScheduler())
-	if cl.PolicyName() != "pack" {
-		t.Fatalf("placement override not applied: %q", cl.PolicyName())
+	if racks, policy := build(Overrides{Topology: "rack4x4"}, asIs); racks != 4 || policy != "rack-local" {
+		t.Fatalf("topology override not applied: racks=%d policy=%q", racks, policy)
 	}
-
+	if _, policy := build(Overrides{Topology: "rack4x4", Placement: "pack"}, asIs); policy != "pack" {
+		t.Fatalf("placement override not applied: %q", policy)
+	}
 	// WithPlacement (the topology figure's columns) outranks the CLI-wide
-	// placement override.
-	cl = sc.WithPlacement("spread").buildCluster(simtime.NewScheduler())
-	if cl.PolicyName() != "spread" {
-		t.Fatalf("WithPlacement lost to the override: %q", cl.PolicyName())
+	// placement whichever rewrite comes first: it is the later one here, and
+	// Overrides.Placement only fills in where the scenario names no policy.
+	spread := func(sc Scenario) Scenario { return sc.WithPlacement("spread") }
+	if _, policy := build(Overrides{Topology: "rack4x4", Placement: "pack"}, spread); policy != "spread" {
+		t.Fatalf("WithPlacement lost to the override: %q", policy)
 	}
-
-	SetClusterOverride("", "")
-	cl = sc.buildCluster(simtime.NewScheduler())
-	if len(cl.Racks()) != 0 || cl.PolicyName() != "" {
-		t.Fatal("cleared override still active")
+	sc, err := Overrides{Topology: "rack4x4", Placement: "pack"}.Apply(TwitchScenario(1).WithPlacement("spread"))
+	if err != nil || sc.Placement != "spread" {
+		t.Fatalf("Overrides.Placement overwrote the scenario's own policy: %q, %v", sc.Placement, err)
+	}
+	if racks, policy := build(Overrides{}, asIs); racks != 0 || policy != "" {
+		t.Fatal("the zero Overrides changed the scenario's cluster")
 	}
 }
 
@@ -86,6 +88,7 @@ func TestBigClusterDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates two 128-node cluster runs")
 	}
+	t.Parallel()
 	runOnce := func() Outcome {
 		return ScenarioByName("bigcluster-128", 11).RunWith(
 			func() scaling.Mechanism { return Mechanisms("drrs") })
@@ -115,6 +118,7 @@ func TestRackLocalAvoidsUplinks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates two rack-cluster runs")
 	}
+	t.Parallel()
 	local := ScenarioByName("rack-skew", 5).WithPlacement("rack-local").
 		RunWith(func() scaling.Mechanism { return Mechanisms("drrs") })
 	spread := ScenarioByName("rack-skew", 5).WithPlacement("spread").
@@ -138,7 +142,10 @@ func TestTopologyFigureRendering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the rack-skew comparison grid")
 	}
-	res := TopologyFigure("rack-skew", []string{"drrs"}, []int64{1})
+	res, err := Harness{}.TopologyFigure("rack-skew", []string{"drrs"}, []int64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(res.Text, "rack-local") || !strings.Contains(res.Text, "spread") {
 		t.Fatalf("figure missing placement columns:\n%s", res.Text)
 	}
@@ -147,7 +154,7 @@ func TestTopologyFigureRendering(t *testing.T) {
 	}
 	mustSeedsPanic := func() (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		TopologyFigure("rack-skew", nil, nil)
+		Harness{}.TopologyFigure("rack-skew", nil, nil)
 		return false
 	}
 	if !mustSeedsPanic() {

@@ -10,55 +10,15 @@ import (
 	"drrs/internal/workload"
 )
 
-// trafficOverride is the -replay CLI override: a trace that replaces the
-// traffic of every custom-job scenario run after SetTrafficOverride.
-var trafficOverride struct {
-	path  string
-	trace *workload.Trace
-}
-
-// SetTrafficOverride installs the drrs-bench/drrs-sim -replay override: every
-// subsequent run of a Traffic-driven scenario consumes the recorded trace
-// instead of the scenario's own traffic. Empty path clears the override.
-// Called once before runs begin; panics on an unreadable or corrupt trace so
-// CLI typos fail eagerly rather than mid-sweep.
-func SetTrafficOverride(replayPath string) {
-	if replayPath == "" {
-		trafficOverride.path, trafficOverride.trace = "", nil
-		return
-	}
-	t, err := workload.ReadTraceFile(replayPath)
-	if err != nil {
-		panic(fmt.Sprintf("bench: -replay: %v", err))
-	}
-	trafficOverride.path, trafficOverride.trace = replayPath, t
-}
-
-// effectiveTraffic resolves what the run will consume: the -replay override's
-// trace if installed, else the scenario's own traffic.
-func (sc *Scenario) effectiveTraffic() workload.Traffic {
-	if trafficOverride.trace != nil {
-		return workload.Replay(trafficOverride.trace)
-	}
-	return sc.Traffic
-}
-
 // buildGraph constructs the run's job graph: through the split workload API
 // when the scenario declares Job+Traffic, through the legacy Build closure
 // otherwise (custom generators — twitch, nexmark — which have no replayable
 // traffic stream).
 func (sc *Scenario) buildGraph() (*dataflow.Graph, *engine.CollectSink) {
 	if sc.Traffic == nil {
-		if trafficOverride.trace != nil {
-			panic(fmt.Sprintf("bench: scenario %q drives a custom generator and cannot replay a trace (-replay works with custom-job scenarios; see drrs-bench -list)", sc.Name))
-		}
 		return sc.Build(sc.Seed)
 	}
-	traffic := sc.effectiveTraffic()
-	if sc.recorder != nil {
-		traffic = sc.recorder
-	}
-	return workload.BuildJob(sc.Job, traffic)
+	return workload.BuildJob(sc.Job, sc.Traffic)
 }
 
 // TrafficString renders the scenario's arrival-stream summary for listings.
@@ -78,9 +38,9 @@ func (sc Scenario) RecordWith(newMech func() scaling.Mechanism) (Outcome, *workl
 	if sc.Traffic == nil {
 		panic(fmt.Sprintf("bench: scenario %q drives a custom generator; only custom-job scenarios record traces", sc.Name))
 	}
-	sc.recorder = workload.NewRecorder(sc.effectiveTraffic())
-	out := sc.RunWith(newMech)
-	return out, sc.recorder.Trace()
+	rec := workload.NewRecorder(sc.Traffic)
+	sc.Traffic = rec
+	return sc.RunWith(newMech), rec.Trace()
 }
 
 // MillionUsersSpec composes the heterogeneous load of the million-users

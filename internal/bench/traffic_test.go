@@ -2,6 +2,7 @@ package bench
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"drrs/internal/scaling"
@@ -18,6 +19,7 @@ func TestRecordReplayDigestIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three full flash-crowd simulations")
 	}
+	t.Parallel()
 	plain := OutcomeDigest(ScenarioByName("flash-crowd", 11).RunWith(drrsFactory))
 
 	out, trace := ScenarioByName("flash-crowd", 11).RecordWith(drrsFactory)
@@ -44,44 +46,29 @@ func TestRecordReplayDigestIdentity(t *testing.T) {
 	}
 }
 
-// TestReplayOverrideRejectsCustomGenerator: -replay cannot feed scenarios
-// whose traffic is a custom generator closure; the failure must name the
-// problem instead of silently ignoring the trace.
+// TestReplayOverrideRejectsCustomGenerator: a replay cannot feed scenarios
+// whose traffic is a custom generator closure. Apply must say so as an error
+// — not run the scenario's own traffic under a replay label, and not panic
+// from a worker goroutine mid-figure.
 func TestReplayOverrideRejectsCustomGenerator(t *testing.T) {
-	defer SetTrafficOverride("")
-	path := filepath.Join(t.TempDir(), "tiny.trace")
 	tr := workload.Synthesize(workload.Live(workload.Spec{
 		Cohorts:  []workload.Cohort{workload.DefaultCohort()},
 		Duration: 1000,
 	}), 1)
-	if err := tr.WriteFile(path); err != nil {
-		t.Fatal(err)
+	ov := Overrides{Replay: tr}
+	_, err := ov.Apply(ScenarioByName("twitch", 1))
+	if err == nil || !strings.Contains(err.Error(), "cannot replay a trace") {
+		t.Fatalf("custom-generator scenario accepted a replay override: %v", err)
 	}
-	SetTrafficOverride(path)
-	sc := ScenarioByName("twitch", 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("custom-generator scenario accepted a replay override")
-		}
-	}()
-	sc.buildGraph()
-}
-
-// TestTrafficOverrideRejectsBadFiles: missing and corrupt traces fail at
-// install time, before any simulation runs.
-func TestTrafficOverrideRejectsBadFiles(t *testing.T) {
-	defer SetTrafficOverride("")
-	for name, path := range map[string]string{
-		"missing": filepath.Join(t.TempDir(), "nope.trace"),
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s trace accepted", name)
-				}
-			}()
-			SetTrafficOverride(path)
-		}()
+	if _, err := (Harness{Overrides: ov}).Fig2([]int64{1}); err == nil {
+		t.Fatal("Fig2 (twitch) ran under a replay override")
+	}
+	sc, err := ov.Apply(ScenarioByName("flash-crowd", 1))
+	if err != nil {
+		t.Fatalf("custom-job scenario refused a replay: %v", err)
+	}
+	if got, want := sc.TrafficString(), workload.Replay(tr).Describe(); got != want {
+		t.Fatalf("replayed scenario describes its traffic as %q, want %q", got, want)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"drrs/internal/bench"
 	"drrs/internal/faults"
 	"drrs/internal/simtime"
 )
@@ -116,7 +117,7 @@ func TestBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 		t.Fatalf("shrunk spec %q does not parse: %v", shrunk.Spec, err)
 	}
 	fs := execCase(shrunk.Scenario, shrunk.Mechanism, shrunk.Seed, *p,
-		shrunk.Oracle == OracleDeterminism, 0)
+		shrunk.Oracle == OracleDeterminism, bench.Harness{})
 	if !hasOracle(fs, shrunk.Oracle) {
 		t.Fatalf("replaying %q at seed %d did not reproduce the %s violation (got %v)",
 			shrunk.Spec, shrunk.Seed, shrunk.Oracle, fs)

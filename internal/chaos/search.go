@@ -26,6 +26,8 @@ type Config struct {
 	Retries int
 	// Workers bounds the parallel runner (<= 0 selects GOMAXPROCS).
 	Workers int
+	// Overrides apply to each case's scenario before its generated plan.
+	Overrides bench.Overrides
 	// Shrink minimizes the plan of each violating case before reporting.
 	Shrink bool
 	// ShrinkBudget caps re-executions per shrink (default 24).
@@ -99,6 +101,7 @@ func Search(cfg Config) Result {
 		probes         [2]*Probe
 		specIdx        [2]int
 	}
+	h := bench.Harness{Workers: cfg.Workers, Overrides: cfg.Overrides}
 	var cases []searchCase
 	var specs []bench.RunSpec
 	for _, scn := range cfg.Scenarios {
@@ -110,13 +113,13 @@ func Search(cfg Config) Result {
 				for r := 0; r < 2; r++ {
 					c.probes[r] = &Probe{}
 					c.specIdx[r] = len(specs)
-					specs = append(specs, caseSpec(scn, mech, seed, clonePlan(plan), c.probes[r]))
+					specs = append(specs, caseSpec(h, scn, mech, seed, clonePlan(plan), c.probes[r]))
 				}
 				cases = append(cases, c)
 			}
 		}
 	}
-	outs := bench.RunParallel(specs, cfg.Workers)
+	outs := bench.RunParallel(specs, h.Workers)
 	res := Result{Scenarios: cfg.Scenarios, Mechanisms: cfg.Mechanisms, Cases: len(cases), Runs: len(specs)}
 	for i := range cases {
 		c := &cases[i]
@@ -137,7 +140,7 @@ func Search(cfg Config) Result {
 				Plan: clonePlanVal(c.plan), Spec: specOf(c.plan),
 			}
 			if cfg.Shrink && j == 0 {
-				v = ShrinkViolation(v, cfg.Workers, cfg.ShrinkBudget)
+				v = ShrinkViolation(v, h, cfg.ShrinkBudget)
 			}
 			res.Violations = append(res.Violations, v)
 		}
@@ -178,10 +181,14 @@ func deriveTargets(scenario string) (nodes, racks []string) {
 	return nodes, cl.Racks()
 }
 
-// caseSpec assembles one run: the registered scenario with its fault plan
-// replaced by the generated one and the probe's oracle hook installed.
-func caseSpec(scenario, mech string, seed int64, plan *faults.Plan, p *Probe) bench.RunSpec {
-	sc := bench.ScenarioByName(scenario, seed)
+// caseSpec assembles one run: the registered scenario under the overrides,
+// its fault plan replaced by the generated one, the probe's oracle hook
+// installed. Overrides it cannot take panic, like an unknown scenario name.
+func caseSpec(h bench.Harness, scenario, mech string, seed int64, plan *faults.Plan, p *Probe) bench.RunSpec {
+	sc, err := h.Scenario(scenario, seed)
+	if err != nil {
+		panic(err)
+	}
 	sc.Faults = plan
 	sc.Inspect = p.fill
 	return bench.RunSpec{Scenario: sc, Mechanism: mech}
@@ -189,7 +196,7 @@ func caseSpec(scenario, mech string, seed int64, plan *faults.Plan, p *Probe) be
 
 // execCase re-runs one case (a pair when the determinism oracle is under
 // test) and returns its findings — the shrinker's probe.
-func execCase(scenario, mech string, seed int64, plan faults.Plan, pair bool, workers int) []Finding {
+func execCase(scenario, mech string, seed int64, plan faults.Plan, pair bool, h bench.Harness) []Finding {
 	n := 1
 	if pair {
 		n = 2
@@ -198,9 +205,9 @@ func execCase(scenario, mech string, seed int64, plan faults.Plan, pair bool, wo
 	specs := make([]bench.RunSpec, n)
 	for r := 0; r < n; r++ {
 		probes[r] = &Probe{}
-		specs[r] = caseSpec(scenario, mech, seed, clonePlan(plan), probes[r])
+		specs[r] = caseSpec(h, scenario, mech, seed, clonePlan(plan), probes[r])
 	}
-	outs := bench.RunParallel(specs, workers)
+	outs := bench.RunParallel(specs, h.Workers)
 	if !probes[0].filled {
 		panic("chaos: Inspect hook never ran")
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"drrs/internal/bench"
 	"drrs/internal/faults"
 	"drrs/internal/simtime"
 )
@@ -12,7 +13,7 @@ import (
 // violation; budget caps the re-executions, so the worst case degrades to
 // "no shrink", never to a false repro. The returned violation's Spec string
 // plus its seed replays the minimized failure exactly.
-func ShrinkViolation(v Violation, workers, budget int) Violation {
+func ShrinkViolation(v Violation, h bench.Harness, budget int) Violation {
 	if budget <= 0 {
 		budget = 24
 	}
@@ -22,7 +23,7 @@ func ShrinkViolation(v Violation, workers, budget int) Violation {
 			return false
 		}
 		runs++
-		fs := execCase(v.Scenario, v.Mechanism, v.Seed, p, v.Oracle == OracleDeterminism, workers)
+		fs := execCase(v.Scenario, v.Mechanism, v.Seed, p, v.Oracle == OracleDeterminism, h)
 		return hasOracle(fs, v.Oracle)
 	}
 

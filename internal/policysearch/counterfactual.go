@@ -20,18 +20,22 @@ type Counterfactual struct {
 }
 
 // RunCounterfactual re-executes one seeded scenario twice — unforced, then
-// with the interventions applied — over the parallel harness. Both runs share
-// the seed and every RNG stream, so the outcome diff is attributable to the
+// with the interventions applied — over the harness. Both runs share the
+// seed and every RNG stream, so the outcome diff is attributable to the
 // forced forks alone.
-func RunCounterfactual(scenario, mech string, seed int64, ivs []control.Intervention) Counterfactual {
+func RunCounterfactual(h bench.Harness, scenario, mech string, seed int64, ivs []control.Intervention) (Counterfactual, error) {
+	sc, err := h.Scenario(scenario, seed)
+	if err != nil {
+		return Counterfactual{}, err
+	}
 	outs := bench.RunParallel([]bench.RunSpec{
-		{Scenario: bench.ScenarioByName(scenario, seed), Mechanism: mech},
-		{Scenario: bench.ScenarioByName(scenario, seed).WithInterventions(ivs), Mechanism: mech},
-	}, bench.Workers)
+		{Scenario: sc, Mechanism: mech},
+		{Scenario: sc.WithInterventions(ivs), Mechanism: mech},
+	}, h.Workers)
 	return Counterfactual{
 		Scenario: scenario, Mechanism: mech, Seed: seed, Spec: ivs,
 		Base: outs[0], Forced: outs[1],
-	}
+	}, nil
 }
 
 // FormatDiff renders the side-by-side outcome diff: headline metrics and

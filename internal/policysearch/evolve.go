@@ -1,6 +1,7 @@
 package policysearch
 
 import (
+	"drrs/internal/bench"
 	"drrs/internal/fitness"
 	"drrs/internal/simtime"
 )
@@ -58,7 +59,7 @@ func (cfg *EvolveConfig) fillDefaults() {
 // Duplicate work is structurally impossible: the seen-set rejects any
 // mutation that lands on an already-evaluated candidate, and a sweep whose
 // space is exhausted simply stops early.
-func Evolve(cfg EvolveConfig) []Evaluated {
+func Evolve(h bench.Harness, cfg EvolveConfig) ([]Evaluated, error) {
 	cfg.fillDefaults()
 	rng := simtime.NewRNG(cfg.SearchSeed, "policysearch/"+cfg.Scenario)
 	seen := make(map[Candidate]bool)
@@ -78,7 +79,11 @@ func Evolve(cfg EvolveConfig) []Evaluated {
 	pop := fill(nil, func() Candidate { return randomCandidate(rng, cfg.Space) })
 	var all []Evaluated
 	for gen := 0; gen < cfg.Generations && len(pop) > 0; gen++ {
-		all = append(all, Evaluate(cfg.Scenario, cfg.Mechanism, pop, cfg.Seeds, cfg.Weights)...)
+		evs, err := Evaluate(h, cfg.Scenario, cfg.Mechanism, pop, cfg.Seeds, cfg.Weights)
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, evs...)
 		if gen == cfg.Generations-1 {
 			break
 		}
@@ -94,7 +99,7 @@ func Evolve(cfg EvolveConfig) []Evaluated {
 			return mutate(rng, elite[rng.Intn(len(elite))].Candidate, cfg.Space)
 		})
 	}
-	return all
+	return all, nil
 }
 
 // randomCandidate draws one point uniformly from the space's menus, zeroing

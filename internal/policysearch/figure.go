@@ -51,25 +51,28 @@ func (cfg *SearchConfig) fillDefaults() {
 // front as a figure: one row per evaluated candidate (front members
 // starred), with the fitness components filled into the machine-readable
 // rows so -json artifacts carry the full objective data.
-func Search(cfg SearchConfig) bench.FigureResult {
+func Search(h bench.Harness, cfg SearchConfig) (bench.FigureResult, error) {
 	cfg.fillDefaults()
+	if cfg.Mode != "grid" && cfg.Mode != "evolve" && cfg.Mode != "both" {
+		panic(fmt.Sprintf("policysearch: unknown search mode %q (grid | evolve | both)", cfg.Mode))
+	}
 	var all []Evaluated
-	switch cfg.Mode {
-	case "grid":
-		all = Evaluate(cfg.Scenario, cfg.Mechanism, cfg.Space.Grid(), cfg.Seeds, cfg.Weights)
-	case "evolve":
-		all = Evolve(EvolveConfig{
+	if cfg.Mode != "evolve" {
+		evs, err := Evaluate(h, cfg.Scenario, cfg.Mechanism, cfg.Space.Grid(), cfg.Seeds, cfg.Weights)
+		if err != nil {
+			return bench.FigureResult{}, err
+		}
+		all = evs
+	}
+	if cfg.Mode != "grid" {
+		evs, err := Evolve(h, EvolveConfig{
 			Scenario: cfg.Scenario, Mechanism: cfg.Mechanism, Seeds: cfg.Seeds,
 			SearchSeed: cfg.SearchSeed, Weights: cfg.Weights, Space: cfg.Space,
 		})
-	case "both":
-		all = Evaluate(cfg.Scenario, cfg.Mechanism, cfg.Space.Grid(), cfg.Seeds, cfg.Weights)
-		all = append(all, Evolve(EvolveConfig{
-			Scenario: cfg.Scenario, Mechanism: cfg.Mechanism, Seeds: cfg.Seeds,
-			SearchSeed: cfg.SearchSeed, Weights: cfg.Weights, Space: cfg.Space,
-		})...)
-	default:
-		panic(fmt.Sprintf("policysearch: unknown search mode %q (grid | evolve | both)", cfg.Mode))
+		if err != nil {
+			return bench.FigureResult{}, err
+		}
+		all = append(all, evs...)
 	}
 	front := Pareto(all)
 	onFront := make(map[Candidate]bool, len(front))
@@ -88,7 +91,9 @@ func Search(cfg SearchConfig) bench.FigureResult {
 	fmt.Fprintf(&b, "  %-40s %10s %8s %10s %10s %6s\n",
 		"candidate", "score", "SLO(s)", "mig(MB)", "inst-sec", "osc")
 	rows := make(map[string]bench.Row, len(all))
+	var events uint64
 	for _, e := range ranked {
+		events += e.Events
 		mark := " "
 		if onFront[e.Candidate] {
 			mark = "*"
@@ -98,7 +103,7 @@ func Search(cfg SearchConfig) bench.FigureResult {
 			mark, e.Candidate.Label(), e.Score, c.SLOViolations, c.MigrationMB, c.InstanceSeconds, c.Oscillations)
 		rows[e.Candidate.Label()] = bench.Row{Fitness: fitnessRow(e, cfg.Weights)}
 	}
-	return bench.FigureResult{Title: "search/" + cfg.Scenario, Text: b.String(), Rows: rows}
+	return bench.FigureResult{Title: "search/" + cfg.Scenario, Text: b.String(), Rows: rows, Events: events}, nil
 }
 
 // fitnessRow spreads one candidate's per-seed fitness vectors into the

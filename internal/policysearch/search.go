@@ -172,34 +172,37 @@ type Evaluated struct {
 	// Components is the per-seed mean — the vector dominance compares.
 	Components fitness.Components
 	// Score is Components.Score under the sweep's weights (lower is better).
-	Score float64
+	Score  float64
+	Events uint64 // Outcome.Events summed over the candidate's runs
 }
 
-// Evaluate runs every (candidate × seed) cell over the parallel harness and
-// reduces each candidate to its mean objective vector. Results are in
-// candidate order regardless of worker count.
-func Evaluate(scenario, mech string, cands []Candidate, seeds []int64, w fitness.Weights) []Evaluated {
+// Evaluate runs every (candidate × seed) cell over the harness and reduces
+// each candidate to its mean objective vector. Results are in candidate order
+// regardless of worker count.
+func Evaluate(h bench.Harness, scenario, mech string, cands []Candidate, seeds []int64, w fitness.Weights) ([]Evaluated, error) {
 	w.Validate()
 	specs := make([]bench.RunSpec, 0, len(cands)*len(seeds))
 	for _, c := range cands {
 		for _, seed := range seeds {
-			specs = append(specs, bench.RunSpec{
-				Scenario:  c.Apply(bench.ScenarioByName(scenario, seed)),
-				Mechanism: mech,
-			})
+			sc, err := h.Scenario(scenario, seed)
+			if err != nil {
+				return nil, err
+			}
+			specs = append(specs, bench.RunSpec{Scenario: c.Apply(sc), Mechanism: mech})
 		}
 	}
-	outs := bench.RunParallel(specs, bench.Workers)
+	outs := bench.RunParallel(specs, h.Workers)
 	evs := make([]Evaluated, len(cands))
 	for i, c := range cands {
+		runs := outs[i*len(seeds) : (i+1)*len(seeds)]
 		per := make([]fitness.Components, len(seeds))
-		for j := range seeds {
-			per[j] = outs[i*len(seeds)+j].Fitness()
+		for j := range runs {
+			per[j] = runs[j].Fitness()
 		}
 		mean := fitness.Mean(per)
-		evs[i] = Evaluated{Candidate: c, PerSeed: per, Components: mean, Score: mean.Score(w)}
+		evs[i] = Evaluated{Candidate: c, PerSeed: per, Components: mean, Score: mean.Score(w), Events: bench.SumEvents(runs)}
 	}
-	return evs
+	return evs, nil
 }
 
 // Pareto returns the non-dominated evaluated candidates (by mean objective

@@ -55,8 +55,11 @@ func TestCounterfactualDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := RunCounterfactual("flash-crowd-reactive", "drrs", 5, ivs)
-	b := RunCounterfactual("flash-crowd-reactive", "drrs", 5, ivs)
+	a, errA := RunCounterfactual(bench.Harness{}, "flash-crowd-reactive", "drrs", 5, ivs)
+	b, errB := RunCounterfactual(bench.Harness{}, "flash-crowd-reactive", "drrs", 5, ivs)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	if ad, bd := bench.OutcomeDigest(a.Forced), bench.OutcomeDigest(b.Forced); ad != bd {
 		t.Errorf("forced replay digests differ: 0x%016x vs 0x%016x", ad, bd)
 	}
@@ -146,7 +149,10 @@ func TestGridSearchFront(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid sweep simulates eight closed-loop runs")
 	}
-	evs := Evaluate("flash-crowd-reactive", "drrs", testSpace().Grid(), []int64{5}, fitness.DefaultWeights())
+	evs, err := Evaluate(bench.Harness{}, "flash-crowd-reactive", "drrs", testSpace().Grid(), []int64{5}, fitness.DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(evs) != 8 {
 		t.Fatalf("evaluated %d candidates, want 8", len(evs))
 	}
@@ -183,8 +189,11 @@ func TestEvolveDeterministic(t *testing.T) {
 		Generations: 2,
 		Space:       testSpace(),
 	}
-	a := Evolve(cfg)
-	b := Evolve(cfg)
+	a, errA := Evolve(bench.Harness{}, cfg)
+	b, errB := Evolve(bench.Harness{}, cfg)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
 	if len(a) == 0 {
 		t.Fatal("sweep evaluated no candidates")
 	}
@@ -203,7 +212,10 @@ func TestEvolveDeterministic(t *testing.T) {
 	// A different search seed must explore a different trajectory (the
 	// stream is named, so this also guards against the seed being ignored).
 	cfg.SearchSeed = 8
-	c := Evolve(cfg)
+	c, err := Evolve(bench.Harness{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	same := len(c) == len(a)
 	if same {
 		for i := range a {
@@ -215,5 +227,47 @@ func TestEvolveDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Error("search seed 8 explored the identical candidate sequence as seed 7 — the RNG stream is ignoring the seed")
+	}
+}
+
+// TestCandidatePolicyBeatsOverride pins the one precedence rule where it used
+// to break: under a CLI-wide -policy, every candidate of a search ran that
+// policy and was ranked under its own label. The candidate is the later, more
+// specific rewrite, so its policy is the one the controller runs.
+func TestCandidatePolicyBeatsOverride(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates two closed-loop runs")
+	}
+	h := bench.Harness{Overrides: bench.Overrides{Policy: "backlog"}}
+	cands := []Candidate{
+		{Policy: "predictive", Cadence: 500 * simtime.Millisecond, Debounce: simtime.Second, Patience: 4, Horizon: 3 * simtime.Second},
+		{Policy: "threshold", Cadence: 500 * simtime.Millisecond, Debounce: simtime.Second},
+	}
+	var specs []bench.RunSpec
+	for _, c := range cands {
+		sc, err := h.Scenario("flash-crowd-reactive", 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, bench.RunSpec{Scenario: c.Apply(sc), Mechanism: "drrs"})
+	}
+	for i, o := range bench.RunParallel(specs, h.Workers) {
+		if len(o.Decisions) == 0 {
+			t.Fatalf("%s: no decisions — the test proves nothing", cands[i].Label())
+		}
+		for _, d := range o.Decisions {
+			if d.Policy != cands[i].Policy {
+				t.Fatalf("%s: decision %d was made by policy %q", cands[i].Label(), d.Seq, d.Policy)
+			}
+		}
+	}
+	// And through the search entry point: two candidates that differ only in
+	// policy must not collapse onto one score.
+	evs, err := Evaluate(h, "flash-crowd-reactive", "drrs", cands, []int64{5}, fitness.DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if evs[0].Components == evs[1].Components {
+		t.Errorf("predictive and threshold candidates scored identically under -policy backlog: %+v", evs[0].Components)
 	}
 }
