@@ -180,8 +180,9 @@ func BenchmarkFig15_Sensitivity(b *testing.B) {
 }
 
 // BenchmarkEngineThroughput measures the raw simulation speed of the engine
-// itself (events/second of wall time) — not a paper figure, but the number
-// that bounds every experiment above.
+// itself (one twitch/no-scale run; records per wall second is the unit that
+// compares across commits) — not a paper figure, but the number that bounds
+// every experiment above.
 func BenchmarkEngineThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := bench.TwitchScenario(int64(i + 100))

@@ -109,22 +109,28 @@ type figureJSON struct {
 }
 
 // figurePerf is one figure's perf accounting in the -perf JSON record.
+// records_per_sec is the speed figure that compares across commits: the
+// traffic fixes the records, while an optimisation may remove events.
 type figurePerf struct {
-	Name         string  `json:"name"`
-	WallMS       float64 `json:"wall_ms"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
+	Name          string  `json:"name"`
+	WallMS        float64 `json:"wall_ms"`
+	Events        uint64  `json:"events"`
+	EventsPerSec  float64 `json:"events_per_sec"`
+	Records       uint64  `json:"records"`
+	RecordsPerSec float64 `json:"records_per_sec"`
 }
 
 // perfRecord is the top-level -perf JSON document.
 type perfRecord struct {
-	GeneratedAt  string       `json:"generated_at"`
-	GoMaxProcs   int          `json:"gomaxprocs"`
-	Workers      int          `json:"workers"`
-	Figures      []figurePerf `json:"figures"`
-	TotalWallMS  float64      `json:"total_wall_ms"`
-	TotalEvents  uint64       `json:"total_events"`
-	EventsPerSec float64      `json:"events_per_sec"`
+	GeneratedAt   string       `json:"generated_at"`
+	GoMaxProcs    int          `json:"gomaxprocs"`
+	Workers       int          `json:"workers"`
+	Figures       []figurePerf `json:"figures"`
+	TotalWallMS   float64      `json:"total_wall_ms"`
+	TotalEvents   uint64       `json:"total_events"`
+	EventsPerSec  float64      `json:"events_per_sec"`
+	TotalRecords  uint64       `json:"total_records"`
+	RecordsPerSec float64      `json:"records_per_sec"`
 }
 
 func main() {
@@ -136,7 +142,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker goroutines for independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	var opts cliopts.Common
 	opts.Bind(flag.CommandLine)
-	perfOut := flag.String("perf", "", "write a JSON perf record (wall time, events/sec per figure) to this file")
+	perfOut := flag.String("perf", "", "write a JSON perf record (wall time, records/sec and events/sec per figure) to this file")
 	jsonOut := flag.String("json", "", "write every figure's structured rows as machine-readable JSON to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
@@ -330,13 +336,15 @@ func main() {
 			return
 		}
 		perf.Figures = append(perf.Figures, figurePerf{
-			Name:         res.Title,
-			WallMS:       float64(wall.Microseconds()) / 1000,
-			Events:       res.Events,
-			EventsPerSec: float64(res.Events) / wall.Seconds(),
+			Name:          res.Title,
+			WallMS:        float64(wall.Microseconds()) / 1000,
+			Events:        res.Events,
+			EventsPerSec:  float64(res.Events) / wall.Seconds(),
+			Records:       res.Records,
+			RecordsPerSec: float64(res.Records) / wall.Seconds(),
 		})
 		jsonRec.Figures = append(jsonRec.Figures, figureJSON{Title: res.Title, Rows: res.Rows})
-		fmt.Printf("==== %s (wall %v, %d events) ====\n%s\n", res.Title, wall.Round(time.Millisecond), res.Events, res.Text)
+		fmt.Printf("==== %s (wall %v, %d records, %d events) ====\n%s\n", res.Title, wall.Round(time.Millisecond), res.Records, res.Events, res.Text)
 	}
 	defer func() {
 		if *jsonOut == "" {
@@ -360,9 +368,11 @@ func main() {
 		for _, f := range perf.Figures {
 			perf.TotalWallMS += f.WallMS
 			perf.TotalEvents += f.Events
+			perf.TotalRecords += f.Records
 		}
 		if perf.TotalWallMS > 0 {
 			perf.EventsPerSec = float64(perf.TotalEvents) / (perf.TotalWallMS / 1000)
+			perf.RecordsPerSec = float64(perf.TotalRecords) / (perf.TotalWallMS / 1000)
 		}
 		data, err := json.MarshalIndent(perf, "", "  ")
 		if err == nil {

@@ -25,7 +25,7 @@ type SweepPoint struct {
 	SuspMs       float64
 	PropMs       float64
 	MigrationSec float64
-	Events       uint64 // Outcome.Events, for perf accounting
+	Work         // the run's size, for perf accounting
 }
 
 // sweep runs one knob sweep: per setting, a fresh registered scenario driven
@@ -48,7 +48,7 @@ func (h Harness) sweep(scenario string, seed int64, vals []int, point func(v int
 			SuspMs:       o.Scale.CumulativeSuspension().Millis(),
 			PropMs:       o.Scale.CumulativePropagationDelay().Millis(),
 			MigrationSec: o.Scale.MigrationDuration().Seconds(),
-			Events:       o.Events,
+			Work:         o.Work(),
 		})
 	}
 	return out, nil
@@ -108,7 +108,7 @@ func (h Harness) Ablation(seed int64) (FigureResult, error) {
 			return res, err
 		}
 		for _, p := range pts {
-			res.Events += p.Events
+			res.Add(p.Work)
 		}
 		tables = append(tables, FormatSweep(sw.title, pts))
 	}

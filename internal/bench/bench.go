@@ -172,8 +172,8 @@ type Outcome struct {
 	// scripted driving): what the policy saw, what it asked for, and whether
 	// the decision superseded an in-flight operation.
 	Decisions []control.Decision
-	// Events is the number of scheduler events the run fired — the raw
-	// simulation work, used for events/second perf accounting.
+	// Events is the number of scheduler events the run fired — what the
+	// simulator spent on the run, not what the workload asked of it (see Work).
 	Events uint64
 	// TransferredBytes is total outgoing migration traffic across all nodes;
 	// CrossRackBytes is the share that crossed a rack uplink (0 on flat

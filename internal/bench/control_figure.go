@@ -20,7 +20,7 @@ func (h Harness) ControlFigure(workloadName string, mechs []string, seeds []int6
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "meces", "megaphone"}
 	}
-	outs, events, err := h.compare(workloadName, mechs, seeds)
+	outs, work, err := h.compare(workloadName, mechs, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -94,7 +94,7 @@ func (h Harness) ControlFigure(workloadName string, mechs []string, seeds []int6
 		}
 		fmt.Fprintf(&b, "%s:\n%s", mech, FormatDecisions(outs[mech][0]))
 	}
-	return FigureResult{Title: "control/" + workloadName, Text: b.String(), Rows: rows, Events: events}, nil
+	return FigureResult{Title: "control/" + workloadName, Text: b.String(), Rows: rows, Work: work}, nil
 }
 
 // FinalParallelism reports where the run's control loop left the operator:

@@ -71,8 +71,9 @@ type FigureResult struct {
 	Title string
 	Text  string
 	// Rows maps a label ("drrs", "meces", …) to its headline numbers.
-	Rows   map[string]Row
-	Events uint64 // Outcome.Events summed over the figure's runs (perf accounting)
+	Rows map[string]Row
+	// Work sums the figure's runs, for perf accounting.
+	Work
 }
 
 // Row is one mechanism's headline numbers for a figure.
@@ -199,13 +200,13 @@ func measureWindow(outs map[string][]Outcome) (simtime.Time, simtime.Time) {
 // compare runs one registered scenario under several mechanisms across seeds
 // (in parallel across Workers; each run is independently deterministic) and
 // groups the outcomes by mechanism.
-func (h Harness) compare(scenario string, mechs []string, seeds []int64) (map[string][]Outcome, uint64, error) {
+func (h Harness) compare(scenario string, mechs []string, seeds []int64) (map[string][]Outcome, Work, error) {
 	specs := make([]RunSpec, 0, len(mechs)*len(seeds))
 	for _, mech := range mechs {
 		for _, seed := range seeds {
 			sc, err := h.Scenario(scenario, seed)
 			if err != nil {
-				return nil, 0, err
+				return nil, Work{}, err
 			}
 			specs = append(specs, RunSpec{Scenario: sc, Mechanism: mech})
 		}
@@ -215,7 +216,7 @@ func (h Harness) compare(scenario string, mechs []string, seeds []int64) (map[st
 	for i, sp := range specs {
 		outs[sp.Mechanism] = append(outs[sp.Mechanism], results[i])
 	}
-	return outs, SumEvents(results), nil
+	return outs, SumWork(results), nil
 }
 
 func rowsFrom(outs map[string][]Outcome) map[string]Row {
@@ -262,7 +263,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // workload under a fixed input rate.
 func (h Harness) Fig2(seeds []int64) (FigureResult, error) {
 	mustSeeds("Fig2", seeds)
-	outs, events, err := h.compare("twitch", []string{"unbound", "otfs", "no-scale"}, seeds)
+	outs, work, err := h.compare("twitch", []string{"unbound", "otfs", "no-scale"}, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -281,7 +282,7 @@ func (h Harness) Fig2(seeds []int64) (FigureResult, error) {
 		rows[mech] = r
 		fmt.Fprintf(&b, "%-10s %20s %20s\n", mech, r.PeakMs, r.AvgMs)
 	}
-	return FigureResult{Title: "fig2", Text: b.String(), Rows: rows, Events: events}, nil
+	return FigureResult{Title: "fig2", Text: b.String(), Rows: rows, Work: work}, nil
 }
 
 // HeadToHead runs the Fig 10–13 experiment set for one workload (q7, q8,
@@ -289,7 +290,7 @@ func (h Harness) Fig2(seeds []int64) (FigureResult, error) {
 // the same runs, as the paper does.
 func (h Harness) HeadToHead(workloadName string, seeds []int64) (FigureResult, error) {
 	mustSeeds("HeadToHead", seeds)
-	outs, events, err := h.compare(workloadName, []string{"drrs", "meces", "megaphone"}, seeds)
+	outs, work, err := h.compare(workloadName, []string{"drrs", "meces", "megaphone"}, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -352,14 +353,14 @@ func (h Harness) HeadToHead(workloadName string, seeds []int64) (FigureResult, e
 			}
 		}
 	}
-	return FigureResult{Title: "fig10-13/" + workloadName, Text: b.String(), Rows: rows, Events: events}, nil
+	return FigureResult{Title: "fig10-13/" + workloadName, Text: b.String(), Rows: rows, Work: work}, nil
 }
 
 // Fig14 regenerates the ablation: full DRRS vs DR-only vs Schedule-only vs
 // Subscale-only on the Twitch workload.
 func (h Harness) Fig14(seeds []int64) (FigureResult, error) {
 	mustSeeds("Fig14", seeds)
-	outs, events, err := h.compare("twitch", []string{"drrs", "drrs-dr", "drrs-schedule", "drrs-subscale"}, seeds)
+	outs, work, err := h.compare("twitch", []string{"drrs", "drrs-dr", "drrs-schedule", "drrs-subscale"}, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -372,7 +373,7 @@ func (h Harness) Fig14(seeds []int64) (FigureResult, error) {
 		r := rows[mech]
 		fmt.Fprintf(&b, "%-15s %20s %20s\n", mech, r.PeakMs, r.AvgMs)
 	}
-	return FigureResult{Title: "fig14", Text: b.String(), Rows: rows, Events: events}, nil
+	return FigureResult{Title: "fig14", Text: b.String(), Rows: rows, Work: work}, nil
 }
 
 // MultiWave regenerates the multi-wave track for one registered scenario:
@@ -385,7 +386,7 @@ func (h Harness) MultiWave(workloadName string, mechs []string, seeds []int64) (
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "meces", "megaphone"}
 	}
-	outs, events, err := h.compare(workloadName, mechs, seeds)
+	outs, work, err := h.compare(workloadName, mechs, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -448,7 +449,7 @@ func (h Harness) MultiWave(workloadName string, mechs []string, seeds []int64) (
 		}
 		fmt.Fprintf(&b, "%-16s %s\n", mech, Sparkline(outs[mech][0], simtime.Second, from, to))
 	}
-	return FigureResult{Title: "multiwave/" + workloadName, Text: b.String(), Rows: rows, Events: events}, nil
+	return FigureResult{Title: "multiwave/" + workloadName, Text: b.String(), Rows: rows, Work: work}, nil
 }
 
 // Sweep fans every (scenario × mechanism × seed) combination out across the
@@ -517,7 +518,7 @@ func (h Harness) Sweep(scenarioNames []string, mechs []string, seeds []int64) (F
 				scn, mech, r.PeakMs, r.AvgMs, r.ScalingSec, r.SuspensionMs, done, len(runs))
 		}
 	}
-	return FigureResult{Title: "sweep", Text: b.String(), Rows: rows, Events: SumEvents(results)}, nil
+	return FigureResult{Title: "sweep", Text: b.String(), Rows: rows, Work: SumWork(results)}, nil
 }
 
 // SensitivityPoint is one cell of the Fig 15 grid.
@@ -586,5 +587,5 @@ func (h Harness) Fig15(seed int64, rates []float64, stateBytes []int, skews []fl
 			}
 		}
 	}
-	return pts, FigureResult{Title: "fig15", Text: b.String(), Events: SumEvents(results)}, nil
+	return pts, FigureResult{Title: "fig15", Text: b.String(), Work: SumWork(results)}, nil
 }

@@ -112,3 +112,46 @@ func TestOutcomeDigestSensitivity(t *testing.T) {
 		t.Fatal("digest ignored the seed")
 	}
 }
+
+// eventBudgets pins Outcome.Events — which the digest deliberately leaves
+// out — as ceilings for three fixed-seed runs. The ceilings are the exact
+// counts at the commit that made wakes demand-driven (an edge wakes its sender
+// only after refusing it, a busy instance is not woken, the end-of-service
+// poll happens only when something is queued); the always-wake data plane
+// before it fired 7 523 415 / 7 547 699 / 3 774 331 events for the same
+// records. A reintroduced no-op wake costs a few per cent of wall time, which
+// hides in host noise, but thousands of events, which cannot hide here. A
+// change that removes more events should lower the ceiling it beats.
+var eventBudgets = []struct {
+	scenario string
+	mech     string
+	seed     int64
+	ceiling  uint64
+}{
+	{"twitch", "no-scale", 1, 4_632_714},
+	{"twitch", "drrs", 1, 4_648_445},
+	{"bigcluster-128", "drrs", 1, 2_523_679},
+}
+
+// TestEventBudget replays each budgeted run and fails when it fires more
+// scheduler events than its ceiling.
+func TestEventBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("event budgets simulate three full runs")
+	}
+	for _, c := range eventBudgets {
+		t.Run(c.scenario+"/"+c.mech, func(t *testing.T) {
+			t.Parallel()
+			o := ScenarioByName(c.scenario, c.seed).
+				RunWith(func() scaling.Mechanism { return Mechanisms(c.mech) })
+			if o.Events > c.ceiling {
+				t.Errorf("%d scheduler events, budget %d (+%d): some wake-up fires without work to do",
+					o.Events, c.ceiling, o.Events-c.ceiling)
+			}
+			if o.Events < c.ceiling {
+				t.Logf("%d scheduler events, %d under the budget of %d: lower the ceiling",
+					o.Events, c.ceiling-o.Events, c.ceiling)
+			}
+		})
+	}
+}

@@ -28,12 +28,33 @@ func (h Harness) Scenario(name string, seed int64) (Scenario, error) {
 	return h.Overrides.Apply(ScenarioByName(name, seed))
 }
 
-// SumEvents totals the scheduler events the outcomes fired.
-func SumEvents(outs []Outcome) (n uint64) {
+// Work sizes a set of runs in the two units perf accounting divides by wall
+// time. Records (what the sources emitted) are fixed by the traffic, so
+// records per second compares across PRs; Events (scheduler events fired) are
+// what the simulator spent on them, and fall whenever an optimisation stops
+// scheduling a no-op — events per second compares only within one commit.
+type Work struct {
+	Events  uint64
+	Records uint64
+}
+
+// Add accumulates o into w.
+func (w *Work) Add(o Work) {
+	w.Events += o.Events
+	w.Records += o.Records
+}
+
+// Work sizes one finished run.
+func (o Outcome) Work() Work {
+	return Work{Events: o.Events, Records: uint64(o.Throughput.Total())}
+}
+
+// SumWork totals the work of the outcomes.
+func SumWork(outs []Outcome) (w Work) {
 	for i := range outs {
-		n += outs[i].Events
+		w.Add(outs[i].Work())
 	}
-	return n
+	return w
 }
 
 // RunSpec names one independent (scenario, mechanism) run for RunParallel.

@@ -265,5 +265,5 @@ func (h Harness) TopologyFigure(workloadName string, mechs []string, seeds []int
 		}
 	}
 	b.WriteString("\nthe placement policy governs the whole deployment (initial layout and\nevery wave); rack-local keeps state transfers off the shared uplinks,\nand XRack is the traffic spread placement pushes through them.\n")
-	return FigureResult{Title: "topology/" + workloadName, Text: b.String(), Rows: rows, Events: SumEvents(results)}, nil
+	return FigureResult{Title: "topology/" + workloadName, Text: b.String(), Rows: rows, Work: SumWork(results)}, nil
 }

@@ -253,7 +253,7 @@ func TestSlidingWindowFires(t *testing.T) {
 	}
 	// Every key should have produced window outputs.
 	for k := uint64(1); k <= 4; k++ {
-		if sink.CountByKey[k] == 0 {
+		if _, ok := sink.ByKey[k]; !ok {
 			t.Fatalf("key %d fired no windows", k)
 		}
 	}

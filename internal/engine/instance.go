@@ -310,11 +310,29 @@ func (in *Instance) BacklogLen() int { return in.backlog.Len() }
 // Suspended reports whether the instance is currently suspension-blocked.
 func (in *Instance) Suspended() bool { return in.suspended }
 
-// Wake schedules a processing attempt. Wakes coalesce: any number of calls
+// Wake schedules a processing attempt (one step) at the current instant,
+// unless the instance could not act on it. Wakes coalesce: any number of calls
 // before the next step produce a single step. The indirection through the
 // scheduler keeps the engine free of reentrant processing.
+//
+// Who wakes whom. An input edge wakes its receiver on every arrival. An
+// output edge wakes its sender once after it refused a TrySend and outbox
+// space freed (netsim.Edge), and never otherwise. UnblockEdge, Revive, the
+// source-side ingest paths and RedirectPending (when it moves the head of the
+// blocked-emission queue to another edge) wake the instance they change; a
+// scaling hook that makes a queued record processable wakes the instance
+// holding it; whoever clears Halted or PauseData wakes the instance it
+// released.
+//
+// While the instance is busy, Wake is a no-op: the step would return without
+// looking at anything. That is safe because of one invariant — every
+// `busy = false` is followed by Wake. ChargeBusy and the checkpoint-snapshot
+// closure call it unconditionally; processDone calls it exactly when a poll
+// could find something (a blocked emission to retry, or a queued message on
+// an admissible channel), which covers everything a Wake dropped during
+// service could have announced.
 func (in *Instance) Wake() {
-	if in.wakeQueued {
+	if in.wakeQueued || in.busy {
 		return
 	}
 	in.wakeQueued = true
@@ -455,7 +473,12 @@ func (in *Instance) processDone() {
 		return
 	}
 	in.apply(m, e)
-	in.Wake()
+	// Poll again only if the poll could find something: blocked emissions to
+	// retry or an admissible channel with a queued message. Later arrivals,
+	// unblocks and outbox space wake the instance themselves.
+	if len(in.pending) > 0 || in.NextReady(0, len(in.ins)) >= 0 {
+		in.Wake()
+	}
 }
 
 // noteLost records n data records destroyed by a fault at this instance,
@@ -663,8 +686,14 @@ func (in *Instance) PendingEmits() int { return len(in.pending) }
 
 // RedirectPending retargets blocked emissions matching take from one edge to
 // another (part of DRRS's output-cache redirection: the pending queue is the
-// tail of the output cache).
+// tail of the output cache). The head of the queue waits on the edge that
+// refused it; when the head itself moves, that registration is on the wrong
+// edge, so the instance wakes once to retry the head on its new edge.
 func (in *Instance) RedirectPending(from, to *netsim.Edge, take func(*netsim.Record) bool) int {
+	if len(in.pending) == 0 {
+		return 0
+	}
+	head := in.pending[0].edge
 	var n int
 	for i := range in.pending {
 		if in.pending[i].edge != from {
@@ -674,6 +703,9 @@ func (in *Instance) RedirectPending(from, to *netsim.Edge, take func(*netsim.Rec
 			in.pending[i].edge = to
 			n++
 		}
+	}
+	if in.pending[0].edge != head {
+		in.Wake()
 	}
 	return n
 }

@@ -424,46 +424,56 @@ func (l *MapLogic) OnWatermark(dataflow.OpContext, simtime.Time) {}
 type CollectSink struct {
 	// ByKey accumulates the sum of values per key.
 	ByKey map[uint64]float64
-	// CountByKey counts records per key.
-	CountByKey map[uint64]int
-	// Seqs tracks seen sequence numbers for loss/duplication checks.
-	Seqs map[uint64]int
 	// Records counts total data records.
 	Records int
+
+	// seen and repeats are the exactly-once ledger: bit q of seen is set once
+	// sequence number q has arrived, and repeats counts the arrivals that found
+	// their bit already set. Sequence numbers are the runtime's dense counter
+	// (Runtime.NextSeq), so the bitset costs one bit per record of the run.
+	seen    []uint64
+	repeats int
 }
 
 // NewCollectSink returns an empty sink.
 func NewCollectSink() *CollectSink {
-	return &CollectSink{
-		ByKey:      make(map[uint64]float64),
-		CountByKey: make(map[uint64]int),
-		Seqs:       make(map[uint64]int),
-	}
+	return &CollectSink{ByKey: make(map[uint64]float64)}
 }
 
 // OnRecord implements dataflow.Logic.
 func (s *CollectSink) OnRecord(_ dataflow.OpContext, r *netsim.Record) {
 	s.Records++
 	s.ByKey[r.Key] += r.Value
-	s.CountByKey[r.Key]++
 	if r.Seq != 0 {
-		s.Seqs[r.Seq]++
+		s.noteSeq(r.Seq)
 	}
+}
+
+// noteSeq marks sequence number q seen, growing the bitset by doubling.
+func (s *CollectSink) noteSeq(q uint64) {
+	w := int(q >> 6)
+	if w >= len(s.seen) {
+		n := max(2*len(s.seen), 64)
+		for n <= w {
+			n *= 2
+		}
+		grown := make([]uint64, n)
+		copy(grown, s.seen)
+		s.seen = grown
+	}
+	bit := uint64(1) << (q & 63)
+	if s.seen[w]&bit != 0 {
+		s.repeats++
+	}
+	s.seen[w] |= bit
 }
 
 // OnWatermark implements dataflow.Logic.
 func (s *CollectSink) OnWatermark(dataflow.OpContext, simtime.Time) {}
 
-// Duplicates reports how many sequence numbers were seen more than once.
-func (s *CollectSink) Duplicates() int {
-	var n int
-	for _, c := range s.Seqs {
-		if c > 1 {
-			n += c - 1
-		}
-	}
-	return n
-}
+// Duplicates reports how many arrivals repeated a sequence number the sink
+// had already seen (a number seen three times counts 2).
+func (s *CollectSink) Duplicates() int { return s.repeats }
 
 // Keyed state for SlidingWindowLogic and WindowJoinLogic flows through
 // state.Store as *windowPane / *joinState aux payloads; KeyedReduceLogic

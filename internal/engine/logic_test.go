@@ -180,3 +180,23 @@ func TestJoinSideMissingAuxDefaultsToRightZero(t *testing.T) {
 		t.Fatalf("want one 1×1 match, got %v", ctx.out)
 	}
 }
+
+// TestCollectSinkDuplicates: the exactly-once ledger counts every arrival
+// beyond a sequence number's first — a number seen three times counts 2 —
+// across bitset growth, and ignores unsequenced records.
+func TestCollectSinkDuplicates(t *testing.T) {
+	s := NewCollectSink()
+	for _, seq := range []uint64{1, 2, 3, 0, 0, 70000, 2, 5, 2, 70000, 63, 64, 64} {
+		s.OnRecord(nil, &netsim.Record{Key: seq%3 + 1, Value: 1, Seq: seq})
+	}
+	// 2 seen three times (2), 70000 twice (1), 64 twice (1).
+	if got := s.Duplicates(); got != 4 {
+		t.Fatalf("Duplicates() = %d, want 4", got)
+	}
+	if s.Records != 13 {
+		t.Fatalf("Records = %d, want 13", s.Records)
+	}
+	if NewCollectSink().Duplicates() != 0 {
+		t.Fatal("empty sink reports duplicates")
+	}
+}

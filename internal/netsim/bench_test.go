@@ -91,6 +91,45 @@ func BenchmarkEdgePumpBandwidth(b *testing.B) {
 	s.Run()
 }
 
+// BenchmarkEdgeBackpressureCycle measures one full backpressure episode on a
+// saturated edge — refused TrySend, receiver pop, link pump, the sender's
+// demand-driven wake, resend — which is the only path that still schedules a
+// sender wake.
+func BenchmarkEdgeBackpressureCycle(b *testing.B) {
+	s := simtime.NewScheduler()
+	e := NewEdge(s, Endpoint{Op: "a"}, Endpoint{Op: "b"}, EdgeConfig{
+		Latency: simtime.Ms(0.5),
+		OutCap:  4,
+		InCap:   4,
+	})
+	var pool RecordPool
+	var held *Record // the refused record, resent by the wake
+	var woken int
+	e.SetSenderWake(func() {
+		woken++
+		if !e.TrySend(held) {
+			b.Fatal("resend refused right after the wake")
+		}
+		held = nil
+	})
+	for e.TrySend(pool.Get()) { // saturate: link and outbox full
+	}
+	s.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		held = pool.Get()
+		if e.TrySend(held) {
+			b.Fatal("saturated edge accepted a record")
+		}
+		pool.Put(e.PopInbox().(*Record))
+		s.Run() // the wake resends held; the link delivers one more
+	}
+	if woken != b.N {
+		b.Fatalf("%d wakes for %d refusals", woken, b.N)
+	}
+}
+
 // TestEdgePumpSteadyStateAllocs is the CI guard for the coalesced delivery
 // path: once deques, the arrival queue, and the scheduler pool are warm,
 // pushing a pooled record through the edge must not allocate.

@@ -23,8 +23,18 @@ func (e Endpoint) String() string { return fmt.Sprintf("%s[%d]", e.Op, e.Index) 
 // barriers, which jump to the inbox front (priority arrival).
 //
 // Backpressure: TrySend refuses records when the outbox is at capacity, and
-// the link stalls when the inbox (including in-flight messages) is full; the
-// sender is woken asynchronously when outbox space frees.
+// the link stalls when the inbox (including in-flight messages) is full.
+//
+// Who wakes whom: the edge wakes its receiver once per arrival, and its
+// sender only on demand. A refused TrySend registers the sender as waiting;
+// the next time outbox space frees (the link took a message, or ExtractOutbox
+// removed some) the edge schedules exactly one SetSenderWake callback at the
+// current instant and forgets the registration. A sender that was never
+// refused costs no wake events, and a sender refused again after its wake
+// re-registers by that refusal. The callback is a hint that TrySend may now
+// succeed, not a reservation: the sender must retry, and whoever makes a
+// sender stop retrying for another reason (halted, busy) owns waking it when
+// that reason ends.
 type Edge struct {
 	sched *simtime.Scheduler
 
@@ -61,8 +71,9 @@ type Edge struct {
 
 	onArrival  func(*Edge)
 	onOutSpace func()
-	wakeFn     func()
-	wakeQueued bool
+	// senderWaiting is set by a refused TrySend and consumed by wakeSender:
+	// outbox space that frees while nobody was refused wakes nobody.
+	senderWaiting bool
 
 	// Delivered counts messages that reached the inbox, for tests and debug.
 	Delivered uint64
@@ -99,10 +110,6 @@ func NewEdge(s *simtime.Scheduler, src, dst Endpoint, cfg EdgeConfig) *Edge {
 	}
 	// Prebound so the hot path never allocates a closure.
 	e.deliverFn = e.deliver
-	e.wakeFn = func() {
-		e.wakeQueued = false
-		e.onOutSpace()
-	}
 	return e
 }
 
@@ -139,20 +146,20 @@ func (e *Edge) inboxDrained() {
 	}
 }
 
-// SetSenderWake installs the callback fired (asynchronously) when outbox
-// space frees up, so a blocked sender can resume emitting.
+// SetSenderWake installs the callback fired (asynchronously, once per
+// refusal episode) when outbox space frees after a TrySend was refused, so a
+// blocked sender can resume emitting.
 func (e *Edge) SetSenderWake(fn func()) { e.onOutSpace = fn }
 
 // TrySend enqueues m into the outbox. It refuses data records (including
 // rerouted ones) when the outbox is full — that is backpressure — but always
 // accepts control messages, whose loss or blockage would deadlock the
-// protocol. Reports whether the message was accepted.
+// protocol. Reports whether the message was accepted; a refusal registers the
+// sender for one wake when outbox space frees.
 func (e *Edge) TrySend(m Message) bool {
-	if e.OutCap > 0 && e.outbox.Len() >= e.OutCap {
-		switch m.MsgKind() {
-		case KindRecord, KindRerouted, KindStateChunk:
-			return false
-		}
+	if e.OutCap > 0 && e.outbox.Len() >= e.OutCap && isDataKind(m) {
+		e.senderWaiting = true
+		return false
 	}
 	e.outbox.PushBack(m)
 	e.pump()
@@ -235,12 +242,14 @@ func (e *Edge) armDeliver() {
 	e.sched.At(e.arrivals.At(0).at, e.deliverFn)
 }
 
+// wakeSender is called wherever outbox space freed. It schedules the sender's
+// wake only if a TrySend has been refused since the last one.
 func (e *Edge) wakeSender() {
-	if e.onOutSpace == nil || e.wakeQueued {
+	if !e.senderWaiting || e.onOutSpace == nil {
 		return
 	}
-	e.wakeQueued = true
-	e.sched.After(0, e.wakeFn)
+	e.senderWaiting = false
+	e.sched.After(0, e.onOutSpace)
 }
 
 // deliver drains every arrival due at the current instant into the inbox,

@@ -91,9 +91,9 @@ func Search(h bench.Harness, cfg SearchConfig) (bench.FigureResult, error) {
 	fmt.Fprintf(&b, "  %-40s %10s %8s %10s %10s %6s\n",
 		"candidate", "score", "SLO(s)", "mig(MB)", "inst-sec", "osc")
 	rows := make(map[string]bench.Row, len(all))
-	var events uint64
+	var work bench.Work
 	for _, e := range ranked {
-		events += e.Events
+		work.Add(e.Work)
 		mark := " "
 		if onFront[e.Candidate] {
 			mark = "*"
@@ -103,7 +103,7 @@ func Search(h bench.Harness, cfg SearchConfig) (bench.FigureResult, error) {
 			mark, e.Candidate.Label(), e.Score, c.SLOViolations, c.MigrationMB, c.InstanceSeconds, c.Oscillations)
 		rows[e.Candidate.Label()] = bench.Row{Fitness: fitnessRow(e, cfg.Weights)}
 	}
-	return bench.FigureResult{Title: "search/" + cfg.Scenario, Text: b.String(), Rows: rows, Events: events}, nil
+	return bench.FigureResult{Title: "search/" + cfg.Scenario, Text: b.String(), Rows: rows, Work: work}, nil
 }
 
 // fitnessRow spreads one candidate's per-seed fitness vectors into the

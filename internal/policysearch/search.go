@@ -172,8 +172,9 @@ type Evaluated struct {
 	// Components is the per-seed mean — the vector dominance compares.
 	Components fitness.Components
 	// Score is Components.Score under the sweep's weights (lower is better).
-	Score  float64
-	Events uint64 // Outcome.Events summed over the candidate's runs
+	Score float64
+	// Work sums the candidate's runs, for perf accounting.
+	bench.Work
 }
 
 // Evaluate runs every (candidate × seed) cell over the harness and reduces
@@ -200,7 +201,7 @@ func Evaluate(h bench.Harness, scenario, mech string, cands []Candidate, seeds [
 			per[j] = runs[j].Fitness()
 		}
 		mean := fitness.Mean(per)
-		evs[i] = Evaluated{Candidate: c, PerSeed: per, Components: mean, Score: mean.Score(w), Events: bench.SumEvents(runs)}
+		evs[i] = Evaluated{Candidate: c, PerSeed: per, Components: mean, Score: mean.Score(w), Work: bench.SumWork(runs)}
 	}
 	return evs, nil
 }
