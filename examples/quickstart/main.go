@@ -18,17 +18,16 @@ import (
 func main() {
 	// A 3-operator job: generator → keyed aggregator (4 instances, 64 key
 	// groups) → sink, 2000 records/s for 6 simulated seconds.
-	g, sink := workload.Build(workload.Config{
-		AggParallelism:   4,
-		MaxKeyGroups:     64,
-		Keys:             500,
-		RatePerSec:       2000,
-		StateBytesPerKey: 1024,
-		CostPerRecord:    200 * simtime.Microsecond,
-		Duration:         simtime.Sec(6),
-		EmitUpdates:      true,
-		Seed:             42,
-	})
+	job := workload.DefaultJob()
+	job.MaxKeyGroups = 64
+	job.CostPerRecord = 200 * simtime.Microsecond
+	job.EmitUpdates = true
+	g, sink := workload.BuildJob(job, workload.Classic(workload.ClassicSpec{
+		Keys:       500,
+		RatePerSec: 2000,
+		Duration:   simtime.Sec(6),
+		Seed:       42,
+	}))
 
 	s := simtime.NewScheduler()
 	rt := engine.New(s, g, nil, engine.Config{Seed: 42})
@@ -41,7 +40,7 @@ func main() {
 		plan := scaling.UniformPlan(g, "agg", 6, simtime.Ms(50))
 		fmt.Printf("t=%v  scaling agg 4→6: %d of 64 key groups migrate\n",
 			s.Now(), len(plan.Moves))
-		core.New(core.FullDRRS()).Start(rt, plan, func() { done = s.Now() })
+		core.New(core.FullDRRS()).Begin(rt, plan, func() { done = s.Now() })
 	})
 
 	// Run the whole simulation to completion (virtual time, so this is

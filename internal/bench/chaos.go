@@ -110,23 +110,24 @@ func init() {
 // crowd on the rack4x4 fabric, driven closed-loop by the backlog policy —
 // the spike forces a scale-out right as the fault plan starts firing.
 func chaosScenario(name string, placement string, plan *faults.Plan, seed int64) Scenario {
-	job, traffic := workload.Config{
-		SourceParallelism: 2,
-		AggParallelism:    8,
-		MaxKeyGroups:      128,
-		Keys:              8000,
-		RatePerSec:        2000, // ×2 sources = 4K tps baseline, util ≈ 0.75
-		Skew:              0.8,
-		StateBytesPerKey:  1024,
-		CostPerRecord:     1500 * simtime.Microsecond,
-		Shape:             workload.FlashCrowd(shapeWarmup, simtime.Sec(10), 1.5),
-		Duration:          shapeHorizon,
-		Seed:              seed,
-	}.Split()
 	return Scenario{
-		Name:           name,
-		Job:            job,
-		Traffic:        traffic,
+		Name: name,
+		Job: workload.JobConfig{
+			SourceParallelism: 2,
+			AggParallelism:    8,
+			MaxKeyGroups:      128,
+			StateBytesPerKey:  1024,
+			CostPerRecord:     1500 * simtime.Microsecond,
+			WatermarkEvery:    simtime.Ms(100),
+		},
+		Traffic: workload.Classic(workload.ClassicSpec{
+			Keys:       8000,
+			RatePerSec: 2000, // ×2 sources = 4K tps baseline, util ≈ 0.75
+			Skew:       0.8,
+			Shape:      workload.FlashCrowd(shapeWarmup, simtime.Sec(10), 1.5),
+			Duration:   shapeHorizon,
+			Seed:       seed,
+		}),
 		ScaleOp:        "agg",
 		NewParallelism: 12, // scripted fallback for -driver script
 		Driver:         &ControllerDriver{Policy: "backlog", Min: 4, Max: 16},

@@ -116,9 +116,11 @@ func TestChaosScenariosDeterministic(t *testing.T) {
 }
 
 // TestLegacyMechanismsSurviveNodeLoss runs the tentpole crash scenario under
-// every legacy (BeginLegacy-adapted) mechanism: the controller's health feed
-// fires an involuntary supersession whose Cancel the legacy adapter cannot
-// honor, so the wounded operation must still settle on its own — against a
+// every mechanism that does not honor Cancel (the name predates the single
+// Begin contract and stays because the test floor pins it): the controller's
+// health feed fires an involuntary supersession whose Cancel the operation
+// records but cannot honor, so the wounded operation must still settle on its
+// own — against a
 // dead destination — and release the pending recovery plan. No operation may
 // wedge: every launched decision except at most the horizon-cut last one
 // reports done, deterministically across two seeds.
@@ -161,10 +163,10 @@ func TestLegacyMechanismsSurviveNodeLoss(t *testing.T) {
 }
 
 // TestLegacyCancelDuringDeployAndMigrate targets the two remaining phases of
-// the supersession matrix directly: each legacy mechanism is cancelled once
-// during deploy (setup still pending) and once mid-migration. The adapter
-// reports the cancel as not honored, and the operation must still run to
-// completion with every planned group at its destination — a cancel must
+// the supersession matrix directly: each mechanism that does not honor Cancel
+// is cancelled once during deploy (setup still pending) and once
+// mid-migration. The operation reports the cancel as not honored and must
+// still run to completion with every planned group at its destination — a cancel must
 // never strand state or wedge the done callback.
 func TestLegacyCancelDuringDeployAndMigrate(t *testing.T) {
 	for _, mech := range []string{"meces", "megaphone", "otfs", "stop-restart", "unbound"} {
@@ -174,11 +176,11 @@ func TestLegacyCancelDuringDeployAndMigrate(t *testing.T) {
 				if mech == "stop-restart" && phase == scaling.PhaseMigrate {
 					t.Skip("stop&restart moves all state in one event — no observable migrate window to cancel in")
 				}
-				g, _ := workload.Build(workload.Config{
-					AggParallelism: 4, MaxKeyGroups: 32, Keys: 200,
-					RatePerSec: 200, StateBytesPerKey: 512,
-					Duration: simtime.Sec(2), Seed: 7,
-				})
+				job := workload.DefaultJob()
+				job.MaxKeyGroups, job.StateBytesPerKey = 32, 512
+				g, _ := workload.BuildJob(job, workload.Classic(workload.ClassicSpec{
+					Keys: 200, RatePerSec: 200, Duration: simtime.Sec(2), Seed: 7,
+				}))
 				s := simtime.NewScheduler()
 				rt := engine.New(s, g, nil, engine.Config{Seed: 7, MarkerInterval: -1})
 				rt.Start()
@@ -191,9 +193,10 @@ func TestLegacyCancelDuringDeployAndMigrate(t *testing.T) {
 					if cancelled || done {
 						return
 					}
-					if op.Progress().Phase >= phase {
+					// Mid-migration means some, not all, groups have landed.
+					if pr := op.Progress(); pr.Phase >= phase && (phase == scaling.PhaseDeploy || pr.Moved > 0) {
 						if op.Cancel() {
-							t.Error("legacy adapter honored Cancel")
+							t.Error("a mechanism that cannot stand down honored Cancel")
 						}
 						cancelled = true
 						return
@@ -215,5 +218,90 @@ func TestLegacyCancelDuringDeployAndMigrate(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMechanismLifecycleContract states the Operation contract once, for every
+// registered mechanism, on a cluster slow enough that each phase is observable
+// at a 1 ms poll: the phase never steps backwards, Moved never exceeds Total
+// and equals it at done, and "deploy" means the new instances do not exist
+// yet — right after SetupDelay the operation is migrating with nothing landed.
+func TestMechanismLifecycleContract(t *testing.T) {
+	const setup = 20 * simtime.Millisecond
+	for _, tc := range []struct {
+		mech       string
+		afterSetup scaling.Phase
+		// mayRegress: a Meces fetch-back pulls a sub-unit of a finished group
+		// back to its old instance, so drain → migrate is legal there alone.
+		mayRegress bool
+	}{
+		{mech: "drrs", afterSetup: scaling.PhaseMigrate},
+		{mech: "otfs", afterSetup: scaling.PhaseMigrate},
+		{mech: "megaphone", afterSetup: scaling.PhaseMigrate},
+		{mech: "meces", afterSetup: scaling.PhaseMigrate, mayRegress: true},
+		{mech: "unbound", afterSetup: scaling.PhaseMigrate},
+		// Stop-restart's instances appear only when the restore ends, in the
+		// same event that lands every group and finishes.
+		{mech: "stop-restart", afterSetup: scaling.PhaseDeploy},
+	} {
+		tc := tc
+		t.Run(tc.mech, func(t *testing.T) {
+			job := workload.DefaultJob()
+			job.MaxKeyGroups, job.StateBytesPerKey = 32, 4096
+			g, _ := workload.BuildJob(job, workload.Classic(workload.ClassicSpec{
+				Keys: 400, RatePerSec: 2000, Duration: simtime.Sec(3), Seed: 7,
+			}))
+			s := simtime.NewScheduler()
+			rt := engine.New(s, g, nil, engine.Config{Seed: 7, MarkerInterval: -1})
+			rt.Cluster.Node("local").MigrationBandwidth = 1 << 20
+			rt.Start()
+			var (
+				op   scaling.Operation
+				done bool
+				seen []scaling.Phase
+			)
+			var poll func()
+			poll = func() {
+				pr := op.Progress()
+				if pr.Moved > pr.Total {
+					t.Fatalf("moved %d of %d", pr.Moved, pr.Total)
+				}
+				if n := len(seen); n == 0 || seen[n-1] != pr.Phase {
+					if n > 0 && pr.Phase < seen[n-1] &&
+						!(tc.mayRegress && seen[n-1] == scaling.PhaseDrain && pr.Phase == scaling.PhaseMigrate) {
+						t.Fatalf("phase stepped back %v → %v (seen %v)", seen[n-1], pr.Phase, seen)
+					}
+					seen = append(seen, pr.Phase)
+				}
+				if !done {
+					s.After(simtime.Ms(1), poll)
+				}
+			}
+			s.After(simtime.Sec(1), func() {
+				plan := scaling.UniformPlan(g, "agg", 6, setup)
+				op = Mechanisms(tc.mech).Begin(rt, plan, func() { done = true })
+				if pr := op.Progress(); pr.Phase != scaling.PhaseDeploy || pr.Moved != 0 || pr.Total != len(plan.Moves) {
+					t.Fatalf("at Begin: %+v, want deploy 0/%d", pr, len(plan.Moves))
+				}
+				poll()
+				// Scheduled after Begin's own setup timer, so it fires behind it.
+				s.After(setup, func() {
+					if pr := op.Progress(); pr.Phase != tc.afterSetup || pr.Moved != 0 {
+						t.Fatalf("right after SetupDelay: %+v, want %v with nothing landed", pr, tc.afterSetup)
+					}
+				})
+			})
+			s.Run()
+			if !done {
+				t.Fatal("done never fired")
+			}
+			if pr := op.Progress(); pr.Phase != scaling.PhaseDone || pr.Moved != pr.Total {
+				t.Fatalf("at done: %+v", pr)
+			}
+			if tc.afterSetup == scaling.PhaseMigrate && (len(seen) < 3 || seen[1] != scaling.PhaseMigrate) {
+				t.Fatalf("phases seen %v, want deploy → migrate → … → done", seen)
+			}
+			t.Logf("phases: %v", seen)
+		})
 	}
 }

@@ -25,9 +25,9 @@ var goldenDigests = []struct {
 	{"twitch", "drrs", 7, 0x79187e882232338c},
 	{"twitch", "no-scale", 7, 0xe14e359c8c083a1d},
 	// One pin per baseline mechanism (and the schedule-only ablation, which
-	// takes core's non-DR path): the prerequisite for porting them off the
-	// legacy Starter adapter (ROADMAP item 2, Mechanisms). Recorded at commit
-	// 2ac2be7, stable across two in-process runs each.
+	// takes core's non-DR path), recorded at commit 2ac2be7 — before they
+	// moved to the single Begin contract, which these pins show changed
+	// nothing. Stable across two in-process runs each.
 	{"twitch", "meces", 7, 0x3888ea5b06f56131},
 	{"twitch", "megaphone", 7, 0x464d9e008d9397f9},
 	{"twitch", "otfs", 7, 0xe2f1a9fce8d38e25},

@@ -177,29 +177,28 @@ const (
 	shapeHorizon = shapeWarmup + shapeMeasure
 )
 
-// shapedScenario builds one dynamic-shape scenario over the custom job,
-// through the split Job/Traffic API (Split keeps the stream byte-identical
-// to the pre-split builds, so the pinned digests still hold).
+// shapedScenario builds one dynamic-shape scenario over the custom job.
 func shapedScenario(name string, skew float64, shape workload.Shape, waves []Wave, seed int64) Scenario {
-	job, traffic := workload.Config{
-		SourceParallelism: 2,
-		AggParallelism:    8,
-		MaxKeyGroups:      128,
-		Keys:              8000,
-		RatePerSec:        2000, // ×2 sources = 4K tps baseline, util ≈ 0.75
-		Skew:              skew,
-		StateBytesPerKey:  1024,
-		// 4K tps over 8 instances at 1.5 ms/record ≈ 0.75 utilization,
-		// leaving headroom the shapes deliberately eat into.
-		CostPerRecord: 1500 * simtime.Microsecond,
-		Shape:         shape,
-		Duration:      shapeHorizon,
-		Seed:          seed,
-	}.Split()
 	return Scenario{
-		Name:    name,
-		Job:     job,
-		Traffic: traffic,
+		Name: name,
+		Job: workload.JobConfig{
+			SourceParallelism: 2,
+			AggParallelism:    8,
+			MaxKeyGroups:      128,
+			StateBytesPerKey:  1024,
+			// 4K tps over 8 instances at 1.5 ms/record ≈ 0.75 utilization,
+			// leaving headroom the shapes deliberately eat into.
+			CostPerRecord:  1500 * simtime.Microsecond,
+			WatermarkEvery: simtime.Ms(100),
+		},
+		Traffic: workload.Classic(workload.ClassicSpec{
+			Keys:       8000,
+			RatePerSec: 2000, // ×2 sources = 4K tps baseline, util ≈ 0.75
+			Skew:       skew,
+			Shape:      shape,
+			Duration:   shapeHorizon,
+			Seed:       seed,
+		}),
 		ScaleOp: "agg",
 		Waves:   waves,
 		Warmup:  shapeWarmup,
@@ -316,25 +315,26 @@ func SensitivityScenario(seed int64, ratePerSec float64, totalStateBytes int, sk
 	if perKey < 1 {
 		perKey = 1
 	}
-	job, traffic := workload.Config{
-		SourceParallelism: 2,
-		AggParallelism:    25,
-		MaxKeyGroups:      256,
-		Keys:              keys,
-		RatePerSec:        ratePerSec / 2,
-		Skew:              skew,
-		StateBytesPerKey:  perKey,
-		// Capacity ≈ 12.5K rec/s at 25 instances, 15K at 30: the
-		// swept rates (4–12K) go from comfortable to near-saturated,
-		// matching the paper's 5–20K tps sweep against its cluster.
-		CostPerRecord: 2 * simtime.Millisecond,
-		Duration:      simtime.Duration(5+25) * simtime.Second,
-		Seed:          seed,
-	}.Split()
 	return Scenario{
-		Name:           "sensitivity",
-		Job:            job,
-		Traffic:        traffic,
+		Name: "sensitivity",
+		Job: workload.JobConfig{
+			SourceParallelism: 2,
+			AggParallelism:    25,
+			MaxKeyGroups:      256,
+			StateBytesPerKey:  perKey,
+			// Capacity ≈ 12.5K rec/s at 25 instances, 15K at 30: the
+			// swept rates (4–12K) go from comfortable to near-saturated,
+			// matching the paper's 5–20K tps sweep against its cluster.
+			CostPerRecord:  2 * simtime.Millisecond,
+			WatermarkEvery: simtime.Ms(100),
+		},
+		Traffic: workload.Classic(workload.ClassicSpec{
+			Keys:       keys,
+			RatePerSec: ratePerSec / 2,
+			Skew:       skew,
+			Duration:   simtime.Duration(5+25) * simtime.Second,
+			Seed:       seed,
+		}),
 		ScaleOp:        "agg",
 		NewParallelism: 30,
 		Warmup:         simtime.Sec(5),

@@ -97,28 +97,29 @@ func init() {
 // across the shared 4 MB/s uplinks. The Zipf skew keeps a few key groups
 // dominant, so cross-rack placement also stretches the data plane.
 func RackSkewScenario(seed int64) Scenario {
-	job, traffic := workload.Config{
-		SourceParallelism: 2,
-		AggParallelism:    16,
-		MaxKeyGroups:      128,
-		Keys:              8000,
-		RatePerSec:        2000, // ×2 sources = 4K tps
-		// Skew 0.8 keeps instances hot without pinning a single key
-		// group past saturation (a group is the atomic migration unit,
-		// so scaling could never relieve that).
-		Skew:             0.8,
-		StateBytesPerKey: 1024,
-		// Mean utilization 0.5 at 16 instances; the Zipf skew pushes
-		// the hottest instances toward ~0.9, which is what the
-		// scale-out relieves.
-		CostPerRecord: 2 * simtime.Millisecond,
-		Duration:      shapeHorizon,
-		Seed:          seed,
-	}.Split()
 	return Scenario{
-		Name:           "rack-skew",
-		Job:            job,
-		Traffic:        traffic,
+		Name: "rack-skew",
+		Job: workload.JobConfig{
+			SourceParallelism: 2,
+			AggParallelism:    16,
+			MaxKeyGroups:      128,
+			StateBytesPerKey:  1024,
+			// Mean utilization 0.5 at 16 instances; the Zipf skew pushes
+			// the hottest instances toward ~0.9, which is what the
+			// scale-out relieves.
+			CostPerRecord:  2 * simtime.Millisecond,
+			WatermarkEvery: simtime.Ms(100),
+		},
+		Traffic: workload.Classic(workload.ClassicSpec{
+			Keys:       8000,
+			RatePerSec: 2000, // ×2 sources = 4K tps
+			// Skew 0.8 keeps instances hot without pinning a single key
+			// group past saturation (a group is the atomic migration unit,
+			// so scaling could never relieve that).
+			Skew:     0.8,
+			Duration: shapeHorizon,
+			Seed:     seed,
+		}),
 		ScaleOp:        "agg",
 		NewParallelism: 24,
 		Warmup:         shapeWarmup,
@@ -136,24 +137,25 @@ func RackSkewScenario(seed int64) Scenario {
 // actually binds. Sized so a seeded run finishes in seconds of wall time
 // (the CI smoke runs it with a wall-clock budget).
 func BigCluster128Scenario(seed int64) Scenario {
-	job, traffic := workload.Config{
-		SourceParallelism: 4,
-		AggParallelism:    256,
-		MaxKeyGroups:      1024,
-		Keys:              30000,
-		RatePerSec:        2400, // ×4 sources = 9.6K tps, util ≈ 0.75 at 256 instances
-		Skew:              0.5,
-		StateBytesPerKey:  512,
-		// 9.6K tps over 256 instances at 20 ms/record ≈ 0.75
-		// utilization: each instance is slow but the fleet is wide.
-		CostPerRecord: 20 * simtime.Millisecond,
-		Duration:      simtime.Duration(6+24) * simtime.Second,
-		Seed:          seed,
-	}.Split()
 	return Scenario{
-		Name:           "bigcluster-128",
-		Job:            job,
-		Traffic:        traffic,
+		Name: "bigcluster-128",
+		Job: workload.JobConfig{
+			SourceParallelism: 4,
+			AggParallelism:    256,
+			MaxKeyGroups:      1024,
+			StateBytesPerKey:  512,
+			// 9.6K tps over 256 instances at 20 ms/record ≈ 0.75
+			// utilization: each instance is slow but the fleet is wide.
+			CostPerRecord:  20 * simtime.Millisecond,
+			WatermarkEvery: simtime.Ms(100),
+		},
+		Traffic: workload.Classic(workload.ClassicSpec{
+			Keys:       30000,
+			RatePerSec: 2400, // ×4 sources = 9.6K tps, util ≈ 0.75 at 256 instances
+			Skew:       0.5,
+			Duration:   simtime.Duration(6+24) * simtime.Second,
+			Seed:       seed,
+		}),
 		ScaleOp:        "agg",
 		NewParallelism: 320,
 		Warmup:         simtime.Sec(6),
@@ -169,25 +171,26 @@ func BigCluster128Scenario(seed int64) Scenario {
 // 0.7× tier, which gates re-stabilization; the scale-back 32→24 then has to
 // pull that state off again, crossing the tier racks both ways.
 func HeteroTiersScenario(seed int64) Scenario {
-	job, traffic := workload.Config{
-		SourceParallelism: 2,
-		AggParallelism:    24,
-		MaxKeyGroups:      256,
-		Keys:              10000,
-		RatePerSec:        2000, // ×2 sources = 4K tps
-		Skew:              0.8,
-		StateBytesPerKey:  768,
-		// Mean utilization 0.32–0.6 across the 1.3×/0.7× tiers at 24
-		// instances: the slow tier queues visibly but does not
-		// saturate, so both waves can re-stabilize.
-		CostPerRecord: 2500 * simtime.Microsecond,
-		Duration:      shapeHorizon,
-		Seed:          seed,
-	}.Split()
 	return Scenario{
-		Name:    "hetero-tiers",
-		Job:     job,
-		Traffic: traffic,
+		Name: "hetero-tiers",
+		Job: workload.JobConfig{
+			SourceParallelism: 2,
+			AggParallelism:    24,
+			MaxKeyGroups:      256,
+			StateBytesPerKey:  768,
+			// Mean utilization 0.32–0.6 across the 1.3×/0.7× tiers at 24
+			// instances: the slow tier queues visibly but does not
+			// saturate, so both waves can re-stabilize.
+			CostPerRecord:  2500 * simtime.Microsecond,
+			WatermarkEvery: simtime.Ms(100),
+		},
+		Traffic: workload.Classic(workload.ClassicSpec{
+			Keys:       10000,
+			RatePerSec: 2000, // ×2 sources = 4K tps
+			Skew:       0.8,
+			Duration:   shapeHorizon,
+			Seed:       seed,
+		}),
 		ScaleOp: "agg",
 		Waves: []Wave{
 			{NewParallelism: 32},

@@ -11,7 +11,7 @@ import (
 )
 
 // buildGraph constructs the run's job graph: through the split workload API
-// when the scenario declares Job+Traffic, through the legacy Build closure
+// when the scenario declares Job+Traffic, through its own Build closure
 // otherwise (custom generators — twitch, nexmark — which have no replayable
 // traffic stream).
 func (sc *Scenario) buildGraph() (*dataflow.Graph, *engine.CollectSink) {

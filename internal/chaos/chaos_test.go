@@ -135,6 +135,30 @@ func TestSearchRequiresSeeds(t *testing.T) {
 	Search(Config{})
 }
 
+// TestTargetsFollowOverriddenCluster: fault targets come from the cluster the
+// runs will have. flash-crowd declares no cluster, so without overrides it
+// yields no targets; under -topology rack4x4 it yields that fabric's 16
+// schedulable nodes and 4 racks, not the registered scenario's (none).
+func TestTargetsFollowOverriddenCluster(t *testing.T) {
+	cfg := Config{}
+	if g := cfg.genConfig(bench.Harness{}, "flash-crowd"); len(g.Nodes) != 0 || len(g.Racks) != 0 {
+		t.Fatalf("flat scenario derived targets %v / %v", g.Nodes, g.Racks)
+	}
+	h := bench.Harness{Overrides: bench.Overrides{Topology: "rack4x4"}}
+	g := cfg.genConfig(h, "flash-crowd")
+	if len(g.Nodes) != 16 || g.Nodes[0] != "r0n0" || g.Nodes[15] != "r3n3" {
+		t.Fatalf("nodes %v, want rack4x4's r0n0..r3n3", g.Nodes)
+	}
+	if strings.Join(g.Racks, ",") != "r0,r1,r2,r3" {
+		t.Fatalf("racks %v, want r0..r3", g.Racks)
+	}
+	// With no overrides a clustered scenario derives what it always did.
+	plain := cfg.genConfig(bench.Harness{}, "node-loss-mid-migrate")
+	if strings.Join(plain.Nodes, ",") != strings.Join(g.Nodes, ",") {
+		t.Fatalf("node-loss-mid-migrate (rack4x4) derived %v", plain.Nodes)
+	}
+}
+
 // BenchmarkChaosPlanOverhead measures the per-run bookkeeping the chaos mode
 // adds on top of the simulation itself: drawing the plan from the seed,
 // cloning it for the run pair, and rendering + re-parsing the repro spec.

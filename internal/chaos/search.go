@@ -105,7 +105,7 @@ func Search(cfg Config) Result {
 	var cases []searchCase
 	var specs []bench.RunSpec
 	for _, scn := range cfg.Scenarios {
-		gen := cfg.genConfig(scn)
+		gen := cfg.genConfig(h, scn)
 		for _, seed := range cfg.Seeds {
 			plan := faults.Generate(simtime.NewRNG(seed, "chaos/"+scn), gen)
 			for _, mech := range cfg.Mechanisms {
@@ -151,7 +151,7 @@ func Search(cfg Config) Result {
 // genConfig resolves the generator bounds for one scenario: the explicit
 // override when set (deriving targets if it names none), else scenario-
 // derived targets with default bounds plus the search's retry knob.
-func (cfg *Config) genConfig(scenario string) faults.GenConfig {
+func (cfg *Config) genConfig(h bench.Harness, scenario string) faults.GenConfig {
 	g := faults.GenConfig{Retries: cfg.Retries}
 	if cfg.Gen != nil {
 		g = *cfg.Gen
@@ -160,15 +160,16 @@ func (cfg *Config) genConfig(scenario string) faults.GenConfig {
 		}
 	}
 	if len(g.Nodes) == 0 && len(g.Racks) == 0 {
-		g.Nodes, g.Racks = deriveTargets(scenario)
+		g.Nodes, g.Racks = deriveTargets(h, scenario)
 	}
 	return g
 }
 
-// deriveTargets builds the scenario's cluster on a throwaway scheduler and
-// collects its schedulable nodes and racks as fault targets.
-func deriveTargets(scenario string) (nodes, racks []string) {
-	sc := bench.ScenarioByName(scenario, 1)
+// deriveTargets builds the cluster the runs will have — the scenario's under
+// the harness's overrides — on a throwaway scheduler and collects its
+// schedulable nodes and racks as fault targets.
+func deriveTargets(h bench.Harness, scenario string) (nodes, racks []string) {
+	sc := mustScenario(h, scenario, 1)
 	if sc.Cluster == nil {
 		return nil, nil
 	}
@@ -181,14 +182,20 @@ func deriveTargets(scenario string) (nodes, racks []string) {
 	return nodes, cl.Racks()
 }
 
-// caseSpec assembles one run: the registered scenario under the overrides,
-// its fault plan replaced by the generated one, the probe's oracle hook
-// installed. Overrides it cannot take panic, like an unknown scenario name.
-func caseSpec(h bench.Harness, scenario, mech string, seed int64, plan *faults.Plan, p *Probe) bench.RunSpec {
+// mustScenario is the registered scenario under the harness's overrides.
+// Overrides it cannot take panic, like an unknown scenario name.
+func mustScenario(h bench.Harness, scenario string, seed int64) bench.Scenario {
 	sc, err := h.Scenario(scenario, seed)
 	if err != nil {
 		panic(err)
 	}
+	return sc
+}
+
+// caseSpec assembles one run: the scenario with its fault plan replaced by
+// the generated one and the probe's oracle hook installed.
+func caseSpec(h bench.Harness, scenario, mech string, seed int64, plan *faults.Plan, p *Probe) bench.RunSpec {
+	sc := mustScenario(h, scenario, seed)
 	sc.Faults = plan
 	sc.Inspect = p.fill
 	return bench.RunSpec{Scenario: sc, Mechanism: mech}

@@ -156,18 +156,19 @@ func (p *scriptedPolicy) Observe(s Snapshot) []Action {
 
 func controllerRig(t *testing.T, seed int64) (*simtime.Scheduler, *engine.Runtime) {
 	t.Helper()
-	wl := workload.Config{
+	g, _ := workload.BuildJob(workload.JobConfig{
 		SourceParallelism: 2,
 		AggParallelism:    4,
 		MaxKeyGroups:      32,
-		Keys:              400,
-		RatePerSec:        1500,
 		StateBytesPerKey:  8192,
 		CostPerRecord:     200 * simtime.Microsecond,
-		Duration:          simtime.Sec(12),
-		Seed:              seed,
-	}
-	g, _ := workload.Build(wl)
+		WatermarkEvery:    simtime.Ms(100),
+	}, workload.Classic(workload.ClassicSpec{
+		Keys:       400,
+		RatePerSec: 1500,
+		Duration:   simtime.Sec(12),
+		Seed:       seed,
+	}))
 	s := simtime.NewScheduler()
 	rt := engine.New(s, g, nil, engine.Config{Seed: seed})
 	// Slow migration so a second decision lands mid-operation.

@@ -23,7 +23,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"drrs/internal/cluster"
 	"drrs/internal/dataflow"
@@ -143,10 +142,6 @@ func confirmKey(dst, src int, predOp string, predIdx int) string {
 	return fmt.Sprintf("%d|%d|%s|%d", dst, src, predOp, predIdx)
 }
 
-// scaleIDs is atomic: mechanisms start inside the bench harness's parallel
-// runs, and the ID only needs process-wide uniqueness, not ordering.
-var scaleIDs atomic.Int64
-
 // Mechanism is the DRRS scale coordinator.
 type Mechanism struct {
 	Opt Options
@@ -236,25 +231,15 @@ func (o operation) Cancel() bool {
 	return true
 }
 
-// Begin implements the lifecycle scaling.Mechanism interface. The DR
-// coordinator reports native phases and honors cancellation; the coupled
-// ablation variants (no DR) ride the legacy adapter, since the coupled
-// barrier protocol has no cancellation path.
+// Begin implements scaling.Mechanism. The DR coordinator reports its own
+// phases and honors cancellation; the coupled ablation variants (no DR)
+// return the coupled controller's handle, since the coupled barrier protocol
+// has no cancellation path.
 func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
 	if !m.Opt.DR {
-		return scaling.BeginLegacy(m, rt, plan, done)
+		return m.beginCoupled(rt, plan, done)
 	}
-	m.Start(rt, plan, done)
-	return operation{m}
-}
-
-// Start implements scaling.Starter.
-func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
-	if !m.Opt.DR {
-		m.startCoupled(rt, plan, done)
-		return
-	}
-	m.scaleID = scaleIDs.Add(1)
+	m.scaleID = rt.NextScaleID()
 	m.rt = rt
 	m.plan = plan
 	m.op = plan.Operator
@@ -321,6 +306,7 @@ func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
 		}
 		m.scheduleNext()
 	})
+	return operation{m}
 }
 
 // divide implements the default Subscale Scheduler's partitioning (C1):
@@ -708,11 +694,11 @@ func (m *Mechanism) MigratedGroups() []int {
 	return out
 }
 
-// startCoupled runs the non-DR ablation variants on the coupled-barrier
+// beginCoupled runs the non-DR ablation variants on the coupled-barrier
 // controller: Schedule-only is a single coupled round plus Record
 // Scheduling; Subscale-only is Naive Division — concurrently launched
 // coupled rounds that interfere through alignment blocking.
-func (m *Mechanism) startCoupled(rt *engine.Runtime, plan scaling.Plan, done func()) {
+func (m *Mechanism) beginCoupled(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
 	rounds := scaling.BatchRounds(plan, 0)
 	if m.Opt.Subscale {
 		rounds = scaling.BatchRounds(plan, m.Opt.SubscaleKGs)
@@ -725,5 +711,5 @@ func (m *Mechanism) startCoupled(rt *engine.Runtime, plan scaling.Plan, done fun
 		depth := m.Opt.BufferDepth
 		c.Scheduling = func() engine.InputHandler { return &SchedulingHandler{Depth: depth} }
 	}
-	c.Start(rt, done)
+	return c.Begin(rt, done)
 }

@@ -10,7 +10,6 @@ import (
 	"drrs/internal/scaling"
 	"drrs/internal/simtime"
 	"drrs/internal/state"
-	"drrs/internal/workload"
 )
 
 // fig9Job builds a minimal src → agg(keyed, p=1) → sink job whose aggregator
@@ -72,7 +71,7 @@ func TestCheckpointIntegrationOutbox(t *testing.T) {
 	mech := New(FullDRRS())
 	s.After(simtime.Ms(12), func() {
 		plan := scaling.UniformPlan(rt.Graph, "agg", 2, simtime.Ms(1))
-		mech.Start(rt, plan, func() { scaleDone = true })
+		mech.Begin(rt, plan, func() { scaleDone = true })
 	})
 	s.After(simtime.Ms(20), func() {
 		if got := rt.Scale.Counter("drrs_ckpt_integrated_outbox"); got == 0 {
@@ -112,7 +111,7 @@ func TestCheckpointIntegrationInbox(t *testing.T) {
 	mech := New(FullDRRS())
 	s.After(simtime.Ms(15), func() {
 		plan := scaling.UniformPlan(rt.Graph, "agg", 2, simtime.Ms(1))
-		mech.Start(rt, plan, func() { scaleDone = true })
+		mech.Begin(rt, plan, func() { scaleDone = true })
 	})
 	s.After(simtime.Ms(25), func() {
 		in := rt.Instance("agg", 0)
@@ -134,7 +133,7 @@ func TestCheckpointIntegrationInbox(t *testing.T) {
 	}
 }
 
-func withUpdates(wl workload.Config) workload.Config {
+func withUpdates(wl scaletest.Workload) scaletest.Workload {
 	wl.EmitUpdates = true
 	return wl
 }
@@ -148,7 +147,7 @@ func withUpdates(wl workload.Config) workload.Config {
 func TestSupersession(t *testing.T) {
 	wl := scaletest.DefaultWorkload(82)
 	wl.Duration = simtime.Sec(5)
-	g, _ := workload.Build(withUpdates(wl))
+	g, _ := withUpdates(wl).Build()
 	s := simtime.NewScheduler()
 	rt := engine.New(s, g, nil, engine.Config{Seed: wl.Seed})
 	// Slow migration so the first scaling is mid-flight when superseded.

@@ -73,7 +73,7 @@ func TestOutboxRedirectionPreservesOrder(t *testing.T) {
 	mech := New(FullDRRS())
 	var done bool
 	plan := scaling.UniformPlan(rig.g, "agg", 2, simtime.Ms(1))
-	mech.Start(rig.rt, plan, func() { done = true })
+	mech.Begin(rig.rt, plan, func() { done = true })
 	rig.s.RunUntil(simtime.Time(simtime.Ms(10)))
 
 	// The new channel's queue must contain only records of moved groups, in
@@ -137,7 +137,7 @@ func TestTriggerPrecedesConfirmOnWire(t *testing.T) {
 	rig.rt.Start()
 	rig.s.RunUntil(simtime.Time(simtime.Ms(5)))
 	mech := New(FullDRRS())
-	mech.Start(rig.rt, scaling.UniformPlan(rig.g, "agg", 2, simtime.Ms(1)), nil)
+	mech.Begin(rig.rt, scaling.UniformPlan(rig.g, "agg", 2, simtime.Ms(1)), nil)
 	// Injection happens at scale-start + setup(1ms) + control latency(1ms);
 	// arrival adds edge latency. 9ms leaves both signals delivered.
 	rig.s.RunUntil(simtime.Time(simtime.Ms(9)))
@@ -170,7 +170,7 @@ func TestMigrationStartsWhileOldInstanceBlocked(t *testing.T) {
 	rig.rt.Start()
 	rig.s.RunUntil(simtime.Time(simtime.Ms(5)))
 	mech := New(FullDRRS())
-	mech.Start(rig.rt, scaling.UniformPlan(rig.g, "agg", 2, simtime.Ms(1)), nil)
+	mech.Begin(rig.rt, scaling.UniformPlan(rig.g, "agg", 2, simtime.Ms(1)), nil)
 	// Allow signals to inject and the trigger to arrive. The instance is
 	// halted — but the trigger is consumed by the handler only when the
 	// instance runs, so unhalt and run a sliver of time: far less than it

@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"drrs/internal/engine"
+	"drrs/internal/scaletest"
 	"drrs/internal/scaling"
 	"drrs/internal/simtime"
-	"drrs/internal/workload"
 )
 
 func TestSnapshotBeforeStartIsZero(t *testing.T) {
@@ -18,7 +18,7 @@ func TestSnapshotBeforeStartIsZero(t *testing.T) {
 
 func TestSnapshotMidScaling(t *testing.T) {
 	wl := scaletestConfig(91)
-	g, _ := workload.Build(wl)
+	g, _ := wl.Build()
 	s := simtime.NewScheduler()
 	rt := engine.New(s, g, nil, engine.Config{Seed: wl.Seed})
 	rt.Cluster.Node("local").MigrationBandwidth = 1 << 20 // slow: catch it mid-flight
@@ -28,7 +28,7 @@ func TestSnapshotMidScaling(t *testing.T) {
 	var plan scaling.Plan
 	s.After(simtime.Sec(1), func() {
 		plan = scaling.UniformPlan(g, "agg", 6, simtime.Ms(20))
-		m.Start(rt, plan, nil)
+		m.Begin(rt, plan, nil)
 	})
 	s.RunUntil(simtime.Time(simtime.Ms(1300)))
 
@@ -73,17 +73,28 @@ func TestSnapshotMidScaling(t *testing.T) {
 	}
 }
 
-func scaletestConfig(seed int64) workload.Config {
-	return workload.Config{
-		SourceParallelism: 2,
-		AggParallelism:    4,
-		MaxKeyGroups:      32,
-		Keys:              200,
-		RatePerSec:        2000,
-		StateBytesPerKey:  2048,
-		CostPerRecord:     50 * simtime.Microsecond,
-		Duration:          simtime.Sec(4),
-		EmitUpdates:       true,
-		Seed:              seed,
+// TestScaleIDIsPerRuntime: an operation's id — and with it every barrier and
+// signal name — depends on how many operations its own run has begun, not on
+// how many the process has.
+func TestScaleIDIsPerRuntime(t *testing.T) {
+	for run := 0; run < 2; run++ {
+		wl := scaletestConfig(92)
+		g, _ := wl.Build()
+		rt := engine.New(simtime.NewScheduler(), g, nil, engine.Config{Seed: wl.Seed})
+		for want := int64(1); want <= 2; want++ {
+			m := New(FullDRRS())
+			m.Begin(rt, scaling.UniformPlan(g, "agg", 6, simtime.Ms(20)), nil)
+			if got := m.Snapshot().ScaleID; got != want {
+				t.Fatalf("runtime %d, operation %d: ScaleID %d", run, want, got)
+			}
+		}
 	}
+}
+
+func scaletestConfig(seed int64) scaletest.Workload {
+	wl := scaletest.DefaultWorkload(seed)
+	wl.StateBytesPerKey = 2048
+	wl.Duration = simtime.Sec(4)
+	wl.EmitUpdates = true
+	return wl
 }

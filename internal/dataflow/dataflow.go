@@ -5,6 +5,7 @@
 package dataflow
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -248,8 +249,17 @@ func (g *Graph) Successors(name string) []string {
 // Topological returns operator names in a stable topological order. It
 // panics on cycles — job graphs are DAGs by definition.
 func (g *Graph) Topological() []string {
+	order, err := g.topological()
+	if err != nil {
+		panic(err.Error())
+	}
+	return order
+}
+
+// topological is Topological with the cycle reported as an error.
+func (g *Graph) topological() ([]string, error) {
 	if g.order != nil {
-		return g.order
+		return g.order, nil
 	}
 	indeg := make(map[string]int, len(g.ops))
 	names := make([]string, 0, len(g.ops))
@@ -280,10 +290,10 @@ func (g *Graph) Topological() []string {
 		}
 	}
 	if len(order) != len(g.ops) {
-		panic("dataflow: job graph has a cycle")
+		return nil, errors.New("dataflow: job graph has a cycle")
 	}
 	g.order = order
-	return order
+	return order, nil
 }
 
 // Validate checks structural integrity: every non-source has inputs, every
@@ -299,9 +309,8 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("dataflow: operator %s has no inputs and is not a source", n)
 		}
 	}
-	defer func() { recover() }()
-	g.Topological()
-	return nil
+	_, err := g.topological()
+	return err
 }
 
 // RoutingTable maps key groups to instance indices for one keyed operator,

@@ -68,6 +68,16 @@ func TestGraphValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("operator without inputs should fail validation")
 	}
+	cyclic := NewGraph()
+	cyclic.AddOperator(specSource("src", 1))
+	cyclic.AddOperator(specOp("a", 1, false))
+	cyclic.AddOperator(specOp("b", 1, false))
+	cyclic.Connect("src", "a", ExchangeRebalance)
+	cyclic.Connect("a", "b", ExchangeRebalance)
+	cyclic.Connect("b", "a", ExchangeRebalance)
+	if err := cyclic.Validate(); err == nil {
+		t.Fatal("src → a → b → a should fail validation")
+	}
 }
 
 func TestGraphDuplicatePanics(t *testing.T) {

@@ -108,6 +108,7 @@ type Runtime struct {
 
 	rng       *simtime.RNG
 	recSeq    uint64
+	scaleSeq  int64
 	markerSeq uint64
 	ckptSeq   int64
 	ckpt      *checkpointRound
@@ -287,6 +288,14 @@ func (rt *Runtime) StopMarkers() {
 func (rt *Runtime) NextSeq() uint64 {
 	rt.recSeq++
 	return rt.recSeq
+}
+
+// NextScaleID hands out this run's next scaling-operation id (first is 1):
+// barrier messages and signal names carry it, so they depend only on how many
+// operations this runtime has begun.
+func (rt *Runtime) NextScaleID() int64 {
+	rt.scaleSeq++
+	return rt.scaleSeq
 }
 
 // checkpointRound tracks one in-flight aligned checkpoint.

@@ -118,7 +118,7 @@ func TestQ8ScalesUnderDRRS(t *testing.T) {
 	rt.Start()
 	var done bool
 	s.After(simtime.Sec(1), func() {
-		core.New(core.FullDRRS()).Start(rt, scaling.UniformPlan(g, "join", 6, simtime.Ms(20)), func() { done = true })
+		core.New(core.FullDRRS()).Begin(rt, scaling.UniformPlan(g, "join", 6, simtime.Ms(20)), func() { done = true })
 	})
 	s.RunUntil(simtime.Time(simtime.Sec(4)))
 	rt.StopMarkers()

@@ -11,7 +11,6 @@ import (
 	"drrs/internal/scaling/otfs"
 	"drrs/internal/scaling/stopre"
 	"drrs/internal/simtime"
-	"drrs/internal/workload"
 )
 
 // mechanismsUnderTest builds every correctness-preserving mechanism fresh.
@@ -64,18 +63,8 @@ func TestExactlyOnceProperty(t *testing.T) {
 	}
 	for si, sh := range shapes {
 		sh := sh
-		wl := workload.Config{
-			SourceParallelism: 2,
-			AggParallelism:    4,
-			MaxKeyGroups:      32,
-			Keys:              sh.keys,
-			RatePerSec:        sh.rate,
-			Skew:              sh.skew,
-			StateBytesPerKey:  sh.bytes,
-			CostPerRecord:     50 * simtime.Microsecond,
-			Duration:          simtime.Sec(3),
-			Seed:              int64(1000 + si),
-		}
+		wl := DefaultWorkload(int64(1000 + si))
+		wl.Keys, wl.RatePerSec, wl.Skew, wl.StateBytesPerKey = sh.keys, sh.rate, sh.skew, sh.bytes
 		base := Run{Workload: wl}.Execute()
 		for name, mk := range mechanismsUnderTest() {
 			name, mk := name, mk

@@ -10,6 +10,7 @@ import (
 	"sort"
 
 	"drrs/internal/cluster"
+	"drrs/internal/dataflow"
 	"drrs/internal/engine"
 	"drrs/internal/scaling"
 	"drrs/internal/simtime"
@@ -17,11 +18,23 @@ import (
 	"drrs/internal/workload"
 )
 
+// Workload is the custom job under test: its topology and its Classic
+// traffic, side by side so tests override either with one assignment.
+type Workload struct {
+	workload.JobConfig
+	workload.ClassicSpec
+}
+
+// Build assembles the job graph and its inspectable sink.
+func (w Workload) Build() (*dataflow.Graph, *engine.CollectSink) {
+	return workload.BuildJob(w.JobConfig, workload.Classic(w.ClassicSpec))
+}
+
 // Run configures one harness execution.
 type Run struct {
 	// Workload parameterizes the custom job. Duration must be set (the
 	// harness drains to completion).
-	Workload workload.Config
+	Workload Workload
 	// Mechanism is the scaling mechanism under test; nil runs without
 	// scaling (the baseline).
 	Mechanism scaling.Mechanism
@@ -55,7 +68,7 @@ func (r Run) Execute() Result {
 		panic("scaletest: Workload.Duration must be positive")
 	}
 	r.Workload.EmitUpdates = true
-	g, sink := workload.Build(r.Workload)
+	g, sink := r.Workload.Build()
 	s := simtime.NewScheduler()
 	var cl *cluster.Cluster
 	if r.Cluster != nil {
@@ -203,16 +216,21 @@ func SlowMigrationCluster(bandwidth float64) func(*simtime.Scheduler) *cluster.C
 }
 
 // DefaultWorkload is a small, fast configuration for mechanism tests.
-func DefaultWorkload(seed int64) workload.Config {
-	return workload.Config{
-		SourceParallelism: 2,
-		AggParallelism:    4,
-		MaxKeyGroups:      32,
-		Keys:              200,
-		RatePerSec:        2000,
-		StateBytesPerKey:  512,
-		CostPerRecord:     50 * simtime.Microsecond,
-		Duration:          simtime.Sec(3),
-		Seed:              seed,
+func DefaultWorkload(seed int64) Workload {
+	return Workload{
+		JobConfig: workload.JobConfig{
+			SourceParallelism: 2,
+			AggParallelism:    4,
+			MaxKeyGroups:      32,
+			StateBytesPerKey:  512,
+			CostPerRecord:     50 * simtime.Microsecond,
+			WatermarkEvery:    simtime.Ms(100),
+		},
+		ClassicSpec: workload.ClassicSpec{
+			Keys:       200,
+			RatePerSec: 2000,
+			Duration:   simtime.Sec(3),
+			Seed:       seed,
+		},
 	}
 }

@@ -3,7 +3,6 @@ package scaling
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"drrs/internal/engine"
 	"drrs/internal/netsim"
@@ -54,7 +53,7 @@ type CoupledController struct {
 	mig     *Migrator
 	rounds  [][]int // key groups per round
 	nextInj int     // next round to inject
-	done    func()
+	op      *Tracked
 
 	moved    KeyGroupSet
 	aligned  map[int]map[int]bool // round → old-instance set aligned
@@ -63,10 +62,6 @@ type CoupledController struct {
 	finished bool
 }
 
-// coupledIDs is atomic: controllers are built inside the bench harness's
-// parallel runs, and the ID only needs process-wide uniqueness, not ordering.
-var coupledIDs atomic.Int64
-
 // NewCoupledController builds a controller over the plan with the given
 // round batches (each a slice of key groups). Batches must cover the plan's
 // moves exactly.
@@ -74,7 +69,6 @@ func NewCoupledController(plan Plan, rounds [][]int) *CoupledController {
 	return &CoupledController{
 		plan:    plan,
 		rounds:  rounds,
-		scaleID: coupledIDs.Add(1),
 		moved:   plan.Moved(),
 		aligned: make(map[int]map[int]bool),
 		migDone: make(map[int]bool),
@@ -108,10 +102,13 @@ func (c *CoupledController) signal(round int) string {
 	return fmt.Sprintf("coupled:%d:r%d", c.scaleID, round)
 }
 
-// Start implements the mechanism flow: deploy, install hooks, run rounds.
-func (c *CoupledController) Start(rt *engine.Runtime, done func()) {
+// Begin implements the mechanism flow — deploy, install hooks, run rounds —
+// and returns the operation's handle. The barrier protocol cannot stand down
+// mid-round, so the handle records a Cancel without honoring it.
+func (c *CoupledController) Begin(rt *engine.Runtime, done func()) Operation {
 	c.rt = rt
-	c.done = done
+	c.scaleID = rt.NextScaleID()
+	c.op = NewTracked(c.plan, done)
 	c.oldCount = c.plan.OldParallelism
 	// Units are assigned to their round's signal for Fig 12b accounting.
 	for r, kgs := range c.rounds {
@@ -119,13 +116,14 @@ func (c *CoupledController) Start(rt *engine.Runtime, done func()) {
 			rt.Scale.UnitAssigned(kg, c.signal(r))
 		}
 	}
-	c.mig = NewMigrator(rt, c.plan, nil)
+	c.mig = NewMigrator(rt, c.plan, c.op, nil)
 	if c.AnnounceUpfront {
 		for r := range c.rounds {
 			rt.Scale.SignalInjected(c.signal(r), rt.Sched.Now())
 		}
 	}
 	Deploy(rt, c.plan, func(added []*engine.Instance) {
+		c.op.Deployed()
 		// Hooks on the scaling operator's instances.
 		for _, in := range rt.Instances(c.plan.Operator) {
 			in.SetHook(&coupledOpHook{c: c})
@@ -145,6 +143,7 @@ func (c *CoupledController) Start(rt *engine.Runtime, done func()) {
 			c.injectRound(0)
 		}
 	})
+	return c.op
 }
 
 // injectRound starts round r's synchronization.
@@ -281,9 +280,7 @@ func (c *CoupledController) checkComplete() {
 	for _, p := range c.rt.PredecessorInstances(c.plan.Operator) {
 		p.SetHook(nil)
 	}
-	if c.done != nil {
-		c.done()
-	}
+	c.op.Finish()
 }
 
 // coupledPredHook updates routing tables at predecessor operators when the

@@ -1,10 +1,5 @@
 package scaling
 
-import (
-	"drrs/internal/engine"
-	"drrs/internal/metrics"
-)
-
 // Phase identifies where an in-flight scaling operation stands in its
 // lifecycle. Every mechanism moves through the same coarse phases — physical
 // deployment, state migration, protocol drain — even though the fine
@@ -12,8 +7,9 @@ import (
 type Phase uint8
 
 const (
-	// PhaseDeploy: resources are initializing (SetupDelay, instance wiring);
-	// no state has moved yet.
+	// PhaseDeploy: resources are initializing (SetupDelay, instance wiring;
+	// stop-restart's checkpoint and restore); the new instances do not exist
+	// yet.
 	PhaseDeploy Phase = iota
 	// PhaseMigrate: key groups are in flight between instances.
 	PhaseMigrate
@@ -63,56 +59,52 @@ type Operation interface {
 	Progress() Progress
 	// Cancel asks the operation to stand down: stop launching new migration
 	// work, finish what is in flight, then report done. It returns true when
-	// the mechanism honors cancellation; legacy mechanisms adapted through
-	// BeginLegacy return false and run their full plan to completion (the
-	// supersessor then launches once the old operation's done fires).
+	// the mechanism honors cancellation; mechanisms that cannot stand down
+	// (everything but DRRS's DR coordinator) record the request, return false
+	// and run their plan to completion — the supersessor then launches once
+	// the old operation's done fires.
 	Cancel() bool
 }
 
-// Starter is the legacy fire-and-forget mechanism surface: Start begins the
-// operation and the only observable signal is the done callback. Mechanisms
-// migrate to the lifecycle Mechanism interface incrementally by routing
-// their Start through BeginLegacy.
-type Starter interface {
-	// Name identifies the mechanism in reports.
-	Name() string
-	// Start begins scaling per plan; done (optional) fires when the scaling
-	// operation has fully completed (all state migrated, protocol drained).
-	Start(rt *engine.Runtime, plan Plan, done func())
+// Tracked is the Operation of a mechanism that cannot stand down: the
+// mechanism tells it the three facts a phase is made of — Deployed, SetMoved,
+// Finish — as they happen, and a Cancel is recorded (Progress().Cancelled) but
+// not honored.
+type Tracked struct {
+	total, moved int
+	done         func()
+	deployed     bool
+	finished     bool
+	cancelled    bool
 }
 
-// BeginLegacy adapts a Starter to the lifecycle Mechanism contract: it runs
-// Start and returns an Operation whose progress is inferred from the
-// runtime's active ScalingMetrics collector (captured at Begin time, so
-// per-wave collector swaps attribute counts to the right operation). Cancel
-// is recorded but not honored — the legacy mechanism runs to completion.
-func BeginLegacy(s Starter, rt *engine.Runtime, plan Plan, done func()) Operation {
-	op := &legacyOperation{scale: rt.Scale, total: len(plan.Moves)}
-	s.Start(rt, plan, func() {
-		op.finished = true
-		if done != nil {
-			done()
-		}
-	})
-	return op
+// NewTracked returns the handle for plan; done (optional) fires from Finish.
+func NewTracked(plan Plan, done func()) *Tracked {
+	return &Tracked{total: len(plan.Moves), done: done}
 }
 
-// legacyOperation infers lifecycle phases from delay-accounting metrics:
-// nothing migrated yet reads as deploy, partial migration as migrate, full
-// migration without the done callback as drain.
-type legacyOperation struct {
-	scale     *metrics.ScalingMetrics
-	total     int
-	finished  bool
-	cancelled bool
+// Deployed records that the new instances exist and migration may begin.
+func (o *Tracked) Deployed() { o.deployed = true }
+
+// SetMoved records how many planned key groups sit at their destination. The
+// count may fall: a Meces fetch-back regresses a group that had landed.
+func (o *Tracked) SetMoved(n int) { o.moved = n }
+
+// Finish records completion and fires the done callback.
+func (o *Tracked) Finish() {
+	o.finished = true
+	if o.done != nil {
+		o.done()
+	}
 }
 
-func (o *legacyOperation) Progress() Progress {
-	p := Progress{Moved: o.scale.UnitsMigrated(), Total: o.total, Cancelled: o.cancelled}
+// Progress implements Operation.
+func (o *Tracked) Progress() Progress {
+	p := Progress{Moved: o.moved, Total: o.total, Cancelled: o.cancelled}
 	switch {
 	case o.finished:
 		p.Phase = PhaseDone
-	case p.Moved == 0 && p.Total > 0:
+	case !o.deployed:
 		p.Phase = PhaseDeploy
 	case p.Moved < p.Total:
 		p.Phase = PhaseMigrate
@@ -122,7 +114,8 @@ func (o *legacyOperation) Progress() Progress {
 	return p
 }
 
-func (o *legacyOperation) Cancel() bool {
+// Cancel implements Operation: the request is recorded, never honored.
+func (o *Tracked) Cancel() bool {
 	o.cancelled = true
 	return false
 }

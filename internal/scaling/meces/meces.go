@@ -34,7 +34,7 @@ type Mechanism struct {
 
 	rt   *engine.Runtime
 	plan scaling.Plan
-	done func()
+	op   *scaling.Tracked
 
 	// loc tracks each migrating sub-unit's current owner instance index;
 	// inFlight marks sub-units on the wire.
@@ -57,16 +57,11 @@ func (m *Mechanism) Name() string { return "meces" }
 
 const signal = "meces"
 
-// Begin implements the lifecycle scaling.Mechanism interface through the
-// legacy-start adapter: Fetch-on-Demand makes sub-unit locations demand-
-// driven, so a cancelled operation still migrates its remaining background
-// units to completion rather than stranding sub-key-groups mid-split.
+// Begin implements scaling.Mechanism. Fetch-on-Demand makes sub-unit
+// locations demand-driven, so a cancelled operation still migrates its
+// remaining background units to completion rather than stranding
+// sub-key-groups mid-split.
 func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
-	return scaling.BeginLegacy(m, rt, plan, done)
-}
-
-// Start implements scaling.Starter.
-func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
 	if m.SubKeyGroups <= 0 {
 		m.SubKeyGroups = 4
 	}
@@ -75,7 +70,7 @@ func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
 	}
 	m.rt = rt
 	m.plan = plan
-	m.done = done
+	m.op = scaling.NewTracked(plan, done)
 	m.loc = make(map[subUnit]int)
 	m.inFlight = make(map[subUnit]bool)
 	m.fetchCount = make(map[subUnit]int)
@@ -91,6 +86,7 @@ func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
 		}
 	}
 	scaling.Deploy(rt, plan, func(added []*engine.Instance) {
+		m.op.Deployed()
 		for _, in := range rt.Instances(plan.Operator) {
 			in.SetHook(&hook{m: m})
 		}
@@ -111,6 +107,7 @@ func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
 			m.ensureBackground()
 		})
 	})
+	return m.op
 }
 
 // transfer moves one sub-unit to instance dst and invokes after installation.
@@ -189,6 +186,7 @@ func (m *Mechanism) checkUnit(kg int) {
 		for s := 0; s < m.SubKeyGroups; s++ {
 			if m.loc[subUnit{kg: kg, sub: s}] != m.target[kg] {
 				delete(m.kgDone, kg)
+				m.op.SetMoved(len(m.kgDone))
 				return
 			}
 		}
@@ -200,6 +198,7 @@ func (m *Mechanism) checkUnit(kg int) {
 		}
 	}
 	m.kgDone[kg] = true
+	m.op.SetMoved(len(m.kgDone))
 	m.rt.Scale.UnitMigrated(kg, m.rt.Sched.Now())
 	m.maybeFinish()
 }
@@ -222,9 +221,7 @@ func (m *Mechanism) maybeFinish() {
 	// installed; the background pusher keeps re-settling any post-completion
 	// ping-pong. This mirrors the real system, where state ownership lives in
 	// the external store for the job's lifetime.
-	if m.done != nil {
-		m.done()
-	}
+	m.op.Finish()
 }
 
 // ensureBackground (re)starts the background pusher if it is not running.

@@ -28,16 +28,10 @@ type Mechanism struct {
 // Name implements scaling.Mechanism.
 func (m *Mechanism) Name() string { return "megaphone" }
 
-// Begin implements the lifecycle scaling.Mechanism interface through the
-// legacy-start adapter. Megaphone announces its whole reconfiguration
-// schedule up front, so a Cancel is recorded but the announced rounds run to
-// completion.
+// Begin implements scaling.Mechanism. Megaphone announces its whole
+// reconfiguration schedule up front, so a Cancel is recorded but the
+// announced rounds run to completion.
 func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
-	return scaling.BeginLegacy(m, rt, plan, done)
-}
-
-// Start implements scaling.Starter.
-func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
 	batch := m.BatchKGs
 	if batch <= 0 {
 		batch = 1
@@ -47,5 +41,5 @@ func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
 	c.InjectAtSources = false // predecessor injection
 	c.Concurrent = false      // timestamp-driven: strictly sequential rounds
 	c.AnnounceUpfront = true  // the full schedule is announced at scale start
-	c.Start(rt, done)
+	return c.Begin(rt, done)
 }

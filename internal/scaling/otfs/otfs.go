@@ -27,17 +27,11 @@ func (m *Mechanism) Name() string {
 	return "otfs-allatonce"
 }
 
-// Begin implements the lifecycle scaling.Mechanism interface through the
-// legacy-start adapter: the coupled barrier protocol reports inferred phases
-// and runs to completion on Cancel.
+// Begin implements scaling.Mechanism: one coupled round over the whole plan,
+// which runs to completion on Cancel.
 func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
-	return scaling.BeginLegacy(m, rt, plan, done)
-}
-
-// Start implements scaling.Starter.
-func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
 	c := scaling.NewCoupledController(plan, scaling.BatchRounds(plan, 0))
 	c.Fluid = m.Fluid
 	c.InjectAtSources = true
-	c.Start(rt, done)
+	return c.Begin(rt, done)
 }

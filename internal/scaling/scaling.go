@@ -214,9 +214,9 @@ func PlanFromPlacement(rt *engine.Runtime, op string, newP int, setup simtime.Du
 
 // Mechanism is one rescaling approach, lifecycle-observable: Begin returns a
 // live Operation handle that reports phase progress (deploy → migrate →
-// drain) and accepts supersession via Cancel. Mechanisms that only implement
-// the legacy Starter surface satisfy this interface by routing Begin through
-// BeginLegacy (see lifecycle.go).
+// drain) and accepts supersession via Cancel. Begin is the only entry point;
+// mechanisms that cannot stand down run their plan to completion and return a
+// Tracked handle (see lifecycle.go).
 type Mechanism interface {
 	// Name identifies the mechanism in reports.
 	Name() string
@@ -249,6 +249,7 @@ func Deploy(rt *engine.Runtime, plan Plan, then func(added []*engine.Instance)) 
 type Migrator struct {
 	rt   *engine.Runtime
 	plan Plan
+	op   *Tracked
 	// InstallCost is charged at the receiver per chunk (deserialization).
 	InstallCost simtime.Duration
 
@@ -258,14 +259,16 @@ type Migrator struct {
 	onAll    func()
 }
 
-// NewMigrator returns a migrator for the plan. onAll (optional) fires when
-// every planned move has settled — completed, or failed against an unhealthy
+// NewMigrator returns a migrator for the plan that tells op how many planned
+// groups have landed, each time one does. onAll (optional) fires when every
+// planned move has settled — completed, or failed against an unhealthy
 // destination (the state then sits back at its source and the controller's
 // recovery path re-plans it).
-func NewMigrator(rt *engine.Runtime, plan Plan, onAll func()) *Migrator {
+func NewMigrator(rt *engine.Runtime, plan Plan, op *Tracked, onAll func()) *Migrator {
 	return &Migrator{
 		rt:          rt,
 		plan:        plan,
+		op:          op,
 		InstallCost: 200 * simtime.Microsecond,
 		migrated:    make(map[int]bool),
 		failed:      make(map[int]bool),
@@ -315,6 +318,14 @@ func (m *Migrator) settleFailure(kg int, g *state.Group, mv dataflow.Move, err e
 	}
 }
 
+// install lands kg's state at its destination and accounts for it.
+func (m *Migrator) install(to *engine.Instance, kg int, g *state.Group) {
+	to.Store().InstallGroup(kg, g)
+	m.rt.Scale.UnitMigrated(kg, m.rt.Sched.Now())
+	m.migrated[kg] = true
+	m.op.SetMoved(len(m.migrated))
+}
+
 func (m *Migrator) checkAll() {
 	if len(m.migrated)+len(m.failed) == m.total && m.onAll != nil {
 		all := m.onAll
@@ -342,9 +353,7 @@ func (m *Migrator) MigrateGroup(kg int, signal string, done func()) {
 	}
 	m.rt.Cluster.TransferChecked(from.Endpoint(), to.Endpoint(), bytes, func() {
 		m.rt.Sched.After(m.InstallCost, func() {
-			to.Store().InstallGroup(kg, g)
-			m.rt.Scale.UnitMigrated(kg, m.rt.Sched.Now())
-			m.migrated[kg] = true
+			m.install(to, kg, g)
 			to.Wake()
 			if done != nil {
 				done()
@@ -422,9 +431,7 @@ func (m *Migrator) MigrateAllAtOnce(kgs []int, signal string, done func()) {
 		m.rt.Cluster.TransferChecked(from.Endpoint(), to.Endpoint(), bytes[p], func() {
 			m.rt.Sched.After(m.InstallCost, func() {
 				for _, it := range items {
-					to.Store().InstallGroup(it.kg, it.g)
-					m.rt.Scale.UnitMigrated(it.kg, m.rt.Sched.Now())
-					m.migrated[it.kg] = true
+					m.install(to, it.kg, it.g)
 				}
 				to.Wake()
 				remaining--

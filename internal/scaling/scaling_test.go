@@ -9,9 +9,19 @@ import (
 	"drrs/internal/workload"
 )
 
+// testGraph is the custom job with 4 aggregators over 32 key groups.
+func testGraph() *dataflow.Graph {
+	job := workload.DefaultJob()
+	job.MaxKeyGroups = 32
+	g, _ := workload.BuildJob(job, workload.Classic(workload.ClassicSpec{
+		Keys: 1000, RatePerSec: 1000, Duration: simtime.Sec(1),
+	}))
+	return g
+}
+
 func testPlan(t *testing.T) (Plan, *dataflow.Graph) {
 	t.Helper()
-	g, _ := workload.Build(workload.Config{AggParallelism: 4, MaxKeyGroups: 32, Duration: simtime.Sec(1)})
+	g := testGraph()
 	return UniformPlan(g, "agg", 6, simtime.Ms(10)), g
 }
 
@@ -156,7 +166,7 @@ func TestBatchRounds(t *testing.T) {
 }
 
 func TestDeployCreatesInstancesAfterSetup(t *testing.T) {
-	g, _ := workload.Build(workload.Config{AggParallelism: 4, MaxKeyGroups: 32, Duration: simtime.Sec(1)})
+	g := testGraph()
 	s := simtime.NewScheduler()
 	rt := engine.New(s, g, nil, engine.Config{Seed: 1, MarkerInterval: -1})
 	plan := UniformPlan(g, "agg", 6, simtime.Ms(50))
@@ -179,13 +189,14 @@ func TestDeployCreatesInstancesAfterSetup(t *testing.T) {
 }
 
 func TestMigratorSequenceOrderAndCompletion(t *testing.T) {
-	g, _ := workload.Build(workload.Config{AggParallelism: 4, MaxKeyGroups: 32, Duration: simtime.Sec(1)})
+	g := testGraph()
 	s := simtime.NewScheduler()
 	rt := engine.New(s, g, nil, engine.Config{Seed: 1, MarkerInterval: -1})
 	plan := UniformPlan(g, "agg", 6, 0)
+	op := NewTracked(plan, nil)
 	var allDone bool
 	Deploy(rt, plan, func([]*engine.Instance) {
-		mig := NewMigrator(rt, plan, func() { allDone = true })
+		mig := NewMigrator(rt, plan, op, func() { allDone = true })
 		bySrc := map[int][]int{}
 		for _, m := range plan.Moves {
 			bySrc[m.From] = append(bySrc[m.From], m.KeyGroup)
@@ -201,6 +212,9 @@ func TestMigratorSequenceOrderAndCompletion(t *testing.T) {
 	if rt.Scale.UnitsMigrated() != len(plan.Moves) {
 		t.Fatalf("migrated %d of %d", rt.Scale.UnitsMigrated(), len(plan.Moves))
 	}
+	if pr := op.Progress(); pr.Moved != len(plan.Moves) {
+		t.Fatalf("migrator told the operation %d of %d groups landed", pr.Moved, len(plan.Moves))
+	}
 	// Every move's group now lives at its destination.
 	for _, m := range plan.Moves {
 		if !rt.Instance("agg", m.To).Store().HasGroup(m.KeyGroup) {
@@ -212,54 +226,52 @@ func TestMigratorSequenceOrderAndCompletion(t *testing.T) {
 	}
 }
 
-// recordingStarter is a minimal legacy mechanism: Start only captures the
-// done callback, so the test controls exactly when the operation "finishes"
-// and what the metrics collector has seen at each probe.
-type recordingStarter struct{ done func() }
-
-func (r *recordingStarter) Name() string { return "recording" }
-func (r *recordingStarter) Start(rt *engine.Runtime, plan Plan, done func()) {
-	r.done = done
-}
-
-// TestBeginLegacyPhases pins the adapter's phase inference: deploy while
-// nothing migrated, migrate while partial, drain when all units landed but
-// the mechanism has not reported done, done afterwards — and Cancel is
-// recorded but reported as not honored.
-func TestBeginLegacyPhases(t *testing.T) {
-	g, _ := workload.Build(workload.Config{AggParallelism: 4, MaxKeyGroups: 32, Duration: simtime.Sec(1)})
-	s := simtime.NewScheduler()
-	rt := engine.New(s, g, nil, engine.Config{Seed: 1, MarkerInterval: -1})
-	plan := UniformPlan(g, "agg", 6, 0)
-	st := &recordingStarter{}
-	op := BeginLegacy(st, rt, plan, nil)
-	if ph := op.Progress().Phase; ph != PhaseDeploy {
-		t.Fatalf("phase %v before any migration, want deploy", ph)
+// TestTrackedPhases pins the shared operation of the mechanisms that cannot
+// stand down: deploy until told deployed, migrate while fewer groups than
+// planned sit at their destination, drain when all have landed but the
+// mechanism has not finished, done afterwards (firing the callback once) — and
+// Cancel is recorded but reported as not honored.
+func TestTrackedPhases(t *testing.T) {
+	plan, _ := testPlan(t)
+	fired := 0
+	op := NewTracked(plan, func() { fired++ })
+	want := func(ph Phase, moved int) {
+		t.Helper()
+		if pr := op.Progress(); pr.Phase != ph || pr.Moved != moved || pr.Total != len(plan.Moves) {
+			t.Fatalf("progress %+v, want phase %v moved %d of %d", pr, ph, moved, len(plan.Moves))
+		}
 	}
-	rt.Scale.UnitMigrated(plan.Moves[0].KeyGroup, s.Now())
-	if pr := op.Progress(); pr.Phase != PhaseMigrate || pr.Moved != 1 || pr.Total != len(plan.Moves) {
-		t.Fatalf("mid-migration progress %+v", pr)
-	}
+	want(PhaseDeploy, 0)
+	op.Deployed()
+	want(PhaseMigrate, 0)
+	op.SetMoved(1)
+	want(PhaseMigrate, 1)
 	if op.Cancel() {
-		t.Fatal("legacy adapter must report cancellation as not honored")
+		t.Fatal("a mechanism that cannot stand down must report Cancel as not honored")
 	}
-	if pr := op.Progress(); !pr.Cancelled {
+	if !op.Progress().Cancelled {
 		t.Fatal("cancellation not recorded")
 	}
-	for _, mv := range plan.Moves[1:] {
-		rt.Scale.UnitMigrated(mv.KeyGroup, s.Now())
+	op.SetMoved(len(plan.Moves))
+	want(PhaseDrain, len(plan.Moves))
+	// A Meces fetch-back regresses a landed group.
+	op.SetMoved(len(plan.Moves) - 1)
+	want(PhaseMigrate, len(plan.Moves)-1)
+	op.SetMoved(len(plan.Moves))
+	if fired != 0 {
+		t.Fatal("done fired before Finish")
 	}
-	if ph := op.Progress().Phase; ph != PhaseDrain {
-		t.Fatalf("phase %v with all units landed but no done, want drain", ph)
+	op.Finish()
+	want(PhaseDone, len(plan.Moves))
+	if fired != 1 || !op.Progress().Cancelled {
+		t.Fatalf("after Finish: done fired %d times, progress %+v", fired, op.Progress())
 	}
-	st.done()
-	if ph := op.Progress().Phase; ph != PhaseDone {
-		t.Fatalf("phase %v after done, want done", ph)
-	}
+	// done is optional.
+	NewTracked(plan, nil).Finish()
 }
 
 func TestPlanFromPlacementAfterPartialMove(t *testing.T) {
-	g, _ := workload.Build(workload.Config{AggParallelism: 4, MaxKeyGroups: 32, Duration: simtime.Sec(1)})
+	g := testGraph()
 	s := simtime.NewScheduler()
 	rt := engine.New(s, g, nil, engine.Config{Seed: 1, MarkerInterval: -1})
 	// Manually move kg 0 from its owner to instance 3.

@@ -23,16 +23,13 @@ type Mechanism struct {
 // Name implements scaling.Mechanism.
 func (m *Mechanism) Name() string { return "stop-restart" }
 
-// Begin implements the lifecycle scaling.Mechanism interface through the
-// legacy-start adapter. Stop-Checkpoint-Restart cannot be cancelled once the
-// checkpoint fires: the job is halted and must restore before resuming, so
-// Cancel is recorded but the restart runs to completion.
+// Begin implements scaling.Mechanism. Stop-Checkpoint-Restart cannot be
+// cancelled once the checkpoint fires: the job is halted and must restore
+// before resuming, so Cancel is recorded but the restart runs to completion.
+// The operation reads as deploying until the restore ends; every planned
+// group lands in that one instant.
 func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
-	return scaling.BeginLegacy(m, rt, plan, done)
-}
-
-// Start implements scaling.Starter.
-func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
+	op := scaling.NewTracked(plan, done)
 	if m.RestoreBytesPerSec <= 0 {
 		m.RestoreBytesPerSec = 400 << 20
 	}
@@ -45,7 +42,7 @@ func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
 
 	// Phase 1: global checkpoint with sources pausing at the barrier.
 	id := rt.TriggerCheckpoint(func(int64) {
-		m.restart(rt, plan, signal, done)
+		m.restart(rt, plan, signal, op)
 	})
 	if id < 0 {
 		panic("stopre: a checkpoint is already running")
@@ -55,12 +52,13 @@ func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
 			in.PauseAfterCkpt = id
 		}
 	})
+	return op
 }
 
 // restart runs after the checkpoint completes: the topology is quiet (all
 // pre-barrier records processed, sources paused), so the job halts, state is
 // redistributed, and everything resumes under the new configuration.
-func (m *Mechanism) restart(rt *engine.Runtime, plan scaling.Plan, signal string, done func()) {
+func (m *Mechanism) restart(rt *engine.Runtime, plan scaling.Plan, signal string, op *scaling.Tracked) {
 	rt.EachInstance(func(in *engine.Instance) { in.Halted = true })
 	totalState := rt.TotalStateBytes(plan.Operator)
 	restore := plan.SetupDelay +
@@ -70,6 +68,7 @@ func (m *Mechanism) restart(rt *engine.Runtime, plan scaling.Plan, signal string
 		for idx := plan.OldParallelism; idx < plan.NewParallelism; idx++ {
 			rt.AddInstance(plan.Operator, idx)
 		}
+		op.Deployed()
 		rt.Scale.FirstMigration(signal, rt.Sched.Now())
 		// Redistribute state directly: restore time was already charged.
 		for _, mv := range plan.Moves {
@@ -78,6 +77,7 @@ func (m *Mechanism) restart(rt *engine.Runtime, plan scaling.Plan, signal string
 			to.Store().InstallGroup(mv.KeyGroup, from.Store().ExtractGroup(mv.KeyGroup))
 			rt.Scale.UnitMigrated(mv.KeyGroup, rt.Sched.Now())
 		}
+		op.SetMoved(len(plan.Moves))
 		for _, p := range rt.PredecessorInstances(plan.Operator) {
 			tbl := p.Routing(plan.Operator)
 			for _, mv := range plan.Moves {
@@ -97,8 +97,6 @@ func (m *Mechanism) restart(rt *engine.Runtime, plan scaling.Plan, signal string
 			in.Wake()
 		})
 		rt.Scale.MarkScaleEnd(rt.Sched.Now())
-		if done != nil {
-			done()
-		}
+		op.Finish()
 	})
 }

@@ -25,26 +25,20 @@ type Mechanism struct{}
 // Name implements scaling.Mechanism.
 func (m *Mechanism) Name() string { return "unbound" }
 
-// Begin implements the lifecycle scaling.Mechanism interface through the
-// legacy-start adapter: phases are inferred from migration accounting, and
-// Cancel is recorded but not honored (Unbound has no protocol to stand down).
+// Begin implements scaling.Mechanism. Cancel is recorded but not honored:
+// Unbound has no protocol to stand down.
 func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
-	return scaling.BeginLegacy(m, rt, plan, done)
-}
-
-// Start implements scaling.Starter.
-func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
+	op := scaling.NewTracked(plan, done)
 	const signal = "unbound"
 	for _, mv := range plan.Moves {
 		rt.Scale.UnitAssigned(mv.KeyGroup, signal)
 	}
-	mig := scaling.NewMigrator(rt, plan, func() {
+	mig := scaling.NewMigrator(rt, plan, op, func() {
 		rt.Scale.MarkScaleEnd(rt.Sched.Now())
-		if done != nil {
-			done()
-		}
+		op.Finish()
 	})
 	scaling.Deploy(rt, plan, func(added []*engine.Instance) {
+		op.Deployed()
 		rt.Scale.SignalInjected(signal, rt.Sched.Now())
 		// Universal keys: any instance processes any record, creating local
 		// state shells on demand, so nothing ever suspends — including old
@@ -81,6 +75,7 @@ func (m *Mechanism) Start(rt *engine.Runtime, plan scaling.Plan, done func()) {
 			mig.MigrateSequence(bySrc[src], signal, nil)
 		}
 	})
+	return op
 }
 
 // universalHook implements the universal-key semantics: before any record is

@@ -83,7 +83,7 @@ func TestScalesUnderDRRS(t *testing.T) {
 	rt.Start()
 	var done bool
 	s.After(simtime.Sec(1), func() {
-		core.New(core.FullDRRS()).Start(rt,
+		core.New(core.FullDRRS()).Begin(rt,
 			scaling.UniformPlan(g, ScalingOperator, 6, simtime.Ms(20)),
 			func() { done = true })
 	})

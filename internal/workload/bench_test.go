@@ -13,17 +13,16 @@ import (
 // ingest/emit) is what the number tracks.
 func BenchmarkWorkloadGen(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := Config{
-			SourceParallelism: 1,
-			AggParallelism:    1,
-			Keys:              2000,
-			RatePerSec:        20000,
-			Skew:              0.8,
-			CostPerRecord:     time1us,
-			Duration:          simtime.Sec(3),
-			Seed:              int64(i + 1),
-		}
-		g, _ := Build(cfg)
+		cfg := newTestJob(func(j *testJob) {
+			j.AggParallelism = 1
+			j.Keys = 2000
+			j.RatePerSec = 20000
+			j.Skew = 0.8
+			j.CostPerRecord = time1us
+			j.Duration = simtime.Sec(3)
+			j.Seed = int64(i + 1)
+		})
+		g, _ := cfg.build()
 		s := simtime.NewScheduler()
 		rt := engine.New(s, g, nil, engine.Config{Seed: cfg.Seed})
 		rt.Start()

@@ -39,8 +39,7 @@ type Traffic interface {
 // driveSource adapts a Traffic onto the engine's source API. One re-armed
 // pump walks the stream: each firing hands the due record straight to the
 // source's backlog drain (dataflow.SourcePump) and stamps watermark crossings
-// at the job's cadence — the same machinery, in the same scheduler order, as
-// the pre-split generator, so Classic traffic is byte-identical to it.
+// at the job's cadence.
 func driveSource(job JobConfig, traffic Traffic) dataflow.SourceFunc {
 	return func(ctx dataflow.SourceContext) {
 		start := ctx.Now()
@@ -116,17 +115,39 @@ type genEvent struct {
 	stop bool
 }
 
+// ClassicSpec parameterizes Classic traffic. Like JobConfig it defaults
+// nothing: every field is used verbatim.
+type ClassicSpec struct {
+	// Keys is the key-space size.
+	Keys int
+	// RatePerSec is the per-source-instance input rate (records/s).
+	RatePerSec float64
+	// Skew is the Zipf skewness over keys (paper: 0, 0.5, 1.0, 1.5).
+	Skew float64
+	// Shape programs rate phases and hot-key drift over the run; the zero
+	// Shape is the classic flat load.
+	Shape Shape
+	// Duration bounds generation; 0 generates forever.
+	Duration simtime.Duration
+	// Seed drives the generators.
+	Seed int64
+}
+
 // Classic is the original single-generator traffic: Zipf-keyed records at the
 // shape-modulated per-instance rate with ±5% interarrival jitter. Every
-// source instance emits an identical copy of the stream (seeded identically),
-// exactly as the pre-split generator did. Only the traffic half of cfg is
-// read: Keys, RatePerSec, Skew, Shape, Duration, Seed.
-func Classic(cfg Config) Traffic {
-	cfg.fillDefaults()
+// source instance emits an identical copy of the stream (seeded identically).
+// Panics on an empty key space or a non-positive rate.
+func Classic(cfg ClassicSpec) Traffic {
+	if cfg.Keys <= 0 {
+		panic("workload: ClassicSpec.Keys must be > 0")
+	}
+	if cfg.RatePerSec <= 0 {
+		panic("workload: ClassicSpec.RatePerSec must be > 0")
+	}
 	return classicTraffic{cfg: cfg}
 }
 
-type classicTraffic struct{ cfg Config }
+type classicTraffic struct{ cfg ClassicSpec }
 
 func (c classicTraffic) Describe() string {
 	d := fmt.Sprintf("zipf(s=%g) over %d keys @ %g rec/s per source", c.cfg.Skew, c.cfg.Keys, c.cfg.RatePerSec)
@@ -157,7 +178,7 @@ func (c classicTraffic) Stream(instance, parallelism int, start simtime.Time) St
 // in exactly the per-tick order (zipf rank, then period jitter) of the
 // timer-per-record loop the batching replaced.
 type classicStream struct {
-	cfg      Config
+	cfg      ClassicSpec
 	rng      *simtime.RNG
 	zipf     *simtime.Zipf
 	start    simtime.Time

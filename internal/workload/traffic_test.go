@@ -287,26 +287,29 @@ func TestSpecValidation(t *testing.T) {
 	}()
 }
 
-// TestJobConfigValidation: BuildJob rejects malformed jobs and nil traffic
-// eagerly; explicit zeros for cost and state are honored, not re-defaulted.
+// TestJobConfigValidation: BuildJob and Classic reject malformed jobs, empty
+// key spaces, silent rates and nil traffic eagerly; explicit zeros for cost
+// and state are honored, not re-defaulted.
 func TestJobConfigValidation(t *testing.T) {
-	for name, breakIt := range map[string]func(*JobConfig){
-		"source parallelism": func(j *JobConfig) { j.SourceParallelism = 0 },
-		"agg parallelism":    func(j *JobConfig) { j.AggParallelism = 0 },
-		"key groups":         func(j *JobConfig) { j.MaxKeyGroups = 0 },
-		"watermark":          func(j *JobConfig) { j.WatermarkEvery = 0 },
-		"negative state":     func(j *JobConfig) { j.StateBytesPerKey = -1 },
-		"negative cost":      func(j *JobConfig) { j.CostPerRecord = -1 },
+	for name, breakIt := range map[string]func(*testJob){
+		"source parallelism": func(j *testJob) { j.SourceParallelism = 0 },
+		"agg parallelism":    func(j *testJob) { j.AggParallelism = 0 },
+		"key groups":         func(j *testJob) { j.MaxKeyGroups = 0 },
+		"watermark":          func(j *testJob) { j.WatermarkEvery = 0 },
+		"negative state":     func(j *testJob) { j.StateBytesPerKey = -1 },
+		"negative cost":      func(j *testJob) { j.CostPerRecord = -1 },
+		"no keys":            func(j *testJob) { j.Keys = 0 },
+		"negative keys":      func(j *testJob) { j.Keys = -1 },
+		"no rate":            func(j *testJob) { j.RatePerSec = 0 },
+		"negative rate":      func(j *testJob) { j.RatePerSec = -1 },
 	} {
-		j := DefaultJob()
-		breakIt(&j)
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: BuildJob accepted the job", name)
+					t.Errorf("%s: the job was accepted", name)
 				}
 			}()
-			BuildJob(j, Classic(Config{}))
+			newTestJob(breakIt).build()
 		}()
 	}
 	func() {
@@ -318,28 +321,12 @@ func TestJobConfigValidation(t *testing.T) {
 		BuildJob(DefaultJob(), nil)
 	}()
 	// Explicit zeros are legal and preserved — the ambiguity JobConfig fixes.
-	j := DefaultJob()
-	j.CostPerRecord = 0
-	j.StateBytesPerKey = 0
-	g, _ := BuildJob(j, Classic(Config{}))
+	g, _ := newTestJob(func(j *testJob) {
+		j.CostPerRecord = 0
+		j.StateBytesPerKey = 0
+	}).build()
 	if err := g.Validate(); err != nil {
 		t.Fatalf("zero-cost job graph invalid: %v", err)
-	}
-}
-
-// TestSplitMapsSentinels: the compat veneer resolves Config's zero sentinels
-// to the documented defaults, so JobConfig carries no ambiguity forward.
-func TestSplitMapsSentinels(t *testing.T) {
-	job, traffic := Config{}.Split()
-	if job != DefaultJob() {
-		t.Fatalf("Config{}.Split() job %+v, want DefaultJob %+v", job, DefaultJob())
-	}
-	if traffic == nil || traffic.Describe() == "" {
-		t.Fatal("Split returned no classic traffic")
-	}
-	job2, _ := Config{AggParallelism: 6, StateBytesPerKey: 2048}.Split()
-	if job2.AggParallelism != 6 || job2.StateBytesPerKey != 2048 {
-		t.Fatalf("Split dropped explicit fields: %+v", job2)
 	}
 }
 
@@ -357,7 +344,7 @@ func TestDescribeSummaries(t *testing.T) {
 	if d := NewRecorder(live).Describe(); d == "" {
 		t.Fatal("recorder Describe empty")
 	}
-	if d := Classic(Config{}).Describe(); d == "" {
+	if d := Classic(ClassicSpec{Keys: 1000, RatePerSec: 1000}).Describe(); d == "" {
 		t.Fatal("classic Describe empty")
 	}
 }

@@ -13,9 +13,9 @@
 //     Replay (a recorded Trace).
 //   - BuildJob(job, traffic) assembles the graph.
 //
-// Config predates the split and remains as a compatibility veneer: Build(cfg)
-// is exactly BuildJob(cfg.Split()) and produces a byte-identical event
-// stream.
+// Neither half defaults anything: JobConfig and ClassicSpec fields are used
+// verbatim and structurally impossible values panic. DefaultJob is the
+// paper's single-machine topology to start from.
 package workload
 
 import (
@@ -25,10 +25,10 @@ import (
 )
 
 // JobConfig parameterizes the custom job's topology: everything about the
-// pipeline that is independent of the arrival stream. Unlike the legacy
-// Config it performs no zero-value defaulting — every field is used verbatim,
-// so explicit zeros (a free aggregator, stateless keys) are expressible.
-// Start from DefaultJob and override.
+// pipeline that is independent of the arrival stream. It performs no
+// zero-value defaulting — every field is used verbatim, so explicit zeros (a
+// free aggregator, stateless keys) are expressible. Start from DefaultJob and
+// override.
 type JobConfig struct {
 	// SourceParallelism and AggParallelism set initial parallelism.
 	SourceParallelism int
@@ -49,9 +49,9 @@ type JobConfig struct {
 	EmitUpdates bool
 }
 
-// DefaultJob returns the job topology the legacy Config defaulted to: 1
-// source, 4 aggregators over 128 key groups, 1 KiB per key, 100 µs per
-// record, 100 ms watermarks.
+// DefaultJob returns the paper's single-machine topology: 1 source, 4
+// aggregators over 128 key groups, 1 KiB per key, 100 µs per record, 100 ms
+// watermarks.
 func DefaultJob() JobConfig {
 	return JobConfig{
 		SourceParallelism: 1,
@@ -81,96 +81,6 @@ func (j JobConfig) validate() {
 	if j.StateBytesPerKey < 0 || j.CostPerRecord < 0 {
 		panic("workload: JobConfig state size and record cost cannot be negative")
 	}
-}
-
-// Config parameterizes the custom job through the pre-split API. It is a thin
-// veneer over (JobConfig, Traffic): Build(cfg) == BuildJob(cfg.Split()).
-//
-// Sentinel semantics: a zero in any field below means "use the default", so
-// explicit zeros are unexpressible here — Config{RatePerSec: 0} is 1000
-// records/s, not silence, and Config{CostPerRecord: 0} costs 100 µs. Callers
-// that need a true zero (or traffic beyond one Zipf generator) use JobConfig
-// + Traffic directly.
-type Config struct {
-	// SourceParallelism and AggParallelism set initial parallelism.
-	SourceParallelism int
-	AggParallelism    int
-	// MaxKeyGroups is the aggregator's key-group count (paper: 128 single
-	// machine, 256 cluster).
-	MaxKeyGroups int
-	// Keys is the key-space size.
-	Keys int
-	// RatePerSec is the per-source-instance input rate (records/s).
-	RatePerSec float64
-	// Skew is the Zipf skewness over keys (paper: 0, 0.5, 1.0, 1.5).
-	Skew float64
-	// StateBytesPerKey sets per-key state size (total state ≈ Keys × this).
-	StateBytesPerKey int
-	// CostPerRecord is the aggregator's processing cost.
-	CostPerRecord simtime.Duration
-	// Shape programs rate phases and hot-key drift over the run; the zero
-	// Shape is the classic flat load.
-	Shape Shape
-	// Duration bounds generation; 0 generates forever.
-	Duration simtime.Duration
-	// WatermarkEvery sets the watermark cadence (default 100 ms).
-	WatermarkEvery simtime.Duration
-	// Seed drives the generators.
-	Seed int64
-	// EmitUpdates forwards every aggregation update to the sink (needed by
-	// correctness tests; benchmarks can disable it to cut message volume).
-	EmitUpdates bool
-}
-
-func (c *Config) fillDefaults() {
-	if c.SourceParallelism == 0 {
-		c.SourceParallelism = 1
-	}
-	if c.AggParallelism == 0 {
-		c.AggParallelism = 4
-	}
-	if c.MaxKeyGroups == 0 {
-		c.MaxKeyGroups = 128
-	}
-	if c.Keys == 0 {
-		c.Keys = 1000
-	}
-	if c.RatePerSec == 0 {
-		c.RatePerSec = 1000
-	}
-	if c.StateBytesPerKey == 0 {
-		c.StateBytesPerKey = 1024
-	}
-	if c.CostPerRecord == 0 {
-		c.CostPerRecord = 100 * simtime.Microsecond
-	}
-	if c.WatermarkEvery == 0 {
-		c.WatermarkEvery = simtime.Ms(100)
-	}
-}
-
-// Split converts the veneer into the post-redesign form: the fully-defaulted
-// JobConfig plus the Classic traffic generator. The traffic produced is
-// byte-identical to what the pre-split Build emitted.
-func (c Config) Split() (JobConfig, Traffic) {
-	c.fillDefaults()
-	job := JobConfig{
-		SourceParallelism: c.SourceParallelism,
-		AggParallelism:    c.AggParallelism,
-		MaxKeyGroups:      c.MaxKeyGroups,
-		StateBytesPerKey:  c.StateBytesPerKey,
-		CostPerRecord:     c.CostPerRecord,
-		WatermarkEvery:    c.WatermarkEvery,
-		EmitUpdates:       c.EmitUpdates,
-	}
-	return job, Classic(c)
-}
-
-// Build constructs the job graph from the legacy Config and returns it with
-// the sink logic for inspection. Operators are named "gen", "agg", "sink".
-func Build(cfg Config) (*dataflow.Graph, *engine.CollectSink) {
-	job, traffic := cfg.Split()
-	return BuildJob(job, traffic)
 }
 
 // BuildJob constructs the job graph from a topology and an arrival stream and

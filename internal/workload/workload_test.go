@@ -4,14 +4,32 @@ import (
 	"math"
 	"testing"
 
+	"drrs/internal/dataflow"
 	"drrs/internal/engine"
 	"drrs/internal/simtime"
 	"drrs/internal/state"
 )
 
-func run(t *testing.T, cfg Config) (*engine.Runtime, *engine.CollectSink) {
+// testJob is the custom job the tests build: DefaultJob fed Classic traffic
+// over 1000 keys at 1000 records/s, then adjusted by edit.
+type testJob struct {
+	JobConfig
+	ClassicSpec
+}
+
+func newTestJob(edit func(*testJob)) testJob {
+	j := testJob{DefaultJob(), ClassicSpec{Keys: 1000, RatePerSec: 1000}}
+	edit(&j)
+	return j
+}
+
+func (j testJob) build() (*dataflow.Graph, *engine.CollectSink) {
+	return BuildJob(j.JobConfig, Classic(j.ClassicSpec))
+}
+
+func run(t *testing.T, cfg testJob) (*engine.Runtime, *engine.CollectSink) {
 	t.Helper()
-	g, sink := Build(cfg)
+	g, sink := cfg.build()
 	s := simtime.NewScheduler()
 	rt := engine.New(s, g, nil, engine.Config{Seed: cfg.Seed})
 	rt.Start()
@@ -22,7 +40,7 @@ func run(t *testing.T, cfg Config) (*engine.Runtime, *engine.CollectSink) {
 }
 
 func TestDefaultsAndStructure(t *testing.T) {
-	g, _ := Build(Config{Duration: simtime.Sec(1)})
+	g, _ := newTestJob(func(j *testJob) { j.Duration = simtime.Sec(1) }).build()
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +54,9 @@ func TestDefaultsAndStructure(t *testing.T) {
 }
 
 func TestRateIsHonored(t *testing.T) {
-	cfg := Config{RatePerSec: 3000, Duration: simtime.Sec(2), Seed: 1, EmitUpdates: true}
+	cfg := newTestJob(func(j *testJob) {
+		j.RatePerSec, j.Duration, j.Seed, j.EmitUpdates = 3000, simtime.Sec(2), 1, true
+	})
 	rt, _ := run(t, cfg)
 	total := rt.Throughput.Total()
 	// One source instance at 3000/s for 2s ≈ 6000 records (±jitter).
@@ -46,7 +66,9 @@ func TestRateIsHonored(t *testing.T) {
 }
 
 func TestStateSizeKnob(t *testing.T) {
-	cfg := Config{Keys: 500, StateBytesPerKey: 2048, RatePerSec: 5000, Duration: simtime.Sec(2), Seed: 2}
+	cfg := newTestJob(func(j *testJob) {
+		j.Keys, j.StateBytesPerKey, j.RatePerSec, j.Duration, j.Seed = 500, 2048, 5000, simtime.Sec(2), 2
+	})
 	rt, _ := run(t, cfg)
 	got := rt.TotalStateBytes("agg")
 	// Most of the 500 keys should have been touched: state ≈ keys × bytes.
@@ -66,10 +88,10 @@ func TestSkewConcentratesKeys(t *testing.T) {
 // keySpread returns the fraction of records on the most loaded aggregator
 // instance.
 func keySpread(t *testing.T, skew float64) float64 {
-	cfg := Config{
-		Keys: 1000, Skew: skew, RatePerSec: 5000,
-		Duration: simtime.Sec(2), Seed: 3, AggParallelism: 4, MaxKeyGroups: 32,
-	}
+	cfg := newTestJob(func(j *testJob) {
+		j.Keys, j.Skew, j.RatePerSec = 1000, skew, 5000
+		j.Duration, j.Seed, j.AggParallelism, j.MaxKeyGroups = simtime.Sec(2), 3, 4, 32
+	})
 	rt, _ := run(t, cfg)
 	var max, total uint64
 	for _, in := range rt.Instances("agg") {
@@ -85,7 +107,9 @@ func keySpread(t *testing.T, skew float64) float64 {
 }
 
 func TestEmitUpdatesReachSink(t *testing.T) {
-	cfg := Config{RatePerSec: 2000, Duration: simtime.Sec(1), Seed: 4, EmitUpdates: true}
+	cfg := newTestJob(func(j *testJob) {
+		j.RatePerSec, j.Duration, j.Seed, j.EmitUpdates = 2000, simtime.Sec(1), 4, true
+	})
 	rt, sink := run(t, cfg)
 	if int64(sink.Records) != rt.Throughput.Total() {
 		t.Fatalf("sink %d vs generated %d", sink.Records, rt.Throughput.Total())
@@ -96,7 +120,9 @@ func TestEmitUpdatesReachSink(t *testing.T) {
 }
 
 func TestKeysLandInCorrectGroups(t *testing.T) {
-	cfg := Config{Keys: 300, RatePerSec: 4000, Duration: simtime.Sec(1), Seed: 5, MaxKeyGroups: 64}
+	cfg := newTestJob(func(j *testJob) {
+		j.Keys, j.RatePerSec, j.Duration, j.Seed, j.MaxKeyGroups = 300, 4000, simtime.Sec(1), 5, 64
+	})
 	rt, _ := run(t, cfg)
 	for _, in := range rt.Instances("agg") {
 		st := in.Store()
@@ -166,7 +192,9 @@ func TestShapeMapRankDrift(t *testing.T) {
 }
 
 func TestFlashCrowdRaisesRate(t *testing.T) {
-	base := Config{RatePerSec: 2000, Duration: simtime.Sec(6), Seed: 9, EmitUpdates: true}
+	base := newTestJob(func(j *testJob) {
+		j.RatePerSec, j.Duration, j.Seed, j.EmitUpdates = 2000, simtime.Sec(6), 9, true
+	})
 	shaped := base
 	shaped.Shape = FlashCrowd(simtime.Sec(2), simtime.Sec(2), 1.5)
 	rt, _ := run(t, base)
@@ -195,10 +223,10 @@ func TestHotKeyDriftSpreadsLoad(t *testing.T) {
 	// mass; when the hot set drifts, that mass spreads across the rotation's
 	// successive hot keys and the top key's share collapses.
 	share := func(shape Shape) float64 {
-		cfg := Config{
-			Keys: 500, Skew: 1.2, RatePerSec: 4000, Duration: simtime.Sec(6),
-			Seed: 10, Shape: shape, EmitUpdates: true,
-		}
+		cfg := newTestJob(func(j *testJob) {
+			j.Keys, j.Skew, j.RatePerSec, j.Duration = 500, 1.2, 4000, simtime.Sec(6)
+			j.Seed, j.Shape, j.EmitUpdates = 10, shape, true
+		})
 		_, sink := run(t, cfg)
 		var max, total float64
 		for _, v := range sink.ByKey {
@@ -220,7 +248,9 @@ func TestHotKeyDriftSpreadsLoad(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	cfg := Config{RatePerSec: 2500, Duration: simtime.Sec(1), Seed: 6, EmitUpdates: true}
+	cfg := newTestJob(func(j *testJob) {
+		j.RatePerSec, j.Duration, j.Seed, j.EmitUpdates = 2500, simtime.Sec(1), 6, true
+	})
 	_, a := run(t, cfg)
 	_, b := run(t, cfg)
 	if a.Records != b.Records {
