@@ -53,7 +53,7 @@ func MillionUsersSpec(seed int64) workload.Spec {
 	const nCohorts = 1200
 	prm := simtime.NewRNG(seed, "bench/million-users/params")
 	// Quantized key-space geometries: thousands of cohorts share a handful of
-	// (KeyCount, Skew) pairs, so the Zipf CDF cache stays tiny.
+	// (KeyCount, Skew) pairs, so Live builds only a handful of Zipf tables.
 	keyCounts := []int{160, 240, 320, 480}
 	skews := []float64{0, 0.6, 0.9, 1.2}
 	arrivals := []workload.Arrival{

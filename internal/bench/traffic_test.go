@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/binary"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -118,5 +120,44 @@ func TestMillionUsersSpecShape(t *testing.T) {
 	a, b := MillionUsersSpec(7), MillionUsersSpec(7)
 	if len(a.Cohorts) != len(b.Cohorts) || a.Cohorts[13].Clients != b.Cohorts[13].Clients {
 		t.Fatal("MillionUsersSpec is not deterministic in the seed")
+	}
+}
+
+// TestMillionUsersStreamChecksum pins the 1200-cohort generator byte for
+// byte: the footer checksum Trace.Write appends to the streams two source
+// instances consume, captured from the one-draw-per-arrival generator that
+// cohort batching replaced.
+func TestMillionUsersStreamChecksum(t *testing.T) {
+	tr := workload.Synthesize(workload.Live(MillionUsersSpec(1)), 2)
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = 0x1b1d6eea4b0a1da1
+	if got := binary.LittleEndian.Uint64(buf.Bytes()[buf.Len()-8:]); got != want {
+		t.Fatalf("million-users stream checksum 0x%016x (%d events), pinned 0x%016x", got, tr.Events(), uint64(want))
+	}
+}
+
+// BenchmarkLiveGen times the Live generator on its own: both source streams
+// of the 1200-cohort million-users spec drained to the 45 s horizon, no
+// engine. benchgate pins its allocs/op and B/op, which are exact; ns/op is
+// ungated (-1 in bench_baseline.json).
+func BenchmarkLiveGen(b *testing.B) {
+	b.ReportAllocs()
+	live := workload.Live(MillionUsersSpec(1))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arrivals := 0
+		for inst := 0; inst < 2; inst++ {
+			st := live.Stream(inst, 2, 0)
+			var ev workload.Event
+			for st.Next(&ev) {
+				arrivals++
+			}
+		}
+		if arrivals < 200_000 {
+			b.Fatalf("generated only %d arrivals", arrivals)
+		}
 	}
 }

@@ -122,44 +122,54 @@ func TestGammaWeibullRejectBadShape(t *testing.T) {
 	}
 }
 
-// TestZipfSharedMatchesOwned: a Zipf built over a precomputed shared CDF
-// table draws the exact sequence of one that built its own table — the
+// TestZipfSharedMatchesOwned: samplers drawing over one shared ZipfTable
+// produce the exact sequence of samplers that each built their own — the
 // invariant that lets thousands of cohorts share a handful of tables.
 func TestZipfSharedMatchesOwned(t *testing.T) {
 	for _, s := range []float64{0, 0.9, 1.5} {
-		own := NewZipf(NewRNG(21, "zs"), 256, s)
-		shared := NewZipfShared(NewRNG(21, "zs"), 256, s, ZipfCDF(256, s))
-		for i := 0; i < 5000; i++ {
-			if a, b := own.Next(), shared.Next(); a != b {
-				t.Fatalf("s=%v: shared-table draw %d diverged: %d vs %d", s, i, a, b)
+		table := NewZipfTable(256, s)
+		for _, name := range []string{"zs", "zt"} {
+			own := NewZipf(NewRNG(21, name), 256, s)
+			shared := NewZipfFrom(NewRNG(21, name), table)
+			for i := 0; i < 5000; i++ {
+				if a, b := own.Next(), shared.Next(); a != b {
+					t.Fatalf("s=%v %s: shared-table draw %d diverged: %d vs %d", s, name, i, a, b)
+				}
 			}
 		}
 	}
 }
 
-// TestZipfCDFValidation pins the table contract: nil for the uniform case,
-// panic on a nonsensical size or a mismatched table.
+// TestZipfCDFValidation pins the table contract: no CDF for the uniform case
+// (s <= 0 draws every rank), panic on a nonsensical size.
 func TestZipfCDFValidation(t *testing.T) {
-	if ZipfCDF(10, 0) != nil {
-		t.Fatal("s=0 should need no table (uniform)")
-	}
-	if got := len(ZipfCDF(10, 1)); got != 10 {
-		t.Fatalf("table length %d, want 10", got)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ZipfCDF accepted n=0")
+	for _, s := range []float64{0, -1} {
+		table := NewZipfTable(10, s)
+		if table.cdf != nil {
+			t.Fatalf("s=%v should need no CDF (uniform)", s)
+		}
+		z := NewZipfFrom(NewRNG(1, "u"), table)
+		var seen [10]bool
+		for i := 0; i < 1000; i++ {
+			seen[z.Next()] = true
+		}
+		for rank, ok := range seen {
+			if !ok {
+				t.Errorf("s=%v: uniform draws never produced rank %d", s, rank)
 			}
+		}
+	}
+	if got := len(NewZipfTable(10, 1).cdf); got != 10 {
+		t.Fatalf("CDF length %d, want 10", got)
+	}
+	for _, n := range []int{0, -3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewZipfTable accepted n=%d", n)
+				}
+			}()
+			NewZipfTable(n, 1)
 		}()
-		ZipfCDF(0, 1)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("NewZipfShared accepted a mismatched table")
-			}
-		}()
-		NewZipfShared(NewRNG(1, "z"), 10, 1, ZipfCDF(20, 1))
-	}()
+	}
 }

@@ -85,68 +85,69 @@ func (r *RNG) Weibull(mean Duration, k float64) Duration {
 // Zipf draws integers in [0, n) with Zipf skewness s, matching the paper's
 // workload-skew parameter (s = 0 is uniform; larger s concentrates mass on
 // low ranks). Unlike math/rand's Zipf it accepts any s >= 0 by sampling the
-// generalized harmonic CDF directly.
+// generalized harmonic CDF directly. A Zipf is a ZipfTable plus the stream it
+// draws from; only the stream is per-sampler.
 type Zipf struct {
-	n   int
-	s   float64
+	t    *ZipfTable
+	rand *rand.Rand
+}
+
+// ZipfTable is everything about a Zipf distribution that depends only on
+// (n, s): the CDF and a jump index into it. It is never written after
+// NewZipfTable returns, so any number of samplers, on any number of
+// goroutines, may share one — building it is O(n) plus zipfJumpBuckets
+// binary searches, which matters when thousands of cohorts reuse a handful
+// of distributions.
+type ZipfTable struct {
+	n int
+	// cdf is the generalized harmonic CDF over [0, n); nil for s <= 0, where
+	// draws are uniform and need no table.
 	cdf []float64
 	// jump[b] is the first rank whose CDF reaches b/zipfJumpBuckets, so a
 	// draw only binary-searches the [jump[b], jump[b+1]] sliver of cdf. The
 	// rank found for a given u is identical with or without the accelerator,
 	// so seeded draw sequences are unaffected.
 	jump [zipfJumpBuckets + 1]int32
-	rand *rand.Rand
 }
 
 // zipfJumpBuckets sizes the search accelerator; 256 keeps the per-draw
 // search inside a couple of cache lines even for large key spaces.
 const zipfJumpBuckets = 256
 
-// NewZipf builds a Zipf sampler over [0, n) with skewness s.
-func NewZipf(r *RNG, n int, s float64) *Zipf {
-	return NewZipfShared(r, n, s, ZipfCDF(n, s))
-}
-
-// ZipfCDF precomputes the generalized harmonic CDF over [0, n) with skewness
-// s (nil for s <= 0: uniform sampling needs none). The table depends only on
-// (n, s), so samplers over the same distribution can share one — building it
-// is O(n), which matters when thousands of cohorts reuse a handful of
-// distributions.
-func ZipfCDF(n int, s float64) []float64 {
+// NewZipfTable precomputes the distribution over [0, n) with skewness s.
+func NewZipfTable(n int, s float64) *ZipfTable {
 	if n <= 0 {
 		panic("simtime: Zipf needs n > 0")
 	}
+	t := &ZipfTable{n: n}
 	if s <= 0 {
-		return nil
+		return t
 	}
-	cdf := make([]float64, n)
+	t.cdf = make([]float64, n)
 	sum := 0.0
-	for i := 0; i < n; i++ {
+	for i := range t.cdf {
 		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
+		t.cdf[i] = sum
 	}
-	for i := range cdf {
-		cdf[i] /= sum
+	for i := range t.cdf {
+		t.cdf[i] /= sum
 	}
-	return cdf
+	for b := 1; b <= zipfJumpBuckets; b++ {
+		t.jump[b] = int32(searchCDF(t.cdf, float64(b)/zipfJumpBuckets))
+	}
+	return t
 }
 
-// NewZipfShared builds a Zipf sampler around a precomputed ZipfCDF(n, s)
-// table. The table is read-only; only the RNG is per-sampler.
-func NewZipfShared(r *RNG, n int, s float64, cdf []float64) *Zipf {
-	if n <= 0 {
-		panic("simtime: Zipf needs n > 0")
-	}
-	if s > 0 && len(cdf) != n {
-		panic("simtime: Zipf CDF table does not match n")
-	}
-	z := &Zipf{n: n, s: s, cdf: cdf, rand: r.Rand}
-	if s > 0 {
-		for b := 1; b <= zipfJumpBuckets; b++ {
-			z.jump[b] = int32(searchCDF(cdf, float64(b)/zipfJumpBuckets))
-		}
-	}
-	return z
+// NewZipf builds a Zipf sampler over [0, n) with skewness s and a table of
+// its own.
+func NewZipf(r *RNG, n int, s float64) *Zipf {
+	return NewZipfFrom(r, NewZipfTable(n, s))
+}
+
+// NewZipfFrom builds a Zipf sampler drawing from r over a table that other
+// samplers may share; it draws exactly what NewZipf(r, n, s) would.
+func NewZipfFrom(r *RNG, t *ZipfTable) *Zipf {
+	return &Zipf{t: t, rand: r.Rand}
 }
 
 // searchCDF returns the first index whose CDF value reaches u (n-1 when u
@@ -166,15 +167,16 @@ func searchCDF(cdf []float64, u float64) int {
 
 // Next draws one rank in [0, n).
 func (z *Zipf) Next() int {
-	if z.s <= 0 {
-		return int(z.rand.Int63n(int64(z.n)))
+	t := z.t
+	if t.cdf == nil {
+		return int(z.rand.Int63n(int64(t.n)))
 	}
 	u := z.rand.Float64()
 	b := int(u * zipfJumpBuckets)
-	lo, hi := int(z.jump[b]), int(z.jump[b+1])
+	lo, hi := int(t.jump[b]), int(t.jump[b+1])
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
+		if t.cdf[mid] < u {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -33,6 +33,16 @@ const (
 	tfSize  = 1 << 2 // Size differs from the default 100 and is encoded
 )
 
+// Bounds on what a trace header may declare before any checksum can vouch
+// for it. A stream longer than traceMaxEvents is rejected outright; one
+// shorter is believed only up to tracePrealloc events of reserved memory
+// (40 MB — every trace this repo writes decodes in one allocation), beyond
+// which the slice grows as the file actually delivers events.
+const (
+	traceMaxEvents = 1 << 32
+	tracePrealloc  = 1 << 20
+)
+
 // Events counts the data events (excluding Stop markers) across all streams.
 func (t *Trace) Events() int {
 	n := 0
@@ -123,11 +133,14 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	t := &Trace{SourceParallelism: p}
 	for s := 0; s < p && hr.err == nil; s++ {
-		n := int(hr.uvarint())
-		st := make([]Event, 0, n)
+		n := hr.uvarint()
+		if hr.err == nil && n > traceMaxEvents {
+			return nil, fmt.Errorf("workload: trace stream %d declares implausible length %d", s, n)
+		}
+		st := make([]Event, 0, min(n, tracePrealloc))
 		prev := simtime.Time(0)
 		stopped := false
-		for i := 0; i < n && hr.err == nil; i++ {
+		for i := uint64(0); i < n && hr.err == nil; i++ {
 			prev = prev.Add(simtime.Duration(hr.uvarint()))
 			flags := hr.byte()
 			if stopped {

@@ -2,8 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"drrs/internal/simtime"
@@ -147,6 +149,125 @@ func TestLiveDeterminism(t *testing.T) {
 	}
 }
 
+// seamSpec is testSpec plus a drifting hot set that shares the "skewed"
+// cohort's (KeyCount, Skew) table, cut to duration d: every kind of cohort
+// the generator has, at a length the caller picks relative to cohortBatch.
+func seamSpec(seed int64, d simtime.Duration) Spec {
+	spec := testSpec(seed)
+	drift := DefaultCohort()
+	drift.Name = "drift"
+	drift.Clients = 20
+	drift.RatePerClient = 15
+	drift.Skew = 1.1
+	drift.KeyCount = 100
+	drift.KeyBase = 4101
+	drift.Load = HotKeyDrift(simtime.Ms(10), 0.1)
+	drift.PhaseOffset = simtime.Ms(7)
+	spec.Cohorts = append(spec.Cohorts, drift)
+	spec.Duration = d
+	return spec
+}
+
+// streamSum is the footer Trace.Write appends: an FNV-1a fold of every
+// encoded byte, so two generators agree on it only if every event they emit
+// is bit-equal.
+func streamSum(t *testing.T, tr *Trace) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return binary.LittleEndian.Uint64(buf.Bytes()[buf.Len()-8:])
+}
+
+// TestLiveStreamChecksums pins Live's output byte for byte. The sums were
+// captured from the one-draw-per-arrival generator that cohort batching
+// replaced, so they hold only while every cohort's two RNG streams are drawn
+// in the original order — across a deadline inside the first batch, and
+// across many refills.
+func TestLiveStreamChecksums(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec Spec
+		p    int
+		want uint64
+		// every cohort emits within [lo, hi] arrivals
+		lo, hi int
+	}{
+		{"testSpec/p1", testSpec(3), 1, 0x3687d7494bbe9e2c, 1, 1 << 30},
+		{"testSpec/p2", testSpec(3), 2, 0xe598cf2da73a5591, 1, 1 << 30},
+		{"ends inside first batch", seamSpec(5, simtime.Ms(40)), 2, 0x00b2a749df842a44, 1, cohortBatch - 1},
+		{"three refills and more", seamSpec(5, simtime.Sec(3)), 1, 0x5ffc05ebdd307d3b, 3*cohortBatch + 1, 1 << 30},
+	} {
+		tr := Synthesize(Live(tc.spec), tc.p)
+		per := make([]int, len(tc.spec.Cohorts))
+		for _, st := range tr.Streams {
+			for _, ev := range dropStops(st) {
+				per[ev.Cohort]++
+			}
+		}
+		for i, n := range per {
+			if n < tc.lo || n > tc.hi {
+				t.Errorf("%s: cohort %s emitted %d arrivals, want [%d, %d]", tc.name, tc.spec.Cohorts[i].Name, n, tc.lo, tc.hi)
+			}
+		}
+		if got := streamSum(t, tr); got != tc.want {
+			t.Errorf("%s: stream checksum 0x%016x, pinned 0x%016x", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestLiveUnboundedKeepsYielding: with no Duration there is no deadline to
+// end on, so the merge must keep refilling: time-ordered arrivals from every
+// cohort, well past the point where each has drained several batches.
+func TestLiveUnboundedKeepsYielding(t *testing.T) {
+	spec := seamSpec(5, 0)
+	st := Live(spec).Stream(0, 1, simtime.Time(simtime.Sec(1)))
+	seen := make([]int, len(spec.Cohorts))
+	var ev, prev Event
+	for i := 0; i < 8*cohortBatch*len(spec.Cohorts); i++ {
+		if !st.Next(&ev) || ev.Stop {
+			t.Fatalf("unbounded stream ended at pull %d (%+v)", i, ev)
+		}
+		if i > 0 && (ev.At < prev.At || (ev.At == prev.At && ev.Cohort <= prev.Cohort)) {
+			t.Fatalf("pull %d out of (At, cohort) order: %+v after %+v", i, ev, prev)
+		}
+		seen[ev.Cohort]++
+		prev = ev
+	}
+	for i, n := range seen {
+		if n <= 3*cohortBatch {
+			t.Errorf("cohort %s yielded %d arrivals, want > %d", spec.Cohorts[i].Name, n, 3*cohortBatch)
+		}
+	}
+}
+
+// TestLiveStreamsShareNothingMutable: one Live value hands out equal,
+// independent streams — the benchmark reuses a constructed Scenario across
+// passes and RunParallel gives one Traffic to several goroutines. Draining
+// concurrently lets -race prove the shared Zipf tables are only read.
+func TestLiveStreamsShareNothingMutable(t *testing.T) {
+	live := Live(seamSpec(5, simtime.Sec(1)))
+	var got [3][]Event
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i] = drain(live.Stream(0, 1, 0))
+		}(i)
+	}
+	wg.Wait()
+	if len(dropStops(got[0])) == 0 {
+		t.Fatal("stream is empty")
+	}
+	for i := 1; i < len(got); i++ {
+		if !reflect.DeepEqual(got[0], got[i]) {
+			t.Fatalf("stream %d of the same Live value diverged from stream 0", i)
+		}
+	}
+}
+
 // TestTraceRoundTrip: encode → decode is identity, in memory and on disk,
 // including non-default sizes/values and stop markers.
 func TestTraceRoundTrip(t *testing.T) {
@@ -203,6 +324,19 @@ func TestTraceRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadTrace(bytes.NewReader([]byte("not a trace at all"))); err == nil {
 		t.Fatal("accepted a non-trace file")
+	}
+	// A header is read before any checksum can vouch for it: one stream of
+	// 2^62 events must be an error, not a makeslice panic, and a count the
+	// file does not back must fail at the missing body.
+	header := func(events uint64) []byte {
+		b := append([]byte(traceMagic), 1) // uvarint(1): one stream
+		return binary.AppendUvarint(b, events)
+	}
+	if _, err := ReadTrace(bytes.NewReader(header(1 << 62))); err == nil {
+		t.Fatal("accepted a stream of 2^62 events")
+	}
+	if _, err := ReadTrace(bytes.NewReader(header(3 << 20))); err == nil {
+		t.Fatal("accepted a stream whose declared events are missing")
 	}
 }
 
@@ -262,6 +396,7 @@ func TestSpecValidation(t *testing.T) {
 		"negative skew": func(c *Cohort) {
 			c.Skew = -1
 		},
+		"negative phase": func(c *Cohort) { c.PhaseOffset = -simtime.Sec(10) },
 	}
 	for name, breakIt := range cases {
 		c := DefaultCohort()
