@@ -10,7 +10,8 @@ import (
 // TestOverrideDigests pins what the shared CLI flags do to a run: each row is
 // the digest drrs-sim printed for `-workload <scenario> <flags> -seed 1`
 // (mechanism drrs) at commit 2ac2be7, when the flags were process globals
-// re-resolved inside RunWith. Overrides.Apply must reproduce every one — and
+// re-resolved inside RunWith, re-recorded once when the streams moved to PCG
+// (see goldenDigests). Overrides.Apply must reproduce every one — and
 // all eight run as one RunParallel batch, which the globals made impossible:
 // specs carrying different Overrides side by side must each digest exactly as
 // they did alone (CI runs this under -race).
@@ -28,14 +29,14 @@ func TestOverrideDigests(t *testing.T) {
 		ov             Overrides
 		want           uint64
 	}{
-		{"driver+policy", "flash-crowd", Overrides{Driver: "controller", Policy: "threshold"}, 0x3eb7f5d8024103f4},
-		{"driver-script", "flash-crowd-reactive", Overrides{Driver: "script"}, 0x0a810084609bd3c4},
-		{"policy-only", "flash-crowd-reactive", Overrides{Policy: "predictive"}, 0x0dbf3292de5d3c5a},
-		{"placement", "rack-skew", Overrides{Placement: "pack"}, 0xac350442ed4740ad},
-		{"topology", "flash-crowd", Overrides{Topology: "rack4x4"}, 0xbccb8ec461fa3812},
-		{"faults-off", "node-loss-mid-migrate", Overrides{NoFaults: true}, 0x40ea22042937a8a4},
-		{"faults-spec", "straggler-rack", Overrides{Faults: crash}, 0x35ab34badcfdb8c0},
-		{"all", "flash-crowd", Overrides{Topology: "rack4x4", Placement: "spread", Driver: "controller", Faults: crash}, 0x2a5d4f92137a50e0},
+		{"driver+policy", "flash-crowd", Overrides{Driver: "controller", Policy: "threshold"}, 0x30e5ed8c8b7636b5},
+		{"driver-script", "flash-crowd-reactive", Overrides{Driver: "script"}, 0x082881e0b344acef},
+		{"policy-only", "flash-crowd-reactive", Overrides{Policy: "predictive"}, 0x28e8d16402c01143},
+		{"placement", "rack-skew", Overrides{Placement: "pack"}, 0x89e8255187ea170a},
+		{"topology", "flash-crowd", Overrides{Topology: "rack4x4"}, 0x54243c85d7ac4209},
+		{"faults-off", "node-loss-mid-migrate", Overrides{NoFaults: true}, 0x98ee698e908ceb83},
+		{"faults-spec", "straggler-rack", Overrides{Faults: crash}, 0x2ac04d2d852b61cd},
+		{"all", "flash-crowd", Overrides{Topology: "rack4x4", Placement: "spread", Driver: "controller", Faults: crash}, 0x73f63ca439798563},
 	}
 	specs := make([]RunSpec, len(rows))
 	for i, c := range rows {

@@ -64,7 +64,7 @@ func MillionUsersSpec(seed int64) workload.Spec {
 	for i := 0; i < nCohorts; i++ {
 		c := workload.DefaultCohort()
 		c.Name = fmt.Sprintf("c%04d", i)
-		c.Clients = 400 + int(prm.Int63n(1400))
+		c.Clients = 400 + int(prm.Int64N(1400))
 		// Cohorts aggregate to ~3.6 rec/s each regardless of population size;
 		// individual clients are sub-1/minute, like real users.
 		c.RatePerClient = 3.6 / float64(c.Clients)

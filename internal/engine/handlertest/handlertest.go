@@ -205,32 +205,32 @@ func Equivalence(t *testing.T, fanIn, steps int, seed int64, mk, mkRef func() Pr
 			}
 		}
 		o := op{kind: opPoll}
-		switch p := rng.Intn(100); {
+		switch p := rng.IntN(100); {
 		case n == 0:
 			o.kind = opAddSource
 		case p < arrive:
 			id++
-			o = op{kind: opRecord, ch: rng.Intn(n), kg: rng.Intn(keyGroups), id: id}
-			if rng.Intn(8) == 0 {
+			o = op{kind: opRecord, ch: rng.IntN(n), kg: rng.IntN(keyGroups), id: id}
+			if rng.IntN(8) == 0 {
 				o.kind = opWatermark
-			} else if rng.Intn(40) == 0 {
+			} else if rng.IntN(40) == 0 {
 				o.kind = opRequeue
 			}
 		default:
-			switch q := rng.Intn(100); {
+			switch q := rng.IntN(100); {
 			case q < 70:
 			case q < 77:
-				o = op{kind: opBlock, ch: rng.Intn(n)}
+				o = op{kind: opBlock, ch: rng.IntN(n)}
 			case q < 86:
-				o = op{kind: opUnblock, ch: rng.Intn(n)}
+				o = op{kind: opUnblock, ch: rng.IntN(n)}
 			case q < 93:
-				o = op{kind: opGate, kg: rng.Intn(keyGroups), shut: phase != 0 && rng.Intn(2) == 0}
+				o = op{kind: opGate, kg: rng.IntN(keyGroups), shut: phase != 0 && rng.IntN(2) == 0}
 			case q < 95 && n < fanIn+8:
 				o = op{kind: opAddSource}
 			case q < 97 && n < fanIn+8:
-				o = op{kind: opAttachAux, ch: rng.Intn(len(a.rt.Instances("src")))}
+				o = op{kind: opAttachAux, ch: rng.IntN(len(a.rt.Instances("src")))}
 			case q < 99:
-				o = op{kind: opDetach, ch: rng.Intn(n)}
+				o = op{kind: opDetach, ch: rng.IntN(n)}
 			}
 		}
 		if o.kind != opPoll {

@@ -118,26 +118,26 @@ func Generate(rng *simtime.RNG, cfg GenConfig) Plan {
 	if total == 0 {
 		return plan // no targets to fault
 	}
-	n := cfg.MinFaults + rng.Intn(cfg.MaxFaults-cfg.MinFaults+1)
+	n := cfg.MinFaults + rng.IntN(cfg.MaxFaults-cfg.MinFaults+1)
 	for i := 0; i < n; i++ {
 		f := Fault{At: cfg.Onset + quantized(rng, cfg.Window)}
-		switch w := rng.Intn(total); {
+		switch w := rng.IntN(total); {
 		case w < cfg.CrashWeight:
 			f.Kind = Crash
-			f.Node = cfg.Nodes[rng.Intn(len(cfg.Nodes))]
+			f.Node = cfg.Nodes[rng.IntN(len(cfg.Nodes))]
 			if rng.Float64() < cfg.RestartProb {
 				f.Restart = durRange(rng, cfg.RestartMin, cfg.RestartMax)
 			}
 		case w < cfg.CrashWeight+cfg.StraggleWeight:
 			f.Kind = Straggle
-			f.Node = cfg.Nodes[rng.Intn(len(cfg.Nodes))]
-			f.Factor = 0.2 + 0.1*float64(rng.Intn(5)) // 0.2 .. 0.6
+			f.Node = cfg.Nodes[rng.IntN(len(cfg.Nodes))]
+			f.Factor = 0.2 + 0.1*float64(rng.IntN(5)) // 0.2 .. 0.6
 			f.Heal = durRange(rng, cfg.HealMin, cfg.HealMax)
 		default:
 			f.Kind = Uplink
-			f.Rack = cfg.Racks[rng.Intn(len(cfg.Racks))]
+			f.Rack = cfg.Racks[rng.IntN(len(cfg.Racks))]
 			if rng.Float64() >= cfg.PartitionProb {
-				f.Bandwidth = float64(int64(256<<10) << rng.Intn(4)) // 256KB..2MB/s
+				f.Bandwidth = float64(int64(256<<10) << rng.IntN(4)) // 256KB..2MB/s
 			}
 			f.Heal = durRange(rng, cfg.HealMin, cfg.HealMax)
 		}
@@ -153,7 +153,7 @@ func quantized(rng *simtime.RNG, span simtime.Duration) simtime.Duration {
 	if ms <= 0 {
 		return 0
 	}
-	return simtime.Duration(rng.Int63n(ms)) * simtime.Millisecond
+	return simtime.Duration(rng.Int64N(ms)) * simtime.Millisecond
 }
 
 // durRange draws a millisecond-quantized duration in [min, max].

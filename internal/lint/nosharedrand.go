@@ -8,14 +8,15 @@ import (
 
 // NoSharedRand forbids the shared math/rand source and ad-hoc generators.
 // Every random draw in a simulation must come from a named simtime RNG
-// stream (simtime.NewRNG(seed, "component")): the top-level rand functions
-// share one process-global source, so any draw from them entangles
-// components and makes the sequence depend on goroutine interleaving under
-// the parallel runner; an ad-hoc rand.New hides its seed from the
-// scenario's seed plumbing. Constructors (rand.New, rand.NewSource, …) are
-// legal only inside internal/simtime, where the streams are minted. Method
-// calls on a *rand.Rand value are always fine — the value reached the
-// caller through a named stream.
+// stream: simtime.NewRNG(seed, "component"), a math/rand/v2 PCG seeded from
+// (seed, name), is the one constructor in the tree. The top-level rand
+// functions share one process-global source, so any draw from them
+// entangles components and makes the sequence depend on goroutine
+// interleaving under the parallel runner; an ad-hoc rand.New or rand.NewPCG
+// hides its seed from the scenario's seed plumbing. Constructors are legal
+// only inside internal/simtime, where the streams are minted. Method calls
+// on a rand value are always fine — the value reached the caller through a
+// named stream.
 var NoSharedRand = &Analyzer{
 	Name: "nosharedrand",
 	Doc:  "forbid global math/rand functions everywhere and rand.New outside internal/simtime; randomness must flow through named simtime RNG streams",

@@ -152,7 +152,7 @@ func bidSource(cfg Q7Config) dataflow.SourceFunc {
 			// Value = Price); the bidder draw stays so the generator's RNG
 			// sequence is unchanged by the unboxed encoding.
 			auction := uint64(zipf.Next()) + 1
-			_ = uint64(rng.Intn(100000)) // bidder id
+			_ = uint64(rng.IntN(100000)) // bidder id
 			r := ctx.NewRecord()
 			r.Key = auction
 			r.EventTime = now
@@ -289,7 +289,7 @@ func q8Source(cfg Q8Config, left bool, rate float64, name string) dataflow.Sourc
 				_ = PersonEvt{Person: person}
 			} else {
 				data = engine.JoinSide{Left: false, Value: 1}
-				_ = AuctionEvt{Auction: uint64(rng.Intn(1 << 20)), Seller: person}
+				_ = AuctionEvt{Auction: uint64(rng.IntN(1 << 20)), Seller: person}
 			}
 			r := ctx.NewRecord()
 			r.Key = person

@@ -96,7 +96,7 @@ func Evolve(h bench.Harness, cfg EvolveConfig) ([]Evaluated, error) {
 		}
 		elite = elite[:n]
 		pop = fill(nil, func() Candidate {
-			return mutate(rng, elite[rng.Intn(len(elite))].Candidate, cfg.Space)
+			return mutate(rng, elite[rng.IntN(len(elite))].Candidate, cfg.Space)
 		})
 	}
 	return all, nil
@@ -106,15 +106,15 @@ func Evolve(h bench.Harness, cfg EvolveConfig) ([]Evaluated, error) {
 // knobs the drawn policy ignores so the seen-set treats dead-knob variants
 // as the same candidate.
 func randomCandidate(rng *simtime.RNG, s Space) Candidate {
-	pol := s.Policies[rng.Intn(len(s.Policies))]
+	pol := s.Policies[rng.IntN(len(s.Policies))]
 	pats, hors, bounds := s.axes(pol)
-	b := bounds[rng.Intn(len(bounds))]
+	b := bounds[rng.IntN(len(bounds))]
 	return Candidate{
 		Policy:   pol,
-		Cadence:  s.Cadences[rng.Intn(len(s.Cadences))],
-		Debounce: s.Debounces[rng.Intn(len(s.Debounces))],
-		Patience: pats[rng.Intn(len(pats))],
-		Horizon:  hors[rng.Intn(len(hors))],
+		Cadence:  s.Cadences[rng.IntN(len(s.Cadences))],
+		Debounce: s.Debounces[rng.IntN(len(s.Debounces))],
+		Patience: pats[rng.IntN(len(pats))],
+		Horizon:  hors[rng.IntN(len(hors))],
 		Min:      b[0],
 		Max:      b[1],
 	}
@@ -125,7 +125,7 @@ func randomCandidate(rng *simtime.RNG, s Space) Candidate {
 // parent's patience; a predictive child draws a horizon).
 func mutate(rng *simtime.RNG, parent Candidate, s Space) Candidate {
 	c := parent
-	switch rng.Intn(5) {
+	switch rng.IntN(5) {
 	case 0:
 		c.Policy = pick(rng, s.Policies, c.Policy)
 	case 1:
@@ -144,12 +144,12 @@ func mutate(rng *simtime.RNG, parent Candidate, s Space) Candidate {
 	if len(pats) == 1 && pats[0] == 0 {
 		c.Patience = 0
 	} else if c.Patience == 0 {
-		c.Patience = pats[rng.Intn(len(pats))]
+		c.Patience = pats[rng.IntN(len(pats))]
 	}
 	if len(hors) == 1 && hors[0] == 0 {
 		c.Horizon = 0
 	} else if c.Horizon == 0 {
-		c.Horizon = hors[rng.Intn(len(hors))]
+		c.Horizon = hors[rng.IntN(len(hors))]
 	}
 	return c
 }
@@ -161,7 +161,7 @@ func pick[T comparable](rng *simtime.RNG, menu []T, cur T) T {
 		return menu[0]
 	}
 	for {
-		if v := menu[rng.Intn(len(menu))]; v != cur {
+		if v := menu[rng.IntN(len(menu))]; v != cur {
 			return v
 		}
 	}

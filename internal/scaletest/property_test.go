@@ -52,13 +52,13 @@ func TestExactlyOnceProperty(t *testing.T) {
 	var shapes []shape
 	for i := 0; i < 8; i++ {
 		shapes = append(shapes, shape{
-			rate:    float64(1000 + rng.Intn(7000)),
-			skew:    []float64{0, 0.5, 1.0, 1.5}[rng.Intn(4)],
-			keys:    100 + rng.Intn(400),
-			bytes:   64 + rng.Intn(2048),
-			scaleAt: simtime.Ms(float64(500 + rng.Intn(1500))),
-			newP:    5 + rng.Intn(3), // 4 → 5..7
-			migBW:   float64(int64(1) << (19 + rng.Intn(6))),
+			rate:    float64(1000 + rng.IntN(7000)),
+			skew:    []float64{0, 0.5, 1.0, 1.5}[rng.IntN(4)],
+			keys:    100 + rng.IntN(400),
+			bytes:   64 + rng.IntN(2048),
+			scaleAt: simtime.Ms(float64(500 + rng.IntN(1500))),
+			newP:    5 + rng.IntN(3), // 4 → 5..7
+			migBW:   float64(int64(1) << (19 + rng.IntN(6))),
 		})
 	}
 	for si, sh := range shapes {

@@ -195,3 +195,14 @@ func TestSchedulerHeapLaneOrdering(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkNewRNG measures minting one named stream — what every cohort and
+// every engine instance pays twice. Gated on allocations and bytes only.
+func BenchmarkNewRNG(b *testing.B) {
+	b.ReportAllocs()
+	var sink *RNG
+	for i := 0; i < b.N; i++ {
+		sink = NewRNG(int64(i), "cohort/17/arrivals")
+	}
+	_ = sink
+}

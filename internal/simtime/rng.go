@@ -2,25 +2,59 @@ package simtime
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 )
 
 // RNG is a named deterministic random stream. Each simulation component draws
 // from its own stream so that adding randomness to one component does not
 // perturb another (a classic discrete-event-simulation discipline).
+//
+// Every stream is a math/rand/v2 PCG (16 bytes of state) minted by NewRNG,
+// the one constructor in the tree; drrs-lint's nosharedrand forbids any
+// other. RNG exposes only the draws the simulator uses. It must not be
+// copied after NewRNG: its Rand view points at its own PCG.
 type RNG struct {
-	*rand.Rand
+	pcg  rand.PCG
+	rand rand.Rand
 }
 
 // NewRNG derives a deterministic stream from a base seed and a component
-// name.
+// name. The FNV-style mix of (seed, name) seeds both PCG state words; PCG's
+// output permutation, not the seeding, decorrelates neighbouring names.
 func NewRNG(seed int64, name string) *RNG {
 	h := uint64(seed)
 	for _, c := range name {
 		h = h*1099511628211 + uint64(c) // FNV-1a style mix
 	}
-	return &RNG{Rand: rand.New(rand.NewSource(int64(h)))}
+	r := &RNG{}
+	r.pcg.Seed(h, h)
+	r.rand = *rand.New(&r.pcg)
+	return r
 }
+
+// IntN returns a uniform int in [0, n); it panics if n <= 0.
+func (r *RNG) IntN(n int) int { return r.rand.IntN(n) }
+
+// Int64N returns a uniform int64 in [0, n); it panics if n <= 0.
+func (r *RNG) Int64N(n int64) int64 { return r.rand.Int64N(n) }
+
+// Int64 returns a uniform non-negative int64.
+func (r *RNG) Int64() int64 { return r.rand.Int64() }
+
+// Float64 returns a uniform float64 in [0, 1).
+func (r *RNG) Float64() float64 { return r.rand.Float64() }
+
+// ExpFloat64 returns an exponentially distributed float64 with rate 1.
+func (r *RNG) ExpFloat64() float64 { return r.rand.ExpFloat64() }
+
+// NormFloat64 returns a standard normally distributed float64.
+func (r *RNG) NormFloat64() float64 { return r.rand.NormFloat64() }
+
+// Perm returns a uniform permutation of [0, n).
+func (r *RNG) Perm(n int) []int { return r.rand.Perm(n) }
+
+// Shuffle permutes n elements uniformly through swap.
+func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.rand.Shuffle(n, swap) }
 
 // Jitter returns a duration uniformly drawn from [d*(1-f), d*(1+f)].
 func (r *RNG) Jitter(d Duration, f float64) Duration {
@@ -88,8 +122,8 @@ func (r *RNG) Weibull(mean Duration, k float64) Duration {
 // generalized harmonic CDF directly. A Zipf is a ZipfTable plus the stream it
 // draws from; only the stream is per-sampler.
 type Zipf struct {
-	t    *ZipfTable
-	rand *rand.Rand
+	t *ZipfTable
+	r *RNG
 }
 
 // ZipfTable is everything about a Zipf distribution that depends only on
@@ -147,7 +181,7 @@ func NewZipf(r *RNG, n int, s float64) *Zipf {
 // NewZipfFrom builds a Zipf sampler drawing from r over a table that other
 // samplers may share; it draws exactly what NewZipf(r, n, s) would.
 func NewZipfFrom(r *RNG, t *ZipfTable) *Zipf {
-	return &Zipf{t: t, rand: r.Rand}
+	return &Zipf{t: t, r: r}
 }
 
 // searchCDF returns the first index whose CDF value reaches u (n-1 when u
@@ -169,9 +203,9 @@ func searchCDF(cdf []float64, u float64) int {
 func (z *Zipf) Next() int {
 	t := z.t
 	if t.cdf == nil {
-		return int(z.rand.Int63n(int64(t.n)))
+		return int(z.r.Int64N(int64(t.n)))
 	}
-	u := z.rand.Float64()
+	u := z.r.Float64()
 	b := int(u * zipfJumpBuckets)
 	lo, hi := int(t.jump[b]), int(t.jump[b+1])
 	for lo < hi {

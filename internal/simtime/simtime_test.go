@@ -168,7 +168,7 @@ func TestRNGDeterminism(t *testing.T) {
 	c := NewRNG(42, "other")
 	same, diff := true, false
 	for i := 0; i < 100; i++ {
-		x, y, z := a.Int63(), b.Int63(), c.Int63()
+		x, y, z := a.Int64(), b.Int64(), c.Int64()
 		if x != y {
 			same = false
 		}

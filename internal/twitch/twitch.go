@@ -230,7 +230,7 @@ func traceSource(cfg Config) dataflow.SourceFunc {
 			} else {
 				user = uint64(userZipf.Next()) + 1
 				lastUser = user
-				sessionLeft = rng.Intn(6)
+				sessionLeft = rng.IntN(6)
 			}
 			// The event is a View{user, streamer, minutes}; only the minutes
 			// feed downstream computation, so they travel unboxed in the

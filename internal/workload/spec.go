@@ -358,7 +358,7 @@ func (cs *cohortState) drawKey(at simtime.Time) uint64 {
 	if cs.zipf != nil {
 		rank = cs.zipf.Next()
 	} else {
-		rank = int(cs.keys.Int63n(int64(c.KeyCount)))
+		rank = int(cs.keys.Int64N(int64(c.KeyCount)))
 	}
 	el := at.Sub(cs.start) + c.PhaseOffset
 	return c.KeyBase + uint64(c.Load.MapRank(rank, el, c.KeyCount))

@@ -113,6 +113,9 @@ func (t *Trace) Write(w io.Writer) error {
 }
 
 // ReadTrace decodes a trace written by Write, verifying version and checksum.
+// It accepts only Write's own encoding — minimal varints, no default Value or
+// Size spelled out, nothing after the footer — so a trace that decodes
+// re-encodes to the same bytes.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(traceMagic))
@@ -141,12 +144,16 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		prev := simtime.Time(0)
 		stopped := false
 		for i := uint64(0); i < n && hr.err == nil; i++ {
-			prev = prev.Add(simtime.Duration(hr.uvarint()))
+			delta := hr.uvarint()
+			if delta > uint64(math.MaxInt64-prev) {
+				return nil, fmt.Errorf("workload: trace stream %d overflows the clock at event %d", s, i)
+			}
+			prev = prev.Add(simtime.Duration(delta))
 			flags := hr.byte()
 			if stopped {
 				return nil, fmt.Errorf("workload: trace stream %d has events after its stop marker", s)
 			}
-			if flags&tfStop != 0 {
+			if flags == tfStop {
 				st = append(st, Event{At: prev, Stop: true})
 				stopped = true
 				continue
@@ -154,12 +161,23 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			if flags&^(tfValue|tfSize) != 0 {
 				return nil, fmt.Errorf("workload: trace uses unknown event flags 0x%x (newer writer?)", flags)
 			}
-			ev := Event{At: prev, Key: hr.uvarint(), Cohort: uint32(hr.uvarint()), Size: 100, Value: 1.0}
+			ev := Event{At: prev, Key: hr.uvarint(), Size: 100, Value: 1.0}
+			cohort := hr.uvarint()
+			if cohort > math.MaxUint32 {
+				return nil, fmt.Errorf("workload: trace stream %d event %d has cohort %d", s, i, cohort)
+			}
+			ev.Cohort = uint32(cohort)
 			if flags&tfSize != 0 {
-				ev.Size = int(hr.uvarint())
+				size := hr.uvarint()
+				if size > math.MaxInt || size == 100 {
+					return nil, fmt.Errorf("workload: trace stream %d event %d encodes size %d", s, i, size)
+				}
+				ev.Size = int(size)
 			}
 			if flags&tfValue != 0 {
-				ev.Value = math.Float64frombits(hr.u64())
+				if ev.Value = math.Float64frombits(hr.u64()); ev.Value == 1.0 {
+					return nil, fmt.Errorf("workload: trace stream %d event %d encodes the default value", s, i)
+				}
 			}
 			st = append(st, ev)
 		}
@@ -175,6 +193,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	if got := binary.LittleEndian.Uint64(foot[:]); got != sum {
 		return nil, fmt.Errorf("workload: trace checksum mismatch (file corrupt?)")
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("workload: trailing data after the trace checksum")
 	}
 	return t, nil
 }
@@ -268,8 +289,15 @@ func (h *sumReader) uvarint() uint64 {
 		if h.err != nil {
 			return 0
 		}
+		if i == binary.MaxVarintLen64-1 && b > 1 {
+			break // bits past the 64th
+		}
 		v |= uint64(b&0x7f) << shift
 		if b < 0x80 {
+			if b == 0 && i > 0 {
+				h.err = fmt.Errorf("uvarint is not minimally encoded")
+				return 0
+			}
 			return v
 		}
 		shift += 7
