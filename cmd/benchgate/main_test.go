@@ -8,6 +8,8 @@ import (
 )
 
 func TestParseBenchMalformedValue(t *testing.T) {
+	// ns/op is not gated, but a garbled value in any column means the line
+	// is not go test output and its other columns cannot be trusted either.
 	in := "BenchmarkSchedulerTimerHeap-8   1000   12x34 ns/op   0 allocs/op\n"
 	_, err := parseBench(strings.NewReader(in))
 	if err == nil {
@@ -38,23 +40,22 @@ func TestParseBenchNormalizesAndKeepsMin(t *testing.T) {
 	if ep == nil {
 		t.Fatal("GOMAXPROCS suffix not stripped")
 	}
-	if ep.NsPerOp != 1400 || ep.BytesPerOp != 120 {
-		t.Fatalf("repeated runs should keep the minimum, got ns=%v B=%v", ep.NsPerOp, ep.BytesPerOp)
+	if ep.AllocsPerOp != 3 || ep.BytesPerOp != 120 {
+		t.Fatalf("repeated runs should keep the minimum, got allocs=%v B=%v", ep.AllocsPerOp, ep.BytesPerOp)
 	}
-	if ns := got["BenchmarkNoSuffix"]; ns == nil || ns.AllocsPerOp != -1 {
-		t.Fatalf("absent allocs/op should stay ungated (-1), got %+v", ns)
+	if ns := got["BenchmarkNoSuffix"]; ns == nil || ns.AllocsPerOp != -1 || ns.BytesPerOp != -1 {
+		t.Fatalf("a line without -benchmem columns should parse with both metrics absent (-1), got %+v", ns)
 	}
 }
 
-// writeTestBaseline writes a one-benchmark baseline gating all three metrics
-// and returns its path.
+// writeTestBaseline writes a one-benchmark baseline gating both metrics and
+// returns its path.
 func writeTestBaseline(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "baseline.json")
 	base := `{
-  "threshold": 0.10,
   "benchmarks": {
-    "BenchmarkEdgePump": {"ns_per_op": 1000, "allocs_per_op": 2, "bytes_per_op": 64}
+    "BenchmarkEdgePump": {"allocs_per_op": 2, "bytes_per_op": 64}
   }
 }
 `
@@ -75,22 +76,32 @@ func TestRunExitStatuses(t *testing.T) {
 	baseline := writeTestBaseline(t)
 
 	t.Run("within threshold", func(t *testing.T) {
-		code, out, _ := runGate(t, baseline, "BenchmarkEdgePump-8 1000 1050 ns/op 2 allocs/op 64 B/op\n")
+		code, out, _ := runGate(t, baseline, "BenchmarkEdgePump-8 1000 2 allocs/op 70 B/op\n")
 		if code != exitOK {
 			t.Fatalf("exit %d, want %d", code, exitOK)
 		}
-		if !strings.Contains(out, "within +10%") {
+		if !strings.Contains(out, "within +15%") {
 			t.Fatalf("missing pass summary in stdout:\n%s", out)
 		}
 	})
 
+	t.Run("ten times slower passes", func(t *testing.T) {
+		code, out, errs := runGate(t, baseline, "BenchmarkEdgePump-8 1000 10000 ns/op 2 allocs/op 64 B/op\n")
+		if code != exitOK {
+			t.Fatalf("exit %d, want %d: a 10x slower ns/op with flat allocations must pass\n%s", code, exitOK, errs)
+		}
+		if strings.Contains(out, "ns/op") {
+			t.Fatalf("ns/op appears in the gate table:\n%s", out)
+		}
+	})
+
 	t.Run("regression", func(t *testing.T) {
-		code, _, errs := runGate(t, baseline, "BenchmarkEdgePump-8 1000 1300 ns/op 3 allocs/op 64 B/op\n")
+		code, _, errs := runGate(t, baseline, "BenchmarkEdgePump-8 1000 1000 ns/op 3 allocs/op 80 B/op\n")
 		if code != exitRegression {
 			t.Fatalf("exit %d, want %d", code, exitRegression)
 		}
 		// One summary line per regressed benchmark, naming every bad metric.
-		if !strings.Contains(errs, "FAIL BenchmarkEdgePump: ns/op 1300 > 1100 (+30% over 1000); allocs/op 3 > 2.2 (+50% over 2)") {
+		if !strings.Contains(errs, "FAIL BenchmarkEdgePump: allocs/op 3 > 2.3 (+50% over 2); B/op 80 > 73.6 (+25% over 64)") {
 			t.Fatalf("missing per-benchmark summary line in stderr:\n%s", errs)
 		}
 	})
@@ -106,12 +117,23 @@ func TestRunExitStatuses(t *testing.T) {
 	})
 
 	t.Run("gated metric missing", func(t *testing.T) {
+		code, _, errs := runGate(t, baseline, "BenchmarkEdgePump-8 1000 2 allocs/op\n")
+		if code != exitIncomplete {
+			t.Fatalf("exit %d, want %d", code, exitIncomplete)
+		}
+		if !strings.Contains(errs, "B/op gated but missing from input") {
+			t.Fatalf("stderr does not name the missing metric:\n%s", errs)
+		}
+	})
+
+	t.Run("timing only", func(t *testing.T) {
+		// Without -benchmem the line carries nothing the gate checks.
 		code, _, errs := runGate(t, baseline, "BenchmarkEdgePump-8 1000 1050 ns/op\n")
 		if code != exitIncomplete {
 			t.Fatalf("exit %d, want %d", code, exitIncomplete)
 		}
-		if !strings.Contains(errs, "allocs/op gated but missing from input") {
-			t.Fatalf("stderr does not name the missing metric:\n%s", errs)
+		if !strings.Contains(errs, "allocs/op gated but missing from input; B/op gated but missing from input") {
+			t.Fatalf("stderr does not name both missing metrics:\n%s", errs)
 		}
 	})
 
@@ -123,14 +145,14 @@ func TestRunExitStatuses(t *testing.T) {
 	})
 
 	t.Run("no overlap with baseline", func(t *testing.T) {
-		code, _, _ := runGate(t, baseline, "BenchmarkSomethingElse-8 10 5 ns/op\n")
+		code, _, _ := runGate(t, baseline, "BenchmarkSomethingElse-8 10 5 allocs/op 64 B/op\n")
 		if code != exitIncomplete {
 			t.Fatalf("exit %d, want %d", code, exitIncomplete)
 		}
 	})
 
 	t.Run("regression beats missing metric", func(t *testing.T) {
-		code, _, _ := runGate(t, baseline, "BenchmarkEdgePump-8 1000 1300 ns/op\n")
+		code, _, _ := runGate(t, baseline, "BenchmarkEdgePump-8 1000 3 allocs/op\n")
 		if code != exitRegression {
 			t.Fatalf("exit %d, want %d", code, exitRegression)
 		}
@@ -138,7 +160,7 @@ func TestRunExitStatuses(t *testing.T) {
 }
 
 func TestSummaryZeroBaseline(t *testing.T) {
-	r := &result{name: "BenchmarkStatePutGet", limit: 0.15, failures: []metricFailure{
+	r := &result{name: "BenchmarkStatePutGet", failures: []metricFailure{
 		{metric: "allocs/op", got: 3, base: 0},
 	}}
 	want := "BenchmarkStatePutGet: allocs/op 3 (baseline 0)"

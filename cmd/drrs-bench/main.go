@@ -14,7 +14,7 @@
 //	drrs-bench -experiment control -workload flash-crowd-reactive
 //	drrs-bench -experiment control -workload diurnal-autoscale -policy backlog
 //	drrs-bench -experiment multiwave -workload flash-crowd -driver controller -policy threshold
-//	drrs-bench -experiment all -parallel 8 -perf BENCH.json
+//	drrs-bench -experiment all -parallel 8
 //	drrs-bench -experiment control -seeds 2 -json control.json
 //	drrs-bench -experiment fig15 -parallel 1 -cpuprofile cpu.out -memprofile mem.out
 //	drrs-bench -record mu.trace -workload million-users -seed 1
@@ -67,10 +67,9 @@
 // Independent (workload, mechanism, seed) runs execute on a worker pool of
 // -parallel goroutines (default GOMAXPROCS; 1 forces sequential). Every
 // simulation is single-threaded and seeded, so figure numbers are identical
-// at any parallelism. -perf writes a machine-readable JSON record of wall
-// time and simulated events per figure. -cpuprofile/-memprofile capture
-// pprof profiles of the whole run (use -parallel 1 so samples attribute to
-// one simulation at a time); EXPERIMENTS.md documents the workflow.
+// at any parallelism. -cpuprofile/-memprofile capture pprof profiles of the
+// whole run (use -parallel 1 so samples attribute to one simulation at a
+// time); EXPERIMENTS.md documents the workflow.
 package main
 
 import (
@@ -108,31 +107,6 @@ type figureJSON struct {
 	Rows  map[string]bench.Row `json:"rows,omitempty"`
 }
 
-// figurePerf is one figure's perf accounting in the -perf JSON record.
-// records_per_sec is the speed figure that compares across commits: the
-// traffic fixes the records, while an optimisation may remove events.
-type figurePerf struct {
-	Name          string  `json:"name"`
-	WallMS        float64 `json:"wall_ms"`
-	Events        uint64  `json:"events"`
-	EventsPerSec  float64 `json:"events_per_sec"`
-	Records       uint64  `json:"records"`
-	RecordsPerSec float64 `json:"records_per_sec"`
-}
-
-// perfRecord is the top-level -perf JSON document.
-type perfRecord struct {
-	GeneratedAt   string       `json:"generated_at"`
-	GoMaxProcs    int          `json:"gomaxprocs"`
-	Workers       int          `json:"workers"`
-	Figures       []figurePerf `json:"figures"`
-	TotalWallMS   float64      `json:"total_wall_ms"`
-	TotalEvents   uint64       `json:"total_events"`
-	EventsPerSec  float64      `json:"events_per_sec"`
-	TotalRecords  uint64       `json:"total_records"`
-	RecordsPerSec float64      `json:"records_per_sec"`
-}
-
 func main() {
 	experiment := flag.String("experiment", "all", "fig2 | fig10 | fig14 | fig15 | multiwave | sweep | topology | search | ablation | all")
 	workloadName := flag.String("workload", "all", "registered scenario name, comma list, or all (see -list)")
@@ -142,7 +116,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "worker goroutines for independent runs (0 = GOMAXPROCS, 1 = sequential)")
 	var opts cliopts.Common
 	opts.Bind(flag.CommandLine)
-	perfOut := flag.String("perf", "", "write a JSON perf record (wall time, records/sec and events/sec per figure) to this file")
 	jsonOut := flag.String("json", "", "write every figure's structured rows as machine-readable JSON to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
@@ -256,9 +229,9 @@ func main() {
 
 	// Profiling setup runs after every usage-error exit above, and once it
 	// has started, nothing may call os.Exit directly: the deferred chain
-	// must unwind so profiles are flushed. Run order at exit (LIFO): perf
-	// record, CPU-profile stop, exit-time heap dump, then exitCode —
-	// registered first so it runs last.
+	// must unwind so profiles are flushed. Run order at exit (LIFO): figure
+	// JSON, CPU-profile stop, exit-time heap dump, then exitCode — registered
+	// first so it runs last.
 	exitCode := 0
 	defer func() {
 		if exitCode != 0 {
@@ -307,16 +280,6 @@ func main() {
 		}()
 	}
 
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	perf := perfRecord{
-		//lint:allow nowallclock report metadata timestamp; never enters the simulation
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Workers:     workers,
-	}
 	jsonRec := figuresJSON{
 		//lint:allow nowallclock report metadata timestamp; never enters the simulation
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
@@ -335,16 +298,8 @@ func main() {
 			exitCode = 2
 			return
 		}
-		perf.Figures = append(perf.Figures, figurePerf{
-			Name:          res.Title,
-			WallMS:        float64(wall.Microseconds()) / 1000,
-			Events:        res.Events,
-			EventsPerSec:  float64(res.Events) / wall.Seconds(),
-			Records:       res.Records,
-			RecordsPerSec: float64(res.Records) / wall.Seconds(),
-		})
 		jsonRec.Figures = append(jsonRec.Figures, figureJSON{Title: res.Title, Rows: res.Rows})
-		fmt.Printf("==== %s (wall %v, %d records, %d events) ====\n%s\n", res.Title, wall.Round(time.Millisecond), res.Records, res.Events, res.Text)
+		fmt.Printf("==== %s (wall %v) ====\n%s\n", res.Title, wall.Round(time.Millisecond), res.Text)
 	}
 	defer func() {
 		if *jsonOut == "" {
@@ -360,30 +315,6 @@ func main() {
 			return
 		}
 		fmt.Printf("figure rows written to %s\n", *jsonOut)
-	}()
-	defer func() {
-		if *perfOut == "" {
-			return
-		}
-		for _, f := range perf.Figures {
-			perf.TotalWallMS += f.WallMS
-			perf.TotalEvents += f.Events
-			perf.TotalRecords += f.Records
-		}
-		if perf.TotalWallMS > 0 {
-			perf.EventsPerSec = float64(perf.TotalEvents) / (perf.TotalWallMS / 1000)
-			perf.RecordsPerSec = float64(perf.TotalRecords) / (perf.TotalWallMS / 1000)
-		}
-		data, err := json.MarshalIndent(perf, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*perfOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "drrs-bench: writing perf record: %v\n", err)
-			exitCode = 1
-			return
-		}
-		fmt.Printf("perf record written to %s\n", *perfOut)
 	}()
 
 	fig15 := func() (bench.FigureResult, error) {

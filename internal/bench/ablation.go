@@ -25,7 +25,6 @@ type SweepPoint struct {
 	SuspMs       float64
 	PropMs       float64
 	MigrationSec float64
-	Work         // the run's size, for perf accounting
 }
 
 // sweep runs one knob sweep: per setting, a fresh registered scenario driven
@@ -48,7 +47,6 @@ func (h Harness) sweep(scenario string, seed int64, vals []int, point func(v int
 			SuspMs:       o.Scale.CumulativeSuspension().Millis(),
 			PropMs:       o.Scale.CumulativePropagationDelay().Millis(),
 			MigrationSec: o.Scale.MigrationDuration().Seconds(),
-			Work:         o.Work(),
 		})
 	}
 	return out, nil
@@ -106,9 +104,6 @@ func (h Harness) Ablation(seed int64) (FigureResult, error) {
 		pts, err := h.sweep(sw.scenario, seed, sw.vals, sw.point)
 		if err != nil {
 			return res, err
-		}
-		for _, p := range pts {
-			res.Add(p.Work)
 		}
 		tables = append(tables, FormatSweep(sw.title, pts))
 	}

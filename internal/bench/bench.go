@@ -173,7 +173,7 @@ type Outcome struct {
 	// the decision superseded an in-flight operation.
 	Decisions []control.Decision
 	// Events is the number of scheduler events the run fired — what the
-	// simulator spent on the run, not what the workload asked of it (see Work).
+	// simulator spent on the run, not what the workload asked of it.
 	Events uint64
 	// TransferredBytes is total outgoing migration traffic across all nodes;
 	// CrossRackBytes is the share that crossed a rack uplink (0 on flat

@@ -121,28 +121,20 @@ func TestRegisterRejectsDuplicates(t *testing.T) {
 }
 
 // TestFigureSeedValidation guards the empty-seed-list fix: figure harnesses
-// must refuse an empty list up front with a message naming the problem,
+// must refuse an empty list up front with an error naming the problem,
 // instead of panicking on outs[mech][0] deep inside rendering.
 func TestFigureSeedValidation(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"HeadToHead": func() { Harness{}.HeadToHead("twitch", nil) },
-		"Fig2":       func() { Harness{}.Fig2(nil) },
-		"Fig14":      func() { Harness{}.Fig14([]int64{}) },
-		"MultiWave":  func() { Harness{}.MultiWave("flash-crowd", nil, nil) },
-		"Sweep":      func() { Harness{}.Sweep(nil, nil, nil) },
+	for name, fn := range map[string]func() (FigureResult, error){
+		"HeadToHead": func() (FigureResult, error) { return Harness{}.HeadToHead("twitch", nil) },
+		"Fig2":       func() (FigureResult, error) { return Harness{}.Fig2(nil) },
+		"Fig14":      func() (FigureResult, error) { return Harness{}.Fig14([]int64{}) },
+		"MultiWave":  func() (FigureResult, error) { return Harness{}.MultiWave("flash-crowd", nil, nil) },
+		"Sweep":      func() (FigureResult, error) { return Harness{}.Sweep(nil, nil, nil) },
+		"Control":    func() (FigureResult, error) { return Harness{}.ControlFigure("flash-crowd-reactive", nil, nil) },
 	} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("%s accepted an empty seed list", name)
-				}
-				if msg, ok := r.(string); !ok || !strings.Contains(msg, "seed") {
-					t.Fatalf("%s panic %v does not name the seed problem", name, r)
-				}
-			}()
-			fn()
-		}()
+		if _, err := fn(); err == nil || !strings.Contains(err.Error(), "seed") {
+			t.Errorf("%s with an empty seed list: err = %v, want an error naming the seed problem", name, err)
+		}
 	}
 }
 

@@ -16,11 +16,13 @@ import (
 // supersede it mid-flight — mechanism rankings here are outcomes of the
 // whole control loop, not of an identical fixed schedule.
 func (h Harness) ControlFigure(workloadName string, mechs []string, seeds []int64) (FigureResult, error) {
-	mustSeeds("Control", seeds)
+	if err := checkSeeds("Control", seeds); err != nil {
+		return FigureResult{}, err
+	}
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "meces", "megaphone"}
 	}
-	outs, work, err := h.compare(workloadName, mechs, seeds)
+	outs, err := h.compare(workloadName, mechs, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -94,7 +96,7 @@ func (h Harness) ControlFigure(workloadName string, mechs []string, seeds []int6
 		}
 		fmt.Fprintf(&b, "%s:\n%s", mech, FormatDecisions(outs[mech][0]))
 	}
-	return FigureResult{Title: "control/" + workloadName, Text: b.String(), Rows: rows, Work: work}, nil
+	return FigureResult{Title: "control/" + workloadName, Text: b.String(), Rows: rows}, nil
 }
 
 // FinalParallelism reports where the run's control loop left the operator:

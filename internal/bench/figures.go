@@ -56,13 +56,14 @@ func Mechanisms(name string) scaling.Mechanism {
 	}
 }
 
-// mustSeeds validates the seed list up front: every figure indexes
+// checkSeeds validates the seed list up front: every figure indexes
 // outs[mech][0] for its timeline printers, so an empty list would otherwise
 // panic deep inside rendering with an opaque out-of-range error.
-func mustSeeds(figure string, seeds []int64) {
+func checkSeeds(figure string, seeds []int64) error {
 	if len(seeds) == 0 {
-		panic(fmt.Sprintf("bench: %s needs at least one seed (got an empty seed list)", figure))
+		return fmt.Errorf("bench: %s needs at least one seed (got an empty seed list)", figure)
 	}
+	return nil
 }
 
 // FigureResult is one regenerated figure/table: paper-style text plus the
@@ -72,8 +73,6 @@ type FigureResult struct {
 	Text  string
 	// Rows maps a label ("drrs", "meces", …) to its headline numbers.
 	Rows map[string]Row
-	// Work sums the figure's runs, for perf accounting.
-	Work
 }
 
 // Row is one mechanism's headline numbers for a figure.
@@ -200,13 +199,13 @@ func measureWindow(outs map[string][]Outcome) (simtime.Time, simtime.Time) {
 // compare runs one registered scenario under several mechanisms across seeds
 // (in parallel across Workers; each run is independently deterministic) and
 // groups the outcomes by mechanism.
-func (h Harness) compare(scenario string, mechs []string, seeds []int64) (map[string][]Outcome, Work, error) {
+func (h Harness) compare(scenario string, mechs []string, seeds []int64) (map[string][]Outcome, error) {
 	specs := make([]RunSpec, 0, len(mechs)*len(seeds))
 	for _, mech := range mechs {
 		for _, seed := range seeds {
 			sc, err := h.Scenario(scenario, seed)
 			if err != nil {
-				return nil, Work{}, err
+				return nil, err
 			}
 			specs = append(specs, RunSpec{Scenario: sc, Mechanism: mech})
 		}
@@ -216,7 +215,7 @@ func (h Harness) compare(scenario string, mechs []string, seeds []int64) (map[st
 	for i, sp := range specs {
 		outs[sp.Mechanism] = append(outs[sp.Mechanism], results[i])
 	}
-	return outs, SumWork(results), nil
+	return outs, nil
 }
 
 func rowsFrom(outs map[string][]Outcome) map[string]Row {
@@ -262,8 +261,10 @@ func sortedKeys[V any](m map[string]V) []string {
 // on-the-fly scaling with fluid migration) vs No Scale on the Twitch
 // workload under a fixed input rate.
 func (h Harness) Fig2(seeds []int64) (FigureResult, error) {
-	mustSeeds("Fig2", seeds)
-	outs, work, err := h.compare("twitch", []string{"unbound", "otfs", "no-scale"}, seeds)
+	if err := checkSeeds("Fig2", seeds); err != nil {
+		return FigureResult{}, err
+	}
+	outs, err := h.compare("twitch", []string{"unbound", "otfs", "no-scale"}, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -282,15 +283,17 @@ func (h Harness) Fig2(seeds []int64) (FigureResult, error) {
 		rows[mech] = r
 		fmt.Fprintf(&b, "%-10s %20s %20s\n", mech, r.PeakMs, r.AvgMs)
 	}
-	return FigureResult{Title: "fig2", Text: b.String(), Rows: rows, Work: work}, nil
+	return FigureResult{Title: "fig2", Text: b.String(), Rows: rows}, nil
 }
 
 // HeadToHead runs the Fig 10–13 experiment set for one workload (q7, q8,
 // twitch) against Meces and Megaphone, producing all four figures' data from
 // the same runs, as the paper does.
 func (h Harness) HeadToHead(workloadName string, seeds []int64) (FigureResult, error) {
-	mustSeeds("HeadToHead", seeds)
-	outs, work, err := h.compare(workloadName, []string{"drrs", "meces", "megaphone"}, seeds)
+	if err := checkSeeds("HeadToHead", seeds); err != nil {
+		return FigureResult{}, err
+	}
+	outs, err := h.compare(workloadName, []string{"drrs", "meces", "megaphone"}, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -353,14 +356,16 @@ func (h Harness) HeadToHead(workloadName string, seeds []int64) (FigureResult, e
 			}
 		}
 	}
-	return FigureResult{Title: "fig10-13/" + workloadName, Text: b.String(), Rows: rows, Work: work}, nil
+	return FigureResult{Title: "fig10-13/" + workloadName, Text: b.String(), Rows: rows}, nil
 }
 
 // Fig14 regenerates the ablation: full DRRS vs DR-only vs Schedule-only vs
 // Subscale-only on the Twitch workload.
 func (h Harness) Fig14(seeds []int64) (FigureResult, error) {
-	mustSeeds("Fig14", seeds)
-	outs, work, err := h.compare("twitch", []string{"drrs", "drrs-dr", "drrs-schedule", "drrs-subscale"}, seeds)
+	if err := checkSeeds("Fig14", seeds); err != nil {
+		return FigureResult{}, err
+	}
+	outs, err := h.compare("twitch", []string{"drrs", "drrs-dr", "drrs-schedule", "drrs-subscale"}, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -373,7 +378,7 @@ func (h Harness) Fig14(seeds []int64) (FigureResult, error) {
 		r := rows[mech]
 		fmt.Fprintf(&b, "%-15s %20s %20s\n", mech, r.PeakMs, r.AvgMs)
 	}
-	return FigureResult{Title: "fig14", Text: b.String(), Rows: rows, Work: work}, nil
+	return FigureResult{Title: "fig14", Text: b.String(), Rows: rows}, nil
 }
 
 // MultiWave regenerates the multi-wave track for one registered scenario:
@@ -382,11 +387,13 @@ func (h Harness) Fig14(seeds []int64) (FigureResult, error) {
 // duration, suspension, and propagation delay separately — the per-wave
 // decomposition single-wave figures cannot show.
 func (h Harness) MultiWave(workloadName string, mechs []string, seeds []int64) (FigureResult, error) {
-	mustSeeds("MultiWave", seeds)
+	if err := checkSeeds("MultiWave", seeds); err != nil {
+		return FigureResult{}, err
+	}
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "meces", "megaphone"}
 	}
-	outs, work, err := h.compare(workloadName, mechs, seeds)
+	outs, err := h.compare(workloadName, mechs, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -449,7 +456,7 @@ func (h Harness) MultiWave(workloadName string, mechs []string, seeds []int64) (
 		}
 		fmt.Fprintf(&b, "%-16s %s\n", mech, Sparkline(outs[mech][0], simtime.Second, from, to))
 	}
-	return FigureResult{Title: "multiwave/" + workloadName, Text: b.String(), Rows: rows, Work: work}, nil
+	return FigureResult{Title: "multiwave/" + workloadName, Text: b.String(), Rows: rows}, nil
 }
 
 // Sweep fans every (scenario × mechanism × seed) combination out across the
@@ -457,7 +464,9 @@ func (h Harness) MultiWave(workloadName string, mechs []string, seeds []int64) (
 // the bulk comparison harness for registered scenarios beyond the paper's
 // fixed figure set.
 func (h Harness) Sweep(scenarioNames []string, mechs []string, seeds []int64) (FigureResult, error) {
-	mustSeeds("Sweep", seeds)
+	if err := checkSeeds("Sweep", seeds); err != nil {
+		return FigureResult{}, err
+	}
 	if len(scenarioNames) == 0 {
 		scenarioNames = ScenarioNames()
 	}
@@ -518,7 +527,7 @@ func (h Harness) Sweep(scenarioNames []string, mechs []string, seeds []int64) (F
 				scn, mech, r.PeakMs, r.AvgMs, r.ScalingSec, r.SuspensionMs, done, len(runs))
 		}
 	}
-	return FigureResult{Title: "sweep", Text: b.String(), Rows: rows, Work: SumWork(results)}, nil
+	return FigureResult{Title: "sweep", Text: b.String(), Rows: rows}, nil
 }
 
 // SensitivityPoint is one cell of the Fig 15 grid.
@@ -587,5 +596,5 @@ func (h Harness) Fig15(seed int64, rates []float64, stateBytes []int, skews []fl
 			}
 		}
 	}
-	return pts, FigureResult{Title: "fig15", Text: b.String(), Work: SumWork(results)}, nil
+	return pts, FigureResult{Title: "fig15", Text: b.String()}, nil
 }

@@ -214,7 +214,9 @@ func HeteroTiersScenario(seed int64) Scenario {
 // ignoring the rack fabric. Scaling and migration columns sum across all
 // launched waves of multi-wave programs.
 func (h Harness) TopologyFigure(workloadName string, mechs []string, seeds []int64) (FigureResult, error) {
-	mustSeeds("TopologyFigure", seeds)
+	if err := checkSeeds("TopologyFigure", seeds); err != nil {
+		return FigureResult{}, err
+	}
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "meces", "megaphone"}
 	}
@@ -268,5 +270,5 @@ func (h Harness) TopologyFigure(workloadName string, mechs []string, seeds []int
 		}
 	}
 	b.WriteString("\nthe placement policy governs the whole deployment (initial layout and\nevery wave); rack-local keeps state transfers off the shared uplinks,\nand XRack is the traffic spread placement pushes through them.\n")
-	return FigureResult{Title: "topology/" + workloadName, Text: b.String(), Rows: rows, Work: SumWork(results)}, nil
+	return FigureResult{Title: "topology/" + workloadName, Text: b.String(), Rows: rows}, nil
 }

@@ -152,12 +152,8 @@ func TestTopologyFigureRendering(t *testing.T) {
 	if _, ok := res.Rows["drrs@rack-local"]; !ok {
 		t.Fatalf("figure rows missing drrs@rack-local: %v", res.Rows)
 	}
-	mustSeedsPanic := func() (panicked bool) {
-		defer func() { panicked = recover() != nil }()
-		Harness{}.TopologyFigure("rack-skew", nil, nil)
-		return false
-	}
-	if !mustSeedsPanic() {
-		t.Fatal("TopologyFigure accepted an empty seed list")
+	if _, err := (Harness{}).TopologyFigure("rack-skew", nil, nil); err == nil ||
+		!strings.Contains(err.Error(), "needs at least one seed") {
+		t.Fatalf("TopologyFigure with an empty seed list: err = %v, want a needs-a-seed error", err)
 	}
 }

@@ -33,7 +33,6 @@ type StateCheckpointer struct {
 	every simtime.Duration
 	snaps [2]*stateSnapshot // [0] newest
 	timer simtime.Timer
-	taken int
 }
 
 // StartStateCheckpoints begins periodic state snapshots on the given cadence,
@@ -59,9 +58,6 @@ func (ck *StateCheckpointer) arm() {
 // Stop cancels the snapshot timer.
 func (ck *StateCheckpointer) Stop() { ck.timer.Cancel() }
 
-// Snapshots reports how many snapshots have been taken.
-func (ck *StateCheckpointer) Snapshots() int { return ck.taken }
-
 func (ck *StateCheckpointer) take() {
 	snap := &stateSnapshot{
 		at:        ck.rt.Sched.Now(),
@@ -85,7 +81,6 @@ func (ck *StateCheckpointer) take() {
 	})
 	ck.snaps[1] = ck.snaps[0]
 	ck.snaps[0] = snap
-	ck.taken++
 }
 
 // Lookup finds the most recent snapshot copy of key group kg for the named

@@ -216,9 +216,6 @@ func (in *Instance) Handler() InputHandler { return in.handler }
 // SetHook installs a scaling hook.
 func (in *Instance) SetHook(h ScaleHook) { in.hook = h }
 
-// Hook returns the installed scaling hook, or nil.
-func (in *Instance) Hook() ScaleHook { return in.hook }
-
 // InEdges returns the instance's input channels in wiring order.
 func (in *Instance) InEdges() []*netsim.Edge { return in.ins }
 

@@ -173,8 +173,6 @@ type Evaluated struct {
 	Components fitness.Components
 	// Score is Components.Score under the sweep's weights (lower is better).
 	Score float64
-	// Work sums the candidate's runs, for perf accounting.
-	bench.Work
 }
 
 // Evaluate runs every (candidate × seed) cell over the harness and reduces
@@ -201,7 +199,7 @@ func Evaluate(h bench.Harness, scenario, mech string, cands []Candidate, seeds [
 			per[j] = runs[j].Fitness()
 		}
 		mean := fitness.Mean(per)
-		evs[i] = Evaluated{Candidate: c, PerSeed: per, Components: mean, Score: mean.Score(w), Work: bench.SumWork(runs)}
+		evs[i] = Evaluated{Candidate: c, PerSeed: per, Components: mean, Score: mean.Score(w)}
 	}
 	return evs, nil
 }

@@ -277,12 +277,6 @@ func NewMigrator(rt *engine.Runtime, plan Plan, op *Tracked, onAll func()) *Migr
 	}
 }
 
-// Migrated reports whether kg has completed migration.
-func (m *Migrator) Migrated(kg int) bool { return m.migrated[kg] }
-
-// Remaining reports moves not yet settled.
-func (m *Migrator) Remaining() int { return m.total - len(m.migrated) - len(m.failed) }
-
 // Failed reports how many moves failed against an unhealthy destination.
 func (m *Migrator) Failed() int { return len(m.failed) }
 

@@ -141,14 +141,6 @@ func (g *Group) Get(key uint64) (any, bool) {
 	return s.val, true
 }
 
-// EntryBytes returns the accounted size of one key's entry (0 if absent).
-func (g *Group) EntryBytes(key uint64) int {
-	if i, ok := g.index[key]; ok {
-		return g.slots[i].bytes
-	}
-	return 0
-}
-
 // Delete removes a key's state, recycling its slot.
 func (g *Group) Delete(key uint64) {
 	i, ok := g.index[key]
