@@ -17,11 +17,12 @@
 //	drrs-bench -experiment all -parallel 8
 //	drrs-bench -experiment control -seeds 2 -json control.json
 //	drrs-bench -experiment fig15 -parallel 1 -cpuprofile cpu.out -memprofile mem.out
-//	drrs-bench -record mu.trace -workload million-users -seed 1
-//	drrs-bench -replay mu.trace -workload million-users -seed 1
+//	drrs-bench -experiment multiwave -workload million-users -replay mu.trace
 //	drrs-bench -chaos 8 -workload node-loss-mid-migrate,straggler-rack,flaky-uplink -json chaos.json
 //	drrs-bench -experiment search -workload flash-crowd-reactive -searchmode grid -json search.json
-//	drrs-bench -counterfactual "k=2:noop" -workload flash-crowd-reactive -seed 5
+//
+// drrs-bench runs many simulations; drrs-sim runs exactly one (including a
+// trace recording and a counterfactual diff).
 //
 // Experiments: fig2, fig10 (also emits Figs 11–13 from the same runs),
 // fig14, fig15, multiwave, sweep, topology (rack-local vs spread placement),
@@ -31,14 +32,16 @@
 // the evolutionary RNG stream), ablation, all.
 // -workload accepts any registered scenario (see -list); fig10's default
 // "all" covers the paper's q7, q8, twitch; sweep's default "all" covers
-// every registered scenario. The shared override flags rewrite each scenario
-// where a run constructs it: -topology/-placement name its cluster substrate /
-// placement policy; -driver/-policy how it is driven (scripted wave program
-// vs closed-loop controller and which control policy decides); -faults its
-// fault plan (a spec like "crash@12s:node=r0n1,restart=6s;ckpt=2s", or "off"
-// to drop a chaos scenario's own). What a mode varies itself is the later,
-// more specific rewrite and wins: a search candidate's policy, the topology
-// figure's placement columns, a counterfactual's interventions.
+// every registered scenario. -experiment all runs a fixed figure set, so
+// naming a -workload with it is a usage error, as is any unknown name. The
+// shared override flags rewrite each scenario where a run constructs it:
+// -topology/-placement name its cluster substrate / placement policy;
+// -driver/-policy how it is driven (scripted wave program vs closed-loop
+// controller and which control policy decides); -faults its fault plan (a
+// spec like "crash@12s:node=r0n1,restart=6s;ckpt=2s", or "off" to drop a
+// chaos scenario's own). What a mode varies itself is the later, more
+// specific rewrite and wins: a search candidate's policy, the topology
+// figure's placement columns.
 //
 // -chaos N is the deterministic chaos search: N seeds (from -seed) ×
 // scenarios (-workload, default the chaos trio) × mechanisms (-mechanisms)
@@ -46,19 +49,11 @@
 // each case executed twice for the determinism oracle, and any failing plan
 // shrunk to a minimal self-reproducing spec string. Exits 1 when violations
 // are found; -json writes them as a machine-readable artifact. -faults with
-// -chaos is a usage error: the search generates its own plans, and -faults
-// alone is how a printed repro line replays one.
+// -chaos is a usage error: the search generates its own plans, and each
+// printed repro line replays one through drrs-sim -faults.
 //
-// -counterfactual runs one closed-loop scenario twice — unforced, then with
-// the intervention spec applied to the controller's decision sequence
-// ("k=2:noop", "k=1:target=12", "all:delay=2s"; entries ';'-separated) — and
-// prints a side-by-side outcome diff with both decision audit trails.
-//
-// -record runs one scenario once while capturing the arrival stream its
-// sources consume, writes it to a versioned trace file, and prints the run's
-// outcome digest. -replay alone runs the trace back through one scenario and
-// prints the digest again — identical digests are the byte-identity check.
-// -replay combined with -experiment feeds the trace to every run of a figure.
+// -replay feeds a trace recorded by drrs-sim -record to every run of a
+// figure; scenarios that drive a custom generator cannot take one.
 //
 // -json writes every figure's structured rows (plus decision counts where
 // applicable) as a machine-readable record, so CI jobs consume figures
@@ -86,9 +81,7 @@ import (
 	"drrs/internal/bench"
 	"drrs/internal/bench/cliopts"
 	"drrs/internal/chaos"
-	"drrs/internal/control"
 	"drrs/internal/policysearch"
-	"drrs/internal/scaling"
 )
 
 // figuresJSON is the top-level -json document: every figure's structured
@@ -120,7 +113,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
 	memProfile := flag.String("memprofile", "", "write an allocation profile at exit to this file (go tool pprof)")
 	chaosN := flag.Int("chaos", 0, "run the deterministic chaos search over N seeds starting at -seed (0 disables)")
-	counterfactual := flag.String("counterfactual", "", "intervention spec (e.g. \"k=2:noop\"): run one scenario with and without it and print the outcome diff")
 	searchMode := flag.String("searchmode", "both", "policy-search sweep for -experiment search: grid | evolve | both")
 	searchSeed := flag.Int64("searchseed", 1, "seed for the evolutionary policy search's RNG stream")
 	searchSpace := flag.String("searchspace", "full", "policy-search knob menu: full | smoke (the CI-sized subset)")
@@ -176,6 +168,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "drrs-bench: -workload %q selects no scenarios\n", *workloadName)
 		os.Exit(2)
 	}
+	if *experiment == "all" && *workloadName != "all" && *chaosN == 0 {
+		fmt.Fprintf(os.Stderr, "drrs-bench: -experiment all runs the fixed figure set (fig2, fig10, fig14, multiwave, topology, control, fig15) and ignores -workload; name an -experiment\n")
+		os.Exit(2)
+	}
 	if *experiment == "topology" && opts.Placement != "" {
 		// The figure's own placement columns are the later rewrite and win.
 		fmt.Fprintf(os.Stderr, "drrs-bench: -placement is ignored by -experiment topology (it compares policies itself)\n")
@@ -190,6 +186,14 @@ func main() {
 		os.Exit(2)
 	}
 	h := bench.Harness{Workers: *parallel, Overrides: overrides}
+	// Resolve every named scenario once, here: past this point no mode meets
+	// an unknown name or an override a scenario cannot take.
+	for _, name := range workloads(*workloadName, nil) {
+		if _, err := h.Scenario(name, *baseSeed); err != nil {
+			fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", err)
+			os.Exit(2)
+		}
+	}
 
 	var seedList []int64
 	for i := 0; i < *seeds; i++ {
@@ -203,28 +207,10 @@ func main() {
 		}
 	}
 
-	// Trace mode: -record captures one run's arrival stream to a file;
-	// -replay without an explicit -experiment runs the recorded stream back
-	// through one scenario and prints the digest (the byte-identity check).
-	// -replay with an explicit -experiment falls through: every run of the
-	// figure consumes the trace via the harness overrides.
-	if opts.Record != "" || (opts.Replay != "" && !flagWasSet("experiment")) {
-		runTrace(h, &opts, *workloadName, mechList, *baseSeed)
-		return
-	}
-
-	// Chaos mode branches before profiling setup, like trace mode: it owns
-	// its exit code (1 = violations found, 2 = usage error) and its own -json
-	// artifact shape.
+	// Chaos mode branches before profiling setup: it owns its exit code
+	// (1 = violations found) and its own -json artifact shape.
 	if *chaosN > 0 {
 		os.Exit(runChaos(h, *chaosN, *workloadName, mechList, *baseSeed, *jsonOut))
-	}
-
-	// Counterfactual mode is a single-run diff, like -record/-replay: one
-	// scenario, one seed, one mechanism, two executions.
-	if *counterfactual != "" {
-		runCounterfactual(h, *counterfactual, *workloadName, mechList, *baseSeed)
-		return
 	}
 
 	// Profiling setup runs after every usage-error exit above, and once it
@@ -412,20 +398,10 @@ type chaosViolation struct {
 
 // runChaos is the -chaos N mode: generated fault plans over N seeds ×
 // scenarios × mechanisms, every oracle on every run, shrinking armed.
-// Returns the process exit code: 0 clean, 1 violations found, 2 usage error.
-func runChaos(h bench.Harness, n int, workloadName string, mechList []string, baseSeed int64, jsonOut string) (code int) {
-	defer func() {
-		// Unknown scenario names (and overrides a scenario cannot take) panic
-		// while the search builds its cases; report them as usage errors.
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", r)
-			code = 2
-		}
-	}()
-	cfg := chaos.Config{Mechanisms: mechList, Workers: h.Workers, Overrides: h.Overrides, Shrink: true}
-	if workloadName != "all" {
-		cfg.Scenarios = splitList(workloadName)
-	}
+// Returns the process exit code: 0 clean, 1 violations found.
+func runChaos(h bench.Harness, n int, workloadName string, mechList []string, baseSeed int64, jsonOut string) int {
+	cfg := chaos.Config{Mechanisms: mechList, Workers: h.Workers, Overrides: h.Overrides, Shrink: true,
+		Scenarios: workloads(workloadName, nil)}
 	for i := 0; i < n; i++ {
 		cfg.Seeds = append(cfg.Seeds, baseSeed+int64(i))
 	}
@@ -480,110 +456,13 @@ func runChaos(h bench.Harness, n int, workloadName string, mechList []string, ba
 	return 0
 }
 
-// runCounterfactual is the -counterfactual mode: parse the intervention
-// spec, run one (workload, mechanism, seed) tuple with and without it, and
-// print the side-by-side outcome diff.
-func runCounterfactual(h bench.Harness, spec, workloadName string, mechList []string, seed int64) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", r)
-			os.Exit(2)
-		}
-	}()
-	ivs, err := control.ParseInterventions(spec)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "drrs-bench: -counterfactual: %v\n", err)
-		os.Exit(2)
-	}
-	names := splitList(workloadName)
-	if workloadName == "all" || len(names) != 1 {
-		fmt.Fprintf(os.Stderr, "drrs-bench: -counterfactual diffs one scenario: pass a single closed-loop -workload (see -list)\n")
-		os.Exit(2)
-	}
-	mech := "drrs"
-	if len(mechList) > 0 {
-		mech = mechList[0]
-	}
-	cf, err := policysearch.RunCounterfactual(h, names[0], mech, seed, ivs)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", err)
-		os.Exit(2)
-	}
-	fmt.Print(cf.FormatDiff())
-}
-
-// flagWasSet reports whether the named flag appeared on the command line
-// (as opposed to holding its default).
-func flagWasSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
-// runTrace is the -record/-replay single-run mode: one scenario, one
-// mechanism, one seed. Record tees the run's arrival stream to a trace file;
-// replay feeds a recorded one back. Both print the outcome digest, so
-// byte-identity between a recorded run and its replay is checkable from the
-// shell.
-func runTrace(h bench.Harness, opts *cliopts.Common, workloadName string, mechList []string, seed int64) {
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", r)
-			os.Exit(2)
-		}
-	}()
-	names := splitList(workloadName)
-	if workloadName == "all" || len(names) != 1 {
-		fmt.Fprintf(os.Stderr, "drrs-bench: -record/-replay run one scenario: pass a single -workload (see -list)\n")
-		os.Exit(2)
-	}
-	mech := "drrs"
-	if len(mechList) > 0 {
-		mech = mechList[0]
-	}
-	sc, err := h.Scenario(names[0], seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", err)
-		os.Exit(2)
-	}
-	factory := func() scaling.Mechanism { return bench.Mechanisms(mech) }
-
-	fmt.Printf("workload   : %s (seed %d, mechanism %s)\n", names[0], seed, mech)
-	if opts.Record != "" {
-		out, trace := sc.RecordWith(factory)
-		if err := trace.WriteFile(opts.Record); err != nil {
-			fmt.Fprintf(os.Stderr, "drrs-bench: -record: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("recorded   : %d events over %d source streams to %s\n",
-			trace.Events(), trace.SourceParallelism, opts.Record)
-		fmt.Printf("throughput : %d records total\n", out.Throughput.Total())
-		fmt.Printf("digest     : 0x%016x\n", bench.OutcomeDigest(out))
-		return
-	}
-	out := sc.RunWith(factory)
-	fmt.Printf("replayed   : %s\n", opts.Replay)
-	fmt.Printf("throughput : %d records total\n", out.Throughput.Total())
-	fmt.Printf("digest     : 0x%016x\n", bench.OutcomeDigest(out))
-}
-
 // workloads resolves the -workload flag: "all" expands to def, anything else
-// splits on commas. An empty selection is a usage error, not a no-op — a
-// figure run that silently produces nothing would read as success in CI.
+// splits on commas (main has already rejected an empty selection).
 func workloads(name string, def []string) []string {
 	if name == "all" {
 		return def
 	}
-	out := splitList(name)
-	if len(out) == 0 {
-		fmt.Fprintf(os.Stderr, "drrs-bench: -workload %q selects no scenarios\n", name)
-		os.Exit(2)
-	}
-	return out
+	return splitList(name)
 }
 
 // splitList splits a comma-separated flag, dropping empty elements.

@@ -61,6 +61,13 @@ func TestUsageErrorsExitTwoWithOneLine(t *testing.T) {
 		"replay onto twitch": {[]string{"-experiment", "fig2", "-seeds", "1", "-replay", trace}, "cannot replay a trace"},
 		"unknown mechanism":  {[]string{"-experiment", "multiwave", "-mechanisms", "bogus"}, `unknown mechanism "bogus"`},
 		"unknown topology":   {[]string{"-experiment", "fig2", "-topology", "bogus"}, `unknown topology "bogus"`},
+		// Named scenarios resolve once, before any mode runs; fig10 used to
+		// die with a goroutine dump here.
+		"fig10 unknown workload": {[]string{"-experiment", "fig10", "-workload", "bogus", "-seeds", "1"}, `unknown workload "bogus"`},
+		"chaos unknown workload": {[]string{"-chaos", "1", "-workload", "bogus"}, `unknown workload "bogus"`},
+		// -experiment all runs a fixed figure set; -workload used to be
+		// silently ignored for a ~35 s run.
+		"all with workload": {[]string{"-workload", "twitch"}, "-experiment all runs the fixed figure set"},
 	} {
 		code, stderr := cli(t, c.args...)
 		if code != 2 {

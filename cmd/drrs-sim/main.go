@@ -1,7 +1,7 @@
 // Command drrs-sim runs a single workload + scaling-mechanism configuration
 // on the simulated engine and prints a run report: latency statistics,
-// throughput, the scaling-delay decomposition (Lp / Ls / Ld), and per-
-// instance state placement.
+// throughput, and the scaling-delay decomposition (Lp / Ls / Ld).
+// drrs-bench runs many simulations; drrs-sim runs exactly one.
 //
 // Usage:
 //
@@ -11,8 +11,9 @@
 //	drrs-sim -workload flash-crowd-reactive -mechanism meces
 //	drrs-sim -workload diurnal -mechanism drrs -driver controller -policy predictive
 //	drrs-sim -workload q8 -mechanism no-scale
-//	drrs-sim -workload million-users -record mu.trace
-//	drrs-sim -workload million-users -replay mu.trace
+//	drrs-sim -workload million-users -seed 1 -record mu.trace
+//	drrs-sim -workload million-users -seed 1 -replay mu.trace
+//	drrs-sim -workload flash-crowd-reactive -seed 5 -counterfactual "k=2:noop"
 //
 // -workload accepts any registered scenario (drrs-bench -list enumerates
 // them); multi-wave scenarios print one report block per wave. Closed-loop
@@ -20,24 +21,38 @@
 // print the controller's per-decision audit trail.
 //
 // The override flags (-topology, -placement, -driver, -policy, -faults,
-// -record, -replay) are shared with drrs-bench; -record captures the run's
-// arrival stream to a trace file and -replay feeds a recorded one back. The
-// report always ends with the outcome digest, so two runs can be compared
-// bit-for-bit from the shell.
+// -replay) are shared with drrs-bench; -replay feeds a recorded trace in as
+// the run's traffic. -record captures the run's arrival stream to a trace
+// file (custom-job scenarios only). The report always ends with the outcome
+// digest, so a recorded run and its replay can be compared bit-for-bit from
+// the shell.
+//
+// -counterfactual runs the closed-loop scenario twice — unforced, then with
+// the intervention spec applied to the controller's decision sequence
+// ("k=2:noop", "k=1:target=12", "all:delay=2s"; entries ';'-separated) — and
+// prints a side-by-side outcome diff with both decision audit trails in
+// place of the report.
+//
+// Every bad name or flag combination is a usage error: exit 2 and one line
+// on stderr, before anything runs.
 //
 // Mechanisms: drrs, drrs-dr, drrs-schedule, drrs-subscale, meces, megaphone,
 // otfs, otfs-allatonce, stop-restart, unbound, no-scale.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"drrs/internal/bench"
 	"drrs/internal/bench/cliopts"
+	"drrs/internal/control"
 	"drrs/internal/fitness"
+	"drrs/internal/policysearch"
 	"drrs/internal/scaling"
 	"drrs/internal/simtime"
 )
@@ -48,39 +63,62 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	var opts cliopts.Common
 	opts.Bind(flag.CommandLine)
-	verbose := flag.Bool("v", false, "print the post-run instance table")
+	record := flag.String("record", "", "record the run's arrival stream to this trace file")
+	counterfactual := flag.String("counterfactual", "", "intervention spec (e.g. \"k=2:noop\"): run the scenario with and without it and print the outcome diff")
+	verbose := flag.Bool("v", false, "print the run's throughput timeline in 5s buckets")
 	flag.Parse()
 
-	defer func() {
-		if r := recover(); r != nil {
-			fmt.Fprintf(os.Stderr, "drrs-sim: %v\n", r)
-			os.Exit(2)
-		}
-	}()
-
+	usage := func(err error) {
+		fmt.Fprintf(os.Stderr, "drrs-sim: %v\n", err)
+		os.Exit(2)
+	}
+	if *record != "" && opts.Replay != "" {
+		usage(errors.New("-record and -replay are mutually exclusive: a replayed run would just re-record its input trace"))
+	}
+	if *record != "" && *counterfactual != "" {
+		usage(errors.New("-record and -counterfactual are mutually exclusive: a counterfactual runs the scenario twice and records neither"))
+	}
+	if !slices.Contains(bench.MechanismNames(), *mechName) {
+		usage(fmt.Errorf("bench: unknown mechanism %q", *mechName))
+	}
 	overrides, err := opts.Overrides()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "drrs-sim: %v\n", err)
-		os.Exit(2)
+		usage(err)
 	}
-	sc, err := overrides.Apply(bench.ScenarioByName(*workloadName, *seed))
+	h := bench.Harness{Overrides: overrides}
+	sc, err := h.Scenario(*workloadName, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "drrs-sim: %v\n", err)
-		os.Exit(2)
+		usage(err)
 	}
+	if *record != "" && sc.Traffic == nil {
+		usage(fmt.Errorf("bench: scenario %q drives a custom generator; only custom-job scenarios record traces", sc.Name))
+	}
+	if *counterfactual != "" {
+		ivs, err := control.ParseInterventions(*counterfactual)
+		if err != nil {
+			usage(fmt.Errorf("-counterfactual: %w", err))
+		}
+		cf, err := policysearch.RunCounterfactual(h, *workloadName, *mechName, *seed, ivs)
+		if err != nil {
+			usage(err)
+		}
+		fmt.Print(cf.FormatDiff())
+		return
+	}
+
 	newMech := func() scaling.Mechanism { return bench.Mechanisms(*mechName) }
 	t0 := time.Now() //lint:allow nowallclock wall-clock report column; measured around a finished run
 	// Fresh mechanism per wave: multi-wave scenarios rescale repeatedly, and
 	// mechanisms carry per-operation state.
 	var o bench.Outcome
 	recorded := ""
-	if opts.Record != "" {
+	if *record != "" {
 		out, trace := sc.RecordWith(newMech)
-		if err := trace.WriteFile(opts.Record); err != nil {
+		if err := trace.WriteFile(*record); err != nil {
 			fmt.Fprintf(os.Stderr, "drrs-sim: -record: %v\n", err)
 			os.Exit(1)
 		}
-		recorded = fmt.Sprintf("%d arrival events to %s", trace.Events(), opts.Record)
+		recorded = fmt.Sprintf("%d arrival events to %s", trace.Events(), *record)
 		o = out
 	} else {
 		o = sc.RunWith(newMech)
@@ -137,8 +175,7 @@ func main() {
 	// bit-identical runs (the -record/-replay round-trip check).
 	fmt.Printf("digest     : 0x%016x\n", bench.OutcomeDigest(o))
 	if *verbose {
-		fmt.Println("\ninstances:")
-		// Rebuild is not possible post-run; report the throughput timeline.
+		fmt.Println("\nthroughput timeline:")
 		for _, p := range o.Throughput.Series().Downsample(simtime.Sec(5)) {
 			fmt.Printf("  t=%-8v %8.0f rec/s\n", p.At, p.V)
 		}

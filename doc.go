@@ -16,8 +16,8 @@
 //	internal/engine     the simulated stream processing engine
 //	internal/scaling    the mechanism framework and the baselines
 //	internal/bench      the figure/table regeneration harness
-//	cmd/drrs-bench      regenerate the paper's figures
-//	cmd/drrs-sim        run one workload + mechanism and print a report
+//	cmd/drrs-bench      run many simulations: the paper's figures, sweeps, chaos and policy search
+//	cmd/drrs-sim        run one simulation: a report, a trace recording, or a counterfactual diff
 //	examples/           runnable walkthroughs
 //
 // See README.md for a quickstart, DESIGN.md for the system inventory, and

@@ -12,6 +12,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 
 	"drrs/internal/cluster"
 	"drrs/internal/control"
@@ -444,16 +445,5 @@ func NewStat(samples []float64) Stat {
 	for _, v := range samples {
 		sq += (v - mean) * (v - mean)
 	}
-	return Stat{Mean: mean, Std: sqrt(sq / float64(len(samples)))}
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	x := v
-	for i := 0; i < 40; i++ {
-		x = (x + v/x) / 2
-	}
-	return x
+	return Stat{Mean: mean, Std: math.Sqrt(sq / float64(len(samples)))}
 }

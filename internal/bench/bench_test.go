@@ -19,6 +19,15 @@ func TestNewStat(t *testing.T) {
 	if NewStat(nil) != (Stat{}) {
 		t.Fatal("empty stat should be zero")
 	}
+	// Far from 1 a fixed-step Newton iteration drifts; the std must be exact.
+	for _, c := range []struct {
+		samples []float64
+		std     float64
+	}{{[]float64{0, 2e11}, 1e11}, {[]float64{0, 2e-12}, 1e-12}} {
+		if got := NewStat(c.samples).Std; got != c.std {
+			t.Errorf("NewStat(%v).Std = %v, want %v", c.samples, got, c.std)
+		}
+	}
 	if !strings.Contains(s.String(), "±") {
 		t.Fatal("stat string should carry ±")
 	}
@@ -102,6 +111,9 @@ func TestScenarioRegistry(t *testing.T) {
 		if def.Description == "" {
 			t.Fatalf("scenario %s has no description for -list", def.Name)
 		}
+	}
+	if _, err := (Harness{}).Scenario("bogus", 1); err == nil || !strings.Contains(err.Error(), `unknown workload "bogus"`) {
+		t.Fatalf("Harness.Scenario(bogus): err = %v, want the unknown-workload error", err)
 	}
 	defer func() {
 		if recover() == nil {

@@ -1,8 +1,9 @@
 // Package cliopts binds the run-override flags shared by cmd/drrs-bench and
 // cmd/drrs-sim — cluster topology, placement policy, driving mode, control
-// policy, fault plan, trace record/replay — and parses them once into a
+// policy, fault plan, trace replay — and parses them once into a
 // bench.Overrides value. Both binaries get the same flag names, help text,
-// and validation from one place, so they cannot drift.
+// and validation from one place, so they cannot drift. Recording a trace is
+// a single-run act and lives in drrs-sim alone.
 package cliopts
 
 import (
@@ -26,7 +27,6 @@ type Common struct {
 	Driver    string
 	Policy    string
 	Faults    string
-	Record    string
 	Replay    string
 }
 
@@ -42,8 +42,6 @@ func (c *Common) Bind(fs *flag.FlagSet) {
 		"control policy for controller driving: "+strings.Join(control.PolicyNames(), " | "))
 	fs.StringVar(&c.Faults, "faults", "",
 		"override the run's fault plan: a fault spec (e.g. crash@12s:node=r0n1,restart=6s;ckpt=2s) or off")
-	fs.StringVar(&c.Record, "record", "",
-		"record the run's arrival stream to this trace file (single-run mode)")
 	fs.StringVar(&c.Replay, "replay", "",
 		"replay a recorded trace file as the run's traffic")
 }
@@ -52,9 +50,6 @@ func (c *Common) Bind(fs *flag.FlagSet) {
 // and returns them as the value the binaries hand to a bench.Harness or Apply
 // to their one scenario. Every failure is a usage error.
 func (c *Common) Overrides() (bench.Overrides, error) {
-	if c.Record != "" && c.Replay != "" {
-		return bench.Overrides{}, fmt.Errorf("-record and -replay are mutually exclusive: a replayed run would just re-record its input trace")
-	}
 	ov := bench.Overrides{Topology: c.Topology, Placement: c.Placement, Driver: c.Driver, Policy: c.Policy}
 	check := func(kind, name string, known []string) error {
 		if name == "" || slices.Contains(known, name) {

@@ -3,7 +3,6 @@ package cliopts
 import (
 	"flag"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"drrs/internal/bench"
@@ -91,13 +90,6 @@ func TestApplyRejectsBadValuesAsErrors(t *testing.T) {
 		if _, err := parse(t, args...).Overrides(); err == nil {
 			t.Errorf("Overrides(%v) accepted a bad value", args)
 		}
-	}
-}
-
-func TestApplyRejectsRecordPlusReplay(t *testing.T) {
-	_, err := parse(t, "-record", "a.trace", "-replay", "b.trace").Overrides()
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("Overrides allowed -record with -replay: %v", err)
 	}
 }
 

@@ -275,18 +275,18 @@ func (d *ControllerDriver) Finish(r *Run) {
 }
 
 // WithInterventions returns a copy of the scenario whose controller driver
-// forces the given counterfactual interventions. It panics on scripted
-// scenarios — a wave program has no policy decisions to fork; apply
+// forces the given counterfactual interventions. A scripted scenario is an
+// error — a wave program has no policy decisions to fork; apply
 // Overrides{Driver: "controller"} first.
-func (sc Scenario) WithInterventions(ivs []control.Intervention) Scenario {
+func (sc Scenario) WithInterventions(ivs []control.Intervention) (Scenario, error) {
 	own, ok := sc.driver().(*ControllerDriver)
 	if !ok {
-		panic(fmt.Sprintf("bench: scenario %q is driven by a scripted wave program — counterfactual interventions fork policy decisions, so the scenario must be controller-driven", sc.Name))
+		return sc, fmt.Errorf("bench: scenario %q is driven by a scripted wave program — counterfactual interventions fork policy decisions, so the scenario must be controller-driven", sc.Name)
 	}
 	clone := *own
 	clone.Interventions = ivs
 	sc.Driver = &clone
-	return sc
+	return sc, nil
 }
 
 // driver resolves the run's Driver: the scenario's own, else the classic

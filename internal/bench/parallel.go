@@ -23,9 +23,14 @@ type Harness struct {
 }
 
 // Scenario builds a registered scenario with the overrides applied — the
-// construction site every further rewrite starts from.
+// construction site every further rewrite starts from. An unknown name or an
+// override the scenario cannot take is an error.
 func (h Harness) Scenario(name string, seed int64) (Scenario, error) {
-	return h.Overrides.Apply(ScenarioByName(name, seed))
+	def, err := lookup(name)
+	if err != nil {
+		return Scenario{}, err
+	}
+	return h.Overrides.Apply(def.New(seed))
 }
 
 // RunSpec names one independent (scenario, mechanism) run for RunParallel.

@@ -63,15 +63,25 @@ func Definitions() []Definition {
 // ScenarioNames returns the registered names in registration order.
 func ScenarioNames() []string { return append([]string(nil), regOrder...) }
 
-// ScenarioByName builds a registered scenario for the seed. Unknown names
-// panic with the full list of known ones, since they indicate a harness
-// misconfiguration the caller should have validated.
-func ScenarioByName(name string, seed int64) Scenario {
+// lookup resolves a registered scenario name; an unknown one is an error
+// listing every known name.
+func lookup(name string) (Definition, error) {
 	def, ok := registry[name]
 	if !ok {
 		known := ScenarioNames()
 		sort.Strings(known)
-		panic(fmt.Sprintf("bench: unknown workload %q (known: %s)", name, strings.Join(known, ", ")))
+		return def, fmt.Errorf("bench: unknown workload %q (known: %s)", name, strings.Join(known, ", "))
+	}
+	return def, nil
+}
+
+// ScenarioByName builds a registered scenario for the seed. An unknown name
+// panics with lookup's error: callers holding a user-supplied name resolve it
+// through Harness.Scenario instead.
+func ScenarioByName(name string, seed int64) Scenario {
+	def, err := lookup(name)
+	if err != nil {
+		panic(err)
 	}
 	return def.New(seed)
 }

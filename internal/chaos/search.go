@@ -69,9 +69,9 @@ type Violation struct {
 	ShrinkRuns int `json:",omitempty"`
 }
 
-// Repro renders the CLI invocation that replays the violation.
+// Repro renders the CLI invocation that replays the violation's one run.
 func (v Violation) Repro() string {
-	return fmt.Sprintf("drrs-bench -workload %s -mechanisms %s -seed %d -faults %q",
+	return fmt.Sprintf("drrs-sim -workload %s -mechanism %s -seed %d -faults %q",
 		v.Scenario, v.Mechanism, v.Seed, v.Spec)
 }
 

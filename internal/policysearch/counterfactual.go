@@ -28,9 +28,13 @@ func RunCounterfactual(h bench.Harness, scenario, mech string, seed int64, ivs [
 	if err != nil {
 		return Counterfactual{}, err
 	}
+	forced, err := sc.WithInterventions(ivs)
+	if err != nil {
+		return Counterfactual{}, err
+	}
 	outs := bench.RunParallel([]bench.RunSpec{
 		{Scenario: sc, Mechanism: mech},
-		{Scenario: sc.WithInterventions(ivs), Mechanism: mech},
+		{Scenario: forced, Mechanism: mech},
 	}, h.Workers)
 	return Counterfactual{
 		Scenario: scenario, Mechanism: mech, Seed: seed, Spec: ivs,

@@ -97,8 +97,12 @@ func TestAllNoopMatchesUnscaledRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sc, err := bench.ScenarioByName("flash-crowd-reactive", 5).WithInterventions(ivs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	outs := bench.RunParallel([]bench.RunSpec{
-		{Scenario: bench.ScenarioByName("flash-crowd-reactive", 5).WithInterventions(ivs), Mechanism: "drrs"},
+		{Scenario: sc, Mechanism: "drrs"},
 		{Scenario: bench.ScenarioByName("flash-crowd-reactive", 5), Mechanism: "no-scale"},
 	}, 0)
 	forced, unscaled := outs[0], outs[1]
