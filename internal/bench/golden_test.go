@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"drrs/internal/scaling"
+	"drrs/internal/scaling/meces"
 )
 
 // goldenDigests pins the OutcomeDigest of fixed-seed runs. The values must
@@ -66,6 +67,14 @@ var goldenDigests = []struct {
 	// permanently in-flight operation. The old digests pinned that bug.
 	{"flaky-uplink", "drrs", 1, 0xe54754c88ab7da9c},
 	{"flaky-uplink", "drrs", 2, 0x9e1238945dcbcb1a},
+	// Meces under faults: crashes and partitions drive its transfer failure
+	// path (the sub-unit merges back into its source shell) and keep its
+	// background pusher running for seconds with every away sub-unit in
+	// flight. Recorded before the pusher's bookkeeping moved to counters.
+	{"node-loss-mid-migrate", "meces", 1, 0x267f8e8d1251ce87},
+	{"node-loss-mid-migrate", "meces", 2, 0x2a3ca01a26bd34ca},
+	{"flaky-uplink", "meces", 1, 0x7f0235abb8b34098},
+	{"flaky-uplink", "meces", 2, 0x7e011825017a231c},
 	// Graceful degradation: the retry scenario partitions r1 right before
 	// the scale-out's cross-rack transfers launch, so every chunk toward r1
 	// rides the capped-backoff retry loop (3 deterministic re-attempts per
@@ -105,6 +114,22 @@ func TestGoldenDigests(t *testing.T) {
 					got, c.want)
 			}
 		})
+	}
+}
+
+// TestMecesFetchStatsQ7 pins the paper's §V-B Meces statistic on Q7 — the
+// mean over sub-key-groups transferred at least once, and the max — which the
+// outcome digest does not cover.
+func TestMecesFetchStatsQ7(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates a full q7 run")
+	}
+	t.Parallel()
+	m := &meces.Mechanism{}
+	ScenarioByName("q7", 1).Run(m)
+	const wantMean, wantMax = 2.126126126126126, 157
+	if mean, max := m.FetchStats(); mean != wantMean || max != wantMax {
+		t.Errorf("FetchStats() = (%v, %d), want (%v, %d)", mean, max, wantMean, wantMax)
 	}
 }
 
