@@ -104,7 +104,7 @@ type subscale struct {
 	triggered map[int]bool // src → migration started
 	// confirmSeen marks rerouted confirm consumption per
 	// (dst, src, predOp, predIdx) — the per-channel "fluid confirmation".
-	confirmSeen map[string]bool
+	confirmSeen map[confirmKey]bool
 	// confirmsLeftAt counts outstanding confirms per destination (implicit
 	// alignment without Record Scheduling).
 	confirmsLeftAt map[int]int
@@ -138,8 +138,12 @@ func (s *subscale) dstsOf(src int) []int {
 	return out
 }
 
-func confirmKey(dst, src int, predOp string, predIdx int) string {
-	return fmt.Sprintf("%d|%d|%s|%d", dst, src, predOp, predIdx)
+// confirmKey names one rerouted confirm channel: destination, source, and
+// the predecessor instance whose confirm it carries.
+type confirmKey struct {
+	dst, src int
+	predOp   string
+	predIdx  int
 }
 
 // Mechanism is the DRRS scale coordinator.
@@ -321,7 +325,7 @@ func (m *Mechanism) divide() []*subscale {
 			moves:       moves,
 			kgs:         make(map[int]bool),
 			triggered:   make(map[int]bool),
-			confirmSeen: make(map[string]bool),
+			confirmSeen: make(map[confirmKey]bool),
 		}
 		srcs := map[int]bool{}
 		dsts := map[int]bool{}

@@ -58,7 +58,7 @@ func (h *opHook) Processable(in *engine.Instance, r *netsim.Record, e *netsim.Ed
 	if m.Opt.Schedule {
 		// Fluid confirmation: each channel switches epochs independently as
 		// soon as its own rerouted confirm arrived.
-		return s.confirmSeen[confirmKey(in.Index, mv.From, e.Src.Op, e.Src.Index)]
+		return s.confirmSeen[confirmKey{in.Index, mv.From, e.Src.Op, e.Src.Index}]
 	}
 	return s.confirmsLeftAt[in.Index] == 0
 }
@@ -123,7 +123,7 @@ func (h *opHook) OnScaleMessage(in *engine.Instance, msg netsim.Message, e *nets
 			if inner.ScaleID != m.scaleID || s == nil {
 				return true
 			}
-			key := confirmKey(in.Index, e.Src.Index, inner.FromOp, inner.FromIdx)
+			key := confirmKey{in.Index, e.Src.Index, inner.FromOp, inner.FromIdx}
 			if !s.confirmSeen[key] {
 				s.confirmSeen[key] = true
 				s.confirmsLeftAt[in.Index]--

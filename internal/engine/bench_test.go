@@ -10,8 +10,9 @@ import (
 
 // BenchmarkStateCheckpoint measures one out-of-band snapshot sweep plus the
 // recovery-path lookups over populated keyed stores — the recurring cost the
-// fault layer adds to a run at every checkpoint cadence. The sweep deep-copies
-// every live keyed group, so this is the number to watch when changing the
+// fault layer adds to a run at every checkpoint cadence. The sweep freezes a
+// copy of every live keyed group's slab and free list but not its key index
+// (a restore rebuilds that), so this is the number to watch when changing the
 // slab store's Snapshot path.
 func BenchmarkStateCheckpoint(b *testing.B) {
 	sink := NewCollectSink()

@@ -11,11 +11,11 @@ type stateSnapshot struct {
 	at        simtime.Time
 	order     []string // instance names in EachInstance order
 	ops       map[string]string
-	groups    map[string]map[int]*state.Group
+	groups    map[string]state.Snapshot
 	processed map[string]uint64
 }
 
-// StateCheckpointer takes periodic deep snapshots of all keyed state for
+// StateCheckpointer takes periodic frozen copies of all keyed state for
 // fault recovery. It is deliberately out-of-band: unlike the engine's aligned
 // checkpoints (TriggerCheckpoint), these snapshots cost no simulated time —
 // the price of recovery is paid where it belongs, as replay time when a
@@ -62,7 +62,7 @@ func (ck *StateCheckpointer) take() {
 	snap := &stateSnapshot{
 		at:        ck.rt.Sched.Now(),
 		ops:       make(map[string]string),
-		groups:    make(map[string]map[int]*state.Group),
+		groups:    make(map[string]state.Snapshot),
 		processed: make(map[string]uint64),
 	}
 	ck.rt.EachInstance(func(in *Instance) {
@@ -88,8 +88,8 @@ func (ck *StateCheckpointer) take() {
 // instant (the group migrated in after the newest snapshot), the search
 // widens to the operator's other instances in deterministic order — the
 // group's pre-migration host had it. The returned group is the checkpoint's
-// copy; callers must Clone before installing it into a live store.
-func (ck *StateCheckpointer) Lookup(op, name string, kg int) (*state.Group, bool) {
+// frozen copy; callers Thaw it to install it into a live store.
+func (ck *StateCheckpointer) Lookup(op, name string, kg int) (*state.FrozenGroup, bool) {
 	for _, snap := range ck.snaps {
 		if snap == nil {
 			continue

@@ -20,6 +20,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -413,7 +414,7 @@ func (inj *Injector) recover(crashAt simtime.Time, victims []*engine.Instance, l
 			}
 			if g, ok := inj.ck.Lookup(op, in.Name(), kg); ok {
 				in.Store().OwnGroup(kg)
-				in.Store().InstallGroup(kg, g.Clone())
+				in.Store().InstallGroup(kg, g.Thaw())
 				inj.stats.RecoveredGroups++
 			} else {
 				in.Store().OwnGroup(kg)
@@ -549,6 +550,9 @@ func ParseSpec(spec string) (*Plan, error) {
 		}
 		p.Faults = append(p.Faults, f)
 	}
+	if p.TransferRetries == 0 && (p.RetryBase != 0 || p.RetryCap != 0) {
+		return nil, fmt.Errorf("faults: retrybase and retrycap need retry > 0")
+	}
 	sort.SliceStable(p.Faults, func(i, j int) bool { return p.Faults[i].At < p.Faults[j].At })
 	return p, nil
 }
@@ -588,6 +592,10 @@ func parseFault(entry string) (Fault, error) {
 }
 
 func (f *Fault) setArg(k, v string) error {
+	if strings.TrimSpace(v) != v {
+		// Spec could not render it back: entries are trimmed when parsed.
+		return fmt.Errorf("%s=%q: surrounding whitespace", k, v)
+	}
 	switch k {
 	case "node":
 		f.Node = v
@@ -606,21 +614,24 @@ func (f *Fault) setArg(k, v string) error {
 		}
 		f.Heal = d
 	case "factor":
-		x, err := strconv.ParseFloat(v, 64)
+		x, err := parseFloat(v)
 		if err != nil {
 			return err
 		}
 		f.Factor = x
 	case "bw":
-		x, err := strconv.ParseFloat(v, 64)
+		x, err := parseFloat(v)
 		if err != nil {
 			return err
 		}
 		f.Bandwidth = x
 	case "jitter":
-		x, err := strconv.ParseFloat(v, 64)
+		x, err := parseFloat(v)
 		if err != nil {
 			return err
+		}
+		if x < 0 {
+			return fmt.Errorf("jitter must not be negative")
 		}
 		f.Jitter = x
 	default:
@@ -630,6 +641,12 @@ func (f *Fault) setArg(k, v string) error {
 }
 
 func (f *Fault) validate() error {
+	if f.Factor != 0 && f.Kind != Straggle {
+		return fmt.Errorf("factor= applies to straggle only")
+	}
+	if f.Bandwidth != 0 && f.Kind != Uplink {
+		return fmt.Errorf("bw= applies to uplink only")
+	}
 	switch f.Kind {
 	case Crash:
 		if f.Node == "" {
@@ -655,5 +672,20 @@ func parseDur(s string) (simtime.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
+	if td < 0 {
+		return 0, fmt.Errorf("negative duration %q", s)
+	}
 	return simtime.Duration(td / time.Microsecond), nil
+}
+
+// parseFloat reads a finite number: NaN and ±Inf are no rate or factor.
+func parseFloat(s string) (float64, error) {
+	x, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return 0, err
+	}
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return 0, fmt.Errorf("%q is not a finite number", s)
+	}
+	return x, nil
 }

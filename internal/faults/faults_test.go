@@ -57,6 +57,16 @@ func TestParseSpecErrors(t *testing.T) {
 		"retrybase=soon",               // bad backoff duration
 		"retrycap=2x",                  // bad backoff cap
 		"crash@1s:node=n0,jitter=lots", // bad jitter value
+		// Inputs Spec cannot render back (found by FuzzParseSpec).
+		"retrycap=1s",                       // backoff knob without retry
+		"crash@-1s:node=n0",                 // negative duration
+		"ckpt=-2s",                          // negative knob
+		"straggle@1s:node=n0,factor=NaN",    // non-finite factor
+		"uplink@1s:rack=r0,bw=+Inf",         // non-finite bandwidth
+		"crash@1s:node=n0,jitter=-0.1",      // negative jitter
+		"crash@1s:node=n0,factor=2",         // factor off a straggle
+		"straggle@1s:node=n0,factor=1,bw=5", // bw off an uplink
+		"crash@1s:node=n0 ,restart=0s",      // whitespace-padded value
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)

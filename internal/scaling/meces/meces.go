@@ -14,8 +14,6 @@
 package meces
 
 import (
-	"fmt"
-
 	"drrs/internal/cluster"
 	"drrs/internal/engine"
 	"drrs/internal/netsim"
@@ -36,21 +34,29 @@ type Mechanism struct {
 	plan scaling.Plan
 	op   *scaling.Tracked
 
-	// loc tracks each migrating sub-unit's current owner instance index;
-	// inFlight marks sub-units on the wire.
-	loc      map[subUnit]int
-	inFlight map[subUnit]bool
-	// fetchCount counts transfers per sub-unit (the back-and-forth stat).
-	fetchCount map[subUnit]int
-	target     map[int]int // kg → plan destination
-	kgDone     map[int]bool
-	finished   bool
-	bgActive   bool
-	bgCursor   int
-	units      []subUnit
+	// A sub-unit's id is its move index × SubKeyGroups + its sub-key-group,
+	// which is also the background pusher's scan order. moveOf maps a key
+	// group to its move index, -1 when the group is not moving.
+	moveOf []int
+	// loc is each sub-unit's current owner instance index; inFlight marks
+	// sub-units on the wire; fetchCount counts transfers per sub-unit (the
+	// back-and-forth stat).
+	loc        []int
+	inFlight   []bool
+	fetchCount []int
+	// away counts sub-units off their plan target, moving those on the wire,
+	// and idleAway those away but not on the wire — the pusher's work left.
+	// setUnit keeps them current.
+	away, moving, idleAway int
+	kgDone                 []bool // by move index
+	nDone                  int
+	finished               bool
+	bgActive               bool
+	bgCursor               int
+	// afterTransfer, when set, runs after every transfer's install or
+	// failure callback (a test seam).
+	afterTransfer func()
 }
-
-type subUnit struct{ kg, sub int }
 
 // Name implements scaling.Mechanism.
 func (m *Mechanism) Name() string { return "meces" }
@@ -71,18 +77,25 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 	m.rt = rt
 	m.plan = plan
 	m.op = scaling.NewTracked(plan, done)
-	m.loc = make(map[subUnit]int)
-	m.inFlight = make(map[subUnit]bool)
-	m.fetchCount = make(map[subUnit]int)
-	m.target = make(map[int]int)
-	m.kgDone = make(map[int]bool)
+	maxKG := -1
 	for _, mv := range plan.Moves {
-		m.target[mv.KeyGroup] = mv.To
+		maxKG = max(maxKG, mv.KeyGroup)
+	}
+	m.moveOf = make([]int, maxKG+1)
+	for kg := range m.moveOf {
+		m.moveOf[kg] = -1
+	}
+	n := len(plan.Moves) * m.SubKeyGroups
+	m.loc = make([]int, n)
+	m.inFlight = make([]bool, n)
+	m.fetchCount = make([]int, n)
+	m.kgDone = make([]bool, len(plan.Moves))
+	for i, mv := range plan.Moves {
+		m.moveOf[mv.KeyGroup] = i
 		rt.Scale.UnitAssigned(mv.KeyGroup, signal)
-		for s := 0; s < m.SubKeyGroups; s++ {
-			u := subUnit{kg: mv.KeyGroup, sub: s}
-			m.loc[u] = mv.From
-			m.units = append(m.units, u)
+		for id := i * m.SubKeyGroups; id < (i+1)*m.SubKeyGroups; id++ {
+			m.loc[id] = mv.From
+			m.count(id, 1)
 		}
 	}
 	scaling.Deploy(rt, plan, func(added []*engine.Instance) {
@@ -110,33 +123,58 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 	return m.op
 }
 
-// transfer moves one sub-unit to instance dst and invokes after installation.
-func (m *Mechanism) transfer(u subUnit, dst int) {
-	src := m.loc[u]
-	if src == dst || m.inFlight[u] {
+// targetOf returns sub-unit id's plan destination.
+func (m *Mechanism) targetOf(id int) int { return m.plan.Moves[id/m.SubKeyGroups].To }
+
+// count adds sub-unit id's contribution, times d, to the away, moving and
+// idle-away counters.
+func (m *Mechanism) count(id, d int) {
+	away := m.loc[id] != m.targetOf(id)
+	if away {
+		m.away += d
+	}
+	if m.inFlight[id] {
+		m.moving += d
+	} else if away {
+		m.idleAway += d
+	}
+}
+
+// setUnit is the one writer of a placed sub-unit's location and wire state.
+func (m *Mechanism) setUnit(id, loc int, inFlight bool) {
+	m.count(id, -1)
+	m.loc[id], m.inFlight[id] = loc, inFlight
+	m.count(id, 1)
+}
+
+// transfer moves sub-unit id to instance dst and invokes after installation.
+func (m *Mechanism) transfer(id, dst int) {
+	src := m.loc[id]
+	if src == dst || m.inFlight[id] {
 		return
 	}
-	m.inFlight[u] = true
-	m.fetchCount[u]++
+	m.setUnit(id, src, true)
+	m.fetchCount[id]++
 	m.rt.Scale.AddCounter("meces_transfers", 1)
-	if m.fetchCount[u] > 1 {
+	if m.fetchCount[id] > 1 {
 		m.rt.Scale.AddCounter("meces_refetches", 1)
 	}
+	mi, sub := id/m.SubKeyGroups, id%m.SubKeyGroups
+	kg := m.plan.Moves[mi].KeyGroup
 	from := m.rt.Instance(m.plan.Operator, src)
 	to := m.rt.Instance(m.plan.Operator, dst)
 	m.rt.Sched.After(m.rt.Cfg.ControlLatency, func() {
-		g := from.Store().ExtractSubUnit(u.kg, u.sub, m.SubKeyGroups)
+		g := from.Store().ExtractSubUnit(kg, sub, m.SubKeyGroups)
 		m.rt.Scale.FirstMigration(signal, m.rt.Sched.Now())
 		bytes := 128 // sub-unit framing overhead
 		if g != nil {
 			bytes += g.Bytes
 		}
 		m.rt.Cluster.TransferChecked(from.Endpoint(), to.Endpoint(), bytes, func() {
-			to.Store().OwnGroup(u.kg)
-			to.Store().InstallGroup(u.kg, g)
-			m.loc[u] = dst
-			m.inFlight[u] = false
-			m.checkUnit(u.kg)
+			to.Store().OwnGroup(kg)
+			to.Store().InstallGroup(kg, g)
+			m.setUnit(id, dst, false)
+			m.checkUnit(mi)
 			// Wake every instance, not just the endpoints: a third instance
 			// can be suspended on this same sub-unit (its records were routed
 			// there under an older wave's plan), and without a wake it parks
@@ -145,6 +183,9 @@ func (m *Mechanism) transfer(u subUnit, dst int) {
 			// A fetch-back may have regressed progress; make sure the
 			// background pusher is running to re-migrate it.
 			m.ensureBackground()
+			if m.afterTransfer != nil {
+				m.afterTransfer()
+			}
 		}, func(err error) {
 			// Destination unreachable: the sub-unit merges back into its
 			// source shell and stays where it was. The background pusher keeps
@@ -155,14 +196,17 @@ func (m *Mechanism) transfer(u subUnit, dst int) {
 			} else {
 				m.rt.Scale.AddCounter("meces_fails_fatal", 1)
 			}
-			from.Store().OwnGroup(u.kg)
-			from.Store().InstallGroup(u.kg, g)
-			m.inFlight[u] = false
+			from.Store().OwnGroup(kg)
+			from.Store().InstallGroup(kg, g)
+			m.setUnit(id, m.loc[id], false)
 			// Every waiter re-evaluates: the demanding side re-issues its
 			// fetch (the retry converges once the fault heals or recovery
 			// re-places the source), and third-party waiters unpark.
 			m.wakeAll()
 			m.ensureBackground()
+			if m.afterTransfer != nil {
+				m.afterTransfer()
+			}
 		})
 	})
 }
@@ -174,43 +218,47 @@ func (m *Mechanism) wakeAll() {
 	}
 }
 
-// checkUnit marks kg migrated once all its sub-units have reached the plan
-// target, and finishes the scaling when everything has settled.
-func (m *Mechanism) checkUnit(kg int) {
+// atTarget reports whether every sub-unit of move mi sits at its target.
+func (m *Mechanism) atTarget(mi int) bool {
+	to := m.plan.Moves[mi].To
+	for id := mi * m.SubKeyGroups; id < (mi+1)*m.SubKeyGroups; id++ {
+		if m.loc[id] != to {
+			return false
+		}
+	}
+	return true
+}
+
+// checkUnit marks move mi's key group migrated once all its sub-units have
+// reached the plan target, and finishes the scaling when everything has
+// settled.
+func (m *Mechanism) checkUnit(mi int) {
 	if m.finished {
 		return // metrics are frozen; post-completion wobble is cleanup only
 	}
-	if m.kgDone[kg] {
+	if m.kgDone[mi] {
 		// A fetch-back can regress a finished group; background migration
 		// will push it again.
-		for s := 0; s < m.SubKeyGroups; s++ {
-			if m.loc[subUnit{kg: kg, sub: s}] != m.target[kg] {
-				delete(m.kgDone, kg)
-				m.op.SetMoved(len(m.kgDone))
-				return
-			}
+		if !m.atTarget(mi) {
+			m.kgDone[mi] = false
+			m.nDone--
+			m.op.SetMoved(m.nDone)
 		}
 		return
 	}
-	for s := 0; s < m.SubKeyGroups; s++ {
-		if m.loc[subUnit{kg: kg, sub: s}] != m.target[kg] {
-			return
-		}
+	if !m.atTarget(mi) {
+		return
 	}
-	m.kgDone[kg] = true
-	m.op.SetMoved(len(m.kgDone))
-	m.rt.Scale.UnitMigrated(kg, m.rt.Sched.Now())
+	m.kgDone[mi] = true
+	m.nDone++
+	m.op.SetMoved(m.nDone)
+	m.rt.Scale.UnitMigrated(m.plan.Moves[mi].KeyGroup, m.rt.Sched.Now())
 	m.maybeFinish()
 }
 
 func (m *Mechanism) maybeFinish() {
-	if m.finished || len(m.kgDone) < len(m.target) {
+	if m.finished || m.nDone < len(m.plan.Moves) || !m.settled() {
 		return
-	}
-	for u, l := range m.loc {
-		if l != m.target[u.kg] || m.inFlight[u] {
-			return
-		}
 	}
 	m.finished = true
 	m.rt.Scale.MarkScaleEnd(m.rt.Sched.Now())
@@ -237,15 +285,20 @@ func (m *Mechanism) ensureBackground() {
 
 // backgroundStep pushes the next sub-unit that still lives away from its
 // target, pacing pushes so on-demand fetches dominate the migration path.
+// With no idle away sub-unit it skips the scan: a fruitless full scan would
+// leave bgCursor where it is, modulo the unit count.
 func (m *Mechanism) backgroundStep() {
 	m.bgActive = false
-	for scanned := 0; scanned < len(m.units); scanned++ {
-		u := m.units[m.bgCursor%len(m.units)]
-		m.bgCursor++
-		if m.loc[u] != m.target[u.kg] && !m.inFlight[u] {
-			m.rt.Scale.AddCounter("meces_background", 1)
-			m.transfer(u, m.target[u.kg])
-			break
+	if m.idleAway > 0 {
+		n := len(m.loc)
+		for scanned := 0; scanned < n; scanned++ {
+			id := m.bgCursor % n
+			m.bgCursor++
+			if m.loc[id] != m.targetOf(id) && !m.inFlight[id] {
+				m.rt.Scale.AddCounter("meces_background", 1)
+				m.transfer(id, m.targetOf(id))
+				break
+			}
 		}
 	}
 	if !m.settled() {
@@ -255,38 +308,28 @@ func (m *Mechanism) backgroundStep() {
 	}
 }
 
-func (m *Mechanism) settled() bool {
-	for u, l := range m.loc {
-		if l != m.target[u.kg] || m.inFlight[u] {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *Mechanism) moveOf(kg int) struct{ From, To int } {
-	for _, mv := range m.plan.Moves {
-		if mv.KeyGroup == kg {
-			return struct{ From, To int }{mv.From, mv.To}
-		}
-	}
-	panic(fmt.Sprintf("meces: kg %d not in plan", kg))
-}
+// settled reports whether every sub-unit sits at its target, none in flight.
+func (m *Mechanism) settled() bool { return m.away == 0 && m.moving == 0 }
 
 // FetchStats reports the back-and-forth statistics the paper quotes for Q7:
-// the mean and max number of times a sub-key-group was transferred.
+// the mean and max number of times a sub-key-group was transferred, over
+// the sub-key-groups transferred at least once.
 func (m *Mechanism) FetchStats() (mean float64, max int) {
-	if len(m.fetchCount) == 0 {
-		return 0, 0
-	}
-	var sum int
+	var n, sum int
 	for _, c := range m.fetchCount {
+		if c == 0 {
+			continue
+		}
+		n++
 		sum += c
 		if c > max {
 			max = c
 		}
 	}
-	return float64(sum) / float64(len(m.fetchCount)), max
+	if n == 0 {
+		return 0, 0
+	}
+	return float64(sum) / float64(n), max
 }
 
 // hook gates record processing on sub-unit locality and issues on-demand
@@ -297,19 +340,20 @@ type hook struct {
 }
 
 func (h *hook) Processable(in *engine.Instance, r *netsim.Record, _ *netsim.Edge) bool {
-	if _, isMoved := h.m.target[r.KeyGroup]; !isMoved {
-		return true
+	m := h.m
+	if r.KeyGroup < 0 || r.KeyGroup >= len(m.moveOf) || m.moveOf[r.KeyGroup] < 0 {
+		return true // not moving
 	}
-	u := subUnit{kg: r.KeyGroup, sub: state.SubUnitOf(r.Key, h.m.SubKeyGroups)}
-	if h.m.loc[u] == in.Index && !h.m.inFlight[u] {
+	id := m.moveOf[r.KeyGroup]*m.SubKeyGroups + state.SubUnitOf(r.Key, m.SubKeyGroups)
+	if m.loc[id] == in.Index && !m.inFlight[id] {
 		return true
 	}
 	// Fetch on demand toward whoever needs the record — including the old
 	// instance (fetch-back), which is where the back-and-forth cost comes
 	// from.
-	if !h.m.inFlight[u] {
-		h.m.rt.Scale.AddCounter("meces_demand_fetches", 1)
-		h.m.transfer(u, in.Index)
+	if !m.inFlight[id] {
+		m.rt.Scale.AddCounter("meces_demand_fetches", 1)
+		m.transfer(id, in.Index)
 	}
 	return false
 }

@@ -199,24 +199,42 @@ func (g *Group) Merge(other *Group) {
 	}
 }
 
-// Clone deep-copies the group — the checkpoint/restore path: snapshots must
-// not alias live slabs, and restores must not hand the checkpoint's only copy
-// to a store that will keep mutating it.
-func (g *Group) Clone() *Group { return g.clone() }
+// FrozenGroup is a checkpoint copy of a group: its slab, free list and byte
+// total, without the key index. It serves no reads; Thaw makes it live.
+type FrozenGroup struct {
+	slots []slot
+	free  []int32
+	bytes int
+}
 
-// clone deep-copies the group (aux payloads are copied shallowly; simulated
-// state values are immutable or replaced wholesale on Put).
-func (g *Group) clone() *Group {
-	ng := &Group{
-		index: make(map[uint64]int32, len(g.index)),
+// freeze copies the group's slab and free list (aux payloads are copied
+// shallowly; simulated state values are immutable or replaced wholesale on
+// Put). Checkpoints must not alias live slabs.
+func (g *Group) freeze() *FrozenGroup {
+	return &FrozenGroup{
 		slots: append([]slot(nil), g.slots...),
 		free:  append([]int32(nil), g.free...),
-		Bytes: g.Bytes,
+		bytes: g.Bytes,
 	}
-	for k, i := range g.index {
-		ng.index[k] = i
+}
+
+// Thaw returns a live copy of the frozen group, rebuilding the key index from
+// the live slots in slab order. The frozen copy is left intact, so a restore
+// never hands a checkpoint's only copy to a store that will keep mutating it,
+// and one checkpoint can be thawed any number of times.
+func (f *FrozenGroup) Thaw() *Group {
+	g := &Group{
+		index: make(map[uint64]int32, len(f.slots)-len(f.free)),
+		slots: append([]slot(nil), f.slots...),
+		free:  append([]int32(nil), f.free...),
+		Bytes: f.bytes,
 	}
-	return ng
+	for i := range g.slots {
+		if g.slots[i].live {
+			g.index[g.slots[i].key] = int32(i)
+		}
+	}
+	return g
 }
 
 // Store is the keyed state of one operator instance: the subset of key groups
@@ -388,22 +406,25 @@ func (s *Store) ExtractSubUnit(kg, sub, n int) *Group {
 	return out
 }
 
-// Snapshot deep-copies the group map.
-func (s *Store) Snapshot() map[int]*Group {
-	out := make(map[int]*Group, len(s.groups))
-	//lint:allow maporder clone deep-copies one self-contained group; writes keyed by the same kg are content-deterministic
+// Snapshot is a frozen copy of a store's groups, by key group.
+type Snapshot map[int]*FrozenGroup
+
+// Snapshot freezes a copy of every local group.
+func (s *Store) Snapshot() Snapshot {
+	out := make(Snapshot, len(s.groups))
+	//lint:allow maporder freeze copies one self-contained group; writes keyed by the same kg are content-deterministic
 	for kg, g := range s.groups {
-		out[kg] = g.clone()
+		out[kg] = g.freeze()
 	}
 	return out
 }
 
-// Restore replaces the store contents with a snapshot.
-func (s *Store) Restore(snap map[int]*Group) {
+// Restore replaces the store contents with thawed copies of a snapshot.
+func (s *Store) Restore(snap Snapshot) {
 	s.groups = make(map[int]*Group, len(snap))
-	//lint:allow maporder clone deep-copies one self-contained group; writes keyed by the same kg are content-deterministic
-	for kg, g := range snap {
-		s.groups[kg] = g.clone()
+	//lint:allow maporder Thaw copies one self-contained group; writes keyed by the same kg are content-deterministic
+	for kg, f := range snap {
+		s.groups[kg] = f.Thaw()
 	}
 }
 

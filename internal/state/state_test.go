@@ -200,6 +200,67 @@ func TestSnapshotRestoreIsolated(t *testing.T) {
 	}
 }
 
+// TestRestoredGroupMatchesDeepClone checks that a snapshot, which keeps no
+// key index, restores to a group indistinguishable from a deep clone taken at
+// the same instant: same key order, bytes and length, and the same slot
+// reused after a Delete then a Put.
+func TestRestoredGroupMatchesDeepClone(t *testing.T) {
+	// Replaying one operation sequence builds an independent deep clone.
+	build := func() *Store {
+		s := NewStore(1)
+		g := s.OwnGroup(0)
+		for k := uint64(1); k <= 50; k++ {
+			g.PutF64(k, float64(k), int(k%7)+1)
+		}
+		g.Put(7, "pane", 33)
+		for _, k := range []uint64{4, 19, 20, 33} {
+			g.Delete(k)
+		}
+		g.PutF64(60, 1, 9) // reuses slot 32, leaving a free list behind
+		return s
+	}
+	live, clone := build(), build()
+	snap := live.Snapshot()
+	live.PutF64(61, 1, 1) // after the snapshot: must not leak into it
+	restored := NewStore(1)
+	restored.Restore(snap)
+	got, want := restored.Group(0), clone.Group(0)
+	same := func(step string) {
+		t.Helper()
+		gk, wk := got.Keys(), want.Keys()
+		if len(gk) != len(wk) {
+			t.Fatalf("%s: %d keys, deep clone has %d", step, len(gk), len(wk))
+		}
+		for i := range gk {
+			if gk[i] != wk[i] {
+				t.Fatalf("%s: key %d is %d, deep clone has %d", step, i, gk[i], wk[i])
+			}
+		}
+		if got.Bytes != want.Bytes || got.Len() != want.Len() {
+			t.Fatalf("%s: %d bytes in %d keys, deep clone %d in %d", step, got.Bytes, got.Len(), want.Bytes, want.Len())
+		}
+	}
+	same("restored")
+	for _, g := range []*Group{got, want} {
+		g.Delete(10)
+		g.PutF64(1000, 1, 8)
+	}
+	if got.index[1000] != want.index[1000] {
+		t.Fatalf("re-insert took slot %d, deep clone slot %d", got.index[1000], want.index[1000])
+	}
+	same("after Delete then Put")
+	// Neither the live group's writes nor the restored group's reach the
+	// snapshot.
+	again := NewStore(1)
+	again.Restore(snap)
+	_, has10 := again.Get(10)
+	_, has61 := again.Get(61)
+	_, has1000 := again.Get(1000)
+	if !has10 || has61 || has1000 {
+		t.Fatalf("snapshot changed after it was taken: key 10 %v, 61 %v, 1000 %v", has10, has61, has1000)
+	}
+}
+
 func TestKeyGroupRangePartition(t *testing.T) {
 	for _, tc := range []struct{ maxKG, p int }{{128, 8}, {128, 12}, {256, 25}, {256, 30}, {7, 3}} {
 		covered := make([]int, tc.maxKG)
