@@ -198,7 +198,7 @@ func (m *Mechanism) transfer(id, dst int) {
 			}
 			from.Store().OwnGroup(kg)
 			from.Store().InstallGroup(kg, g)
-			m.setUnit(id, m.loc[id], false)
+			m.setUnit(id, src, false)
 			// Every waiter re-evaluates: the demanding side re-issues its
 			// fetch (the retry converges once the fault heals or recovery
 			// re-places the source), and third-party waiters unpark.

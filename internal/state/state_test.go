@@ -241,12 +241,17 @@ func TestRestoredGroupMatchesDeepClone(t *testing.T) {
 		}
 	}
 	same("restored")
+	// The first Put draws on the restored free list, the second on the slot
+	// the Delete just freed.
 	for _, g := range []*Group{got, want} {
-		g.Delete(10)
 		g.PutF64(1000, 1, 8)
+		g.Delete(10)
+		g.PutF64(1001, 1, 8)
 	}
-	if got.index[1000] != want.index[1000] {
-		t.Fatalf("re-insert took slot %d, deep clone slot %d", got.index[1000], want.index[1000])
+	for _, k := range []uint64{1000, 1001} {
+		if got.index[k] != want.index[k] {
+			t.Fatalf("key %d took slot %d, deep clone slot %d", k, got.index[k], want.index[k])
+		}
 	}
 	same("after Delete then Put")
 	// Neither the live group's writes nor the restored group's reach the
