@@ -84,7 +84,6 @@ type Row struct {
 	PropDelayMs   Stat
 	DepOverheadMs Stat
 	SuspensionMs  Stat
-	ThroughputDev Stat
 	// Control carries the reactive-driving columns; nil outside the control
 	// figure (and omitted from -json output there).
 	Control *ControlStats `json:",omitempty"`

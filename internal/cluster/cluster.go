@@ -20,29 +20,16 @@ import (
 )
 
 // Transfer failure causes, wrapped into the error a failed transfer reports.
-// IsTransient classifies them for retry and settle paths.
+// Both are transient: a restart or a healed partition clears them.
 var (
-	// ErrInstanceDead means an endpoint instance's node is marked dead. A
-	// crash-with-restart clears it, so it classifies as transient.
+	// ErrInstanceDead means an endpoint instance's node is marked dead.
 	ErrInstanceDead = errors.New("instance node dead")
-	// ErrNodeMissing means an endpoint's node has been removed from the
-	// cluster (its placement dangles). Removal is permanent: fatal.
-	ErrNodeMissing = errors.New("node missing")
 	// ErrPartitioned means the transfer path crosses a partitioned rack
-	// uplink. Partitions heal, so it classifies as transient.
+	// uplink.
 	ErrPartitioned = errors.New("rack uplink down")
 )
 
-// IsTransient classifies a transfer error: true when a healed cluster clears
-// the cause (a partitioned uplink, a dead-but-restartable node), false when
-// no amount of waiting can (the node was removed from the cluster). Works
-// through wrapped errors, so settle paths can classify the error their fail
-// callback received directly.
-func IsTransient(err error) bool {
-	return errors.Is(err, ErrInstanceDead) || errors.Is(err, ErrPartitioned)
-}
-
-// RetryPolicy retries transient transfer failures with deterministic capped
+// RetryPolicy retries failed transfers with deterministic capped
 // exponential backoff: attempt n re-launches Backoff(n) after the failure is
 // detected, where Backoff doubles from Base up to Cap. The zero value
 // disables retry entirely — transfers fail on first detection, preserving
@@ -141,8 +128,8 @@ type Cluster struct {
 	racks     map[string]*Rack
 	rackOrder []string
 	placement map[netsim.Endpoint]string
-	// epoch counts changes to what NodeOf can answer (AddNode, Place,
-	// RemoveNode), so callers may cache a resolved *Node. See Epoch.
+	// epoch counts changes to what NodeOf can answer (AddNode, Place), so
+	// callers may cache a resolved *Node. See Epoch.
 	epoch uint64
 	// used counts placed instances per node; opUsed counts them per
 	// (node, operator) for the rack-local policy.
@@ -155,8 +142,8 @@ type Cluster struct {
 	// OnTransferFail, when set, observes every failed transfer (fault
 	// accounting). It runs before the transfer's own fail callback.
 	OnTransferFail func(from, to netsim.Endpoint, bytes int, err error)
-	// TransferRetry, when armed (Max > 0), re-attempts transient transfer
-	// failures with capped exponential backoff before reporting them. The
+	// TransferRetry, when armed (Max > 0), re-attempts failed transfers
+	// with capped exponential backoff before reporting them. The
 	// zero value keeps the historical fail-on-first-detection behavior.
 	TransferRetry RetryPolicy
 	// OnTransferRetry, when set, observes every scheduled re-attempt
@@ -217,27 +204,6 @@ func (c *Cluster) MarkAlive(name string) {
 	}
 }
 
-// RemoveNode deletes a node from the cluster entirely. Placements pointing at
-// it are left dangling: NodeOf resolves them to nil-backed defaults and
-// transfers touching them fail with ErrNodeMissing. The first registered node
-// cannot be removed (it is the NodeOf fallback).
-func (c *Cluster) RemoveNode(name string) {
-	if name == c.order[0] {
-		panic(fmt.Sprintf("cluster: cannot remove fallback node %s", name))
-	}
-	if _, ok := c.nodes[name]; !ok {
-		return
-	}
-	delete(c.nodes, name)
-	c.epoch++
-	for i, n := range c.order {
-		if n == name {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
-
 // Nodes returns node names in registration order.
 func (c *Cluster) Nodes() []string { return append([]string(nil), c.order...) }
 
@@ -270,9 +236,9 @@ func (c *Cluster) PlaceRoundRobin(op string, parallelism int) {
 	}
 }
 
-// NodeOf resolves an instance's node, defaulting to the first node. It
-// returns nil when the instance's placed node has been removed from the
-// cluster — callers that can run against a faulted cluster must tolerate nil.
+// NodeOf resolves an instance's node, defaulting to the first node. It never
+// returns nil: Place only accepts registered nodes and nodes are never
+// removed.
 func (c *Cluster) NodeOf(ep netsim.Endpoint) *Node {
 	if name, ok := c.placement[ep]; ok {
 		return c.nodes[name]
@@ -286,16 +252,8 @@ func (c *Cluster) NodeOf(ep netsim.Endpoint) *Node {
 // cached". Cache the node, not its fields: Speed and Dead change in place.
 func (c *Cluster) Epoch() uint64 { return c.epoch }
 
-// SpeedOf returns the processing-speed factor for an instance. An instance
-// whose node was removed keeps speed 1 so a draining pipeline can still make
-// progress until recovery re-places it.
-func (c *Cluster) SpeedOf(ep netsim.Endpoint) float64 {
-	n := c.NodeOf(ep)
-	if n == nil {
-		return 1
-	}
-	return n.Speed
-}
+// SpeedOf returns the processing-speed factor for an instance.
+func (c *Cluster) SpeedOf(ep netsim.Endpoint) float64 { return c.NodeOf(ep).Speed }
 
 // Transfer schedules a state transfer of the given size from one instance to
 // another and invokes done on completion. Transfers leaving the same node
@@ -303,7 +261,7 @@ func (c *Cluster) SpeedOf(ep netsim.Endpoint) float64 {
 // additionally serialize (store-and-forward) on the source rack's shared
 // uplink and pay both racks' uplink latencies on top of the base latency.
 //
-// On an unhealthy cluster (dead/removed endpoint node, partitioned rack) the
+// On an unhealthy cluster (dead endpoint node, partitioned rack) the
 // transfer fails instead of completing: Transfer drops it silently after
 // notifying OnTransferFail; use TransferChecked to observe the failure.
 func (c *Cluster) Transfer(from, to netsim.Endpoint, bytes int, done func()) {
@@ -318,10 +276,10 @@ func (c *Cluster) Transfer(from, to netsim.Endpoint, bytes int, done func()) {
 // are detected when the bytes arrive, not for free at launch — except a dead
 // source, which cannot even start and fails immediately).
 //
-// When TransferRetry is armed, a transiently failed transfer re-launches from
-// scratch after the policy's backoff — re-resolving both endpoints and
-// re-paying bandwidth for the re-sent bytes — until it succeeds, fails
-// fatally, or exhausts the retry budget. done/fail still fire exactly once.
+// When TransferRetry is armed, a failed transfer re-launches from scratch
+// after the policy's backoff — re-resolving both endpoints and re-paying
+// bandwidth for the re-sent bytes — until it succeeds or exhausts the retry
+// budget. done/fail still fire exactly once.
 func (c *Cluster) TransferChecked(from, to netsim.Endpoint, bytes int, done func(), fail func(error)) {
 	c.attemptTransfer(from, to, bytes, 0, done, fail)
 }
@@ -329,10 +287,6 @@ func (c *Cluster) TransferChecked(from, to netsim.Endpoint, bytes int, done func
 // attemptTransfer launches attempt number attempt (0-based) of a transfer.
 func (c *Cluster) attemptTransfer(from, to netsim.Endpoint, bytes, attempt int, done func(), fail func(error)) {
 	src := c.NodeOf(from)
-	if src == nil {
-		c.failTransfer(c.sched.Now(), from, to, bytes, attempt, ErrNodeMissing, done, fail)
-		return
-	}
 	if src.Dead {
 		c.failTransfer(c.sched.Now(), from, to, bytes, attempt, ErrInstanceDead, done, fail)
 		return
@@ -363,11 +317,6 @@ func (c *Cluster) attemptTransfer(from, to netsim.Endpoint, bytes, attempt int, 
 // rackPath returns the source and destination racks when the transfer crosses
 // a rack boundary, (nil, nil) otherwise.
 func (c *Cluster) rackPath(src, dst *Node) (*Rack, *Rack) {
-	if dst == nil {
-		// Destination node removed: no rack path — the delivery check fails
-		// the transfer regardless.
-		return nil, nil
-	}
 	if sr, dr := c.racks[src.Rack], c.racks[dst.Rack]; sr != nil && dr != nil && sr != dr {
 		return sr, dr
 	}
@@ -377,11 +326,8 @@ func (c *Cluster) rackPath(src, dst *Node) (*Rack, *Rack) {
 // deliver lands the bytes at the destination, re-resolving its node at
 // delivery time.
 func (c *Cluster) deliver(from, to netsim.Endpoint, bytes, attempt int, done func(), fail func(error)) {
-	dst := c.NodeOf(to)
 	switch {
-	case dst == nil:
-		c.concludeFail(from, to, bytes, attempt, ErrNodeMissing, done, fail)
-	case dst.Dead:
+	case c.NodeOf(to).Dead:
 		c.concludeFail(from, to, bytes, attempt, ErrInstanceDead, done, fail)
 	case done != nil:
 		done()
@@ -394,10 +340,10 @@ func (c *Cluster) failTransfer(at simtime.Time, from, to netsim.Endpoint, bytes,
 }
 
 // concludeFail runs at the instant a failed attempt was detected: under an
-// armed retry policy a transient cause with budget left re-launches the whole
-// attempt after the backoff; everything else reports the failure.
+// armed retry policy with budget left it re-launches the whole attempt after
+// the backoff; otherwise it reports the failure.
 func (c *Cluster) concludeFail(from, to netsim.Endpoint, bytes, attempt int, cause error, done func(), fail func(error)) {
-	if p := c.TransferRetry; p.Enabled() && attempt < p.Max && IsTransient(cause) {
+	if p := c.TransferRetry; p.Enabled() && attempt < p.Max {
 		if c.OnTransferRetry != nil {
 			c.OnTransferRetry(from, to, bytes, cause, attempt+1)
 		}

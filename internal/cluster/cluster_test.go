@@ -279,37 +279,6 @@ func TestTransferFromDeadNodeFailsImmediately(t *testing.T) {
 	}
 }
 
-// TestTransferToRemovedNodeFails covers the satellite bugfix: NodeOf on a
-// removed node used to nil-deref inside Transfer; now the transfer fails with
-// ErrNodeMissing and plain Transfer (no fail callback) drops it silently.
-func TestTransferToRemovedNodeFails(t *testing.T) {
-	s := simtime.NewScheduler()
-	c := New(s)
-	c.AddNode("src", 1, 1000)
-	c.AddNode("gone", 1, 1000)
-	c.Place(ep("a", 0), "src")
-	c.Place(ep("b", 0), "gone")
-	c.RemoveNode("gone")
-	var observed error
-	c.OnTransferFail = func(_, _ netsim.Endpoint, _ int, err error) { observed = err }
-	// Plain Transfer must not panic and must not complete.
-	c.Transfer(ep("a", 0), ep("b", 0), 500, func() { t.Fatal("completed") })
-	s.Run()
-	if observed == nil || !errors.Is(observed, ErrNodeMissing) {
-		t.Fatalf("want ErrNodeMissing via OnTransferFail, got %v", observed)
-	}
-	// Source side removed: same story, synchronous failure path.
-	c.AddNode("gone2", 1, 1000)
-	c.Place(ep("x", 0), "gone2")
-	c.RemoveNode("gone2")
-	observed = nil
-	c.Transfer(ep("x", 0), ep("a", 0), 100, func() { t.Fatal("completed") })
-	s.Run()
-	if observed == nil || !errors.Is(observed, ErrNodeMissing) {
-		t.Fatalf("removed-source transfer: want ErrNodeMissing, got %v", observed)
-	}
-}
-
 // TestTransferSurvivesReplacementInFlight: the destination is checked when
 // the bytes arrive, so re-placing the destination instance onto a healthy
 // node while the transfer is in flight lets it complete.
@@ -368,40 +337,6 @@ func TestTransferAcrossDownRackFails(t *testing.T) {
 	if !done {
 		t.Fatal("healed uplink should carry the transfer")
 	}
-}
-
-// TestLinkLatencyRemovedNode: LinkLatency used to nil-deref for endpoints on
-// removed nodes; it must fall back to the base latency.
-func TestLinkLatencyRemovedNode(t *testing.T) {
-	s := simtime.NewScheduler()
-	c := New(s)
-	c.AddNode("gone", 1, 0)
-	c.Place(ep("a", 0), "gone")
-	c.RemoveNode("gone")
-	base := simtime.Ms(1)
-	if got := c.LinkLatency(ep("a", 0), ep("b", 0), base); got != base {
-		t.Fatalf("LinkLatency with removed src = %v, want base %v", got, base)
-	}
-	if got := c.LinkLatency(ep("b", 0), ep("a", 0), base); got != base {
-		t.Fatalf("LinkLatency with removed dst = %v, want base %v", got, base)
-	}
-	if c.RackOf(ep("a", 0)) != nil {
-		t.Fatal("RackOf for a removed node should be nil")
-	}
-	if c.SpeedOf(ep("a", 0)) != 1 {
-		t.Fatal("SpeedOf for a removed node should default to 1")
-	}
-}
-
-func TestRemoveFallbackNodePanics(t *testing.T) {
-	s := simtime.NewScheduler()
-	c := New(s)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	c.RemoveNode("local")
 }
 
 func TestTransfersFromDifferentNodesDontContend(t *testing.T) {

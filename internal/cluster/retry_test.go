@@ -9,23 +9,6 @@ import (
 	"drrs/internal/simtime"
 )
 
-func TestIsTransientClassification(t *testing.T) {
-	if !IsTransient(ErrInstanceDead) || !IsTransient(ErrPartitioned) {
-		t.Fatal("dead-node and partition failures are transient (heal/restart clears them)")
-	}
-	if IsTransient(ErrNodeMissing) {
-		t.Fatal("a removed node never comes back — not transient")
-	}
-	if IsTransient(nil) || IsTransient(errors.New("other")) {
-		t.Fatal("unknown errors must not classify as transient")
-	}
-	// Classification must see through the wrapping noteFail applies.
-	wrapped := fmt.Errorf("cluster: transfer a/0→b/0 (500 B): %w", ErrPartitioned)
-	if !IsTransient(wrapped) {
-		t.Fatal("wrapped transient cause lost its classification")
-	}
-}
-
 func TestRetryBackoffShape(t *testing.T) {
 	p := RetryPolicy{Max: 5, Base: 100 * simtime.Millisecond, Cap: 500 * simtime.Millisecond}
 	want := []simtime.Duration{
@@ -115,32 +98,45 @@ func TestTransferRetryExhaustsBudget(t *testing.T) {
 	if retries != 3 {
 		t.Fatalf("%d re-attempts, want the full budget of 3", retries)
 	}
-	if !errors.Is(failErr, ErrPartitioned) || !IsTransient(failErr) {
+	if !errors.Is(failErr, ErrPartitioned) {
 		t.Fatalf("exhausted failure lost its cause: %v", failErr)
 	}
 }
 
-// TestTransferRetrySkipsFatal: a missing destination node is fatal — no
-// backoff, the failure reports immediately even with retry armed.
-func TestTransferRetrySkipsFatal(t *testing.T) {
+// TestTransferRetryExhaustsOnDeadNode: a destination node that dies and
+// never restarts is retried like a partition — every failure cause is
+// transient — until the budget runs out, then fails once with its cause.
+func TestTransferRetryExhaustsOnDeadNode(t *testing.T) {
 	s := simtime.NewScheduler()
 	c := New(s)
 	c.AddNode("n0", 1, 1<<20)
-	c.AddNode("gone", 1, 1<<20)
+	c.AddNode("n1", 1, 1<<20)
 	c.Place(ep("a", 0), "n0")
-	c.Place(ep("b", 0), "gone")
-	c.RemoveNode("gone")
-	c.TransferRetry = RetryPolicy{Max: 5}
-	retried := false
-	c.OnTransferRetry = func(_, _ netsim.Endpoint, _ int, _ error, _ int) { retried = true }
-	var failErr error
-	c.TransferChecked(ep("a", 0), ep("b", 0), 1000, nil, func(err error) { failErr = err })
-	s.Run()
-	if retried {
-		t.Fatal("fatal cause must not consume retry budget")
+	c.Place(ep("b", 0), "n1")
+	c.MarkDead("n1")
+	c.TransferRetry = RetryPolicy{Max: 3}
+	var attempts []int
+	c.OnTransferRetry = func(_, _ netsim.Endpoint, _ int, err error, attempt int) {
+		if !errors.Is(err, ErrInstanceDead) {
+			t.Fatalf("retry %d observed cause %v, want ErrInstanceDead", attempt, err)
+		}
+		attempts = append(attempts, attempt)
 	}
-	if !errors.Is(failErr, ErrNodeMissing) {
-		t.Fatalf("want ErrNodeMissing, got %v", failErr)
+	dones, fails := 0, 0
+	var failErr error
+	c.TransferChecked(ep("a", 0), ep("b", 0), 1000, func() { dones++ }, func(err error) {
+		fails++
+		failErr = err
+	})
+	s.Run()
+	if dones != 0 || fails != 1 {
+		t.Fatalf("done=%d fail=%d, want exactly one failure", dones, fails)
+	}
+	if fmt.Sprint(attempts) != "[1 2 3]" {
+		t.Fatalf("retry attempts %v, want [1 2 3]", attempts)
+	}
+	if !errors.Is(failErr, ErrInstanceDead) {
+		t.Fatalf("want ErrInstanceDead, got %v", failErr)
 	}
 }
 

@@ -78,16 +78,6 @@ func (c *Cluster) RackNodes(rack string) []string {
 	return out
 }
 
-// RackOf resolves an instance's rack (nil on flat clusters and for instances
-// whose node has been removed).
-func (c *Cluster) RackOf(ep netsim.Endpoint) *Rack {
-	n := c.NodeOf(ep)
-	if n == nil {
-		return nil
-	}
-	return c.racks[n.Rack]
-}
-
 // LinkLatency derives the data-plane latency of a channel between two
 // instances from the topology path: the base latency within a node, a rack,
 // or a flat cluster, plus both racks' uplink latencies when the path crosses
@@ -97,9 +87,7 @@ func (c *Cluster) RackOf(ep netsim.Endpoint) *Rack {
 func (c *Cluster) LinkLatency(from, to netsim.Endpoint, base simtime.Duration) simtime.Duration {
 	src := c.NodeOf(from)
 	dst := c.NodeOf(to)
-	if src == dst || src == nil || dst == nil {
-		// Same node, or an endpoint whose node was removed: charge only the
-		// base latency (a removed node has no topology position to price).
+	if src == dst {
 		return base
 	}
 	if sr, dr := c.racks[src.Rack], c.racks[dst.Rack]; sr != nil && dr != nil && sr != dr {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 
-	"drrs/internal/cluster"
 	"drrs/internal/dataflow"
 	"drrs/internal/engine"
 	"drrs/internal/netsim"
@@ -431,10 +430,7 @@ func (m *Mechanism) subscaleNodes(s *subscale) []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, idx := range append(append([]int(nil), s.srcs...), s.dsts...) {
-		n := ""
-		if nd := m.rt.Cluster.NodeOf(netsim.Endpoint{Op: m.op, Index: idx}); nd != nil {
-			n = nd.Name
-		}
+		n := m.rt.Cluster.NodeOf(netsim.Endpoint{Op: m.op, Index: idx}).Name
 		if !seen[n] {
 			seen[n] = true
 			out = append(out, n)
@@ -551,17 +547,13 @@ func (m *Mechanism) startMigration(s *subscale, src int) {
 				m.checkSubscale(s)
 				step(i + 1)
 			})
-		}, func(err error) {
+		}, func(error) {
 			// Destination unreachable: the chunk returns to its source, the
 			// predecessors' routing reverts, and the group is surrendered to a
 			// superseding recovery plan (PlanFromPlacement sees it where it
 			// actually is). Records already routed toward the dead destination
 			// are dropped by the keyed-state backstop and counted lost.
-			if cluster.IsTransient(err) {
-				m.rt.Scale.AddCounter("drrs_reverts_transient", 1)
-			} else {
-				m.rt.Scale.AddCounter("drrs_reverts_fatal", 1)
-			}
+			m.rt.Scale.AddCounter("drrs_reverts", 1)
 			from.Store().OwnGroup(kg)
 			from.Store().InstallGroup(kg, g)
 			delete(m.migratedOut, kg)
@@ -676,26 +668,6 @@ func (m *Mechanism) Cancel() {
 	m.cancelled = true
 	m.pending = nil
 	m.maybeFinish()
-}
-
-// Cancelled reports whether the operation was superseded.
-func (m *Mechanism) Cancelled() bool { return m.cancelled }
-
-// Finished reports whether the operation has completed (or been fully
-// superseded).
-func (m *Mechanism) Finished() bool { return m.finished }
-
-// MigratedGroups returns the key groups whose migration completed, useful
-// for planning a superseding operation from actual placement.
-func (m *Mechanism) MigratedGroups() []int {
-	var out []int
-	for kg, ok := range m.chunkAt {
-		if ok {
-			out = append(out, kg)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // beginCoupled runs the non-DR ablation variants on the coupled-barrier

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 
 	"drrs/internal/dataflow"
@@ -175,9 +176,9 @@ func TestSupersession(t *testing.T) {
 	})
 	s.RunUntil(simtime.Time(simtime.Ms(1200)))
 	// Wait for the first mechanism to drain its active subscales.
-	for !first.Finished() && s.Step() {
+	for !first.finished && s.Step() {
 	}
-	if !first.Finished() {
+	if !first.finished {
 		t.Fatal("cancelled mechanism never settled")
 	}
 	if progressAtCancel.Phase != scaling.PhaseMigrate ||
@@ -209,7 +210,12 @@ func TestSupersession(t *testing.T) {
 		inPlan2[mv.KeyGroup] = true
 	}
 	spec := g.Operator("agg")
-	for _, kg := range first.MigratedGroups() {
+	migrated := make([]int, 0, len(first.chunkAt))
+	for kg := range first.chunkAt {
+		migrated = append(migrated, kg)
+	}
+	sort.Ints(migrated)
+	for _, kg := range migrated {
 		if state.OwnerOf(spec.MaxKeyGroups, 8, kg) == first.moveOf[kg].To && inPlan2[kg] {
 			t.Fatalf("kg %d already at its final owner but re-planned", kg)
 		}

@@ -40,19 +40,16 @@ func (e Exchange) String() string {
 	}
 }
 
-// OpContext is what operator logic sees while handling a record: emission,
-// keyed state, and the clock.
+// OpContext is what operator logic sees while handling a record: emission
+// and keyed state.
 type OpContext interface {
 	// Emit sends a record downstream (routed per the outgoing exchange).
 	Emit(r *netsim.Record)
-	// Now returns the current virtual time.
-	Now() simtime.Time
+	// NewRecord returns a zeroed record from the engine's recycling pool;
+	// logic draws the records it emits here rather than allocating.
+	NewRecord() *netsim.Record
 	// State returns this instance's keyed state store.
 	State() *state.Store
-	// InstanceIndex identifies the parallel subtask.
-	InstanceIndex() int
-	// CurrentWatermark returns the instance's aligned event-time watermark.
-	CurrentWatermark() simtime.Time
 }
 
 // Logic is the user-defined behaviour of an operator instance. A fresh Logic
@@ -65,15 +62,6 @@ type Logic interface {
 	OnRecord(ctx OpContext, r *netsim.Record)
 	// OnWatermark fires when the instance's aligned watermark advances.
 	OnWatermark(ctx OpContext, wm simtime.Time)
-}
-
-// Binder is an optional Logic extension: when a logic also implements
-// Binder, the engine calls Bind exactly once, when the logic is attached to
-// its instance and before any record flows. It is the place to resolve
-// per-instance capabilities (e.g. the pooled-record allocator) so that
-// capability checks stay off the per-record path.
-type Binder interface {
-	Bind(ctx OpContext)
 }
 
 // SourceFunc drives a source instance: it is called once at start and

@@ -25,8 +25,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"drrs/internal/cluster"
 	"drrs/internal/dataflow"
 	"drrs/internal/metrics"
@@ -391,14 +389,4 @@ func (rt *Runtime) TotalStateBytes(op string) int {
 		sum += in.store.TotalBytes()
 	}
 	return sum
-}
-
-// DebugString summarizes live instances (used by drrs-sim).
-func (rt *Runtime) DebugString() string {
-	s := ""
-	rt.EachInstance(func(in *Instance) {
-		s += fmt.Sprintf("%-16s processed=%-8d stateKB=%-8d backlog=%d\n",
-			in.Name(), in.Processed, in.store.TotalBytes()/1024, in.BacklogLen())
-	})
-	return s
 }

@@ -117,12 +117,12 @@ func TestLatencyMarkersMeasured(t *testing.T) {
 	if rt.Latency.Series.Len() == 0 {
 		t.Fatal("no latency samples")
 	}
-	st := rt.Latency.Series.StatsIn(0, simtime.Time(simtime.Sec(5)))
-	if st.Mean <= 0 {
-		t.Fatalf("mean latency %v", st.Mean)
+	mean := rt.Latency.AvgIn(0, simtime.Time(simtime.Sec(5)))
+	if mean <= 0 {
+		t.Fatalf("mean latency %v", mean)
 	}
-	if st.Mean > 100 {
-		t.Fatalf("unloaded pipeline mean latency %vms is implausible", st.Mean)
+	if mean > 100 {
+		t.Fatalf("unloaded pipeline mean latency %vms is implausible", mean)
 	}
 }
 
@@ -486,23 +486,4 @@ func TestMarkerBypassesWindowing(t *testing.T) {
 	if rt.Latency.Series.Len() != markers {
 		t.Fatalf("latency samples %d != markers %d", rt.Latency.Series.Len(), markers)
 	}
-}
-
-func TestDebugStringContainsInstances(t *testing.T) {
-	rt, _ := buildSimpleJob(t, 1, 2, 10)
-	s := rt.DebugString()
-	for _, want := range []string{"src[0]", "agg[0]", "agg[1]", "sink[0]"} {
-		if !contains(s, want) {
-			t.Fatalf("debug string missing %s:\n%s", want, s)
-		}
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

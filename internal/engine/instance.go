@@ -24,9 +24,8 @@ type ScaleHook interface {
 	// Return true when the hook consumed it (e.g. re-routed it).
 	BeforeRecord(in *Instance, r *netsim.Record, e *netsim.Edge) bool
 	// OnScaleMessage handles scaling control messages (trigger/confirm/scale
-	// barriers, rerouted messages, in-band state chunks). Return true when
-	// consumed; unconsumed scale barriers get default align-and-forward
-	// treatment.
+	// barriers, rerouted messages). Return true when consumed; unconsumed
+	// scale barriers get default align-and-forward treatment.
 	OnScaleMessage(in *Instance, m netsim.Message, e *netsim.Edge) bool
 	// OnCheckpointBarrier intercepts checkpoint barriers (DRRS's Fig 9
 	// integration). Return true when fully handled.
@@ -180,9 +179,6 @@ func (rt *Runtime) newInstance(spec *dataflow.OperatorSpec, idx int) *Instance {
 	in.store = state.NewStore(maxKG)
 	if spec.NewLogic != nil {
 		in.logic = spec.NewLogic()
-		if b, ok := in.logic.(dataflow.Binder); ok {
-			b.Bind(in)
-		}
 	}
 	in.handler = &NativeHandler{}
 	in.stepFn = in.step
@@ -427,9 +423,6 @@ func (in *Instance) speed() float64 {
 	if ep := in.rt.Cluster.Epoch(); ep != in.nodeEpoch {
 		in.node, in.nodeEpoch = in.rt.Cluster.NodeOf(in.Endpoint()), ep
 	}
-	if in.node == nil {
-		return 1 // node removed; see Cluster.SpeedOf
-	}
 	return in.node.Speed
 }
 
@@ -616,21 +609,13 @@ func (in *Instance) Emit(r *netsim.Record) {
 	}
 }
 
-// NewRecord draws a zeroed record from the runtime's recycling pool (the
-// emission-side counterpart of SourceContext.NewRecord).
+// NewRecord implements dataflow.OpContext: it draws a zeroed record from the
+// runtime's recycling pool (the emission-side counterpart of
+// SourceContext.NewRecord).
 func (in *Instance) NewRecord() *netsim.Record { return in.rt.recPool.Get() }
-
-// Now implements dataflow.OpContext.
-func (in *Instance) Now() simtime.Time { return in.rt.Sched.Now() }
 
 // State implements dataflow.OpContext.
 func (in *Instance) State() *state.Store { return in.store }
-
-// InstanceIndex implements dataflow.OpContext.
-func (in *Instance) InstanceIndex() int { return in.Index }
-
-// CurrentWatermark implements dataflow.OpContext.
-func (in *Instance) CurrentWatermark() simtime.Time { return in.curWM }
 
 func (in *Instance) routeTo(p *outPort, r *netsim.Record) {
 	edges := p.edges

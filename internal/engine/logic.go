@@ -18,34 +18,6 @@ import (
 // backend's float64 fast lane, so the steady-state record path performs no
 // interface boxing.
 
-// recordAllocator resolves how a logic draws output records: from the
-// engine's recycling pool when the context provides one (Instance does),
-// falling back to plain allocation so logic stays usable against test fakes.
-// Resolved once per operator bind — not per emit.
-func recordAllocator(ctx dataflow.OpContext) func() *netsim.Record {
-	if p, ok := ctx.(interface{ NewRecord() *netsim.Record }); ok {
-		return p.NewRecord
-	}
-	return func() *netsim.Record { return &netsim.Record{} }
-}
-
-// recEmitter is the embeddable half of every emitting logic: it caches the
-// resolved allocator so the capability check runs once per operator bind
-// (dataflow.Binder), with a lazy fallback for plain test-fake contexts.
-type recEmitter struct {
-	newRec func() *netsim.Record
-}
-
-// Bind implements dataflow.Binder.
-func (e *recEmitter) Bind(ctx dataflow.OpContext) { e.newRec = recordAllocator(ctx) }
-
-func (e *recEmitter) rec(ctx dataflow.OpContext) *netsim.Record {
-	if e.newRec == nil {
-		e.Bind(ctx) // unbound context (plain test fake): resolve lazily, once
-	}
-	return e.newRec()
-}
-
 // KeyedReduceLogic maintains a per-key float64 accumulator and emits the
 // updated value per record. StateBytes is the accounted size per key
 // (the custom workload's "state size" knob).
@@ -57,8 +29,6 @@ type KeyedReduceLogic struct {
 	StateBytes int
 	// EmitUpdates controls whether each update is emitted downstream.
 	EmitUpdates bool
-
-	recEmitter
 }
 
 // OnRecord implements dataflow.Logic.
@@ -76,7 +46,7 @@ func (l *KeyedReduceLogic) OnRecord(ctx dataflow.OpContext, r *netsim.Record) {
 	}
 	st.PutF64(r.Key, acc, sb)
 	if l.EmitUpdates {
-		out := l.rec(ctx)
+		out := ctx.NewRecord()
 		out.Key = r.Key
 		out.EventTime = r.EventTime
 		out.IngestTime = r.IngestTime
@@ -117,7 +87,6 @@ type SlidingWindowLogic struct {
 	lastFired simtime.Time
 	inited    bool
 
-	recEmitter
 	// Reusable scratch buffers keep window firing allocation-free in steady
 	// state (one fire touches every key of every local group).
 	keyScratch []uint64
@@ -269,7 +238,7 @@ func (l *SlidingWindowLogic) fireWindow(ctx dataflow.OpContext, end simtime.Time
 				agg = l.Agg(vals)
 			}
 			l.valScratch = vals[:0]
-			out := l.rec(ctx)
+			out := ctx.NewRecord()
 			out.Key = key
 			out.EventTime = end
 			out.Size = 32
@@ -313,7 +282,6 @@ type WindowJoinLogic struct {
 	lastFired simtime.Time
 	inited    bool
 
-	recEmitter
 	keyScratch []uint64
 }
 
@@ -373,7 +341,7 @@ func (l *WindowJoinLogic) fire(ctx dataflow.OpContext, end simtime.Time) {
 			}
 			nl, nr := inWin(js.Left), inWin(js.Right)
 			if nl > 0 && nr > 0 {
-				out := l.rec(ctx)
+				out := ctx.NewRecord()
 				out.Key = key
 				out.EventTime = end
 				out.Size = 32
@@ -477,16 +445,11 @@ func (s *CollectSink) Duplicates() int { return s.repeats }
 
 // Keyed state for SlidingWindowLogic and WindowJoinLogic flows through
 // state.Store as *windowPane / *joinState aux payloads; KeyedReduceLogic
-// rides the float64 fast lane. The library types satisfy dataflow.Logic, and
-// the emitters also satisfy dataflow.Binder so the per-emit pool-capability
-// check is resolved once at bind time.
+// rides the float64 fast lane. The library types satisfy dataflow.Logic.
 var (
-	_ dataflow.Logic  = (*KeyedReduceLogic)(nil)
-	_ dataflow.Logic  = (*SlidingWindowLogic)(nil)
-	_ dataflow.Logic  = (*WindowJoinLogic)(nil)
-	_ dataflow.Logic  = (*MapLogic)(nil)
-	_ dataflow.Logic  = (*CollectSink)(nil)
-	_ dataflow.Binder = (*KeyedReduceLogic)(nil)
-	_ dataflow.Binder = (*SlidingWindowLogic)(nil)
-	_ dataflow.Binder = (*WindowJoinLogic)(nil)
+	_ dataflow.Logic = (*KeyedReduceLogic)(nil)
+	_ dataflow.Logic = (*SlidingWindowLogic)(nil)
+	_ dataflow.Logic = (*WindowJoinLogic)(nil)
+	_ dataflow.Logic = (*MapLogic)(nil)
+	_ dataflow.Logic = (*CollectSink)(nil)
 )

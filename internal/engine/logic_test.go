@@ -11,7 +11,6 @@ import (
 // fakeCtx is a minimal OpContext for exercising operator logic directly.
 type fakeCtx struct {
 	store *state.Store
-	now   simtime.Time
 	out   []*netsim.Record
 }
 
@@ -23,11 +22,9 @@ func newFakeCtx() *fakeCtx {
 	return &fakeCtx{store: st}
 }
 
-func (c *fakeCtx) Emit(r *netsim.Record)          { c.out = append(c.out, r) }
-func (c *fakeCtx) Now() simtime.Time              { return c.now }
-func (c *fakeCtx) State() *state.Store            { return c.store }
-func (c *fakeCtx) InstanceIndex() int             { return 0 }
-func (c *fakeCtx) CurrentWatermark() simtime.Time { return c.now }
+func (c *fakeCtx) Emit(r *netsim.Record)     { c.out = append(c.out, r) }
+func (c *fakeCtx) NewRecord() *netsim.Record { return &netsim.Record{} }
+func (c *fakeCtx) State() *state.Store       { return c.store }
 
 func rec(key uint64, at simtime.Time, v float64) *netsim.Record {
 	return &netsim.Record{Key: key, EventTime: at, Value: v}

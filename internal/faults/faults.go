@@ -362,8 +362,7 @@ func (inj *Injector) crash(f Fault) {
 	var victims []*engine.Instance
 	lost := make(map[*engine.Instance][]int)
 	inj.rt.EachInstance(func(in *engine.Instance) {
-		nd := c.NodeOf(in.Endpoint())
-		if nd == nil || nd.Name != f.Node || in.Dead() {
+		if c.NodeOf(in.Endpoint()).Name != f.Node || in.Dead() {
 			return
 		}
 		victims = append(victims, in)

@@ -36,49 +36,6 @@ func TestSeriesBackwardsPanics(t *testing.T) {
 	s.Append(50, 2)
 }
 
-func TestStats(t *testing.T) {
-	s := NewSeries("x")
-	vals := []float64{1, 2, 3, 4, 5}
-	for i, v := range vals {
-		s.Append(simtime.Time(i), v)
-	}
-	st := s.StatsIn(0, 100)
-	if st.Count != 5 || st.Mean != 3 || st.Max != 5 || st.Min != 1 {
-		t.Fatalf("stats %+v", st)
-	}
-	if math.Abs(st.Std-math.Sqrt(2)) > 1e-9 {
-		t.Fatalf("std %v", st.Std)
-	}
-	if st.P99 != 5 {
-		t.Fatalf("p99 %v", st.P99)
-	}
-}
-
-func TestStatsLargeMagnitude(t *testing.T) {
-	// Regression: the old E[X²]−E[X]² variance cancels catastrophically for
-	// large-magnitude samples and reported Std=0 here.
-	s := NewSeries("x")
-	for i, v := range []float64{1e9, 1e9 + 1, 1e9 + 2} {
-		s.Append(simtime.Time(i), v)
-	}
-	st := s.StatsIn(0, 100)
-	want := math.Sqrt(2.0 / 3.0)
-	if math.Abs(st.Std-want) > 1e-6 {
-		t.Fatalf("std %v, want %v (catastrophic cancellation?)", st.Std, want)
-	}
-	if st.Mean != 1e9+1 {
-		t.Fatalf("mean %v", st.Mean)
-	}
-}
-
-func TestStatsEmpty(t *testing.T) {
-	s := NewSeries("x")
-	st := s.StatsIn(0, 100)
-	if st.Count != 0 || st.Mean != 0 || st.Max != 0 {
-		t.Fatalf("empty stats %+v", st)
-	}
-}
-
 func TestDownsample(t *testing.T) {
 	s := NewSeries("x")
 	for i := 0; i < 100; i++ {
@@ -109,6 +66,11 @@ func TestLatencyTracker(t *testing.T) {
 	if got := l.AvgIn(0, simtime.Time(simtime.Second)); got != 15 {
 		t.Fatalf("avg %v", got)
 	}
+	// An empty window reads 0 for both, not ±Inf or NaN.
+	from, to := simtime.Time(simtime.Second), simtime.Time(2*simtime.Second)
+	if peak, avg := l.PeakIn(from, to), l.AvgIn(from, to); peak != 0 || avg != 0 {
+		t.Fatalf("empty window peak %v avg %v", peak, avg)
+	}
 }
 
 func TestStabilizesAt(t *testing.T) {
@@ -126,7 +88,7 @@ func TestStabilizesAt(t *testing.T) {
 		}
 		l.Observe(ts.Add(lat), ts)
 	}
-	end, ok := l.StabilizesAt(at(1), 10, 1.10, simtime.Sec(2))
+	end, ok := StabilizesOn(l.Series.Points(), at(1), 10, 1.10, simtime.Sec(2))
 	if !ok {
 		t.Fatal("should stabilize")
 	}
@@ -141,7 +103,7 @@ func TestStabilizesAtNever(t *testing.T) {
 		ts := simtime.Time(simtime.Sec(float64(i)))
 		l.Observe(ts.Add(simtime.Ms(500)), ts)
 	}
-	_, ok := l.StabilizesAt(0, 10, 1.10, simtime.Sec(5))
+	_, ok := StabilizesOn(l.Series.Points(), 0, 10, 1.10, simtime.Sec(5))
 	if ok {
 		t.Fatal("should not stabilize")
 	}
@@ -159,7 +121,7 @@ func TestStabilizesAtHoldViolation(t *testing.T) {
 	for _, e := range seq {
 		l.Observe(at(e.ts).Add(simtime.Ms(e.lat)), at(e.ts))
 	}
-	end, ok := l.StabilizesAt(0, 10, 1.10, simtime.Sec(1))
+	end, ok := StabilizesOn(l.Series.Points(), 0, 10, 1.10, simtime.Sec(1))
 	if !ok {
 		t.Fatal("should stabilize")
 	}
@@ -415,10 +377,10 @@ func TestStabilizesSmoothed(t *testing.T) {
 		l.Observe(spike.Add(simtime.Ms(30)), spike)
 	}
 	pre := 12.0 // per-second mean = (9*10+30)/10
-	if _, ok := l.StabilizesAt(0, pre, 1.10, simtime.Sec(5)); ok {
+	if _, ok := StabilizesOn(l.Series.Points(), 0, pre, 1.10, simtime.Sec(5)); ok {
 		t.Fatal("raw rule should never stabilize with 30ms spikes against a 13.2 limit")
 	}
-	at, ok := l.StabilizesSmoothed(simtime.Second, 0, pre, 1.10, simtime.Sec(5))
+	at, ok := StabilizesOn(l.Series.Downsample(simtime.Second), 0, pre, 1.10, simtime.Sec(5))
 	if !ok {
 		t.Fatalf("smoothed rule should stabilize (at %v)", at)
 	}

@@ -7,7 +7,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"drrs/internal/simtime"
@@ -52,61 +51,6 @@ func (s *Series) Slice(from, to simtime.Time) []Point {
 	lo := sort.Search(len(s.pts), func(i int) bool { return s.pts[i].At >= from })
 	hi := sort.Search(len(s.pts), func(i int) bool { return s.pts[i].At >= to })
 	return s.pts[lo:hi]
-}
-
-// Stats summarizes a set of samples.
-type Stats struct {
-	Count int
-	Mean  float64
-	Max   float64
-	Min   float64
-	P99   float64
-	Std   float64
-}
-
-// StatsIn computes summary statistics over [from, to).
-func (s *Series) StatsIn(from, to simtime.Time) Stats {
-	return computeStats(s.Slice(from, to))
-}
-
-func computeStats(pts []Point) Stats {
-	st := Stats{Min: math.Inf(1), Max: math.Inf(-1)}
-	if len(pts) == 0 {
-		return Stats{}
-	}
-	var sum float64
-	vals := make([]float64, len(pts))
-	for i, p := range pts {
-		vals[i] = p.V
-		sum += p.V
-		if p.V > st.Max {
-			st.Max = p.V
-		}
-		if p.V < st.Min {
-			st.Min = p.V
-		}
-	}
-	st.Count = len(pts)
-	st.Mean = sum / float64(len(pts))
-	// Two-pass variance: the textbook E[X²]−E[X]² form cancels
-	// catastrophically for large-magnitude samples (e.g. values near 1e9
-	// with small spread report Std=0).
-	var sq float64
-	for _, v := range vals {
-		d := v - st.Mean
-		sq += d * d
-	}
-	variance := sq / float64(len(pts))
-	if variance > 0 {
-		st.Std = math.Sqrt(variance)
-	}
-	sort.Float64s(vals)
-	idx := int(math.Ceil(0.99*float64(len(vals)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	st.P99 = vals[idx]
-	return st
 }
 
 // Downsample buckets the series into fixed windows and returns one averaged

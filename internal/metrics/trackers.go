@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"sort"
 
 	"drrs/internal/simtime"
@@ -23,38 +24,47 @@ func (l *LatencyTracker) Observe(now, emit simtime.Time) {
 	l.Series.Append(now, now.Sub(emit).Millis())
 }
 
-// PeakIn returns the maximum latency in [from, to) in milliseconds.
+// PeakIn returns the maximum latency in [from, to) in milliseconds (0 for an
+// empty window).
 func (l *LatencyTracker) PeakIn(from, to simtime.Time) float64 {
-	return l.Series.StatsIn(from, to).Max
+	pts := l.Series.Slice(from, to)
+	if len(pts) == 0 {
+		return 0
+	}
+	peak := math.Inf(-1)
+	for _, p := range pts {
+		if p.V > peak {
+			peak = p.V
+		}
+	}
+	return peak
 }
 
-// AvgIn returns the mean latency in [from, to) in milliseconds.
+// AvgIn returns the mean latency in [from, to) in milliseconds (0 for an
+// empty window).
 func (l *LatencyTracker) AvgIn(from, to simtime.Time) float64 {
-	return l.Series.StatsIn(from, to).Mean
+	pts := l.Series.Slice(from, to)
+	if len(pts) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, p := range pts {
+		sum += p.V
+	}
+	return sum / float64(len(pts))
 }
 
-// StabilizesAt implements the paper's scaling-period rule: the scaling period
-// ends at the first instant t >= start such that every latency sample in
-// [t, t+hold) stays within tolerance× the pre-scaling level. It returns the
-// end of the scaling period and whether stabilization was observed before the
-// series ran out (a series that never stabilizes reports the last sample
-// time, false).
+// StabilizesOn implements the paper's scaling-period rule over a sample
+// sequence: the scaling period ends at the first instant t >= start such that
+// every sample in [t, t+hold) stays within tolerance× the pre-scaling level.
+// It returns the end of the scaling period and whether stabilization was
+// observed before the samples ran out (samples that never stabilize report
+// the last sample time, false).
 //
-// The paper uses tolerance = 1.10 and hold = 100 s.
-func (l *LatencyTracker) StabilizesAt(start simtime.Time, preLevel float64, tolerance float64, hold simtime.Duration) (simtime.Time, bool) {
-	return StabilizesOn(l.Series.Points(), start, preLevel, tolerance, hold)
-}
-
-// StabilizesSmoothed applies the scaling-period rule to the bucket-averaged
-// latency curve instead of raw samples — matching the paper, whose latency
-// plots (and therefore its stabilization reading) are per-interval averages.
-// Raw markers have a heavy tail even in steady state, which would make the
-// rule unsatisfiable.
-func (l *LatencyTracker) StabilizesSmoothed(bucket simtime.Duration, start simtime.Time, preLevel float64, tolerance float64, hold simtime.Duration) (simtime.Time, bool) {
-	return StabilizesOn(l.Series.Downsample(bucket), start, preLevel, tolerance, hold)
-}
-
-// StabilizesOn implements the rule over an explicit sample sequence.
+// The paper uses tolerance = 1.10 and hold = 100 s, on the bucket-averaged
+// latency curve (Series.Downsample): its latency plots, and therefore its
+// stabilization reading, are per-interval averages, and raw markers have a
+// heavy tail even in steady state.
 func StabilizesOn(pts []Point, start simtime.Time, preLevel float64, tolerance float64, hold simtime.Duration) (simtime.Time, bool) {
 	i := sort.Search(len(pts), func(i int) bool { return pts[i].At >= start })
 	limit := preLevel * tolerance

@@ -191,7 +191,7 @@ func (e *Edge) inboxSpace() bool {
 // stall a priority trigger barrier sitting at the outbox front.
 func isDataKind(m Message) bool {
 	switch m.MsgKind() {
-	case KindRecord, KindRerouted, KindStateChunk:
+	case KindRecord, KindRerouted:
 		return true
 	}
 	return false

@@ -25,7 +25,6 @@ const (
 	KindCheckpointBarrier
 	KindTriggerBarrier
 	KindConfirmBarrier
-	KindStateChunk
 	KindRerouted
 	KindScaleBarrier // coupled scaling signal used by OTFS/Megaphone
 )
@@ -42,8 +41,6 @@ func (k Kind) String() string {
 		return "trigger-barrier"
 	case KindConfirmBarrier:
 		return "confirm-barrier"
-	case KindStateChunk:
-		return "state-chunk"
 	case KindRerouted:
 		return "rerouted"
 	case KindScaleBarrier:
@@ -163,31 +160,6 @@ func (*ScaleBarrier) MsgKind() Kind { return KindScaleBarrier }
 
 // SizeBytes implements Message.
 func (*ScaleBarrier) SizeBytes() int { return 24 }
-
-// StateChunk is a migrated piece of keyed state (one key group, or one
-// sub-key-group under hierarchical organization).
-type StateChunk struct {
-	ScaleID  int64
-	Subscale int
-	KeyGroup int
-	SubUnit  int // -1 when the whole key group moves at once
-	Bytes    int
-	Entries  map[uint64]any
-	// Last marks the final chunk of a key group, after which the group is
-	// fully local at the receiver.
-	Last bool
-}
-
-// MsgKind implements Message.
-func (*StateChunk) MsgKind() Kind { return KindStateChunk }
-
-// SizeBytes implements Message.
-func (c *StateChunk) SizeBytes() int {
-	if c.Bytes <= 0 {
-		return 128
-	}
-	return c.Bytes
-}
 
 // Rerouted wraps a record (or confirm barrier) that the scaling-out instance
 // forwards to the scaling-in instance because the associated state already

@@ -417,7 +417,7 @@ func TestMessageKindsAndSizes(t *testing.T) {
 	msgs := []Message{
 		&Record{Size: 10}, &Watermark{}, &CheckpointBarrier{},
 		&TriggerBarrier{}, &ConfirmBarrier{}, &ScaleBarrier{},
-		&StateChunk{Bytes: 99}, &Rerouted{Inner: &Record{Size: 10}},
+		&Rerouted{Inner: &Record{Size: 10}},
 	}
 	kinds := map[Kind]bool{}
 	for _, m := range msgs {
@@ -432,7 +432,7 @@ func TestMessageKindsAndSizes(t *testing.T) {
 			t.Fatal("empty kind string")
 		}
 	}
-	if (&Record{}).SizeBytes() <= 0 || (&StateChunk{}).SizeBytes() <= 0 {
+	if (&Record{}).SizeBytes() <= 0 {
 		t.Fatal("default sizes must be positive")
 	}
 	if (&Rerouted{Inner: &Record{Size: 10}}).SizeBytes() != 18 {

@@ -31,7 +31,7 @@ func TestCountersMatchFullScan(t *testing.T) {
 	})
 	var failed int64
 	for _, w := range o.Waves {
-		failed += w.Scale.Counter("meces_fails_transient") + w.Scale.Counter("meces_fails_fatal")
+		failed += w.Scale.Counter("meces_fails")
 	}
 	if failed == 0 {
 		t.Fatal("no transfer failed: the failure path went unchecked")

@@ -14,7 +14,6 @@
 package meces
 
 import (
-	"drrs/internal/cluster"
 	"drrs/internal/engine"
 	"drrs/internal/netsim"
 	"drrs/internal/scaling"
@@ -186,16 +185,12 @@ func (m *Mechanism) transfer(id, dst int) {
 			if m.afterTransfer != nil {
 				m.afterTransfer()
 			}
-		}, func(err error) {
+		}, func(error) {
 			// Destination unreachable: the sub-unit merges back into its
 			// source shell and stays where it was. The background pusher keeps
 			// retrying; once the node restarts (or the group is re-planned
 			// away), the push converges.
-			if cluster.IsTransient(err) {
-				m.rt.Scale.AddCounter("meces_fails_transient", 1)
-			} else {
-				m.rt.Scale.AddCounter("meces_fails_fatal", 1)
-			}
+			m.rt.Scale.AddCounter("meces_fails", 1)
 			from.Store().OwnGroup(kg)
 			from.Store().InstallGroup(kg, g)
 			m.setUnit(id, src, false)

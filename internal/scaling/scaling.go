@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 
-	"drrs/internal/cluster"
 	"drrs/internal/dataflow"
 	"drrs/internal/engine"
 	"drrs/internal/simtime"
@@ -285,10 +284,7 @@ func (m *Migrator) Failed() int { return len(m.failed) }
 // back at the source, so records keep flowing to where the state actually is.
 // The move then counts as settled — sequences continue past it and onAll can
 // fire — leaving the re-plan to the control plane's recovery supersession.
-// The typed cause distinguishes transient failures (the cluster-level retry
-// budget ran out against a partition or a restartable crash) from fatal ones
-// (the destination node is gone) in the mechanism's counters.
-func (m *Migrator) settleFailure(kg int, g *state.Group, mv dataflow.Move, err error) {
+func (m *Migrator) settleFailure(kg int, g *state.Group, mv dataflow.Move) {
 	from := m.rt.Instance(m.plan.Operator, mv.From)
 	from.Store().InstallGroup(kg, g)
 	for _, p := range m.rt.PredecessorInstances(m.plan.Operator) {
@@ -297,11 +293,7 @@ func (m *Migrator) settleFailure(kg int, g *state.Group, mv dataflow.Move, err e
 		}
 	}
 	m.failed[kg] = true
-	if cluster.IsTransient(err) {
-		m.rt.Scale.AddCounter("xfer_settled_transient", 1)
-	} else {
-		m.rt.Scale.AddCounter("xfer_settled_fatal", 1)
-	}
+	m.rt.Scale.AddCounter("xfer_settled", 1)
 	from.Wake()
 	// Records for kg may already be parked at the destination, gated by the
 	// mechanism's Processable; now that the repair re-pointed the group away
@@ -354,8 +346,8 @@ func (m *Migrator) MigrateGroup(kg int, signal string, done func()) {
 			}
 			m.checkAll()
 		})
-	}, func(err error) {
-		m.settleFailure(kg, g, move, err)
+	}, func(error) {
+		m.settleFailure(kg, g, move)
 		if done != nil {
 			done()
 		}
@@ -434,9 +426,9 @@ func (m *Migrator) MigrateAllAtOnce(kgs []int, signal string, done func()) {
 				}
 				m.checkAll()
 			})
-		}, func(err error) {
+		}, func(error) {
 			for _, it := range items {
-				m.settleFailure(it.kg, it.g, dataflow.Move{KeyGroup: it.kg, From: p.from, To: p.to}, err)
+				m.settleFailure(it.kg, it.g, dataflow.Move{KeyGroup: it.kg, From: p.from, To: p.to})
 			}
 			remaining--
 			if remaining == 0 && done != nil {
