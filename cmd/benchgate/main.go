@@ -39,6 +39,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -260,9 +261,10 @@ func compare(base *Baseline, measured map[string]*Benchmark, w io.Writer) ([]*re
 }
 
 // parseBench extracts allocs/op and B/op per benchmark from `go test -bench`
-// output. Every result line is checked for well-formed values, but other units
-// (ns/op, custom metrics) are not kept; a line without -benchmem's columns
-// still yields an entry, so the gate can name what is missing. Names are
+// output. Every result line is checked for well-formed values, and the two
+// gated ones must be finite and non-negative. Other units (ns/op, custom
+// metrics) are not kept; a line without -benchmem's columns still yields an
+// entry, so the gate can name what is missing. Names are
 // normalized by stripping the -GOMAXPROCS suffix; repeated runs of one
 // benchmark keep the minimum (the conventional stable estimate).
 func parseBench(r io.Reader) (map[string]*Benchmark, error) {
@@ -292,6 +294,13 @@ func parseBench(r io.Reader) (map[string]*Benchmark, error) {
 				b.AllocsPerOp = v
 			case "B/op":
 				b.BytesPerOp = v
+			default:
+				continue
+			}
+			// NaN passes every comparison and a negative value reads as "not
+			// measured", so neither may reach the gate; nor may infinity.
+			if !(v >= 0 && v <= math.MaxFloat64) {
+				return nil, fmt.Errorf("%s: %s %q is not a count", name, fields[i+1], fields[i])
 			}
 		}
 		if prev, ok := out[name]; ok {

@@ -20,6 +20,18 @@ func TestParseBenchMalformedValue(t *testing.T) {
 	}
 }
 
+func TestParseBenchRejectsNonCounts(t *testing.T) {
+	for _, in := range []string{
+		"BenchmarkEdgePump-8 1000 NaN allocs/op 0 B/op",
+		"BenchmarkEdgePump-8 1000 0 allocs/op +Inf B/op",
+		"BenchmarkEdgePump-8 1000 -3 allocs/op 0 B/op",
+	} {
+		if _, err := parseBench(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "is not a count") {
+			t.Errorf("%q: err %v, want a not-a-count error", in, err)
+		}
+	}
+}
+
 func TestParseBenchNormalizesAndKeepsMin(t *testing.T) {
 	in := strings.Join([]string{
 		"goos: linux",

@@ -9,15 +9,18 @@
 // breaks ties), which makes every experiment replayable bit-for-bit.
 //
 // The scheduler is built for the simulation hot path: events live in a
-// free-list pool (no per-event heap allocation in steady state), the time
-// ordering is a hand-rolled 4-ary heap indexed by pool slot (cancellation is
-// an O(log n) indexed removal, never a lazy tombstone), and events scheduled
-// for the current instant — the ubiquitous After(0, ...) wake pattern — go
-// through a FIFO fast lane that bypasses the heap entirely.
+// free-list pool (no per-event heap allocation in steady state), and almost
+// every event is due within a few milliseconds, so the time ordering is a
+// timing wheel — one FIFO list per microsecond instant, 2^15 of them, found
+// through an occupancy bitmap — with a pooled 4-ary heap, indexed by pool
+// slot, for the rare events due 32.768 ms or more ahead. The wheel slot for
+// the current instant serves the ubiquitous After(0, ...) wake pattern
+// without a comparison.
 package simtime
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Time is an instant in virtual time, in microseconds since the start of the
@@ -65,12 +68,20 @@ func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 // String formats the duration as milliseconds.
 func (d Duration) String() string { return fmt.Sprintf("%.3fms", d.Millis()) }
 
+// Wheel geometry: one slot per microsecond instant, 2^15 slots (32.768 ms).
+// An event goes on the wheel iff it is due less than wheelSlots µs after
+// now when it is scheduled; anything further ahead goes on the heap.
+const (
+	wheelSlots = 1 << 15
+	wheelMask  = wheelSlots - 1
+)
+
 // Event placement states (the event.where field): non-negative values are
 // heap positions.
 const (
-	whereFree     int32 = -1 // in the free list (or fired)
-	whereLane     int32 = -2 // queued in the same-instant fast lane
-	whereLaneDead int32 = -3 // cancelled while in the fast lane, not yet drained
+	whereFree      int32 = -1 // in the free list (or fired)
+	whereWheel     int32 = -2 // queued in a wheel slot
+	whereWheelDead int32 = -3 // cancelled while on the wheel, not yet drained
 )
 
 // event is one pooled scheduler entry. Events are recycled through a free
@@ -81,6 +92,7 @@ type event struct {
 	fn    func()
 	gen   uint32
 	where int32
+	next  int32 // on the wheel: the next entry of the slot's circular list
 }
 
 // Timer is a handle to a scheduled event. The zero Timer is valid and
@@ -94,7 +106,8 @@ type Timer struct {
 
 // Cancel prevents the event from firing. Reports whether the event was still
 // pending. Cancellation of a heap event removes it immediately (indexed
-// removal), so Pending() never over-counts cancelled events.
+// removal); a wheel event leaves a tombstone that is dropped when its slot
+// is next visited. Either way Pending() never over-counts cancelled events.
 func (t Timer) Cancel() bool {
 	if t.s == nil {
 		return false
@@ -109,7 +122,7 @@ func (t Timer) Pending() bool {
 		return false
 	}
 	ev := &t.s.pool[t.idx]
-	return ev.gen == t.gen && ev.where != whereLaneDead && ev.where != whereFree
+	return ev.gen == t.gen && ev.where != whereWheelDead && ev.where != whereFree
 }
 
 // Scheduler is a deterministic discrete-event scheduler.
@@ -125,19 +138,27 @@ type Scheduler struct {
 	pool []event
 	free []int32
 
-	// heap is a 4-ary min-heap of pool indices ordered by (at, seq);
+	// heap is a 4-ary min-heap of pool indices ordered by (at, seq), holding
+	// only events due wheelSlots µs or more ahead when scheduled;
 	// pool[i].where tracks each event's heap position for O(log n) removal.
 	heap []int32
 
-	// lane is a FIFO ring of pool indices for events at the current instant.
-	lane     []int32
-	laneHead int
-	laneLen  int
+	// The wheel holds every other event. Since now never decreases, each
+	// live wheel entry lies in [now, now+wheelSlots), so a slot (at mod
+	// wheelSlots) holds one instant only. tails[k] is the last entry of
+	// slot k's circular list (its next is the head), valid iff bit k of
+	// occupied is set; entries are appended in scheduling order, so every
+	// slot is in seq order. wheeled counts entries, tombstones included.
+	// The two arrays are separate allocations so that each fills whole
+	// pages or a size class: 132 KiB per Scheduler.
+	tails    *[wheelSlots]int32
+	occupied *[wheelSlots / 64]uint64
+	wheeled  int
 }
 
 // NewScheduler returns an empty scheduler at time zero.
 func NewScheduler() *Scheduler {
-	return &Scheduler{}
+	return &Scheduler{tails: new([wheelSlots]int32), occupied: new([wheelSlots / 64]uint64)}
 }
 
 // Now returns the current virtual time.
@@ -148,7 +169,7 @@ func (s *Scheduler) Processed() uint64 { return s.stepped }
 
 // Pending reports how many events are scheduled and still runnable.
 // Cancelled events never count: heap cancellation removes the event
-// immediately, and fast-lane cancellation decrements the live count.
+// immediately, and wheel cancellation decrements the live count.
 func (s *Scheduler) Pending() int { return s.live }
 
 // alloc takes an event slot from the free list (or grows the pool) and
@@ -180,17 +201,16 @@ func (s *Scheduler) release(i int32) {
 }
 
 // At schedules fn to run at instant t. Scheduling in the past panics: it
-// always indicates a simulation bug. Scheduling at the current instant takes
-// the FIFO fast lane and never touches the heap.
+// always indicates a simulation bug. Events due within wheelSlots µs go on
+// the wheel, later ones on the heap.
 func (s *Scheduler) At(t Time, fn func()) Timer {
 	if t < s.now {
 		panic(fmt.Sprintf("simtime: scheduling at %v before now %v", t, s.now))
 	}
 	i := s.alloc(t, fn)
 	s.live++
-	if t == s.now {
-		s.pool[i].where = whereLane
-		s.lanePush(i)
+	if t-s.now < wheelSlots {
+		s.wheelPush(i)
 	} else {
 		s.heapPush(i)
 	}
@@ -217,11 +237,11 @@ func (s *Scheduler) cancel(idx int32, gen uint32) bool {
 		s.release(idx)
 		s.live--
 		return true
-	case ev.where == whereLane:
-		// The lane is a ring; mark the entry dead and let the drain skip it.
-		// Lane entries only live within the current instant, so the tombstone
-		// is gone by the time the clock next advances.
-		ev.where = whereLaneDead
+	case ev.where == whereWheel:
+		// A slot is a singly-linked list; mark the entry dead and let the
+		// drain (or the next-instant search) drop it. Its pool slot stays
+		// taken until then.
+		ev.where = whereWheelDead
 		ev.fn = nil
 		s.live--
 		return true
@@ -231,53 +251,48 @@ func (s *Scheduler) cancel(idx int32, gen uint32) bool {
 }
 
 // Step fires the next event. It reports false when no runnable event remains.
-//
-// Ordering: heap events at the current instant were necessarily scheduled
-// before the clock reached it (later same-instant arrivals go to the lane),
-// so they carry smaller sequence numbers than every lane entry and fire
-// first; then the lane drains FIFO; only then may the clock advance.
 func (s *Scheduler) Step() bool {
-	for {
-		var i int32
-		switch {
-		case len(s.heap) > 0 && s.pool[s.heap[0]].at == s.now:
-			i = s.heapPopMin()
-		case s.laneLen > 0:
-			i = s.lanePop()
-			if s.pool[i].where == whereLaneDead {
-				s.release(i)
-				continue
-			}
-		case len(s.heap) > 0:
-			i = s.heapPopMin()
-		default:
-			return false
-		}
-		ev := &s.pool[i]
-		s.now = ev.at
-		fn := ev.fn
-		s.release(i)
-		s.live--
-		s.stepped++
-		fn()
-		return true
+	at, ok := s.nextAt()
+	if !ok {
+		return false
 	}
+	s.now = at
+	s.fire()
+	return true
 }
 
-// nextAt reports the instant of the next runnable event.
+// fire runs the first event due now; nextAt must have reported now.
+//
+// Ordering: a heap event due now was scheduled at least wheelSlots µs
+// before now, and every wheel event due now was scheduled later than that,
+// so heap events carry the smaller sequence numbers and fire first; then
+// now's slot drains FIFO, which is seq order. Firing is therefore exactly
+// (at, seq) order.
+func (s *Scheduler) fire() {
+	var i int32
+	if len(s.heap) > 0 && s.pool[s.heap[0]].at == s.now {
+		i = s.heapPopMin()
+	} else {
+		i = s.wheelPop(int(s.now) & wheelMask)
+	}
+	fn := s.pool[i].fn
+	s.release(i)
+	s.live--
+	s.stepped++
+	fn()
+}
+
+// nextAt reports the instant of the next runnable event: the earlier of the
+// wheel's first live slot and the heap top. The slot it reports has a live
+// head, so fire never meets a tombstone.
 func (s *Scheduler) nextAt() (Time, bool) {
-	for s.laneLen > 0 {
-		i := s.lane[s.laneHead]
-		if s.pool[i].where != whereLaneDead {
-			return s.now, true
-		}
-		s.lanePop()
-		s.release(i)
-	}
+	at, ok := s.wheelNext()
 	if len(s.heap) > 0 {
-		return s.pool[s.heap[0]].at, true
+		if h := s.pool[s.heap[0]].at; !ok || h < at {
+			return h, true
+		}
 	}
-	return 0, false
+	return at, ok
 }
 
 // RunUntil fires events until the queue is exhausted or the next event lies
@@ -289,7 +304,8 @@ func (s *Scheduler) RunUntil(t Time) {
 		if !ok || at > t {
 			break
 		}
-		s.Step()
+		s.now = at
+		s.fire()
 	}
 	if s.now < t {
 		s.now = t
@@ -300,6 +316,70 @@ func (s *Scheduler) RunUntil(t Time) {
 func (s *Scheduler) Run() {
 	for s.Step() {
 	}
+}
+
+// --- timing wheel ---
+
+// wheelPush appends event i to the tail of its slot.
+func (s *Scheduler) wheelPush(i int32) {
+	k := int(s.pool[i].at) & wheelMask
+	s.pool[i].where = whereWheel
+	if s.occupied[k>>6]&(1<<(k&63)) == 0 {
+		s.pool[i].next = i
+		s.occupied[k>>6] |= 1 << (k & 63)
+	} else {
+		tail := s.tails[k]
+		s.pool[i].next = s.pool[tail].next
+		s.pool[tail].next = i
+	}
+	s.tails[k] = i
+	s.wheeled++
+}
+
+// wheelPop unlinks and returns the head of occupied slot k.
+func (s *Scheduler) wheelPop(k int) int32 {
+	tail := s.tails[k]
+	head := s.pool[tail].next
+	if head == tail {
+		s.occupied[k>>6] &^= 1 << (k & 63)
+	} else {
+		s.pool[tail].next = s.pool[head].next
+	}
+	s.wheeled--
+	return head
+}
+
+// wheelNext reports the instant of the first slot at or after now's, in
+// wrap-around order, whose head is live. Tombstones met at the head of a
+// slot are released on the way: a slot holding only cancelled events must
+// not be reported, or RunUntil could advance the clock onto it and then
+// fire events past its limit.
+func (s *Scheduler) wheelNext() (Time, bool) {
+	if s.wheeled == 0 {
+		return 0, false
+	}
+	base := int(s.now) & wheelMask
+	w := base >> 6
+	word := s.occupied[w] &^ (1<<(base&63) - 1)
+	// The first word is read twice: masked above, then whole after the wrap
+	// (its bits from base on are empty by then).
+	for n := 0; n <= len(s.occupied); n++ {
+		for word != 0 {
+			k := w<<6 | bits.TrailingZeros64(word)
+			for s.occupied[k>>6]&(1<<(k&63)) != 0 {
+				head := s.pool[s.tails[k]].next
+				if s.pool[head].where != whereWheelDead {
+					return s.now + Time((k-base)&wheelMask), true
+				}
+				s.wheelPop(k)
+				s.release(head)
+			}
+			word &= word - 1
+		}
+		w = (w + 1) % len(s.occupied)
+		word = s.occupied[w]
+	}
+	return 0, false
 }
 
 // --- 4-ary indexed heap ---
@@ -388,30 +468,4 @@ func (s *Scheduler) siftDown(pos int) {
 	}
 	s.heap[pos] = i
 	s.pool[i].where = int32(pos)
-}
-
-// --- same-instant FIFO fast lane ---
-
-func (s *Scheduler) lanePush(i int32) {
-	if s.laneLen == len(s.lane) {
-		newCap := len(s.lane) * 2
-		if newCap < 16 {
-			newCap = 16
-		}
-		nl := make([]int32, newCap)
-		for k := 0; k < s.laneLen; k++ {
-			nl[k] = s.lane[(s.laneHead+k)%len(s.lane)]
-		}
-		s.lane = nl
-		s.laneHead = 0
-	}
-	s.lane[(s.laneHead+s.laneLen)%len(s.lane)] = i
-	s.laneLen++
-}
-
-func (s *Scheduler) lanePop() int32 {
-	i := s.lane[s.laneHead]
-	s.laneHead = (s.laneHead + 1) % len(s.lane)
-	s.laneLen--
-	return i
 }
