@@ -25,6 +25,32 @@ func BenchmarkStatePutGet(b *testing.B) {
 	}
 }
 
+// BenchmarkStatePutGetWide is BenchmarkStatePutGet on one instance of a
+// wide job: 1024 key groups over parallelism 256, so the store owns 4 of
+// them and every key hashes into one of those 4.
+func BenchmarkStatePutGetWide(b *testing.B) {
+	const keys = 4096
+	s := NewStore(1024)
+	start, end := KeyGroupRange(1024, 256, 100)
+	for kg := start; kg < end; kg++ {
+		s.OwnGroup(kg)
+	}
+	ks := make([]uint64, 0, keys)
+	for k := uint64(1); len(ks) < keys; k++ {
+		if s.HasGroup(KeyGroupOf(k, 1024)) {
+			ks = append(ks, k)
+			s.PutF64(k, float64(k), 64)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := ks[i%keys]
+		acc, _ := s.GetF64(k)
+		s.PutF64(k, acc+1, 64)
+	}
+}
+
 // BenchmarkStateMigrateGroup measures the migration unit operations every
 // scaling mechanism is built from: extract a populated key group from one
 // store, install it into another, then move it back.

@@ -5,19 +5,26 @@
 // migration. Meces additionally splits key groups into sub-key-groups
 // ("hierarchical state organization"), which ExtractSubUnit supports.
 //
-// Storage layout: a key group keeps a map[uint64]int32 index from key to a
-// slot in a contiguous slab. The common payload — one float64 accumulator —
-// lives unboxed in the slot's fast lane; rare structured payloads (window
-// panes, join buffers) ride in an `any` escape hatch. Deleted slots go on a
-// free list and are reused, so steady-state Put/Get/Delete allocate nothing.
-// Byte accounting (per entry, per group) is identical to the boxed
-// implementation this replaces: migration chunking, sub-key-group slicing,
-// and serialized-bytes accounting observe the exact same numbers.
+// Storage layout: a key group keeps its entries in a contiguous slab of
+// slots, found through an open-addressing key index (linear probing over a
+// power-of-two table at most 3/4 full, a multiplicative hash, and
+// backward-shift deletion, so no tombstones build up). The common payload —
+// one float64 accumulator — lives unboxed in the slot's fast lane; rare
+// structured payloads (window panes, join buffers) ride in an `any` escape
+// hatch. Deleted slots go on a free list and are reused, so steady-state
+// Put/Get/Delete allocate nothing. A store keeps its groups in a window: a
+// slice over the key groups [lo, lo+len) that grows at either end to cover
+// what the store owns, so an instance of a wide job holds about
+// MaxKeyGroups/parallelism pointers, not MaxKeyGroups. Nothing iterates the
+// key index: ForEach, AppendKeys, Merge, ExtractSubUnit and checkpoints walk
+// the slab in slot order, and Groups walks the window in key-group order.
+// Byte accounting is per entry and per group; migration chunking,
+// sub-key-group slicing and serialized-bytes accounting all read it.
 package state
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 )
 
 // KeyGroupOf maps a key to its key group, Flink-style: a stable hash of the
@@ -57,10 +64,125 @@ type slot struct {
 	live  bool
 }
 
+const (
+	// hashMul is the key index's multiplicative hash, 2^64 divided by the
+	// golden ratio: the top bits of key*hashMul pick a key's home bucket.
+	hashMul = 0x9e3779b97f4a7c15
+	// A key-index table is at most loadNum/loadDen full, so every probe
+	// sequence ends at an empty bucket.
+	loadNum, loadDen = 3, 4
+	// minIndexLen is the smallest key-index table.
+	minIndexLen = 8
+)
+
+// indexEntry maps a key to its slot. ref is the slot number plus one, so the
+// zero entry is an empty bucket.
+type indexEntry struct {
+	key uint64
+	ref int32
+}
+
+// keyIndex is an open-addressing table from key to slot: linear probing over
+// a power-of-two table. Deletion shifts later entries of the probe run back
+// instead of leaving tombstones.
+type keyIndex struct {
+	table []indexEntry
+	shift uint // 64 - log2(len(table))
+	n     int
+}
+
+// indexLen is the table length for n keys: the smallest power of two, at
+// least minIndexLen, that n keys do not fill past the load limit.
+func indexLen(n int) int {
+	size := minIndexLen
+	for loadDen*n > loadNum*size {
+		size *= 2
+	}
+	return size
+}
+
+// alloc replaces the table with an empty one of size buckets, a power of two.
+func (x *keyIndex) alloc(size int) {
+	x.table = make([]indexEntry, size)
+	x.shift = uint(65 - bits.Len(uint(size)))
+}
+
+func (x *keyIndex) home(key uint64) int { return int(key * hashMul >> x.shift) }
+
+// find returns the bucket holding key and true, or the empty bucket that
+// ends key's probe sequence and false (-1 when there is no table yet).
+func (x *keyIndex) find(key uint64) (int, bool) {
+	if len(x.table) == 0 {
+		return -1, false
+	}
+	mask := len(x.table) - 1
+	for b := x.home(key); ; b = (b + 1) & mask {
+		e := &x.table[b]
+		if e.ref == 0 {
+			return b, false
+		}
+		if e.key == key {
+			return b, true
+		}
+	}
+}
+
+// get returns key's slot.
+func (x *keyIndex) get(key uint64) (int32, bool) {
+	b, ok := x.find(key)
+	if !ok {
+		return 0, false
+	}
+	return x.table[b].ref - 1, true
+}
+
+// set places key, which is absent, at slot i in the empty bucket b that find
+// returned for it, first doubling the table when one more key would fill it
+// past the load limit.
+func (x *keyIndex) set(b int, key uint64, i int32) {
+	if loadDen*(x.n+1) > loadNum*len(x.table) {
+		old := x.table
+		x.alloc(indexLen(x.n + 1))
+		for _, e := range old {
+			if e.ref != 0 {
+				x.table[x.empty(e.key)] = e
+			}
+		}
+		b = x.empty(key)
+	}
+	x.table[b] = indexEntry{key: key, ref: i + 1}
+	x.n++
+}
+
+// empty returns the first empty bucket of key's probe sequence.
+func (x *keyIndex) empty(key uint64) int {
+	mask := len(x.table) - 1
+	b := x.home(key)
+	for x.table[b].ref != 0 {
+		b = (b + 1) & mask
+	}
+	return b
+}
+
+// remove empties bucket b, then walks the rest of its probe run moving back
+// every entry whose home lies no later than the hole, so lookups that used
+// to pass through b still find their key.
+func (x *keyIndex) remove(b int) {
+	mask := len(x.table) - 1
+	for j := (b + 1) & mask; x.table[j].ref != 0; j = (j + 1) & mask {
+		if (j-x.home(x.table[j].key))&mask >= (j-b)&mask {
+			x.table[b] = x.table[j]
+			b = j
+		}
+	}
+	x.table[b] = indexEntry{}
+	x.n--
+}
+
 // Group is the state of one key group: a slab of slots indexed by key, with
 // a free list recycling deleted slots.
 type Group struct {
-	index map[uint64]int32
+	index keyIndex
 	slots []slot
 	free  []int32
 	// Bytes is the group's accounted size (the sum of entry sizes).
@@ -68,18 +190,17 @@ type Group struct {
 }
 
 // NewGroup returns an empty key-group container.
-func NewGroup() *Group {
-	return &Group{index: make(map[uint64]int32)}
-}
+func NewGroup() *Group { return &Group{} }
 
 // Len reports the number of keys with state in the group.
-func (g *Group) Len() int { return len(g.index) }
+func (g *Group) Len() int { return g.index.n }
 
 // put is the shared insert/replace path; value semantics are split across
 // the two lanes by the callers.
 func (g *Group) put(key uint64, val float64, aux any, bytes int) {
-	if i, ok := g.index[key]; ok {
-		s := &g.slots[i]
+	b, ok := g.index.find(key)
+	if ok {
+		s := &g.slots[g.index.table[b].ref-1]
 		g.Bytes -= s.bytes
 		s.val, s.aux, s.bytes = val, aux, bytes
 		g.Bytes += bytes
@@ -94,7 +215,7 @@ func (g *Group) put(key uint64, val float64, aux any, bytes int) {
 		i = int32(len(g.slots) - 1)
 	}
 	g.slots[i] = slot{key: key, val: val, aux: aux, bytes: bytes, live: true}
-	g.index[key] = i
+	g.index.set(b, key, i)
 	g.Bytes += bytes
 }
 
@@ -116,7 +237,7 @@ func (g *Group) Put(key uint64, value any, bytes int) {
 // GetF64 returns the fast-lane value for key. ok is false when the key is
 // absent or holds an aux payload.
 func (g *Group) GetF64(key uint64) (float64, bool) {
-	i, ok := g.index[key]
+	i, ok := g.index.get(key)
 	if !ok {
 		return 0, false
 	}
@@ -130,7 +251,7 @@ func (g *Group) GetF64(key uint64) (float64, bool) {
 // Get returns the state for key: the aux payload if present, else the boxed
 // fast-lane value. Hot paths should call GetF64 to avoid the boxing.
 func (g *Group) Get(key uint64) (any, bool) {
-	i, ok := g.index[key]
+	i, ok := g.index.get(key)
 	if !ok {
 		return nil, false
 	}
@@ -143,14 +264,15 @@ func (g *Group) Get(key uint64) (any, bool) {
 
 // Delete removes a key's state, recycling its slot.
 func (g *Group) Delete(key uint64) {
-	i, ok := g.index[key]
+	b, ok := g.index.find(key)
 	if !ok {
 		return
 	}
+	i := g.index.table[b].ref - 1
+	g.index.remove(b)
 	s := &g.slots[i]
 	g.Bytes -= s.bytes
 	*s = slot{}
-	delete(g.index, key)
 	g.free = append(g.free, i)
 }
 
@@ -174,7 +296,7 @@ func (g *Group) ForEach(fn func(key uint64, value any, bytes int)) {
 
 // Keys returns the group's keys in slab (insertion) order.
 func (g *Group) Keys() []uint64 {
-	return g.AppendKeys(make([]uint64, 0, len(g.index)))
+	return g.AppendKeys(make([]uint64, 0, g.Len()))
 }
 
 // AppendKeys appends the group's keys to dst in slab order and returns it
@@ -219,29 +341,37 @@ func (g *Group) freeze() *FrozenGroup {
 }
 
 // Thaw returns a live copy of the frozen group, rebuilding the key index from
-// the live slots in slab order. The frozen copy is left intact, so a restore
-// never hands a checkpoint's only copy to a store that will keep mutating it,
-// and one checkpoint can be thawed any number of times.
+// the live slots in one table sized for them. The frozen copy is left intact,
+// so a restore never hands a checkpoint's only copy to a store that will keep
+// mutating it, and one checkpoint can be thawed any number of times.
 func (f *FrozenGroup) Thaw() *Group {
 	g := &Group{
-		index: make(map[uint64]int32, len(f.slots)-len(f.free)),
 		slots: append([]slot(nil), f.slots...),
 		free:  append([]int32(nil), f.free...),
 		Bytes: f.bytes,
 	}
-	for i := range g.slots {
-		if g.slots[i].live {
-			g.index[g.slots[i].key] = int32(i)
+	if n := len(f.slots) - len(f.free); n > 0 {
+		g.index.alloc(indexLen(n))
+		for i := range g.slots {
+			if s := &g.slots[i]; s.live {
+				g.index.table[g.index.empty(s.key)] = indexEntry{key: s.key, ref: int32(i) + 1}
+			}
 		}
+		g.index.n = n
 	}
 	return g
 }
 
 // Store is the keyed state of one operator instance: the subset of key groups
-// currently local to it.
+// currently local to it. groups is a window over the key groups
+// [lo, lo+len(groups)), holding nil for each key group in it that is not
+// local; it grows at either end to cover what the store owns and resets when
+// the store owns nothing.
 type Store struct {
 	MaxKeyGroups int
-	groups       map[int]*Group
+	lo           int
+	groups       []*Group
+	owned        int
 }
 
 // NewStore returns a store that owns no key groups yet.
@@ -249,44 +379,67 @@ func NewStore(maxKeyGroups int) *Store {
 	if maxKeyGroups <= 0 {
 		panic("state: maxKeyGroups must be positive")
 	}
-	return &Store{MaxKeyGroups: maxKeyGroups, groups: make(map[int]*Group)}
+	return &Store{MaxKeyGroups: maxKeyGroups}
+}
+
+// cell returns kg's place in the window, growing the window to cover it. A
+// key group outside [0, MaxKeyGroups) panics: every caller takes key groups
+// from KeyGroupOf or KeyGroupRange, so one out of range is a bug.
+func (s *Store) cell(kg int) **Group {
+	if kg < 0 || kg >= s.MaxKeyGroups {
+		panic(fmt.Sprintf("state: key group %d outside [0, %d)", kg, s.MaxKeyGroups))
+	}
+	switch n := len(s.groups); {
+	case n == 0:
+		s.lo, s.groups = kg, append(s.groups, nil)
+	case kg < s.lo:
+		grown := make([]*Group, s.lo-kg+n)
+		copy(grown[s.lo-kg:], s.groups)
+		s.lo, s.groups = kg, grown
+	case kg >= s.lo+n:
+		s.groups = append(s.groups, make([]*Group, kg+1-s.lo-n)...)
+	}
+	return &s.groups[kg-s.lo]
 }
 
 // OwnGroup declares kg local (idempotent), creating an empty group if absent.
 func (s *Store) OwnGroup(kg int) *Group {
-	g, ok := s.groups[kg]
-	if !ok {
-		g = NewGroup()
-		s.groups[kg] = g
+	if g := s.Group(kg); g != nil {
+		return g
 	}
+	g := NewGroup()
+	*s.cell(kg) = g
+	s.owned++
 	return g
 }
 
 // HasGroup reports whether kg is local.
-func (s *Store) HasGroup(kg int) bool {
-	_, ok := s.groups[kg]
-	return ok
-}
+func (s *Store) HasGroup(kg int) bool { return s.Group(kg) != nil }
 
 // Group returns the local group for kg, or nil.
-func (s *Store) Group(kg int) *Group { return s.groups[kg] }
-
-// Groups returns the sorted list of local key groups.
-func (s *Store) Groups() []int {
-	out := make([]int, 0, len(s.groups))
-	for kg := range s.groups {
-		out = append(out, kg)
+func (s *Store) Group(kg int) *Group {
+	if i := uint(kg - s.lo); i < uint(len(s.groups)) {
+		return s.groups[i]
 	}
-	sort.Ints(out)
+	return nil
+}
+
+// Groups returns the local key groups in ascending order.
+func (s *Store) Groups() []int {
+	out := make([]int, 0, s.owned)
+	for i, g := range s.groups {
+		if g != nil {
+			out = append(out, s.lo+i)
+		}
+	}
 	return out
 }
 
 // Get returns the state for key, which must hash into a local group. Hot
 // paths use GetF64.
 func (s *Store) Get(key uint64) (any, bool) {
-	kg := KeyGroupOf(key, s.MaxKeyGroups)
-	g, ok := s.groups[kg]
-	if !ok {
+	g := s.Group(KeyGroupOf(key, s.MaxKeyGroups))
+	if g == nil {
 		return nil, false
 	}
 	return g.Get(key)
@@ -295,9 +448,8 @@ func (s *Store) Get(key uint64) (any, bool) {
 // GetF64 returns the unboxed fast-lane state for key (ok is false when the
 // key is absent, holds an aux payload, or its group is not local).
 func (s *Store) GetF64(key uint64) (float64, bool) {
-	kg := KeyGroupOf(key, s.MaxKeyGroups)
-	g, ok := s.groups[kg]
-	if !ok {
+	g := s.Group(KeyGroupOf(key, s.MaxKeyGroups))
+	if g == nil {
 		return 0, false
 	}
 	return g.GetF64(key)
@@ -318,8 +470,8 @@ func (s *Store) PutF64(key uint64, v float64, bytes int) {
 
 func (s *Store) mustGroup(key uint64) *Group {
 	kg := KeyGroupOf(key, s.MaxKeyGroups)
-	g, ok := s.groups[kg]
-	if !ok {
+	g := s.Group(kg)
+	if g == nil {
 		panic(fmt.Sprintf("state: Put(key=%d) into non-local key group %d", key, kg))
 	}
 	return g
@@ -327,15 +479,14 @@ func (s *Store) mustGroup(key uint64) *Group {
 
 // Delete removes state for key if present.
 func (s *Store) Delete(key uint64) {
-	kg := KeyGroupOf(key, s.MaxKeyGroups)
-	if g, ok := s.groups[kg]; ok {
+	if g := s.Group(KeyGroupOf(key, s.MaxKeyGroups)); g != nil {
 		g.Delete(key)
 	}
 }
 
 // GroupBytes reports the accounted size of kg (0 if not local).
 func (s *Store) GroupBytes(kg int) int {
-	if g, ok := s.groups[kg]; ok {
+	if g := s.Group(kg); g != nil {
 		return g.Bytes
 	}
 	return 0
@@ -345,7 +496,9 @@ func (s *Store) GroupBytes(kg int) int {
 func (s *Store) TotalBytes() int {
 	var sum int
 	for _, g := range s.groups {
-		sum += g.Bytes
+		if g != nil {
+			sum += g.Bytes
+		}
 	}
 	return sum
 }
@@ -353,9 +506,10 @@ func (s *Store) TotalBytes() int {
 // KeyCount reports the number of keys with state across local groups.
 func (s *Store) KeyCount() int {
 	var n int
-	//lint:allow maporder Len is a pure read folded into an integer sum, which commutes exactly
 	for _, g := range s.groups {
-		n += g.Len()
+		if g != nil {
+			n += g.Len()
+		}
 	}
 	return n
 }
@@ -364,11 +518,14 @@ func (s *Store) KeyCount() int {
 // source path). Returns an empty group if kg was local but empty, nil if not
 // local.
 func (s *Store) ExtractGroup(kg int) *Group {
-	g, ok := s.groups[kg]
-	if !ok {
+	g := s.Group(kg)
+	if g == nil {
 		return nil
 	}
-	delete(s.groups, kg)
+	s.groups[kg-s.lo] = nil
+	if s.owned--; s.owned == 0 {
+		s.groups = s.groups[:0]
+	}
 	return g
 }
 
@@ -378,19 +535,20 @@ func (s *Store) InstallGroup(kg int, g *Group) {
 	if g == nil {
 		g = NewGroup()
 	}
-	if cur, ok := s.groups[kg]; ok {
+	if cur := s.Group(kg); cur != nil {
 		cur.Merge(g)
 		return
 	}
-	s.groups[kg] = g
+	*s.cell(kg) = g
+	s.owned++
 }
 
 // ExtractSubUnit removes the keys of kg that fall into sub-unit sub of n and
 // returns them as a group. The key group itself stays local (Meces keeps
 // serving the remainder). Returns nil if kg is not local.
 func (s *Store) ExtractSubUnit(kg, sub, n int) *Group {
-	g, ok := s.groups[kg]
-	if !ok {
+	g := s.Group(kg)
+	if g == nil {
 		return nil
 	}
 	out := NewGroup()
@@ -411,20 +569,22 @@ type Snapshot map[int]*FrozenGroup
 
 // Snapshot freezes a copy of every local group.
 func (s *Store) Snapshot() Snapshot {
-	out := make(Snapshot, len(s.groups))
-	//lint:allow maporder freeze copies one self-contained group; writes keyed by the same kg are content-deterministic
-	for kg, g := range s.groups {
-		out[kg] = g.freeze()
+	out := make(Snapshot, s.owned)
+	for i, g := range s.groups {
+		if g != nil {
+			out[s.lo+i] = g.freeze()
+		}
 	}
 	return out
 }
 
 // Restore replaces the store contents with thawed copies of a snapshot.
 func (s *Store) Restore(snap Snapshot) {
-	s.groups = make(map[int]*Group, len(snap))
-	//lint:allow maporder Thaw copies one self-contained group; writes keyed by the same kg are content-deterministic
+	clear(s.groups)
+	s.groups, s.owned = s.groups[:0], len(snap)
+	//lint:allow maporder Thaw copies one self-contained group into kg's own cell; the window covers the same key groups in any order
 	for kg, f := range snap {
-		s.groups[kg] = f.Thaw()
+		*s.cell(kg) = f.Thaw()
 	}
 }
 

@@ -1,6 +1,7 @@
 package state
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -249,8 +250,10 @@ func TestRestoredGroupMatchesDeepClone(t *testing.T) {
 		g.PutF64(1001, 1, 8)
 	}
 	for _, k := range []uint64{1000, 1001} {
-		if got.index[k] != want.index[k] {
-			t.Fatalf("key %d took slot %d, deep clone slot %d", k, got.index[k], want.index[k])
+		gi, _ := got.index.get(k)
+		wi, _ := want.index.get(k)
+		if gi != wi {
+			t.Fatalf("key %d took slot %d, deep clone slot %d", k, gi, wi)
 		}
 	}
 	same("after Delete then Put")
@@ -313,6 +316,70 @@ func TestStoreGroupsSorted(t *testing.T) {
 	for i, kg := range want {
 		if gs[i] != kg {
 			t.Fatalf("groups %v", gs)
+		}
+	}
+}
+
+// TestStoreKeyGroupWindow checks the key-group window of a wide store: it
+// grows at both ends to cover what the store owns, reads outside it miss
+// without a panic, it resets once the store owns nothing, a key group
+// outside [0, MaxKeyGroups) is refused loudly, and an instance's store spans
+// no more than its own key-group range.
+func TestStoreKeyGroupWindow(t *testing.T) {
+	s := NewStore(1024)
+	for _, kg := range []int{900, 3, 512} {
+		s.OwnGroup(kg)
+	}
+	if gs := s.Groups(); len(gs) != 3 || gs[0] != 3 || gs[1] != 512 || gs[2] != 900 {
+		t.Fatalf("groups %v, want [3 512 900]", gs)
+	}
+	if s.lo != 3 || len(s.groups) != 900-3+1 {
+		t.Fatalf("window [%d, %d), want [3, 901)", s.lo, s.lo+len(s.groups))
+	}
+	for _, kg := range []int{-1, 0, 4, 1024} {
+		if s.HasGroup(kg) || s.Group(kg) != nil {
+			t.Fatalf("key group %d reads as local", kg)
+		}
+	}
+	for _, kg := range []int{512, 900, 3} {
+		if s.ExtractGroup(kg) == nil {
+			t.Fatalf("key group %d not extracted", kg)
+		}
+	}
+	if gs := s.Groups(); len(gs) != 0 || len(s.groups) != 0 {
+		t.Fatalf("after extracting everything: groups %v, window of %d", gs, len(s.groups))
+	}
+	s.OwnGroup(7)
+	if s.lo != 7 || len(s.groups) != 1 {
+		t.Fatalf("window after reset is [%d, %d), want [7, 8)", s.lo, s.lo+len(s.groups))
+	}
+
+	for _, tc := range []struct {
+		name, want string
+		call       func()
+	}{
+		{"OwnGroup(1024)", "key group 1024", func() { s.OwnGroup(1024) }},
+		{"InstallGroup(-1)", "key group -1", func() { s.InstallGroup(-1, NewGroup()) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("%s: panic %q, want one naming %q", tc.name, msg, tc.want)
+				}
+			}()
+			tc.call()
+		}()
+	}
+
+	for i := 0; i < 256; i++ {
+		start, end := KeyGroupRange(1024, 256, i)
+		s := NewStore(1024)
+		for kg := start; kg < end; kg++ {
+			s.OwnGroup(kg)
+		}
+		if s.lo != start || len(s.groups) > end-start {
+			t.Fatalf("instance %d owns [%d, %d) in window [%d, %d)", i, start, end, s.lo, s.lo+len(s.groups))
 		}
 	}
 }
