@@ -15,10 +15,10 @@
 //	internal/core       DRRS itself (the paper's contribution)
 //	internal/engine     the simulated stream processing engine
 //	internal/scaling    the mechanism framework and the baselines
-//	internal/bench      the figure/table regeneration harness
+//	internal/bench      the figure/table regeneration harness, with checked
+//	                    walkthroughs (go test -run Example ./internal/bench)
 //	cmd/drrs-bench      run many simulations: the paper's figures, sweeps, chaos and policy search
 //	cmd/drrs-sim        run one simulation: a report, a trace recording, or a counterfactual diff
-//	examples/           runnable walkthroughs
 //
 // See README.md for a quickstart, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for paper-vs-measured results.

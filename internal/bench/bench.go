@@ -48,11 +48,11 @@ type Scenario struct {
 	// single wave to NewParallelism at Warmup.
 	Waves []Wave
 	// Driver overrides how the scenario is driven: nil replays the scripted
-	// wave program above (ScriptDriver); a ControllerDriver closes the loop
-	// with a control policy deciding when and how far to scale. Scenarios
-	// with a Driver keep NewParallelism/Waves as their scripted fallback
+	// wave program above; a ControllerDriver closes the loop with a control
+	// policy deciding when and how far to scale. Scenarios with a Driver
+	// keep NewParallelism/Waves as their scripted fallback
 	// (Overrides{Driver: "script"} clears Driver).
-	Driver Driver
+	Driver *ControllerDriver
 	// Warmup is the steady-state period before the first scaling request
 	// (the paper uses 300 s; scenarios scale it down).
 	Warmup simtime.Duration
@@ -60,18 +60,12 @@ type Scenario struct {
 	Measure simtime.Duration
 	// Setup models physical deployment time.
 	Setup simtime.Duration
-	// Engine overrides engine defaults.
-	Engine engine.Config
-	// Cluster builds the deployment; nil means one node with
-	// MigrationBandwidth bytes/s.
+	// Cluster builds the deployment; nil means TopologyByName("flat").
 	Cluster func(s *simtime.Scheduler) *cluster.Cluster
 	// Placement names the placement policy installed on the cluster
 	// ("spread", "pack", "rack-local"; empty keeps the cluster factory's
 	// choice).
 	Placement string
-	// MigrationBandwidth applies when Cluster is nil (default 4 MB/s — the
-	// paper's 1 Gbps scaled down with the state sizes).
-	MigrationBandwidth float64
 	// Faults is the scenario's declarative fault plan (nil = healthy run —
 	// no injector, no checkpointer, byte-identical to pre-fault builds).
 	Faults *faults.Plan
@@ -118,7 +112,14 @@ func (sc Scenario) Program() []Wave {
 // ProgramString renders the driving program for listings: "→12→8" for a
 // scripted program, "reactive/<policy>" for a closed-loop scenario.
 func (sc Scenario) ProgramString() string {
-	return sc.driver().Describe(&sc)
+	if sc.Driver != nil {
+		return "reactive/" + sc.Driver.Policy
+	}
+	s := ""
+	for _, w := range sc.Program() {
+		s += fmt.Sprintf("→%d", w.NewParallelism)
+	}
+	return s
 }
 
 // WaveOutcome is one wave's measurement within an Outcome.
@@ -247,9 +248,7 @@ func (sc Scenario) RunWith(newMech func() scaling.Mechanism) Outcome {
 	for _, op := range g.Topological() {
 		cl.PlaceInstances(op, 0, g.Operator(op).Parallelism)
 	}
-	cfg := sc.Engine
-	cfg.Seed = sc.Seed
-	rt := engine.New(s, g, cl, cfg)
+	rt := engine.New(s, g, cl, engine.Config{Seed: sc.Seed})
 	rt.Start()
 
 	// The fault injector (and its checkpointer) exists only when a plan does,
@@ -260,28 +259,25 @@ func (sc Scenario) RunWith(newMech func() scaling.Mechanism) Outcome {
 	first := newMech()
 	out := Outcome{Mechanism: "no-scale", MechRef: first, Seed: sc.Seed, Done: true}
 	horizon := simtime.Time(sc.Warmup + sc.Measure)
-	drv := sc.driver()
-	run := &Run{
-		Scenario: &sc,
-		RT:       rt,
-		Sched:    s,
-		Outcome:  &out,
-		Horizon:  horizon,
-		newMech:  newMech,
-		first:    first,
-		Injector: inj,
-	}
+	r := &run{sc: &sc, rt: rt, sched: s, out: &out, horizon: horizon, inj: inj, newMech: newMech, first: first}
 	if first != nil {
 		out.Mechanism = first.Name()
-		out.Driver = drv.Name()
 		out.Done = false
-		drv.Drive(run)
+		if sc.Driver == nil {
+			out.Driver = "script"
+			driveScript(r)
+		} else {
+			out.Driver = "controller"
+			sc.Driver.drive(r)
+		}
 	}
 	s.RunUntil(horizon)
 	rt.StopMarkers()
 	inj.Stop() // the checkpoint timer re-arms; stop it or the drain never empties
 	s.Run()
-	drv.Finish(run)
+	if r.ctl != nil {
+		out.Decisions = r.ctl.Decisions()
+	}
 	out.Faults = faultSummary(inj, rt, out.Decisions)
 
 	out.EndAt = s.Now()
@@ -318,20 +314,14 @@ func (sc Scenario) RunWith(newMech func() scaling.Mechanism) Outcome {
 }
 
 // buildCluster resolves the run's deployment substrate: the scenario's
-// cluster factory, else the default flat node; then the scenario's Placement
+// cluster factory, else the flat topology; then the scenario's Placement
 // policy on top.
 func (sc Scenario) buildCluster(s *simtime.Scheduler) *cluster.Cluster {
-	var cl *cluster.Cluster
-	if sc.Cluster != nil {
-		cl = sc.Cluster(s)
-	} else {
-		cl = cluster.New(s)
-		bw := sc.MigrationBandwidth
-		if bw == 0 {
-			bw = 4 << 20
-		}
-		cl.Node("local").MigrationBandwidth = bw
+	build := sc.Cluster
+	if build == nil {
+		build = TopologyByName("flat")
 	}
+	cl := build(s)
 	if sc.Placement != "" {
 		cl.SetPolicy(cluster.PolicyByName(sc.Placement))
 	}

@@ -118,7 +118,6 @@ func chaosScenario(name string, placement string, plan *faults.Plan, seed int64)
 			MaxKeyGroups:      128,
 			StateBytesPerKey:  1024,
 			CostPerRecord:     1500 * simtime.Microsecond,
-			WatermarkEvery:    simtime.Ms(100),
 		},
 		Traffic: workload.Classic(workload.ClassicSpec{
 			Keys:       8000,

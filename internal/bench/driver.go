@@ -11,49 +11,32 @@ import (
 	"drrs/internal/simtime"
 )
 
-// Driver is the scenario's control plane: it decides when the job rescales
-// and to what parallelism. ScriptDriver replays the pre-scripted wave
-// program (the classic Scenario fields — the paper's experiments);
-// ControllerDriver closes the loop, letting a control.Policy observe the
-// running job and trigger scaling from the workload itself.
-type Driver interface {
-	// Name labels the driver in reports ("script", "controller").
-	Name() string
-	// Describe renders the driving program for listings — "→12→8" for a
-	// scripted program, "reactive/backlog" for a policy.
-	Describe(sc *Scenario) string
-	// Drive installs the driver on a freshly started run: schedule the first
-	// control event here. The run's Outcome fields the driver owns (Waves,
-	// Decisions) are filled in during the simulation.
-	Drive(r *Run)
-	// Finish seals driver-owned outcome state after the simulation drains.
-	Finish(r *Run)
-}
-
-// Run is the live context a Driver operates on: the built runtime, the
-// scenario being driven, and the outcome under assembly.
-type Run struct {
-	Scenario *Scenario
-	RT       *engine.Runtime
-	Sched    *simtime.Scheduler
-	Outcome  *Outcome
-	// Horizon is Warmup+Measure: control events past it would drive an
+// run is the live context the scenario's control plane operates on: the
+// built runtime, the scenario being driven, and the outcome under assembly.
+// The control plane is the scripted wave program (driveScript) unless the
+// scenario names a ControllerDriver.
+type run struct {
+	sc    *Scenario
+	rt    *engine.Runtime
+	sched *simtime.Scheduler
+	out   *Outcome
+	// horizon is Warmup+Measure: control events past it would drive an
 	// idle, draining pipeline.
-	Horizon simtime.Time
+	horizon simtime.Time
 
-	// Injector is the run's fault injector (nil on healthy runs); the
-	// controller driver wires its Health feed into the control plane.
-	Injector *faults.Injector
+	// inj is the run's fault injector (nil on healthy runs); the controller
+	// driver wires its Health feed into the control plane.
+	inj *faults.Injector
 
 	newMech func() scaling.Mechanism
 	first   scaling.Mechanism
 	ctl     *control.Controller
 }
 
-// NextMech hands out the run's pre-built first mechanism once, then fresh
+// nextMech hands out the run's pre-built first mechanism once, then fresh
 // ones — mechanisms carry per-operation state, so every scaling operation
 // needs its own instance.
-func (r *Run) NextMech() scaling.Mechanism {
+func (r *run) nextMech() scaling.Mechanism {
 	if r.first != nil {
 		m := r.first
 		r.first = nil
@@ -66,47 +49,25 @@ func (r *Run) NextMech() scaling.Mechanism {
 // collects into the run's ambient ScalingMetrics; later waves swap in a
 // fresh collector, splitting suspensions that span the boundary so the tail
 // before it is credited to the wave that caused it.
-func (r *Run) beginWave(wo *WaveOutcome) {
-	now := r.Sched.Now()
+func (r *run) beginWave(wo *WaveOutcome) {
+	now := r.sched.Now()
 	wo.ScaleAt = now
 	if wo.Scale != nil {
 		return
 	}
-	stillOpen := r.RT.Scale.CloseAllSuspensions(now)
+	stillOpen := r.rt.Scale.CloseAllSuspensions(now)
 	wo.Scale = metrics.NewScalingMetrics()
-	r.RT.Scale = wo.Scale
+	r.rt.Scale = wo.Scale
 	for _, name := range stillOpen {
 		wo.Scale.SuspendBegin(name, now)
 	}
 }
 
-// ScriptDriver replays an ordered wave program: wave 0 fires at Warmup+Gap,
-// each later wave Gap after the previous wave completes. This is the
-// pre-redesign Scenario behaviour, verbatim — registered scenarios produce
-// byte-identical outcomes under it.
-type ScriptDriver struct {
-	Waves []Wave
-}
-
-// Name implements Driver.
-func (d *ScriptDriver) Name() string { return "script" }
-
-// Describe implements Driver.
-func (d *ScriptDriver) Describe(sc *Scenario) string {
-	s := ""
-	for _, w := range d.Waves {
-		s += fmt.Sprintf("→%d", w.NewParallelism)
-	}
-	return s
-}
-
-// Finish implements Driver.
-func (d *ScriptDriver) Finish(r *Run) {}
-
-// Drive implements Driver.
-func (d *ScriptDriver) Drive(r *Run) {
-	sc, s, rt, out := r.Scenario, r.Sched, r.RT, r.Outcome
-	waves := d.Waves
+// driveScript replays the scenario's wave program (Program): wave 0 fires
+// at Warmup+Gap, each later wave Gap after the previous wave completes.
+func driveScript(r *run) {
+	sc, s, rt, out := r.sc, r.sched, r.rt, r.out
+	waves := sc.Program()
 	out.Waves = make([]WaveOutcome, len(waves))
 	for i := range out.Waves {
 		// Pre-fill the program so never-launched waves still report their
@@ -118,7 +79,7 @@ func (d *ScriptDriver) Drive(r *Run) {
 		if mech == nil {
 			return
 		}
-		if s.Now() > r.Horizon {
+		if s.Now() > r.horizon {
 			// The gap chain outran the measured run: the pipeline is
 			// draining with no generators or markers, so numbers measured
 			// now would describe an idle system. The wave stays un-launched
@@ -148,11 +109,11 @@ func (d *ScriptDriver) Drive(r *Run) {
 			wo.Done = true
 			wo.DoneAt = s.Now()
 			if i+1 < len(waves) {
-				s.After(waves[i+1].Gap, func() { launch(i+1, r.NextMech()) })
+				s.After(waves[i+1].Gap, func() { launch(i+1, r.nextMech()) })
 			}
 		})
 	}
-	s.After(sc.Warmup+waves[0].Gap, func() { launch(0, r.NextMech()) })
+	s.After(sc.Warmup+waves[0].Gap, func() { launch(0, r.nextMech()) })
 }
 
 // ControllerDriver closes the loop: a control.Controller samples the running
@@ -163,22 +124,16 @@ func (d *ScriptDriver) Drive(r *Run) {
 type ControllerDriver struct {
 	// Policy names a registered control policy (control.PolicyNames).
 	Policy string
-	// Cadence / Debounce / Window override the controller defaults
-	// (500 ms / 2 s / 4×cadence).
+	// Cadence / Debounce override the controller defaults (500 ms / 2 s).
 	Cadence  simtime.Duration
 	Debounce simtime.Duration
-	Window   simtime.Duration
-	// DegradedDebounce / DegradedWindow arm the controller's degraded mode:
-	// voluntary decisions space out to the wider debounce for DegradedWindow
-	// after each cluster disruption. Zero keeps degraded mode off.
+	// DegradedDebounce arms the controller's degraded mode: voluntary
+	// decisions space out to the wider debounce for twice its length after
+	// each cluster disruption. Zero keeps degraded mode off.
 	DegradedDebounce simtime.Duration
-	DegradedWindow   simtime.Duration
 	// Min and Max bound the reachable parallelism. Zero defaults to
 	// [max(2, P/2), 2×P] around the operator's initial parallelism.
 	Min, Max int
-	// RatedRPS is the per-instance capacity policies plan against; zero
-	// derives 1/CostPerRecord from the scaling operator's spec.
-	RatedRPS float64
 	// Patience / Horizon tune the policy's scale-in hysteresis and projection
 	// distance (zero keeps the policy defaults) — the knobs the policy search
 	// sweeps alongside Cadence and Debounce.
@@ -189,21 +144,15 @@ type ControllerDriver struct {
 	Interventions []control.Intervention
 }
 
-// Name implements Driver.
-func (d *ControllerDriver) Name() string { return "controller" }
-
-// Describe implements Driver.
-func (d *ControllerDriver) Describe(sc *Scenario) string {
-	return "reactive/" + d.Policy
-}
-
-// Drive implements Driver.
-func (d *ControllerDriver) Drive(r *Run) {
-	sc, rt, out := r.Scenario, r.RT, r.Outcome
+// drive installs the controller on a freshly started run. Policies plan
+// against a per-instance capacity of 1/CostPerRecord of the scaling
+// operator.
+func (d *ControllerDriver) drive(r *run) {
+	sc, rt, out := r.sc, r.rt, r.out
 	spec := rt.Graph.Operator(sc.ScaleOp)
 	initP := spec.Parallelism
-	rated := d.RatedRPS
-	if rated == 0 && spec.CostPerRecord > 0 {
+	rated := 0.0
+	if spec.CostPerRecord > 0 {
 		rated = 1 / spec.CostPerRecord.Seconds()
 	}
 	min, max := d.Min, d.Max
@@ -224,24 +173,22 @@ func (d *ControllerDriver) Drive(r *Run) {
 		Operator:           sc.ScaleOp,
 		Policy:             pol,
 		Cadence:            d.Cadence,
-		Window:             d.Window,
 		Debounce:           d.Debounce,
 		DegradedDebounce:   d.DegradedDebounce,
-		DegradedWindow:     d.DegradedWindow,
 		HoldOff:            simtime.Time(sc.Warmup),
-		Stop:               r.Horizon,
+		Stop:               r.horizon,
 		Min:                min,
 		Max:                max,
 		Setup:              sc.Setup,
 		InitialParallelism: initP,
 		Interventions:      d.Interventions,
 	}
-	if r.Injector != nil {
+	if r.inj != nil {
 		// Faulted runs close a second loop: the injector's disruption feed
 		// lets the controller supersede an operation whose destination died.
-		cfg.Health = r.Injector.Health
+		cfg.Health = r.inj.Health
 	}
-	r.ctl = control.New(rt, cfg, r.NextMech, control.Hooks{
+	r.ctl = control.New(rt, cfg, r.nextMech, control.Hooks{
 		WillLaunch: func(dec control.Decision, plan scaling.Plan) func() {
 			i := len(out.Waves)
 			out.Waves = append(out.Waves, WaveOutcome{
@@ -250,7 +197,7 @@ func (d *ControllerDriver) Drive(r *Run) {
 			})
 			wo := &out.Waves[i]
 			if i == 0 {
-				wo.ScaleAt = r.Sched.Now()
+				wo.ScaleAt = r.sched.Now()
 				wo.Scale = rt.Scale
 			} else {
 				r.beginWave(wo)
@@ -260,18 +207,11 @@ func (d *ControllerDriver) Drive(r *Run) {
 				// backing array.
 				wo := &out.Waves[i]
 				wo.Done = true
-				wo.DoneAt = r.Sched.Now()
+				wo.DoneAt = r.sched.Now()
 			}
 		},
 	})
 	r.ctl.Start()
-}
-
-// Finish implements Driver.
-func (d *ControllerDriver) Finish(r *Run) {
-	if r.ctl != nil {
-		r.Outcome.Decisions = r.ctl.Decisions()
-	}
 }
 
 // WithInterventions returns a copy of the scenario whose controller driver
@@ -279,21 +219,11 @@ func (d *ControllerDriver) Finish(r *Run) {
 // error — a wave program has no policy decisions to fork; apply
 // Overrides{Driver: "controller"} first.
 func (sc Scenario) WithInterventions(ivs []control.Intervention) (Scenario, error) {
-	own, ok := sc.driver().(*ControllerDriver)
-	if !ok {
+	if sc.Driver == nil {
 		return sc, fmt.Errorf("bench: scenario %q is driven by a scripted wave program — counterfactual interventions fork policy decisions, so the scenario must be controller-driven", sc.Name)
 	}
-	clone := *own
+	clone := *sc.Driver
 	clone.Interventions = ivs
 	sc.Driver = &clone
 	return sc, nil
-}
-
-// driver resolves the run's Driver: the scenario's own, else the classic
-// scripted wave program.
-func (sc *Scenario) driver() Driver {
-	if sc.Driver != nil {
-		return sc.Driver
-	}
-	return &ScriptDriver{Waves: sc.Program()}
 }

@@ -43,14 +43,13 @@ func (ov Overrides) Apply(sc Scenario) (Scenario, error) {
 	if ov.Placement != "" && sc.Placement == "" {
 		sc.Placement = ov.Placement
 	}
-	own, closedLoop := sc.Driver.(*ControllerDriver)
 	switch {
 	case ov.Driver == "script":
 		sc.Driver = nil // RunWith replays Program()
-	case ov.Driver == "controller" || (closedLoop && ov.Policy != ""):
+	case ov.Driver == "controller" || (sc.Driver != nil && ov.Policy != ""):
 		d := ControllerDriver{Policy: "backlog"}
-		if closedLoop {
-			d = *own // keep the scenario's calibration; never write through its pointer
+		if sc.Driver != nil {
+			d = *sc.Driver // keep the scenario's calibration; never write through its pointer
 		}
 		if ov.Policy != "" {
 			d.Policy = ov.Policy

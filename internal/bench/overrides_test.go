@@ -58,14 +58,14 @@ func TestOverrideDigests(t *testing.T) {
 // shared by every run built from it, so Apply must rewrite a copy.
 func TestApplyClonesControllerDriver(t *testing.T) {
 	sc := ScenarioByName("flash-crowd-reactive", 1)
-	own := sc.Driver.(*ControllerDriver)
+	own := sc.Driver
 	before := *own
 	for _, ov := range []Overrides{{Policy: "predictive"}, {Driver: "controller", Policy: "threshold"}} {
 		out, err := ov.Apply(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := out.Driver.(*ControllerDriver)
+		got := out.Driver
 		if got == own {
 			t.Fatalf("%+v: Apply handed back the scenario's own driver", ov)
 		}
@@ -76,7 +76,7 @@ func TestApplyClonesControllerDriver(t *testing.T) {
 	if !reflect.DeepEqual(*own, before) {
 		t.Fatalf("Apply wrote through the scenario's driver: %+v, was %+v", *own, before)
 	}
-	if out, _ := (Overrides{Driver: "script"}).Apply(sc); out.driver().Name() != "script" {
+	if out, _ := (Overrides{Driver: "script"}).Apply(sc); out.Driver != nil {
 		t.Errorf("-driver script should fall back to the scripted program, got %q", out.ProgramString())
 	}
 }

@@ -16,18 +16,12 @@ type Definition struct {
 	// Layout names the deployment substrate for listings ("" reads as the
 	// default flat single-node cluster).
 	Layout string
-	// Traffic is a one-line arrival-stream summary for listings; "" derives
-	// it from the scenario's Traffic (TrafficSummary).
-	Traffic string
-	New     func(seed int64) Scenario
+	New    func(seed int64) Scenario
 }
 
-// TrafficSummary resolves the listing's traffic line: the explicit Traffic
-// string, else the constructed scenario's own description.
+// TrafficSummary is the listing's one-line arrival-stream summary: the
+// constructed scenario's own description.
 func (def Definition) TrafficSummary() string {
-	if def.Traffic != "" {
-		return def.Traffic
-	}
 	return def.New(1).TrafficString()
 }
 

@@ -104,7 +104,8 @@ func Q7Scenario(seed int64) Scenario {
 }
 
 // Q8Scenario reproduces the NEXMark Q8 setup: low rate, long window, the
-// evaluation's largest state (paper: 1K tps, 40 s/5 s, ~3 GB).
+// evaluation's largest state (paper: 1K tps, 40 s/5 s, ~3 GB). Larger state
+// over the same flat 4 MB/s node: migration dominates, as in the paper.
 func Q8Scenario(seed int64) Scenario {
 	return Scenario{
 		Name: "q8",
@@ -129,9 +130,7 @@ func Q8Scenario(seed int64) Scenario {
 		Warmup:         simtime.Sec(12),
 		Measure:        simtime.Sec(60),
 		Setup:          simtime.Ms(200),
-		// Larger state, same bandwidth: migration dominates, as in the paper.
-		MigrationBandwidth: 4 << 20,
-		Seed:               seed,
+		Seed:           seed,
 	}
 }
 
@@ -149,8 +148,6 @@ func TwitchScenario(seed int64) Scenario {
 				LoyaltyParallelism: 8,
 				SessionParallelism: 4,
 				MaxKeyGroups:       128,
-				SessionBytes:       256,
-				LoyaltyBytes:       512,
 				// 4K tps over 8 loyalty instances at 1.5 ms ≈ 0.75 utilization.
 				LoyaltyCost: 1500 * simtime.Microsecond,
 				Duration:    mainHorizon,
@@ -188,8 +185,7 @@ func shapedScenario(name string, skew float64, shape workload.Shape, waves []Wav
 			StateBytesPerKey:  1024,
 			// 4K tps over 8 instances at 1.5 ms/record ≈ 0.75 utilization,
 			// leaving headroom the shapes deliberately eat into.
-			CostPerRecord:  1500 * simtime.Microsecond,
-			WatermarkEvery: simtime.Ms(100),
+			CostPerRecord: 1500 * simtime.Microsecond,
 		},
 		Traffic: workload.Classic(workload.ClassicSpec{
 			Keys:       8000,
@@ -325,8 +321,7 @@ func SensitivityScenario(seed int64, ratePerSec float64, totalStateBytes int, sk
 			// Capacity ≈ 12.5K rec/s at 25 instances, 15K at 30: the
 			// swept rates (4–12K) go from comfortable to near-saturated,
 			// matching the paper's 5–20K tps sweep against its cluster.
-			CostPerRecord:  2 * simtime.Millisecond,
-			WatermarkEvery: simtime.Ms(100),
+			CostPerRecord: 2 * simtime.Millisecond,
 		},
 		Traffic: workload.Classic(workload.ClassicSpec{
 			Keys:       keys,

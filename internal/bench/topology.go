@@ -107,8 +107,7 @@ func RackSkewScenario(seed int64) Scenario {
 			// Mean utilization 0.5 at 16 instances; the Zipf skew pushes
 			// the hottest instances toward ~0.9, which is what the
 			// scale-out relieves.
-			CostPerRecord:  2 * simtime.Millisecond,
-			WatermarkEvery: simtime.Ms(100),
+			CostPerRecord: 2 * simtime.Millisecond,
 		},
 		Traffic: workload.Classic(workload.ClassicSpec{
 			Keys:       8000,
@@ -146,8 +145,7 @@ func BigCluster128Scenario(seed int64) Scenario {
 			StateBytesPerKey:  512,
 			// 9.6K tps over 256 instances at 20 ms/record ≈ 0.75
 			// utilization: each instance is slow but the fleet is wide.
-			CostPerRecord:  20 * simtime.Millisecond,
-			WatermarkEvery: simtime.Ms(100),
+			CostPerRecord: 20 * simtime.Millisecond,
 		},
 		Traffic: workload.Classic(workload.ClassicSpec{
 			Keys:       30000,
@@ -181,8 +179,7 @@ func HeteroTiersScenario(seed int64) Scenario {
 			// Mean utilization 0.32–0.6 across the 1.3×/0.7× tiers at 24
 			// instances: the slow tier queues visibly but does not
 			// saturate, so both waves can re-stabilize.
-			CostPerRecord:  2500 * simtime.Microsecond,
-			WatermarkEvery: simtime.Ms(100),
+			CostPerRecord: 2500 * simtime.Microsecond,
 		},
 		Traffic: workload.Classic(workload.ClassicSpec{
 			Keys:       10000,

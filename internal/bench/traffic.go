@@ -117,7 +117,6 @@ func MillionUsersScenario(seed int64) Scenario {
 			MaxKeyGroups:      128,
 			StateBytesPerKey:  512,
 			CostPerRecord:     1500 * simtime.Microsecond,
-			WatermarkEvery:    simtime.Ms(100),
 		},
 		Traffic:        workload.Live(MillionUsersSpec(seed)),
 		ScaleOp:        "agg",
@@ -179,7 +178,6 @@ func TraceReplayScenario(seed int64) Scenario {
 		MaxKeyGroups:      128,
 		StateBytesPerKey:  1024,
 		CostPerRecord:     1500 * simtime.Microsecond,
-		WatermarkEvery:    simtime.Ms(100),
 	}
 	trace := workload.Synthesize(workload.Live(traceReplaySpec(seed)), job.SourceParallelism)
 	return Scenario{

@@ -28,11 +28,13 @@ type Config struct {
 	Workers int
 	// Overrides apply to each case's scenario before its generated plan.
 	Overrides bench.Overrides
-	// Shrink minimizes the plan of each violating case before reporting.
+	// Shrink minimizes the plan of each violating case before reporting,
+	// in at most shrinkBudget re-executions.
 	Shrink bool
-	// ShrinkBudget caps re-executions per shrink (default 24).
-	ShrinkBudget int
 }
+
+// shrinkBudget caps re-executions per shrink.
+const shrinkBudget = 24
 
 func (cfg *Config) fillDefaults() {
 	if len(cfg.Scenarios) == 0 {
@@ -46,9 +48,6 @@ func (cfg *Config) fillDefaults() {
 	}
 	if cfg.Retries < 0 {
 		cfg.Retries = 0
-	}
-	if cfg.ShrinkBudget <= 0 {
-		cfg.ShrinkBudget = 24
 	}
 }
 
@@ -140,7 +139,7 @@ func Search(cfg Config) Result {
 				Plan: clonePlanVal(c.plan), Spec: specOf(c.plan),
 			}
 			if cfg.Shrink && j == 0 {
-				v = ShrinkViolation(v, h, cfg.ShrinkBudget)
+				v = ShrinkViolation(v, h, shrinkBudget)
 			}
 			res.Violations = append(res.Violations, v)
 		}

@@ -226,9 +226,6 @@ func (c *Cluster) Place(ep netsim.Endpoint, node string) {
 	c.opUsed[node][ep.Op]++
 }
 
-// Used reports how many instances are placed on a node.
-func (c *Cluster) Used(node string) int { return c.used[node] }
-
 // PlaceRoundRobin spreads an operator's instances across all nodes.
 func (c *Cluster) PlaceRoundRobin(op string, parallelism int) {
 	for i := 0; i < parallelism; i++ {

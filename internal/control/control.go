@@ -28,10 +28,9 @@ type Config struct {
 	Operator string
 	// Policy decides. The controller owns it for the run.
 	Policy Policy
-	// Cadence is the snapshot sampling period (default 500 ms).
+	// Cadence is the snapshot sampling period (default 500 ms). Rates and
+	// latencies are sampled over the last four cadences.
 	Cadence simtime.Duration
-	// Window is the lookback for rate/latency sampling (default 4×Cadence).
-	Window simtime.Duration
 	// HoldOff suppresses actions before this instant (warmup guard);
 	// sampling still runs so trend policies enter it warm.
 	HoldOff simtime.Time
@@ -43,15 +42,12 @@ type Config struct {
 	// (default 2 s) — the oscillation guard.
 	Debounce simtime.Duration
 	// DegradedDebounce, when larger than Debounce, replaces it while the
-	// cluster is degraded: for DegradedWindow after each Health disruption,
+	// cluster is degraded: for 2×DegradedDebounce after each Health disruption,
 	// voluntary decisions space out to this wider guard so the controller
 	// stops chasing a cluster that is still being faulted. Recovery
 	// supersessions are unaffected — they already bypass the debounce.
 	// Zero disables degraded mode (the historical behavior).
 	DegradedDebounce simtime.Duration
-	// DegradedWindow is how long after the latest disruption the degraded
-	// debounce applies (default 2×DegradedDebounce).
-	DegradedWindow simtime.Duration
 	// Min and Max bound the reachable parallelism.
 	Min, Max int
 	// Setup is the plan's physical deployment delay.
@@ -76,14 +72,8 @@ func (c *Config) fillDefaults() {
 	if c.Cadence == 0 {
 		c.Cadence = 500 * simtime.Millisecond
 	}
-	if c.Window == 0 {
-		c.Window = 4 * c.Cadence
-	}
 	if c.Debounce == 0 {
 		c.Debounce = 2 * simtime.Second
-	}
-	if c.DegradedDebounce > 0 && c.DegradedWindow == 0 {
-		c.DegradedWindow = 2 * c.DegradedDebounce
 	}
 	if c.Min <= 0 {
 		c.Min = 1
@@ -261,7 +251,7 @@ func (c *Controller) checkHealth(now simtime.Time) {
 // Sample assembles the policy's snapshot from the runtime's trackers.
 func (c *Controller) Sample() Snapshot {
 	now := c.rt.Sched.Now()
-	from := now.Add(-c.cfg.Window)
+	from := now.Add(-4 * c.cfg.Cadence)
 	s := Snapshot{
 		At:                now,
 		Parallelism:       c.curP,
@@ -297,7 +287,7 @@ func (c *Controller) consider(now simtime.Time, s Snapshot, acts []Action) {
 			continue
 		}
 		deb := c.cfg.Debounce
-		if c.cfg.DegradedDebounce > deb && c.disrupted && now.Sub(c.lastDisrupt) < c.cfg.DegradedWindow {
+		if c.cfg.DegradedDebounce > deb && c.disrupted && now.Sub(c.lastDisrupt) < 2*c.cfg.DegradedDebounce {
 			// Degraded mode: the cluster was disrupted recently enough that
 			// another fault is plausible; hold voluntary rescaling longer.
 			deb = c.cfg.DegradedDebounce

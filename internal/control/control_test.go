@@ -36,13 +36,13 @@ func TestThresholdPolicyDeficitAndScaleIn(t *testing.T) {
 	if len(acts) != 1 || acts[0].Target != 6 {
 		t.Fatalf("deficit did not scale out by the step: %+v", acts)
 	}
-	// Flat backlog below BacklogHigh: no action.
+	// Flat backlog below backlogHigh: no action.
 	if acts := p.Observe(snap(simtime.Sec(3), 6, 800, 3000)); len(acts) != 0 {
 		t.Fatalf("flat backlog acted: %+v", acts)
 	}
 	// Absolute watermark fires regardless of the derivative.
 	if acts := p.Observe(snap(simtime.Sec(4), 6, 1500, 3000)); len(acts) != 1 || acts[0].Target != 8 {
-		t.Fatalf("BacklogHigh did not fire: %+v", acts)
+		t.Fatalf("backlogHigh did not fire: %+v", acts)
 	}
 	// Empty backlog at 30% utilization: scale in by the step.
 	if acts := p.Observe(snap(simtime.Sec(5), 8, 0, 2400)); len(acts) != 1 || acts[0].Target != 6 {
@@ -162,7 +162,6 @@ func controllerRig(t *testing.T, seed int64) (*simtime.Scheduler, *engine.Runtim
 		MaxKeyGroups:      32,
 		StateBytesPerKey:  8192,
 		CostPerRecord:     200 * simtime.Microsecond,
-		WatermarkEvery:    simtime.Ms(100),
 	}, workload.Classic(workload.ClassicSpec{
 		Keys:       400,
 		RatePerSec: 1500,

@@ -67,29 +67,32 @@ type Threshold struct {
 	// RatedRPS is the per-instance processing capacity the policy plans
 	// against (records/s).
 	RatedRPS float64
-	// DeficitRPS triggers scale-out when the backlog grows faster than this
-	// (default 100 records/s).
-	DeficitRPS float64
-	// BacklogHigh triggers scale-out outright when the backlog exceeds it,
-	// regardless of its derivative (default 1000 records).
-	BacklogHigh int
-	// LowUtil triggers scale-in when utilization falls below it with an
-	// empty backlog (default 0.5).
-	LowUtil float64
-	// Step is how many instances each action adds or removes (default 2).
-	Step int
 
 	lastBacklog int
 	lastAt      simtime.Time
 	primed      bool
 }
 
+// Threshold's trigger levels.
+const (
+	// deficitRPS triggers scale-out when the backlog grows faster than this
+	// (records/s).
+	deficitRPS = 100
+	// backlogHigh triggers scale-out outright when the backlog exceeds it,
+	// regardless of its derivative (records).
+	backlogHigh = 1000
+	// lowUtil triggers scale-in when utilization falls below it with an
+	// empty backlog.
+	lowUtil = 0.5
+	// thresholdStep is how many instances each action adds or removes.
+	thresholdStep = 2
+)
+
 // Name implements Policy.
 func (p *Threshold) Name() string { return "threshold" }
 
 // Observe implements Policy.
 func (p *Threshold) Observe(s Snapshot) []Action {
-	p.fillDefaults()
 	growth := 0.0
 	if p.primed && s.At > p.lastAt {
 		growth = float64(s.SourceBacklog-p.lastBacklog) / s.At.Sub(p.lastAt).Seconds()
@@ -98,39 +101,24 @@ func (p *Threshold) Observe(s Snapshot) []Action {
 
 	cur := s.TargetParallelism
 	switch {
-	case growth > p.DeficitRPS || s.SourceBacklog > p.BacklogHigh:
+	case growth > deficitRPS || s.SourceBacklog > backlogHigh:
 		return []Action{{
-			Target: cur + p.Step,
+			Target: cur + thresholdStep,
 			Reason: fmt.Sprintf("deficit %.0f rec/s, backlog %d", growth, s.SourceBacklog),
 		}}
 	case s.SourceBacklog == 0 && s.ThroughputRPS > 0 &&
-		s.ThroughputRPS < p.LowUtil*p.RatedRPS*float64(cur):
+		s.ThroughputRPS < lowUtil*p.RatedRPS*float64(cur):
 		return []Action{{
-			Target: cur - p.Step,
-			Reason: fmt.Sprintf("utilization %.2f below %.2f", s.ThroughputRPS/(p.RatedRPS*float64(cur)), p.LowUtil),
+			Target: cur - thresholdStep,
+			Reason: fmt.Sprintf("utilization %.2f below %.2f", s.ThroughputRPS/(p.RatedRPS*float64(cur)), lowUtil),
 		}}
 	}
 	return nil
 }
 
-func (p *Threshold) fillDefaults() {
-	if p.DeficitRPS == 0 {
-		p.DeficitRPS = 100
-	}
-	if p.BacklogHigh == 0 {
-		p.BacklogHigh = 1000
-	}
-	if p.LowUtil == 0 {
-		p.LowUtil = 0.5
-	}
-	if p.Step == 0 {
-		p.Step = 2
-	}
-}
-
 // Backlog chases the source backlog with hysteresis: demand is estimated as
 // the observed emission rate plus enough extra capacity to drain the queued
-// backlog within DrainWindow, and the parallelism that serves that demand at
+// backlog within drainWindow, and the parallelism that serves that demand at
 // TargetUtil becomes the goal. Hysteresis (Patience consecutive samples
 // before shrinking, an asymmetric fast path for growth) keeps a noisy
 // backlog from flapping the cluster.
@@ -139,12 +127,6 @@ type Backlog struct {
 	RatedRPS float64
 	// TargetUtil is the planned post-scale utilization (default 0.75).
 	TargetUtil float64
-	// DrainWindow is how fast the backlog should be drained (default 2 s):
-	// smaller windows chase harder.
-	DrainWindow simtime.Duration
-	// Deadband suppresses actions when the backlog is below it and the
-	// computed target differs by a single instance (default 64 records).
-	Deadband int
 	// Patience is how many consecutive samples must agree before the policy
 	// scales in (default 4). Scale-out fires on the first sample — queueing
 	// hurts immediately, idling does not.
@@ -153,6 +135,16 @@ type Backlog struct {
 	shrinkRun  int
 	shrinkGoal int
 }
+
+// Backlog's drain target and deadband.
+const (
+	// drainWindow is how fast the backlog should be drained: smaller
+	// windows chase harder.
+	drainWindow = 2 * simtime.Second
+	// deadband suppresses actions when the backlog is below it and the
+	// computed target differs by a single instance (records).
+	deadband = 64
+)
 
 // Name implements Policy.
 func (p *Backlog) Name() string { return "backlog" }
@@ -163,7 +155,7 @@ func (p *Backlog) Observe(s Snapshot) []Action {
 	if p.RatedRPS <= 0 || s.ThroughputRPS <= 0 {
 		return nil
 	}
-	demand := s.ThroughputRPS + float64(s.SourceBacklog)/p.DrainWindow.Seconds()
+	demand := s.ThroughputRPS + float64(s.SourceBacklog)/drainWindow.Seconds()
 	need := int(math.Ceil(demand / (p.RatedRPS * p.TargetUtil)))
 	if need < 1 {
 		need = 1
@@ -177,7 +169,7 @@ func (p *Backlog) Observe(s Snapshot) []Action {
 			Reason: fmt.Sprintf("demand %.0f rec/s (backlog %d) needs %d instances", demand, s.SourceBacklog, need),
 		}}
 	case need < cur:
-		if s.SourceBacklog <= p.Deadband && cur-need == 1 {
+		if s.SourceBacklog <= deadband && cur-need == 1 {
 			// Within the deadband a one-instance shrink is noise.
 			p.shrinkRun = 0
 			return nil
@@ -207,12 +199,6 @@ func (p *Backlog) Observe(s Snapshot) []Action {
 func (p *Backlog) fillDefaults() {
 	if p.TargetUtil == 0 {
 		p.TargetUtil = 0.75
-	}
-	if p.DrainWindow == 0 {
-		p.DrainWindow = 2 * simtime.Second
-	}
-	if p.Deadband == 0 {
-		p.Deadband = 64
 	}
 	if p.Patience == 0 {
 		p.Patience = 4

@@ -28,7 +28,6 @@ import (
 	"drrs/internal/engine"
 	"drrs/internal/netsim"
 	"drrs/internal/scaling"
-	"drrs/internal/simtime"
 )
 
 // Options selects which DRRS mechanisms are active.
@@ -50,8 +49,6 @@ type Options struct {
 	// BufferDepth bounds the intra-channel scan (default 200, the paper's
 	// pre-serialized record buffer).
 	BufferDepth int
-	// InstallCost is the per-chunk deserialization cost at the receiver.
-	InstallCost simtime.Duration
 }
 
 // FullDRRS returns the complete system's options.
@@ -85,9 +82,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.BufferDepth <= 0 {
 		o.BufferDepth = 200
-	}
-	if o.InstallCost <= 0 {
-		o.InstallCost = 200 * simtime.Microsecond
 	}
 }
 
@@ -462,7 +456,7 @@ func (m *Mechanism) launch(s *subscale) {
 		m.MaxActive = m.active
 	}
 	m.rt.Scale.SignalInjected(s.signal, m.rt.Sched.Now())
-	m.rt.Sched.After(m.rt.Cfg.ControlLatency, func() {
+	m.rt.Sched.After(engine.ControlLatency, func() {
 		for _, p := range m.preds {
 			m.inject(p, s)
 		}
@@ -538,7 +532,7 @@ func (m *Mechanism) startMigration(s *subscale, src int) {
 			bytes = g.Bytes
 		}
 		m.rt.Cluster.TransferChecked(from.Endpoint(), to.Endpoint(), bytes, func() {
-			m.rt.Sched.After(m.Opt.InstallCost, func() {
+			m.rt.Sched.After(scaling.InstallCost, func() {
 				to.Store().InstallGroup(kg, g)
 				m.chunkAt[kg] = true
 				m.rt.Scale.UnitMigrated(kg, m.rt.Sched.Now())

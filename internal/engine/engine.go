@@ -33,55 +33,45 @@ import (
 	"drrs/internal/state"
 )
 
+// edgeLatency is the per-hop network latency of data edges (LAN-ish). Data
+// edges have infinite bandwidth: the data plane is rarely the bottleneck in
+// the paper's experiments.
+const edgeLatency = 500 * simtime.Microsecond
+
+// ControlLatency models coordinator→worker RPC latency.
+const ControlLatency = simtime.Millisecond
+
+// snapshotBytesPerSec is the checkpoint write rate (400 MB/s).
+const snapshotBytesPerSec = 400 << 20
+
 // Config carries runtime-wide tunables. Zero values select the defaults
 // documented on each field.
 type Config struct {
 	// Seed drives every random stream in the run.
 	Seed int64
 
-	// EdgeLatency is the per-hop network latency of data edges
-	// (default 0.5 ms, LAN-ish).
-	EdgeLatency simtime.Duration
-	// EdgeBandwidth is the per-edge byte rate; 0 means infinite (the data
-	// plane is rarely the bottleneck in the paper's experiments).
-	EdgeBandwidth float64
 	// EdgeOutCap / EdgeInCap bound the output cache and input buffer of each
 	// edge in records (default 128 each, roughly Flink's buffer pools).
 	EdgeOutCap int
 	EdgeInCap  int
 
-	// ControlLatency models coordinator→worker RPC latency (default 1 ms).
-	ControlLatency simtime.Duration
-
 	// MarkerInterval is the latency-marker injection period (default 250 ms;
 	// 0 disables markers).
 	MarkerInterval simtime.Duration
-
-	// SnapshotBytesPerSec is the checkpoint write rate (default 400 MB/s).
-	SnapshotBytesPerSec float64
 
 	// ThroughputBucket is the throughput series resolution (default 1 s).
 	ThroughputBucket simtime.Duration
 }
 
 func (c *Config) fillDefaults() {
-	if c.EdgeLatency == 0 {
-		c.EdgeLatency = simtime.Ms(0.5)
-	}
 	if c.EdgeOutCap == 0 {
 		c.EdgeOutCap = 128
 	}
 	if c.EdgeInCap == 0 {
 		c.EdgeInCap = 128
 	}
-	if c.ControlLatency == 0 {
-		c.ControlLatency = simtime.Ms(1)
-	}
 	if c.MarkerInterval == 0 {
 		c.MarkerInterval = simtime.Ms(250)
-	}
-	if c.SnapshotBytesPerSec == 0 {
-		c.SnapshotBytesPerSec = 400 << 20
 	}
 	if c.ThroughputBucket == 0 {
 		c.ThroughputBucket = simtime.Second
@@ -185,10 +175,9 @@ func New(s *simtime.Scheduler, g *dataflow.Graph, cl *cluster.Cluster, cfg Confi
 // edgeConfig returns the standard data-edge parameters.
 func (rt *Runtime) edgeConfig() netsim.EdgeConfig {
 	return netsim.EdgeConfig{
-		Latency:   rt.Cfg.EdgeLatency,
-		Bandwidth: rt.Cfg.EdgeBandwidth,
-		OutCap:    rt.Cfg.EdgeOutCap,
-		InCap:     rt.Cfg.EdgeInCap,
+		Latency: edgeLatency,
+		OutCap:  rt.Cfg.EdgeOutCap,
+		InCap:   rt.Cfg.EdgeInCap,
 	}
 }
 
@@ -350,9 +339,6 @@ func (rt *Runtime) ackCheckpoint(id int64, instance string) {
 		}
 	}
 }
-
-// CheckpointRunning reports whether an aligned checkpoint is in flight.
-func (rt *Runtime) CheckpointRunning() bool { return rt.ckpt != nil }
 
 // RunFor advances the simulation by d.
 func (rt *Runtime) RunFor(d simtime.Duration) {

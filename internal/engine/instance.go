@@ -663,9 +663,6 @@ func (in *Instance) drainPending() bool {
 	return true
 }
 
-// PendingEmits reports the blocked-emission queue length.
-func (in *Instance) PendingEmits() int { return len(in.pending) }
-
 // RedirectPending retargets blocked emissions matching take from one edge to
 // another (part of DRRS's output-cache redirection: the pending queue is the
 // tail of the output cache). The head of the queue waits on the edge that
@@ -770,12 +767,6 @@ func (in *Instance) ReleaseAlignment(key string) { in.releaseAlignment(key) }
 // preserving order relative to pending emissions.
 func (in *Instance) BroadcastControl(m netsim.Message) { in.broadcastControl(m) }
 
-// SendControl enqueues a control message toward one downstream instance,
-// preserving order relative to pending emissions.
-func (in *Instance) SendControl(op string, idx int, m netsim.Message) {
-	in.send(in.portByOp[op].edges[idx], m)
-}
-
 // alignOn records that barrier key arrived on e, blocks e, and reports
 // whether all current input channels have now delivered it.
 func (in *Instance) alignOn(key string, e *netsim.Edge) bool {
@@ -835,7 +826,7 @@ func (in *Instance) onCheckpointBarrier(b *netsim.CheckpointBarrier, e *netsim.E
 		return
 	}
 	// Aligned: snapshot, forward, unblock.
-	snapCost := simtime.Duration(float64(in.store.TotalBytes()) / in.rt.Cfg.SnapshotBytesPerSec * float64(simtime.Second))
+	snapCost := simtime.Duration(float64(in.store.TotalBytes()) / snapshotBytesPerSec * float64(simtime.Second))
 	in.busy = true
 	in.rt.Sched.After(snapCost, func() {
 		in.busy = false

@@ -73,14 +73,12 @@ type paneEntry struct {
 
 // SlidingWindowLogic is an event-time sliding-window aggregate: per key it
 // buffers values and, on watermark advance, fires every window whose end has
-// passed, emitting one record per (key, window). Window state is keyed state
+// passed, emitting the max of each (key, window). Window state is keyed state
 // and migrates with the key group, which is what gives NEXMark Q7/Q8 their
 // large migrating state.
 type SlidingWindowLogic struct {
 	Size  simtime.Duration
 	Slide simtime.Duration
-	// Agg folds the pane values of a fired window (default max).
-	Agg func(vals []float64) float64
 	// BytesPerEntry accounts state growth (default 24).
 	BytesPerEntry int
 
@@ -234,9 +232,6 @@ func (l *SlidingWindowLogic) fireWindow(ctx dataflow.OpContext, end simtime.Time
 				continue
 			}
 			agg := maxOf(vals)
-			if l.Agg != nil {
-				agg = l.Agg(vals)
-			}
 			l.valScratch = vals[:0]
 			out := ctx.NewRecord()
 			out.Key = key

@@ -323,14 +323,6 @@ func (inj *Injector) Stats() Stats {
 	return inj.stats
 }
 
-// Checkpointer exposes the injector's state checkpointer (nil-safe).
-func (inj *Injector) Checkpointer() *engine.StateCheckpointer {
-	if inj == nil {
-		return nil
-	}
-	return inj.ck
-}
-
 func (inj *Injector) disrupt(note string) {
 	inj.disruptions++
 	inj.lastNote = note

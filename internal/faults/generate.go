@@ -27,26 +27,25 @@ type GenConfig struct {
 	CrashWeight    int
 	StraggleWeight int
 	UplinkWeight   int
-	// RestartProb is the probability a crash schedules a restart (default
-	// 0.75); restarts land in [RestartMin, RestartMax] (defaults 2s..8s).
-	RestartProb float64
-	RestartMin  simtime.Duration
-	RestartMax  simtime.Duration
+	// A crash schedules a restart with probability restartProb; restarts
+	// land in [RestartMin, RestartMax] (defaults 2s..8s).
+	RestartMin simtime.Duration
+	RestartMax simtime.Duration
 	// HealMin..HealMax bounds straggle/uplink heal windows (defaults
 	// 3s..12s).
 	HealMin simtime.Duration
 	HealMax simtime.Duration
-	// PartitionProb is the probability an uplink fault partitions the rack
-	// outright instead of degrading it (default 0.5).
-	PartitionProb float64
-	// CheckpointEvery/RecoveryDelay/Retries/RetryBase/RetryCap pass through
-	// to the generated Plan (Plan defaults apply where zero).
-	CheckpointEvery simtime.Duration
-	RecoveryDelay   simtime.Duration
-	Retries         int
-	RetryBase       simtime.Duration
-	RetryCap        simtime.Duration
+	// Retries passes through to the generated Plan's TransferRetries.
+	Retries int
 }
+
+const (
+	// restartProb is the probability a generated crash schedules a restart.
+	restartProb = 0.75
+	// partitionProb is the probability a generated uplink fault partitions
+	// the rack outright instead of degrading it.
+	partitionProb = 0.5
+)
 
 func (cfg *GenConfig) fillDefaults() {
 	if cfg.MinFaults <= 0 {
@@ -78,9 +77,6 @@ func (cfg *GenConfig) fillDefaults() {
 	} else {
 		cfg.UplinkWeight = 0
 	}
-	if cfg.RestartProb <= 0 {
-		cfg.RestartProb = 0.75
-	}
 	if cfg.RestartMin <= 0 {
 		cfg.RestartMin = 2 * simtime.Second
 	}
@@ -93,9 +89,6 @@ func (cfg *GenConfig) fillDefaults() {
 	if cfg.HealMax < cfg.HealMin {
 		cfg.HealMax = cfg.HealMin + 9*simtime.Second
 	}
-	if cfg.PartitionProb <= 0 {
-		cfg.PartitionProb = 0.5
-	}
 }
 
 // Generate draws a randomized fault schedule from rng — the chaos search's
@@ -107,13 +100,7 @@ func (cfg *GenConfig) fillDefaults() {
 // here, and a repro must replay exactly.
 func Generate(rng *simtime.RNG, cfg GenConfig) Plan {
 	cfg.fillDefaults()
-	plan := Plan{
-		CheckpointEvery: cfg.CheckpointEvery,
-		RecoveryDelay:   cfg.RecoveryDelay,
-		TransferRetries: cfg.Retries,
-		RetryBase:       cfg.RetryBase,
-		RetryCap:        cfg.RetryCap,
-	}
+	plan := Plan{TransferRetries: cfg.Retries}
 	total := cfg.CrashWeight + cfg.StraggleWeight + cfg.UplinkWeight
 	if total == 0 {
 		return plan // no targets to fault
@@ -125,7 +112,7 @@ func Generate(rng *simtime.RNG, cfg GenConfig) Plan {
 		case w < cfg.CrashWeight:
 			f.Kind = Crash
 			f.Node = cfg.Nodes[rng.IntN(len(cfg.Nodes))]
-			if rng.Float64() < cfg.RestartProb {
+			if rng.Float64() < restartProb {
 				f.Restart = durRange(rng, cfg.RestartMin, cfg.RestartMax)
 			}
 		case w < cfg.CrashWeight+cfg.StraggleWeight:
@@ -136,7 +123,7 @@ func Generate(rng *simtime.RNG, cfg GenConfig) Plan {
 		default:
 			f.Kind = Uplink
 			f.Rack = cfg.Racks[rng.IntN(len(cfg.Racks))]
-			if rng.Float64() >= cfg.PartitionProb {
+			if rng.Float64() >= partitionProb {
 				f.Bandwidth = float64(int64(256<<10) << rng.IntN(4)) // 256KB..2MB/s
 			}
 			f.Heal = durRange(rng, cfg.HealMin, cfg.HealMax)

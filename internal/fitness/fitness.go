@@ -22,19 +22,14 @@ import (
 // form.
 type Input struct {
 	// Latency is the per-marker latency series (ms). SLO violations are
-	// counted over its Bucket-averaged timeline inside [From, To].
+	// counted over its sloBucket-averaged timeline inside [From, To].
 	Latency *metrics.Series
 	// PreAvgMs is the pre-disturbance latency baseline; the SLO threshold is
-	// SLOFactor times it. A non-positive baseline disables SLO counting (a
+	// sloFactor times it. A non-positive baseline disables SLO counting (a
 	// run with no pre-window has nothing to hold the latency against).
 	PreAvgMs float64
-	// SLOFactor scales the baseline into the violation threshold
-	// (default 1.10: buckets more than 10 % over baseline violate).
-	SLOFactor float64
 	// From and To bound the scored window (typically the measurement window).
 	From, To simtime.Time
-	// Bucket is the SLO evaluation granularity (default 1 s).
-	Bucket simtime.Duration
 	// Decisions is the controller's audit trail; oscillations are counted
 	// over its launched, non-recovery entries.
 	Decisions []control.Decision
@@ -44,12 +39,19 @@ type Input struct {
 	InstanceSeconds float64
 }
 
+// The SLO: buckets of sloBucket whose average latency is more than 10 %
+// over the baseline violate.
+const (
+	sloFactor = 1.10
+	sloBucket = simtime.Second
+)
+
 // Components is one run's objective vector. Every component is a cost —
 // lower is better on all axes — which is what makes weighted sums and
 // Pareto dominance well-defined without per-field sign rules.
 type Components struct {
-	// SLOViolations counts Bucket-averaged latency windows above
-	// SLOFactor×PreAvgMs inside the scored window.
+	// SLOViolations counts one-second-averaged latency windows above
+	// 1.10×PreAvgMs inside the scored window.
 	SLOViolations float64
 	// MigrationMB is migration traffic in megabytes (1e6 bytes).
 	MigrationMB float64
@@ -109,12 +111,6 @@ func (c Components) Score(w Weights) float64 {
 
 // Measure reduces one run to its objective vector.
 func Measure(in Input) Components {
-	if in.SLOFactor == 0 {
-		in.SLOFactor = 1.10
-	}
-	if in.Bucket == 0 {
-		in.Bucket = simtime.Second
-	}
 	return Components{
 		SLOViolations:   float64(sloViolations(in)),
 		MigrationMB:     float64(in.TransferredBytes) / 1e6,
@@ -131,7 +127,7 @@ func sloViolations(in Input) int {
 	if in.Latency == nil || in.PreAvgMs <= 0 {
 		return 0
 	}
-	slo := in.SLOFactor * in.PreAvgMs
+	slo := sloFactor * in.PreAvgMs
 	pts := in.Latency.Slice(in.From, in.To)
 	if len(pts) == 0 {
 		return 0
@@ -148,7 +144,7 @@ func sloViolations(in Input) int {
 		sum, n = 0, 0
 	}
 	for _, p := range pts {
-		b := start.Add(simtime.Duration(int64(p.At.Sub(start))/int64(in.Bucket)) * in.Bucket)
+		b := start.Add(simtime.Duration(int64(p.At.Sub(start))/int64(sloBucket)) * sloBucket)
 		if b != cur {
 			flush()
 			cur = b

@@ -102,12 +102,3 @@ func (d *Deque[T]) InsertAt(i int, v T) {
 	}
 	d.buf[(d.head+i)%len(d.buf)] = v
 }
-
-// Drain removes and returns all elements in order.
-func (d *Deque[T]) Drain() []T {
-	out := make([]T, 0, d.n)
-	for d.n > 0 {
-		out = append(out, d.PopFront())
-	}
-	return out
-}

@@ -310,9 +310,6 @@ func (e *Edge) OutboxLen() int { return e.outbox.Len() }
 // OutboxAt peeks at outbox depth i (0 = next to transmit).
 func (e *Edge) OutboxAt(i int) Message { return e.outbox.At(i) }
 
-// InFlight reports messages currently on the link.
-func (e *Edge) InFlight() int { return e.arrivals.Len() }
-
 // QueuedTotal reports outbox + in-flight + inbox occupancy.
 func (e *Edge) QueuedTotal() int { return e.outbox.Len() + e.arrivals.Len() + e.inbox.Len() }
 

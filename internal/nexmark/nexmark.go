@@ -21,15 +21,6 @@ import (
 	"drrs/internal/simtime"
 )
 
-// Bid is a NEXMark bid event. On the wire it is encoded into the typed
-// record fields (Key = Auction, Value = Price), so the Q7 hot path never
-// boxes a Bid.
-type Bid struct {
-	Auction uint64
-	Bidder  uint64
-	Price   float64
-}
-
 // PersonEvt is a NEXMark person registration.
 type PersonEvt struct {
 	Person uint64
@@ -148,8 +139,8 @@ func bidSource(cfg Q7Config) dataflow.SourceFunc {
 				ctx.EmitWatermark(now)
 				return
 			}
-			// A Bid travels in the typed record fields (Key = Auction,
-			// Value = Price); the bidder draw stays so the generator's RNG
+			// A bid (auction, bidder, price) travels in the typed record
+			// fields (Key = auction, Value = price); the bidder draw stays so the generator's RNG
 			// sequence is unchanged by the unboxed encoding.
 			auction := uint64(zipf.Next()) + 1
 			_ = uint64(rng.IntN(100000)) // bidder id

@@ -58,12 +58,12 @@ func (c Candidate) Label() string {
 
 // Apply returns a copy of the scenario driven by this candidate's controller
 // configuration. A scenario that already runs a ControllerDriver keeps its
-// calibration (RatedRPS, degraded-mode debounce); scripted scenarios get a
-// fresh driver, closing the loop the candidate describes.
+// calibration (degraded-mode debounce); scripted scenarios get a fresh
+// driver, closing the loop the candidate describes.
 func (c Candidate) Apply(sc bench.Scenario) bench.Scenario {
 	d := &bench.ControllerDriver{}
-	if own, ok := sc.Driver.(*bench.ControllerDriver); ok {
-		clone := *own
+	if sc.Driver != nil {
+		clone := *sc.Driver
 		d = &clone
 	}
 	d.Policy = c.Policy

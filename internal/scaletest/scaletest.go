@@ -224,7 +224,6 @@ func DefaultWorkload(seed int64) Workload {
 			MaxKeyGroups:      32,
 			StateBytesPerKey:  512,
 			CostPerRecord:     50 * simtime.Microsecond,
-			WatermarkEvery:    simtime.Ms(100),
 		},
 		ClassicSpec: workload.ClassicSpec{
 			Keys:       200,

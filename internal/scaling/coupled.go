@@ -159,7 +159,7 @@ func (c *CoupledController) injectRound(r int) {
 		return &netsim.ScaleBarrier{ScaleID: c.scaleID, Round: r}
 	}
 	if c.InjectAtSources {
-		c.rt.Sched.After(c.rt.Cfg.ControlLatency, func() {
+		c.rt.Sched.After(engine.ControlLatency, func() {
 			for _, name := range c.rt.Graph.Topological() {
 				if c.rt.Graph.Operator(name).Source == nil {
 					continue
@@ -176,7 +176,7 @@ func (c *CoupledController) injectRound(r int) {
 			}
 		})
 	} else {
-		c.rt.Sched.After(c.rt.Cfg.ControlLatency, func() {
+		c.rt.Sched.After(engine.ControlLatency, func() {
 			for _, p := range c.rt.PredecessorInstances(c.plan.Operator) {
 				c.applyRouting(p, r)
 				p.BroadcastControl(barrier())

@@ -104,7 +104,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 		}
 		// Single synchronization: flip every predecessor's routing at once.
 		rt.Scale.SignalInjected(signal, rt.Sched.Now())
-		rt.Sched.After(rt.Cfg.ControlLatency, func() {
+		rt.Sched.After(engine.ControlLatency, func() {
 			for _, p := range rt.PredecessorInstances(plan.Operator) {
 				tbl := p.Routing(plan.Operator)
 				for _, mv := range plan.Moves {
@@ -162,7 +162,7 @@ func (m *Mechanism) transfer(id, dst int) {
 	kg := m.plan.Moves[mi].KeyGroup
 	from := m.rt.Instance(m.plan.Operator, src)
 	to := m.rt.Instance(m.plan.Operator, dst)
-	m.rt.Sched.After(m.rt.Cfg.ControlLatency, func() {
+	m.rt.Sched.After(engine.ControlLatency, func() {
 		g := from.Store().ExtractSubUnit(kg, sub, m.SubKeyGroups)
 		m.rt.Scale.FirstMigration(signal, m.rt.Sched.Now())
 		bytes := 128 // sub-unit framing overhead

@@ -79,15 +79,6 @@ func UniformPlan(g *dataflow.Graph, op string, newP int, setup simtime.Duration)
 	return p
 }
 
-// NewRouting builds the routing table for the post-scaling assignment.
-func (p Plan) NewRouting(maxKG int) *dataflow.RoutingTable {
-	rt := dataflow.NewRoutingTable(maxKG, p.OldParallelism)
-	for _, m := range p.Moves {
-		rt.SetOwner(m.KeyGroup, m.To)
-	}
-	return rt
-}
-
 // MovesFrom returns the plan's moves leaving instance idx, in key-group
 // order. Finalized plans answer from the per-source index; hand-assembled
 // plans fall back to scanning Moves.
@@ -243,14 +234,16 @@ func Deploy(rt *engine.Runtime, plan Plan, then func(added []*engine.Instance)) 
 	})
 }
 
+// InstallCost is charged at the receiver per migrated chunk
+// (deserialization).
+const InstallCost = 200 * simtime.Microsecond
+
 // Migrator moves key groups between instances with full delay accounting.
 // One Migrator serves one scaling operation.
 type Migrator struct {
 	rt   *engine.Runtime
 	plan Plan
 	op   *Tracked
-	// InstallCost is charged at the receiver per chunk (deserialization).
-	InstallCost simtime.Duration
 
 	migrated map[int]bool
 	failed   map[int]bool
@@ -265,14 +258,13 @@ type Migrator struct {
 // recovery path re-plans it).
 func NewMigrator(rt *engine.Runtime, plan Plan, op *Tracked, onAll func()) *Migrator {
 	return &Migrator{
-		rt:          rt,
-		plan:        plan,
-		op:          op,
-		InstallCost: 200 * simtime.Microsecond,
-		migrated:    make(map[int]bool),
-		failed:      make(map[int]bool),
-		onAll:       onAll,
-		total:       len(plan.Moves),
+		rt:       rt,
+		plan:     plan,
+		op:       op,
+		migrated: make(map[int]bool),
+		failed:   make(map[int]bool),
+		onAll:    onAll,
+		total:    len(plan.Moves),
 	}
 }
 
@@ -338,7 +330,7 @@ func (m *Migrator) MigrateGroup(kg int, signal string, done func()) {
 		bytes = g.Bytes
 	}
 	m.rt.Cluster.TransferChecked(from.Endpoint(), to.Endpoint(), bytes, func() {
-		m.rt.Sched.After(m.InstallCost, func() {
+		m.rt.Sched.After(InstallCost, func() {
 			m.install(to, kg, g)
 			to.Wake()
 			if done != nil {
@@ -415,7 +407,7 @@ func (m *Migrator) MigrateAllAtOnce(kgs []int, signal string, done func()) {
 		from := m.rt.Instance(m.plan.Operator, p.from)
 		to := m.rt.Instance(m.plan.Operator, p.to)
 		m.rt.Cluster.TransferChecked(from.Endpoint(), to.Endpoint(), bytes[p], func() {
-			m.rt.Sched.After(m.InstallCost, func() {
+			m.rt.Sched.After(InstallCost, func() {
 				for _, it := range items {
 					m.install(to, it.kg, it.g)
 				}

@@ -484,14 +484,6 @@ func (s *Store) Delete(key uint64) {
 	}
 }
 
-// GroupBytes reports the accounted size of kg (0 if not local).
-func (s *Store) GroupBytes(kg int) int {
-	if g := s.Group(kg); g != nil {
-		return g.Bytes
-	}
-	return 0
-}
-
 // TotalBytes reports the accounted size of all local state.
 func (s *Store) TotalBytes() int {
 	var sum int

@@ -23,17 +23,6 @@ import (
 	"drrs/internal/simtime"
 )
 
-// View describes one synthetic viewing event. On the wire the event is
-// encoded into the typed record fields (Key = User, Value = Minutes; the
-// streamer dimension does not feed downstream computation), so the hot path
-// never boxes a View.
-type View struct {
-	User     uint64
-	Streamer uint64
-	// Minutes watched in this interval.
-	Minutes float64
-}
-
 // Config parameterizes the pipeline and trace.
 type Config struct {
 	// RatePerSec is events/second per source instance.
@@ -41,9 +30,6 @@ type Config struct {
 	// Users and Streamers size the trace's entity spaces.
 	Users     int
 	Streamers int
-	// StreamerSkew is the Zipf skew of streamer popularity (real Twitch
-	// viewing is heavily concentrated; default 1.1).
-	StreamerSkew float64
 	// SourceParallelism sets the source's parallelism.
 	SourceParallelism int
 	// LoyaltyParallelism is the scaling operator's initial parallelism
@@ -53,19 +39,25 @@ type Config struct {
 	SessionParallelism int
 	// MaxKeyGroups is the keyed operators' key-group count (paper: 128).
 	MaxKeyGroups int
-	// SessionBytes and LoyaltyBytes size per-user state.
-	SessionBytes int
-	LoyaltyBytes int
-	// CostPerRecord is the session aggregator's processing cost.
-	CostPerRecord simtime.Duration
 	// LoyaltyCost is the loyalty (scaling) operator's processing cost;
-	// defaults to CostPerRecord.
+	// defaults to sessionCost.
 	LoyaltyCost simtime.Duration
 	// Duration bounds generation (0 = endless).
 	Duration simtime.Duration
 	// Seed drives the trace.
 	Seed int64
 }
+
+const (
+	// streamerSkew is the Zipf skew of streamer popularity (real Twitch
+	// viewing is heavily concentrated).
+	streamerSkew = 1.1
+	// sessionBytes and loyaltyBytes size per-user state.
+	sessionBytes = 256
+	loyaltyBytes = 512
+	// sessionCost is the session aggregator's processing cost.
+	sessionCost = 60 * simtime.Microsecond
+)
 
 func (c *Config) fillDefaults() {
 	if c.RatePerSec == 0 {
@@ -76,9 +68,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Streamers == 0 {
 		c.Streamers = 500
-	}
-	if c.StreamerSkew == 0 {
-		c.StreamerSkew = 1.1
 	}
 	if c.SourceParallelism == 0 {
 		c.SourceParallelism = 2
@@ -92,17 +81,8 @@ func (c *Config) fillDefaults() {
 	if c.MaxKeyGroups == 0 {
 		c.MaxKeyGroups = 128
 	}
-	if c.SessionBytes == 0 {
-		c.SessionBytes = 256
-	}
-	if c.LoyaltyBytes == 0 {
-		c.LoyaltyBytes = 512
-	}
-	if c.CostPerRecord == 0 {
-		c.CostPerRecord = 60 * simtime.Microsecond
-	}
 	if c.LoyaltyCost == 0 {
-		c.LoyaltyCost = c.CostPerRecord
+		c.LoyaltyCost = sessionCost
 	}
 }
 
@@ -133,14 +113,14 @@ func Build(cfg Config) (*dataflow.Graph, *engine.CollectSink) {
 		Parallelism:   cfg.SessionParallelism,
 		KeyedInput:    true,
 		MaxKeyGroups:  cfg.MaxKeyGroups,
-		CostPerRecord: cfg.CostPerRecord,
+		CostPerRecord: sessionCost,
 		CostJitter:    0.1,
 		NewLogic: func() dataflow.Logic {
 			// The trace source carries minutes-watched in the typed Value
 			// lane, so the default sum reduce is exactly "accumulate watch
 			// time" — no payload unboxing on the hot path.
 			return &engine.KeyedReduceLogic{
-				StateBytes:  cfg.SessionBytes,
+				StateBytes:  sessionBytes,
 				EmitUpdates: true,
 			}
 		},
@@ -168,7 +148,7 @@ func Build(cfg Config) (*dataflow.Graph, *engine.CollectSink) {
 		CostJitter:    0.1,
 		NewLogic: func() dataflow.Logic {
 			return &engine.KeyedReduceLogic{
-				StateBytes:  cfg.LoyaltyBytes,
+				StateBytes:  loyaltyBytes,
 				EmitUpdates: true,
 			}
 		},
@@ -207,7 +187,7 @@ func traceSource(cfg Config) dataflow.SourceFunc {
 	return func(ctx dataflow.SourceContext) {
 		rng := simtime.NewRNG(cfg.Seed, "twitch/trace")
 		userZipf := simtime.NewZipf(simtime.NewRNG(cfg.Seed, "twitch/users"), cfg.Users, 0.6)
-		streamZipf := simtime.NewZipf(simtime.NewRNG(cfg.Seed, "twitch/streams"), cfg.Streamers, cfg.StreamerSkew)
+		streamZipf := simtime.NewZipf(simtime.NewRNG(cfg.Seed, "twitch/streams"), cfg.Streamers, streamerSkew)
 		period := simtime.Duration(float64(simtime.Second) / cfg.RatePerSec)
 		start := ctx.Now()
 		var nextWM simtime.Time
@@ -232,7 +212,7 @@ func traceSource(cfg Config) dataflow.SourceFunc {
 				lastUser = user
 				sessionLeft = rng.IntN(6)
 			}
-			// The event is a View{user, streamer, minutes}; only the minutes
+			// The event is a (user, streamer, minutes) view; only the minutes
 			// feed downstream computation, so they travel unboxed in the
 			// Value lane. The streamer draw stays to keep the RNG sequence
 			// (and thus the whole trace) identical to the boxed encoding.

@@ -36,11 +36,14 @@ type Traffic interface {
 	Describe() string
 }
 
+// watermarkEvery is the sources' watermark cadence.
+const watermarkEvery = 100 * simtime.Millisecond
+
 // driveSource adapts a Traffic onto the engine's source API. One re-armed
 // pump walks the stream: each firing hands the due record straight to the
 // source's backlog drain (dataflow.SourcePump) and stamps watermark crossings
-// at the job's cadence.
-func driveSource(job JobConfig, traffic Traffic) dataflow.SourceFunc {
+// every watermarkEvery.
+func driveSource(traffic Traffic) dataflow.SourceFunc {
 	return func(ctx dataflow.SourceContext) {
 		start := ctx.Now()
 		st := traffic.Stream(ctx.InstanceIndex(), ctx.Parallelism(), start)
@@ -64,7 +67,7 @@ func driveSource(job JobConfig, traffic Traffic) dataflow.SourceFunc {
 			curWM = false
 			if !cur.Stop && cur.At >= nextWM {
 				curWM = true
-				nextWM = cur.At.Add(job.WatermarkEvery)
+				nextWM = cur.At.Add(watermarkEvery)
 			}
 			return true
 		}

@@ -430,7 +430,6 @@ func TestJobConfigValidation(t *testing.T) {
 		"source parallelism": func(j *testJob) { j.SourceParallelism = 0 },
 		"agg parallelism":    func(j *testJob) { j.AggParallelism = 0 },
 		"key groups":         func(j *testJob) { j.MaxKeyGroups = 0 },
-		"watermark":          func(j *testJob) { j.WatermarkEvery = 0 },
 		"negative state":     func(j *testJob) { j.StateBytesPerKey = -1 },
 		"negative cost":      func(j *testJob) { j.CostPerRecord = -1 },
 		"no keys":            func(j *testJob) { j.Keys = 0 },

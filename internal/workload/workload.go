@@ -42,16 +42,13 @@ type JobConfig struct {
 	// CostPerRecord is the aggregator's processing cost. Zero is honoured: a
 	// free aggregator.
 	CostPerRecord simtime.Duration
-	// WatermarkEvery sets the watermark cadence.
-	WatermarkEvery simtime.Duration
 	// EmitUpdates forwards every aggregation update to the sink (needed by
 	// correctness tests; benchmarks can disable it to cut message volume).
 	EmitUpdates bool
 }
 
 // DefaultJob returns the paper's single-machine topology: 1 source, 4
-// aggregators over 128 key groups, 1 KiB per key, 100 µs per record, 100 ms
-// watermarks.
+// aggregators over 128 key groups, 1 KiB per key, 100 µs per record.
 func DefaultJob() JobConfig {
 	return JobConfig{
 		SourceParallelism: 1,
@@ -59,7 +56,6 @@ func DefaultJob() JobConfig {
 		MaxKeyGroups:      128,
 		StateBytesPerKey:  1024,
 		CostPerRecord:     100 * simtime.Microsecond,
-		WatermarkEvery:    simtime.Ms(100),
 	}
 }
 
@@ -74,9 +70,6 @@ func (j JobConfig) validate() {
 	}
 	if j.MaxKeyGroups <= 0 {
 		panic("workload: JobConfig.MaxKeyGroups must be > 0 (use DefaultJob)")
-	}
-	if j.WatermarkEvery <= 0 {
-		panic("workload: JobConfig.WatermarkEvery must be > 0 (use DefaultJob)")
 	}
 	if j.StateBytesPerKey < 0 || j.CostPerRecord < 0 {
 		panic("workload: JobConfig state size and record cost cannot be negative")
@@ -96,7 +89,7 @@ func BuildJob(job JobConfig, traffic Traffic) (*dataflow.Graph, *engine.CollectS
 	g.AddOperator(&dataflow.OperatorSpec{
 		Name:        "gen",
 		Parallelism: job.SourceParallelism,
-		Source:      driveSource(job, traffic),
+		Source:      driveSource(traffic),
 	})
 	g.AddOperator(&dataflow.OperatorSpec{
 		Name:          "agg",
