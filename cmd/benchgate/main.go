@@ -1,8 +1,9 @@
 // Command benchgate is the allocation-regression gate: it parses `go test
-// -bench -benchmem` output (stdin or -input), compares every benchmark that
-// appears in the checked-in baseline, and exits non-zero when allocs/op or
-// B/op regresses. CI runs it instead of fire-and-forget smoke benches, so
-// hot-path allocation regressions fail the build instead of scrolling past.
+// -bench -benchmem` output (stdin or -input), compares every benchmark in it
+// against the checked-in baseline, and exits non-zero when allocs/op or B/op
+// regresses or a benchmark has no baseline row. CI runs it instead of
+// fire-and-forget smoke benches, so hot-path allocation regressions fail the
+// build instead of scrolling past.
 //
 // Usage:
 //
@@ -25,12 +26,14 @@
 //	0  every compared benchmark within its budget
 //	1  at least one benchmark regressed beyond its budget
 //	2  usage or environment error (bad flags, unreadable files, malformed input)
-//	3  input incomplete: no bench lines, no overlap with the baseline, or a
+//	3  input incomplete: no bench lines, no overlap with the baseline, a
 //	   gated metric absent from the input (e.g. -benchmem dropped, leaving
-//	   only ns/op) — the run proves nothing, which must not pass silently
+//	   only ns/op), or a benchmark in the input with no baseline row (it
+//	   would otherwise run ungated) — the run proves nothing, which must not
+//	   pass silently
 //
-// When both regressions and missing metrics occur, the regression wins (exit
-// 1): the run did prove a slowdown.
+// When both regressions and incomplete findings occur, the regression wins
+// (exit 1): the run did prove a slowdown.
 package main
 
 import (
@@ -155,12 +158,22 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stderr, "benchgate: FAIL %s\n", r.summary())
 	}
+	unbaselined := make([]string, 0, len(measured)-compared)
+	for name := range measured {
+		if _, ok := base.Benchmarks[name]; !ok {
+			unbaselined = append(unbaselined, name)
+		}
+	}
+	sort.Strings(unbaselined)
+	for _, name := range unbaselined {
+		fmt.Fprintf(stderr, "benchgate: FAIL %s: no row in %s, so it runs ungated — add one with -update\n", name, *baselinePath)
+	}
 	switch {
 	case regressed > 0:
 		fmt.Fprintf(stderr, "benchgate: %d of %d benchmark(s) regressed beyond +%d%%\n", regressed, compared, int(slack*100))
 		return exitRegression
-	case incomplete > 0:
-		fmt.Fprintf(stderr, "benchgate: %d benchmark(s) missing gated metrics in the input\n", incomplete)
+	case incomplete > 0 || len(unbaselined) > 0:
+		fmt.Fprintf(stderr, "benchgate: %d benchmark(s) missing gated metrics in the input, %d missing from the baseline\n", incomplete, len(unbaselined))
 		return exitIncomplete
 	}
 	fmt.Fprintf(stdout, "benchgate: %d benchmark(s) within +%d%% of baseline\n", compared, int(slack*100))

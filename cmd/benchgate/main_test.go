@@ -163,6 +163,24 @@ func TestRunExitStatuses(t *testing.T) {
 		}
 	})
 
+	t.Run("benchmark missing from baseline", func(t *testing.T) {
+		in := "BenchmarkEdgePump-8 1000 2 allocs/op 64 B/op\nBenchmarkEdgePumpNew-8 1000 9 allocs/op 640 B/op\n"
+		code, _, errs := runGate(t, baseline, in)
+		if code != exitIncomplete {
+			t.Fatalf("exit %d, want %d: a benchmark with no baseline row must not run ungated", code, exitIncomplete)
+		}
+		if !strings.Contains(errs, "FAIL BenchmarkEdgePumpNew: no row in") {
+			t.Fatalf("stderr does not name the unbaselined benchmark:\n%s", errs)
+		}
+	})
+
+	t.Run("regression beats missing baseline row", func(t *testing.T) {
+		in := "BenchmarkEdgePump-8 1000 3 allocs/op 64 B/op\nBenchmarkEdgePumpNew-8 1000 9 allocs/op 640 B/op\n"
+		if code, _, _ := runGate(t, baseline, in); code != exitRegression {
+			t.Fatalf("exit %d, want %d", code, exitRegression)
+		}
+	})
+
 	t.Run("regression beats missing metric", func(t *testing.T) {
 		code, _, _ := runGate(t, baseline, "BenchmarkEdgePump-8 1000 3 allocs/op\n")
 		if code != exitRegression {

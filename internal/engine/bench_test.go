@@ -6,15 +6,13 @@ import (
 	"drrs/internal/dataflow"
 	"drrs/internal/netsim"
 	"drrs/internal/simtime"
+	"drrs/internal/state"
 )
 
-// BenchmarkStateCheckpoint measures one out-of-band snapshot sweep plus the
-// recovery-path lookups over populated keyed stores — the recurring cost the
-// fault layer adds to a run at every checkpoint cadence. The sweep freezes a
-// copy of every live keyed group's slab and free list but not its key index
-// (a restore rebuilds that), so this is the number to watch when changing the
-// slab store's Snapshot path.
-func BenchmarkStateCheckpoint(b *testing.B) {
+// checkpointRig runs a small keyed-reduce job for 5 s and returns it with a
+// stopped StateCheckpointer, whose take() the checkpoint benchmarks drive by
+// hand, and the name of one agg instance.
+func checkpointRig(b *testing.B) (*Runtime, *StateCheckpointer, string) {
 	sink := NewCollectSink()
 	g := dataflow.NewGraph()
 	g.AddOperator(&dataflow.OperatorSpec{
@@ -38,17 +36,66 @@ func BenchmarkStateCheckpoint(b *testing.B) {
 	rt.RunFor(simtime.Sec(5))
 
 	ck := rt.StartStateCheckpoints(simtime.Sec(1))
-	ck.Stop() // drive take() by hand below; no timer churn in the loop
-	name := rt.Instance("agg", 0).Name()
+	ck.Stop() // drive take() by hand; no timer churn in the loop
+	return rt, ck, rt.Instance("agg", 0).Name()
+}
+
+// lookupAll requires every key group of agg to be found in a snapshot.
+func lookupAll(b *testing.B, ck *StateCheckpointer, name string) {
+	for kg := 0; kg < 32; kg++ {
+		if _, ok := ck.Lookup("agg", name, kg); !ok {
+			b.Fatalf("kg %d in no snapshot", kg)
+		}
+	}
+}
+
+// BenchmarkStateCheckpoint measures one out-of-band snapshot sweep plus the
+// recovery-path lookups over populated keyed stores — the recurring cost the
+// fault layer adds to a run at every checkpoint cadence. Nothing is written
+// between sweeps, so every group shares the frozen copy it made at the first
+// sweep: this is the cost of a checkpoint over idle state. The copy path is
+// BenchmarkStateCheckpointDirty.
+func BenchmarkStateCheckpoint(b *testing.B) {
+	_, ck, name := checkpointRig(b)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ck.take()
-		for kg := 0; kg < 32; kg++ {
-			if _, ok := ck.Lookup("agg", name, kg); !ok {
-				b.Fatalf("kg %d in no snapshot", kg)
+		lookupAll(b, ck, name)
+	}
+}
+
+// BenchmarkStateCheckpointDirty is BenchmarkStateCheckpoint with one key of
+// every keyed group written between sweeps, so every sweep copies every
+// group's slab and free list (but not its key index: a restore rebuilds
+// that). This is the number to watch when changing the slab store's
+// Snapshot path.
+func BenchmarkStateCheckpointDirty(b *testing.B) {
+	rt, ck, name := checkpointRig(b)
+	type entry struct {
+		g   *state.Group
+		key uint64
+	}
+	var dirty []entry
+	for _, in := range rt.Instances("agg") {
+		st := in.Store()
+		for _, kg := range st.Groups() {
+			g := st.Group(kg)
+			if g.Len() == 0 {
+				b.Fatalf("%s: key group %d is empty", in.Name(), kg)
 			}
+			dirty = append(dirty, entry{g, g.Keys()[0]})
 		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, e := range dirty {
+			acc, _ := e.g.GetF64(e.key)
+			e.g.PutF64(e.key, acc+1, 64) // KeyedReduceLogic's default state size
+		}
+		ck.take()
+		lookupAll(b, ck, name)
 	}
 }
 

@@ -6,13 +6,31 @@ import (
 )
 
 // stateSnapshot is one periodic out-of-band copy of every live instance's
-// keyed state (plus progress counters), keyed by instance name.
+// keyed state (plus progress counters), one entry per instance in
+// EachInstance order.
 type stateSnapshot struct {
 	at        simtime.Time
-	order     []string // instance names in EachInstance order
-	ops       map[string]string
-	groups    map[string]state.Snapshot
-	processed map[string]uint64
+	instances []instanceSnap
+}
+
+// instanceSnap is one instance's part of a snapshot. groups is nil for an
+// instance without keyed input.
+type instanceSnap struct {
+	name      string
+	op        string
+	processed uint64
+	groups    state.Snapshot
+}
+
+// instance returns the named instance's entry, or nil when the snapshot did
+// not see it. Instance names are unique within one snapshot.
+func (snap *stateSnapshot) instance(name string) *instanceSnap {
+	for i := range snap.instances {
+		if snap.instances[i].name == name {
+			return &snap.instances[i]
+		}
+	}
+	return nil
 }
 
 // StateCheckpointer takes periodic frozen copies of all keyed state for
@@ -59,25 +77,18 @@ func (ck *StateCheckpointer) arm() {
 func (ck *StateCheckpointer) Stop() { ck.timer.Cancel() }
 
 func (ck *StateCheckpointer) take() {
-	snap := &stateSnapshot{
-		at:        ck.rt.Sched.Now(),
-		ops:       make(map[string]string),
-		groups:    make(map[string]state.Snapshot),
-		processed: make(map[string]uint64),
-	}
+	snap := &stateSnapshot{at: ck.rt.Sched.Now()}
 	ck.rt.EachInstance(func(in *Instance) {
 		if in.Dead() {
 			// A corpse's empty store says nothing; leaving it out lets
 			// lookups fall through to the older snapshot.
 			return
 		}
-		name := in.Name()
-		snap.order = append(snap.order, name)
-		snap.ops[name] = in.Spec.Name
-		snap.processed[name] = in.Processed
+		is := instanceSnap{name: in.Name(), op: in.Spec.Name, processed: in.Processed}
 		if in.Spec.KeyedInput {
-			snap.groups[name] = in.store.Snapshot()
+			is.groups = in.store.Snapshot()
 		}
+		snap.instances = append(snap.instances, is)
 	})
 	ck.snaps[1] = ck.snaps[0]
 	ck.snaps[0] = snap
@@ -88,25 +99,29 @@ func (ck *StateCheckpointer) take() {
 // instant (the group migrated in after the newest snapshot), the search
 // widens to the operator's other instances in deterministic order — the
 // group's pre-migration host had it. The returned group is the checkpoint's
-// frozen copy; callers Thaw it to install it into a live store.
+// frozen copy; callers Thaw it to install it into a live store. Lookup runs
+// only on recovery, so it scans.
 func (ck *StateCheckpointer) Lookup(op, name string, kg int) (*state.FrozenGroup, bool) {
 	for _, snap := range ck.snaps {
 		if snap == nil {
 			continue
 		}
-		if g, ok := snap.groups[name][kg]; ok {
-			return g, true
+		if is := snap.instance(name); is != nil {
+			if g, ok := is.groups[kg]; ok {
+				return g, true
+			}
 		}
 	}
 	for _, snap := range ck.snaps {
 		if snap == nil {
 			continue
 		}
-		for _, other := range snap.order {
-			if snap.ops[other] != op || other == name {
+		for i := range snap.instances {
+			is := &snap.instances[i]
+			if is.op != op || is.name == name {
 				continue
 			}
-			if g, ok := snap.groups[other][kg]; ok {
+			if g, ok := is.groups[kg]; ok {
 				return g, true
 			}
 		}
@@ -121,8 +136,8 @@ func (ck *StateCheckpointer) ProcessedAt(name string) (uint64, bool) {
 		if snap == nil {
 			continue
 		}
-		if n, ok := snap.processed[name]; ok {
-			return n, true
+		if is := snap.instance(name); is != nil {
+			return is.processed, true
 		}
 	}
 	return 0, false

@@ -66,6 +66,12 @@ type windowPane struct {
 	Values []paneEntry
 }
 
+// CloneState implements state.Cloner: OnRecord and fireWindow change a
+// pane's Values in place, so a checkpoint keeps its own copy.
+func (p *windowPane) CloneState() any {
+	return &windowPane{Values: append([]paneEntry(nil), p.Values...)}
+}
+
 type paneEntry struct {
 	At simtime.Time
 	V  float64
@@ -266,6 +272,15 @@ type joinState struct {
 	Left, Right []paneEntry
 }
 
+// CloneState implements state.Cloner: OnRecord and fire change both
+// sides in place, so a checkpoint keeps its own copy.
+func (js *joinState) CloneState() any {
+	return &joinState{
+		Left:  append([]paneEntry(nil), js.Left...),
+		Right: append([]paneEntry(nil), js.Right...),
+	}
+}
+
 // WindowJoinLogic joins two tagged streams per key over a sliding window:
 // when a window fires, keys present on both sides emit a match (NEXMark Q8's
 // persons⋈auctions shape).
@@ -447,4 +462,7 @@ var (
 	_ dataflow.Logic = (*WindowJoinLogic)(nil)
 	_ dataflow.Logic = (*MapLogic)(nil)
 	_ dataflow.Logic = (*CollectSink)(nil)
+
+	_ state.Cloner = (*windowPane)(nil)
+	_ state.Cloner = (*joinState)(nil)
 )

@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
+	"drrs/internal/dataflow"
 	"drrs/internal/netsim"
 	"drrs/internal/simtime"
 	"drrs/internal/state"
@@ -195,5 +197,64 @@ func TestCollectSinkDuplicates(t *testing.T) {
 	}
 	if NewCollectSink().Duplicates() != 0 {
 		t.Fatal("empty sink reports duplicates")
+	}
+}
+
+// TestWindowCheckpointsArePointInTime: window panes and join buffers are
+// changed in place by OnRecord and trimmed in place by firing, so a store
+// snapshot must hold its own copy. A snapshot taken after one record to key
+// 5 restores to exactly one entry, whatever the live store does afterwards,
+// and a store restored from it does not write back into it.
+func TestWindowCheckpointsArePointInTime(t *testing.T) {
+	// times lists a payload's buffered event times.
+	times := func(v any) []int64 {
+		var es []paneEntry
+		switch p := v.(type) {
+		case *windowPane:
+			es = p.Values
+		case *joinState:
+			es = append(append(es, p.Left...), p.Right...)
+		default:
+			t.Fatalf("unexpected payload %T", v)
+		}
+		out := make([]int64, len(es))
+		for i, pe := range es {
+			out[i] = int64(pe.At)
+		}
+		return out
+	}
+	want := fmt.Sprint([]int64{10})
+	for _, tc := range []struct {
+		name  string
+		logic func() dataflow.Logic
+	}{
+		{"window", func() dataflow.Logic { return &SlidingWindowLogic{Size: 100, Slide: 50} }},
+		{"join", func() dataflow.Logic { return &WindowJoinLogic{Size: 100, Slide: 50} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := newFakeCtx()
+			l := tc.logic()
+			l.OnWatermark(ctx, 0)
+			l.OnRecord(ctx, &netsim.Record{Key: 5, EventTime: 10, Value: 1, Aux: JoinSide{Left: true, Value: 1}})
+			snap := ctx.store.Snapshot()
+			l.OnRecord(ctx, &netsim.Record{Key: 5, EventTime: 60, Value: 2, Aux: JoinSide{Left: true, Value: 2}})
+			restored := state.NewStore(8)
+			restored.Restore(snap)
+			if v, _ := restored.Get(5); fmt.Sprint(times(v)) != want {
+				t.Fatalf("checkpoint of key 5 holds entries at %v after a later record, want %s", times(v), want)
+			}
+			l.OnWatermark(ctx, 150) // fires and trims the t=10 entry in place
+			restored.Restore(snap)
+			if v, _ := restored.Get(5); fmt.Sprint(times(v)) != want {
+				t.Fatalf("checkpoint of key 5 holds entries at %v after a window fired, want %s", times(v), want)
+			}
+			rctx := &fakeCtx{store: restored}
+			l.OnRecord(rctx, &netsim.Record{Key: 5, EventTime: 70, Value: 3, Aux: JoinSide{Value: 3}})
+			again := state.NewStore(8)
+			again.Restore(snap)
+			if v, _ := again.Get(5); fmt.Sprint(times(v)) != want {
+				t.Fatalf("a store restored from the checkpoint wrote into it: entries at %v, want %s", times(v), want)
+			}
+		})
 	}
 }

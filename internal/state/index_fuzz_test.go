@@ -1,13 +1,27 @@
 package state
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
+
+// refSlot is one key's state in the reference's slab, in the layout the slot
+// type had before the aux lane moved out of it: the structured payload rides
+// in the slot itself.
+type refSlot struct {
+	key   uint64
+	val   float64
+	aux   any
+	bytes int
+	live  bool
+}
 
 // mapGroup is the map-indexed key group the open-addressing index replaced:
 // a Go map from key to slot over the same slab and free list. It is the
 // reference FuzzGroupIndex holds Group to.
 type mapGroup struct {
 	index map[uint64]int32
-	slots []slot
+	slots []refSlot
 	free  []int32
 	Bytes int
 }
@@ -27,10 +41,10 @@ func (g *mapGroup) put(key uint64, val float64, aux any, bytes int) {
 		i = g.free[n-1]
 		g.free = g.free[:n-1]
 	} else {
-		g.slots = append(g.slots, slot{})
+		g.slots = append(g.slots, refSlot{})
 		i = int32(len(g.slots) - 1)
 	}
-	g.slots[i] = slot{key: key, val: val, aux: aux, bytes: bytes, live: true}
+	g.slots[i] = refSlot{key: key, val: val, aux: aux, bytes: bytes, live: true}
 	g.index[key] = i
 	g.Bytes += bytes
 }
@@ -68,7 +82,7 @@ func (g *mapGroup) Delete(key uint64) {
 		return
 	}
 	g.Bytes -= g.slots[i].bytes
-	g.slots[i] = slot{}
+	g.slots[i] = refSlot{}
 	delete(g.index, key)
 	g.free = append(g.free, i)
 }
@@ -104,20 +118,52 @@ func (g *mapGroup) extractSubUnit(sub, n int) *mapGroup {
 }
 
 // refreeze is the reference's checkpoint round trip: copy the slab and free
-// list, then rebuild the index from the live slots.
+// list, deep-copying the payloads their owners mutate in place, then rebuild
+// the index from the live slots.
 func (g *mapGroup) refreeze() *mapGroup {
 	out := &mapGroup{
 		index: make(map[uint64]int32, len(g.index)),
-		slots: append([]slot(nil), g.slots...),
+		slots: append([]refSlot(nil), g.slots...),
 		free:  append([]int32(nil), g.free...),
 		Bytes: g.Bytes,
 	}
 	for i := range out.slots {
+		if p, ok := out.slots[i].aux.(*fuzzPane); ok {
+			out.slots[i].aux = p.CloneState()
+		}
 		if out.slots[i].live {
 			out.index[out.slots[i].key] = int32(i)
 		}
 	}
 	return out
+}
+
+// fuzzPane is a structured payload its owner appends to in place and then
+// Puts again, the way window panes and join buffers are kept.
+type fuzzPane struct{ vals []byte }
+
+func (p *fuzzPane) CloneState() any { return &fuzzPane{vals: append([]byte(nil), p.vals...)} }
+
+// sameValue compares two state values, fuzzPanes by content.
+func sameValue(a, b any) bool {
+	pa, aok := a.(*fuzzPane)
+	pb, bok := b.(*fuzzPane)
+	if aok || bok {
+		return aok && bok && bytes.Equal(pa.vals, pb.vals)
+	}
+	return a == b
+}
+
+// appendPane appends v to key's fuzzPane in place, or stores a new pane when
+// key holds none, and Puts it back with one byte per value.
+func appendPane(get func(uint64) (any, bool), put func(uint64, any, int), key uint64, v byte) {
+	cur, _ := get(key)
+	p, ok := cur.(*fuzzPane)
+	if !ok {
+		p = &fuzzPane{}
+	}
+	p.vals = append(p.vals, v)
+	put(key, p, len(p.vals))
 }
 
 // hashInverse is hashMul's multiplicative inverse mod 2^64, so hashInverse*h
@@ -149,21 +195,31 @@ func fuzzKey(kind, t byte) uint64 {
 }
 
 // FuzzGroupIndex runs Group and the map-indexed reference through the same
-// operations — Put, PutF64, Delete, Get, GetF64, Merge, ExtractSubUnit and a
-// checkpoint round trip — on two groups, and after each one requires the
-// same length, bytes, lookups for every key seen so far, and slab order,
-// which also pins free-list reuse.
+// operations — Put, PutF64, Delete, Get, GetF64, Merge, ExtractSubUnit, an
+// in-place append to a cloneable payload, checkpoints held across later
+// writes and checkpoint round trips — on two groups, and after each one
+// requires the same length, bytes, lookups for every key seen so far, and
+// slab order, which also pins free-list reuse. It also requires a group
+// frozen twice without a write in between to share one copy, a write to
+// force a fresh one, and every held checkpoint to thaw to the reference's
+// copy taken at the same instant.
 func FuzzGroupIndex(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 2, 3, 2, 1, 2, 1, 1, 9, 7, 0, 0})
-	f.Add([]byte{0x11, 1, 0, 0x11, 2, 0, 2, 1, 3, 0x02, 2, 5, 7, 0, 0, 1, 1, 4})
-	f.Add([]byte{0x19, 2, 0, 0x11, 1, 8, 5, 0, 0, 6, 1, 3, 0x0d, 0, 0, 2, 2, 0})
-	f.Add([]byte{0x13, 3, 0, 0x11, 0, 200, 2, 1, 5, 2, 2, 0, 0, 3, 4, 7, 0, 0, 1, 2, 5})
+	f.Add([]byte{0x21, 1, 0, 0x21, 2, 0, 2, 1, 3, 0x02, 2, 5, 7, 0, 0, 1, 1, 4})
+	f.Add([]byte{0x31, 2, 0, 0x21, 1, 8, 5, 0, 0, 6, 1, 3, 0x15, 0, 0, 2, 2, 0})
+	f.Add([]byte{0x23, 3, 0, 0x21, 0, 200, 2, 1, 5, 2, 2, 0, 0, 3, 4, 7, 0, 0, 1, 2, 5})
+	f.Add([]byte{1, 0, 1, 1, 0, 2, 10, 0, 0, 2, 0, 1, 7, 0, 0, 11, 0, 2, 7, 0, 0})
+	f.Add([]byte{8, 1, 3, 10, 1, 3, 9, 1, 3, 8, 2, 4, 11, 1, 3, 7, 0, 0, 9, 2, 4, 0x15, 0, 1, 0x18, 1, 3, 5, 0, 0, 10, 0, 0})
 	if hashInverse*hashMul != 1 {
 		f.Fatalf("hashInverse %#x is not the inverse of hashMul", hashInverse)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		gs := [2]*Group{NewGroup(), NewGroup()}
 		refs := [2]*mapGroup{newMapGroup(), newMapGroup()}
+		// held[i] is a checkpoint of group i kept across later steps, and
+		// heldRefs[i] the reference's copy taken at the same instant.
+		var held [2]*FrozenGroup
+		var heldRefs [2]*mapGroup
 		// seen lists every key drawn so far, once, in the order drawn.
 		var seen []uint64
 		drawn := map[uint64]bool{}
@@ -174,24 +230,49 @@ func FuzzGroupIndex(f *testing.F) {
 			}
 		}
 		var got, want []uint64
+		match := func(step int, what string, g *Group, ref *mapGroup) {
+			t.Helper()
+			if g.Len() != len(ref.index) || g.Bytes != ref.Bytes {
+				t.Fatalf("step %d %s: %d keys in %d bytes, reference %d in %d", step, what, g.Len(), g.Bytes, len(ref.index), ref.Bytes)
+			}
+			for _, k := range seen {
+				gv, gok := g.Get(k)
+				rv, rok := ref.Get(k)
+				gf, gfok := g.GetF64(k)
+				rf, rfok := ref.GetF64(k)
+				if !sameValue(gv, rv) || gok != rok || gf != rf || gfok != rfok {
+					t.Fatalf("step %d %s: key %#x reads %v %v / %v %v, reference %v %v / %v %v", step, what, k, gv, gok, gf, gfok, rv, rok, rf, rfok)
+				}
+			}
+			got, want = g.AppendKeys(got[:0]), ref.AppendKeys(want[:0])
+			if len(got) != len(want) {
+				t.Fatalf("step %d %s: slab keys %x, reference %x", step, what, got, want)
+			}
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("step %d %s: slab keys %x, reference %x", step, what, got, want)
+				}
+			}
+			checkIndex(t, &g.index)
+		}
 		// The checks after each step read every key seen so far, so the
 		// steps are capped to keep one input's cost bounded.
 		for step := 0; step < 128 && len(data) >= 3; step++ {
 			op, kind, arg := data[0], data[1], data[2]
 			data = data[3:]
-			a, b := int(op>>3&1), 1-int(op>>3&1)
+			a, b := int(op>>4&1), 1-int(op>>4&1)
 			g, ref := gs[a], refs[a]
 			key := fuzzKey(kind, arg)
 			bytes := int(kind>>2) + 1
 			see(key)
-			switch op & 7 {
+			switch (op & 15) % 12 {
 			case 0:
 				g.Put(key, string(rune('a'+arg%26)), bytes)
 				ref.Put(key, string(rune('a'+arg%26)), bytes)
 			case 1:
-				// With bit 4 set, put a run of 16 keys to push the table
+				// With bit 5 set, put a run of 16 keys to push the table
 				// through its doublings.
-				n := 1 + 15*int(op>>4&1)
+				n := 1 + 15*int(op>>5&1)
 				for i := 0; i < n; i++ {
 					k := fuzzKey(kind, arg+byte(i))
 					see(k)
@@ -204,7 +285,7 @@ func FuzzGroupIndex(f *testing.F) {
 			case 3:
 				gv, gok := g.Get(key)
 				rv, rok := ref.Get(key)
-				if gv != rv || gok != rok {
+				if !sameValue(gv, rv) || gok != rok {
 					t.Fatalf("step %d: Get(%#x) = %v %v, reference %v %v", step, key, gv, gok, rv, rok)
 				}
 			case 4:
@@ -223,34 +304,48 @@ func FuzzGroupIndex(f *testing.F) {
 				s.InstallGroup(0, g)
 				gs[b] = s.ExtractSubUnit(0, sub, n)
 				refs[b] = ref.extractSubUnit(sub, n)
+				// The extracted group was sized once: its index never
+				// doubled past the size its keys need.
+				if out := gs[b]; out.Len() > 0 && len(out.index.table) != indexLen(out.Len()) {
+					t.Fatalf("step %d: %d extracted keys in a %d-bucket index, want %d", step, out.Len(), len(out.index.table), indexLen(out.Len()))
+				}
 			case 7:
-				gs[a] = g.freeze().Thaw()
+				f := g.freeze()
+				gs[a] = f.Thaw()
 				refs[a] = ref.refreeze()
+				if gs[a].freeze() != f {
+					t.Fatalf("step %d: a thawed group froze to a new copy before any write", step)
+				}
+			case 8:
+				appendPane(g.Get, g.Put, key, arg)
+				appendPane(ref.Get, ref.Put, key, arg)
+			case 9:
+				// A pane appended in place must not leak into a checkpoint
+				// taken before it.
+				f := g.freeze()
+				r := ref.refreeze()
+				appendPane(g.Get, g.Put, key, arg)
+				appendPane(ref.Get, ref.Put, key, arg)
+				match(step, "checkpoint before the append", f.Thaw(), r)
+			case 10:
+				held[a], heldRefs[a] = g.freeze(), ref.refreeze()
+				if g.freeze() != held[a] {
+					t.Fatalf("step %d: two freezes with no write between made two copies", step)
+				}
+			case 11:
+				before, r := g.freeze(), ref.refreeze()
+				g.PutF64(key, float64(step), bytes)
+				ref.put(key, float64(step), nil, bytes)
+				if g.freeze() == before {
+					t.Fatalf("step %d: a freeze after PutF64 returned the copy from before it", step)
+				}
+				match(step, "checkpoint before the PutF64", before.Thaw(), r)
 			}
 			for i := range gs {
-				g, ref := gs[i], refs[i]
-				if g.Len() != len(ref.index) || g.Bytes != ref.Bytes {
-					t.Fatalf("step %d group %d: %d keys in %d bytes, reference %d in %d", step, i, g.Len(), g.Bytes, len(ref.index), ref.Bytes)
+				match(step, "group "+string(rune('0'+i)), gs[i], refs[i])
+				if held[i] != nil {
+					match(step, "held checkpoint "+string(rune('0'+i)), held[i].Thaw(), heldRefs[i])
 				}
-				for _, k := range seen {
-					gv, gok := g.Get(k)
-					rv, rok := ref.Get(k)
-					gf, gfok := g.GetF64(k)
-					rf, rfok := ref.GetF64(k)
-					if gv != rv || gok != rok || gf != rf || gfok != rfok {
-						t.Fatalf("step %d group %d: key %#x reads %v %v / %v %v, reference %v %v / %v %v", step, i, k, gv, gok, gf, gfok, rv, rok, rf, rfok)
-					}
-				}
-				got, want = g.AppendKeys(got[:0]), ref.AppendKeys(want[:0])
-				if len(got) != len(want) {
-					t.Fatalf("step %d group %d: slab keys %x, reference %x", step, i, got, want)
-				}
-				for j := range got {
-					if got[j] != want[j] {
-						t.Fatalf("step %d group %d: slab keys %x, reference %x", step, i, got, want)
-					}
-				}
-				checkIndex(t, &g.index)
 			}
 		}
 	})

@@ -6,25 +6,38 @@
 // ("hierarchical state organization"), which ExtractSubUnit supports.
 //
 // Storage layout: a key group keeps its entries in a contiguous slab of
-// slots, found through an open-addressing key index (linear probing over a
-// power-of-two table at most 3/4 full, a multiplicative hash, and
-// backward-shift deletion, so no tombstones build up). The common payload —
-// one float64 accumulator — lives unboxed in the slot's fast lane; rare
-// structured payloads (window panes, join buffers) ride in an `any` escape
-// hatch. Deleted slots go on a free list and are reused, so steady-state
-// Put/Get/Delete allocate nothing. A store keeps its groups in a window: a
-// slice over the key groups [lo, lo+len) that grows at either end to cover
-// what the store owns, so an instance of a wide job holds about
-// MaxKeyGroups/parallelism pointers, not MaxKeyGroups. Nothing iterates the
-// key index: ForEach, AppendKeys, Merge, ExtractSubUnit and checkpoints walk
-// the slab in slot order, and Groups walks the window in key-group order.
+// 24-byte slots (key, float64 value, int32 size, live flag) that holds no
+// pointer, so the garbage collector never scans it. Slots are found through
+// an open-addressing key index (linear probing over a power-of-two table at
+// most 3/4 full, a multiplicative hash, and backward-shift deletion, so no
+// tombstones build up). The common payload — one float64 accumulator — lives
+// unboxed in the slot. Rare structured payloads (window panes, join buffers)
+// ride in a parallel aux lane indexed by slot, which stays nil until the
+// group first stores one, so keyed-reduce jobs never allocate it. Deleted
+// slots go on a free list and are reused, so steady-state Put/Get/Delete
+// allocate nothing. A store keeps its groups in a window: a slice over the
+// key groups [lo, lo+len) that grows at either end to cover what the store
+// owns, so an instance of a wide job holds about MaxKeyGroups/parallelism
+// pointers, not MaxKeyGroups. Nothing iterates the key index: ForEach,
+// AppendKeys, Merge, ExtractSubUnit and checkpoints walk the slab in slot
+// order, and Groups walks the window in key-group order. Migration slabs
+// (ExtractSubUnit's output, Merge's target) are sized once before entries
+// are copied in.
+//
+// Checkpoints: a group's frozen copy is cached on the group until its next
+// write, so a checkpoint of a group untouched since the previous one shares
+// that one's copy instead of copying the slab again. Frozen copies are never
+// mutated; Thaw copies out of them.
+//
 // Byte accounting is per entry and per group; migration chunking,
 // sub-key-group slicing and serialized-bytes accounting all read it.
 package state
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 )
 
 // KeyGroupOf maps a key to its key group, Flink-style: a stable hash of the
@@ -53,15 +66,36 @@ func SubUnitOf(key uint64, n int) int {
 	return int(h % uint64(n))
 }
 
-// slot is one key's state in a group's slab: an unboxed float64 fast lane,
-// an `any` escape hatch for structured payloads, and the accounted size.
-// aux == nil means the entry's payload is the fast lane.
+// slot is one key's state in a group's slab: an unboxed float64 fast lane
+// and the accounted size. A structured payload for the slot, if any, sits at
+// the same index of the group's aux lane.
 type slot struct {
 	key   uint64
 	val   float64
-	aux   any
-	bytes int
+	bytes int32
 	live  bool
+}
+
+// Cloner is implemented by structured payloads that their owners mutate
+// in place between Puts. A checkpoint stores CloneState's result instead of
+// the live payload, and a restore clones again, so neither a checkpoint nor a
+// restored group aliases state that keeps changing.
+type Cloner interface{ CloneState() any }
+
+// cloneAux copies an aux lane for a checkpoint or a restore, deep-copying the
+// payloads that implement Cloner. A nil lane stays nil.
+func cloneAux(aux []any) []any {
+	if aux == nil {
+		return nil
+	}
+	out := make([]any, len(aux))
+	for i, v := range aux {
+		if c, ok := v.(Cloner); ok {
+			v = c.CloneState()
+		}
+		out[i] = v
+	}
+	return out
 }
 
 const (
@@ -141,17 +175,26 @@ func (x *keyIndex) get(key uint64) (int32, bool) {
 // past the load limit.
 func (x *keyIndex) set(b int, key uint64, i int32) {
 	if loadDen*(x.n+1) > loadNum*len(x.table) {
-		old := x.table
-		x.alloc(indexLen(x.n + 1))
-		for _, e := range old {
-			if e.ref != 0 {
-				x.table[x.empty(e.key)] = e
-			}
-		}
+		x.reserve(x.n + 1)
 		b = x.empty(key)
 	}
 	x.table[b] = indexEntry{key: key, ref: i + 1}
 	x.n++
+}
+
+// reserve rehashes the table into one sized for n keys, unless it already
+// holds n keys within the load limit.
+func (x *keyIndex) reserve(n int) {
+	if loadDen*n <= loadNum*len(x.table) {
+		return
+	}
+	old := x.table
+	x.alloc(indexLen(n))
+	for _, e := range old {
+		if e.ref != 0 {
+			x.table[x.empty(e.key)] = e
+		}
+	}
 }
 
 // empty returns the first empty bucket of key's probe sequence.
@@ -184,7 +227,13 @@ func (x *keyIndex) remove(b int) {
 type Group struct {
 	index keyIndex
 	slots []slot
-	free  []int32
+	// aux holds the structured payload of slot i at aux[i] (nil for a
+	// fast-lane entry). The lane is nil until the group first stores one;
+	// from then on it is as long as slots.
+	aux  []any
+	free []int32
+	// frozen is the group's checkpoint copy, cached until the next write.
+	frozen *FrozenGroup
 	// Bytes is the group's accounted size (the sum of entry sizes).
 	Bytes int
 }
@@ -195,28 +244,49 @@ func NewGroup() *Group { return &Group{} }
 // Len reports the number of keys with state in the group.
 func (g *Group) Len() int { return g.index.n }
 
+// auxAt returns slot i's structured payload, or nil for a fast-lane entry.
+func (g *Group) auxAt(i int32) any {
+	if g.aux == nil {
+		return nil
+	}
+	return g.aux[i]
+}
+
 // put is the shared insert/replace path; value semantics are split across
 // the two lanes by the callers.
 func (g *Group) put(key uint64, val float64, aux any, bytes int) {
+	if bytes > math.MaxInt32 {
+		panic(fmt.Sprintf("state: entry of %d bytes for key %d exceeds the int32 slot size", bytes, key))
+	}
+	g.frozen = nil
 	b, ok := g.index.find(key)
-	if ok {
-		s := &g.slots[g.index.table[b].ref-1]
-		g.Bytes -= s.bytes
-		s.val, s.aux, s.bytes = val, aux, bytes
-		g.Bytes += bytes
-		return
-	}
 	var i int32
-	if n := len(g.free); n > 0 {
-		i = g.free[n-1]
-		g.free = g.free[:n-1]
+	if ok {
+		i = g.index.table[b].ref - 1
+		s := &g.slots[i]
+		g.Bytes += bytes - int(s.bytes)
+		s.val, s.bytes = val, int32(bytes)
 	} else {
-		g.slots = append(g.slots, slot{})
-		i = int32(len(g.slots) - 1)
+		if n := len(g.free); n > 0 {
+			i = g.free[n-1]
+			g.free = g.free[:n-1]
+		} else {
+			g.slots = append(g.slots, slot{})
+			if g.aux != nil {
+				g.aux = append(g.aux, nil)
+			}
+			i = int32(len(g.slots) - 1)
+		}
+		g.slots[i] = slot{key: key, val: val, bytes: int32(bytes), live: true}
+		g.index.set(b, key, i)
+		g.Bytes += bytes
 	}
-	g.slots[i] = slot{key: key, val: val, aux: aux, bytes: bytes, live: true}
-	g.index.set(b, key, i)
-	g.Bytes += bytes
+	if aux != nil && g.aux == nil {
+		g.aux = make([]any, len(g.slots), cap(g.slots))
+	}
+	if g.aux != nil {
+		g.aux[i] = aux
+	}
 }
 
 // PutF64 inserts or replaces a key's state with an unboxed float64,
@@ -225,7 +295,9 @@ func (g *Group) PutF64(key uint64, v float64, bytes int) { g.put(key, v, nil, by
 
 // Put inserts or replaces a key's state, maintaining byte accounting.
 // float64 values land in the fast lane; everything else rides in the aux
-// lane. Hot paths should call PutF64 directly.
+// lane. Hot paths should call PutF64 directly. A payload its owner mutates
+// in place must be Put again after each change, and should implement
+// Cloner so checkpoints hold a point-in-time copy of it.
 func (g *Group) Put(key uint64, value any, bytes int) {
 	if f, ok := value.(float64); ok {
 		g.put(key, f, nil, bytes)
@@ -238,14 +310,10 @@ func (g *Group) Put(key uint64, value any, bytes int) {
 // absent or holds an aux payload.
 func (g *Group) GetF64(key uint64) (float64, bool) {
 	i, ok := g.index.get(key)
-	if !ok {
+	if !ok || g.auxAt(i) != nil {
 		return 0, false
 	}
-	s := &g.slots[i]
-	if s.aux != nil {
-		return 0, false
-	}
-	return s.val, true
+	return g.slots[i].val, true
 }
 
 // Get returns the state for key: the aux payload if present, else the boxed
@@ -255,11 +323,10 @@ func (g *Group) Get(key uint64) (any, bool) {
 	if !ok {
 		return nil, false
 	}
-	s := &g.slots[i]
-	if s.aux != nil {
-		return s.aux, true
+	if aux := g.auxAt(i); aux != nil {
+		return aux, true
 	}
-	return s.val, true
+	return g.slots[i].val, true
 }
 
 // Delete removes a key's state, recycling its slot.
@@ -268,11 +335,15 @@ func (g *Group) Delete(key uint64) {
 	if !ok {
 		return
 	}
+	g.frozen = nil
 	i := g.index.table[b].ref - 1
 	g.index.remove(b)
 	s := &g.slots[i]
-	g.Bytes -= s.bytes
+	g.Bytes -= int(s.bytes)
 	*s = slot{}
+	if g.aux != nil {
+		g.aux[i] = nil
+	}
 	g.free = append(g.free, i)
 }
 
@@ -286,10 +357,10 @@ func (g *Group) ForEach(fn func(key uint64, value any, bytes int)) {
 		if !s.live {
 			continue
 		}
-		if s.aux != nil {
-			fn(s.key, s.aux, s.bytes)
+		if aux := g.auxAt(int32(i)); aux != nil {
+			fn(s.key, aux, int(s.bytes))
 		} else {
-			fn(s.key, s.val, s.bytes)
+			fn(s.key, s.val, int(s.bytes))
 		}
 	}
 }
@@ -310,45 +381,68 @@ func (g *Group) AppendKeys(dst []uint64) []uint64 {
 	return dst
 }
 
+// reserve makes room for n more keys: slab capacity beyond the free list and
+// a key index sized for them, so inserting them neither regrows the slab nor
+// rehashes the index.
+func (g *Group) reserve(n int) {
+	if extra := n - len(g.free); extra > 0 {
+		g.slots = slices.Grow(g.slots, extra)
+	}
+	g.index.reserve(g.index.n + n)
+}
+
 // Merge folds other into g (used when a migrated chunk arrives), entry by
 // entry with Put accounting, without boxing fast-lane values.
 func (g *Group) Merge(other *Group) {
+	g.reserve(other.Len())
 	for i := range other.slots {
-		s := &other.slots[i]
-		if s.live {
-			g.put(s.key, s.val, s.aux, s.bytes)
+		if s := &other.slots[i]; s.live {
+			g.put(s.key, s.val, other.auxAt(int32(i)), int(s.bytes))
 		}
 	}
 }
 
-// FrozenGroup is a checkpoint copy of a group: its slab, free list and byte
-// total, without the key index. It serves no reads; Thaw makes it live.
+// FrozenGroup is a checkpoint copy of a group: its slab, aux lane, free list
+// and byte total, without the key index. It serves no reads and is never
+// mutated; Thaw makes a live copy.
 type FrozenGroup struct {
 	slots []slot
+	aux   []any
 	free  []int32
 	bytes int
 }
 
-// freeze copies the group's slab and free list (aux payloads are copied
-// shallowly; simulated state values are immutable or replaced wholesale on
-// Put). Checkpoints must not alias live slabs.
+// freeze returns the group's checkpoint copy. A group not written since its
+// last freeze (or since the Thaw that made it) returns that same copy;
+// otherwise freeze copies the slab, free list and aux lane — deep-copying
+// Cloner payloads, sharing the rest, which are replaced wholesale on
+// Put — and caches the copy until the next write. Checkpoints never alias
+// live slabs.
 func (g *Group) freeze() *FrozenGroup {
-	return &FrozenGroup{
-		slots: append([]slot(nil), g.slots...),
-		free:  append([]int32(nil), g.free...),
-		bytes: g.Bytes,
+	if g.frozen == nil {
+		g.frozen = &FrozenGroup{
+			slots: append([]slot(nil), g.slots...),
+			aux:   cloneAux(g.aux),
+			free:  append([]int32(nil), g.free...),
+			bytes: g.Bytes,
+		}
 	}
+	return g.frozen
 }
 
 // Thaw returns a live copy of the frozen group, rebuilding the key index from
-// the live slots in one table sized for them. The frozen copy is left intact,
-// so a restore never hands a checkpoint's only copy to a store that will keep
-// mutating it, and one checkpoint can be thawed any number of times.
+// the live slots in one table sized for them and deep-copying Cloner
+// payloads. The frozen copy is left intact, so a restore never hands a
+// checkpoint's only copy to a store that will keep mutating it, and one
+// checkpoint can be thawed any number of times. Until its first write, the
+// thawed group's own checkpoint copy is f.
 func (f *FrozenGroup) Thaw() *Group {
 	g := &Group{
-		slots: append([]slot(nil), f.slots...),
-		free:  append([]int32(nil), f.free...),
-		Bytes: f.bytes,
+		slots:  append([]slot(nil), f.slots...),
+		aux:    cloneAux(f.aux),
+		free:   append([]int32(nil), f.free...),
+		frozen: f,
+		Bytes:  f.bytes,
 	}
 	if n := len(f.slots) - len(f.free); n > 0 {
 		g.index.alloc(indexLen(n))
@@ -536,18 +630,25 @@ func (s *Store) InstallGroup(kg int, g *Group) {
 }
 
 // ExtractSubUnit removes the keys of kg that fall into sub-unit sub of n and
-// returns them as a group. The key group itself stays local (Meces keeps
-// serving the remainder). Returns nil if kg is not local.
+// returns them as a group, whose slab and key index are sized for them up
+// front. The key group itself stays local (Meces keeps serving the
+// remainder). Returns nil if kg is not local.
 func (s *Store) ExtractSubUnit(kg, sub, n int) *Group {
 	g := s.Group(kg)
 	if g == nil {
 		return nil
 	}
-	out := NewGroup()
+	var count int
 	for i := range g.slots {
-		sl := &g.slots[i]
-		if sl.live && SubUnitOf(sl.key, n) == sub {
-			out.put(sl.key, sl.val, sl.aux, sl.bytes)
+		if sl := &g.slots[i]; sl.live && SubUnitOf(sl.key, n) == sub {
+			count++
+		}
+	}
+	out := NewGroup()
+	out.reserve(count)
+	for i := range g.slots {
+		if sl := &g.slots[i]; sl.live && SubUnitOf(sl.key, n) == sub {
+			out.put(sl.key, sl.val, g.auxAt(int32(i)), int(sl.bytes))
 		}
 	}
 	for i := range out.slots {

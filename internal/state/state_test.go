@@ -1,6 +1,7 @@
 package state
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -420,4 +421,16 @@ func TestMigrationRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPutRejectsEntryOverInt32 checks that an entry size the slot cannot
+// hold panics with a message instead of wrapping.
+func TestPutRejectsEntryOverInt32(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "exceeds the int32 slot size") {
+			t.Fatalf("panic %q, want the int32 slot-size message", msg)
+		}
+	}()
+	NewGroup().PutF64(1, 0, math.MaxInt32+1)
 }
