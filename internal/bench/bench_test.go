@@ -45,9 +45,9 @@ func TestMechanismsRegistry(t *testing.T) {
 			t.Fatalf("mechanism %s is nil", name)
 		}
 		// Fresh instances every call: mechanisms carry per-run state.
-		// (unbound is a zero-size struct, so pointer identity is meaningless
-		// there — and it is also stateless.)
-		if name != "unbound" && Mechanisms(name) == m {
+		// (unbound and stop-restart are zero-size structs, so pointer
+		// identity is meaningless there — and they are also stateless.)
+		if name != "unbound" && name != "stop-restart" && Mechanisms(name) == m {
 			t.Fatalf("mechanism %s not fresh per call", name)
 		}
 	}

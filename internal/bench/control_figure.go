@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"drrs/internal/fitness"
 	"drrs/internal/simtime"
 )
 
@@ -73,7 +72,7 @@ func (h Harness) ControlFigure(workloadName string, mechs []string, seeds []int6
 				FinalParallelism: finalP,
 			},
 			Faults:  faultStats(outs[mech]),
-			Fitness: fitnessStats(outs[mech], fitness.DefaultWeights()),
+			Fitness: fitnessStats(outs[mech]),
 		}
 		rows[mech] = r
 		fmt.Fprintf(&b, "%-12s %18s %18s %12s %12s %10s %10s %9d/%d %8s\n",

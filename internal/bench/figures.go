@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"drrs/internal/core"
-	"drrs/internal/fitness"
 	"drrs/internal/scaling"
 	"drrs/internal/scaling/meces"
 	"drrs/internal/scaling/megaphone"
@@ -241,7 +240,7 @@ func rowsFrom(outs map[string][]Outcome) map[string]Row {
 			DepOverheadMs: NewStat(dep),
 			SuspensionMs:  NewStat(susp),
 			Faults:        faultStats(runs),
-			Fitness:       fitnessStats(runs, fitness.DefaultWeights()),
+			Fitness:       fitnessStats(runs),
 		}
 	}
 	return rows
@@ -519,7 +518,7 @@ func (h Harness) Sweep(scenarioNames []string, mechs []string, seeds []int64) (F
 				ScalingSec:   NewStat(dur),
 				SuspensionMs: NewStat(susp),
 				Faults:       faultStats(runs),
-				Fitness:      fitnessStats(runs, fitness.DefaultWeights()),
+				Fitness:      fitnessStats(runs),
 			}
 			rows[scn+"/"+mech] = r
 			fmt.Fprintf(&b, "%-16s %-12s %16s %16s %16s %16s %4d/%d\n",

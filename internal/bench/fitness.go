@@ -79,19 +79,28 @@ type FitnessStats struct {
 	MigrationMB     Stat
 	InstanceSeconds Stat
 	Oscillations    Stat
-	// Score is the weighted scalar under the weights the figure ran with
-	// (DefaultWeights unless the caller chose otherwise).
+	// Score is the weighted scalar under fitness.DefaultWeights.
 	Score Stat
 }
 
-// fitnessStats aggregates runs' fitness vectors under w.
-func fitnessStats(runs []Outcome, w fitness.Weights) *FitnessStats {
+// fitnessStats aggregates runs' fitness vectors.
+func fitnessStats(runs []Outcome) *FitnessStats {
 	if len(runs) == 0 {
 		return nil
 	}
+	cs := make([]fitness.Components, len(runs))
+	for i := range runs {
+		cs[i] = runs[i].Fitness()
+	}
+	return NewFitnessStats(cs)
+}
+
+// NewFitnessStats aggregates per-run fitness vectors (mean ± std across
+// runs), scoring each under fitness.DefaultWeights.
+func NewFitnessStats(cs []fitness.Components) *FitnessStats {
+	w := fitness.DefaultWeights()
 	var slo, mig, inst, osc, score []float64
-	for _, o := range runs {
-		c := o.Fitness()
+	for _, c := range cs {
 		slo = append(slo, c.SLOViolations)
 		mig = append(mig, c.MigrationMB)
 		inst = append(inst, c.InstanceSeconds)

@@ -22,7 +22,8 @@
 //   - routing: after a completed run, every upstream routing table entry
 //     points at a live instance that holds the group.
 //   - liveness: when the plan leaves no permanent disruption, every launched
-//     scaling operation completes (or is superseded by a re-plan).
+//     scaling operation completes (or a later re-plan launches and
+//     completes).
 //   - determinism: two runs of the identical case produce byte-identical
 //     outcome digests.
 package chaos

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"drrs/internal/bench"
+	"drrs/internal/control"
 	"drrs/internal/faults"
 	"drrs/internal/simtime"
 )
@@ -123,6 +124,44 @@ func TestBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 			shrunk.Spec, shrunk.Seed, shrunk.Oracle, fs)
 	}
 	t.Logf("shrunk to %d fault(s) in %d runs: %s", len(shrunk.Plan.Faults), shrunk.ShrinkRuns, shrunk.Repro())
+}
+
+// TestLivenessExcusesOnlyOvertakenOperations pins the liveness oracle on
+// synthetic audit trails: a launched, unfinished operation is excused only
+// when a later decision launched and completed. Decision.Superseded marks the
+// pre-empting decision, so it must not excuse that decision's own operation.
+func TestLivenessExcusesOnlyOvertakenOperations(t *testing.T) {
+	var (
+		done     = control.Decision{Launched: true, Done: true}
+		hanging  = control.Decision{Launched: true}
+		preempt  = control.Decision{Superseded: true, Launched: true, Done: true}
+		preemptH = control.Decision{Superseded: true, Launched: true}
+		waiting  = control.Decision{Superseded: true} // replaced before launch
+	)
+	healing := faults.Plan{Faults: []faults.Fault{{Kind: faults.Crash, Node: "n", Restart: simtime.Sec(1)}}}
+	permanent := faults.Plan{Faults: []faults.Fault{{Kind: faults.Crash, Node: "n"}}}
+	cases := []struct {
+		name      string
+		plan      faults.Plan
+		decisions []control.Decision
+		stuck     bool
+	}{
+		{"no decisions", healing, nil, false},
+		{"completed", healing, []control.Decision{done}, false},
+		{"last hangs", healing, []control.Decision{done, hanging}, true},
+		{"pre-empted, pre-emptor completes", healing, []control.Decision{hanging, preempt}, false},
+		{"pre-emptor hangs", healing, []control.Decision{done, preemptH}, true},
+		{"chain hangs", healing, []control.Decision{hanging, preemptH}, true},
+		{"later decision never launched", healing, []control.Decision{hanging, waiting}, true},
+		{"earlier completion excuses nothing", healing, []control.Decision{done, hanging, waiting}, true},
+		{"permanent disruption", permanent, []control.Decision{hanging}, false},
+	}
+	for _, c := range cases {
+		fs := liveness(c.plan, bench.Outcome{Decisions: c.decisions})
+		if got := hasOracle(fs, OracleLiveness); got != c.stuck {
+			t.Errorf("%s: liveness finding %v, want %v (%v)", c.name, got, c.stuck, fs)
+		}
+	}
 }
 
 // TestSearchRequiresSeeds pins the no-silent-default contract.

@@ -226,27 +226,31 @@ func execCase(scenario, mech string, seed int64, plan faults.Plan, pair bool, h 
 }
 
 // liveness: when the plan leaves no permanent disruption, every launched
-// scaling operation must have completed or been superseded by a re-plan.
-// Deliberately decision-scoped rather than Outcome.Done: a superseded wave
-// may legitimately linger past the horizon (Megaphone cannot cancel announced
-// rounds, and its frontier-driven reconfigurations starve once the sources
-// stop emitting) — the controller has already re-planned around it, so the
-// lingering wave is not a stuck operation.
+// scaling operation must have completed or been overtaken by a later
+// decision that launched and completed. Deliberately decision-scoped rather
+// than Outcome.Done: a pre-empted wave may legitimately linger past the
+// horizon (Megaphone cannot cancel announced rounds, and its frontier-driven
+// reconfigurations starve once the sources stop emitting) — the controller
+// has already re-planned around it and finished, so the lingering wave is not
+// a stuck operation. Decision.Superseded marks the pre-empting decision, not
+// the pre-empted one, so it excuses nothing here.
 func liveness(plan faults.Plan, o bench.Outcome) []Finding {
 	if permanentDisruption(plan) {
 		return nil
 	}
-	stuck := 0
-	for _, d := range o.Decisions {
-		if d.Launched && !d.Done && !d.Superseded {
+	stuck, laterDone := 0, false
+	for i := len(o.Decisions) - 1; i >= 0; i-- {
+		d := o.Decisions[i]
+		if d.Launched && !d.Done && !laterDone {
 			stuck++
 		}
+		laterDone = laterDone || (d.Launched && d.Done)
 	}
 	if stuck == 0 {
 		return nil
 	}
 	return []Finding{{OracleLiveness, fmt.Sprintf(
-		"%d launched operations neither completed nor superseded (all faults heal; run done=%v, end %v)",
+		"%d launched operations neither completed nor followed by a completed re-plan (all faults heal; run done=%v, end %v)",
 		stuck, o.Done, o.EndAt)}}
 }
 

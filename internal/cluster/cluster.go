@@ -19,6 +19,10 @@ import (
 	"drrs/internal/simtime"
 )
 
+// transferLatency is the per-transfer network latency between distinct
+// nodes; transfers within one node skip it.
+const transferLatency = 500 * simtime.Microsecond
+
 // Transfer failure causes, wrapped into the error a failed transfer reports.
 // Both are transient: a restart or a healed partition clears them.
 var (
@@ -136,9 +140,6 @@ type Cluster struct {
 	used   map[string]int
 	opUsed map[string]map[string]int
 	policy Policy
-	// TransferLatency is the per-transfer network latency between distinct
-	// nodes; transfers within one node skip it.
-	TransferLatency simtime.Duration
 	// OnTransferFail, when set, observes every failed transfer (fault
 	// accounting). It runs before the transfer's own fail callback.
 	OnTransferFail func(from, to netsim.Endpoint, bytes int, err error)
@@ -156,13 +157,12 @@ type Cluster struct {
 // keeps single-machine experiments trivial to set up.
 func New(s *simtime.Scheduler) *Cluster {
 	c := &Cluster{
-		sched:           s,
-		nodes:           make(map[string]*Node),
-		racks:           make(map[string]*Rack),
-		placement:       make(map[netsim.Endpoint]string),
-		used:            make(map[string]int),
-		opUsed:          make(map[string]map[string]int),
-		TransferLatency: simtime.Ms(0.5),
+		sched:     s,
+		nodes:     make(map[string]*Node),
+		racks:     make(map[string]*Rack),
+		placement: make(map[netsim.Endpoint]string),
+		used:      make(map[string]int),
+		opUsed:    make(map[string]map[string]int),
 	}
 	c.AddNode("local", 1.0, 0)
 	return c
@@ -295,7 +295,7 @@ func (c *Cluster) attemptTransfer(from, to netsim.Endpoint, bytes, attempt int, 
 		c.sched.At(ready, func() { c.deliver(from, to, bytes, attempt, done, fail) })
 		return
 	}
-	lat := c.TransferLatency
+	lat := transferLatency
 	if sr, dr := c.rackPath(src, dst); sr != nil {
 		if sr.Down || dr.Down {
 			// The path is partitioned: the transfer times out after the base

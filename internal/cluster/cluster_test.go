@@ -86,7 +86,7 @@ func TestTransferBandwidthSerialization(t *testing.T) {
 	if len(done) != 2 {
 		t.Fatalf("completions %d", len(done))
 	}
-	lat := c.TransferLatency
+	lat := transferLatency
 	if done[0] != simtime.Time(simtime.Ms(500)).Add(lat) {
 		t.Fatalf("first done at %v", done[0])
 	}
@@ -139,7 +139,7 @@ func TestTransferSameSourceSerializesAcrossDestinations(t *testing.T) {
 	c.Transfer(ep("a", 0), ep("b", 0), 1000, func() { done = append(done, s.Now()) })
 	c.Transfer(ep("a", 0), ep("b", 1), 1000, func() { done = append(done, s.Now()) })
 	s.Run()
-	lat := c.TransferLatency
+	lat := transferLatency
 	if done[0] != simtime.Time(simtime.Sec(1)).Add(lat) {
 		t.Fatalf("first transfer done at %v", done[0])
 	}
@@ -169,7 +169,7 @@ func TestTransferIdleGapDoesNotCarryOver(t *testing.T) {
 	if len(done) != 2 {
 		t.Fatalf("completions %d", len(done))
 	}
-	want := simtime.Time(simtime.Sec(10.5)).Add(c.TransferLatency)
+	want := simtime.Time(simtime.Sec(10.5)).Add(transferLatency)
 	if done[1] != want {
 		t.Fatalf("post-idle transfer done at %v, want %v", done[1], want)
 	}
@@ -191,7 +191,7 @@ func TestTransferZeroBytes(t *testing.T) {
 	if !fired {
 		t.Fatal("zero-byte transfer never completed")
 	}
-	if s.Now() != simtime.Time(c.TransferLatency) {
+	if s.Now() != simtime.Time(transferLatency) {
 		t.Fatalf("zero-byte transfer took %v, want latency only", s.Now())
 	}
 	if n.TransferredBytes != 0 {
@@ -247,7 +247,7 @@ func TestTransferToDeadNodeFails(t *testing.T) {
 	if failErr == nil || !errors.Is(failErr, ErrInstanceDead) {
 		t.Fatalf("want ErrInstanceDead, got %v", failErr)
 	}
-	want := simtime.Time(simtime.Ms(500)).Add(c.TransferLatency)
+	want := simtime.Time(simtime.Ms(500)).Add(transferLatency)
 	if failedAt != want {
 		t.Fatalf("failure detected at %v, want delivery time %v", failedAt, want)
 	}
@@ -353,7 +353,7 @@ func TestTransfersFromDifferentNodesDontContend(t *testing.T) {
 	s.Run()
 	// Both take 1s of their own node's bandwidth; neither waits for the other.
 	for _, d := range done {
-		if d > simtime.Time(simtime.Sec(1)).Add(c.TransferLatency) {
+		if d > simtime.Time(simtime.Sec(1)).Add(transferLatency) {
 			t.Fatalf("independent transfers contended: %v", done)
 		}
 	}

@@ -27,7 +27,7 @@ func TestTransferCrossRackPaysUplink(t *testing.T) {
 	s.Run()
 	// 0.5 s on the node NIC, then 1 s store-and-forward on the 500 B/s
 	// uplink, then base latency + 2×2 ms uplink latency.
-	want := simtime.Time(simtime.Sec(1.5)).Add(c.TransferLatency + simtime.Ms(4))
+	want := simtime.Time(simtime.Sec(1.5)).Add(transferLatency + simtime.Ms(4))
 	if at != want {
 		t.Fatalf("cross-rack transfer done at %v, want %v", at, want)
 	}
@@ -47,7 +47,7 @@ func TestTransferSameRackSkipsUplink(t *testing.T) {
 	var at simtime.Time
 	c.Transfer(ep("a", 0), ep("b", 0), 1000, func() { at = s.Now() })
 	s.Run()
-	if want := simtime.Time(simtime.Sec(1)).Add(c.TransferLatency); at != want {
+	if want := simtime.Time(simtime.Sec(1)).Add(transferLatency); at != want {
 		t.Fatalf("same-rack transfer done at %v, want %v", at, want)
 	}
 	if c.Rack("r0").OutBytes != 0 || c.CrossRackBytes() != 0 {
@@ -72,7 +72,7 @@ func TestUplinkSharedAcrossRackNodes(t *testing.T) {
 	c.Transfer(ep("a", 0), ep("b", 0), 1000, func() { done = append(done, s.Now()) })
 	c.Transfer(ep("a", 1), ep("b", 0), 1000, func() { done = append(done, s.Now()) })
 	s.Run()
-	lat := c.TransferLatency
+	lat := transferLatency
 	if done[0] != simtime.Time(simtime.Sec(1)).Add(lat) {
 		t.Fatalf("first uplink transfer done at %v", done[0])
 	}
@@ -93,7 +93,7 @@ func TestUplinkIdleGapDoesNotCarryOver(t *testing.T) {
 		c.Transfer(ep("a", 0), ep("b", 0), 500, func() { done = append(done, s.Now()) })
 	})
 	s.Run()
-	want := simtime.Time(simtime.Sec(11.5)).Add(c.TransferLatency + simtime.Ms(4))
+	want := simtime.Time(simtime.Sec(11.5)).Add(transferLatency + simtime.Ms(4))
 	if len(done) != 2 || done[1] != want {
 		t.Fatalf("post-idle uplink transfer done at %v, want %v", done[1], want)
 	}
@@ -116,7 +116,7 @@ func TestInfiniteBandwidthSkipsQueueing(t *testing.T) {
 		c.Transfer(ep("a", 0), ep("b", 0), 1<<20, func() { at = s.Now() })
 	})
 	s.Run()
-	if want := simtime.Time(simtime.Sec(1)).Add(c.TransferLatency); at != want {
+	if want := simtime.Time(simtime.Sec(1)).Add(transferLatency); at != want {
 		t.Fatalf("infinite-bandwidth transfer queued behind stale busyUntil: done %v, want %v", at, want)
 	}
 	if n.busyUntil != simtime.Time(simtime.Sec(10)) {
@@ -132,7 +132,7 @@ func TestZeroByteCrossRack(t *testing.T) {
 	var at simtime.Time
 	c.Transfer(ep("a", 0), ep("b", 0), 0, func() { at = s.Now() })
 	s.Run()
-	if want := simtime.Time(c.TransferLatency + simtime.Ms(4)); at != want {
+	if want := simtime.Time(transferLatency + simtime.Ms(4)); at != want {
 		t.Fatalf("zero-byte cross-rack transfer done at %v, want %v", at, want)
 	}
 	if c.CrossRackBytes() != 0 || c.Node("src").TransferredBytes != 0 {

@@ -51,7 +51,7 @@ func TestThresholdPolicyDeficitAndScaleIn(t *testing.T) {
 }
 
 func TestBacklogPolicyHysteresis(t *testing.T) {
-	p := &Backlog{RatedRPS: 1000, TargetUtil: 0.75, Patience: 3}
+	p := &Backlog{RatedRPS: 1000, Patience: 3}
 	// Demand 6000+2000/2s = 7000 → ceil(7000/750) = 10: scale-out is
 	// immediate.
 	acts := p.Observe(snap(simtime.Sec(1), 8, 2000, 6000))
@@ -76,7 +76,7 @@ func TestBacklogPolicyHysteresis(t *testing.T) {
 		t.Fatalf("shrink target %d, want the conservative 5", acts[0].Target)
 	}
 	// A growth sample resets the countdown.
-	p2 := &Backlog{RatedRPS: 1000, TargetUtil: 0.75, Patience: 2}
+	p2 := &Backlog{RatedRPS: 1000, Patience: 2}
 	p2.Observe(snap(simtime.Sec(1), 8, 0, 3000))    // shrinkRun 1
 	p2.Observe(snap(simtime.Sec(2), 8, 4000, 8000)) // growth: resets
 	if acts := p2.Observe(snap(simtime.Sec(3), 8, 0, 3000)); len(acts) != 0 {
@@ -85,20 +85,19 @@ func TestBacklogPolicyHysteresis(t *testing.T) {
 }
 
 func TestPredictivePolicyExtrapolatesRamp(t *testing.T) {
-	p := &Predictive{RatedRPS: 1000, TargetUtil: 0.75, Window: 4, Horizon: 2 * simtime.Second, Patience: 2}
-	// Rate climbing 500 rec/s per second; current 3000 fits 4 instances
-	// (util .75 of 4000 capacity at rated 1000), but the projection 2 s out
-	// is ~5500 → ceil(5500/750) = 8.
+	p := &Predictive{RatedRPS: 1000, Horizon: 2 * simtime.Second, Patience: 2}
+	// Rate climbing 500 rec/s per second up to 5500; projected 2 s past the
+	// last sample it is ~6500 → ceil(6500/750) = 9 instances, up from 4.
 	var acts []Action
-	for i := 0; i < 4; i++ {
+	for i := 0; i < predictWindow; i++ {
 		acts = p.Observe(snap(simtime.Duration(i+1)*simtime.Second, 4, 0, 1500+500*float64(i+1)))
 	}
 	if len(acts) != 1 || acts[0].Target <= 4 {
 		t.Fatalf("rising ramp not anticipated: %+v", acts)
 	}
 	// A flat window projects the current rate: no further growth.
-	p2 := &Predictive{RatedRPS: 1000, TargetUtil: 0.75, Window: 3, Patience: 2}
-	for i := 0; i < 3; i++ {
+	p2 := &Predictive{RatedRPS: 1000, Patience: 2}
+	for i := 0; i < predictWindow; i++ {
 		acts = p2.Observe(snap(simtime.Duration(i+1)*simtime.Second, 4, 0, 2900))
 	}
 	if len(acts) != 0 {

@@ -119,14 +119,12 @@ func (p *Threshold) Observe(s Snapshot) []Action {
 // Backlog chases the source backlog with hysteresis: demand is estimated as
 // the observed emission rate plus enough extra capacity to drain the queued
 // backlog within drainWindow, and the parallelism that serves that demand at
-// TargetUtil becomes the goal. Hysteresis (Patience consecutive samples
+// targetUtil becomes the goal. Hysteresis (Patience consecutive samples
 // before shrinking, an asymmetric fast path for growth) keeps a noisy
 // backlog from flapping the cluster.
 type Backlog struct {
 	// RatedRPS is the per-instance processing capacity (records/s).
 	RatedRPS float64
-	// TargetUtil is the planned post-scale utilization (default 0.75).
-	TargetUtil float64
 	// Patience is how many consecutive samples must agree before the policy
 	// scales in (default 4). Scale-out fires on the first sample — queueing
 	// hurts immediately, idling does not.
@@ -136,8 +134,12 @@ type Backlog struct {
 	shrinkGoal int
 }
 
-// Backlog's drain target and deadband.
+// Backlog's and Predictive's sizing constants.
 const (
+	// targetUtil is the planned post-scale utilization.
+	targetUtil = 0.75
+	// predictWindow is how many samples feed Predictive's trend fit.
+	predictWindow = 8
 	// drainWindow is how fast the backlog should be drained: smaller
 	// windows chase harder.
 	drainWindow = 2 * simtime.Second
@@ -156,7 +158,7 @@ func (p *Backlog) Observe(s Snapshot) []Action {
 		return nil
 	}
 	demand := s.ThroughputRPS + float64(s.SourceBacklog)/drainWindow.Seconds()
-	need := int(math.Ceil(demand / (p.RatedRPS * p.TargetUtil)))
+	need := int(math.Ceil(demand / (p.RatedRPS * targetUtil)))
 	if need < 1 {
 		need = 1
 	}
@@ -197,9 +199,6 @@ func (p *Backlog) Observe(s Snapshot) []Action {
 }
 
 func (p *Backlog) fillDefaults() {
-	if p.TargetUtil == 0 {
-		p.TargetUtil = 0.75
-	}
 	if p.Patience == 0 {
 		p.Patience = 4
 	}
@@ -207,16 +206,12 @@ func (p *Backlog) fillDefaults() {
 
 // Predictive extrapolates the load shape: a least-squares line through the
 // recent emission-rate samples is projected Horizon ahead, and the
-// parallelism that serves the projected rate at TargetUtil becomes the goal.
+// parallelism that serves the projected rate at targetUtil becomes the goal.
 // Where Threshold reacts after queues form, Predictive scales into a ramp
 // before saturation — and scales back down the far side of the peak.
 type Predictive struct {
 	// RatedRPS is the per-instance processing capacity (records/s).
 	RatedRPS float64
-	// TargetUtil is the planned post-scale utilization (default 0.75).
-	TargetUtil float64
-	// Window is how many samples feed the trend fit (default 8).
-	Window int
 	// Horizon is how far ahead the trend is projected (default 3 s) —
 	// roughly deployment time plus migration time, so capacity lands when
 	// the load does.
@@ -245,17 +240,17 @@ func (p *Predictive) Observe(s Snapshot) []Action {
 		return nil
 	}
 	p.hist = append(p.hist, ratePoint{at: s.At, rps: s.ThroughputRPS})
-	if len(p.hist) > p.Window {
-		p.hist = p.hist[len(p.hist)-p.Window:]
+	if len(p.hist) > predictWindow {
+		p.hist = p.hist[len(p.hist)-predictWindow:]
 	}
-	if len(p.hist) < p.Window {
+	if len(p.hist) < predictWindow {
 		return nil
 	}
 	predicted := p.extrapolate(s.At.Add(p.Horizon))
 	// Queued backlog is demand the projection cannot see; fold it in so a
 	// spike mid-window still registers.
 	predicted += float64(s.SourceBacklog) / p.Horizon.Seconds()
-	need := int(math.Ceil(predicted / (p.RatedRPS * p.TargetUtil)))
+	need := int(math.Ceil(predicted / (p.RatedRPS * targetUtil)))
 	if need < 1 {
 		need = 1
 	}
@@ -316,12 +311,6 @@ func (p *Predictive) extrapolate(at simtime.Time) float64 {
 }
 
 func (p *Predictive) fillDefaults() {
-	if p.TargetUtil == 0 {
-		p.TargetUtil = 0.75
-	}
-	if p.Window == 0 {
-		p.Window = 8
-	}
 	if p.Horizon == 0 {
 		p.Horizon = 3 * simtime.Second
 	}

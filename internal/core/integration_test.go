@@ -17,7 +17,7 @@ import (
 // starts halted, so the test controls exactly where queued records and
 // checkpoint burst-barriers sit when DRRS signals inject (the Fig 9 setup).
 // burst records are ingested immediately at start.
-func fig9Job(t *testing.T, burst int, inCap, outCap int) (*simtime.Scheduler, *engine.Runtime, *engine.CollectSink) {
+func fig9Job(t *testing.T, burst int) (*simtime.Scheduler, *engine.Runtime, *engine.CollectSink) {
 	t.Helper()
 	sink := engine.NewCollectSink()
 	g := dataflow.NewGraph()
@@ -48,9 +48,7 @@ func fig9Job(t *testing.T, burst int, inCap, outCap int) (*simtime.Scheduler, *e
 	g.Connect("src", "agg", dataflow.ExchangeKeyed)
 	g.Connect("agg", "sink", dataflow.ExchangeRebalance)
 	s := simtime.NewScheduler()
-	rt := engine.New(s, g, nil, engine.Config{
-		Seed: 9, EdgeInCap: inCap, EdgeOutCap: outCap, MarkerInterval: -1,
-	})
+	rt := engine.New(s, g, nil, engine.Config{Seed: 9, MarkerInterval: -1})
 	rt.Instance("agg", 0).Halted = true
 	rt.Start()
 	return s, rt, sink
@@ -61,10 +59,10 @@ func fig9Job(t *testing.T, burst int, inCap, outCap int) (*simtime.Scheduler, *e
 // must conclude at the barrier and the trigger/confirm must ride immediately
 // behind it as an integrated signal.
 func TestCheckpointIntegrationOutbox(t *testing.T) {
-	// 30 records: ~8 reach the halted aggregator's input buffer, the rest
+	// 160 records: 128 fill the halted aggregator's input buffer, the rest
 	// wait in the output cache with room to spare; the barrier queues behind
 	// them there.
-	s, rt, sink := fig9Job(t, 30, 8, 64)
+	s, rt, sink := fig9Job(t, 160)
 	var ckptDone, scaleDone bool
 	s.After(simtime.Ms(10), func() {
 		rt.TriggerCheckpoint(func(int64) { ckptDone = true })
@@ -89,8 +87,8 @@ func TestCheckpointIntegrationOutbox(t *testing.T) {
 	if !scaleDone {
 		t.Fatal("scaling never completed")
 	}
-	if sink.Records != 30 {
-		t.Fatalf("sink saw %d records, want 30 (loss or duplication through the integrated path)", sink.Records)
+	if sink.Records != 160 {
+		t.Fatalf("sink saw %d records, want 160 (loss or duplication through the integrated path)", sink.Records)
 	}
 	if d := sink.Duplicates(); d != 0 {
 		t.Fatalf("%d duplicates", d)
@@ -102,9 +100,9 @@ func TestCheckpointIntegrationOutbox(t *testing.T) {
 // barrier arrives. The trigger must integrate into the checkpoint barrier
 // and take effect only after the snapshot.
 func TestCheckpointIntegrationInbox(t *testing.T) {
-	// Generous buffers: all 20 records and the barrier reach the halted
-	// aggregator's input buffer before injection.
-	s, rt, sink := fig9Job(t, 20, 64, 64)
+	// All 20 records and the barrier reach the halted aggregator's input
+	// buffer before injection.
+	s, rt, sink := fig9Job(t, 20)
 	var ckptDone, scaleDone bool
 	s.After(simtime.Ms(10), func() {
 		rt.TriggerCheckpoint(func(int64) { ckptDone = true })

@@ -49,9 +49,7 @@ func newProtoRig(t *testing.T, burst int) *protoRig {
 	g.Connect("src", "agg", dataflow.ExchangeKeyed)
 	g.Connect("agg", "sink", dataflow.ExchangeRebalance)
 	s := simtime.NewScheduler()
-	rt := engine.New(s, g, nil, engine.Config{
-		Seed: 17, EdgeInCap: 4, EdgeOutCap: 256, MarkerInterval: -1,
-	})
+	rt := engine.New(s, g, nil, engine.Config{Seed: 17, MarkerInterval: -1})
 	return &protoRig{s: s, rt: rt, g: g, sink: sink}
 }
 
@@ -60,8 +58,10 @@ func newProtoRig(t *testing.T, burst int) *protoRig {
 // records reach the new instance in their original order ahead of any
 // post-injection records.
 func TestOutboxRedirectionPreservesOrder(t *testing.T) {
-	rig := newProtoRig(t, 60)
-	rig.rt.Instance("agg", 0).Halted = true // inbox (4) fills; outbox retains the rest
+	// The halted aggregator's input buffer takes 128 records; the output
+	// cache retains the rest.
+	rig := newProtoRig(t, 200)
+	rig.rt.Instance("agg", 0).Halted = true
 	rig.rt.Start()
 	rig.s.RunUntil(simtime.Time(simtime.Ms(5)))
 
@@ -120,8 +120,8 @@ func TestOutboxRedirectionPreservesOrder(t *testing.T) {
 	if !done {
 		t.Fatal("scaling never completed")
 	}
-	if rig.sink.Records != 60 {
-		t.Fatalf("sink saw %d of 60 records", rig.sink.Records)
+	if rig.sink.Records != 200 {
+		t.Fatalf("sink saw %d of 200 records", rig.sink.Records)
 	}
 	if d := rig.sink.Duplicates(); d != 0 {
 		t.Fatalf("%d duplicates", d)
@@ -164,7 +164,7 @@ func TestTriggerPrecedesConfirmOnWire(t *testing.T) {
 // trigger's priority path starts migration even though the old instance has
 // a deep unprocessed queue (a coupled barrier would still be queueing).
 func TestMigrationStartsWhileOldInstanceBlocked(t *testing.T) {
-	rig := newProtoRig(t, 60)
+	rig := newProtoRig(t, 200)
 	agg := rig.rt.Instance("agg", 0)
 	agg.Halted = true
 	rig.rt.Start()
@@ -174,7 +174,7 @@ func TestMigrationStartsWhileOldInstanceBlocked(t *testing.T) {
 	// Allow signals to inject and the trigger to arrive. The instance is
 	// halted — but the trigger is consumed by the handler only when the
 	// instance runs, so unhalt and run a sliver of time: far less than it
-	// would take to drain the 60-record backlog.
+	// would take to drain the 200-record backlog.
 	agg.Halted = false
 	agg.Wake()
 	rig.s.RunUntil(simtime.Time(simtime.Ms(8))) // ~3 records' worth of work

@@ -34,7 +34,7 @@ import (
 )
 
 // edgeLatency is the per-hop network latency of data edges (LAN-ish). Data
-// edges have infinite bandwidth: the data plane is rarely the bottleneck in
+// edges have no bandwidth model: the data plane is rarely the bottleneck in
 // the paper's experiments.
 const edgeLatency = 500 * simtime.Microsecond
 
@@ -44,37 +44,27 @@ const ControlLatency = simtime.Millisecond
 // snapshotBytesPerSec is the checkpoint write rate (400 MB/s).
 const snapshotBytesPerSec = 400 << 20
 
+// edgeCap bounds the output cache and the input buffer of each data edge in
+// records, roughly Flink's buffer pools.
+const edgeCap = 128
+
+// throughputBucket is the throughput series resolution.
+const throughputBucket = simtime.Second
+
 // Config carries runtime-wide tunables. Zero values select the defaults
 // documented on each field.
 type Config struct {
 	// Seed drives every random stream in the run.
 	Seed int64
 
-	// EdgeOutCap / EdgeInCap bound the output cache and input buffer of each
-	// edge in records (default 128 each, roughly Flink's buffer pools).
-	EdgeOutCap int
-	EdgeInCap  int
-
 	// MarkerInterval is the latency-marker injection period (default 250 ms;
 	// 0 disables markers).
 	MarkerInterval simtime.Duration
-
-	// ThroughputBucket is the throughput series resolution (default 1 s).
-	ThroughputBucket simtime.Duration
 }
 
 func (c *Config) fillDefaults() {
-	if c.EdgeOutCap == 0 {
-		c.EdgeOutCap = 128
-	}
-	if c.EdgeInCap == 0 {
-		c.EdgeInCap = 128
-	}
 	if c.MarkerInterval == 0 {
 		c.MarkerInterval = simtime.Ms(250)
-	}
-	if c.ThroughputBucket == 0 {
-		c.ThroughputBucket = simtime.Second
 	}
 }
 
@@ -111,10 +101,6 @@ type Runtime struct {
 	// without being forwarded, or a marker reaching its sink).
 	recPool netsim.RecordPool
 
-	// OnMarkerSink, if set, is called for each marker reaching a sink
-	// (after latency recording).
-	OnMarkerSink func(r *netsim.Record)
-
 	markerTimer simtime.Timer
 }
 
@@ -136,7 +122,7 @@ func New(s *simtime.Scheduler, g *dataflow.Graph, cl *cluster.Cluster, cfg Confi
 		Cfg:        cfg,
 		instances:  make(map[string][]*Instance),
 		Latency:    metrics.NewLatencyTracker(),
-		Throughput: metrics.NewThroughputTracker(cfg.ThroughputBucket),
+		Throughput: metrics.NewThroughputTracker(throughputBucket),
 		Scale:      metrics.NewScalingMetrics(),
 		rng:        simtime.NewRNG(cfg.Seed, "runtime"),
 	}
@@ -172,13 +158,18 @@ func New(s *simtime.Scheduler, g *dataflow.Graph, cl *cluster.Cluster, cfg Confi
 	return rt
 }
 
-// edgeConfig returns the standard data-edge parameters.
-func (rt *Runtime) edgeConfig() netsim.EdgeConfig {
-	return netsim.EdgeConfig{
-		Latency: edgeLatency,
-		OutCap:  rt.Cfg.EdgeOutCap,
-		InCap:   rt.Cfg.EdgeInCap,
-	}
+// newEdge builds a data channel from src to dst whose latency follows the
+// cluster topology path between the two instances. Arrivals wake dst and
+// freed outbox space wakes src.
+func (rt *Runtime) newEdge(src, dst *Instance) *netsim.Edge {
+	e := netsim.NewEdge(rt.Sched, src.Endpoint(), dst.Endpoint(), netsim.EdgeConfig{
+		Latency: rt.Cluster.LinkLatency(src.Endpoint(), dst.Endpoint(), edgeLatency),
+		OutCap:  edgeCap,
+		InCap:   edgeCap,
+	})
+	e.SetReceiver(func(*netsim.Edge) { dst.Wake() })
+	e.SetSenderWake(func() { src.Wake() })
+	return e
 }
 
 // wire creates the physical channel for one (from-instance, to-instance)
@@ -187,11 +178,7 @@ func (rt *Runtime) edgeConfig() netsim.EdgeConfig {
 // latencies), so placement decisions shape the data plane, not just state
 // migration.
 func (rt *Runtime) wire(from, to *Instance, se dataflow.StreamEdge) {
-	cfg := rt.edgeConfig()
-	cfg.Latency = rt.Cluster.LinkLatency(from.Endpoint(), to.Endpoint(), cfg.Latency)
-	e := netsim.NewEdge(rt.Sched, from.Endpoint(), to.Endpoint(), cfg)
-	e.SetReceiver(func(*netsim.Edge) { to.Wake() })
-	e.SetSenderWake(func() { from.Wake() })
+	e := rt.newEdge(from, to)
 	port := from.portByOp[se.To]
 	from.addOutput(port, to.Index, e)
 	to.addInput(e)

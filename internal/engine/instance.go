@@ -708,11 +708,7 @@ func (in *Instance) ForwardMarker(r *netsim.Record) { in.forwardMarker(r) }
 func (in *Instance) forwardMarker(r *netsim.Record) {
 	if len(in.ports) == 0 {
 		in.rt.Latency.Observe(in.rt.Sched.Now(), r.IngestTime)
-		if in.rt.OnMarkerSink != nil {
-			in.rt.OnMarkerSink(r)
-		}
-		// The marker's journey ends at the sink; recycle it. OnMarkerSink must
-		// not retain the pointer.
+		// The marker's journey ends at the sink; recycle it.
 		in.rt.recPool.Put(r)
 		return
 	}

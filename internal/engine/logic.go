@@ -18,13 +18,10 @@ import (
 // backend's float64 fast lane, so the steady-state record path performs no
 // interface boxing.
 
-// KeyedReduceLogic maintains a per-key float64 accumulator and emits the
-// updated value per record. StateBytes is the accounted size per key
+// KeyedReduceLogic maintains a per-key running sum of Record.Value and emits
+// the updated value per record. StateBytes is the accounted size per key
 // (the custom workload's "state size" knob).
 type KeyedReduceLogic struct {
-	// Reduce folds a record's value into the accumulator (default: sum of
-	// Record.Value).
-	Reduce func(acc float64, r *netsim.Record) float64
 	// StateBytes is the per-key accounted state size (default 64).
 	StateBytes int
 	// EmitUpdates controls whether each update is emitted downstream.
@@ -35,11 +32,7 @@ type KeyedReduceLogic struct {
 func (l *KeyedReduceLogic) OnRecord(ctx dataflow.OpContext, r *netsim.Record) {
 	st := ctx.State()
 	acc, _ := st.GetF64(r.Key)
-	if l.Reduce != nil {
-		acc = l.Reduce(acc, r)
-	} else {
-		acc += r.Value
-	}
+	acc += r.Value
 	sb := l.StateBytes
 	if sb <= 0 {
 		sb = 64

@@ -148,24 +148,6 @@ func TestMapLogicDropAndTransform(t *testing.T) {
 	}
 }
 
-func TestKeyedReduceCustomReducer(t *testing.T) {
-	ctx := newFakeCtx()
-	l := &KeyedReduceLogic{
-		Reduce: func(acc float64, r *netsim.Record) float64 {
-			if r.Value > acc {
-				return r.Value
-			}
-			return acc
-		},
-	}
-	for _, v := range []float64{3, 9, 5} {
-		l.OnRecord(ctx, rec(1, 0, v))
-	}
-	if got, ok := ctx.store.GetF64(1); !ok || got != 9 {
-		t.Fatalf("running max %v", got)
-	}
-}
-
 func TestJoinSideMissingAuxDefaultsToRightZero(t *testing.T) {
 	// A record without an Aux payload joins as a zero-valued right-side
 	// entry (the JoinSide zero value) instead of panicking.

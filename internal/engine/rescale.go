@@ -64,12 +64,8 @@ func (rt *Runtime) AddInstance(op string, idx int) *Instance {
 // aligned watermark — rerouted records are Ep-epoch stragglers, not a
 // watermarked stream of their own.
 func (rt *Runtime) ConnectInstances(src, dst *Instance) *netsim.Edge {
-	cfg := rt.edgeConfig()
-	cfg.Latency = rt.Cluster.LinkLatency(src.Endpoint(), dst.Endpoint(), cfg.Latency)
-	e := netsim.NewEdge(rt.Sched, src.Endpoint(), dst.Endpoint(), cfg)
+	e := rt.newEdge(src, dst)
 	e.Auxiliary = true
-	e.SetReceiver(func(*netsim.Edge) { dst.Wake() })
-	e.SetSenderWake(func() { src.Wake() })
 	dst.addInput(e)
 	dst.SeedWatermark(e, simtime.Time(1)<<62)
 	return e

@@ -126,21 +126,22 @@ func TestRedirectedPendingHeadReachesNewEdge(t *testing.T) {
 	g.AddOperator(&dataflow.OperatorSpec{Name: "src", Parallelism: 1, Source: func(dataflow.SourceContext) {}})
 	g.AddOperator(&dataflow.OperatorSpec{Name: "agg", Parallelism: 2, NewLogic: func() dataflow.Logic { return NewCollectSink() }})
 	g.Connect("src", "agg", dataflow.ExchangeRebalance)
-	rt := New(simtime.NewScheduler(), g, nil, Config{Seed: 1, MarkerInterval: -1, EdgeOutCap: 4, EdgeInCap: 4})
+	rt := New(simtime.NewScheduler(), g, nil, Config{Seed: 1, MarkerInterval: -1})
 	src := rt.Instance("src", 0)
 	a, b := src.OutEdges("agg")[0], src.OutEdges("agg")[1]
 	rt.Instance("agg", 0).Halted = true // edge a never drains
 
-	// Fill a (4 on the link, 4 in the outbox); the ninth record is refused and
-	// becomes the head of the pending queue.
-	for i := 1; i <= 9; i++ {
+	// Fill a (edgeCap on the link, edgeCap in the outbox); the next record is
+	// refused and becomes the head of the pending queue.
+	last := 2*edgeCap + 1
+	for i := 1; i <= last; i++ {
 		src.send(a, &netsim.Record{Key: uint64(i), KeyGroup: i, Size: 64})
 	}
-	if a.OutboxLen() != 4 || src.PendingEmits() != 1 {
-		t.Fatalf("outbox %d pending %d, want 4 and 1", a.OutboxLen(), src.PendingEmits())
+	if a.OutboxLen() != edgeCap || src.PendingEmits() != 1 {
+		t.Fatalf("outbox %d pending %d, want %d and 1", a.OutboxLen(), src.PendingEmits(), edgeCap)
 	}
 	rt.Sched.Run()
-	if n := src.RedirectPending(a, b, func(r *netsim.Record) bool { return r.KeyGroup == 9 }); n != 1 {
+	if n := src.RedirectPending(a, b, func(r *netsim.Record) bool { return r.KeyGroup == last }); n != 1 {
 		t.Fatalf("redirected %d", n)
 	}
 	rt.Sched.Run()

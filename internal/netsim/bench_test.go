@@ -57,40 +57,6 @@ func BenchmarkEdgePump(b *testing.B) {
 	b.ReportMetric(float64(e.Delivered), "delivered")
 }
 
-// BenchmarkEdgePumpBandwidth exercises the serialization path (finite
-// bandwidth makes every message occupy the link).
-func BenchmarkEdgePumpBandwidth(b *testing.B) {
-	s := simtime.NewScheduler()
-	e := NewEdge(s, Endpoint{Op: "a"}, Endpoint{Op: "b"}, EdgeConfig{
-		Latency:   simtime.Ms(0.5),
-		Bandwidth: 64 << 20,
-		OutCap:    128,
-		InCap:     128,
-	})
-	var pool RecordPool
-	e.SetReceiver(func(e *Edge) {
-		for e.InboxLen() > 0 {
-			if r, ok := e.PopInbox().(*Record); ok {
-				pool.Put(r)
-			}
-		}
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := pool.Get()
-		r.Size = 64
-		if !e.TrySend(r) {
-			s.Run()
-			e.TrySend(r)
-		}
-		if i%64 == 63 {
-			s.Run()
-		}
-	}
-	s.Run()
-}
-
 // BenchmarkEdgeBackpressureCycle measures one full backpressure episode on a
 // saturated edge — refused TrySend, receiver pop, link pump, the sender's
 // demand-driven wake, resend — which is the only path that still schedules a
@@ -168,14 +134,12 @@ func TestEdgePumpSteadyStateAllocs(t *testing.T) {
 }
 
 // TestEdgeCoalescedDeliveryTiming pins that coalescing did not change
-// arrival *times*: three back-to-back messages on a bandwidth-limited link
-// arrive pipelined exactly as the per-message implementation delivered them.
+// arrival *times*: messages sent while earlier ones are still on the link,
+// and one sent after the link drained, each arrive exactly Latency after
+// their send, as the per-message implementation delivered them.
 func TestEdgeCoalescedDeliveryTiming(t *testing.T) {
 	s := simtime.NewScheduler()
-	e := NewEdge(s, Endpoint{Op: "a"}, Endpoint{Op: "b"}, EdgeConfig{
-		Latency:   simtime.Duration(1000),
-		Bandwidth: 64_000, // 64 bytes / 64000 B/s = 1 ms serialization
-	})
+	e := NewEdge(s, Endpoint{Op: "a"}, Endpoint{Op: "b"}, EdgeConfig{Latency: simtime.Ms(1)})
 	var arrivals []simtime.Time
 	e.SetReceiver(func(e *Edge) {
 		for e.InboxLen() > 0 {
@@ -183,14 +147,12 @@ func TestEdgeCoalescedDeliveryTiming(t *testing.T) {
 			arrivals = append(arrivals, s.Now())
 		}
 	})
-	for i := 0; i < 3; i++ {
-		e.TrySend(&Record{Size: 64})
+	for _, at := range []simtime.Time{0, 500, 500, 2000} {
+		s.At(at, func() { e.TrySend(&Record{Size: 64}) })
 	}
 	s.Run()
-	// Serialization is 1 ms per message (back to back), propagation 1 ms:
-	// arrivals at 2 ms, 3 ms, 4 ms.
-	want := []simtime.Time{2000, 3000, 4000}
-	if len(arrivals) != 3 {
+	want := []simtime.Time{1000, 1500, 1500, 3000}
+	if len(arrivals) != len(want) {
 		t.Fatalf("arrivals %v", arrivals)
 	}
 	for i, w := range want {

@@ -17,10 +17,11 @@ func (e Endpoint) String() string { return fmt.Sprintf("%s[%d]", e.Op, e.Index) 
 // Edge is a point-to-point channel between two operator instances.
 //
 // A message first enters the sender-side outbox (Flink's output cache). The
-// link drains the outbox in order: each message occupies the link for
-// size/Bandwidth (serialization) and arrives Latency later (propagation is
-// pipelined). On arrival it joins the receiver-side inbox, except trigger
-// barriers, which jump to the inbox front (priority arrival).
+// link drains the outbox in order the moment the inbox has room, and each
+// message arrives exactly Latency after it left the outbox; Latency is fixed
+// when the edge is built, so arrivals keep the order of departures. On
+// arrival a message joins the receiver-side inbox, except trigger barriers,
+// which jump to the inbox front (priority arrival).
 //
 // Backpressure: TrySend refuses records when the outbox is at capacity, and
 // the link stalls when the inbox (including in-flight messages) is full.
@@ -46,9 +47,8 @@ type Edge struct {
 	// carry checkpoint barriers.
 	Auxiliary bool
 	Latency   simtime.Duration
-	Bandwidth float64 // bytes/second; <= 0 means infinite
-	OutCap    int     // records; <= 0 means unbounded
-	InCap     int     // records; <= 0 means unbounded
+	OutCap    int // records; <= 0 means unbounded
+	InCap     int // records; <= 0 means unbounded
 
 	outbox Deque[Message]
 	inbox  Deque[Message]
@@ -64,10 +64,9 @@ type Edge struct {
 	// Arrival instants are nondecreasing (a FIFO link admits no overtaking),
 	// so a single outstanding timer at the head instant drains the whole
 	// queue — one scheduled event per busy period instead of one per message.
-	arrivals      Deque[pendingArrival]
-	timerArmed    bool
-	deliverFn     func()
-	linkBusyUntil simtime.Time
+	arrivals   Deque[pendingArrival]
+	timerArmed bool
+	deliverFn  func()
 
 	onArrival  func(*Edge)
 	onOutSpace func()
@@ -83,10 +82,9 @@ type Edge struct {
 
 // EdgeConfig bundles the link parameters for NewEdge.
 type EdgeConfig struct {
-	Latency   simtime.Duration
-	Bandwidth float64
-	OutCap    int
-	InCap     int
+	Latency simtime.Duration
+	OutCap  int
+	InCap   int
 }
 
 // pendingArrival is one in-flight message and its arrival instant.
@@ -98,15 +96,14 @@ type pendingArrival struct {
 // NewEdge builds an edge between src and dst on the given scheduler.
 func NewEdge(s *simtime.Scheduler, src, dst Endpoint, cfg EdgeConfig) *Edge {
 	e := &Edge{
-		sched:     s,
-		Src:       src,
-		Dst:       dst,
-		Created:   s.Now(),
-		Latency:   cfg.Latency,
-		Bandwidth: cfg.Bandwidth,
-		OutCap:    cfg.OutCap,
-		InCap:     cfg.InCap,
-		slot:      -1,
+		sched:   s,
+		Src:     src,
+		Dst:     dst,
+		Created: s.Now(),
+		Latency: cfg.Latency,
+		OutCap:  cfg.OutCap,
+		InCap:   cfg.InCap,
+		slot:    -1,
 	}
 	// Prebound so the hot path never allocates a closure.
 	e.deliverFn = e.deliver
@@ -198,36 +195,20 @@ func isDataKind(m Message) bool {
 }
 
 // pump moves messages from the outbox onto the link while the inbox has
-// room. Transmission is pipelined: the link serializes messages back to back
-// and propagation latency overlaps.
+// room. Every message departs now and arrives Latency later.
 func (e *Edge) pump() {
 	freed := false
-	now := e.sched.Now()
+	arrive := e.sched.Now().Add(e.Latency)
 	for e.outbox.Len() > 0 {
 		if isDataKind(e.outbox.At(0)) && !e.inboxSpace() {
 			break
 		}
 		m := e.outbox.PopFront()
 		freed = true
-		var ser simtime.Duration
-		if e.Bandwidth > 0 {
-			ser = simtime.Duration(float64(m.SizeBytes()) / e.Bandwidth * float64(simtime.Second))
-		}
-		depart := now
-		if e.linkBusyUntil > depart {
-			depart = e.linkBusyUntil
-		}
-		e.linkBusyUntil = depart.Add(ser)
-		arrive := e.linkBusyUntil.Add(e.Latency)
-		// A FIFO link admits no overtaking; clamp in case Latency was lowered
-		// while messages were in flight.
-		if n := e.arrivals.Len(); n > 0 && arrive < e.arrivals.At(n-1).at {
-			arrive = e.arrivals.At(n - 1).at
-		}
 		e.arrivals.PushBack(pendingArrival{msg: m, at: arrive})
-		e.armDeliver()
 	}
 	if freed {
+		e.armDeliver()
 		e.wakeSender()
 	}
 }

@@ -52,8 +52,8 @@ func TestControlFlowsThroughFullInbox(t *testing.T) {
 
 func TestInsertOutboxAtOrdering(t *testing.T) {
 	s := simtime.NewScheduler()
-	e := newTestEdge(s, EdgeConfig{InCap: 1, Latency: simtime.Ms(1), Bandwidth: 64 * 1000})
-	e.TrySend(rec(0, 64)) // departs
+	e := newTestEdge(s, EdgeConfig{InCap: 1, Latency: simtime.Ms(1)})
+	e.TrySend(rec(0, 64)) // departs; InCap 1 holds the rest in the outbox
 	e.TrySend(rec(1, 64))
 	e.TrySend(&CheckpointBarrier{ID: 3})
 	e.TrySend(rec(2, 64))

@@ -194,26 +194,6 @@ func TestEdgeDeliveryOrderAndLatency(t *testing.T) {
 	}
 }
 
-func TestEdgeBandwidthSerialization(t *testing.T) {
-	s := simtime.NewScheduler()
-	// 1000 bytes/sec, 100-byte messages → 100ms serialization each.
-	e := newTestEdge(s, EdgeConfig{Latency: simtime.Ms(5), Bandwidth: 1000})
-	var arrivals []simtime.Time
-	e.SetReceiver(func(*Edge) { arrivals = append(arrivals, s.Now()) })
-	e.TrySend(rec(1, 100))
-	e.TrySend(rec(2, 100))
-	s.Run()
-	if len(arrivals) != 2 {
-		t.Fatalf("arrivals %d", len(arrivals))
-	}
-	if arrivals[0] != simtime.Time(simtime.Ms(105)) {
-		t.Fatalf("first at %v want 105ms", arrivals[0])
-	}
-	if arrivals[1] != simtime.Time(simtime.Ms(205)) {
-		t.Fatalf("second at %v want 205ms (pipelined propagation)", arrivals[1])
-	}
-}
-
 func TestEdgeOutboxBackpressure(t *testing.T) {
 	s := simtime.NewScheduler()
 	e := newTestEdge(s, EdgeConfig{OutCap: 2, InCap: 1, Latency: simtime.Ms(1)})
@@ -260,42 +240,42 @@ func TestEdgeControlMessagesBypassCapacity(t *testing.T) {
 
 func TestEdgeTriggerBarrierPriorityBothSides(t *testing.T) {
 	s := simtime.NewScheduler()
-	e := newTestEdge(s, EdgeConfig{Latency: simtime.Ms(1), Bandwidth: 64 * 1000}) // 1ms per 64B record
+	e := newTestEdge(s, EdgeConfig{Latency: simtime.Ms(1)})
 	e.SetReceiver(func(*Edge) {})
-	for i := 0; i < 5; i++ {
+	// Records 0 and 1 arrive at 1 ms; records 2-4 leave at 1.5 ms and are
+	// still on the link when the trigger is sent at 2 ms.
+	for i := 0; i < 2; i++ {
 		e.TrySend(rec(uint64(i), 64))
 	}
-	// Let two records arrive, three still queued in outbox or in flight.
-	s.RunUntil(simtime.Time(simtime.Ms(2)).Add(500))
-	e.SendPriority(&TriggerBarrier{ScaleID: 1})
+	s.At(simtime.Time(simtime.Ms(1.5)), func() {
+		for i := 2; i < 5; i++ {
+			e.TrySend(rec(uint64(i), 64))
+		}
+	})
+	s.At(simtime.Time(simtime.Ms(2)), func() {
+		if e.InboxLen() != 2 || e.InFlight() != 3 {
+			t.Errorf("at 2ms: inbox %d in flight %d, want 2 and 3", e.InboxLen(), e.InFlight())
+		}
+		e.SendPriority(&TriggerBarrier{ScaleID: 1})
+	})
 	s.Run()
-	// The trigger must land in front of records that had not yet been
-	// consumed, even though records sent before it were already in the inbox.
-	idx := e.FindInbox(func(m Message) bool { return m.MsgKind() == KindTriggerBarrier })
-	if idx == -1 {
-		t.Fatal("trigger not delivered")
+	// The trigger arrives last but lands in front of every unconsumed record,
+	// including those that arrived before it was sent.
+	if e.InboxLen() != 6 || e.InboxAt(0).MsgKind() != KindTriggerBarrier {
+		t.Fatalf("inbox %d, head %v; want 6 with the trigger first", e.InboxLen(), e.InboxAt(0).MsgKind())
 	}
-	// Everything after the trigger should be records that were behind it in
-	// the outbox; records that arrived before it stay ahead only if already
-	// consumed — we didn't consume, so priority arrival puts it at front of
-	// the *remaining* queue at its arrival instant.
-	for i := 0; i < idx; i++ {
-		if e.InboxAt(i).MsgKind() == KindRecord {
-			r := e.InboxAt(i).(*Record)
-			if r.Key >= 2 {
-				t.Fatalf("record %d should have been bypassed by trigger", r.Key)
-			}
+	for i := 1; i < 6; i++ {
+		if r := e.InboxAt(i).(*Record); r.Key != uint64(i-1) {
+			t.Fatalf("inbox %d holds record %d, want %d", i, r.Key, i-1)
 		}
 	}
 }
 
 func TestEdgeExtractOutbox(t *testing.T) {
 	s := simtime.NewScheduler()
-	e := newTestEdge(s, EdgeConfig{Latency: simtime.Ms(1), Bandwidth: 64 * 1000})
-	// Stall the link by filling InCap so outbox retains messages.
-	e2 := newTestEdge(s, EdgeConfig{InCap: 0})
-	_ = e2
-	e.InCap = 1
+	// InCap 1 stalls the link behind the first record, so the outbox retains
+	// the rest.
+	e := newTestEdge(s, EdgeConfig{InCap: 1, Latency: simtime.Ms(1)})
 	for i := 0; i < 6; i++ {
 		e.TrySend(rec(uint64(i%3), 64))
 	}
@@ -328,7 +308,7 @@ func TestEdgeExtractOutbox(t *testing.T) {
 
 func TestEdgeExtractOutboxStopsAtBarrier(t *testing.T) {
 	s := simtime.NewScheduler()
-	e := newTestEdge(s, EdgeConfig{InCap: 1, Latency: simtime.Ms(1), Bandwidth: 64 * 1000})
+	e := newTestEdge(s, EdgeConfig{InCap: 1, Latency: simtime.Ms(1)})
 	e.TrySend(rec(9, 64)) // departs immediately
 	e.TrySend(rec(1, 64))
 	e.TrySend(&CheckpointBarrier{ID: 7})
@@ -374,39 +354,66 @@ func TestEdgeDeliveredCounters(t *testing.T) {
 	}
 }
 
+// TestEdgeFIFOProperty: under random buffer capacities and random send
+// and consume schedules, every message arrives exactly Latency after it left
+// the outbox, and messages arrive in the order they were accepted.
 func TestEdgeFIFOProperty(t *testing.T) {
-	// Property: without priority sends, records arrive in send order
-	// regardless of sizes and capacities.
-	f := func(sizes []uint16, capRaw uint8) bool {
-		if len(sizes) == 0 {
-			return true
-		}
-		if len(sizes) > 40 {
-			sizes = sizes[:40]
-		}
+	f := func(seed int64, inRaw, outRaw, latRaw uint8) bool {
 		s := simtime.NewScheduler()
+		lat := simtime.Duration(latRaw%5) * simtime.Ms(0.5)
 		e := newTestEdge(s, EdgeConfig{
-			Latency:   simtime.Ms(1),
-			Bandwidth: 10000,
-			InCap:     int(capRaw%8) + 1,
+			Latency: lat,
+			InCap:   int(inRaw % 6), // 0 = unbounded
+			OutCap:  int(outRaw % 6),
 		})
-		e.SetReceiver(func(*Edge) {})
-		for i, sz := range sizes {
-			e.TrySend(rec(uint64(i), int(sz%500)+1))
+		rng := simtime.NewRNG(seed, "netsim/arrival-property")
+		var (
+			accepted uint64         // keys 0..accepted-1 entered the outbox
+			departed []simtime.Time // departure instant of each key that left it
+			ok       = true
+		)
+		// noteDepartures stamps the keys that left the outbox during the
+		// action just taken: only sends and pops pump the link.
+		noteDepartures := func() {
+			for uint64(len(departed)) < accepted-uint64(e.OutboxLen()) {
+				departed = append(departed, s.Now())
+			}
 		}
-		var seen uint64
-		for {
+		var next uint64
+		e.SetReceiver(func(e *Edge) {
+			r := e.InboxAt(e.InboxLen() - 1).(*Record)
+			if r.Key != next || r.Key >= uint64(len(departed)) || s.Now() != departed[r.Key].Add(lat) {
+				ok = false
+			}
+			next++
+		})
+		for i := 0; i < 60; i++ {
+			at := simtime.Time(rng.Int64N(int64(simtime.Ms(20))))
+			if rng.IntN(2) == 0 {
+				s.At(at, func() {
+					if e.TrySend(rec(accepted, 64)) {
+						accepted++
+					}
+					noteDepartures()
+				})
+			} else {
+				s.At(at, func() {
+					if e.InboxLen() > 0 {
+						e.PopInbox()
+					}
+					noteDepartures()
+				})
+			}
+		}
+		s.Run()
+		for e.InboxLen() > 0 || e.OutboxLen() > 0 {
+			if e.InboxLen() > 0 {
+				e.PopInbox()
+			}
+			noteDepartures()
 			s.Run()
-			if e.InboxLen() == 0 {
-				break
-			}
-			r := e.PopInbox().(*Record)
-			if r.Key != seen {
-				return false
-			}
-			seen++
 		}
-		return seen == uint64(len(sizes))
+		return ok && next == accepted
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package policysearch
 
 import (
 	"drrs/internal/bench"
-	"drrs/internal/fitness"
 	"drrs/internal/simtime"
 )
 
@@ -23,8 +22,6 @@ type EvolveConfig struct {
 	// that lands on a seen candidate re-rolls.
 	Population  int
 	Generations int
-	// Weights score candidates for elite selection (default DefaultWeights).
-	Weights fitness.Weights
 	// Space is the knob menu mutations move along (default DefaultSpace).
 	Space Space
 }
@@ -41,9 +38,6 @@ func (cfg *EvolveConfig) fillDefaults() {
 	}
 	if cfg.Generations == 0 {
 		cfg.Generations = 3
-	}
-	if cfg.Weights == (fitness.Weights{}) {
-		cfg.Weights = fitness.DefaultWeights()
 	}
 	if len(cfg.Space.Policies) == 0 {
 		cfg.Space = DefaultSpace()
@@ -79,7 +73,7 @@ func Evolve(h bench.Harness, cfg EvolveConfig) ([]Evaluated, error) {
 	pop := fill(nil, func() Candidate { return randomCandidate(rng, cfg.Space) })
 	var all []Evaluated
 	for gen := 0; gen < cfg.Generations && len(pop) > 0; gen++ {
-		evs, err := Evaluate(h, cfg.Scenario, cfg.Mechanism, pop, cfg.Seeds, cfg.Weights)
+		evs, err := Evaluate(h, cfg.Scenario, cfg.Mechanism, pop, cfg.Seeds)
 		if err != nil {
 			return nil, err
 		}

@@ -20,10 +20,8 @@ type SearchConfig struct {
 	Mode string
 	// SearchSeed drives the evolutionary sweep's RNG stream.
 	SearchSeed int64
-	// Weights score candidates (zero = DefaultWeights); Space is the knob
-	// menu (zero = DefaultSpace).
-	Weights fitness.Weights
-	Space   Space
+	// Space is the knob menu (zero = DefaultSpace).
+	Space Space
 }
 
 func (cfg *SearchConfig) fillDefaults() {
@@ -38,9 +36,6 @@ func (cfg *SearchConfig) fillDefaults() {
 	}
 	if cfg.SearchSeed == 0 {
 		cfg.SearchSeed = 1
-	}
-	if cfg.Weights == (fitness.Weights{}) {
-		cfg.Weights = fitness.DefaultWeights()
 	}
 	if len(cfg.Space.Policies) == 0 {
 		cfg.Space = DefaultSpace()
@@ -58,7 +53,7 @@ func Search(h bench.Harness, cfg SearchConfig) (bench.FigureResult, error) {
 	}
 	var all []Evaluated
 	if cfg.Mode != "evolve" {
-		evs, err := Evaluate(h, cfg.Scenario, cfg.Mechanism, cfg.Space.Grid(), cfg.Seeds, cfg.Weights)
+		evs, err := Evaluate(h, cfg.Scenario, cfg.Mechanism, cfg.Space.Grid(), cfg.Seeds)
 		if err != nil {
 			return bench.FigureResult{}, err
 		}
@@ -67,7 +62,7 @@ func Search(h bench.Harness, cfg SearchConfig) (bench.FigureResult, error) {
 	if cfg.Mode != "grid" {
 		evs, err := Evolve(h, EvolveConfig{
 			Scenario: cfg.Scenario, Mechanism: cfg.Mechanism, Seeds: cfg.Seeds,
-			SearchSeed: cfg.SearchSeed, Weights: cfg.Weights, Space: cfg.Space,
+			SearchSeed: cfg.SearchSeed, Space: cfg.Space,
 		})
 		if err != nil {
 			return bench.FigureResult{}, err
@@ -85,8 +80,9 @@ func Search(h bench.Harness, cfg SearchConfig) (bench.FigureResult, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Policy search (%s/%s, mode %s, %d candidates, seeds %v)\n",
 		cfg.Scenario, cfg.Mechanism, cfg.Mode, len(all), cfg.Seeds)
+	w := fitness.DefaultWeights()
 	fmt.Fprintf(&b, "weights: SLO %.2f  migration/MB %.3f  instance-sec %.3f  oscillation %.2f\n",
-		cfg.Weights.SLO, cfg.Weights.MigrationMB, cfg.Weights.InstanceSeconds, cfg.Weights.Oscillation)
+		w.SLO, w.MigrationMB, w.InstanceSeconds, w.Oscillation)
 	fmt.Fprintf(&b, "Pareto front: %d non-dominated configuration(s) (*)\n\n", len(front))
 	fmt.Fprintf(&b, "  %-40s %10s %8s %10s %10s %6s\n",
 		"candidate", "score", "SLO(s)", "mig(MB)", "inst-sec", "osc")
@@ -99,27 +95,7 @@ func Search(h bench.Harness, cfg SearchConfig) (bench.FigureResult, error) {
 		c := e.Components
 		fmt.Fprintf(&b, "%s %-40s %10.2f %8.0f %10.2f %10.0f %6.0f\n",
 			mark, e.Candidate.Label(), e.Score, c.SLOViolations, c.MigrationMB, c.InstanceSeconds, c.Oscillations)
-		rows[e.Candidate.Label()] = bench.Row{Fitness: fitnessRow(e, cfg.Weights)}
+		rows[e.Candidate.Label()] = bench.Row{Fitness: bench.NewFitnessStats(e.PerSeed)}
 	}
 	return bench.FigureResult{Title: "search/" + cfg.Scenario, Text: b.String(), Rows: rows}, nil
-}
-
-// fitnessRow spreads one candidate's per-seed fitness vectors into the
-// figure-row stats (mean ± std across seeds).
-func fitnessRow(e Evaluated, w fitness.Weights) *bench.FitnessStats {
-	var slo, mig, inst, osc, score []float64
-	for _, c := range e.PerSeed {
-		slo = append(slo, c.SLOViolations)
-		mig = append(mig, c.MigrationMB)
-		inst = append(inst, c.InstanceSeconds)
-		osc = append(osc, c.Oscillations)
-		score = append(score, c.Score(w))
-	}
-	return &bench.FitnessStats{
-		SLOViolations:   bench.NewStat(slo),
-		MigrationMB:     bench.NewStat(mig),
-		InstanceSeconds: bench.NewStat(inst),
-		Oscillations:    bench.NewStat(osc),
-		Score:           bench.NewStat(score),
-	}
 }

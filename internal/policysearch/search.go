@@ -171,15 +171,16 @@ type Evaluated struct {
 	PerSeed []fitness.Components
 	// Components is the per-seed mean — the vector dominance compares.
 	Components fitness.Components
-	// Score is Components.Score under the sweep's weights (lower is better).
+	// Score is Components.Score under fitness.DefaultWeights (lower is
+	// better).
 	Score float64
 }
 
 // Evaluate runs every (candidate × seed) cell over the harness and reduces
 // each candidate to its mean objective vector. Results are in candidate order
 // regardless of worker count.
-func Evaluate(h bench.Harness, scenario, mech string, cands []Candidate, seeds []int64, w fitness.Weights) ([]Evaluated, error) {
-	w.Validate()
+func Evaluate(h bench.Harness, scenario, mech string, cands []Candidate, seeds []int64) ([]Evaluated, error) {
+	w := fitness.DefaultWeights()
 	specs := make([]bench.RunSpec, 0, len(cands)*len(seeds))
 	for _, c := range cands {
 		for _, seed := range seeds {

@@ -153,7 +153,7 @@ func TestGridSearchFront(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid sweep simulates eight closed-loop runs")
 	}
-	evs, err := Evaluate(bench.Harness{}, "flash-crowd-reactive", "drrs", testSpace().Grid(), []int64{5}, fitness.DefaultWeights())
+	evs, err := Evaluate(bench.Harness{}, "flash-crowd-reactive", "drrs", testSpace().Grid(), []int64{5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestCandidatePolicyBeatsOverride(t *testing.T) {
 	}
 	// And through the search entry point: two candidates that differ only in
 	// policy must not collapse onto one score.
-	evs, err := Evaluate(h, "flash-crowd-reactive", "drrs", cands, []int64{5}, fitness.DefaultWeights())
+	evs, err := Evaluate(h, "flash-crowd-reactive", "drrs", cands, []int64{5})
 	if err != nil {
 		t.Fatal(err)
 	}

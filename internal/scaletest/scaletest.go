@@ -46,8 +46,6 @@ type Run struct {
 	SetupDelay simtime.Duration
 	// Cluster optionally supplies a multi-node deployment.
 	Cluster func(s *simtime.Scheduler) *cluster.Cluster
-	// Engine overrides engine defaults (Seed is taken from Workload).
-	Engine engine.Config
 }
 
 // Result is what a harness execution produced.
@@ -79,9 +77,7 @@ func (r Run) Execute() Result {
 			cl.PlaceInstances(op, 0, g.Operator(op).Parallelism)
 		}
 	}
-	cfg := r.Engine
-	cfg.Seed = r.Workload.Seed
-	rt := engine.New(s, g, cl, cfg)
+	rt := engine.New(s, g, cl, engine.Config{Seed: r.Workload.Seed})
 	rt.Start()
 
 	res := Result{RT: rt, Sink: sink, Mech: r.Mechanism}

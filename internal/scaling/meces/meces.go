@@ -21,19 +21,20 @@ import (
 	"drrs/internal/state"
 )
 
+// subKeyGroups is the hierarchical split factor per key group.
+const subKeyGroups = 4
+
+// backgroundPause is inserted between background sub-unit pushes so
+// on-demand fetches keep priority on the migration path.
+const backgroundPause = 2 * simtime.Millisecond
+
 // Mechanism is the Meces baseline.
 type Mechanism struct {
-	// SubKeyGroups is the hierarchical split factor per key group (default 4).
-	SubKeyGroups int
-	// BackgroundPause is inserted between background sub-unit pushes so
-	// on-demand fetches keep priority on the migration path (default 2 ms).
-	BackgroundPause simtime.Duration
-
 	rt   *engine.Runtime
 	plan scaling.Plan
 	op   *scaling.Tracked
 
-	// A sub-unit's id is its move index × SubKeyGroups + its sub-key-group,
+	// A sub-unit's id is its move index × subKeyGroups + its sub-key-group,
 	// which is also the background pusher's scan order. moveOf maps a key
 	// group to its move index, -1 when the group is not moving.
 	moveOf []int
@@ -67,12 +68,6 @@ const signal = "meces"
 // remaining background units to completion rather than stranding
 // sub-key-groups mid-split.
 func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
-	if m.SubKeyGroups <= 0 {
-		m.SubKeyGroups = 4
-	}
-	if m.BackgroundPause <= 0 {
-		m.BackgroundPause = simtime.Ms(2)
-	}
 	m.rt = rt
 	m.plan = plan
 	m.op = scaling.NewTracked(plan, done)
@@ -84,7 +79,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 	for kg := range m.moveOf {
 		m.moveOf[kg] = -1
 	}
-	n := len(plan.Moves) * m.SubKeyGroups
+	n := len(plan.Moves) * subKeyGroups
 	m.loc = make([]int, n)
 	m.inFlight = make([]bool, n)
 	m.fetchCount = make([]int, n)
@@ -92,7 +87,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 	for i, mv := range plan.Moves {
 		m.moveOf[mv.KeyGroup] = i
 		rt.Scale.UnitAssigned(mv.KeyGroup, signal)
-		for id := i * m.SubKeyGroups; id < (i+1)*m.SubKeyGroups; id++ {
+		for id := i * subKeyGroups; id < (i+1)*subKeyGroups; id++ {
 			m.loc[id] = mv.From
 			m.count(id, 1)
 		}
@@ -123,7 +118,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 }
 
 // targetOf returns sub-unit id's plan destination.
-func (m *Mechanism) targetOf(id int) int { return m.plan.Moves[id/m.SubKeyGroups].To }
+func (m *Mechanism) targetOf(id int) int { return m.plan.Moves[id/subKeyGroups].To }
 
 // count adds sub-unit id's contribution, times d, to the away, moving and
 // idle-away counters.
@@ -158,12 +153,12 @@ func (m *Mechanism) transfer(id, dst int) {
 	if m.fetchCount[id] > 1 {
 		m.rt.Scale.AddCounter("meces_refetches", 1)
 	}
-	mi, sub := id/m.SubKeyGroups, id%m.SubKeyGroups
+	mi, sub := id/subKeyGroups, id%subKeyGroups
 	kg := m.plan.Moves[mi].KeyGroup
 	from := m.rt.Instance(m.plan.Operator, src)
 	to := m.rt.Instance(m.plan.Operator, dst)
 	m.rt.Sched.After(engine.ControlLatency, func() {
-		g := from.Store().ExtractSubUnit(kg, sub, m.SubKeyGroups)
+		g := from.Store().ExtractSubUnit(kg, sub, subKeyGroups)
 		m.rt.Scale.FirstMigration(signal, m.rt.Sched.Now())
 		bytes := 128 // sub-unit framing overhead
 		if g != nil {
@@ -216,7 +211,7 @@ func (m *Mechanism) wakeAll() {
 // atTarget reports whether every sub-unit of move mi sits at its target.
 func (m *Mechanism) atTarget(mi int) bool {
 	to := m.plan.Moves[mi].To
-	for id := mi * m.SubKeyGroups; id < (mi+1)*m.SubKeyGroups; id++ {
+	for id := mi * subKeyGroups; id < (mi+1)*subKeyGroups; id++ {
 		if m.loc[id] != to {
 			return false
 		}
@@ -275,7 +270,7 @@ func (m *Mechanism) ensureBackground() {
 		return
 	}
 	m.bgActive = true
-	m.rt.Sched.After(m.BackgroundPause, m.backgroundStep)
+	m.rt.Sched.After(backgroundPause, m.backgroundStep)
 }
 
 // backgroundStep pushes the next sub-unit that still lives away from its
@@ -339,7 +334,7 @@ func (h *hook) Processable(in *engine.Instance, r *netsim.Record, _ *netsim.Edge
 	if r.KeyGroup < 0 || r.KeyGroup >= len(m.moveOf) || m.moveOf[r.KeyGroup] < 0 {
 		return true // not moving
 	}
-	id := m.moveOf[r.KeyGroup]*m.SubKeyGroups + state.SubUnitOf(r.Key, m.SubKeyGroups)
+	id := m.moveOf[r.KeyGroup]*subKeyGroups + state.SubUnitOf(r.Key, subKeyGroups)
 	if m.loc[id] == in.Index && !m.inFlight[id] {
 		return true
 	}

@@ -58,7 +58,7 @@ func TestBackAndForthUnderStragglers(t *testing.T) {
 	// 2 sources × 9000/s over 4 instances at ~200 µs/record ≈ 0.9 utilization.
 	wl.RatePerSec = 9000
 	wl.CostPerRecord = 200 * simtime.Microsecond
-	mech := &Mechanism{SubKeyGroups: 2, BackgroundPause: simtime.Ms(2)}
+	mech := &Mechanism{}
 	scaled := scaletest.Run{
 		Workload:       wl,
 		Mechanism:      mech,

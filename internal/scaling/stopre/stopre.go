@@ -14,11 +14,11 @@ import (
 	"drrs/internal/simtime"
 )
 
+// restoreBytesPerSec is the state restore rate (400 MB/s).
+const restoreBytesPerSec = 400 << 20
+
 // Mechanism is the Stop-Checkpoint-Restart baseline.
-type Mechanism struct {
-	// RestoreBytesPerSec is the state restore rate (default 400 MB/s).
-	RestoreBytesPerSec float64
-}
+type Mechanism struct{}
 
 // Name implements scaling.Mechanism.
 func (m *Mechanism) Name() string { return "stop-restart" }
@@ -30,9 +30,6 @@ func (m *Mechanism) Name() string { return "stop-restart" }
 // group lands in that one instant.
 func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
 	op := scaling.NewTracked(plan, done)
-	if m.RestoreBytesPerSec <= 0 {
-		m.RestoreBytesPerSec = 400 << 20
-	}
 	const signal = "stop-restart"
 	rt.Scale.MarkScaleStart(rt.Sched.Now())
 	rt.Scale.SignalInjected(signal, rt.Sched.Now())
@@ -62,7 +59,7 @@ func (m *Mechanism) restart(rt *engine.Runtime, plan scaling.Plan, signal string
 	rt.EachInstance(func(in *engine.Instance) { in.Halted = true })
 	totalState := rt.TotalStateBytes(plan.Operator)
 	restore := plan.SetupDelay +
-		simtime.Duration(float64(totalState)/m.RestoreBytesPerSec*float64(simtime.Second))
+		simtime.Duration(float64(totalState)/restoreBytesPerSec*float64(simtime.Second))
 	rt.Sched.After(restore, func() {
 		rt.Cluster.PlaceInstances(plan.Operator, plan.OldParallelism, plan.NewParallelism)
 		for idx := plan.OldParallelism; idx < plan.NewParallelism; idx++ {

@@ -3,7 +3,6 @@ package stopre
 import (
 	"testing"
 
-	"drrs/internal/engine"
 	"drrs/internal/scaletest"
 	"drrs/internal/simtime"
 )
@@ -32,13 +31,13 @@ func TestExactlyOnce(t *testing.T) {
 
 func TestDowntimeVisibleInLatency(t *testing.T) {
 	// Stop-restart's defining cost: a visible latency spike spanning the
-	// restore. With a deliberately slow restore the peak must dwarf the
+	// halt. With a deliberately long redeploy the peak must dwarf the
 	// steady-state latency.
 	wl := scaletest.DefaultWorkload(62)
 	wl.Duration = simtime.Sec(4)
 	scaled := scaletest.Run{
 		Workload:       wl,
-		Mechanism:      &Mechanism{RestoreBytesPerSec: 1 << 20},
+		Mechanism:      &Mechanism{},
 		ScaleAt:        simtime.Sec(1),
 		NewParallelism: 6,
 		SetupDelay:     simtime.Ms(300),
@@ -58,15 +57,16 @@ func TestDowntimeVisibleInLatency(t *testing.T) {
 }
 
 func TestThroughputDipsToZeroThenRecovers(t *testing.T) {
+	// A halt longer than two 1 s throughput buckets leaves at least one
+	// bucket empty.
 	wl := scaletest.DefaultWorkload(63)
-	wl.Duration = simtime.Sec(4)
+	wl.Duration = simtime.Sec(6)
 	scaled := scaletest.Run{
 		Workload:       wl,
-		Mechanism:      &Mechanism{RestoreBytesPerSec: 1 << 20},
+		Mechanism:      &Mechanism{},
 		ScaleAt:        simtime.Sec(1),
 		NewParallelism: 6,
-		SetupDelay:     simtime.Ms(500),
-		Engine:         engine.Config{ThroughputBucket: simtime.Ms(100)},
+		SetupDelay:     simtime.Sec(2.5),
 	}.Execute()
 	s := scaled.RT.Throughput.Series()
 	var sawZero, recovered bool
