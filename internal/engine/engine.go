@@ -167,8 +167,8 @@ func (rt *Runtime) newEdge(src, dst *Instance) *netsim.Edge {
 		OutCap:  edgeCap,
 		InCap:   edgeCap,
 	})
-	e.SetReceiver(func(*netsim.Edge) { dst.Wake() })
-	e.SetSenderWake(func() { src.Wake() })
+	e.SetReceiver(func(*netsim.Edge) { dst.wakeTail() })
+	e.SetSenderWake(func() { src.wakeTail() })
 	return e
 }
 

@@ -308,14 +308,16 @@ func (in *Instance) Suspended() bool { return in.suspended }
 // before the next step produce a single step. The indirection through the
 // scheduler keeps the engine free of reentrant processing.
 //
-// Who wakes whom. An input edge wakes its receiver on every arrival. An
-// output edge wakes its sender once after it refused a TrySend and outbox
-// space freed (netsim.Edge), and never otherwise. UnblockEdge, Revive, the
-// source-side ingest paths and RedirectPending (when it moves the head of the
-// blocked-emission queue to another edge) wake the instance they change; a
-// scaling hook that makes a queued record processable wakes the instance
-// holding it; whoever clears Halted or PauseData wakes the instance it
-// released.
+// Who wakes whom. An input edge wakes its receiver once per delivery event,
+// for every arrival due at that instant. An output edge wakes its sender once
+// after it refused a TrySend and outbox space freed (netsim.Edge), and never
+// otherwise. These two callbacks, the end of processDone and the completions
+// of ChargeBusy and the checkpoint snapshot end in wakeTail, which may run
+// the step inline. UnblockEdge, Revive, the source-side ingest paths and
+// RedirectPending (when it moves the head of the blocked-emission queue to
+// another edge) wake the instance they change; a scaling hook that makes a
+// queued record processable wakes the instance holding it; whoever clears
+// Halted or PauseData wakes the instance it released.
 //
 // While the instance is busy, Wake is a no-op: the step would return without
 // looking at anything. That is safe because of one invariant — every
@@ -330,6 +332,20 @@ func (in *Instance) Wake() {
 	}
 	in.wakeQueued = true
 	in.rt.Sched.After(0, in.stepFn)
+}
+
+// wakeTail is Wake for a scheduler callback whose last act is the wake.
+// When nothing else is due at the current instant, the deferred step would
+// be the very next event, so it runs inline instead: one event fewer, and
+// the (at, seq) order of every other event is unchanged because nothing is
+// scheduled between the wake and the end of the callback. Otherwise it is
+// Wake.
+func (in *Instance) wakeTail() {
+	if !in.wakeQueued && !in.busy && in.rt.Sched.NothingDueNow() {
+		in.step()
+		return
+	}
+	in.Wake()
 }
 
 func (in *Instance) step() {
@@ -467,7 +483,7 @@ func (in *Instance) processDone() {
 	// retry or an admissible channel with a queued message. Later arrivals,
 	// unblocks and outbox space wake the instance themselves.
 	if len(in.pending) > 0 || in.NextReady(0, len(in.ins)) >= 0 {
-		in.Wake()
+		in.wakeTail()
 	}
 }
 
@@ -527,7 +543,7 @@ func (in *Instance) ChargeBusy(d simtime.Duration) {
 	in.busy = true
 	in.rt.Sched.After(d, func() {
 		in.busy = false
-		in.Wake()
+		in.wakeTail()
 	})
 }
 
@@ -835,7 +851,7 @@ func (in *Instance) onCheckpointBarrier(b *netsim.CheckpointBarrier, e *netsim.E
 				in.hook.OnScaleMessage(in, im, e)
 			}
 		}
-		in.Wake()
+		in.wakeTail()
 	})
 }
 

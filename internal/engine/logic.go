@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"sort"
+	"slices"
 
 	"drrs/internal/dataflow"
 	"drrs/internal/netsim"
@@ -176,7 +176,7 @@ func candidateEnds(ctx dataflow.OpContext, first, wm simtime.Time, slide, size s
 	for e := range ends {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -193,7 +193,7 @@ func nextSlideEnd(after simtime.Time, slide simtime.Duration) simtime.Time {
 // of the engine's observable behaviour).
 func sortedGroupKeys(g *state.Group, scratch []uint64) []uint64 {
 	keys := g.AppendKeys(scratch[:0])
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

@@ -59,6 +59,49 @@ func TestArrivalWhileBusySchedulesNothing(t *testing.T) {
 	}
 }
 
+// TestDeliveryStepsInlineOnlyWhenNothingElseIsDue: a delivery to an idle
+// instance runs its step inline when nothing else is due at that instant, so
+// a record costs two events (delivery, completion). An unrelated event due
+// at the same instant defers the step behind it, exactly where the deferred
+// step always fired.
+func TestDeliveryStepsInlineOnlyWhenNothingElseIsDue(t *testing.T) {
+	arrive := simtime.Time(simtime.Ms(0.5))
+	t.Run("nothing else due: inline", func(t *testing.T) {
+		rt, op, ins := wakeRig(t)
+		s := rt.Sched
+		sendRecord(t, ins[0], 1)
+		s.RunUntil(arrive)
+		if got := s.Processed(); got != 1 || !op.busy {
+			t.Fatalf("%d events, busy %v: want the step to run inside the delivery", got, op.busy)
+		}
+		s.Run()
+		if op.Processed != 1 {
+			t.Fatalf("processed %d", op.Processed)
+		}
+		if got := s.Processed(); got != 2 {
+			t.Fatalf("%d events for one record, want 2", got)
+		}
+	})
+	t.Run("unrelated event due: deferred behind it", func(t *testing.T) {
+		rt, op, ins := wakeRig(t)
+		s := rt.Sched
+		sendRecord(t, ins[0], 1)
+		busyAtUnrelated := true
+		s.At(arrive, func() { busyAtUnrelated = op.busy })
+		s.RunUntil(arrive)
+		if busyAtUnrelated {
+			t.Fatal("the step ran before the unrelated event due at the same instant")
+		}
+		if got := s.Processed(); got != 3 || !op.busy {
+			t.Fatalf("%d events, busy %v: want delivery, unrelated event, then the deferred step", got, op.busy)
+		}
+		s.Run()
+		if got := s.Processed(); got != 4 || op.Processed != 1 {
+			t.Fatalf("%d events, processed %d: want 4 and 1", got, op.Processed)
+		}
+	})
+}
+
 // TestProcessDonePollsOnlyWhenWorkIsQueued covers the three outcomes of the
 // end-of-service poll decision.
 func TestProcessDonePollsOnlyWhenWorkIsQueued(t *testing.T) {
@@ -69,9 +112,11 @@ func TestProcessDonePollsOnlyWhenWorkIsQueued(t *testing.T) {
 		if op.Processed != 1 {
 			t.Fatalf("processed %d", op.Processed)
 		}
-		// Delivery, step, service completion — and nothing after it.
-		if got := rt.Sched.Processed(); got != 3 {
-			t.Fatalf("%d events for one record, want 3", got)
+		// Delivery and service completion — and nothing after it. The step
+		// runs inline at the end of the delivery (wakeTail), so it is not an
+		// event of its own.
+		if got := rt.Sched.Processed(); got != 2 {
+			t.Fatalf("%d events for one record, want 2", got)
 		}
 	})
 	t.Run("one admissible inbox non-empty: exactly one step", func(t *testing.T) {
@@ -87,9 +132,11 @@ func TestProcessDonePollsOnlyWhenWorkIsQueued(t *testing.T) {
 		if op.Processed != 2 {
 			t.Fatalf("processed %d", op.Processed)
 		}
-		// Two deliveries, then per record one step and one completion.
-		if got := s.Processed(); got != 6 {
-			t.Fatalf("%d events for two records, want 6", got)
+		// Two deliveries at the same instant, so the first one's step is
+		// deferred behind the second (one step event); the first completion
+		// then runs the second step inline; two completions.
+		if got := s.Processed(); got != 5 {
+			t.Fatalf("%d events for two records, want 5", got)
 		}
 	})
 	t.Run("only a blocked inbox non-empty: no step until UnblockEdge", func(t *testing.T) {

@@ -26,16 +26,18 @@ func (e Endpoint) String() string { return fmt.Sprintf("%s[%d]", e.Op, e.Index) 
 // Backpressure: TrySend refuses records when the outbox is at capacity, and
 // the link stalls when the inbox (including in-flight messages) is full.
 //
-// Who wakes whom: the edge wakes its receiver once per arrival, and its
-// sender only on demand. A refused TrySend registers the sender as waiting;
-// the next time outbox space frees (the link took a message, or ExtractOutbox
-// removed some) the edge schedules exactly one SetSenderWake callback at the
-// current instant and forgets the registration. A sender that was never
-// refused costs no wake events, and a sender refused again after its wake
-// re-registers by that refusal. The callback is a hint that TrySend may now
-// succeed, not a reservation: the sender must retry, and whoever makes a
-// sender stop retrying for another reason (halted, busy) owns waking it when
-// that reason ends.
+// Who wakes whom: the edge wakes its receiver once per delivery event, as
+// the event's last act, after every arrival due at that instant is in the
+// inbox and the next delivery is armed. It wakes its sender only on demand.
+// A refused TrySend registers the sender as waiting; the next time outbox
+// space frees (the link took a message, or ExtractOutbox removed some) the
+// edge schedules exactly one SetSenderWake callback at the current instant
+// and forgets the registration. A sender that was never refused costs no
+// wake events, and a sender refused again after its wake re-registers by
+// that refusal. The callback is a hint that TrySend may now succeed, not a
+// reservation: the sender must retry, and whoever makes a sender stop
+// retrying for another reason (halted, busy) owns waking it when that reason
+// ends.
 type Edge struct {
 	sched *simtime.Scheduler
 
@@ -110,7 +112,9 @@ func NewEdge(s *simtime.Scheduler, src, dst Endpoint, cfg EdgeConfig) *Edge {
 	return e
 }
 
-// SetReceiver installs the arrival callback (the receiving instance's wake).
+// SetReceiver installs the arrival callback (the receiving instance's wake),
+// called once per delivery event with every newly arrived message already in
+// the inbox.
 func (e *Edge) SetReceiver(fn func(*Edge)) { e.onArrival = fn }
 
 // BindInput makes the edge input channel number slot of a receiver whose
@@ -234,7 +238,9 @@ func (e *Edge) wakeSender() {
 }
 
 // deliver drains every arrival due at the current instant into the inbox,
-// then re-arms for the next pending arrival.
+// re-arms for the next pending arrival, and only then calls the receiver,
+// once for the whole batch: the receiver's wake is the callback's last act,
+// which lets it run the receiver's step inline.
 func (e *Edge) deliver() {
 	e.timerArmed = false
 	now := e.sched.Now()
@@ -248,11 +254,11 @@ func (e *Edge) deliver() {
 		e.inboxFilled()
 		e.Delivered++
 		e.DeliveredBytes += uint64(m.SizeBytes())
-		if e.onArrival != nil {
-			e.onArrival(e)
-		}
 	}
 	e.armDeliver()
+	if e.onArrival != nil {
+		e.onArrival(e)
+	}
 }
 
 // InboxLen reports the number of arrived, unconsumed messages.

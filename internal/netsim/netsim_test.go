@@ -170,8 +170,20 @@ func newTestEdge(s *simtime.Scheduler, cfg EdgeConfig) *Edge {
 func TestEdgeDeliveryOrderAndLatency(t *testing.T) {
 	s := simtime.NewScheduler()
 	e := newTestEdge(s, EdgeConfig{Latency: simtime.Ms(1)})
-	var arrivals []simtime.Time
-	e.SetReceiver(func(*Edge) { arrivals = append(arrivals, s.Now()) })
+	// The receiver runs once per delivery batch; nothing is consumed here,
+	// so the batch's messages are the inbox's last Delivered-seen entries.
+	var (
+		arrivals []simtime.Time
+		keys     []uint64
+		seen     uint64
+	)
+	e.SetReceiver(func(e *Edge) {
+		for i := e.InboxLen() - int(e.Delivered-seen); i < e.InboxLen(); i++ {
+			arrivals = append(arrivals, s.Now())
+			keys = append(keys, e.InboxAt(i).(*Record).Key)
+		}
+		seen = e.Delivered
+	})
 	for i := 0; i < 3; i++ {
 		if !e.TrySend(rec(uint64(i), 64)) {
 			t.Fatal("send refused")
@@ -181,9 +193,12 @@ func TestEdgeDeliveryOrderAndLatency(t *testing.T) {
 	if len(arrivals) != 3 {
 		t.Fatalf("arrivals %d", len(arrivals))
 	}
-	for _, at := range arrivals {
+	for i, at := range arrivals {
 		if at != simtime.Time(simtime.Ms(1)) {
 			t.Fatalf("infinite-bandwidth messages should pipeline: %v", at)
+		}
+		if keys[i] != uint64(i) {
+			t.Fatalf("arrival order: got key %d at %d", keys[i], i)
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -379,13 +394,18 @@ func TestEdgeFIFOProperty(t *testing.T) {
 				departed = append(departed, s.Now())
 			}
 		}
-		var next uint64
+		// The receiver runs once per delivery batch: the batch's messages
+		// are the inbox's last Delivered-seen entries, in arrival order.
+		var next, seen uint64
 		e.SetReceiver(func(e *Edge) {
-			r := e.InboxAt(e.InboxLen() - 1).(*Record)
-			if r.Key != next || r.Key >= uint64(len(departed)) || s.Now() != departed[r.Key].Add(lat) {
-				ok = false
+			for i := e.InboxLen() - int(e.Delivered-seen); i < e.InboxLen(); i++ {
+				r := e.InboxAt(i).(*Record)
+				if r.Key != next || r.Key >= uint64(len(departed)) || s.Now() != departed[r.Key].Add(lat) {
+					ok = false
+				}
+				next++
 			}
-			next++
+			seen = e.Delivered
 		})
 		for i := 0; i < 60; i++ {
 			at := simtime.Time(rng.Int64N(int64(simtime.Ms(20))))

@@ -8,7 +8,9 @@ import (
 // and checks every firing against a reference model: a flat list of events
 // in which the next to fire is the live one with the least (at, seq). After
 // every operation Now(), Pending() and every Timer's Pending() must match
-// the model.
+// the model, and NothingDueNow() must be false whenever the model holds a
+// live event at Now() — after an operation and inside every callback, where
+// a tail-inlined wake relies on it.
 //
 // Operations (one opcode byte each, arguments follow):
 //
@@ -82,6 +84,15 @@ func checkSchedulerOrder(t *testing.T, data []byte) {
 		}
 		return best
 	}
+	// checkDue: a live event at Now() means something is due now.
+	checkDue := func(op string) {
+		t.Helper()
+		for _, e := range evs {
+			if e.live && e.at == s.Now() && s.NothingDueNow() {
+				t.Fatalf("%s: NothingDueNow() with seq %d live at %v", op, e.seq, e.at)
+			}
+		}
+	}
 	var schedule func(at Time, child Duration)
 	schedule = func(at Time, child Duration) {
 		e := &modelEvent{at: at, seq: len(evs), live: true, child: child}
@@ -96,6 +107,7 @@ func checkSchedulerOrder(t *testing.T, data []byte) {
 			}
 			e.live = false
 			now = e.at
+			checkDue("callback")
 			if e.child >= 0 {
 				schedule(s.Now().Add(e.child), -1)
 			}
@@ -103,6 +115,7 @@ func checkSchedulerOrder(t *testing.T, data []byte) {
 	}
 	check := func(op string) {
 		t.Helper()
+		checkDue("after " + op)
 		if s.Now() != now {
 			t.Fatalf("after %s: Now() %v, model %v", op, s.Now(), now)
 		}

@@ -14,8 +14,10 @@
 // timing wheel — one FIFO list per microsecond instant, 2^15 of them, found
 // through an occupancy bitmap — with a pooled 4-ary heap, indexed by pool
 // slot, for the rare events due 32.768 ms or more ahead. The wheel slot for
-// the current instant serves the ubiquitous After(0, ...) wake pattern
-// without a comparison.
+// the current instant serves the After(0, ...) wake pattern without a
+// comparison, and NothingDueNow reads it in O(1) so that a callback whose
+// last act is a zero-delay wake can run the woken work inline when that
+// work would have been the very next event anyway.
 package simtime
 
 import (
@@ -171,6 +173,21 @@ func (s *Scheduler) Processed() uint64 { return s.stepped }
 // Cancelled events never count: heap cancellation removes the event
 // immediately, and wheel cancellation decrements the live count.
 func (s *Scheduler) Pending() int { return s.live }
+
+// NothingDueNow reports whether no event is due at the current instant: the
+// current instant's wheel slot is unoccupied (a cancelled entry still
+// counts as occupied) and the heap's earliest event is later than now. When
+// it holds inside a callback, an event scheduled at now by After(0, ...)
+// would be the next to fire, so the caller may run it inline instead: the
+// (at, seq) order of every other event is unchanged, and the skipped
+// sequence number is never observable.
+func (s *Scheduler) NothingDueNow() bool {
+	k := int(s.now) & wheelMask
+	if s.occupied[k>>6]&(1<<(k&63)) != 0 {
+		return false
+	}
+	return len(s.heap) == 0 || s.pool[s.heap[0]].at > s.now
+}
 
 // alloc takes an event slot from the free list (or grows the pool) and
 // stamps it with the next sequence number.

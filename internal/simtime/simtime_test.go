@@ -140,6 +140,54 @@ func TestTimerCancelAfterFire(t *testing.T) {
 	}
 }
 
+// TestNothingDueNow covers what counts as due at the current instant. The
+// heap case probes from inside a callback, the only place a heap event can
+// be due at Now() without having fired.
+func TestNothingDueNow(t *testing.T) {
+	nop := func() {}
+	far := Time(wheelSlots + 5) // scheduled from time 0, lands on the heap
+	cases := []struct {
+		name  string
+		probe func(s *Scheduler) bool
+		want  bool
+	}{
+		{"empty scheduler", func(s *Scheduler) bool { return s.NothingDueNow() }, true},
+		{"live wheel event at now", func(s *Scheduler) bool {
+			s.After(0, nop)
+			return s.NothingDueNow()
+		}, false},
+		{"cancelled wheel event at now", func(s *Scheduler) bool {
+			s.After(0, nop).Cancel()
+			if s.Pending() != 0 {
+				t.Fatal("cancelled event still pending")
+			}
+			return s.NothingDueNow()
+		}, false},
+		{"heap event due now", func(s *Scheduler) bool {
+			var got bool
+			s.At(far, func() { got = s.NothingDueNow() })
+			s.At(far, nop)
+			s.Step()
+			if s.Now() != far {
+				t.Fatalf("probe fired at %v, want %v", s.Now(), far)
+			}
+			return got
+		}, false},
+		{"next event 1µs ahead", func(s *Scheduler) bool {
+			var got bool
+			s.At(far, func() { got = s.NothingDueNow() })
+			s.At(far+1, nop)
+			s.Step()
+			return got
+		}, true},
+	}
+	for _, c := range cases {
+		if got := c.probe(NewScheduler()); got != c.want {
+			t.Errorf("%s: NothingDueNow() = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestSchedulerAfterNegative(t *testing.T) {
 	s := NewScheduler()
 	s.RunUntil(100)
