@@ -176,6 +176,15 @@ func TestThroughputRateIn(t *testing.T) {
 	if got := tr.RateIn(0, simtime.Time(simtime.Sec(1.5))); got != 100 {
 		t.Fatalf("RateIn(0,1.5s) = %v, want 100 (partial bucket must not dilute)", got)
 	}
+	// Buckets past the last observed one count as empty: [2s, 5s) holds
+	// 150 records over 3 bucket-seconds, and a window wholly after the last
+	// observation reads 0.
+	if got := tr.RateIn(simtime.Time(simtime.Sec(2)), simtime.Time(simtime.Sec(5))); got != 50 {
+		t.Fatalf("RateIn(2s,5s) = %v, want 50", got)
+	}
+	if got := tr.RateIn(simtime.Time(simtime.Sec(10)), simtime.Time(simtime.Sec(12))); got != 0 {
+		t.Fatalf("RateIn(10s,12s) = %v, want 0", got)
+	}
 	// Empty and degenerate windows report 0.
 	if got := tr.RateIn(simtime.Time(simtime.Sec(2)), simtime.Time(simtime.Sec(2))); got != 0 {
 		t.Fatalf("empty window = %v, want 0", got)

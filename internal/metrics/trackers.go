@@ -104,40 +104,39 @@ func StabilizesOn(pts []Point, start simtime.Time, preLevel float64, tolerance f
 // operators" metric.
 type ThroughputTracker struct {
 	Bucket simtime.Duration
-	counts map[int64]int64
-	maxB   int64
-	minB   int64
-	has    bool
+	// counts[b] is the records observed in bucket b, the span
+	// [b*Bucket, (b+1)*Bucket); the slice ends at the last bucket observed.
+	counts []int64
+	minB   int64 // the first bucket observed
 }
 
 // NewThroughputTracker returns a tracker with the given bucket width
 // (the paper plots per-second throughput).
 func NewThroughputTracker(bucket simtime.Duration) *ThroughputTracker {
-	return &ThroughputTracker{Bucket: bucket, counts: make(map[int64]int64)}
+	return &ThroughputTracker{Bucket: bucket}
 }
 
 // Observe counts n records emitted at time now.
 func (t *ThroughputTracker) Observe(now simtime.Time, n int64) {
 	b := int64(now) / int64(t.Bucket)
-	t.counts[b] += n
-	if !t.has || b > t.maxB {
-		t.maxB = b
-	}
-	if !t.has || b < t.minB {
+	if len(t.counts) == 0 || b < t.minB {
 		t.minB = b
 	}
-	t.has = true
+	if grow := b + 1 - int64(len(t.counts)); grow > 0 {
+		t.counts = append(t.counts, make([]int64, grow)...)
+	}
+	t.counts[b] += n
 }
 
 // Series materializes the per-bucket rate series in records/second, with
 // zero-filled gaps so stalls are visible.
 func (t *ThroughputTracker) Series() *Series {
 	s := NewSeries("throughput_rps")
-	if !t.has {
+	if len(t.counts) == 0 {
 		return s
 	}
 	perSec := float64(simtime.Second) / float64(t.Bucket)
-	for b := t.minB; b <= t.maxB; b++ {
+	for b := t.minB; b < int64(len(t.counts)); b++ {
 		s.Append(simtime.Time(b*int64(t.Bucket)), float64(t.counts[b])*perSec)
 	}
 	return s
@@ -155,7 +154,7 @@ func (t *ThroughputTracker) RateIn(from, to simtime.Time) float64 {
 	if from < 0 {
 		from = 0
 	}
-	if to <= from || !t.has {
+	if to <= from {
 		return 0
 	}
 	// First and last bucket indices fully inside [from, to).
@@ -167,8 +166,8 @@ func (t *ThroughputTracker) RateIn(from, to simtime.Time) float64 {
 		b1 = (int64(to) - 1) / int64(t.Bucket)
 	}
 	var sum int64
-	for b := b0; b <= b1; b++ {
-		sum += t.counts[b]
+	for b := b0; b <= min(b1, int64(len(t.counts))-1); b++ {
+		sum += t.counts[b] // buckets past the last observed one read as 0
 	}
 	seconds := float64(b1-b0+1) * float64(t.Bucket) / float64(simtime.Second)
 	return float64(sum) / seconds

@@ -1,9 +1,8 @@
 package netsim
 
-// Deque is a slice-backed double-ended queue used for edge outboxes and
-// inboxes. It supports the positional access Record Scheduling needs
-// (peeking and removing at arbitrary depth) while keeping push/pop amortized
-// O(1).
+// Deque is a slice-backed FIFO queue with positional peeking (the engine's
+// source ingest backlog). Its capacity is zero or a power of two, so a
+// depth maps to a slot with a mask; push and pop are amortized O(1).
 type Deque[T any] struct {
 	buf  []T
 	head int
@@ -23,7 +22,7 @@ func (d *Deque[T]) grow() {
 	}
 	nb := make([]T, newCap)
 	for i := 0; i < d.n; i++ {
-		nb[i] = d.buf[(d.head+i)%len(d.buf)]
+		nb[i] = d.buf[(d.head+i)&(len(d.buf)-1)]
 	}
 	d.buf = nb
 	d.head = 0
@@ -32,15 +31,7 @@ func (d *Deque[T]) grow() {
 // PushBack appends v at the tail.
 func (d *Deque[T]) PushBack(v T) {
 	d.grow()
-	d.buf[(d.head+d.n)%len(d.buf)] = v
-	d.n++
-}
-
-// PushFront prepends v at the head.
-func (d *Deque[T]) PushFront(v T) {
-	d.grow()
-	d.head = (d.head - 1 + len(d.buf)) % len(d.buf)
-	d.buf[d.head] = v
+	d.buf[(d.head+d.n)&(len(d.buf)-1)] = v
 	d.n++
 }
 
@@ -52,7 +43,7 @@ func (d *Deque[T]) PopFront() T {
 	v := d.buf[d.head]
 	var zero T
 	d.buf[d.head] = zero
-	d.head = (d.head + 1) % len(d.buf)
+	d.head = (d.head + 1) & (len(d.buf) - 1)
 	d.n--
 	return v
 }
@@ -62,43 +53,5 @@ func (d *Deque[T]) At(i int) T {
 	if i < 0 || i >= d.n {
 		panic("netsim: deque index out of range")
 	}
-	return d.buf[(d.head+i)%len(d.buf)]
-}
-
-// RemoveAt removes and returns the element at depth i, preserving the order
-// of the others.
-func (d *Deque[T]) RemoveAt(i int) T {
-	if i < 0 || i >= d.n {
-		panic("netsim: deque remove out of range")
-	}
-	v := d.At(i)
-	// Shift the shorter side.
-	if i < d.n-i-1 {
-		for j := i; j > 0; j-- {
-			d.buf[(d.head+j)%len(d.buf)] = d.buf[(d.head+j-1)%len(d.buf)]
-		}
-		var zero T
-		d.buf[d.head] = zero
-		d.head = (d.head + 1) % len(d.buf)
-	} else {
-		for j := i; j < d.n-1; j++ {
-			d.buf[(d.head+j)%len(d.buf)] = d.buf[(d.head+j+1)%len(d.buf)]
-		}
-		var zero T
-		d.buf[(d.head+d.n-1)%len(d.buf)] = zero
-	}
-	d.n--
-	return v
-}
-
-// InsertAt inserts v at depth i (0 = front, Len() = back).
-func (d *Deque[T]) InsertAt(i int, v T) {
-	if i < 0 || i > d.n {
-		panic("netsim: deque insert out of range")
-	}
-	d.PushBack(v) // make room
-	for j := d.n - 1; j > i; j-- {
-		d.buf[(d.head+j)%len(d.buf)] = d.buf[(d.head+j-1)%len(d.buf)]
-	}
-	d.buf[(d.head+i)%len(d.buf)] = v
+	return d.buf[(d.head+i)&(len(d.buf)-1)]
 }

@@ -23,6 +23,21 @@ func (e Endpoint) String() string { return fmt.Sprintf("%s[%d]", e.Op, e.Index) 
 // arrival a message joins the receiver-side inbox, except trigger barriers,
 // which jump to the inbox front (priority arrival).
 //
+// Storage: the three queues are adjacent regions of one power-of-two ring,
+// delimited by four cursors that only grow (PushFrontInbox excepted),
+// head <= inEnd <= linkEnd <= tail:
+//
+//	[head, inEnd)     inbox, oldest first
+//	[inEnd, linkEnd)  on the link, in departure order
+//	[linkEnd, tail)   outbox, next to transmit first
+//
+// A slot is cursor & (len(ring)-1). A message is written once (at tail, by
+// a send) and read once (at head, by PopInbox): departure and arrival only
+// move a cursor. The rare DRRS operations that reorder a queue — priority
+// sends and inserts into the outbox, priority arrivals and positional
+// removal in the inbox, outbox extraction — shift messages within that one
+// region. A full ring doubles and re-bases the cursors at zero.
+//
 // Backpressure: TrySend refuses records when the outbox is at capacity, and
 // the link stalls when the inbox (including in-flight messages) is full.
 //
@@ -52,8 +67,14 @@ type Edge struct {
 	OutCap    int // records; <= 0 means unbounded
 	InCap     int // records; <= 0 means unbounded
 
-	outbox Deque[Message]
-	inbox  Deque[Message]
+	// ring holds inbox, link and outbox back to back (see the type comment);
+	// its length is zero or a power of two. at is a parallel lane holding
+	// the arrival instant of each slot on the link; the other slots' entries
+	// are stale. Both are allocated on the first send.
+	ring []Message
+	at   []simtime.Time
+	// head, inEnd, linkEnd and tail are the region cursors.
+	head, inEnd, linkEnd, tail int
 
 	// slot and ready tie the edge to its receiver's input list: slot is the
 	// edge's position there (-1 while unbound) and ready is the receiver's
@@ -62,11 +83,10 @@ type Edge struct {
 	slot  int
 	ready *SlotSet
 
-	// arrivals is the ordered pending-arrival queue of messages on the link.
-	// Arrival instants are nondecreasing (a FIFO link admits no overtaking),
-	// so a single outstanding timer at the head instant drains the whole
-	// queue — one scheduled event per busy period instead of one per message.
-	arrivals   Deque[pendingArrival]
+	// Arrival instants on the link are nondecreasing (a FIFO link admits no
+	// overtaking), so a single outstanding timer at the link front's instant
+	// drains the whole link — one scheduled event per busy period instead of
+	// one per message.
 	timerArmed bool
 	deliverFn  func()
 
@@ -87,12 +107,6 @@ type EdgeConfig struct {
 	Latency simtime.Duration
 	OutCap  int
 	InCap   int
-}
-
-// pendingArrival is one in-flight message and its arrival instant.
-type pendingArrival struct {
-	msg Message
-	at  simtime.Time
 }
 
 // NewEdge builds an edge between src and dst on the given scheduler.
@@ -122,7 +136,7 @@ func (e *Edge) SetReceiver(fn func(*Edge)) { e.onArrival = fn }
 // edge's bit up to date. Rebinding with a new slot renumbers the channel.
 func (e *Edge) BindInput(ready *SlotSet, slot int) {
 	e.ready, e.slot = ready, slot
-	ready.Assign(slot, e.inbox.Len() > 0)
+	ready.Assign(slot, e.inEnd > e.head)
 }
 
 // UnbindInput detaches the edge from its receiver's input list. The caller
@@ -142,7 +156,7 @@ func (e *Edge) inboxFilled() {
 }
 
 func (e *Edge) inboxDrained() {
-	if e.ready != nil && e.inbox.Len() == 0 {
+	if e.ready != nil && e.inEnd == e.head {
 		e.ready.Clear(e.slot)
 	}
 }
@@ -152,17 +166,61 @@ func (e *Edge) inboxDrained() {
 // blocked sender can resume emitting.
 func (e *Edge) SetSenderWake(fn func()) { e.onOutSpace = fn }
 
+// mask turns a cursor into a ring index.
+func (e *Edge) mask() int { return len(e.ring) - 1 }
+
+// reserve makes room for one more message: a full ring doubles, copying
+// every region in order to a new ring whose head is slot zero.
+func (e *Edge) reserve() {
+	n := e.tail - e.head
+	if n < len(e.ring) {
+		return
+	}
+	size := 2 * len(e.ring)
+	if size < 8 {
+		size = 8
+	}
+	ring := make([]Message, size)
+	at := make([]simtime.Time, size)
+	m := e.mask()
+	for i := 0; i < n; i++ {
+		ring[i] = e.ring[(e.head+i)&m]
+		at[i] = e.at[(e.head+i)&m]
+	}
+	e.ring, e.at = ring, at
+	e.inEnd -= e.head
+	e.linkEnd -= e.head
+	e.tail -= e.head
+	e.head = 0
+}
+
+// shiftUp moves the messages at cursors [from, to) one slot up, vacating
+// from. The caller has reserved the slot at to.
+func (e *Edge) shiftUp(from, to int) {
+	m := e.mask()
+	for i := to; i > from; i-- {
+		e.ring[i&m] = e.ring[(i-1)&m]
+	}
+}
+
+// pushBack appends m to the outbox.
+func (e *Edge) pushBack(m Message) {
+	e.reserve()
+	e.ring[e.tail&e.mask()] = m
+	e.tail++
+}
+
 // TrySend enqueues m into the outbox. It refuses data records (including
 // rerouted ones) when the outbox is full — that is backpressure — but always
 // accepts control messages, whose loss or blockage would deadlock the
 // protocol. Reports whether the message was accepted; a refusal registers the
 // sender for one wake when outbox space frees.
 func (e *Edge) TrySend(m Message) bool {
-	if e.OutCap > 0 && e.outbox.Len() >= e.OutCap && isDataKind(m) {
+	if e.OutCap > 0 && e.tail-e.linkEnd >= e.OutCap && isDataKind(m) {
 		e.senderWaiting = true
 		return false
 	}
-	e.outbox.PushBack(m)
+	e.pushBack(m)
 	e.pump()
 	return true
 }
@@ -170,21 +228,18 @@ func (e *Edge) TrySend(m Message) bool {
 // SendPriority pushes m to the front of the outbox, bypassing all queued
 // output (the trigger-barrier path, and the confirm barrier's output-cache
 // priority).
-func (e *Edge) SendPriority(m Message) {
-	e.outbox.PushFront(m)
-	e.pump()
-}
+func (e *Edge) SendPriority(m Message) { e.InsertOutboxAt(0, m) }
 
 // ForceSend appends m to the outbox regardless of capacity. Used for
 // redirection: records extracted from another edge's output cache must land
 // here without being dropped, even under backpressure.
 func (e *Edge) ForceSend(m Message) {
-	e.outbox.PushBack(m)
+	e.pushBack(m)
 	e.pump()
 }
 
 func (e *Edge) inboxSpace() bool {
-	return e.InCap <= 0 || e.inbox.Len()+e.arrivals.Len() < e.InCap
+	return e.InCap <= 0 || e.linkEnd-e.head < e.InCap
 }
 
 // isDataKind reports whether a message consumes buffer capacity; control
@@ -201,30 +256,32 @@ func isDataKind(m Message) bool {
 // pump moves messages from the outbox onto the link while the inbox has
 // room. Every message departs now and arrives Latency later.
 func (e *Edge) pump() {
-	freed := false
+	start := e.linkEnd
 	arrive := e.sched.Now().Add(e.Latency)
-	for e.outbox.Len() > 0 {
-		if isDataKind(e.outbox.At(0)) && !e.inboxSpace() {
+	m := e.mask()
+	for e.linkEnd < e.tail {
+		k := e.linkEnd & m
+		if isDataKind(e.ring[k]) && !e.inboxSpace() {
 			break
 		}
-		m := e.outbox.PopFront()
-		freed = true
-		e.arrivals.PushBack(pendingArrival{msg: m, at: arrive})
+		e.at[k] = arrive
+		e.linkEnd++
 	}
-	if freed {
+	if e.linkEnd != start {
 		e.armDeliver()
 		e.wakeSender()
 	}
 }
 
-// armDeliver keeps exactly one timer outstanding: the head arrival. Arrival
-// instants are nondecreasing, so later pushes never need to re-arm earlier.
+// armDeliver keeps exactly one timer outstanding: the link front's arrival.
+// Arrival instants are nondecreasing, so later departures never need to
+// re-arm earlier.
 func (e *Edge) armDeliver() {
-	if e.timerArmed || e.arrivals.Len() == 0 {
+	if e.timerArmed || e.inEnd == e.linkEnd {
 		return
 	}
 	e.timerArmed = true
-	e.sched.At(e.arrivals.At(0).at, e.deliverFn)
+	e.sched.At(e.at[e.inEnd&e.mask()], e.deliverFn)
 }
 
 // wakeSender is called wherever outbox space freed. It schedules the sender's
@@ -237,23 +294,25 @@ func (e *Edge) wakeSender() {
 	e.sched.After(0, e.onOutSpace)
 }
 
-// deliver drains every arrival due at the current instant into the inbox,
+// deliver moves every arrival due at the current instant into the inbox,
 // re-arms for the next pending arrival, and only then calls the receiver,
 // once for the whole batch: the receiver's wake is the callback's last act,
 // which lets it run the receiver's step inline.
 func (e *Edge) deliver() {
 	e.timerArmed = false
 	now := e.sched.Now()
-	for e.arrivals.Len() > 0 && e.arrivals.At(0).at <= now {
-		m := e.arrivals.PopFront().msg
-		if m.MsgKind() == KindTriggerBarrier {
-			e.inbox.PushFront(m)
-		} else {
-			e.inbox.PushBack(m)
+	m := e.mask()
+	for e.inEnd < e.linkEnd && e.at[e.inEnd&m] <= now {
+		msg := e.ring[e.inEnd&m]
+		if msg.MsgKind() == KindTriggerBarrier {
+			// Priority arrival: rotate the inbox so the barrier sits at head.
+			e.shiftUp(e.head, e.inEnd)
+			e.ring[e.head&m] = msg
 		}
+		e.inEnd++
 		e.inboxFilled()
 		e.Delivered++
-		e.DeliveredBytes += uint64(m.SizeBytes())
+		e.DeliveredBytes += uint64(msg.SizeBytes())
 	}
 	e.armDeliver()
 	if e.onArrival != nil {
@@ -262,43 +321,64 @@ func (e *Edge) deliver() {
 }
 
 // InboxLen reports the number of arrived, unconsumed messages.
-func (e *Edge) InboxLen() int { return e.inbox.Len() }
+func (e *Edge) InboxLen() int { return e.inEnd - e.head }
 
 // InboxAt peeks at inbox depth i (0 = next to be consumed).
-func (e *Edge) InboxAt(i int) Message { return e.inbox.At(i) }
+func (e *Edge) InboxAt(i int) Message {
+	if i < 0 || i >= e.inEnd-e.head {
+		panic("netsim: inbox index out of range")
+	}
+	return e.ring[(e.head+i)&e.mask()]
+}
 
 // PopInbox consumes the inbox head and re-pumps the link.
 func (e *Edge) PopInbox() Message {
-	m := e.inbox.PopFront()
+	if e.inEnd == e.head {
+		panic("netsim: PopInbox on empty inbox")
+	}
+	k := e.head & e.mask()
+	msg := e.ring[k]
+	e.ring[k] = nil
+	e.head++
 	e.inboxDrained()
 	e.pump()
-	return m
+	return msg
 }
 
 // RemoveInboxAt consumes the message at depth i (Intra-channel Scheduling)
 // and re-pumps the link.
 func (e *Edge) RemoveInboxAt(i int) Message {
-	m := e.inbox.RemoveAt(i)
+	msg := e.InboxAt(i)
+	e.shiftUp(e.head, e.head+i)
+	e.ring[e.head&e.mask()] = nil
+	e.head++
 	e.inboxDrained()
 	e.pump()
-	return m
+	return msg
 }
 
 // PushFrontInbox returns a message to the inbox head (used when a handler
 // peeks a message it cannot yet consume).
 func (e *Edge) PushFrontInbox(m Message) {
-	e.inbox.PushFront(m)
+	e.reserve()
+	e.head--
+	e.ring[e.head&e.mask()] = m
 	e.inboxFilled()
 }
 
 // OutboxLen reports the number of messages waiting in the output cache.
-func (e *Edge) OutboxLen() int { return e.outbox.Len() }
+func (e *Edge) OutboxLen() int { return e.tail - e.linkEnd }
 
 // OutboxAt peeks at outbox depth i (0 = next to transmit).
-func (e *Edge) OutboxAt(i int) Message { return e.outbox.At(i) }
+func (e *Edge) OutboxAt(i int) Message {
+	if i < 0 || i >= e.tail-e.linkEnd {
+		panic("netsim: outbox index out of range")
+	}
+	return e.ring[(e.linkEnd+i)&e.mask()]
+}
 
 // QueuedTotal reports outbox + in-flight + inbox occupancy.
-func (e *Edge) QueuedTotal() int { return e.outbox.Len() + e.arrivals.Len() + e.inbox.Len() }
+func (e *Edge) QueuedTotal() int { return e.tail - e.head }
 
 // ExtractOutbox removes every queued message for which take returns true,
 // scanning from the front and stopping (exclusively) at the first message for
@@ -307,35 +387,54 @@ func (e *Edge) QueuedTotal() int { return e.outbox.Len() + e.arrivals.Len() + e.
 // semantics, where in-flight records become Ep records handled by re-routing.
 func (e *Edge) ExtractOutbox(take func(Message) bool, stop func(Message) bool) []Message {
 	var out []Message
-	for i := 0; i < e.outbox.Len(); {
-		m := e.outbox.At(i)
-		if stop != nil && stop(m) {
+	m := e.mask()
+	// Kept messages close the gaps as the scan passes: w is where the next
+	// kept one goes, r the message being examined.
+	w, r := e.linkEnd, e.linkEnd
+	for ; r < e.tail; r++ {
+		msg := e.ring[r&m]
+		if stop != nil && stop(msg) {
 			break
 		}
-		if take(m) {
-			out = append(out, e.outbox.RemoveAt(i))
+		if take(msg) {
+			out = append(out, msg)
 			continue
 		}
-		i++
+		e.ring[w&m] = msg
+		w++
 	}
-	if len(out) > 0 {
-		e.wakeSender()
+	if len(out) == 0 {
+		return nil
 	}
+	for ; r < e.tail; r, w = r+1, w+1 {
+		e.ring[w&m] = e.ring[r&m]
+	}
+	for ; w < e.tail; w++ {
+		e.ring[w&m] = nil
+	}
+	e.tail -= len(out)
+	e.wakeSender()
 	return out
 }
 
 // InsertOutboxAt places m at outbox depth i (for checkpoint-integrated DRRS
 // signals that must sit immediately behind a checkpoint barrier).
 func (e *Edge) InsertOutboxAt(i int, m Message) {
-	e.outbox.InsertAt(i, m)
+	if i < 0 || i > e.tail-e.linkEnd {
+		panic("netsim: outbox insert out of range")
+	}
+	e.reserve()
+	e.shiftUp(e.linkEnd+i, e.tail)
+	e.ring[(e.linkEnd+i)&e.mask()] = m
+	e.tail++
 	e.pump()
 }
 
 // FindOutbox returns the depth of the first outbox message satisfying pred,
 // or -1.
 func (e *Edge) FindOutbox(pred func(Message) bool) int {
-	for i := 0; i < e.outbox.Len(); i++ {
-		if pred(e.outbox.At(i)) {
+	for i := 0; i < e.OutboxLen(); i++ {
+		if pred(e.OutboxAt(i)) {
 			return i
 		}
 	}
@@ -345,8 +444,8 @@ func (e *Edge) FindOutbox(pred func(Message) bool) int {
 // FindInbox returns the depth of the first inbox message satisfying pred, or
 // -1.
 func (e *Edge) FindInbox(pred func(Message) bool) int {
-	for i := 0; i < e.inbox.Len(); i++ {
-		if pred(e.inbox.At(i)) {
+	for i := 0; i < e.InboxLen(); i++ {
+		if pred(e.InboxAt(i)) {
 			return i
 		}
 	}

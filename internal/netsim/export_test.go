@@ -10,4 +10,4 @@ func (d *Deque[T]) Drain() []T {
 }
 
 // InFlight reports messages currently on the link.
-func (e *Edge) InFlight() int { return e.arrivals.Len() }
+func (e *Edge) InFlight() int { return e.linkEnd - e.inEnd }

@@ -45,8 +45,8 @@ func BenchmarkSchedulerSameInstant(b *testing.B) {
 }
 
 // BenchmarkSchedulerCancel measures cancellation on both structures: every
-// other event lands on the wheel (a tombstone, dropped when the clock passes
-// its slot) and the rest on the heap (indexed removal).
+// other event lands on the wheel (unlinked from its slot's list) and the rest
+// on the heap (indexed removal).
 func BenchmarkSchedulerCancel(b *testing.B) {
 	s := NewScheduler()
 	fn := func() {}

@@ -8,7 +8,7 @@ import (
 // and checks every firing against a reference model: a flat list of events
 // in which the next to fire is the live one with the least (at, seq). After
 // every operation Now(), Pending() and every Timer's Pending() must match
-// the model, and NothingDueNow() must be false whenever the model holds a
+// the model, and NothingDueNow() must hold exactly when the model has no
 // live event at Now() — after an operation and inside every callback, where
 // a tail-inlined wake relies on it.
 //
@@ -84,13 +84,18 @@ func checkSchedulerOrder(t *testing.T, data []byte) {
 		}
 		return best
 	}
-	// checkDue: a live event at Now() means something is due now.
+	// checkDue: NothingDueNow() iff no live event is due at Now().
 	checkDue := func(op string) {
 		t.Helper()
+		due := -1
 		for _, e := range evs {
-			if e.live && e.at == s.Now() && s.NothingDueNow() {
-				t.Fatalf("%s: NothingDueNow() with seq %d live at %v", op, e.seq, e.at)
+			if e.live && e.at == s.Now() {
+				due = e.seq
+				break
 			}
+		}
+		if got := s.NothingDueNow(); got != (due < 0) {
+			t.Fatalf("%s: NothingDueNow() %v at %v with live seq %d due (-1: none)", op, got, s.Now(), due)
 		}
 	}
 	var schedule func(at Time, child Duration)

@@ -17,7 +17,10 @@
 // the current instant serves the After(0, ...) wake pattern without a
 // comparison, and NothingDueNow reads it in O(1) so that a callback whose
 // last act is a zero-delay wake can run the woken work inline when that
-// work would have been the very next event anyway.
+// work would have been the very next event anyway. Cancelling a wheel event
+// unlinks it from its slot at once, so the wheel holds live events only: a
+// slot's occupancy bit means an event is due at that instant, and finding
+// the next instant is a pure bitmap scan.
 package simtime
 
 import (
@@ -81,9 +84,8 @@ const (
 // Event placement states (the event.where field): non-negative values are
 // heap positions.
 const (
-	whereFree      int32 = -1 // in the free list (or fired)
-	whereWheel     int32 = -2 // queued in a wheel slot
-	whereWheelDead int32 = -3 // cancelled while on the wheel, not yet drained
+	whereFree  int32 = -1 // in the free list (or fired)
+	whereWheel int32 = -2 // queued in a wheel slot
 )
 
 // event is one pooled scheduler entry. Events are recycled through a free
@@ -107,9 +109,9 @@ type Timer struct {
 }
 
 // Cancel prevents the event from firing. Reports whether the event was still
-// pending. Cancellation of a heap event removes it immediately (indexed
-// removal); a wheel event leaves a tombstone that is dropped when its slot
-// is next visited. Either way Pending() never over-counts cancelled events.
+// pending. Cancellation removes the event immediately: by index from the
+// heap, or by unlinking it from its wheel slot's list, which walks the
+// events due at the same instant. Pending() never counts cancelled events.
 func (t Timer) Cancel() bool {
 	if t.s == nil {
 		return false
@@ -124,7 +126,7 @@ func (t Timer) Pending() bool {
 		return false
 	}
 	ev := &t.s.pool[t.idx]
-	return ev.gen == t.gen && ev.where != whereWheelDead && ev.where != whereFree
+	return ev.gen == t.gen && ev.where != whereFree
 }
 
 // Scheduler is a deterministic discrete-event scheduler.
@@ -150,7 +152,7 @@ type Scheduler struct {
 	// wheelSlots) holds one instant only. tails[k] is the last entry of
 	// slot k's circular list (its next is the head), valid iff bit k of
 	// occupied is set; entries are appended in scheduling order, so every
-	// slot is in seq order. wheeled counts entries, tombstones included.
+	// slot is in seq order. wheeled counts entries; all of them are live.
 	// The two arrays are separate allocations so that each fills whole
 	// pages or a size class: 132 KiB per Scheduler.
 	tails    *[wheelSlots]int32
@@ -170,13 +172,13 @@ func (s *Scheduler) Now() Time { return s.now }
 func (s *Scheduler) Processed() uint64 { return s.stepped }
 
 // Pending reports how many events are scheduled and still runnable.
-// Cancelled events never count: heap cancellation removes the event
-// immediately, and wheel cancellation decrements the live count.
+// Cancelled events never count: cancellation removes the event immediately.
 func (s *Scheduler) Pending() int { return s.live }
 
 // NothingDueNow reports whether no event is due at the current instant: the
-// current instant's wheel slot is unoccupied (a cancelled entry still
-// counts as occupied) and the heap's earliest event is later than now. When
+// current instant's wheel slot is unoccupied and the heap's earliest event
+// is later than now. The wheel holds no cancelled entries, so the answer is
+// exact: it is false iff a live event is due now. When
 // it holds inside a callback, an event scheduled at now by After(0, ...)
 // would be the next to fire, so the caller may run it inline instead: the
 // (at, seq) order of every other event is unchanged, and the skipped
@@ -255,11 +257,8 @@ func (s *Scheduler) cancel(idx int32, gen uint32) bool {
 		s.live--
 		return true
 	case ev.where == whereWheel:
-		// A slot is a singly-linked list; mark the entry dead and let the
-		// drain (or the next-instant search) drop it. Its pool slot stays
-		// taken until then.
-		ev.where = whereWheelDead
-		ev.fn = nil
+		s.wheelUnlink(idx)
+		s.release(idx)
 		s.live--
 		return true
 	default:
@@ -300,8 +299,7 @@ func (s *Scheduler) fire() {
 }
 
 // nextAt reports the instant of the next runnable event: the earlier of the
-// wheel's first live slot and the heap top. The slot it reports has a live
-// head, so fire never meets a tombstone.
+// wheel's first occupied slot and the heap top.
 func (s *Scheduler) nextAt() (Time, bool) {
 	at, ok := s.wheelNext()
 	if len(s.heap) > 0 {
@@ -366,11 +364,28 @@ func (s *Scheduler) wheelPop(k int) int32 {
 	return head
 }
 
-// wheelNext reports the instant of the first slot at or after now's, in
-// wrap-around order, whose head is live. Tombstones met at the head of a
-// slot are released on the way: a slot holding only cancelled events must
-// not be reported, or RunUntil could advance the clock onto it and then
-// fire events past its limit.
+// wheelUnlink removes queued event i from its slot's circular list, walking
+// from the tail to i's predecessor.
+func (s *Scheduler) wheelUnlink(i int32) {
+	k := int(s.pool[i].at) & wheelMask
+	prev := s.tails[k]
+	for s.pool[prev].next != i {
+		prev = s.pool[prev].next
+	}
+	if prev == i { // i was the slot's only entry
+		s.occupied[k>>6] &^= 1 << (k & 63)
+	} else {
+		s.pool[prev].next = s.pool[i].next
+		if s.tails[k] == i {
+			s.tails[k] = prev
+		}
+	}
+	s.wheeled--
+}
+
+// wheelNext reports the instant of the first occupied slot at or after
+// now's, in wrap-around order. Every wheel entry is live, so the bitmap
+// alone answers.
 func (s *Scheduler) wheelNext() (Time, bool) {
 	if s.wheeled == 0 {
 		return 0, false
@@ -381,17 +396,9 @@ func (s *Scheduler) wheelNext() (Time, bool) {
 	// The first word is read twice: masked above, then whole after the wrap
 	// (its bits from base on are empty by then).
 	for n := 0; n <= len(s.occupied); n++ {
-		for word != 0 {
+		if word != 0 {
 			k := w<<6 | bits.TrailingZeros64(word)
-			for s.occupied[k>>6]&(1<<(k&63)) != 0 {
-				head := s.pool[s.tails[k]].next
-				if s.pool[head].where != whereWheelDead {
-					return s.now + Time((k-base)&wheelMask), true
-				}
-				s.wheelPop(k)
-				s.release(head)
-			}
-			word &= word - 1
+			return s.now + Time((k-base)&wheelMask), true
 		}
 		w = (w + 1) % len(s.occupied)
 		word = s.occupied[w]
