@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"drrs/internal/bench"
+	"drrs/internal/scaling"
 )
 
 // BenchmarkEngineThroughput runs one whole twitch/no-scale simulation per
@@ -14,7 +15,7 @@ import (
 func BenchmarkEngineThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sc := bench.TwitchScenario(int64(i + 100))
-		o := sc.Run(nil)
+		o := sc.RunWith(func() scaling.Mechanism { return nil })
 		b.ReportMetric(float64(o.Throughput.Total()), "records")
 	}
 }

@@ -185,7 +185,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "drrs-bench: %v\n", err)
 		os.Exit(2)
 	}
-	h := bench.Harness{Workers: *parallel, Overrides: overrides}
+	// One outcome table for the process: a cell two figures share (fig10's
+	// and fig14's twitch/drrs) runs once.
+	h := bench.Harness{Workers: *parallel, Overrides: overrides}.WithTable()
 	// Resolve every named scenario once, here: past this point no mode meets
 	// an unknown name or an override a scenario cannot take.
 	for _, name := range workloads(*workloadName, nil) {

@@ -27,19 +27,19 @@ type SweepPoint struct {
 	MigrationSec float64
 }
 
-// sweep runs one knob sweep: per setting, a fresh registered scenario driven
-// by the hand-built mechanism point returns (with the setting's label). The
-// runs are sequential: RunSpec names mechanisms, and these have no name.
-func (h Harness) sweep(scenario string, seed int64, vals []int, point func(v int) (string, scaling.Mechanism)) ([]SweepPoint, error) {
-	out := make([]SweepPoint, 0, len(vals))
-	for _, v := range vals {
-		sc, err := h.Scenario(scenario, seed)
-		if err != nil {
-			return nil, err
-		}
-		label, mech := point(v)
-		o := sc.Run(mech)
-		out = append(out, SweepPoint{
+// sweep runs one knob sweep: per setting, the registered scenario driven by
+// the mechanisms point builds (labelled with the setting), the settings in
+// parallel across Workers.
+func (h Harness) sweep(scenario string, seed int64, vals []int, point func(v int) (string, func() scaling.Mechanism)) ([]SweepPoint, error) {
+	sc, err := h.Scenario(scenario, seed)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]SweepPoint, len(vals))
+	parallel(len(vals), h.Workers, func(i int) {
+		label, newMech := point(vals[i])
+		o := sc.RunWith(newMech)
+		out[i] = SweepPoint{
 			Label:        label,
 			PeakMs:       o.PeakIn(o.ScaleAt, o.EndAt),
 			AvgMs:        o.AvgIn(o.ScaleAt, o.EndAt),
@@ -47,43 +47,45 @@ func (h Harness) sweep(scenario string, seed int64, vals []int, point func(v int
 			SuspMs:       o.Scale.CumulativeSuspension().Millis(),
 			PropMs:       o.Scale.CumulativePropagationDelay().Millis(),
 			MigrationSec: o.Scale.MigrationDuration().Seconds(),
-		})
-	}
+		}
+	})
 	return out, nil
 }
 
-// drrsWith builds a full-DRRS mechanism with one option changed.
-func drrsWith(set func(*core.Options)) scaling.Mechanism {
-	opt := core.FullDRRS()
-	set(&opt)
-	return core.New(opt)
+// drrsWith builds full-DRRS mechanisms with one option changed.
+func drrsWith(set func(*core.Options)) func() scaling.Mechanism {
+	return func() scaling.Mechanism {
+		opt := core.FullDRRS()
+		set(&opt)
+		return core.New(opt)
+	}
 }
 
 // subscaleSize varies full DRRS's subscale granularity (key groups per
 // subscale). The paper's default is small subscales; degenerate settings
 // recover DR-only behaviour (one giant subscale) or pure per-group scheduling
 // (size 1).
-func subscaleSize(size int) (string, scaling.Mechanism) {
+func subscaleSize(size int) (string, func() scaling.Mechanism) {
 	return fmt.Sprintf("subscale=%d", size), drrsWith(func(o *core.Options) { o.SubscaleKGs = size })
 }
 
 // bufferDepth varies Record Scheduling's intra-channel buffer (the paper
 // fixes 200 records ≈ 200 KB per scaling instance).
-func bufferDepth(d int) (string, scaling.Mechanism) {
+func bufferDepth(d int) (string, func() scaling.Mechanism) {
 	return fmt.Sprintf("depth=%d", d), drrsWith(func(o *core.Options) { o.BufferDepth = d })
 }
 
 // nodeConcurrency varies the subscale scheduler's per-node concurrency
 // threshold (the paper fixes 2 "to avoid potential resource contention").
-func nodeConcurrency(l int) (string, scaling.Mechanism) {
+func nodeConcurrency(l int) (string, func() scaling.Mechanism) {
 	return fmt.Sprintf("conc=%d", l), drrsWith(func(o *core.Options) { o.NodeConcurrency = l })
 }
 
 // megaphoneBatch varies Megaphone's reconfiguration bin size: its fundamental
 // trade-off between suspension (grows with batch) and scaling duration /
 // propagation (shrink with batch).
-func megaphoneBatch(b int) (string, scaling.Mechanism) {
-	return fmt.Sprintf("batch=%d", b), &megaphone.Mechanism{BatchKGs: b}
+func megaphoneBatch(b int) (string, func() scaling.Mechanism) {
+	return fmt.Sprintf("batch=%d", b), func() scaling.Mechanism { return &megaphone.Mechanism{BatchKGs: b} }
 }
 
 // Ablation runs the four sweeps as one figure: the DRRS knobs on Twitch, node
@@ -94,7 +96,7 @@ func (h Harness) Ablation(seed int64) (FigureResult, error) {
 	for _, sw := range []struct {
 		title, scenario string
 		vals            []int
-		point           func(int) (string, scaling.Mechanism)
+		point           func(int) (string, func() scaling.Mechanism)
 	}{
 		{"DRRS subscale size (Twitch)", "twitch", []int{1, 4, 8, 32, 128}, subscaleSize},
 		{"DRRS record-scheduling buffer depth (Twitch)", "twitch", []int{1, 20, 200}, bufferDepth},

@@ -61,7 +61,7 @@ func TestFormatSweep(t *testing.T) {
 }
 
 func TestSparkline(t *testing.T) {
-	o := TwitchScenario(2).Run(nil)
+	o := sharedRun(t, "twitch", 7, "no-scale")
 	sp := Sparkline(o, 1e6, 0, o.EndAt)
 	if sp == "" {
 		t.Fatal("empty sparkline from a populated run")

@@ -206,24 +206,6 @@ type Outcome struct {
 // StabilityHold is the scaled-down version of the paper's 100-second rule.
 const StabilityHold = simtime.Duration(5 * simtime.Second)
 
-// Run executes the scenario under mech (nil = no scaling) and returns the
-// outcome after draining the pipeline. Mechanisms carry per-operation state,
-// so a single instance can only drive one scaling operation: multi-wave
-// programs and controller-driven scenarios (which launch as many operations
-// as the policy decides) must go through RunWith, which builds a fresh
-// mechanism per operation.
-func (sc Scenario) Run(mech scaling.Mechanism) Outcome {
-	used := false
-	return sc.RunWith(func() scaling.Mechanism {
-		if used {
-			panic(fmt.Sprintf("bench: scenario %q (driving %s) needs more than one scaling operation; Run cannot reuse one mechanism instance — use RunWith with a factory",
-				sc.Name, sc.ProgramString()))
-		}
-		used = true
-		return mech
-	})
-}
-
 // RunWith executes the scenario under its Driver — the scripted wave program
 // by default, a closed-loop controller when the scenario says so — calling
 // newMech once per scaling operation (nil = no scaling). It reads nothing but

@@ -150,21 +150,6 @@ func TestFigureSeedValidation(t *testing.T) {
 	}
 }
 
-// TestRunRefusesMechanismReuseAcrossWaves documents why multi-wave scenarios
-// need RunWith: mechanisms carry per-operation state, so Run's single
-// instance cannot drive a second wave.
-func TestRunRefusesMechanismReuseAcrossWaves(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a full flash-crowd first wave before hitting the panic")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Run should refuse to reuse one mechanism across waves")
-		}
-	}()
-	FlashCrowdScenario(1).Run(Mechanisms("drrs"))
-}
-
 func TestSensitivityScenarioPlacement(t *testing.T) {
 	sc := SensitivityScenario(1, 8000, 10<<20, 0.5)
 	g, _ := sc.buildGraph()
@@ -190,9 +175,9 @@ func TestHeadlineShapeTwitch(t *testing.T) {
 		t.Skip("headline shape test simulates ~150 virtual seconds")
 	}
 	t.Parallel()
-	drrs := TwitchScenario(3).Run(Mechanisms("drrs"))
-	meces := TwitchScenario(3).Run(Mechanisms("meces"))
-	mega := TwitchScenario(3).Run(Mechanisms("megaphone"))
+	drrs := sharedRun(t, "twitch", 3, "drrs")
+	meces := sharedRun(t, "twitch", 3, "meces")
+	mega := sharedRun(t, "twitch", 3, "megaphone")
 	for _, o := range []Outcome{drrs, meces, mega} {
 		if !o.Done {
 			t.Fatalf("%s never completed", o.Mechanism)
@@ -226,9 +211,9 @@ func TestFig2Shape(t *testing.T) {
 		t.Skip("fig2 shape test simulates ~150 virtual seconds")
 	}
 	t.Parallel()
-	unbound := TwitchScenario(4).Run(Mechanisms("unbound"))
-	otfs := TwitchScenario(4).Run(Mechanisms("otfs"))
-	base := TwitchScenario(4).Run(nil)
+	unbound := sharedRun(t, "twitch", 7, "unbound")
+	otfs := sharedRun(t, "twitch", 7, "otfs")
+	base := sharedRun(t, "twitch", 7, "no-scale") // seed 7: golden cells
 	from, to := unbound.ScaleAt, unbound.EndAt
 	ub := unbound.AvgIn(from, to)
 	ot := otfs.AvgIn(from, to)

@@ -39,12 +39,8 @@ func TestNodeLossRecoveryTentpole(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runOnce := func() Outcome {
-				return ScenarioByName("node-loss-mid-migrate", seed).
-					RunWith(func() scaling.Mechanism { return Mechanisms("drrs") })
-			}
-			a := runOnce()
-			b := runOnce()
+			a := sharedRun(t, "node-loss-mid-migrate", seed, "drrs")
+			b := ScenarioByName("node-loss-mid-migrate", seed).RunWith(drrsFactory)
 			requireSameFaults(t, "node-loss/drrs", a, b)
 			f := a.Faults
 			if f == nil {
@@ -97,12 +93,8 @@ func TestChaosScenariosDeterministic(t *testing.T) {
 		for _, seed := range []int64{1, 2} {
 			name, seed := name, seed
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				runOnce := func() Outcome {
-					return ScenarioByName(name, seed).
-						RunWith(func() scaling.Mechanism { return Mechanisms("drrs") })
-				}
-				a := runOnce()
-				requireSameFaults(t, name, a, runOnce())
+				a := sharedRun(t, name, seed, "drrs")
+				requireSameFaults(t, name, a, ScenarioByName(name, seed).RunWith(drrsFactory))
 				if a.Faults == nil || a.Faults.Events == 0 {
 					t.Fatalf("fault plan never fired: %+v", a.Faults)
 				}
@@ -133,12 +125,9 @@ func TestLegacyMechanismsSurviveNodeLoss(t *testing.T) {
 		for _, seed := range []int64{1, 2} {
 			mech, seed := mech, seed
 			t.Run(fmt.Sprintf("%s/seed%d", mech, seed), func(t *testing.T) {
-				runOnce := func() Outcome {
-					return ScenarioByName("node-loss-mid-migrate", seed).
-						RunWith(func() scaling.Mechanism { return Mechanisms(mech) })
-				}
-				a := runOnce()
-				requireSameFaults(t, mech, a, runOnce())
+				a := sharedRun(t, "node-loss-mid-migrate", seed, mech)
+				requireSameFaults(t, mech, a, ScenarioByName("node-loss-mid-migrate", seed).
+					RunWith(func() scaling.Mechanism { return Mechanisms(mech) }))
 				if a.Faults == nil || a.Faults.Crashes == 0 {
 					t.Fatal("planned crash never fired")
 				}

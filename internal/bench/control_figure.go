@@ -15,17 +15,17 @@ import (
 // supersede it mid-flight — mechanism rankings here are outcomes of the
 // whole control loop, not of an identical fixed schedule.
 func (h Harness) ControlFigure(workloadName string, mechs []string, seeds []int64) (FigureResult, error) {
-	if err := checkSeeds("Control", seeds); err != nil {
-		return FigureResult{}, err
-	}
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "meces", "megaphone"}
 	}
-	outs, err := h.compare(workloadName, mechs, seeds)
+	outs, err := h.byMech("Control", workloadName, mechs, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
-	sc, _ := h.Scenario(workloadName, 0) // for the header; compare just applied the same overrides
+	sc, err := h.Scenario(workloadName, seeds[0]) // for the header
+	if err != nil {
+		return FigureResult{}, err
+	}
 	from, to := measureWindow(outs)
 
 	var b strings.Builder
@@ -82,17 +82,11 @@ func (h Harness) ControlFigure(workloadName string, mechs []string, seeds []int6
 
 	b.WriteString("\nlatency timelines (1 s means):\n")
 	for _, mech := range mechs {
-		if len(outs[mech]) == 0 {
-			continue
-		}
 		fmt.Fprintf(&b, "%-12s %s\n", mech, Sparkline(outs[mech][0], simtime.Second, from, to))
 	}
 
 	b.WriteString("\ndecision audit trail (first seed):\n")
 	for _, mech := range mechs {
-		if len(outs[mech]) == 0 {
-			continue
-		}
 		fmt.Fprintf(&b, "%s:\n%s", mech, FormatDecisions(outs[mech][0]))
 	}
 	return FigureResult{Title: "control/" + workloadName, Text: b.String(), Rows: rows}, nil

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"drrs/internal/metrics"
-	"drrs/internal/scaling"
 )
 
 // requireSameOutcome asserts bit-for-bit equality of everything a run
@@ -89,16 +88,16 @@ func TestTwitchScenarioDeterminism(t *testing.T) {
 		t.Skip("determinism test simulates ~200 virtual seconds")
 	}
 	t.Parallel()
-	const seed = 11
-	a := TwitchScenario(seed).Run(Mechanisms("drrs"))
-	b := TwitchScenario(seed).Run(Mechanisms("drrs"))
+	const seed = 7 // the golden cells: the first runs come from the shared table
+	a := sharedRun(t, "twitch", seed, "drrs")
+	b := TwitchScenario(seed).RunWith(drrsFactory)
 	if !a.Done || !b.Done {
 		t.Fatal("scaling never completed")
 	}
 	requireSameOutcome(t, "twitch/drrs", a, b)
 
-	na := TwitchScenario(seed).Run(nil)
-	nb := TwitchScenario(seed).Run(nil)
+	na := sharedRun(t, "twitch", seed, "no-scale")
+	nb := TwitchScenario(seed).RunWith(noScale)
 	requireSameOutcome(t, "twitch/no-scale", na, nb)
 }
 
@@ -112,11 +111,8 @@ func TestFlashCrowdMultiWaveDeterminism(t *testing.T) {
 		t.Skip("multi-wave determinism test simulates ~90 virtual seconds")
 	}
 	t.Parallel()
-	runOnce := func() Outcome {
-		return FlashCrowdScenario(11).RunWith(func() scaling.Mechanism { return Mechanisms("drrs") })
-	}
-	a := runOnce()
-	b := runOnce()
+	a := sharedRun(t, "flash-crowd", 11, "drrs")
+	b := FlashCrowdScenario(11).RunWith(drrsFactory)
 	if !a.Done || !b.Done {
 		t.Fatal("wave program never completed")
 	}
@@ -150,12 +146,8 @@ func TestControllerScenarioDeterminism(t *testing.T) {
 		t.Skip("controller determinism test simulates ~90 virtual seconds")
 	}
 	t.Parallel()
-	runOnce := func() Outcome {
-		return ScenarioByName("flash-crowd-reactive", 11).
-			RunWith(func() scaling.Mechanism { return Mechanisms("drrs") })
-	}
-	a := runOnce()
-	b := runOnce()
+	a := sharedRun(t, "flash-crowd-reactive", 5, "drrs") // a golden cell
+	b := ScenarioByName("flash-crowd-reactive", 5).RunWith(drrsFactory)
 	if a.Driver != "controller" {
 		t.Fatalf("driver %q, want controller", a.Driver)
 	}
@@ -170,7 +162,8 @@ func TestControllerScenarioDeterminism(t *testing.T) {
 
 // TestRunParallelMatchesSequential guards the parallel scenario runner: the
 // same spec list must produce identical outcomes at any worker count,
-// because every run owns its scheduler, RNG streams, and metrics.
+// because every run owns its scheduler, RNG streams, and metrics. The
+// sequential side comes from the shared table, whose runs go one at a time.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel-equality test simulates ~200 virtual seconds")
@@ -179,9 +172,12 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	specs := []RunSpec{
 		{Scenario: TwitchScenario(7), Mechanism: "otfs"},
 		{Scenario: TwitchScenario(7), Mechanism: "no-scale"},
-		{Scenario: TwitchScenario(8), Mechanism: "megaphone"},
+		{Scenario: TwitchScenario(1), Mechanism: "drrs"},
 	}
-	seq := RunParallel(specs, 1)
+	seq := make([]Outcome, len(specs))
+	for i, sp := range specs {
+		seq[i] = sharedRun(t, sp.Scenario.Name, sp.Scenario.Seed, sp.Mechanism)
+	}
 	par := RunParallel(specs, len(specs))
 	for i := range specs {
 		requireSameOutcome(t, specs[i].Mechanism, seq[i], par[i])

@@ -2,7 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"drrs/internal/core"
@@ -15,54 +16,47 @@ import (
 	"drrs/internal/simtime"
 )
 
+// mechanisms is the one ordered list of report names and constructors that
+// MechanismNames and Mechanisms both read. Constructors build fresh: the
+// implementations carry per-operation state.
+var mechanisms = []struct {
+	name string
+	new  func() scaling.Mechanism
+}{
+	{"drrs", func() scaling.Mechanism { return core.New(core.FullDRRS()) }},
+	{"drrs-dr", func() scaling.Mechanism { return core.New(core.Variant("dr")) }},
+	{"drrs-schedule", func() scaling.Mechanism { return core.New(core.Variant("schedule")) }},
+	{"drrs-subscale", func() scaling.Mechanism { return core.New(core.Variant("subscale")) }},
+	{"meces", func() scaling.Mechanism { return &meces.Mechanism{} }},
+	// A batch of 4 key groups keeps the sequential-round signature while the
+	// scaled-down runs stay tractable.
+	{"megaphone", func() scaling.Mechanism { return &megaphone.Mechanism{BatchKGs: 4} }},
+	{"otfs", func() scaling.Mechanism { return &otfs.Mechanism{Fluid: true} }},
+	{"otfs-allatonce", func() scaling.Mechanism { return &otfs.Mechanism{Fluid: false} }},
+	{"stop-restart", func() scaling.Mechanism { return &stopre.Mechanism{} }},
+	{"unbound", func() scaling.Mechanism { return &unbound.Mechanism{} }},
+	{"no-scale", func() scaling.Mechanism { return nil }},
+}
+
 // MechanismNames lists the report names Mechanisms accepts, for flag
 // validation and help text.
 func MechanismNames() []string {
-	return []string{"drrs", "drrs-dr", "drrs-schedule", "drrs-subscale", "meces", "megaphone",
-		"otfs", "otfs-allatonce", "stop-restart", "unbound", "no-scale"}
+	names := make([]string, len(mechanisms))
+	for i, m := range mechanisms {
+		names[i] = m.name
+	}
+	return names
 }
 
-// Mechanisms builds a fresh mechanism by report name (fresh per run: the
-// implementations carry per-operation state). Unknown names panic.
+// Mechanisms builds a fresh mechanism by report name ("no-scale" is nil).
+// Unknown names panic.
 func Mechanisms(name string) scaling.Mechanism {
-	switch name {
-	case "drrs":
-		return core.New(core.FullDRRS())
-	case "drrs-dr":
-		return core.New(core.Variant("dr"))
-	case "drrs-schedule":
-		return core.New(core.Variant("schedule"))
-	case "drrs-subscale":
-		return core.New(core.Variant("subscale"))
-	case "meces":
-		return &meces.Mechanism{}
-	case "megaphone":
-		// A batch of 4 key groups keeps the sequential-round signature while
-		// the scaled-down runs stay tractable.
-		return &megaphone.Mechanism{BatchKGs: 4}
-	case "otfs":
-		return &otfs.Mechanism{Fluid: true}
-	case "otfs-allatonce":
-		return &otfs.Mechanism{Fluid: false}
-	case "stop-restart":
-		return &stopre.Mechanism{}
-	case "unbound":
-		return &unbound.Mechanism{}
-	case "no-scale":
-		return nil
-	default:
-		panic(fmt.Sprintf("bench: unknown mechanism %q", name))
+	for _, m := range mechanisms {
+		if m.name == name {
+			return m.new()
+		}
 	}
-}
-
-// checkSeeds validates the seed list up front: every figure indexes
-// outs[mech][0] for its timeline printers, so an empty list would otherwise
-// panic deep inside rendering with an opaque out-of-range error.
-func checkSeeds(figure string, seeds []int64) error {
-	if len(seeds) == 0 {
-		return fmt.Errorf("bench: %s needs at least one seed (got an empty seed list)", figure)
-	}
-	return nil
+	panic(fmt.Sprintf("bench: unknown mechanism %q", name))
 }
 
 // FigureResult is one regenerated figure/table: paper-style text plus the
@@ -194,24 +188,45 @@ func measureWindow(outs map[string][]Outcome) (simtime.Time, simtime.Time) {
 	return from, to
 }
 
-// compare runs one registered scenario under several mechanisms across seeds
-// (in parallel across Workers; each run is independently deterministic) and
-// groups the outcomes by mechanism.
-func (h Harness) compare(scenario string, mechs []string, seeds []int64) (map[string][]Outcome, error) {
-	specs := make([]RunSpec, 0, len(mechs)*len(seeds))
-	for _, mech := range mechs {
-		for _, seed := range seeds {
-			sc, err := h.Scenario(scenario, seed)
-			if err != nil {
-				return nil, err
+// runs asks h's outcome table for every scenario × placement × mechanism
+// row at every seed, as one batch, and returns the outcomes grouped by row (a
+// cell without its seed) in seed order. An empty seed list is an error: every
+// figure indexes a row's first run for its timelines.
+func (h Harness) runs(figure string, scenarios, placements, mechs []string, seeds []int64) (map[cell][]Outcome, error) {
+	if len(seeds) == 0 {
+		return nil, fmt.Errorf("bench: %s needs at least one seed (got an empty seed list)", figure)
+	}
+	var cells []cell
+	for _, scn := range scenarios {
+		for _, p := range placements {
+			for _, mech := range mechs {
+				for _, seed := range seeds {
+					cells = append(cells, cell{Scenario: scn, Seed: seed, Mechanism: mech, Placement: p})
+				}
 			}
-			specs = append(specs, RunSpec{Scenario: sc, Mechanism: mech})
 		}
 	}
-	results := RunParallel(specs, h.Workers)
-	outs := make(map[string][]Outcome)
-	for i, sp := range specs {
-		outs[sp.Mechanism] = append(outs[sp.Mechanism], results[i])
+	outs, err := h.outcomes(cells)
+	if err != nil {
+		return nil, err
+	}
+	byRow := make(map[cell][]Outcome)
+	for i, c := range cells {
+		c.Seed = 0
+		byRow[c] = append(byRow[c], outs[i])
+	}
+	return byRow, nil
+}
+
+// byMech is runs for one scenario under each mechanism, keyed by mechanism.
+func (h Harness) byMech(figure, scenario string, mechs []string, seeds []int64) (map[string][]Outcome, error) {
+	byRow, err := h.runs(figure, []string{scenario}, []string{""}, mechs, seeds)
+	if err != nil {
+		return nil, err
+	}
+	outs := make(map[string][]Outcome, len(mechs))
+	for _, mech := range mechs {
+		outs[mech] = byRow[cell{Scenario: scenario, Mechanism: mech}]
 	}
 	return outs, nil
 }
@@ -219,7 +234,7 @@ func (h Harness) compare(scenario string, mechs []string, seeds []int64) (map[st
 func rowsFrom(outs map[string][]Outcome) map[string]Row {
 	from, to := measureWindow(outs)
 	rows := make(map[string]Row)
-	for _, mech := range sortedKeys(outs) {
+	for _, mech := range slices.Sorted(maps.Keys(outs)) {
 		runs := outs[mech]
 		var peak, avg, dur, mig, prop, dep, susp []float64
 		for _, o := range runs {
@@ -246,23 +261,21 @@ func rowsFrom(outs map[string][]Outcome) map[string]Row {
 	return rows
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
+// latencyRow is the peak and average latency over [from, to) across runs.
+func latencyRow(runs []Outcome, from, to simtime.Time) Row {
+	var peak, avg []float64
+	for _, o := range runs {
+		peak = append(peak, o.PeakIn(from, to))
+		avg = append(avg, o.AvgIn(from, to))
 	}
-	sort.Strings(keys)
-	return keys
+	return Row{PeakMs: NewStat(peak), AvgMs: NewStat(avg)}
 }
 
 // Fig2 regenerates the motivation experiment: Unbound vs OTFS (generalized
 // on-the-fly scaling with fluid migration) vs No Scale on the Twitch
 // workload under a fixed input rate.
 func (h Harness) Fig2(seeds []int64) (FigureResult, error) {
-	if err := checkSeeds("Fig2", seeds); err != nil {
-		return FigureResult{}, err
-	}
-	outs, err := h.compare("twitch", []string{"unbound", "otfs", "no-scale"}, seeds)
+	outs, err := h.byMech("Fig2", "twitch", []string{"unbound", "otfs", "no-scale"}, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -272,12 +285,7 @@ func (h Harness) Fig2(seeds []int64) (FigureResult, error) {
 	fmt.Fprintf(&b, "%-10s %20s %20s\n", "", "Peak Latency(ms)", "Average Latency(ms)")
 	rows := make(map[string]Row)
 	for _, mech := range []string{"otfs", "unbound", "no-scale"} {
-		var peak, avg []float64
-		for _, o := range outs[mech] {
-			peak = append(peak, o.PeakIn(from, to))
-			avg = append(avg, o.AvgIn(from, to))
-		}
-		r := Row{PeakMs: NewStat(peak), AvgMs: NewStat(avg)}
+		r := latencyRow(outs[mech], from, to)
 		rows[mech] = r
 		fmt.Fprintf(&b, "%-10s %20s %20s\n", mech, r.PeakMs, r.AvgMs)
 	}
@@ -288,10 +296,7 @@ func (h Harness) Fig2(seeds []int64) (FigureResult, error) {
 // twitch) against Meces and Megaphone, producing all four figures' data from
 // the same runs, as the paper does.
 func (h Harness) HeadToHead(workloadName string, seeds []int64) (FigureResult, error) {
-	if err := checkSeeds("HeadToHead", seeds); err != nil {
-		return FigureResult{}, err
-	}
-	outs, err := h.compare(workloadName, []string{"drrs", "meces", "megaphone"}, seeds)
+	outs, err := h.byMech("HeadToHead", workloadName, []string{"drrs", "meces", "megaphone"}, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -307,18 +312,12 @@ func (h Harness) HeadToHead(workloadName string, seeds []int64) (FigureResult, e
 	}
 	b.WriteString("\nlatency timelines (1 s means):\n")
 	for _, mech := range []string{"drrs", "meces", "megaphone"} {
-		if len(outs[mech]) == 0 {
-			continue
-		}
 		fmt.Fprintf(&b, "%-10s %s\n", mech, Sparkline(outs[mech][0], simtime.Second, from, to))
 	}
 	b.WriteString("\n")
 
 	fmt.Fprintf(&b, "Fig 11 (%s) — Throughput (records/s) timeline (1 s buckets, during scaling)\n", workloadName)
 	for _, mech := range []string{"drrs", "meces", "megaphone"} {
-		if len(outs[mech]) == 0 {
-			continue
-		}
 		o := outs[mech][0]
 		pts := o.Throughput.Series().Slice(from, to)
 		fmt.Fprintf(&b, "%-10s", mech)
@@ -360,10 +359,7 @@ func (h Harness) HeadToHead(workloadName string, seeds []int64) (FigureResult, e
 // Fig14 regenerates the ablation: full DRRS vs DR-only vs Schedule-only vs
 // Subscale-only on the Twitch workload.
 func (h Harness) Fig14(seeds []int64) (FigureResult, error) {
-	if err := checkSeeds("Fig14", seeds); err != nil {
-		return FigureResult{}, err
-	}
-	outs, err := h.compare("twitch", []string{"drrs", "drrs-dr", "drrs-schedule", "drrs-subscale"}, seeds)
+	outs, err := h.byMech("Fig14", "twitch", []string{"drrs", "drrs-dr", "drrs-schedule", "drrs-subscale"}, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -385,17 +381,17 @@ func (h Harness) Fig14(seeds []int64) (FigureResult, error) {
 // duration, suspension, and propagation delay separately — the per-wave
 // decomposition single-wave figures cannot show.
 func (h Harness) MultiWave(workloadName string, mechs []string, seeds []int64) (FigureResult, error) {
-	if err := checkSeeds("MultiWave", seeds); err != nil {
-		return FigureResult{}, err
-	}
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "meces", "megaphone"}
 	}
-	outs, err := h.compare(workloadName, mechs, seeds)
+	outs, err := h.byMech("MultiWave", workloadName, mechs, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
-	sc, _ := h.Scenario(workloadName, 0) // for the header; compare just applied the same overrides
+	sc, err := h.Scenario(workloadName, seeds[0]) // for the header
+	if err != nil {
+		return FigureResult{}, err
+	}
 	from, to := measureWindow(outs)
 
 	var b strings.Builder
@@ -404,12 +400,7 @@ func (h Harness) MultiWave(workloadName string, mechs []string, seeds []int64) (
 	fmt.Fprintf(&b, "%-16s %20s %20s\n", "", "Peak(ms)", "Average(ms)")
 	rows := make(map[string]Row)
 	for _, mech := range mechs {
-		var peak, avg []float64
-		for _, o := range outs[mech] {
-			peak = append(peak, o.PeakIn(from, to))
-			avg = append(avg, o.AvgIn(from, to))
-		}
-		r := Row{PeakMs: NewStat(peak), AvgMs: NewStat(avg)}
+		r := latencyRow(outs[mech], from, to)
 		rows[mech] = r
 		fmt.Fprintf(&b, "%-16s %20s %20s\n", mech, r.PeakMs, r.AvgMs)
 	}
@@ -449,9 +440,6 @@ func (h Harness) MultiWave(workloadName string, mechs []string, seeds []int64) (
 	}
 	b.WriteString("\nlatency timelines (1 s means):\n")
 	for _, mech := range mechs {
-		if len(outs[mech]) == 0 {
-			continue
-		}
 		fmt.Fprintf(&b, "%-16s %s\n", mech, Sparkline(outs[mech][0], simtime.Second, from, to))
 	}
 	return FigureResult{Title: "multiwave/" + workloadName, Text: b.String(), Rows: rows}, nil
@@ -462,34 +450,15 @@ func (h Harness) MultiWave(workloadName string, mechs []string, seeds []int64) (
 // the bulk comparison harness for registered scenarios beyond the paper's
 // fixed figure set.
 func (h Harness) Sweep(scenarioNames []string, mechs []string, seeds []int64) (FigureResult, error) {
-	if err := checkSeeds("Sweep", seeds); err != nil {
-		return FigureResult{}, err
-	}
 	if len(scenarioNames) == 0 {
 		scenarioNames = ScenarioNames()
 	}
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "meces", "megaphone"}
 	}
-	var specs []RunSpec
-	type cell struct{ scenario, mech string }
-	var cells []cell
-	for _, scn := range scenarioNames {
-		for _, mech := range mechs {
-			for _, seed := range seeds {
-				sc, err := h.Scenario(scn, seed)
-				if err != nil {
-					return FigureResult{}, err
-				}
-				specs = append(specs, RunSpec{Scenario: sc, Mechanism: mech})
-				cells = append(cells, cell{scenario: scn, mech: mech})
-			}
-		}
-	}
-	results := RunParallel(specs, h.Workers)
-	byCell := make(map[cell][]Outcome)
-	for i, c := range cells {
-		byCell[c] = append(byCell[c], results[i])
+	byRow, err := h.runs("Sweep", scenarioNames, []string{""}, mechs, seeds)
+	if err != nil {
+		return FigureResult{}, err
 	}
 
 	var b strings.Builder
@@ -499,7 +468,7 @@ func (h Harness) Sweep(scenarioNames []string, mechs []string, seeds []int64) (F
 	rows := make(map[string]Row)
 	for _, scn := range scenarioNames {
 		for _, mech := range mechs {
-			runs := byCell[cell{scenario: scn, mech: mech}]
+			runs := byRow[cell{Scenario: scn, Mechanism: mech}]
 			var peak, avg, dur, susp []float64
 			done := 0
 			for _, o := range runs {
@@ -548,7 +517,7 @@ func (h Harness) Fig15(seed int64, rates []float64, stateBytes []int, skews []fl
 	}
 	// The grid cells are independent runs: fan them out across Workers.
 	var specs []RunSpec
-	var cells []SensitivityPoint
+	var pts []SensitivityPoint
 	for _, mech := range mechs {
 		for _, skew := range skews {
 			for _, sb := range stateBytes {
@@ -558,16 +527,14 @@ func (h Harness) Fig15(seed int64, rates []float64, stateBytes []int, skews []fl
 						return nil, FigureResult{}, err
 					}
 					specs = append(specs, RunSpec{Scenario: sc, Mechanism: mech})
-					cells = append(cells, SensitivityPoint{
+					pts = append(pts, SensitivityPoint{
 						Mechanism: mech, RatePerSec: rate, StateBytes: sb, Skew: skew,
 					})
 				}
 			}
 		}
 	}
-	results := RunParallel(specs, h.Workers)
-	pts := cells
-	for i, o := range results {
+	for i, o := range RunParallel(specs, h.Workers) {
 		pts[i].Deviation = o.Throughput.DeviationFrom(pts[i].RatePerSec, o.ScaleAt, o.EndAt)
 	}
 	var b strings.Builder

@@ -79,12 +79,11 @@ func TestInstanceSecondsInRun(t *testing.T) {
 		t.Skip("runs two simulated scenarios")
 	}
 	t.Parallel()
-	sc := TwitchScenario(7)
-	noScale := sc.Run(nil)
+	noScale := sharedRun(t, "twitch", 7, "no-scale")
 	if noScale.InstanceSeconds <= 0 {
 		t.Fatalf("no-scale InstanceSeconds = %v, want > 0", noScale.InstanceSeconds)
 	}
-	scaled := TwitchScenario(7).Run(Mechanisms("drrs"))
+	scaled := sharedRun(t, "twitch", 7, "drrs")
 	if scaled.InstanceSeconds <= noScale.InstanceSeconds {
 		t.Errorf("scale-out run InstanceSeconds %v not above the unscaled %v",
 			scaled.InstanceSeconds, noScale.InstanceSeconds)

@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"drrs/internal/scaling"
 	"drrs/internal/scaling/meces"
 )
 
@@ -105,11 +104,7 @@ func TestGoldenDigests(t *testing.T) {
 	for _, c := range goldenDigests {
 		t.Run(c.scenario+"/"+c.mech, func(t *testing.T) {
 			t.Parallel() // a run reads nothing but its Scenario value
-			// RunWith with a fresh-factory: controller scenarios launch as
-			// many operations as the policy decides.
-			o := ScenarioByName(c.scenario, c.seed).
-				RunWith(func() scaling.Mechanism { return Mechanisms(c.mech) })
-			if got := OutcomeDigest(o); got != c.want {
+			if got := OutcomeDigest(sharedRun(t, c.scenario, c.seed, c.mech)); got != c.want {
 				t.Errorf("outcome digest 0x%016x, want 0x%016x — the refactor changed simulation semantics",
 					got, c.want)
 			}
@@ -125,8 +120,7 @@ func TestMecesFetchStatsQ7(t *testing.T) {
 		t.Skip("simulates a full q7 run")
 	}
 	t.Parallel()
-	m := &meces.Mechanism{}
-	ScenarioByName("q7", 1).Run(m)
+	m := sharedRun(t, "q7", 1, "meces").MechRef.(*meces.Mechanism)
 	const wantMean, wantMax = 2.126126126126126, 157
 	if mean, max := m.FetchStats(); mean != wantMean || max != wantMax {
 		t.Errorf("FetchStats() = (%v, %d), want (%v, %d)", mean, max, wantMean, wantMax)
@@ -141,8 +135,8 @@ func TestOutcomeDigestSensitivity(t *testing.T) {
 		t.Skip("digest sensitivity simulates two scenario runs")
 	}
 	t.Parallel()
-	a := OutcomeDigest(TwitchScenario(7).Run(nil))
-	b := OutcomeDigest(TwitchScenario(8).Run(nil))
+	a := OutcomeDigest(sharedRun(t, "twitch", 7, "no-scale"))
+	b := OutcomeDigest(sharedRun(t, "twitch", 1, "no-scale"))
 	if a == b {
 		t.Fatal("digest ignored the seed")
 	}
@@ -182,8 +176,7 @@ func TestEventBudget(t *testing.T) {
 	for _, c := range eventBudgets {
 		t.Run(c.scenario+"/"+c.mech, func(t *testing.T) {
 			t.Parallel()
-			o := ScenarioByName(c.scenario, c.seed).
-				RunWith(func() scaling.Mechanism { return Mechanisms(c.mech) })
+			o := sharedRun(t, c.scenario, c.seed, c.mech)
 			if o.Events > c.ceiling {
 				t.Errorf("%d scheduler events, budget %d (+%d): some wake-up fires without work to do",
 					o.Events, c.ceiling, o.Events-c.ceiling)

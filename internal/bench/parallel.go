@@ -20,6 +20,63 @@ type Harness struct {
 	// GOMAXPROCS, 1 forces sequential execution.
 	Workers   int
 	Overrides Overrides
+	// table memoizes figure runs by cell (WithTable); nil gives every figure
+	// call runs of its own.
+	table *sync.Map
+}
+
+// WithTable returns h backed by an empty outcome table. Figures called on
+// it, or on a copy, run each distinct cell once and share its Outcome after
+// that, so figures drawn from the same runs (Figs 10–14) run them once.
+// Projections only read outcomes. Set Overrides first: the table keys
+// outcomes by cell alone.
+func (h Harness) WithTable() Harness {
+	h.table = new(sync.Map)
+	return h
+}
+
+// cell names one figure run: a registered scenario at a seed under a
+// mechanism, redeployed under Placement when that is set (WithPlacement).
+type cell struct {
+	Scenario  string
+	Seed      int64
+	Mechanism string
+	Placement string
+}
+
+// tableEntry is one cell's outcome, run by whichever caller asks first;
+// later callers wait for it.
+type tableEntry struct {
+	once sync.Once
+	out  Outcome
+}
+
+// outcomes returns each cell's outcome from h's table, running the missing
+// ones across Workers. An unknown scenario or an override it cannot take
+// fails the request before anything runs.
+func (h Harness) outcomes(cells []cell) ([]Outcome, error) {
+	specs := make([]RunSpec, len(cells))
+	for i, c := range cells {
+		sc, err := h.Scenario(c.Scenario, c.Seed)
+		if err != nil {
+			return nil, err
+		}
+		if c.Placement != "" {
+			sc = sc.WithPlacement(c.Placement)
+		}
+		specs[i] = RunSpec{Scenario: sc, Mechanism: c.Mechanism}
+	}
+	if h.table == nil {
+		return RunParallel(specs, h.Workers), nil
+	}
+	outs := make([]Outcome, len(cells))
+	parallel(len(cells), h.Workers, func(i int) {
+		v, _ := h.table.LoadOrStore(cells[i], new(tableEntry))
+		e := v.(*tableEntry)
+		e.once.Do(func() { e.out = specs[i].run() })
+		outs[i] = e.out
+	})
+	return outs, nil
 }
 
 // Scenario builds a registered scenario with the overrides applied — the
@@ -50,18 +107,21 @@ func (sp RunSpec) run() Outcome {
 // RunParallel executes specs across a worker pool and returns outcomes in
 // spec order. workers <= 0 selects GOMAXPROCS.
 func RunParallel(specs []RunSpec, workers int) []Outcome {
+	out := make([]Outcome, len(specs))
+	parallel(len(specs), workers, func(i int) {
+		out[i] = specs[i].run()
+	})
+	return out
+}
+
+// parallel calls run(0..n-1) on a pool of workers (<= 0 means GOMAXPROCS)
+// and returns once every call has.
+func parallel(n, workers int, run func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	out := make([]Outcome, len(specs))
-	if workers <= 1 {
-		for i, sp := range specs {
-			out[i] = sp.run()
-		}
-		return out
+	if workers > n {
+		workers = n
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -71,13 +131,12 @@ func RunParallel(specs []RunSpec, workers int) []Outcome {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(specs) {
+				if i >= n {
 					return
 				}
-				out[i] = specs[i].run()
+				run(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }

@@ -211,32 +211,13 @@ func HeteroTiersScenario(seed int64) Scenario {
 // ignoring the rack fabric. Scaling and migration columns sum across all
 // launched waves of multi-wave programs.
 func (h Harness) TopologyFigure(workloadName string, mechs []string, seeds []int64) (FigureResult, error) {
-	if err := checkSeeds("TopologyFigure", seeds); err != nil {
-		return FigureResult{}, err
-	}
 	if len(mechs) == 0 {
 		mechs = []string{"drrs", "meces", "megaphone"}
 	}
 	placements := []string{"rack-local", "spread"}
-	var specs []RunSpec
-	type cell struct{ placement, mech string }
-	var cells []cell
-	for _, p := range placements {
-		for _, mech := range mechs {
-			for _, seed := range seeds {
-				sc, err := h.Scenario(workloadName, seed)
-				if err != nil {
-					return FigureResult{}, err
-				}
-				specs = append(specs, RunSpec{Scenario: sc.WithPlacement(p), Mechanism: mech})
-				cells = append(cells, cell{placement: p, mech: mech})
-			}
-		}
-	}
-	results := RunParallel(specs, h.Workers)
-	byCell := make(map[cell][]Outcome)
-	for i, c := range cells {
-		byCell[c] = append(byCell[c], results[i])
+	byRow, err := h.runs("TopologyFigure", []string{workloadName}, placements, mechs, seeds)
+	if err != nil {
+		return FigureResult{}, err
 	}
 
 	var b strings.Builder
@@ -246,7 +227,7 @@ func (h Harness) TopologyFigure(workloadName string, mechs []string, seeds []int
 	rows := make(map[string]Row)
 	for _, p := range placements {
 		for _, mech := range mechs {
-			runs := byCell[cell{placement: p, mech: mech}]
+			runs := byRow[cell{Scenario: workloadName, Mechanism: mech, Placement: p}]
 			var dur, mig, xr, mv, peak []float64
 			for _, o := range runs {
 				dur = append(dur, o.TotalScalingPeriod().Seconds())

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"drrs/internal/scaling"
 	"drrs/internal/simtime"
 )
 
@@ -89,12 +88,8 @@ func TestBigClusterDeterminism(t *testing.T) {
 		t.Skip("simulates two 128-node cluster runs")
 	}
 	t.Parallel()
-	runOnce := func() Outcome {
-		return ScenarioByName("bigcluster-128", 11).RunWith(
-			func() scaling.Mechanism { return Mechanisms("drrs") })
-	}
-	a := runOnce()
-	b := runOnce()
+	a := sharedRun(t, "bigcluster-128", 3, "drrs") // a golden cell
+	b := ScenarioByName("bigcluster-128", 3).RunWith(drrsFactory)
 	if !a.Done {
 		t.Fatal("bigcluster-128 scaling never completed")
 	}
@@ -119,10 +114,14 @@ func TestRackLocalAvoidsUplinks(t *testing.T) {
 		t.Skip("simulates two rack-cluster runs")
 	}
 	t.Parallel()
-	local := ScenarioByName("rack-skew", 5).WithPlacement("rack-local").
-		RunWith(func() scaling.Mechanism { return Mechanisms("drrs") })
-	spread := ScenarioByName("rack-skew", 5).WithPlacement("spread").
-		RunWith(func() scaling.Mechanism { return Mechanisms("drrs") })
+	outs, err := shared.outcomes([]cell{
+		{Scenario: "rack-skew", Seed: 5, Mechanism: "drrs", Placement: "rack-local"},
+		{Scenario: "rack-skew", Seed: 5, Mechanism: "drrs", Placement: "spread"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, spread := outs[0], outs[1]
 	if !local.Done || !spread.Done {
 		t.Fatal("scaling never completed")
 	}
@@ -142,7 +141,7 @@ func TestTopologyFigureRendering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the rack-skew comparison grid")
 	}
-	res, err := Harness{}.TopologyFigure("rack-skew", []string{"drrs"}, []int64{1})
+	res, err := shared.TopologyFigure("rack-skew", []string{"drrs"}, []int64{5}) // TestRackLocalAvoidsUplinks' cells
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestRecordReplayDigestIdentity(t *testing.T) {
 		t.Skip("runs three full flash-crowd simulations")
 	}
 	t.Parallel()
-	plain := OutcomeDigest(ScenarioByName("flash-crowd", 11).RunWith(drrsFactory))
+	plain := OutcomeDigest(sharedRun(t, "flash-crowd", 11, "drrs"))
 
 	out, trace := ScenarioByName("flash-crowd", 11).RecordWith(drrsFactory)
 	if got := OutcomeDigest(out); got != plain {
