@@ -172,7 +172,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	specs := []RunSpec{
 		{Scenario: TwitchScenario(7), Mechanism: "otfs"},
 		{Scenario: TwitchScenario(7), Mechanism: "no-scale"},
-		{Scenario: TwitchScenario(1), Mechanism: "drrs"},
+		{Scenario: TwitchScenario(7), Mechanism: "megaphone"},
 	}
 	seq := make([]Outcome, len(specs))
 	for i, sp := range specs {

@@ -21,7 +21,7 @@ type Harness struct {
 	Workers   int
 	Overrides Overrides
 	// table memoizes figure runs by cell (WithTable); nil gives every figure
-	// call runs of its own.
+	// call a table of its own.
 	table *sync.Map
 }
 
@@ -51,8 +51,8 @@ type tableEntry struct {
 	out  Outcome
 }
 
-// outcomes returns each cell's outcome from h's table, running the missing
-// ones across Workers. An unknown scenario or an override it cannot take
+// outcomes returns each cell's outcome from h's table (a table for this call
+// alone when h has none), running the missing ones across Workers. An unknown scenario or an override it cannot take
 // fails the request before anything runs.
 func (h Harness) outcomes(cells []cell) ([]Outcome, error) {
 	specs := make([]RunSpec, len(cells))
@@ -66,12 +66,13 @@ func (h Harness) outcomes(cells []cell) ([]Outcome, error) {
 		}
 		specs[i] = RunSpec{Scenario: sc, Mechanism: c.Mechanism}
 	}
-	if h.table == nil {
-		return RunParallel(specs, h.Workers), nil
+	t := h.table
+	if t == nil {
+		t = new(sync.Map)
 	}
 	outs := make([]Outcome, len(cells))
 	parallel(len(cells), h.Workers, func(i int) {
-		v, _ := h.table.LoadOrStore(cells[i], new(tableEntry))
+		v, _ := t.LoadOrStore(cells[i], new(tableEntry))
 		e := v.(*tableEntry)
 		e.once.Do(func() { e.out = specs[i].run() })
 		outs[i] = e.out
