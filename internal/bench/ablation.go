@@ -38,18 +38,23 @@ func (h Harness) sweep(scenario string, seed int64, vals []int, point func(v int
 	out := make([]SweepPoint, len(vals))
 	parallel(len(vals), h.Workers, func(i int) {
 		label, newMech := point(vals[i])
-		o := sc.RunWith(newMech)
-		out[i] = SweepPoint{
-			Label:        label,
-			PeakMs:       o.PeakIn(o.ScaleAt, o.EndAt),
-			AvgMs:        o.AvgIn(o.ScaleAt, o.EndAt),
-			ScalingSec:   o.ScalingPeriod().Seconds(),
-			SuspMs:       o.Scale.CumulativeSuspension().Millis(),
-			PropMs:       o.Scale.CumulativePropagationDelay().Millis(),
-			MigrationSec: o.Scale.MigrationDuration().Seconds(),
-		}
+		out[i] = sweepPoint(label, sc.RunWith(newMech))
 	})
 	return out, nil
+}
+
+// sweepPoint projects one run onto a sweep row: latency and scaling period
+// from the first request on, delays from the first wave.
+func sweepPoint(label string, o Outcome) SweepPoint {
+	return SweepPoint{
+		Label:        label,
+		PeakMs:       o.PeakIn(o.ScaleAt, o.EndAt),
+		AvgMs:        o.AvgIn(o.ScaleAt, o.EndAt),
+		ScalingSec:   o.ScalingPeriod().Seconds(),
+		SuspMs:       o.Scale.CumulativeSuspension().Millis(),
+		PropMs:       o.Scale.CumulativePropagationDelay().Millis(),
+		MigrationSec: o.Scale.MigrationDuration().Seconds(),
+	}
 }
 
 // drrsWith builds full-DRRS mechanisms with one option changed.

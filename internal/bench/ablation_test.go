@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"drrs/internal/core"
 )
 
 func TestSweepMegaphoneBatchTradeoff(t *testing.T) {
@@ -34,10 +37,17 @@ func TestSweepSubscaleSize(t *testing.T) {
 		t.Skip("sweep simulates several runs")
 	}
 	t.Parallel()
-	pts, err := Harness{}.sweep("twitch", 1, []int{1, 8, 128}, subscaleSize)
+	pts, err := Harness{}.sweep("twitch", 1, []int{1, 128}, subscaleSize)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Full DRRS defaults to subscales of 8 key groups, so the shared table's
+	// twitch/1/drrs cell is the subscale=8 point.
+	_, eight := subscaleSize(8)
+	if got, want := eight().(*core.Mechanism).Opt, core.New(core.FullDRRS()).Opt; got != want {
+		t.Fatalf("subscale=8 options %+v differ from full DRRS's %+v", got, want)
+	}
+	pts = slices.Insert(pts, 1, sweepPoint("subscale=8", sharedRun(t, "twitch", 1, "drrs")))
 	// One-group subscales pay per-subscale signal cost: cumulative
 	// propagation must exceed the default's.
 	if pts[0].PropMs <= pts[1].PropMs {

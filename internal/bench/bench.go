@@ -148,10 +148,7 @@ func (w WaveOutcome) ScalingPeriod() simtime.Duration { return w.StabilizedAt.Su
 // Outcome is everything measured from one run.
 type Outcome struct {
 	Mechanism string
-	// MechRef is the first wave's mechanism instance (for mechanism-specific
-	// stats like Meces fetch counts).
-	MechRef scaling.Mechanism
-	Seed    int64
+	Seed      int64
 	// Done reports whether every wave completed.
 	Done bool
 
@@ -239,7 +236,7 @@ func (sc Scenario) RunWith(newMech func() scaling.Mechanism) Outcome {
 	inj.Start()
 
 	first := newMech()
-	out := Outcome{Mechanism: "no-scale", MechRef: first, Seed: sc.Seed, Done: true}
+	out := Outcome{Mechanism: "no-scale", Seed: sc.Seed, Done: true}
 	horizon := simtime.Time(sc.Warmup + sc.Measure)
 	r := &run{sc: &sc, rt: rt, sched: s, out: &out, horizon: horizon, inj: inj, newMech: newMech, first: first}
 	if first != nil {

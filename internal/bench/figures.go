@@ -343,15 +343,10 @@ func (h Harness) HeadToHead(workloadName string, seeds []int64) (FigureResult, e
 		r := rows[mech]
 		fmt.Fprintf(&b, "%-10s %20s\n", mech, r.SuspensionMs)
 	}
-	if wl := workloadName; wl == "q7" {
+	if workloadName == "q7" {
 		// The paper's §V-B Meces statistic: sub-key-group re-fetch counts.
-		for _, o := range outs["meces"] {
-			if m, ok := o.MechRef.(*meces.Mechanism); ok {
-				mean, max := m.FetchStats()
-				fmt.Fprintf(&b, "\nMeces back-and-forth (Q7): mean %.2f transfers/sub-key-group, max %d\n", mean, max)
-				break
-			}
-		}
+		mean, max := meces.FetchStats(outs["meces"][0].Scale)
+		fmt.Fprintf(&b, "\nMeces back-and-forth (Q7): mean %.2f transfers/sub-key-group, max %d\n", mean, max)
 	}
 	return FigureResult{Title: "fig10-13/" + workloadName, Text: b.String(), Rows: rows}, nil
 }

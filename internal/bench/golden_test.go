@@ -120,9 +120,9 @@ func TestMecesFetchStatsQ7(t *testing.T) {
 		t.Skip("simulates a full q7 run")
 	}
 	t.Parallel()
-	m := sharedRun(t, "q7", 1, "meces").MechRef.(*meces.Mechanism)
+	o := sharedRun(t, "q7", 1, "meces")
 	const wantMean, wantMax = 2.126126126126126, 157
-	if mean, max := m.FetchStats(); mean != wantMean || max != wantMax {
+	if mean, max := meces.FetchStats(o.Scale); mean != wantMean || max != wantMax {
 		t.Errorf("FetchStats() = (%v, %d), want (%v, %d)", mean, max, wantMean, wantMax)
 	}
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -93,4 +94,46 @@ func TestTableRunsEachCellOnce(t *testing.T) {
 	if n, _ := tableLen(nil); n != filled {
 		t.Fatalf("repeated and failed requests added %d cells", n-filled)
 	}
+}
+
+// TestOutcomeHoldsNoLiveRun: a table keeps every Outcome until it is dropped,
+// so an Outcome must hold measurements only. Walking its type, any interface,
+// func or chan could hold a live run, and a pointer into engine or scaling
+// pins one outright.
+func TestOutcomeHoldsNoLiveRun(t *testing.T) {
+	pinning := func(pkg string) bool {
+		for _, p := range []string{"drrs/internal/engine", "drrs/internal/scaling"} {
+			if pkg == p || strings.HasPrefix(pkg, p+"/") {
+				return true
+			}
+		}
+		return false
+	}
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Interface, reflect.Func, reflect.Chan:
+			t.Errorf("%s has kind %s (%v)", path, ty.Kind(), ty)
+		case reflect.Pointer:
+			if pinning(ty.Elem().PkgPath()) {
+				t.Errorf("%s points into %s (%v)", path, ty.Elem().PkgPath(), ty)
+			}
+			walk(path, ty.Elem())
+		case reflect.Slice, reflect.Array:
+			walk(path+"[i]", ty.Elem())
+		case reflect.Map:
+			walk(path+"[key]", ty.Key())
+			walk(path+"[key]", ty.Elem())
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		}
+	}
+	walk("Outcome", reflect.TypeOf(Outcome{}))
 }

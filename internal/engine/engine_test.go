@@ -33,10 +33,24 @@ func fixedRateSource(n int, period simtime.Duration, keySpace uint64) dataflow.S
 	}
 }
 
+// keySink is a CollectSink that also sums record values per key, for tests
+// that check per-key output.
+type keySink struct {
+	*CollectSink
+	byKey map[uint64]float64
+}
+
+func newKeySink() *keySink { return &keySink{NewCollectSink(), map[uint64]float64{}} }
+
+func (s *keySink) OnRecord(ctx dataflow.OpContext, r *netsim.Record) {
+	s.byKey[r.Key] += r.Value
+	s.CollectSink.OnRecord(ctx, r)
+}
+
 // buildSimpleJob returns a src → agg(keyed) → sink job and the sink logic.
-func buildSimpleJob(t *testing.T, srcP, aggP int, n int) (*Runtime, *CollectSink) {
+func buildSimpleJob(t *testing.T, srcP, aggP int, n int) (*Runtime, *keySink) {
 	t.Helper()
-	sink := NewCollectSink()
+	sink := newKeySink()
 	g := dataflow.NewGraph()
 	g.AddOperator(&dataflow.OperatorSpec{
 		Name: "src", Parallelism: srcP,
@@ -142,8 +156,8 @@ func TestKeyedReduceAggregation(t *testing.T) {
 	// 160 records over 16 keys → 10 each; running sum emits 1..10 per key;
 	// the sink sums the emitted updates: 55 per key.
 	for k := uint64(1); k <= 16; k++ {
-		if sink.ByKey[k] != 55 {
-			t.Fatalf("key %d sum %v, want 55", k, sink.ByKey[k])
+		if sink.byKey[k] != 55 {
+			t.Fatalf("key %d sum %v, want 55", k, sink.byKey[k])
 		}
 	}
 }
@@ -210,7 +224,7 @@ func (p *watermarkProbe) OnWatermark(_ dataflow.OpContext, wm simtime.Time) {
 }
 
 func TestSlidingWindowFires(t *testing.T) {
-	sink := NewCollectSink()
+	sink := newKeySink()
 	g := dataflow.NewGraph()
 	g.AddOperator(&dataflow.OperatorSpec{
 		Name: "src", Parallelism: 1,
@@ -253,7 +267,7 @@ func TestSlidingWindowFires(t *testing.T) {
 	}
 	// Every key should have produced window outputs.
 	for k := uint64(1); k <= 4; k++ {
-		if _, ok := sink.ByKey[k]; !ok {
+		if _, ok := sink.byKey[k]; !ok {
 			t.Fatalf("key %d fired no windows", k)
 		}
 	}

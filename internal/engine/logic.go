@@ -390,11 +390,9 @@ func (l *MapLogic) OnRecord(ctx dataflow.OpContext, r *netsim.Record) {
 // OnWatermark implements dataflow.Logic.
 func (l *MapLogic) OnWatermark(dataflow.OpContext, simtime.Time) {}
 
-// CollectSink records everything that reaches it; correctness tests compare
-// its contents across scaling mechanisms.
+// CollectSink counts the records that reach it and the sequence numbers it
+// saw more than once; correctness checks compare both across runs.
 type CollectSink struct {
-	// ByKey accumulates the sum of values per key.
-	ByKey map[uint64]float64
 	// Records counts total data records.
 	Records int
 
@@ -408,13 +406,12 @@ type CollectSink struct {
 
 // NewCollectSink returns an empty sink.
 func NewCollectSink() *CollectSink {
-	return &CollectSink{ByKey: make(map[uint64]float64)}
+	return &CollectSink{}
 }
 
 // OnRecord implements dataflow.Logic.
 func (s *CollectSink) OnRecord(_ dataflow.OpContext, r *netsim.Record) {
 	s.Records++
-	s.ByKey[r.Key] += r.Value
 	if r.Seq != 0 {
 		s.noteSeq(r.Seq)
 	}

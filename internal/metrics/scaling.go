@@ -43,7 +43,7 @@ type ScalingMetrics struct {
 	ended      bool
 
 	// Mechanism-specific counters (e.g. Meces fetch statistics).
-	Counters map[string]int64
+	counters map[string]int64
 }
 
 // NewScalingMetrics returns an empty collector.
@@ -55,7 +55,7 @@ func NewScalingMetrics() *ScalingMetrics {
 		unitDone:   make(map[int]simtime.Time),
 		suspOpen:   make(map[string]simtime.Time),
 		suspCurve:  NewSeries("cumulative_suspension_ms"),
-		Counters:   make(map[string]int64),
+		counters:   make(map[string]int64),
 	}
 }
 
@@ -248,14 +248,14 @@ func (m *ScalingMetrics) SuspensionCurve() *Series { return m.suspCurve }
 func (m *ScalingMetrics) AddCounter(name string, delta int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.Counters[name] += delta
+	m.counters[name] += delta
 }
 
 // Counter reads a mechanism-specific counter.
 func (m *ScalingMetrics) Counter(name string) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.Counters[name]
+	return m.counters[name]
 }
 
 // Summary renders a one-line digest for logs and run reports.

@@ -5,11 +5,14 @@ import (
 
 	"drrs/internal/core"
 	"drrs/internal/engine"
+	"drrs/internal/scaletest"
 	"drrs/internal/scaling"
 	"drrs/internal/simtime"
 )
 
-func runQ7(t *testing.T, mech scaling.Mechanism, dur simtime.Duration) (*engine.Runtime, *engine.CollectSink) {
+// runQ7 runs Q7 for dur, under mech from 1 s on when it is not nil, and
+// returns the runtime, the sink and the per-key sums of what reached it.
+func runQ7(t *testing.T, mech scaling.Mechanism, dur simtime.Duration) (*engine.Runtime, *engine.CollectSink, map[uint64]float64) {
 	t.Helper()
 	g, sink := BuildQ7(Q7Config{
 		RatePerSec: 1000, SourceParallelism: 2, WindowParallelism: 4,
@@ -17,6 +20,7 @@ func runQ7(t *testing.T, mech scaling.Mechanism, dur simtime.Duration) (*engine.
 		WindowSize: simtime.Ms(500), Slide: simtime.Ms(100),
 		Duration: dur, Seed: 5,
 	})
+	byKey := scaletest.SumByKey(g, "sink")
 	s := simtime.NewScheduler()
 	rt := engine.New(s, g, nil, engine.Config{Seed: 5})
 	rt.Start()
@@ -28,11 +32,11 @@ func runQ7(t *testing.T, mech scaling.Mechanism, dur simtime.Duration) (*engine.
 	s.RunUntil(simtime.Time(dur))
 	rt.StopMarkers()
 	s.Run()
-	return rt, sink
+	return rt, sink, byKey
 }
 
 func TestQ7ProducesWindowOutput(t *testing.T) {
-	rt, sink := runQ7(t, nil, simtime.Sec(3))
+	rt, sink, _ := runQ7(t, nil, simtime.Sec(3))
 	if sink.Records == 0 {
 		t.Fatal("Q7 produced no window aggregates")
 	}
@@ -50,8 +54,8 @@ func TestQ7ProducesWindowOutput(t *testing.T) {
 
 func TestQ7WindowMaxSemantics(t *testing.T) {
 	// Every emitted aggregate must be a max over positive bid prices.
-	_, sink := runQ7(t, nil, simtime.Sec(2))
-	for k, v := range sink.ByKey {
+	_, _, byKey := runQ7(t, nil, simtime.Sec(2))
+	for k, v := range byKey {
 		if v <= 0 {
 			t.Fatalf("auction %d window max %v not positive", k, v)
 		}
@@ -59,7 +63,7 @@ func TestQ7WindowMaxSemantics(t *testing.T) {
 }
 
 func TestQ7ScalesUnderDRRS(t *testing.T) {
-	rt, sink := runQ7(t, core.New(core.FullDRRS()), simtime.Sec(4))
+	rt, sink, _ := runQ7(t, core.New(core.FullDRRS()), simtime.Sec(4))
 	if !rt.Scale.Ended() {
 		t.Fatal("scaling never completed")
 	}
@@ -85,6 +89,7 @@ func TestQ8JoinEmitsMatches(t *testing.T) {
 		WindowSize: simtime.Sec(1), Slide: simtime.Ms(200),
 		Duration: simtime.Sec(3), Seed: 6,
 	})
+	byKey := scaletest.SumByKey(g, "sink")
 	s := simtime.NewScheduler()
 	rt := engine.New(s, g, nil, engine.Config{Seed: 6})
 	rt.Start()
@@ -99,7 +104,7 @@ func TestQ8JoinEmitsMatches(t *testing.T) {
 	}
 	// Matches only for keys present on both sides: every emitted value is a
 	// positive pair-count.
-	for k, v := range sink.ByKey {
+	for k, v := range byKey {
 		if v <= 0 {
 			t.Fatalf("person %d match count %v", k, v)
 		}

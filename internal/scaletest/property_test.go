@@ -159,7 +159,7 @@ func TestRackClusterDeterministicReplay(t *testing.T) {
 			Cluster:        RackCluster(2, 2, 1<<20, 2<<20, 3, "rack-local"),
 		}.Execute()
 		var sum float64
-		for _, v := range res.Sink.ByKey {
+		for _, v := range res.ByKey {
 			sum += v
 		}
 		return res.Sink.Records, sum, res.RT.Cluster.TransferredBytes(), res.RT.Cluster.CrossRackBytes()
@@ -183,7 +183,7 @@ func TestDeterministicReplay(t *testing.T) {
 			Cluster:        SlowMigrationCluster(2 << 20),
 		}.Execute()
 		var sum float64
-		for _, v := range res.Sink.ByKey {
+		for _, v := range res.ByKey {
 			sum += v
 		}
 		return res.Sink.Records, sum

@@ -7,11 +7,13 @@ package scaletest
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"drrs/internal/cluster"
 	"drrs/internal/dataflow"
 	"drrs/internal/engine"
+	"drrs/internal/netsim"
 	"drrs/internal/scaling"
 	"drrs/internal/simtime"
 	"drrs/internal/state"
@@ -50,8 +52,10 @@ type Run struct {
 
 // Result is what a harness execution produced.
 type Result struct {
-	RT       *engine.Runtime
-	Sink     *engine.CollectSink
+	RT   *engine.Runtime
+	Sink *engine.CollectSink
+	// ByKey sums the values of the records that reached the sink, per key.
+	ByKey    map[uint64]float64
 	Plan     scaling.Plan
 	Mech     scaling.Mechanism
 	Op       scaling.Operation // lifecycle handle of the scaling operation
@@ -67,6 +71,7 @@ func (r Run) Execute() Result {
 	}
 	r.Workload.EmitUpdates = true
 	g, sink := r.Workload.Build()
+	byKey := SumByKey(g, "sink")
 	s := simtime.NewScheduler()
 	var cl *cluster.Cluster
 	if r.Cluster != nil {
@@ -80,7 +85,7 @@ func (r Run) Execute() Result {
 	rt := engine.New(s, g, cl, engine.Config{Seed: r.Workload.Seed})
 	rt.Start()
 
-	res := Result{RT: rt, Sink: sink, Mech: r.Mechanism}
+	res := Result{RT: rt, Sink: sink, ByKey: byKey, Mech: r.Mechanism}
 	if r.Mechanism != nil {
 		setup := r.SetupDelay
 		if setup == 0 {
@@ -101,11 +106,38 @@ func (r Run) Execute() Result {
 	return res
 }
 
+// SumByKey wraps the logic of g's operator op so every record reaching it is
+// also summed per key into the returned map. Call it before the runtime is
+// built.
+func SumByKey(g *dataflow.Graph, op string) map[uint64]float64 {
+	sums := make(map[uint64]float64)
+	spec := g.Operator(op)
+	inner := spec.NewLogic
+	spec.NewLogic = func() dataflow.Logic { return keySums{inner(), sums} }
+	return sums
+}
+
+// keySums forwards to the wrapped logic after adding the record's value to
+// its key's sum.
+type keySums struct {
+	dataflow.Logic
+	sums map[uint64]float64
+}
+
+func (k keySums) OnRecord(ctx dataflow.OpContext, r *netsim.Record) {
+	k.sums[r.Key] += r.Value
+	k.Logic.OnRecord(ctx, r)
+}
+
 // CheckExactlyOnce verifies the scaled run delivered exactly the baseline's
 // per-key aggregates: no loss, no duplication, per-key order preserved (the
-// running-sum signature is order-sensitive per key). Returns a description of
-// the first mismatch, or "".
+// running-sum signature is order-sensitive per key). A baseline with no keys
+// fails: two empty sinks would agree on nothing. Returns a description of the
+// first mismatch, or "".
 func CheckExactlyOnce(baseline, scaled Result) string {
+	if len(baseline.ByKey) == 0 {
+		return "baseline sink recorded no keys"
+	}
 	if got, want := scaled.Sink.Records, baseline.Sink.Records; got != want {
 		return fmt.Sprintf("record count: scaled %d vs baseline %d", got, want)
 	}
@@ -114,28 +146,18 @@ func CheckExactlyOnce(baseline, scaled Result) string {
 	}
 	// Report the lowest offending key so a failure message is stable across
 	// runs instead of naming whichever key map iteration met first.
-	for _, k := range sortedKeys(baseline.Sink.ByKey) {
-		want := baseline.Sink.ByKey[k]
-		if got := scaled.Sink.ByKey[k]; got != want {
+	for _, k := range slices.Sorted(maps.Keys(baseline.ByKey)) {
+		want := baseline.ByKey[k]
+		if got := scaled.ByKey[k]; got != want {
 			return fmt.Sprintf("key %d aggregate: scaled %v vs baseline %v", k, got, want)
 		}
 	}
-	for _, k := range sortedKeys(scaled.Sink.ByKey) {
-		if _, ok := baseline.Sink.ByKey[k]; !ok {
+	for _, k := range slices.Sorted(maps.Keys(scaled.ByKey)) {
+		if _, ok := baseline.ByKey[k]; !ok {
 			return fmt.Sprintf("key %d appears only in scaled run", k)
 		}
 	}
 	return ""
-}
-
-// sortedKeys returns m's keys in ascending order.
-func sortedKeys[V any](m map[uint64]V) []uint64 {
-	keys := make([]uint64, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
 
 // CheckPlacement verifies every key group lives exactly where the plan put

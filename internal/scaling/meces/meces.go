@@ -15,6 +15,7 @@ package meces
 
 import (
 	"drrs/internal/engine"
+	"drrs/internal/metrics"
 	"drrs/internal/netsim"
 	"drrs/internal/scaling"
 	"drrs/internal/simtime"
@@ -39,11 +40,12 @@ type Mechanism struct {
 	// group to its move index, -1 when the group is not moving.
 	moveOf []int
 	// loc is each sub-unit's current owner instance index; inFlight marks
-	// sub-units on the wire; fetchCount counts transfers per sub-unit (the
-	// back-and-forth stat).
+	// sub-units on the wire; fetchCount counts transfers per sub-unit and
+	// maxFetch is its largest entry (the back-and-forth stat).
 	loc        []int
 	inFlight   []bool
 	fetchCount []int
+	maxFetch   int
 	// away counts sub-units off their plan target, moving those on the wire,
 	// and idleAway those away but not on the wire — the pusher's work left.
 	// setUnit keeps them current.
@@ -152,6 +154,10 @@ func (m *Mechanism) transfer(id, dst int) {
 	m.rt.Scale.AddCounter("meces_transfers", 1)
 	if m.fetchCount[id] > 1 {
 		m.rt.Scale.AddCounter("meces_refetches", 1)
+	}
+	if m.fetchCount[id] > m.maxFetch {
+		m.maxFetch = m.fetchCount[id]
+		m.rt.Scale.AddCounter("meces_max_transfers", 1)
 	}
 	mi, sub := id/subKeyGroups, id%subKeyGroups
 	kg := m.plan.Moves[mi].KeyGroup
@@ -301,25 +307,17 @@ func (m *Mechanism) backgroundStep() {
 // settled reports whether every sub-unit sits at its target, none in flight.
 func (m *Mechanism) settled() bool { return m.away == 0 && m.moving == 0 }
 
-// FetchStats reports the back-and-forth statistics the paper quotes for Q7:
-// the mean and max number of times a sub-key-group was transferred, over
-// the sub-key-groups transferred at least once.
-func (m *Mechanism) FetchStats() (mean float64, max int) {
-	var n, sum int
-	for _, c := range m.fetchCount {
-		if c == 0 {
-			continue
-		}
-		n++
-		sum += c
-		if c > max {
-			max = c
-		}
-	}
-	if n == 0 {
+// FetchStats reports the back-and-forth statistics the paper quotes for Q7
+// from one wave's counters: the mean and max number of times a sub-key-group
+// was transferred, over the sub-key-groups transferred at least once (every
+// transfer but a refetch is a sub-key-group's first).
+func FetchStats(m *metrics.ScalingMetrics) (mean float64, max int) {
+	transfers := m.Counter("meces_transfers")
+	units := transfers - m.Counter("meces_refetches")
+	if units == 0 {
 		return 0, 0
 	}
-	return float64(sum) / float64(n), max
+	return float64(transfers) / float64(units), int(m.Counter("meces_max_transfers"))
 }
 
 // hook gates record processing on sub-unit locality and issues on-demand

@@ -69,12 +69,22 @@ func TestBackAndForthUnderStragglers(t *testing.T) {
 	if !scaled.Done {
 		t.Fatal("scaling never completed")
 	}
-	mean, max := mech.FetchStats()
+	mean, most := FetchStats(scaled.RT.Scale)
+	// The counters agree with a scan of the per-sub-unit transfer counts.
+	var units, sum, scanMax int
+	for _, c := range mech.fetchCount {
+		if c > 0 {
+			units, sum, scanMax = units+1, sum+c, max(scanMax, c)
+		}
+	}
+	if want := float64(sum) / float64(units); mean != want || most != scanMax {
+		t.Fatalf("FetchStats = (%v, %d), per-sub-unit scan (%v, %d)", mean, most, want, scanMax)
+	}
 	if mean < 1 {
 		t.Fatalf("mean fetches per sub-unit %v < 1", mean)
 	}
-	if max < 2 {
-		t.Fatalf("max fetches per sub-unit %d — no back-and-forth observed", max)
+	if most < 2 {
+		t.Fatalf("max fetches per sub-unit %d — no back-and-forth observed", most)
 	}
 	if scaled.RT.Scale.Counter("meces_refetches") == 0 {
 		t.Fatal("no refetches counted")

@@ -43,8 +43,8 @@ func TestNoRecordLossButWrongAggregates(t *testing.T) {
 		t.Fatalf("%d duplicates", d)
 	}
 	mismatch := false
-	for k, want := range base.Sink.ByKey {
-		if scaled.Sink.ByKey[k] != want {
+	for k, want := range base.ByKey {
+		if scaled.ByKey[k] != want {
 			mismatch = true
 			break
 		}

@@ -6,6 +6,7 @@ import (
 
 	"drrs/internal/dataflow"
 	"drrs/internal/engine"
+	"drrs/internal/netsim"
 	"drrs/internal/simtime"
 	"drrs/internal/state"
 )
@@ -27,9 +28,23 @@ func (j testJob) build() (*dataflow.Graph, *engine.CollectSink) {
 	return BuildJob(j.JobConfig, Classic(j.ClassicSpec))
 }
 
-func run(t *testing.T, cfg testJob) (*engine.Runtime, *engine.CollectSink) {
+// keySink is the job's CollectSink plus per-key sums of what reached it, for
+// tests that check per-key output.
+type keySink struct {
+	*engine.CollectSink
+	byKey map[uint64]float64
+}
+
+func (s *keySink) OnRecord(ctx dataflow.OpContext, r *netsim.Record) {
+	s.byKey[r.Key] += r.Value
+	s.CollectSink.OnRecord(ctx, r)
+}
+
+func run(t *testing.T, cfg testJob) (*engine.Runtime, *keySink) {
 	t.Helper()
-	g, sink := cfg.build()
+	g, cs := cfg.build()
+	sink := &keySink{cs, map[uint64]float64{}}
+	g.Operator("sink").NewLogic = func() dataflow.Logic { return sink }
 	s := simtime.NewScheduler()
 	rt := engine.New(s, g, nil, engine.Config{Seed: cfg.Seed})
 	rt.Start()
@@ -229,7 +244,7 @@ func TestHotKeyDriftSpreadsLoad(t *testing.T) {
 		})
 		_, sink := run(t, cfg)
 		var max, total float64
-		for _, v := range sink.ByKey {
+		for _, v := range sink.byKey {
 			total += v
 			if v > max {
 				max = v
@@ -256,8 +271,8 @@ func TestDeterminism(t *testing.T) {
 	if a.Records != b.Records {
 		t.Fatalf("non-deterministic: %d vs %d", a.Records, b.Records)
 	}
-	for k, v := range a.ByKey {
-		if bv := b.ByKey[k]; math.Abs(bv-v) > 1e-9 {
+	for k, v := range a.byKey {
+		if bv := b.byKey[k]; math.Abs(bv-v) > 1e-9 {
 			t.Fatalf("key %d diverged: %v vs %v", k, v, bv)
 		}
 	}
