@@ -74,33 +74,22 @@ type SourceContext interface {
 	Now() simtime.Time
 	// After schedules fn on the instance's scheduler.
 	After(d simtime.Duration, fn func())
-	// Ingest offers a record to the source's backlog; it will be emitted in
-	// order as downstream capacity allows. IngestTime is stamped here.
+	// Ingest stamps IngestTime, queues r behind the source's backlog and
+	// drains that backlog in place, in order, as far as downstream capacity
+	// allows; what does not fit leaves when capacity frees.
 	Ingest(r *netsim.Record)
 	// NewRecord returns a zeroed record from the engine's recycling pool.
 	// Sources should draw records here rather than allocating: the engine
 	// returns every record to the pool once it has been fully processed.
 	NewRecord() *netsim.Record
-	// EmitWatermark broadcasts an event-time watermark downstream.
+	// EmitWatermark queues an event-time watermark behind the backlog and
+	// drains in place, like Ingest.
 	EmitWatermark(wm simtime.Time)
 	// InstanceIndex identifies the parallel source subtask.
 	InstanceIndex() int
 	// Parallelism reports the source operator's instance count, so a driver
 	// can partition a shared workload across subtasks.
 	Parallelism() int
-	// BacklogLen reports records ingested but not yet emitted.
-	BacklogLen() int
-}
-
-// SourcePump is an optional SourceContext capability (engine sources
-// implement it): IngestNow stamps and enqueues r like Ingest, then
-// synchronously drains the source's backlog instead of scheduling a
-// zero-delay wake event. Batched generators resolve it once at start; the
-// emitted stream is identical to the Ingest path — records still leave in
-// backlog order, respect backpressure, and honour data pauses — but a
-// drained record costs one scheduler event instead of two.
-type SourcePump interface {
-	IngestNow(r *netsim.Record)
 }
 
 // OperatorSpec describes one operator of the job graph.

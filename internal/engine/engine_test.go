@@ -322,6 +322,52 @@ func TestCheckpointRejectsConcurrent(t *testing.T) {
 	rt.RunFor(simtime.Ms(20))
 }
 
+// TestSourceDrainsInPlace checks that Ingest and EmitWatermark emit before
+// they return when downstream capacity is free, with no wake event between,
+// while a halted or data-paused source keeps what it was handed queued.
+func TestSourceDrainsInPlace(t *testing.T) {
+	cases := []struct {
+		name             string
+		gate             func(*Instance)
+		afterRec, afterW int
+	}{
+		{"free", func(*Instance) {}, 0, 0},
+		{"halted", func(in *Instance) { in.Halted = true }, 1, 2},
+		// The watermark queues behind the held record: control passes a
+		// paused source only in backlog order.
+		{"paused", func(in *Instance) { in.PauseData = true }, 1, 2},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var ctx dataflow.SourceContext
+			g := dataflow.NewGraph()
+			g.AddOperator(&dataflow.OperatorSpec{
+				Name: "src", Parallelism: 1,
+				Source: func(sc dataflow.SourceContext) { ctx = sc },
+			})
+			g.AddOperator(&dataflow.OperatorSpec{
+				Name: "sink", Parallelism: 1,
+				NewLogic: func() dataflow.Logic { return NewCollectSink() },
+			})
+			g.Connect("src", "sink", dataflow.ExchangeRebalance)
+			rt := New(simtime.NewScheduler(), g, nil, Config{Seed: 1, MarkerInterval: -1})
+			rt.Start()
+			src := rt.Instance("src", 0)
+			c.gate(src)
+			r := ctx.NewRecord()
+			r.Key, r.Size = 1, 64
+			ctx.Ingest(r)
+			if got := src.BacklogLen(); got != c.afterRec {
+				t.Fatalf("backlog %d after Ingest, want %d", got, c.afterRec)
+			}
+			ctx.EmitWatermark(ctx.Now())
+			if got := src.BacklogLen(); got != c.afterW {
+				t.Fatalf("backlog %d after EmitWatermark, want %d", got, c.afterW)
+			}
+		})
+	}
+}
+
 func TestBackpressurePropagatesToSource(t *testing.T) {
 	// A very slow sink must throttle the source once the edge buffers fill.
 	g := dataflow.NewGraph()

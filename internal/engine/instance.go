@@ -116,7 +116,6 @@ type Instance struct {
 	aligners map[string]map[*netsim.Edge]bool
 
 	backlog netsim.Deque[netsim.Message]
-	srcRng  *simtime.RNG
 
 	suspended  bool
 	wakeQueued bool
@@ -162,7 +161,6 @@ func (rt *Runtime) newInstance(spec *dataflow.OperatorSpec, idx int) *Instance {
 		aligners: make(map[string]map[*netsim.Edge]bool),
 		curWM:    -1,
 		costRng:  simtime.NewRNG(rt.Cfg.Seed, "cost/"+spec.Name+"/"+sidx),
-		srcRng:   simtime.NewRNG(rt.Cfg.Seed, "src/"+spec.Name+"/"+sidx),
 	}
 	for i, se := range outs {
 		p := &outPort{StreamEdge: se}
@@ -313,7 +311,7 @@ func (in *Instance) Suspended() bool { return in.suspended }
 // after it refused a TrySend and outbox space freed (netsim.Edge), and never
 // otherwise. These two callbacks, the end of processDone and the completions
 // of ChargeBusy and the checkpoint snapshot end in wakeTail, which may run
-// the step inline. UnblockEdge, Revive, the source-side ingest paths and
+// the step inline. UnblockEdge, Revive, a source's checkpoint barrier and
 // RedirectPending (when it moves the head of the blocked-emission queue to
 // another edge) wake the instance they change; a scaling hook that makes a
 // queued record processable wakes the instance holding it; whoever clears
@@ -351,9 +349,9 @@ func (in *Instance) wakeTail() {
 func (in *Instance) step() {
 	in.wakeQueued = false
 	if in.Spec.Source != nil {
-		// Sources share one gate-and-drain path with dataflow.SourcePump, so
-		// timer-driven and batched ingestion can never diverge.
-		in.pumpBacklog()
+		// A source's step is the same gated drain that ingest and
+		// EmitWatermark run in place.
+		in.drainBacklog()
 		return
 	}
 	if in.Halted || in.busy {
@@ -875,36 +873,22 @@ func (c sourceContext) After(d simtime.Duration, fn func()) {
 	c.in.rt.Sched.After(d, fn)
 }
 func (c sourceContext) Ingest(r *netsim.Record) { c.in.ingest(r) }
-
-// IngestNow implements dataflow.SourcePump: same stamping and enqueueing as
-// Ingest, but the backlog drains synchronously instead of via a wake event.
-func (c sourceContext) IngestNow(r *netsim.Record) {
-	c.in.enqueueIngest(r)
-	c.in.pumpBacklog()
-}
 func (c sourceContext) NewRecord() *netsim.Record {
 	return c.in.rt.recPool.Get()
 }
 func (c sourceContext) EmitWatermark(wm simtime.Time) {
 	c.in.backlog.PushBack(&netsim.Watermark{WM: wm})
-	c.in.Wake()
+	c.in.drainBacklog()
 }
 func (c sourceContext) InstanceIndex() int { return c.in.Index }
 func (c sourceContext) Parallelism() int   { return c.in.Spec.Parallelism }
-func (c sourceContext) BacklogLen() int    { return c.in.backlog.Len() }
 
 func (in *Instance) startSource() {
 	in.Spec.Source(sourceContext{in: in})
 }
 
+// ingest stamps r, queues it behind the source's backlog and drains in place.
 func (in *Instance) ingest(r *netsim.Record) {
-	in.enqueueIngest(r)
-	in.Wake()
-}
-
-// enqueueIngest is the shared stamp-and-enqueue half of Ingest/IngestNow;
-// the two paths differ only in how the backlog then drains.
-func (in *Instance) enqueueIngest(r *netsim.Record) {
 	if r.IngestTime == 0 {
 		r.IngestTime = in.rt.Sched.Now()
 	}
@@ -912,25 +896,20 @@ func (in *Instance) enqueueIngest(r *netsim.Record) {
 		r.Seq = in.rt.NextSeq()
 	}
 	in.backlog.PushBack(r)
+	in.drainBacklog()
 }
 
-// pumpBacklog is the synchronous drain behind dataflow.SourcePump: the same
-// gates step applies to a source (halted, mid-snapshot, blocked pending
-// emissions), then a full backlog drain — without the zero-delay wake event
-// a Wake would cost per record.
-func (in *Instance) pumpBacklog() {
+// drainBacklog emits queued source messages in order, in place, until the
+// source is halted or busy, backpressure bites, or data is paused. It is the
+// one source drain: step, ingest, EmitWatermark and marker injection call it,
+// so no queued record waits for a wake event of its own.
+func (in *Instance) drainBacklog() {
 	if in.Halted || in.busy {
 		return
 	}
 	if len(in.pending) > 0 && !in.drainPending() {
 		return // blocked on output; edge wake will retry
 	}
-	in.drainBacklog()
-}
-
-// drainBacklog emits queued source messages until backpressure bites (or the
-// source is data-paused).
-func (in *Instance) drainBacklog() {
 	for in.backlog.Len() > 0 {
 		if len(in.pending) > 0 && !in.drainPending() {
 			return
@@ -961,7 +940,10 @@ func (in *Instance) drainBacklog() {
 
 // sourceEmitBarrier injects a checkpoint barrier at a source: the source
 // snapshots immediately (offsets are trivial) and the barrier joins the
-// stream behind already-emitted records.
+// stream behind already-emitted records. Unlike ingest it wakes rather than
+// draining in place: callers of TriggerCheckpoint (Stop-Checkpoint-Restart)
+// arm PauseAfterCkpt with the returned id after it returns, so an in-place
+// drain would emit the barrier before the pause is armed and change the run.
 func (in *Instance) sourceEmitBarrier(b *netsim.CheckpointBarrier) {
 	in.backlog.PushBack(b)
 	in.rt.ackCheckpoint(b.ID, in.Name())

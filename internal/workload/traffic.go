@@ -40,17 +40,12 @@ type Traffic interface {
 const watermarkEvery = 100 * simtime.Millisecond
 
 // driveSource adapts a Traffic onto the engine's source API. One re-armed
-// pump walks the stream: each firing hands the due record straight to the
-// source's backlog drain (dataflow.SourcePump) and stamps watermark crossings
-// every watermarkEvery.
+// pump walks the stream: each firing ingests the due record (which drains in
+// place) and stamps watermark crossings every watermarkEvery.
 func driveSource(traffic Traffic) dataflow.SourceFunc {
 	return func(ctx dataflow.SourceContext) {
 		start := ctx.Now()
 		st := traffic.Stream(ctx.InstanceIndex(), ctx.Parallelism(), start)
-		ingest := ctx.Ingest
-		if p, ok := ctx.(dataflow.SourcePump); ok {
-			ingest = p.IngestNow
-		}
 
 		var (
 			cur    Event
@@ -86,7 +81,7 @@ func driveSource(traffic Traffic) dataflow.SourceFunc {
 			r.EventTime = now
 			r.Size = cur.Size
 			r.Value = cur.Value
-			ingest(r)
+			ctx.Ingest(r)
 			if curWM {
 				ctx.EmitWatermark(now)
 			}

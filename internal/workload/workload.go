@@ -7,7 +7,8 @@
 // The API separates what runs from what arrives:
 //
 //   - JobConfig fixes the topology side — parallelism, key groups, state
-//     size, processing cost, watermark cadence.
+//     size, processing cost. (The watermark cadence is the constant
+//     watermarkEvery.)
 //   - Traffic produces the arrival stream — Classic (the original
 //     single-generator Zipf load), Live (multi-client cohort Specs), or
 //     Replay (a recorded Trace).
