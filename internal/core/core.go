@@ -21,7 +21,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"drrs/internal/dataflow"
@@ -105,6 +107,9 @@ type subscale struct {
 	chunksLeft     int
 	completed      bool
 	launched       bool
+	// held is the subscale's heldKeys score, set before each scheduling
+	// sort.
+	held int
 }
 
 func (s *subscale) kgsFrom(src int) []int {
@@ -390,9 +395,10 @@ func (m *Mechanism) scheduleNext() {
 		return
 	}
 	for {
-		sort.SliceStable(m.pending, func(i, j int) bool {
-			return m.heldKeys(m.pending[i]) < m.heldKeys(m.pending[j])
-		})
+		for _, s := range m.pending {
+			s.held = m.heldKeys(s)
+		}
+		slices.SortStableFunc(m.pending, byHeldKeys)
 		launched := false
 		for i, s := range m.pending {
 			if !m.nodeSlotsFree(s) {
@@ -415,16 +421,26 @@ func (m *Mechanism) scheduleNext() {
 func (m *Mechanism) heldKeys(s *subscale) int {
 	sum := 0
 	for _, dst := range s.dsts {
-		sum += len(m.rt.Instance(m.op, dst).Store().Groups())
+		sum += m.rt.Instance(m.op, dst).Store().Len()
 	}
 	return sum
 }
 
+// byHeldKeys orders subscales by their held score, fewest first.
+func byHeldKeys(a, b *subscale) int { return cmp.Compare(a.held, b.held) }
+
+// nodeOf names the node hosting instance idx of the scaled operator.
+func (m *Mechanism) nodeOf(idx int) string {
+	return m.rt.Cluster.NodeOf(netsim.Endpoint{Op: m.op, Index: idx}).Name
+}
+
+// subscaleNodes lists the distinct nodes hosting a subscale's sources and
+// destinations, in first-seen order.
 func (m *Mechanism) subscaleNodes(s *subscale) []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, idx := range append(append([]int(nil), s.srcs...), s.dsts...) {
-		n := m.rt.Cluster.NodeOf(netsim.Endpoint{Op: m.op, Index: idx}).Name
+		n := m.nodeOf(idx)
 		if !seen[n] {
 			seen[n] = true
 			out = append(out, n)
@@ -433,10 +449,15 @@ func (m *Mechanism) subscaleNodes(s *subscale) []string {
 	return out
 }
 
+// nodeSlotsFree reports whether every node of the subscale is under the
+// per-node concurrency threshold. A node hosting several of its instances is
+// checked once per instance, which answers the same.
 func (m *Mechanism) nodeSlotsFree(s *subscale) bool {
-	for _, n := range m.subscaleNodes(s) {
-		if m.activeNode[n] >= m.Opt.NodeConcurrency {
-			return false
+	for _, idxs := range [2][]int{s.srcs, s.dsts} {
+		for _, idx := range idxs {
+			if m.activeNode[m.nodeOf(idx)] >= m.Opt.NodeConcurrency {
+				return false
+			}
 		}
 	}
 	return true

@@ -220,9 +220,9 @@ func TestSupersession(t *testing.T) {
 	}
 	// Final placement: every key group at its p=8 contiguous owner.
 	for _, in := range rt.Instances("agg") {
-		for _, kg := range in.Store().Groups() {
+		for kg, g := range in.Store().Groups() {
 			want := state.OwnerOf(spec.MaxKeyGroups, 8, kg)
-			if want != in.Index && in.Store().Group(kg).Len() > 0 {
+			if want != in.Index && g.Len() > 0 {
 				t.Fatalf("kg %d at %s, want instance %d", kg, in.Name(), want)
 			}
 		}

@@ -91,9 +91,7 @@ func TestKeyedRoutingPartitionsByKeyGroup(t *testing.T) {
 	rt.RunFor(simtime.Sec(10))
 	// Each agg instance must only hold keys of its own key groups.
 	for _, in := range rt.Instances("agg") {
-		st := in.Store()
-		for _, kg := range st.Groups() {
-			g := st.Group(kg)
+		for kg, g := range in.Store().Groups() {
 			for _, k := range g.Keys() {
 				if got := kgOf(k, 32); got != kg {
 					t.Fatalf("key %d in group %d, hashes to %d", k, kg, got)
@@ -418,7 +416,7 @@ func TestAddInstanceWiring(t *testing.T) {
 		}
 	}
 	// New instance owns no key groups and receives no traffic yet.
-	if len(in.Store().Groups()) != 0 {
+	if in.Store().Len() != 0 {
 		t.Fatal("new instance should own nothing")
 	}
 	rt.RunFor(simtime.Sec(5))
@@ -481,17 +479,65 @@ func TestRedirectPending(t *testing.T) {
 	src := rt.Instance("src", 0)
 	e0 := src.OutEdges("agg")[0]
 	e1 := src.OutEdges("agg")[1]
-	// Manufacture pending emissions directly.
+	// Manufacture pending emissions directly, behind one already sent.
 	src.pending = []pendingEmit{
+		{},
 		{edge: e0, msg: &netsim.Record{Key: 1, KeyGroup: 3}},
 		{edge: e0, msg: &netsim.Record{Key: 2, KeyGroup: 4}},
 	}
+	src.pendHead = 1
 	n := src.RedirectPending(e0, e1, func(r *netsim.Record) bool { return r.KeyGroup == 3 })
 	if n != 1 {
 		t.Fatalf("redirected %d", n)
 	}
-	if src.pending[0].edge != e1 || src.pending[1].edge != e0 {
+	if src.pending[1].edge != e1 || src.pending[2].edge != e0 {
 		t.Fatal("wrong pending retargeting")
+	}
+}
+
+// TestPendingKeepsItsBuffer: draining the blocked-emission queue advances a
+// head index instead of reslicing, a queue left non-empty moves its live part
+// to the front of the same buffer once the sent part is at least as long,
+// and a queue that empties rewinds to the start of its buffer.
+func TestPendingKeepsItsBuffer(t *testing.T) {
+	rt, _ := buildSimpleJob(t, 1, 2, 10)
+	src := rt.Instance("src", 0)
+	ep := func(i int) netsim.Endpoint { return netsim.Endpoint{Op: "x", Index: i} }
+	open := netsim.NewEdge(rt.Sched, ep(0), ep(1), netsim.EdgeConfig{})
+	shut := netsim.NewEdge(rt.Sched, ep(0), ep(2), netsim.EdgeConfig{OutCap: 1, InCap: 1})
+	for shut.TrySend(&netsim.Record{}) {
+	}
+	recs := make([]*netsim.Record, 5)
+	for i := range recs {
+		recs[i] = &netsim.Record{Key: uint64(i)}
+	}
+	src.pending = make([]pendingEmit, 0, 8)
+	buf := &src.pending[:1][0]
+	for i, r := range recs {
+		e := open
+		if i == 3 {
+			e = shut
+		}
+		src.pending = append(src.pending, pendingEmit{edge: e, msg: r})
+	}
+	if src.drainPending() {
+		t.Fatal("drained past an edge that refuses")
+	}
+	if src.PendingEmits() != 2 || src.pendHead != 0 || src.pending[0].msg != recs[3] || src.pending[1].msg != recs[4] {
+		t.Fatalf("after three sends the queue is %d long at head %d, want records 3 and 4 moved to the front", src.PendingEmits(), src.pendHead)
+	}
+	if &src.pending[0] != buf || cap(src.pending) != 8 {
+		t.Fatal("compaction left the queue's buffer")
+	}
+	if n := src.RedirectPending(shut, open, func(*netsim.Record) bool { return true }); n != 1 {
+		t.Fatalf("redirected %d, want 1", n)
+	}
+	if !src.drainPending() || len(src.pending) != 0 || src.pendHead != 0 || cap(src.pending) != 8 {
+		t.Fatalf("emptied queue: len %d head %d cap %d, want an empty queue on its own buffer", len(src.pending), src.pendHead, cap(src.pending))
+	}
+	rt.Sched.Run()
+	if open.InboxLen() != len(recs) {
+		t.Fatalf("open edge delivered %d records, want all %d", open.InboxLen(), len(recs))
 	}
 }
 

@@ -12,7 +12,7 @@ func (in *Instance) SendControl(op string, idx int, m netsim.Message) {
 }
 
 // PendingEmits reports the blocked-emission queue length.
-func (in *Instance) PendingEmits() int { return len(in.pending) }
+func (in *Instance) PendingEmits() int { return len(in.pending) - in.pendHead }
 
 // CheckpointRunning reports whether an aligned checkpoint is in flight.
 func (rt *Runtime) CheckpointRunning() bool { return rt.ckpt != nil }

@@ -58,8 +58,13 @@ func (h *NativeHandler) Next(in *Instance) (netsim.Message, *netsim.Edge, NextSt
 		return nil, nil, NextIdle
 	}
 	// The next channel after rr, wrapping, that has data and is not blocked:
-	// what a round-robin poll of every channel would stop at.
-	start := (h.rr + 1) % n
+	// what a round-robin poll of every channel would stop at. rr can exceed
+	// n after inputs were detached, so the wrap is a modulo, taken only when
+	// it is needed.
+	start := h.rr + 1
+	if start >= n {
+		start %= n
+	}
 	slot := in.NextReady(start, n)
 	if slot < 0 {
 		slot = in.NextReady(0, start)

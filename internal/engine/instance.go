@@ -1,9 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"drrs/internal/cluster"
@@ -101,8 +102,13 @@ type Instance struct {
 	handler InputHandler
 	hook    ScaleHook
 
-	busy    bool
-	pending []pendingEmit
+	busy bool
+	// pending holds the emissions an edge refused, in emission order; the
+	// queue is pending[pendHead:]. Draining advances pendHead and an emptied
+	// queue rewinds to the start of its buffer, so the buffer is kept and
+	// the queue is non-empty exactly when pending is.
+	pending  []pendingEmit
+	pendHead int
 	// Halted freezes the instance entirely (Stop-Checkpoint-Restart).
 	Halted bool
 	// PauseData stops a source from emitting data records while letting
@@ -113,7 +119,11 @@ type Instance struct {
 	// emitting the checkpoint barrier with this id.
 	PauseAfterCkpt int64
 
-	aligners map[string]map[*netsim.Edge]bool
+	// aligners holds, per barrier key being aligned, the distinct channels
+	// that delivered it, kept in (src, dst) endpoint order. spareSets keeps
+	// the buffers of released keys for the next key to reuse.
+	aligners  map[string][]*netsim.Edge
+	spareSets [][]*netsim.Edge
 
 	backlog netsim.Deque[netsim.Message]
 
@@ -158,7 +168,7 @@ func (rt *Runtime) newInstance(spec *dataflow.OperatorSpec, idx int) *Instance {
 		name:     spec.Name + "[" + sidx + "]",
 		ports:    make([]*outPort, len(outs)),
 		portByOp: make(map[string]*outPort, len(outs)),
-		aligners: make(map[string]map[*netsim.Edge]bool),
+		aligners: make(map[string][]*netsim.Edge),
 		curWM:    -1,
 		costRng:  simtime.NewRNG(rt.Cfg.Seed, "cost/"+spec.Name+"/"+sidx),
 	}
@@ -511,7 +521,10 @@ func (in *Instance) Fail() []int {
 	// backpressures, and the records are neither delivered nor counted lost).
 	clear(in.blocked)
 	clear(in.aligners)
-	lost := in.store.Groups()
+	lost := make([]int, 0, in.store.Len())
+	for kg := range in.store.Groups() {
+		lost = append(lost, kg)
+	}
 	for _, kg := range lost {
 		in.store.ExtractGroup(kg)
 	}
@@ -666,14 +679,27 @@ func (in *Instance) send(e *netsim.Edge, m netsim.Message) {
 	}
 }
 
+// drainPending sends queued emissions in order until an edge refuses one,
+// reporting whether the queue emptied. The head leaves the queue only once
+// its edge took it, so anything sent during TrySend queues behind it. A
+// queue left non-empty moves its live part to the front of the buffer once
+// the sent part is at least as long, so a queue that never empties does not
+// keep what it sent.
 func (in *Instance) drainPending() bool {
-	for len(in.pending) > 0 {
-		pe := in.pending[0]
+	for in.pendHead < len(in.pending) {
+		pe := in.pending[in.pendHead]
 		if !pe.edge.TrySend(pe.msg) {
+			if h := in.pendHead; 2*h >= len(in.pending) {
+				n := copy(in.pending, in.pending[h:])
+				clear(in.pending[n:])
+				in.pending, in.pendHead = in.pending[:n], 0
+			}
 			return false
 		}
-		in.pending = in.pending[1:]
+		in.pending[in.pendHead] = pendingEmit{}
+		in.pendHead++
 	}
+	in.pending, in.pendHead = in.pending[:0], 0
 	return true
 }
 
@@ -686,18 +712,19 @@ func (in *Instance) RedirectPending(from, to *netsim.Edge, take func(*netsim.Rec
 	if len(in.pending) == 0 {
 		return 0
 	}
-	head := in.pending[0].edge
+	queue := in.pending[in.pendHead:]
+	head := queue[0].edge
 	var n int
-	for i := range in.pending {
-		if in.pending[i].edge != from {
+	for i := range queue {
+		if queue[i].edge != from {
 			continue
 		}
-		if r, ok := in.pending[i].msg.(*netsim.Record); ok && take(r) {
-			in.pending[i].edge = to
+		if r, ok := queue[i].msg.(*netsim.Record); ok && take(r) {
+			queue[i].edge = to
 			n++
 		}
 	}
-	if in.pending[0].edge != head {
+	if queue[0].edge != head {
 		in.Wake()
 	}
 	return n
@@ -778,45 +805,59 @@ func (in *Instance) ReleaseAlignment(key string) { in.releaseAlignment(key) }
 func (in *Instance) BroadcastControl(m netsim.Message) { in.broadcastControl(m) }
 
 // alignOn records that barrier key arrived on e, blocks e, and reports
-// whether all current input channels have now delivered it.
+// whether all current input channels have now delivered it. The key's set
+// stays sorted by (src, dst) endpoint, so a channel is found by binary search
+// and the set is already in release order.
 func (in *Instance) alignOn(key string, e *netsim.Edge) bool {
-	set := in.aligners[key]
-	if set == nil {
-		set = make(map[*netsim.Edge]bool)
-		in.aligners[key] = set
+	set, ok := in.aligners[key]
+	if !ok {
+		if n := len(in.spareSets); n > 0 {
+			set = in.spareSets[n-1]
+			in.spareSets = in.spareSets[:n-1]
+		}
 	}
 	if e != nil {
-		set[e] = true
+		i, _ := slices.BinarySearchFunc(set, e, compareEndpoints)
+		for i < len(set) && compareEndpoints(set[i], e) == 0 && set[i] != e {
+			i++
+		}
+		if i == len(set) || set[i] != e {
+			set = slices.Insert(set, i, e)
+		}
 		in.BlockEdge(e)
 	}
+	in.aligners[key] = set
 	return len(set) >= len(in.ins)
 }
 
-// releaseAlignment unblocks the channels captured under key, in sorted
-// (src, dst) endpoint order: unblocking re-arms delivery timers, and map
-// order here would vary the same-instant FIFO sequence between runs.
-func (in *Instance) releaseAlignment(key string) {
-	edges := make([]*netsim.Edge, 0, len(in.aligners[key]))
-	for e := range in.aligners[key] {
-		edges = append(edges, e)
+// compareEndpoints orders channels by (src, dst) endpoint.
+func compareEndpoints(a, b *netsim.Edge) int {
+	if c := cmp.Compare(a.Src.Op, b.Src.Op); c != 0 {
+		return c
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.Src != b.Src {
-			if a.Src.Op != b.Src.Op {
-				return a.Src.Op < b.Src.Op
-			}
-			return a.Src.Index < b.Src.Index
-		}
-		if a.Dst.Op != b.Dst.Op {
-			return a.Dst.Op < b.Dst.Op
-		}
-		return a.Dst.Index < b.Dst.Index
-	})
-	for _, e := range edges {
-		in.UnblockEdge(e)
+	if c := cmp.Compare(a.Src.Index, b.Src.Index); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Dst.Op, b.Dst.Op); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Dst.Index, b.Dst.Index)
+}
+
+// releaseAlignment unblocks the channels captured under key, in sorted
+// (src, dst) endpoint order: unblocking re-arms delivery timers, and any
+// order that varied between runs would vary the same-instant FIFO sequence.
+func (in *Instance) releaseAlignment(key string) {
+	set, ok := in.aligners[key]
+	if !ok {
+		return
 	}
 	delete(in.aligners, key)
+	for _, e := range set {
+		in.UnblockEdge(e)
+	}
+	clear(set)
+	in.spareSets = append(in.spareSets, set[:0])
 }
 
 func (in *Instance) onCheckpointBarrier(b *netsim.CheckpointBarrier, e *netsim.Edge) {

@@ -88,6 +88,39 @@ type SlidingWindowLogic struct {
 	// state (one fire touches every key of every local group).
 	keyScratch []uint64
 	valScratch []float64
+	// spare holds panes whose key emptied, for the next new key to reuse
+	// with their capacity.
+	spare spareList[windowPane]
+}
+
+// maxSpare bounds a logic's spare list: enough for the keys that empty in
+// one fire of a busy instance and return within a few slides, few enough
+// that an idle instance pins little.
+const maxSpare = 1024
+
+// spareList recycles the state payloads a logic deletes when a key empties.
+// A payload is only put back once its key is deleted from the store, and a
+// checkpoint holds a clone (state.Cloner), so no store or checkpoint still
+// references a spare.
+type spareList[T any] struct{ free []*T }
+
+// get returns a spare payload, or nil when there is none.
+func (s *spareList[T]) get() *T {
+	n := len(s.free)
+	if n == 0 {
+		return nil
+	}
+	p := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	return p
+}
+
+// put keeps p for reuse unless the list is full.
+func (s *spareList[T]) put(p *T) {
+	if len(s.free) < maxSpare {
+		s.free = append(s.free, p)
+	}
 }
 
 // OnRecord implements dataflow.Logic.
@@ -95,7 +128,7 @@ func (l *SlidingWindowLogic) OnRecord(ctx dataflow.OpContext, r *netsim.Record) 
 	var pane *windowPane
 	if v, ok := ctx.State().Get(r.Key); ok {
 		pane = v.(*windowPane)
-	} else {
+	} else if pane = l.spare.get(); pane == nil {
 		pane = &windowPane{}
 	}
 	pane.Values = append(pane.Values, paneEntry{At: r.EventTime, V: r.Value})
@@ -155,8 +188,8 @@ func candidateEnds(ctx dataflow.OpContext, first, wm simtime.Time, slide, size s
 			}
 		}
 	}
-	for _, kg := range st.Groups() {
-		st.Group(kg).ForEach(func(_ uint64, value any, _ int) {
+	for _, g := range st.Groups() {
+		g.ForEach(func(_ uint64, value any, _ int) {
 			switch v := value.(type) {
 			case *windowPane:
 				for _, pe := range v.Values {
@@ -204,8 +237,7 @@ func (l *SlidingWindowLogic) fireWindow(ctx dataflow.OpContext, end simtime.Time
 	if bpe <= 0 {
 		bpe = 24
 	}
-	for _, kg := range st.Groups() {
-		g := st.Group(kg)
+	for _, g := range st.Groups() {
 		l.keyScratch = sortedGroupKeys(g, l.keyScratch)
 		for _, key := range l.keyScratch {
 			v, _ := g.Get(key)
@@ -224,6 +256,7 @@ func (l *SlidingWindowLogic) fireWindow(ctx dataflow.OpContext, end simtime.Time
 			pane.Values = kept
 			if len(pane.Values) == 0 {
 				g.Delete(key)
+				l.spare.put(pane)
 			} else {
 				g.Put(key, pane, len(pane.Values)*bpe)
 			}
@@ -286,6 +319,7 @@ type WindowJoinLogic struct {
 	inited    bool
 
 	keyScratch []uint64
+	spare      spareList[joinState]
 }
 
 // OnRecord implements dataflow.Logic.
@@ -293,7 +327,7 @@ func (l *WindowJoinLogic) OnRecord(ctx dataflow.OpContext, r *netsim.Record) {
 	var js *joinState
 	if v, ok := ctx.State().Get(r.Key); ok {
 		js = v.(*joinState)
-	} else {
+	} else if js = l.spare.get(); js == nil {
 		js = &joinState{}
 	}
 	side, _ := r.Aux.(JoinSide)
@@ -327,8 +361,7 @@ func (l *WindowJoinLogic) fire(ctx dataflow.OpContext, end simtime.Time) {
 	if bpe <= 0 {
 		bpe = 24
 	}
-	for _, kg := range st.Groups() {
-		g := st.Group(kg)
+	for _, g := range st.Groups() {
 		l.keyScratch = sortedGroupKeys(g, l.keyScratch)
 		for _, key := range l.keyScratch {
 			v, _ := g.Get(key)
@@ -363,6 +396,7 @@ func (l *WindowJoinLogic) fire(ctx dataflow.OpContext, end simtime.Time) {
 			js.Left, js.Right = trim(js.Left), trim(js.Right)
 			if len(js.Left)+len(js.Right) == 0 {
 				g.Delete(key)
+				l.spare.put(js)
 			} else {
 				g.Put(key, js, (len(js.Left)+len(js.Right))*bpe)
 			}

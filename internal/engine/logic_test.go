@@ -240,3 +240,50 @@ func TestWindowCheckpointsArePointInTime(t *testing.T) {
 		})
 	}
 }
+
+// TestRecycledPaneLeavesCheckpointIntact: a key that empties gives its pane
+// or join buffer to the next new key, which writes into the same backing
+// array. A checkpoint taken before the key emptied must still thaw to the
+// entries it held then.
+func TestRecycledPaneLeavesCheckpointIntact(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		logic dataflow.Logic
+	}{
+		{"window", &SlidingWindowLogic{Size: 100, Slide: 50}},
+		{"join", &WindowJoinLogic{Size: 100, Slide: 50}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := newFakeCtx()
+			l := tc.logic
+			l.OnWatermark(ctx, 0)
+			l.OnRecord(ctx, &netsim.Record{Key: 5, EventTime: 10, Value: 1, Aux: JoinSide{Left: true, Value: 1}})
+			old, _ := ctx.store.Get(5)
+			snap := ctx.store.Snapshot()
+			l.OnWatermark(ctx, 400) // key 5 empties; its payload is kept for reuse
+			if ctx.store.KeyCount() != 0 {
+				t.Fatalf("%d keys hold state after every window fired", ctx.store.KeyCount())
+			}
+			l.OnRecord(ctx, &netsim.Record{Key: 7, EventTime: 420, Value: 9, Aux: JoinSide{Left: true, Value: 9}})
+			if reused, _ := ctx.store.Get(7); reused != old {
+				t.Fatalf("key 7 got a fresh payload; the emptied key's was not reused")
+			}
+			restored := state.NewStore(8)
+			restored.Restore(snap)
+			v, ok := restored.Get(5)
+			if !ok {
+				t.Fatal("checkpoint lost key 5")
+			}
+			var es []paneEntry
+			switch p := v.(type) {
+			case *windowPane:
+				es = p.Values
+			case *joinState:
+				es = append(append(es, p.Left...), p.Right...)
+			}
+			if len(es) != 1 || es[0].At != 10 {
+				t.Fatalf("checkpoint of key 5 thaws to %v, want one entry at 10", es)
+			}
+		})
+	}
+}

@@ -184,3 +184,56 @@ func TestRecordPoolRecycle(t *testing.T) {
 	}
 	p.Put(nil) // must not panic
 }
+
+// TestRecordPoolChainAndAllocs: the free list threads through the pooled
+// records, so records come back last in, first out, each with Aux cleared,
+// the pool stops at poolCap, and neither a warm Put/Get cycle nor filling an
+// empty pool allocates.
+func TestRecordPoolChainAndAllocs(t *testing.T) {
+	var p RecordPool
+	rs := []*Record{{Key: 1}, {Key: 2, Aux: "tag"}, {Key: 3}}
+	for _, r := range rs {
+		p.Put(r)
+	}
+	for i := len(rs) - 1; i >= 0; i-- {
+		if r := p.Get(); r != rs[i] || r.Aux != nil || r.Key != 0 {
+			t.Fatalf("Get %d: %p %+v, want %p zeroed", len(rs)-1-i, r, r, rs[i])
+		}
+	}
+	if p.Len() != 0 || p.head != nil {
+		t.Fatalf("drained pool holds %d records", p.Len())
+	}
+	for i := 0; i < poolCap+1; i++ {
+		p.Put(&Record{})
+	}
+	if p.Len() != poolCap {
+		t.Fatalf("pool holds %d records, want the cap %d", p.Len(), poolCap)
+	}
+	var sink []*Record
+	cycle := func() {
+		sink = sink[:0]
+		for i := 0; i < 8; i++ {
+			sink = append(sink, p.Get())
+		}
+		for _, r := range sink {
+			p.Put(r)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("a warm Put/Get cycle allocates %.2f objects, want 0", avg)
+	}
+	loose := []*Record{{}, {}, {}, {}, {}, {}, {}, {}}
+	fill := func() {
+		var q RecordPool
+		for _, r := range loose {
+			q.Put(r)
+		}
+		for range loose {
+			q.Get()
+		}
+	}
+	if avg := testing.AllocsPerRun(100, fill); avg != 0 {
+		t.Fatalf("filling an empty pool allocates %.2f objects, want 0", avg)
+	}
+}

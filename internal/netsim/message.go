@@ -72,8 +72,11 @@ type Record struct {
 	// unboxed float64, so the steady-state record path allocates nothing.
 	Value float64
 	// Aux is the escape hatch for the rare structured payloads that do not
-	// reduce to one float64 (e.g. join-side tags). It boxes, so hot paths
-	// must leave it nil.
+	// reduce to one float64 (e.g. join-side tags). Storing a value that is
+	// not a pointer boxes it, so a producer that tags many records with the
+	// same value boxes it once and shares the box; consumers only read it.
+	// While the record sits in a RecordPool, Aux links it to the next pooled
+	// record.
 	Aux any
 	// Marker marks a latency marker; markers bypass windowing operators but
 	// otherwise queue and process like records.

@@ -265,6 +265,11 @@ func q8Source(cfg Q8Config, left bool, rate float64, name string) dataflow.Sourc
 		zipf := simtime.NewZipf(simtime.NewRNG(cfg.Seed, "nexmark/zipf/"+name), cfg.People, 0.5)
 		period := simtime.Duration(float64(simtime.Second) / rate)
 		start := ctx.Now()
+		// Join inputs are two-sided, the one payload shape that does not
+		// fit the float64 fast lane; they ride the Aux escape hatch. Every
+		// record of a side carries the same tag, so it is boxed once here
+		// and shared: the join only reads it.
+		var side any = engine.JoinSide{Left: left, Value: 1}
 		var nextWM simtime.Time
 		var tick func()
 		tick = func() {
@@ -274,21 +279,16 @@ func q8Source(cfg Q8Config, left bool, rate float64, name string) dataflow.Sourc
 				return
 			}
 			person := uint64(zipf.Next()) + 1
-			var data engine.JoinSide
 			if left {
-				data = engine.JoinSide{Left: true, Value: 1}
 				_ = PersonEvt{Person: person}
 			} else {
-				data = engine.JoinSide{Left: false, Value: 1}
 				_ = AuctionEvt{Auction: uint64(rng.IntN(1 << 20)), Seller: person}
 			}
 			r := ctx.NewRecord()
 			r.Key = person
 			r.EventTime = now
 			r.Size = 150
-			// Join inputs are two-sided, the one payload shape that does not
-			// fit the float64 fast lane; they ride the Aux escape hatch.
-			r.Aux = data
+			r.Aux = side
 			ctx.Ingest(r)
 			if now >= nextWM {
 				ctx.EmitWatermark(now - simtime.Time(simtime.Ms(1)))

@@ -73,7 +73,7 @@ func TestQ7ScalesUnderDRRS(t *testing.T) {
 	// Window state for migrated groups lives at new instances.
 	var newStateful bool
 	for idx := 4; idx < 6; idx++ {
-		if len(rt.Instance("winmax", idx).Store().Groups()) > 0 {
+		if rt.Instance("winmax", idx).Store().Len() > 0 {
 			newStateful = true
 		}
 	}

@@ -174,10 +174,9 @@ func CheckPlacement(res Result) string {
 		owner[m.KeyGroup] = m.To
 	}
 	for _, in := range rt.Instances(plan.Operator) {
-		for _, kg := range in.Store().Groups() {
+		for kg, g := range in.Store().Groups() {
 			// Empty shells are allowed off-target: Meces keeps them as
 			// serving stubs for potential fetch-backs.
-			g := in.Store().Group(kg)
 			if owner[kg] != in.Index && g.Len() > 0 {
 				return fmt.Sprintf("kg %d found at %s, belongs to instance %d", kg, in.Name(), owner[kg])
 			}

@@ -176,7 +176,7 @@ func PlanFromPlacement(rt *engine.Runtime, op string, newP int, setup simtime.Du
 	cur := len(rt.Instances(op))
 	holder := make(map[int]int, spec.MaxKeyGroups)
 	for _, in := range rt.Instances(op) {
-		for _, kg := range in.Store().Groups() {
+		for kg := range in.Store().Groups() {
 			holder[kg] = in.Index
 		}
 	}
@@ -450,7 +450,7 @@ func (m *Migrator) findMove(kg int) dataflow.Move {
 func ReconcileRouting(rt *engine.Runtime, op string) {
 	holder := make(map[int]int)
 	for _, in := range rt.Instances(op) {
-		for _, kg := range in.Store().Groups() {
+		for kg := range in.Store().Groups() {
 			holder[kg] = in.Index
 		}
 	}

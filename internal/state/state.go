@@ -35,6 +35,7 @@ package state
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/bits"
 	"slices"
@@ -518,16 +519,21 @@ func (s *Store) Group(kg int) *Group {
 	return nil
 }
 
-// Groups returns the local key groups in ascending order.
-func (s *Store) Groups() []int {
-	out := make([]int, 0, s.owned)
-	for i, g := range s.groups {
-		if g != nil {
-			out = append(out, s.lo+i)
+// Groups walks the local key groups in ascending order, yielding each with
+// its group, without copying the list. The walk must not make key groups
+// local or remove them; a caller that does collects the key groups first.
+func (s *Store) Groups() iter.Seq2[int, *Group] {
+	return func(yield func(int, *Group) bool) {
+		for i, g := range s.groups {
+			if g != nil && !yield(s.lo+i, g) {
+				return
+			}
 		}
 	}
-	return out
 }
+
+// Len reports how many key groups are local.
+func (s *Store) Len() int { return s.owned }
 
 // Get returns the state for key, which must hash into a local group. Hot
 // paths use GetF64.

@@ -307,16 +307,36 @@ func TestOwnerOfMatchesRange(t *testing.T) {
 	}
 }
 
+// groupList collects a store's local key groups in walk order.
+func groupList(s *Store) []int {
+	var out []int
+	for kg := range s.Groups() {
+		out = append(out, kg)
+	}
+	return out
+}
+
 func TestStoreGroupsSorted(t *testing.T) {
 	s := NewStore(16)
 	for _, kg := range []int{9, 3, 12, 0} {
 		s.OwnGroup(kg)
 	}
-	gs := s.Groups()
+	gs := groupList(s)
 	want := []int{0, 3, 9, 12}
 	for i, kg := range want {
 		if gs[i] != kg {
 			t.Fatalf("groups %v", gs)
+		}
+	}
+	if s.Len() != len(want) {
+		t.Fatalf("Len %d, want %d", s.Len(), len(want))
+	}
+	for kg, g := range s.Groups() {
+		if g != s.Group(kg) {
+			t.Fatalf("walk yields a different group for key group %d", kg)
+		}
+		if kg == 3 {
+			break // an early break ends the walk
 		}
 	}
 }
@@ -331,7 +351,7 @@ func TestStoreKeyGroupWindow(t *testing.T) {
 	for _, kg := range []int{900, 3, 512} {
 		s.OwnGroup(kg)
 	}
-	if gs := s.Groups(); len(gs) != 3 || gs[0] != 3 || gs[1] != 512 || gs[2] != 900 {
+	if gs := groupList(s); len(gs) != 3 || gs[0] != 3 || gs[1] != 512 || gs[2] != 900 {
 		t.Fatalf("groups %v, want [3 512 900]", gs)
 	}
 	if s.lo != 3 || len(s.groups) != 900-3+1 {
@@ -347,7 +367,7 @@ func TestStoreKeyGroupWindow(t *testing.T) {
 			t.Fatalf("key group %d not extracted", kg)
 		}
 	}
-	if gs := s.Groups(); len(gs) != 0 || len(s.groups) != 0 {
+	if gs := groupList(s); len(gs) != 0 || s.Len() != 0 || len(s.groups) != 0 {
 		t.Fatalf("after extracting everything: groups %v, window of %d", gs, len(s.groups))
 	}
 	s.OwnGroup(7)
@@ -399,7 +419,7 @@ func TestMigrationRoundTripProperty(t *testing.T) {
 		wantBytes := a.TotalBytes()
 		wantCount := a.KeyCount()
 		b := NewStore(32)
-		for _, kg := range a.Groups() {
+		for _, kg := range groupList(a) {
 			b.InstallGroup(kg, a.ExtractGroup(kg))
 		}
 		if b.TotalBytes() != wantBytes || b.KeyCount() != wantCount {

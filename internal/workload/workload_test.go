@@ -140,9 +140,8 @@ func TestKeysLandInCorrectGroups(t *testing.T) {
 	})
 	rt, _ := run(t, cfg)
 	for _, in := range rt.Instances("agg") {
-		st := in.Store()
-		for _, kg := range st.Groups() {
-			for _, k := range st.Group(kg).Keys() {
+		for kg, g := range in.Store().Groups() {
+			for _, k := range g.Keys() {
 				if state.KeyGroupOf(k, 64) != kg {
 					t.Fatalf("key %d in wrong group %d", k, kg)
 				}
