@@ -93,15 +93,14 @@ type SlidingWindowLogic struct {
 	spare spareList[windowPane]
 }
 
-// maxSpare bounds a logic's spare list: enough for the keys that empty in
-// one fire of a busy instance and return within a few slides, few enough
-// that an idle instance pins little.
-const maxSpare = 1024
-
 // spareList recycles the state payloads a logic deletes when a key empties.
 // A payload is only put back once its key is deleted from the store, and a
 // checkpoint holds a clone (state.Cloner), so no store or checkpoint still
-// references a spare.
+// references a spare. The list has no cap: a new key takes a spare before a
+// payload is allocated, so spares only stand in for keys that emptied and
+// have not come back, and the payloads a logic holds, live and spare, stay
+// within the most it has held at once plus those installed by migration or
+// restore.
 type spareList[T any] struct{ free []*T }
 
 // get returns a spare payload, or nil when there is none.
@@ -116,12 +115,8 @@ func (s *spareList[T]) get() *T {
 	return p
 }
 
-// put keeps p for reuse unless the list is full.
-func (s *spareList[T]) put(p *T) {
-	if len(s.free) < maxSpare {
-		s.free = append(s.free, p)
-	}
-}
+// put keeps p for reuse.
+func (s *spareList[T]) put(p *T) { s.free = append(s.free, p) }
 
 // OnRecord implements dataflow.Logic.
 func (l *SlidingWindowLogic) OnRecord(ctx dataflow.OpContext, r *netsim.Record) {
