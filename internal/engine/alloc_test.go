@@ -87,7 +87,7 @@ func TestJoinSteadyStateAllocs(t *testing.T) {
 func TestAlignmentRoundAllocs(t *testing.T) {
 	const fanIn = 256
 	rt, in := fanInRig(fanIn)
-	keys := []string{"ckpt:1", "ckpt:2"}
+	keys := []AlignKey{{Kind: "ckpt", ID: 1}, {Kind: "ckpt", ID: 2}}
 	k := 0
 	round := func() {
 		key := keys[k%len(keys)]
@@ -114,11 +114,32 @@ func TestAlignmentRoundAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < fanIn; i++ {
-		in.alignOn("order", in.ins[(fanIn-1-i)*97%fanIn])
+		in.alignOn(AlignKey{Kind: "order"}, in.ins[(fanIn-1-i)*97%fanIn])
 	}
-	for i, e := range in.aligners["order"] {
+	for i, e := range in.aligners[AlignKey{Kind: "order"}] {
 		if e.Src.Index != i {
 			t.Fatalf("set position %d holds src[%d], want (src, dst) order", i, e.Src.Index)
 		}
 	}
+}
+
+// TestStateCheckpointSteadyStateAllocs: once warm, a snapshot that evicts the
+// older one, over keyed stores whose every group is rewritten at constant
+// size between snapshots, allocates nothing: the evicted snapshot's copies
+// go back to the pool and are refilled, and its instance list and windows
+// are reused. Both retained snapshots still serve every key group after.
+func TestStateCheckpointSteadyStateAllocs(t *testing.T) {
+	rt, ck, name := checkpointRig(t)
+	dirty := dirtyEach(t, rt)
+	cycle := func() {
+		dirty()
+		ck.take()
+	}
+	for i := 0; i < 3; i++ {
+		cycle()
+	}
+	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+		t.Fatalf("a dirty take/evict cycle allocates %.2f objects, want 0", avg)
+	}
+	lookupAll(t, ck, name)
 }

@@ -12,7 +12,7 @@ import (
 // checkpointRig runs a small keyed-reduce job for 5 s and returns it with a
 // stopped StateCheckpointer, whose take() the checkpoint benchmarks drive by
 // hand, and the name of one agg instance.
-func checkpointRig(b *testing.B) (*Runtime, *StateCheckpointer, string) {
+func checkpointRig(tb testing.TB) (*Runtime, *StateCheckpointer, string) {
 	sink := NewCollectSink()
 	g := dataflow.NewGraph()
 	g.AddOperator(&dataflow.OperatorSpec{
@@ -41,10 +41,34 @@ func checkpointRig(b *testing.B) (*Runtime, *StateCheckpointer, string) {
 }
 
 // lookupAll requires every key group of agg to be found in a snapshot.
-func lookupAll(b *testing.B, ck *StateCheckpointer, name string) {
+func lookupAll(tb testing.TB, ck *StateCheckpointer, name string) {
 	for kg := 0; kg < 32; kg++ {
 		if _, ok := ck.Lookup("agg", name, kg); !ok {
-			b.Fatalf("kg %d in no snapshot", kg)
+			tb.Fatalf("kg %d in no snapshot", kg)
+		}
+	}
+}
+
+// dirtyEach returns a function that rewrites one key of every agg group at
+// its current size, so the next snapshot has to copy every group.
+func dirtyEach(tb testing.TB, rt *Runtime) func() {
+	type entry struct {
+		g   *state.Group
+		key uint64
+	}
+	var dirty []entry
+	for _, in := range rt.Instances("agg") {
+		for kg, g := range in.Store().Groups() {
+			if g.Len() == 0 {
+				tb.Fatalf("%s: key group %d is empty", in.Name(), kg)
+			}
+			dirty = append(dirty, entry{g, g.Keys()[0]})
+		}
+	}
+	return func() {
+		for _, e := range dirty {
+			acc, _ := e.g.GetF64(e.key)
+			e.g.PutF64(e.key, acc+1, 64) // KeyedReduceLogic's default state size
 		}
 	}
 }
@@ -68,30 +92,16 @@ func BenchmarkStateCheckpoint(b *testing.B) {
 // BenchmarkStateCheckpointDirty is BenchmarkStateCheckpoint with one key of
 // every keyed group written between sweeps, so every sweep copies every
 // group's slab and free list (but not its key index: a restore rebuilds
-// that). This is the number to watch when changing the slab store's
-// Snapshot path.
+// that). The copies go into those the evicted sweep released, so once warm
+// a sweep allocates nothing. This is the number to watch when changing the
+// slab store's Snapshot path.
 func BenchmarkStateCheckpointDirty(b *testing.B) {
 	rt, ck, name := checkpointRig(b)
-	type entry struct {
-		g   *state.Group
-		key uint64
-	}
-	var dirty []entry
-	for _, in := range rt.Instances("agg") {
-		for kg, g := range in.Store().Groups() {
-			if g.Len() == 0 {
-				b.Fatalf("%s: key group %d is empty", in.Name(), kg)
-			}
-			dirty = append(dirty, entry{g, g.Keys()[0]})
-		}
-	}
+	dirty := dirtyEach(b, rt)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		for _, e := range dirty {
-			acc, _ := e.g.GetF64(e.key)
-			e.g.PutF64(e.key, acc+1, 64) // KeyedReduceLogic's default state size
-		}
+		dirty()
 		ck.take()
 		lookupAll(b, ck, name)
 	}

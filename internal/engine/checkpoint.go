@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"drrs/internal/simtime"
 	"drrs/internal/state"
 )
@@ -13,7 +15,7 @@ type stateSnapshot struct {
 	instances []instanceSnap
 }
 
-// instanceSnap is one instance's part of a snapshot. groups is nil for an
+// instanceSnap is one instance's part of a snapshot. groups is empty for an
 // instance without keyed input.
 type instanceSnap struct {
 	name      string
@@ -44,12 +46,19 @@ func (snap *stateSnapshot) instance(name string) *instanceSnap {
 // neither store, and a snapshot taken while an instance is dead records
 // nothing for it — the older snapshot covers both windows.
 //
+// A new snapshot reuses the storage of the one it evicts: the evicted
+// snapshot first releases its frozen copies, so those no group still caches
+// go back to the checkpointer's pool, and its instance list and per-instance
+// windows are refilled in place. Groups written since then refill pooled
+// copies instead of allocating new ones.
+//
 // Only started when a fault plan is active, so unfaulted runs schedule no
 // snapshot events and stay byte-identical.
 type StateCheckpointer struct {
 	rt    *Runtime
 	every simtime.Duration
 	snaps [2]*stateSnapshot // [0] newest
+	pool  state.FrozenPool
 	timer simtime.Timer
 }
 
@@ -76,19 +85,32 @@ func (ck *StateCheckpointer) arm() {
 // Stop cancels the snapshot timer.
 func (ck *StateCheckpointer) Stop() { ck.timer.Cancel() }
 
+// take replaces the older snapshot with a new one, reusing its storage.
 func (ck *StateCheckpointer) take() {
-	snap := &stateSnapshot{at: ck.rt.Sched.Now()}
+	snap := ck.snaps[1]
+	if snap == nil {
+		snap = &stateSnapshot{}
+	}
+	for i := range snap.instances {
+		snap.instances[i].groups.Release()
+	}
+	snap.at = ck.rt.Sched.Now()
+	snap.instances = snap.instances[:0]
 	ck.rt.EachInstance(func(in *Instance) {
 		if in.Dead() {
 			// A corpse's empty store says nothing; leaving it out lets
 			// lookups fall through to the older snapshot.
 			return
 		}
-		is := instanceSnap{name: in.Name(), op: in.Spec.Name, processed: in.Processed}
+		// Reslice into the kept capacity rather than append a zero entry,
+		// so a reused entry keeps its window's storage.
+		n := len(snap.instances)
+		snap.instances = slices.Grow(snap.instances, 1)[:n+1]
+		is := &snap.instances[n]
+		is.name, is.op, is.processed = in.Name(), in.Spec.Name, in.Processed
 		if in.Spec.KeyedInput {
-			is.groups = in.store.Snapshot()
+			in.store.SnapshotTo(&is.groups, &ck.pool)
 		}
-		snap.instances = append(snap.instances, is)
 	})
 	ck.snaps[1] = ck.snaps[0]
 	ck.snaps[0] = snap
@@ -107,7 +129,7 @@ func (ck *StateCheckpointer) Lookup(op, name string, kg int) (*state.FrozenGroup
 			continue
 		}
 		if is := snap.instance(name); is != nil {
-			if g, ok := is.groups[kg]; ok {
+			if g := is.groups.Group(kg); g != nil {
 				return g, true
 			}
 		}
@@ -121,7 +143,7 @@ func (ck *StateCheckpointer) Lookup(op, name string, kg int) (*state.FrozenGroup
 			if is.op != op || is.name == name {
 				continue
 			}
-			if g, ok := is.groups[kg]; ok {
+			if g := is.groups.Group(kg); g != nil {
 				return g, true
 			}
 		}

@@ -122,7 +122,7 @@ type Instance struct {
 	// aligners holds, per barrier key being aligned, the distinct channels
 	// that delivered it, kept in (src, dst) endpoint order. spareSets keeps
 	// the buffers of released keys for the next key to reuse.
-	aligners  map[string][]*netsim.Edge
+	aligners  map[AlignKey][]*netsim.Edge
 	spareSets [][]*netsim.Edge
 
 	backlog netsim.Deque[netsim.Message]
@@ -168,7 +168,7 @@ func (rt *Runtime) newInstance(spec *dataflow.OperatorSpec, idx int) *Instance {
 		name:     spec.Name + "[" + sidx + "]",
 		ports:    make([]*outPort, len(outs)),
 		portByOp: make(map[string]*outPort, len(outs)),
-		aligners: make(map[string][]*netsim.Edge),
+		aligners: make(map[AlignKey][]*netsim.Edge),
 		curWM:    -1,
 		costRng:  simtime.NewRNG(rt.Cfg.Seed, "cost/"+spec.Name+"/"+sidx),
 	}
@@ -792,13 +792,24 @@ func (in *Instance) SeedWatermark(e *netsim.Edge, wm simtime.Time) {
 
 // --- Alignment machinery (checkpoints and coupled scale barriers) ---
 
+// AlignKey identifies a barrier being aligned at an instance: Kind names the
+// protocol that owns it, so two protocols never share a key, and ID and
+// Round number the barrier within it (a checkpoint id, or a scaling
+// operation and its round). It is a plain value, so building one allocates
+// nothing.
+type AlignKey struct {
+	Kind  string
+	ID    int64
+	Round int
+}
+
 // AlignOn is the exported alignment primitive for scaling mechanisms: it
 // records that the barrier identified by key arrived on e, blocks e, and
 // reports whether every current input channel has delivered it.
-func (in *Instance) AlignOn(key string, e *netsim.Edge) bool { return in.alignOn(key, e) }
+func (in *Instance) AlignOn(key AlignKey, e *netsim.Edge) bool { return in.alignOn(key, e) }
 
 // ReleaseAlignment unblocks the channels captured under key.
-func (in *Instance) ReleaseAlignment(key string) { in.releaseAlignment(key) }
+func (in *Instance) ReleaseAlignment(key AlignKey) { in.releaseAlignment(key) }
 
 // BroadcastControl enqueues a control message on every output edge,
 // preserving order relative to pending emissions.
@@ -808,7 +819,7 @@ func (in *Instance) BroadcastControl(m netsim.Message) { in.broadcastControl(m) 
 // whether all current input channels have now delivered it. The key's set
 // stays sorted by (src, dst) endpoint, so a channel is found by binary search
 // and the set is already in release order.
-func (in *Instance) alignOn(key string, e *netsim.Edge) bool {
+func (in *Instance) alignOn(key AlignKey, e *netsim.Edge) bool {
 	set, ok := in.aligners[key]
 	if !ok {
 		if n := len(in.spareSets); n > 0 {
@@ -847,7 +858,7 @@ func compareEndpoints(a, b *netsim.Edge) int {
 // releaseAlignment unblocks the channels captured under key, in sorted
 // (src, dst) endpoint order: unblocking re-arms delivery timers, and any
 // order that varied between runs would vary the same-instant FIFO sequence.
-func (in *Instance) releaseAlignment(key string) {
+func (in *Instance) releaseAlignment(key AlignKey) {
 	set, ok := in.aligners[key]
 	if !ok {
 		return
@@ -861,7 +872,7 @@ func (in *Instance) releaseAlignment(key string) {
 }
 
 func (in *Instance) onCheckpointBarrier(b *netsim.CheckpointBarrier, e *netsim.Edge) {
-	key := fmt.Sprintf("ckpt:%d", b.ID)
+	key := AlignKey{Kind: "ckpt", ID: b.ID}
 	in.alignOn(key, e)
 	// A checkpoint expects barriers only on the ordinary channels that
 	// existed when it was triggered: channels wired mid-scaling (new
@@ -897,7 +908,7 @@ func (in *Instance) onCheckpointBarrier(b *netsim.CheckpointBarrier, e *netsim.E
 // defaultScaleBarrier is the non-participating-operator behaviour for coupled
 // scaling signals: align, then forward (no state action).
 func (in *Instance) defaultScaleBarrier(b *netsim.ScaleBarrier, e *netsim.Edge) {
-	key := fmt.Sprintf("scale:%d:%d", b.ScaleID, b.Round)
+	key := AlignKey{Kind: "scale", ID: b.ScaleID, Round: b.Round}
 	if !in.alignOn(key, e) {
 		return
 	}

@@ -1,37 +1,49 @@
 package netsim
 
-// Deque is a slice-backed FIFO queue with positional peeking (the engine's
-// source ingest backlog). Its capacity is zero or a power of two, so a
-// depth maps to a slot with a mask; push and pop are amortized O(1).
+// dequeSeg is the number of entries in one Deque segment.
+const dequeSeg = 64
+
+// segment is one fixed block of a Deque, linked to the next-newer block.
+type segment[T any] struct {
+	buf  [dequeSeg]T
+	next *segment[T]
+}
+
+// Deque is a FIFO queue with positional peeking (the engine's source ingest
+// backlog), kept as a linked list of fixed segments of dequeSeg entries.
+// Growing adds a segment and never copies queued entries; a segment emptied
+// at the front is kept as the one spare for the next growth, so a backlog
+// that rises and falls within a segment's worth allocates nothing. PushBack,
+// PopFront and At(0) are O(1); At(i) walks i/dequeSeg segments.
 type Deque[T any] struct {
-	buf  []T
-	head int
-	n    int
+	front, back *segment[T]
+	head        int // index of the front entry in front.buf
+	tail        int // index past the last entry in back.buf
+	n           int
+	spare       *segment[T]
 }
 
 // Len reports the number of queued elements.
 func (d *Deque[T]) Len() int { return d.n }
 
-func (d *Deque[T]) grow() {
-	if d.n < len(d.buf) {
-		return
-	}
-	newCap := len(d.buf) * 2
-	if newCap < 8 {
-		newCap = 8
-	}
-	nb := make([]T, newCap)
-	for i := 0; i < d.n; i++ {
-		nb[i] = d.buf[(d.head+i)&(len(d.buf)-1)]
-	}
-	d.buf = nb
-	d.head = 0
-}
-
 // PushBack appends v at the tail.
 func (d *Deque[T]) PushBack(v T) {
-	d.grow()
-	d.buf[(d.head+d.n)&(len(d.buf)-1)] = v
+	if d.back == nil || d.tail == dequeSeg {
+		s := d.spare
+		if s != nil {
+			d.spare = nil
+		} else {
+			s = new(segment[T])
+		}
+		if d.back == nil {
+			d.front = s
+		} else {
+			d.back.next = s
+		}
+		d.back, d.tail = s, 0
+	}
+	d.back.buf[d.tail] = v
+	d.tail++
 	d.n++
 }
 
@@ -40,12 +52,30 @@ func (d *Deque[T]) PopFront() T {
 	if d.n == 0 {
 		panic("netsim: PopFront on empty deque")
 	}
-	v := d.buf[d.head]
+	s := d.front
+	v := s.buf[d.head]
 	var zero T
-	d.buf[d.head] = zero
-	d.head = (d.head + 1) & (len(d.buf) - 1)
+	s.buf[d.head] = zero
+	d.head++
 	d.n--
+	switch {
+	case d.n == 0:
+		d.front, d.back, d.head, d.tail = nil, nil, 0, 0
+		d.retire(s)
+	case d.head == dequeSeg:
+		d.front, d.head = s.next, 0
+		d.retire(s)
+	}
 	return v
+}
+
+// retire keeps an emptied segment as the spare, or drops it when there is
+// one already.
+func (d *Deque[T]) retire(s *segment[T]) {
+	if d.spare == nil {
+		s.next = nil
+		d.spare = s
+	}
 }
 
 // At returns the element at depth i (0 = head) without removing it.
@@ -53,5 +83,9 @@ func (d *Deque[T]) At(i int) T {
 	if i < 0 || i >= d.n {
 		panic("netsim: deque index out of range")
 	}
-	return d.buf[(d.head+i)&(len(d.buf)-1)]
+	s, j := d.front, d.head+i
+	for j >= dequeSeg {
+		s, j = s.next, j-dequeSeg
+	}
+	return s.buf[j]
 }

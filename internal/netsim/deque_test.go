@@ -1,0 +1,151 @@
+package netsim
+
+import "testing"
+
+// TestDequeSegmentBoundary pushes and pops across the boundary between two
+// segments and peeks into the later one from the head.
+func TestDequeSegmentBoundary(t *testing.T) {
+	var d Deque[int]
+	for i := 0; i < dequeSeg+10; i++ {
+		d.PushBack(i)
+	}
+	if d.front == d.back {
+		t.Fatalf("%d entries fit in one segment of %d", d.Len(), dequeSeg)
+	}
+	for i := 0; i < d.Len(); i++ {
+		if got := d.At(i); got != i {
+			t.Fatalf("At(%d) = %d before any pop", i, got)
+		}
+	}
+	for i := 0; i < dequeSeg-1; i++ {
+		if got := d.PopFront(); got != i {
+			t.Fatalf("pop %d = %d", i, got)
+		}
+	}
+	// The head is the last entry of the first segment; At(1) is the first
+	// of the second.
+	if d.At(0) != dequeSeg-1 || d.At(1) != dequeSeg {
+		t.Fatalf("At(0), At(1) = %d, %d across the boundary", d.At(0), d.At(1))
+	}
+	if got := d.PopFront(); got != dequeSeg-1 {
+		t.Fatalf("pop across the boundary = %d", got)
+	}
+	if d.front != d.back || d.head != 0 || d.spare == nil {
+		t.Fatal("the emptied first segment was not retired as the spare")
+	}
+	for i := dequeSeg; i < dequeSeg+10; i++ {
+		if got := d.PopFront(); got != i {
+			t.Fatalf("pop %d = %d", i, got)
+		}
+	}
+	if d.Len() != 0 || d.front != nil || d.back != nil {
+		t.Fatal("an empty deque still links segments")
+	}
+}
+
+// TestDequeAtLaterSegment peeks at every depth of a deque four segments
+// long whose head sits in the middle of the first.
+func TestDequeAtLaterSegment(t *testing.T) {
+	var d Deque[int]
+	for i := 0; i < 4*dequeSeg; i++ {
+		d.PushBack(i)
+	}
+	for i := 0; i < dequeSeg/2; i++ {
+		d.PopFront()
+	}
+	for i := 0; i < d.Len(); i++ {
+		if got, want := d.At(i), dequeSeg/2+i; got != want {
+			t.Fatalf("At(%d) = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestDequeReuseAfterEmpty: a deque emptied and refilled within one segment
+// reuses its spare and allocates nothing, and a pop clears the slot it
+// empties so the queue keeps no popped value alive.
+func TestDequeReuseAfterEmpty(t *testing.T) {
+	var d Deque[*int]
+	v := new(int)
+	cycle := func() {
+		for i := 0; i < dequeSeg; i++ {
+			d.PushBack(v)
+		}
+		for d.Len() > 0 {
+			if d.PopFront() != v {
+				panic("popped a different value")
+			}
+		}
+	}
+	cycle()
+	spare := d.spare
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Fatalf("filling and emptying one segment allocates %.2f objects, want 0", avg)
+	}
+	if d.spare != spare {
+		t.Fatal("the spare segment was replaced")
+	}
+	for i, p := range spare.buf {
+		if p != nil {
+			t.Fatalf("slot %d of the emptied segment still holds a value", i)
+		}
+	}
+}
+
+// FuzzDequeOps runs Deque and a slice model through the same operations and
+// requires the same length and the same element at every depth after each.
+// One opcode byte and one argument byte per operation:
+//
+//	0  push 1 to 130 values (so a single push can cross two segments)
+//	1  pop up to 130 values
+//	2  At(argument mod length)
+//	3  pop every value
+func FuzzDequeOps(f *testing.F) {
+	f.Add([]byte{0, 70, 1, 60, 2, 5, 0, 129, 1, 129, 3, 0, 0, 3})
+	f.Add([]byte{0, 63, 1, 63, 0, 0, 1, 0, 0, 64, 2, 63, 1, 1, 2, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var d Deque[int]
+		var model []int
+		next := 0
+		for step := 0; step < 64 && len(data) >= 2; step++ {
+			op, arg := data[0], int(data[1])
+			data = data[2:]
+			switch op % 4 {
+			case 0:
+				for i := 0; i <= arg%130; i++ {
+					d.PushBack(next)
+					model = append(model, next)
+					next++
+				}
+			case 1:
+				for i := 0; i <= arg%130 && len(model) > 0; i++ {
+					if got := d.PopFront(); got != model[0] {
+						t.Fatalf("step %d: pop %d, model %d", step, got, model[0])
+					}
+					model = model[1:]
+				}
+			case 2:
+				if len(model) > 0 {
+					i := arg % len(model)
+					if got := d.At(i); got != model[i] {
+						t.Fatalf("step %d: At(%d) = %d, model %d", step, i, got, model[i])
+					}
+				}
+			case 3:
+				for len(model) > 0 {
+					if got := d.PopFront(); got != model[0] {
+						t.Fatalf("step %d: pop %d, model %d", step, got, model[0])
+					}
+					model = model[1:]
+				}
+			}
+			if d.Len() != len(model) {
+				t.Fatalf("step %d: length %d, model %d", step, d.Len(), len(model))
+			}
+			for i, v := range model {
+				if got := d.At(i); got != v {
+					t.Fatalf("step %d: At(%d) = %d, model %d", step, i, got, v)
+				}
+			}
+		}
+	})
+}

@@ -24,7 +24,7 @@ func TestDequeBasics(t *testing.T) {
 
 func TestDequeWrapAround(t *testing.T) {
 	var d Deque[int]
-	// Force head to wander around the ring.
+	// Force the head through many segments.
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 7; i++ {
 			d.PushBack(round*7 + i)
@@ -33,8 +33,8 @@ func TestDequeWrapAround(t *testing.T) {
 			d.PopFront()
 		}
 	}
-	// Now verify positional peeks still work over the wrapped buffer: 50
-	// rounds of +7/-6 leave the last 50 values, in order.
+	// Now verify positional peeks still work across segments: 50 rounds of
+	// +7/-6 leave the last 50 values, in order.
 	n := d.Len()
 	if n != 50 {
 		t.Fatalf("len %d after wrapping, want 50", n)

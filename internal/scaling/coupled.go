@@ -55,11 +55,14 @@ type CoupledController struct {
 	nextInj int     // next round to inject
 	op      *Tracked
 
-	moved    KeyGroupSet
-	aligned  map[int]map[int]bool // round → old-instance set aligned
-	migDone  map[int]bool         // round → migration complete
-	oldCount int
-	finished bool
+	moved KeyGroupSet
+	// alignedBits marks which old instances aligned in which round (bit
+	// r*oldCount+idx); alignedN counts each round's marks.
+	alignedBits []uint64
+	alignedN    []int
+	migDone     map[int]bool // round → migration complete
+	oldCount    int
+	finished    bool
 }
 
 // NewCoupledController builds a controller over the plan with the given
@@ -67,11 +70,13 @@ type CoupledController struct {
 // moves exactly.
 func NewCoupledController(plan Plan, rounds [][]int) *CoupledController {
 	return &CoupledController{
-		plan:    plan,
-		rounds:  rounds,
-		moved:   plan.Moved(),
-		aligned: make(map[int]map[int]bool),
-		migDone: make(map[int]bool),
+		plan:        plan,
+		rounds:      rounds,
+		moved:       plan.Moved(),
+		alignedBits: make([]uint64, (len(rounds)*plan.OldParallelism+63)/64),
+		alignedN:    make([]int, len(rounds)),
+		migDone:     make(map[int]bool),
+		oldCount:    plan.OldParallelism,
 	}
 }
 
@@ -109,7 +114,6 @@ func (c *CoupledController) Begin(rt *engine.Runtime, done func()) Operation {
 	c.rt = rt
 	c.scaleID = rt.NextScaleID()
 	c.op = NewTracked(c.plan, done)
-	c.oldCount = c.plan.OldParallelism
 	// Units are assigned to their round's signal for Fig 12b accounting.
 	for r, kgs := range c.rounds {
 		for _, kg := range kgs {
@@ -206,15 +210,14 @@ func (c *CoupledController) applyRouting(p *engine.Instance, r int) {
 
 // oldInstanceAligned is called when an original scaling instance finishes
 // alignment for round r; migration for the round starts once every original
-// instance aligned.
+// instance aligned. A repeated index counts once.
 func (c *CoupledController) oldInstanceAligned(idx, r int) {
-	set := c.aligned[r]
-	if set == nil {
-		set = make(map[int]bool)
-		c.aligned[r] = set
+	bit := r*c.oldCount + idx
+	if w, m := bit/64, uint64(1)<<(bit%64); c.alignedBits[w]&m == 0 {
+		c.alignedBits[w] |= m
+		c.alignedN[r]++
 	}
-	set[idx] = true
-	if len(set) < c.oldCount {
+	if c.alignedN[r] < c.oldCount {
 		return
 	}
 	// All original instances aligned: migrate this round's groups.
@@ -296,7 +299,7 @@ func (h *coupledPredHook) OnScaleMessage(in *engine.Instance, m netsim.Message, 
 	if !ok || sb.ScaleID != h.c.scaleID {
 		return false
 	}
-	key := fmt.Sprintf("cp:%d:%d", sb.ScaleID, sb.Round)
+	key := engine.AlignKey{Kind: "cp", ID: sb.ScaleID, Round: sb.Round}
 	if !in.AlignOn(key, e) {
 		return true
 	}
@@ -323,7 +326,7 @@ func (h *coupledOpHook) OnScaleMessage(in *engine.Instance, m netsim.Message, e 
 	if !ok || sb.ScaleID != h.c.scaleID {
 		return false
 	}
-	key := fmt.Sprintf("op:%d:%d", sb.ScaleID, sb.Round)
+	key := engine.AlignKey{Kind: "op", ID: sb.ScaleID, Round: sb.Round}
 	if !in.AlignOn(key, e) {
 		return true
 	}

@@ -165,6 +165,24 @@ func TestBatchRounds(t *testing.T) {
 	}
 }
 
+// TestOldInstanceAlignedCountsEachOnce: each round counts the distinct old
+// instances that aligned in it. A repeated arrival counts once, rounds count
+// apart, and a round short of every old instance starts no migration (the
+// controller has no runtime here, so starting one would panic).
+func TestOldInstanceAlignedCountsEachOnce(t *testing.T) {
+	const old = 70 // the bitset's rounds straddle a word boundary
+	c := NewCoupledController(Plan{OldParallelism: old}, [][]int{{0}, {1}})
+	for idx := 0; idx < old-1; idx++ {
+		c.oldInstanceAligned(idx, 1)
+		c.oldInstanceAligned(idx, 1)
+	}
+	c.oldInstanceAligned(old-1, 0)
+	c.oldInstanceAligned(old-1, 0)
+	if c.alignedN[0] != 1 || c.alignedN[1] != old-1 {
+		t.Fatalf("rounds count %v aligned old instances, want [1 %d]", c.alignedN, old-1)
+	}
+}
+
 func TestDeployCreatesInstancesAfterSetup(t *testing.T) {
 	g := testGraph()
 	s := simtime.NewScheduler()

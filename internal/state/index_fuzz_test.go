@@ -2,6 +2,7 @@ package state
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -197,12 +198,14 @@ func fuzzKey(kind, t byte) uint64 {
 // FuzzGroupIndex runs Group and the map-indexed reference through the same
 // operations — Put, PutF64, Delete, Get, GetF64, Merge, ExtractSubUnit, an
 // in-place append to a cloneable payload, checkpoints held across later
-// writes and checkpoint round trips — on two groups, and after each one
-// requires the same length, bytes, lookups for every key seen so far, and
-// slab order, which also pins free-list reuse. It also requires a group
-// frozen twice without a write in between to share one copy, a write to
-// force a fresh one, and every held checkpoint to thaw to the reference's
-// copy taken at the same instant.
+// writes, checkpoint round trips, and snapshots taken and released through a
+// FrozenPool — on two groups, and after each one requires the same length,
+// bytes, lookups for every key seen so far, and slab order, which also pins
+// free-list reuse. It also requires a group frozen twice without a write in
+// between to share one copy, a write to force a fresh one, every held
+// checkpoint and snapshot to thaw to the reference's copy taken at the same
+// instant however often the pool has recycled copies since, and the pool to
+// hold only copies that nothing holds.
 func FuzzGroupIndex(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 2, 3, 2, 1, 2, 1, 1, 9, 7, 0, 0})
 	f.Add([]byte{0x21, 1, 0, 0x21, 2, 0, 2, 1, 3, 0x02, 2, 5, 7, 0, 0, 1, 1, 4})
@@ -210,6 +213,10 @@ func FuzzGroupIndex(f *testing.F) {
 	f.Add([]byte{0x23, 3, 0, 0x21, 0, 200, 2, 1, 5, 2, 2, 0, 0, 3, 4, 7, 0, 0, 1, 2, 5})
 	f.Add([]byte{1, 0, 1, 1, 0, 2, 10, 0, 0, 2, 0, 1, 7, 0, 0, 11, 0, 2, 7, 0, 0})
 	f.Add([]byte{8, 1, 3, 10, 1, 3, 9, 1, 3, 8, 2, 4, 11, 1, 3, 7, 0, 0, 9, 2, 4, 0x15, 0, 1, 0x18, 1, 3, 5, 0, 0, 10, 0, 0})
+	// Snapshots released and their copies refilled: by a write to the
+	// group, to a Thaw-made group, and while other snapshots are held.
+	f.Add([]byte{1, 0, 1, 12, 0, 0, 1, 0, 2, 12, 0, 0, 13, 0, 0, 1, 0, 3, 12, 0, 0, 13, 0, 1, 1, 0, 4, 12, 0, 0, 8, 1, 5, 12, 0, 0})
+	f.Add([]byte{0x21, 1, 7, 7, 0, 0, 12, 0, 0, 0x1c, 0, 0, 1, 0, 9, 13, 0, 0, 12, 0, 0, 0x11, 1, 7, 13, 0, 0, 12, 0, 0, 7, 0, 0, 1, 2, 3, 12, 0, 0})
 	if hashInverse*hashMul != 1 {
 		f.Fatalf("hashInverse %#x is not the inverse of hashMul", hashInverse)
 	}
@@ -220,6 +227,14 @@ func FuzzGroupIndex(f *testing.F) {
 		// heldRefs[i] the reference's copy taken at the same instant.
 		var held [2]*FrozenGroup
 		var heldRefs [2]*mapGroup
+		// snaps are snapshot copies taken through pool and not yet
+		// released, with the reference's copies taken at the same instant.
+		pool := &FrozenPool{}
+		type snapshot struct {
+			f   *FrozenGroup
+			ref *mapGroup
+		}
+		var snaps []snapshot
 		// seen lists every key drawn so far, once, in the order drawn.
 		var seen []uint64
 		drawn := map[uint64]bool{}
@@ -255,6 +270,14 @@ func FuzzGroupIndex(f *testing.F) {
 			}
 			checkIndex(t, &g.index)
 		}
+		// matchFrozen thaws f into a throwaway group, matches it, and drops
+		// the throwaway's hold the way a write would.
+		matchFrozen := func(step int, what string, f *FrozenGroup, ref *mapGroup) {
+			t.Helper()
+			th := f.Thaw()
+			match(step, what, th, ref)
+			th.unfreeze()
+		}
 		// The checks after each step read every key seen so far, so the
 		// steps are capped to keep one input's cost bounded.
 		for step := 0; step < 128 && len(data) >= 3; step++ {
@@ -265,7 +288,7 @@ func FuzzGroupIndex(f *testing.F) {
 			key := fuzzKey(kind, arg)
 			bytes := int(kind>>2) + 1
 			see(key)
-			switch (op & 15) % 12 {
+			switch (op & 15) % 14 {
 			case 0:
 				g.Put(key, string(rune('a'+arg%26)), bytes)
 				ref.Put(key, string(rune('a'+arg%26)), bytes)
@@ -310,41 +333,82 @@ func FuzzGroupIndex(f *testing.F) {
 					t.Fatalf("step %d: %d extracted keys in a %d-bucket index, want %d", step, out.Len(), len(out.index.table), indexLen(out.Len()))
 				}
 			case 7:
-				f := g.freeze()
+				// A restore: the old group lets go of its copy, and the
+				// thawed group is left its only holder.
+				f := g.freeze(pool)
 				gs[a] = f.Thaw()
 				refs[a] = ref.refreeze()
-				if gs[a].freeze() != f {
+				g.unfreeze()
+				f.release()
+				again := gs[a].freeze(pool)
+				if again != f {
 					t.Fatalf("step %d: a thawed group froze to a new copy before any write", step)
 				}
+				again.release()
 			case 8:
 				appendPane(g.Get, g.Put, key, arg)
 				appendPane(ref.Get, ref.Put, key, arg)
 			case 9:
 				// A pane appended in place must not leak into a checkpoint
 				// taken before it.
-				f := g.freeze()
+				f := g.freeze(pool)
 				r := ref.refreeze()
 				appendPane(g.Get, g.Put, key, arg)
 				appendPane(ref.Get, ref.Put, key, arg)
-				match(step, "checkpoint before the append", f.Thaw(), r)
+				matchFrozen(step, "checkpoint before the append", f, r)
+				f.release()
 			case 10:
-				held[a], heldRefs[a] = g.freeze(), ref.refreeze()
-				if g.freeze() != held[a] {
+				if held[a] != nil {
+					held[a].release()
+				}
+				held[a], heldRefs[a] = g.freeze(pool), ref.refreeze()
+				again := g.freeze(pool)
+				if again != held[a] {
 					t.Fatalf("step %d: two freezes with no write between made two copies", step)
 				}
+				again.release()
 			case 11:
-				before, r := g.freeze(), ref.refreeze()
+				before, r := g.freeze(pool), ref.refreeze()
 				g.PutF64(key, float64(step), bytes)
 				ref.put(key, float64(step), nil, bytes)
-				if g.freeze() == before {
+				after := g.freeze(pool)
+				if after == before {
 					t.Fatalf("step %d: a freeze after PutF64 returned the copy from before it", step)
 				}
-				match(step, "checkpoint before the PutF64", before.Thaw(), r)
+				after.release()
+				matchFrozen(step, "checkpoint before the PutF64", before, r)
+				before.release()
+			case 12:
+				// Snapshot: at most eight are held, the oldest released
+				// first.
+				if len(snaps) == 8 {
+					snaps[0].f.release()
+					snaps = slices.Delete(snaps, 0, 1)
+				}
+				snaps = append(snaps, snapshot{g.freeze(pool), ref.refreeze()})
+			case 13:
+				if len(snaps) > 0 {
+					i := int(arg) % len(snaps)
+					snaps[i].f.release()
+					snaps = slices.Delete(snaps, i, i+1)
+				}
 			}
 			for i := range gs {
 				match(step, "group "+string(rune('0'+i)), gs[i], refs[i])
 				if held[i] != nil {
-					match(step, "held checkpoint "+string(rune('0'+i)), held[i].Thaw(), heldRefs[i])
+					matchFrozen(step, "held checkpoint "+string(rune('0'+i)), held[i], heldRefs[i])
+				}
+			}
+			for i, sn := range snaps {
+				matchFrozen(step, "snapshot "+string(rune('0'+i)), sn.f, sn.ref)
+			}
+			for _, f := range pool.free {
+				inUse := f == held[0] || f == held[1] || f == gs[0].frozen || f == gs[1].frozen
+				for _, sn := range snaps {
+					inUse = inUse || f == sn.f
+				}
+				if f.holds != 0 || inUse {
+					t.Fatalf("step %d: the pool holds a copy with %d holders (in use: %v)", step, f.holds, inUse)
 				}
 			}
 		}

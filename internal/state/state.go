@@ -27,7 +27,9 @@
 // Checkpoints: a group's frozen copy is cached on the group until its next
 // write, so a checkpoint of a group untouched since the previous one shares
 // that one's copy instead of copying the slab again. Frozen copies are never
-// mutated; Thaw copies out of them.
+// mutated while anything holds them; Thaw copies out of them. A copy counts
+// its holders (snapshots and groups caching it), and one no longer held goes
+// back to the FrozenPool it came from, whose next freeze refills it in place.
 //
 // Byte accounting is per entry and per group; migration chunking,
 // sub-key-group slicing and serialized-bytes accounting all read it.
@@ -83,20 +85,21 @@ type slot struct {
 // restored group aliases state that keeps changing.
 type Cloner interface{ CloneState() any }
 
-// cloneAux copies an aux lane for a checkpoint or a restore, deep-copying the
-// payloads that implement Cloner. A nil lane stays nil.
-func cloneAux(aux []any) []any {
+// cloneAux copies an aux lane into dst's storage for a checkpoint or a
+// restore, deep-copying the payloads that implement Cloner. A nil lane
+// stays nil.
+func cloneAux(dst, aux []any) []any {
 	if aux == nil {
 		return nil
 	}
-	out := make([]any, len(aux))
-	for i, v := range aux {
+	dst = slices.Grow(dst[:0], len(aux))
+	for _, v := range aux {
 		if c, ok := v.(Cloner); ok {
 			v = c.CloneState()
 		}
-		out[i] = v
+		dst = append(dst, v)
 	}
-	return out
+	return dst
 }
 
 const (
@@ -233,7 +236,8 @@ type Group struct {
 	// from then on it is as long as slots.
 	aux  []any
 	free []int32
-	// frozen is the group's checkpoint copy, cached until the next write.
+	// frozen is the group's checkpoint copy, cached until the next write;
+	// the cache is one of the copy's holders.
 	frozen *FrozenGroup
 	// Bytes is the group's accounted size (the sum of entry sizes).
 	Bytes int
@@ -259,7 +263,7 @@ func (g *Group) put(key uint64, val float64, aux any, bytes int) {
 	if bytes > math.MaxInt32 {
 		panic(fmt.Sprintf("state: entry of %d bytes for key %d exceeds the int32 slot size", bytes, key))
 	}
-	g.frozen = nil
+	g.unfreeze()
 	b, ok := g.index.find(key)
 	var i int32
 	if ok {
@@ -336,7 +340,7 @@ func (g *Group) Delete(key uint64) {
 	if !ok {
 		return
 	}
-	g.frozen = nil
+	g.unfreeze()
 	i := g.index.table[b].ref - 1
 	g.index.remove(b)
 	s := &g.slots[i]
@@ -404,31 +408,80 @@ func (g *Group) Merge(other *Group) {
 }
 
 // FrozenGroup is a checkpoint copy of a group: its slab, aux lane, free list
-// and byte total, without the key index. It serves no reads and is never
-// mutated; Thaw makes a live copy.
+// and byte total, without the key index. It serves no reads; Thaw makes a
+// live copy.
+//
+// A copy counts its holders: each snapshot that contains it, and each group
+// whose frozen cache points at it (the group that froze it, and any group
+// Thaw made from it). It is never mutated while the count is above zero.
+// When the last holder lets go, the copy returns to the pool it was drawn
+// from, and a later freeze refills it. A group dropped while it still holds
+// a copy (a dead store, a migrated chunk lost in flight) never lets go, so
+// that copy is left to the garbage collector: a missed release leaks, it
+// never hands out a copy something still reads.
 type FrozenGroup struct {
 	slots []slot
 	aux   []any
 	free  []int32
 	bytes int
+	holds int
+	pool  *FrozenPool
 }
 
-// freeze returns the group's checkpoint copy. A group not written since its
-// last freeze (or since the Thaw that made it) returns that same copy;
-// otherwise freeze copies the slab, free list and aux lane — deep-copying
-// Cloner payloads, sharing the rest, which are replaced wholesale on
-// Put — and caches the copy until the next write. Checkpoints never alias
-// live slabs.
-func (g *Group) freeze() *FrozenGroup {
-	if g.frozen == nil {
-		g.frozen = &FrozenGroup{
-			slots: append([]slot(nil), g.slots...),
-			aux:   cloneAux(g.aux),
-			free:  append([]int32(nil), g.free...),
-			bytes: g.Bytes,
-		}
+// release drops one hold on the copy, returning it to its pool when no
+// holder is left.
+func (f *FrozenGroup) release() {
+	if f.holds--; f.holds == 0 && f.pool != nil {
+		clear(f.aux) // drop the payloads; the lane's storage stays
+		f.pool.free = append(f.pool.free, f)
 	}
-	return g.frozen
+}
+
+// FrozenPool takes back frozen copies that nothing holds any more, so that
+// checkpoints refill them instead of allocating fresh ones. The zero value is
+// ready to use; a nil pool recycles nothing.
+type FrozenPool struct{ free []*FrozenGroup }
+
+// get returns a copy for freeze to refill: a pooled one, or a new one when
+// the pool is nil or empty.
+func (p *FrozenPool) get() *FrozenGroup {
+	if p == nil || len(p.free) == 0 {
+		return &FrozenGroup{pool: p}
+	}
+	f := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	return f
+}
+
+// freeze returns the group's checkpoint copy with one hold taken for the
+// caller, who releases it when done. A group not written since its last
+// freeze (or since the Thaw that made it) returns that same copy; otherwise
+// freeze refills a copy drawn from pool (nil allowed) with the slab, free
+// list and aux lane — deep-copying Cloner payloads, sharing the rest, which
+// are replaced wholesale on Put — and caches it, holding it, until the next
+// write. Checkpoints never alias live slabs.
+func (g *Group) freeze(pool *FrozenPool) *FrozenGroup {
+	f := g.frozen
+	if f == nil {
+		f = pool.get()
+		f.slots = append(f.slots[:0], g.slots...)
+		f.aux = cloneAux(f.aux, g.aux)
+		f.free = append(f.free[:0], g.free...)
+		f.bytes = g.Bytes
+		f.holds = 1
+		g.frozen = f
+	}
+	f.holds++
+	return f
+}
+
+// unfreeze drops the group's cached copy and its hold on it; every write
+// does this first.
+func (g *Group) unfreeze() {
+	if f := g.frozen; f != nil {
+		g.frozen = nil
+		f.release()
+	}
 }
 
 // Thaw returns a live copy of the frozen group, rebuilding the key index from
@@ -436,11 +489,12 @@ func (g *Group) freeze() *FrozenGroup {
 // payloads. The frozen copy is left intact, so a restore never hands a
 // checkpoint's only copy to a store that will keep mutating it, and one
 // checkpoint can be thawed any number of times. Until its first write, the
-// thawed group's own checkpoint copy is f.
+// thawed group's own checkpoint copy is f, which it holds.
 func (f *FrozenGroup) Thaw() *Group {
+	f.holds++
 	g := &Group{
 		slots:  append([]slot(nil), f.slots...),
-		aux:    cloneAux(f.aux),
+		aux:    cloneAux(nil, f.aux),
 		free:   append([]int32(nil), f.free...),
 		frozen: f,
 		Bytes:  f.bytes,
@@ -629,6 +683,7 @@ func (s *Store) InstallGroup(kg int, g *Group) {
 	}
 	if cur := s.Group(kg); cur != nil {
 		cur.Merge(g)
+		g.unfreeze() // g is folded in and dropped
 		return
 	}
 	*s.cell(kg) = g
@@ -663,27 +718,64 @@ func (s *Store) ExtractSubUnit(kg, sub, n int) *Group {
 	return out
 }
 
-// Snapshot is a frozen copy of a store's groups, by key group.
-type Snapshot map[int]*FrozenGroup
+// Snapshot is a frozen copy of a store's groups. Like Store, it is a window
+// over the key groups [lo, lo+len(groups)), holding nil for each key group in
+// it that was not local. It holds each copy it contains until Release.
+type Snapshot struct {
+	lo     int
+	groups []*FrozenGroup
+}
 
-// Snapshot freezes a copy of every local group.
-func (s *Store) Snapshot() Snapshot {
-	out := make(Snapshot, s.owned)
-	for i, g := range s.groups {
-		if g != nil {
-			out[s.lo+i] = g.freeze()
+// Group returns the frozen copy of kg, or nil when kg was not local.
+func (snap *Snapshot) Group(kg int) *FrozenGroup {
+	if i := uint(kg - snap.lo); i < uint(len(snap.groups)) {
+		return snap.groups[i]
+	}
+	return nil
+}
+
+// Release drops the snapshot's hold on every copy it contains and empties
+// it, keeping its window's storage for the next SnapshotTo.
+func (snap *Snapshot) Release() {
+	for _, f := range snap.groups {
+		if f != nil {
+			f.release()
 		}
 	}
-	return out
+	clear(snap.groups)
+	snap.groups = snap.groups[:0]
+}
+
+// Snapshot freezes a copy of every local group, drawing on no pool. Nothing
+// releases the result, so the copies it holds never return to a pool.
+func (s *Store) Snapshot() Snapshot {
+	var snap Snapshot
+	s.SnapshotTo(&snap, nil)
+	return snap
+}
+
+// SnapshotTo freezes a copy of every local group into dst, which must be
+// empty (zero or released), reusing its window's storage. New copies are
+// refilled from pool when it has any; pool may be nil.
+func (s *Store) SnapshotTo(dst *Snapshot, pool *FrozenPool) {
+	dst.lo = s.lo
+	dst.groups = slices.Grow(dst.groups[:0], len(s.groups))[:len(s.groups)]
+	for i, g := range s.groups {
+		if g != nil {
+			dst.groups[i] = g.freeze(pool)
+		}
+	}
 }
 
 // Restore replaces the store contents with thawed copies of a snapshot.
 func (s *Store) Restore(snap Snapshot) {
 	clear(s.groups)
-	s.groups, s.owned = s.groups[:0], len(snap)
-	//lint:allow maporder Thaw copies one self-contained group into kg's own cell; the window covers the same key groups in any order
-	for kg, f := range snap {
-		*s.cell(kg) = f.Thaw()
+	s.groups, s.owned = s.groups[:0], 0
+	for i, f := range snap.groups {
+		if f != nil {
+			*s.cell(snap.lo + i) = f.Thaw()
+			s.owned++
+		}
 	}
 }
 
