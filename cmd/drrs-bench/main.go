@@ -129,7 +129,7 @@ func main() {
 			}
 			fmt.Printf("%-22s %-20s %-44s %s\n", def.Name, sc.ProgramString(), layout, def.Description)
 			fmt.Printf("%-22s %-20s traffic: %s\n", "", "", def.TrafficSummary())
-			if fs := sc.Faults.Summary(); fs != "" {
+			if fs := sc.Faults.Spec(); fs != "" {
 				fmt.Printf("%-22s %-20s faults: %s\n", "", "", fs)
 			}
 		}

@@ -123,13 +123,19 @@ func TestScenarioRegistry(t *testing.T) {
 	ScenarioByName("bogus", 1)
 }
 
-func TestRegisterRejectsDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate registration should panic")
+// TestDefinitionNamesUnique: lookup returns the first entry of a name, so a
+// duplicate would silently shadow its twin in every listing and sweep.
+func TestDefinitionNamesUnique(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, def := range Definitions() {
+		if def.Name == "" || def.New == nil {
+			t.Errorf("definition %q needs a name and a constructor", def.Name)
 		}
-	}()
-	Register(Definition{Name: "q7", Description: "dup", New: Q7Scenario})
+		if seen[def.Name] {
+			t.Errorf("duplicate scenario %q", def.Name)
+		}
+		seen[def.Name] = true
+	}
 }
 
 // TestFigureSeedValidation guards the empty-seed-list fix: figure harnesses

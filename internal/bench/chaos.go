@@ -22,29 +22,15 @@ import (
 // unfaulted runs — its fields fold into OutcomeDigest only when present, so
 // pre-fault-layer digests stay byte-identical.
 type FaultSummary struct {
-	// Events / Crashes / FailedTransfers / RecoveredGroups / LostGroups /
-	// ReplayedRecords / RecoveryMs mirror faults.Stats.
-	Events          int
-	Crashes         int
-	FailedTransfers int
-	RecoveredGroups int
-	LostGroups      int
-	ReplayedRecords uint64
-	RecoveryMs      float64
-	// RetriedTransfers counts transfer re-attempts under the plan's retry
-	// policy (folds into the digest only when nonzero, so pre-retry chaos
-	// digests stay byte-identical).
-	RetriedTransfers int
+	// Stats is what the injector did and what recovery cost. Its
+	// WipedGroups and RelocatedGroups, which complete the crash-wipe
+	// identity the chaos conservation oracle checks, are deliberately NOT
+	// folded into OutcomeDigest: they derive from the already-folded
+	// recovery flow, and folding them would break every pinned chaos digest.
+	faults.Stats
 	// RecordsLost counts data records dropped at dead instances (in-flight at
 	// the crash, or stranded at a destination whose state chunk reverted).
 	RecordsLost uint64
-	// WipedGroups / RelocatedGroups complete the crash-wipe identity
-	// (Wiped == Recovered + Lost + Relocated) the chaos conservation oracle
-	// checks. Deliberately NOT folded into OutcomeDigest: they are derived
-	// from the already-folded recovery flow, and folding them would break
-	// every pinned chaos digest.
-	WipedGroups     int
-	RelocatedGroups int
 	// Replans counts controller decisions marked Recovery: involuntary
 	// supersessions re-planning an in-flight operation around a disruption.
 	Replans int
@@ -65,45 +51,13 @@ func faultSummary(inj *faults.Injector, rt *engine.Runtime, decisions []control.
 	if inj == nil {
 		return nil
 	}
-	st := inj.Stats()
-	fs := &FaultSummary{
-		Events:           st.Events,
-		Crashes:          st.Crashes,
-		FailedTransfers:  st.FailedTransfers,
-		RecoveredGroups:  st.RecoveredGroups,
-		LostGroups:       st.LostGroups,
-		ReplayedRecords:  st.ReplayedRecords,
-		RecoveryMs:       st.RecoveryMs,
-		RetriedTransfers: st.RetriedTransfers,
-		RecordsLost:      rt.LostRecords(),
-		WipedGroups:      st.WipedGroups,
-		RelocatedGroups:  st.RelocatedGroups,
-	}
+	fs := &FaultSummary{Stats: inj.Stats(), RecordsLost: rt.LostRecords()}
 	for _, d := range decisions {
 		if d.Recovery {
 			fs.Replans++
 		}
 	}
 	return fs
-}
-
-func init() {
-	Register(Definition{Name: "node-loss-mid-migrate",
-		Description: "reactive scale-out whose destination node crashes mid-migration; checkpoint restore + re-plan",
-		Layout:      "4 racks × 4 nodes; crash r0n1 at 13s (restarts at 19s), ckpt 2s",
-		New:         NodeLossScenario})
-	Register(Definition{Name: "straggler-rack",
-		Description: "the operator's home rack degrades to 0.4× mid-run; the controller scales around it",
-		Layout:      "4 racks × 4 nodes; r0n0–r0n3 straggle at 12s, heal at 24s",
-		New:         StragglerRackScenario})
-	Register(Definition{Name: "flaky-uplink",
-		Description: "spread scale-out over a rack uplink that degrades, partitions, then heals mid-migration",
-		Layout:      "4 racks × 4 nodes; r1 uplink 4MB/s→256KB/s at 11s, partitioned 13–18s, healed 21s",
-		New:         FlakyUplinkScenario})
-	Register(Definition{Name: "flaky-uplink-retry",
-		Description: "flaky-uplink with transfer retry armed and the controller in degraded mode: transient failures back off and re-send instead of settling",
-		Layout:      "4 racks × 4 nodes; r1 partitioned 11–14s; retries ×4 (500ms..4s backoff), degraded debounce 4s",
-		New:         FlakyUplinkRetryScenario})
 }
 
 // chaosScenario is the shared substrate: the custom job under a 1.5× flash

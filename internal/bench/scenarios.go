@@ -27,51 +27,6 @@ const (
 	mainHorizon = mainWarmup + mainMeasure
 )
 
-// The registry makes every scenario reachable by name from drrs-bench
-// (-list, -workload, sweeps); adding a workload is one Register call plus a
-// constructor. EXPERIMENTS.md documents each scenario's down-scaling.
-func init() {
-	Register(Definition{Name: "q7",
-		Description: "NEXMark Q7 sliding-window max: high rate, short window (Figs 10–13)",
-		New:         Q7Scenario})
-	Register(Definition{Name: "q8",
-		Description: "NEXMark Q8 person⋈auction join: low rate, the largest state (Figs 10–13)",
-		New:         Q8Scenario})
-	Register(Definition{Name: "twitch",
-		Description: "seven-operator Twitch loyalty pipeline (Figs 2, 10–14)",
-		New:         TwitchScenario})
-	Register(Definition{Name: "sensitivity",
-		Description: "Fig 15 custom job at the grid midpoint (8K tps, 15 MB, skew 0.5, 4-node cluster)",
-		Layout:      "4-node heterogeneous Swarm",
-		New: func(seed int64) Scenario {
-			return SensitivityScenario(seed, 8000, 15<<20, 0.5)
-		}})
-	Register(Definition{Name: "flash-crowd",
-		Description: "custom job under a 1.25× load spike: scale out into the spike, back after it",
-		New:         FlashCrowdScenario})
-	Register(Definition{Name: "diurnal",
-		Description: "custom job under a compressed day/night ramp with an out-then-back program",
-		New:         DiurnalScenario})
-	Register(Definition{Name: "hotshift",
-		Description: "custom job whose Zipf hot set drifts through the key space during scaling",
-		New:         HotShiftScenario})
-	Register(Definition{Name: "twitch-rebound",
-		Description: "Twitch pipeline scaling 8→12 and back 12→8 once the crowd disperses",
-		New:         TwitchReboundScenario})
-	// The closed-loop track: scaling is triggered by the workload itself —
-	// a control policy observing backlog/throughput/latency decides when and
-	// how far to scale, instead of a pre-scripted wave program.
-	Register(Definition{Name: "flash-crowd-reactive",
-		Description: "1.5× flash crowd with the backlog policy chasing the spike (no script)",
-		New:         FlashCrowdReactiveScenario})
-	Register(Definition{Name: "diurnal-autoscale",
-		Description: "day/night ramp with the predictive policy scaling into the trend",
-		New:         DiurnalAutoscaleScenario})
-	Register(Definition{Name: "oscillation-guard",
-		Description: "hotshift drift under the threshold policy; debounce+hysteresis damp flapping",
-		New:         OscillationGuardScenario})
-}
-
 // Q7Scenario reproduces the NEXMark Q7 setup: high input rate, short
 // sliding window (paper: 20K tps, 10 s/500 ms, ~800 MB state).
 func Q7Scenario(seed int64) Scenario {

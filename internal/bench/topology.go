@@ -75,21 +75,6 @@ func TopologyByName(name string) func(*simtime.Scheduler) *cluster.Cluster {
 	}
 }
 
-func init() {
-	Register(Definition{Name: "rack-skew",
-		Description: "custom job packed onto one of 4 racks; scale-out lands rack-local vs cross-rack",
-		Layout:      "4 racks × 4 nodes, 2 MB/s NICs, shared 4 MB/s uplinks",
-		New:         RackSkewScenario})
-	Register(Definition{Name: "bigcluster-128",
-		Description: "custom job at 256→320 instances on 128 nodes — the production-scale stress",
-		Layout:      "8 racks × 16 nodes, 8 MB/s NICs, shared 32 MB/s uplinks",
-		New:         BigCluster128Scenario})
-	Register(Definition{Name: "hetero-tiers",
-		Description: "three hardware tiers (1.3×/1.0×/0.7×); the slow tier gates scale-out and scale-back",
-		Layout:      "3 racks × 8 nodes, tiered speeds",
-		New:         HeteroTiersScenario})
-}
-
 // RackSkewScenario runs the custom job with its keyed state concentrated on
 // one rack (rack-local placement packs all 16 initial instances plus the
 // sources onto r0): the 16→24 scale-out either stays on the rack — fast, no

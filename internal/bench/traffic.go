@@ -192,18 +192,3 @@ func TraceReplayScenario(seed int64) Scenario {
 		Seed:           seed,
 	}
 }
-
-func init() {
-	Register(Definition{
-		Name:        "million-users",
-		Description: "1200 heterogeneous user cohorts, staggered diurnal peaks, drifting hot sets, backlog-driven autoscaling",
-		Layout:      "1 node",
-		New:         MillionUsersScenario,
-	})
-	Register(Definition{
-		Name:        "trace-replay",
-		Description: "replays a recorded multi-cohort trace through the custom job (swap the trace with -replay)",
-		Layout:      "1 node",
-		New:         TraceReplayScenario,
-	})
-}

@@ -10,17 +10,26 @@ import (
 	"drrs/internal/simtime"
 )
 
-// crashHeavyGen aims the fuzzer at the operator's home rack (the node-loss
-// scenario packs the job onto r0), so generated crashes reliably hit nodes
-// that hold keyed state. An untargeted search still works — it just spends
-// most of its faults on empty nodes.
-func crashHeavyGen() *faults.GenConfig {
-	return &faults.GenConfig{
-		Nodes:       []string{"r0n0", "r0n1", "r0n2", "r0n3"},
-		MinFaults:   4,
-		MaxFaults:   6,
-		CrashWeight: 3, StraggleWeight: 1, UplinkWeight: 1,
+// crashHeavyPlans are crash-heavy fault plans aimed at the operator's home
+// rack (the node-loss scenario packs the job onto r0), so their crashes
+// reliably hit nodes that hold keyed state — one plan per seed 1..3.
+var crashHeavyPlans = []struct {
+	seed int64
+	spec string
+}{
+	{1, "retry=2;straggle@10.692s:node=r0n2,factor=0.6000000000000001,heal=11.077s;crash@11.994s:node=r0n0,restart=7.198s;crash@12.883s:node=r0n1;crash@13.019s:node=r0n3,restart=4.932s;crash@18.206s:node=r0n0,restart=3.287s"},
+	{2, "retry=2;crash@10.001s:node=r0n2,restart=6.646s;crash@12.999s:node=r0n2,restart=4.219s;straggle@14.613s:node=r0n3,factor=0.4,heal=5.287s;crash@17.124s:node=r0n2,restart=5.689s"},
+	{3, "retry=2;straggle@12.056s:node=r0n1,factor=0.2,heal=10.746s;crash@14.019s:node=r0n0,restart=4.605s;crash@14.979s:node=r0n3;crash@15.508s:node=r0n0;crash@18.013s:node=r0n3,restart=5.229s"},
+}
+
+// mustPlan parses a fault spec the test owns.
+func mustPlan(t *testing.T, spec string) faults.Plan {
+	t.Helper()
+	p, err := faults.ParseSpec(spec)
+	if err != nil {
+		t.Fatalf("ParseSpec(%q): %v", spec, err)
 	}
+	return *p
 }
 
 // TestSearchCleanAtHead: the CI-shaped search — generated fault plans over
@@ -42,88 +51,69 @@ func TestSearchCleanAtHead(t *testing.T) {
 }
 
 // TestSearchTargetedCleanAtHead raises the bar: crash-heavy plans aimed at
-// the state-holding rack, across all three mechanisms. Recovery, transfer
-// retry, re-planning, and the accounting counters all get exercised hard —
-// and must stay violation-free.
+// the state-holding rack, across all three mechanisms, each case run twice.
+// Recovery, transfer retry, re-planning, and the accounting counters all get
+// exercised hard — and must stay violation-free.
 func TestSearchTargetedCleanAtHead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos search simulates minutes of virtual time")
 	}
-	res := Search(Config{
-		Scenarios: []string{"node-loss-mid-migrate"},
-		Seeds:     []int64{1, 2, 3},
-		Gen:       crashHeavyGen(),
-	})
-	for _, v := range res.Violations {
-		t.Errorf("[%s/%s seed=%d] %s: %s\n  repro: %s",
-			v.Scenario, v.Mechanism, v.Seed, v.Oracle, v.Detail, v.Repro())
+	const scenario = "node-loss-mid-migrate"
+	for _, c := range crashHeavyPlans {
+		plan := mustPlan(t, c.spec)
+		for _, mech := range []string{"drrs", "meces", "megaphone"} {
+			for _, f := range execCase(scenario, mech, c.seed, plan, true, bench.Harness{}) {
+				v := Violation{Scenario: scenario, Mechanism: mech, Seed: c.seed, Spec: c.spec}
+				t.Errorf("[%s/%s seed=%d] %s: %s\n  repro: %s",
+					scenario, mech, c.seed, f.Oracle, f.Detail, v.Repro())
+			}
+		}
 	}
 }
 
 // TestBrokenRecoveryCaughtAndShrunk is the harness-of-the-harness acceptance
-// test: with the recovery re-plan disabled behind the test hook, the search
-// must catch the regression on every seed, shrink a failing plan to at most
-// three faults, and the shrunk spec string must reproduce the violation from
-// its seed alone (replayed through faults.ParseSpec, exactly as a developer
-// pasting the repro line would).
+// test: with recovery switched off in the plan itself ("recovery=off"), the
+// oracles must catch the regression on every seed, the shrinker must reduce
+// each failing plan to at most three faults, and the shrunk spec string must
+// reproduce the violation from its seed alone (replayed through
+// faults.ParseSpec, exactly as a developer pasting the repro line would).
 func TestBrokenRecoveryCaughtAndShrunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos search simulates minutes of virtual time")
 	}
-	prev := faults.SetDisableRecovery(true)
-	defer faults.SetDisableRecovery(prev)
-	seeds := []int64{1, 2, 3}
-	res := Search(Config{
-		Scenarios:  []string{"node-loss-mid-migrate"},
-		Mechanisms: []string{"drrs"},
-		Seeds:      seeds,
-		Gen:        crashHeavyGen(),
-		Shrink:     true,
-	})
-	bySeed := map[int64]int{}
-	for _, v := range res.Violations {
-		bySeed[v.Seed]++
-	}
-	for _, s := range seeds {
-		if bySeed[s] == 0 {
-			t.Errorf("seed %d: broken recovery not caught", s)
-		}
-	}
-	var shrunk *Violation
-	for i := range res.Violations {
-		v := &res.Violations[i]
-		if !v.Shrunk {
+	const scenario, mech = "node-loss-mid-migrate", "drrs"
+	for _, c := range crashHeavyPlans {
+		plan := mustPlan(t, "recovery=off;"+c.spec)
+		fs := execCase(scenario, mech, c.seed, plan, true, bench.Harness{})
+		if len(fs) == 0 {
+			t.Errorf("seed %d: broken recovery not caught", c.seed)
 			continue
 		}
+		v := ShrinkViolation(Violation{
+			Scenario: scenario, Mechanism: mech, Seed: c.seed,
+			Oracle: fs[0].Oracle, Detail: fs[0].Detail,
+			Plan: plan, Spec: plan.Spec(),
+		}, bench.Harness{}, shrinkBudget)
 		if len(v.Plan.Faults) > 3 {
-			t.Errorf("seed %d: shrunk plan still has %d faults (%s)", v.Seed, len(v.Plan.Faults), v.Spec)
+			t.Errorf("seed %d: shrunk plan still has %d faults (%s)", c.seed, len(v.Plan.Faults), v.Spec)
 		}
 		if v.ShrinkRuns <= 0 {
-			t.Errorf("seed %d: shrunk without spending runs", v.Seed)
+			t.Errorf("seed %d: shrunk without spending runs", c.seed)
 		}
-		if shrunk == nil {
-			shrunk = v
+		// The repro line names the exact flags; the spec string must keep
+		// recovery off, parse, and reproduce the same oracle violation.
+		if !strings.Contains(v.Spec, "recovery=off") || !strings.Contains(v.Repro(), v.Spec) {
+			t.Fatalf("seed %d: repro %q lost the recovery=off knob", c.seed, v.Repro())
 		}
+		p := mustPlan(t, v.Spec)
+		replay := execCase(scenario, mech, c.seed, p, v.Oracle == OracleDeterminism, bench.Harness{})
+		if !hasOracle(replay, v.Oracle) {
+			t.Fatalf("replaying %q at seed %d did not reproduce the %s violation (got %v)",
+				v.Spec, c.seed, v.Oracle, replay)
+		}
+		t.Logf("seed %d: %s shrunk to %d fault(s) in %d runs: %s",
+			c.seed, v.Oracle, len(v.Plan.Faults), v.ShrinkRuns, v.Repro())
 	}
-	if shrunk == nil {
-		t.Fatal("no violation was shrunk")
-	}
-	// The repro line names the exact flags; the spec string must parse and
-	// reproduce the same oracle violation.
-	if !strings.Contains(shrunk.Repro(), shrunk.Spec) {
-		t.Fatalf("repro %q does not carry the spec", shrunk.Repro())
-	}
-	p, err := faults.ParseSpec(shrunk.Spec)
-	if err != nil {
-		t.Fatalf("shrunk spec %q does not parse: %v", shrunk.Spec, err)
-	}
-	fs := execCase(shrunk.Scenario, shrunk.Mechanism, shrunk.Seed, *p,
-		shrunk.Oracle == OracleDeterminism, bench.Harness{})
-	if !hasOracle(fs, shrunk.Oracle) {
-		t.Fatalf("replaying %q at seed %d did not reproduce the %s violation (got %v)",
-			shrunk.Spec, shrunk.Seed, shrunk.Oracle, fs)
-	}
-	t.Logf("shrunk to %d fault(s) in %d runs: %s", len(shrunk.Plan.Faults), shrunk.ShrinkRuns, shrunk.Repro())
 }
 
 // TestLivenessExcusesOnlyOvertakenOperations pins the liveness oracle on

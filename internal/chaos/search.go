@@ -18,9 +18,6 @@ type Config struct {
 	Mechanisms []string
 	// Seeds drive both the workload and the generated fault plan; required.
 	Seeds []int64
-	// Gen overrides the generator bounds. Nil derives targets (schedulable
-	// nodes, racks) from each scenario's own cluster and keeps defaults.
-	Gen *faults.GenConfig
 	// Retries arms transfer retry on generated plans (default 2; negative
 	// disables).
 	Retries int
@@ -147,20 +144,11 @@ func Search(cfg Config) Result {
 	return res
 }
 
-// genConfig resolves the generator bounds for one scenario: the explicit
-// override when set (deriving targets if it names none), else scenario-
-// derived targets with default bounds plus the search's retry knob.
+// genConfig resolves the generator targets for one scenario — derived from
+// the cluster its runs will have — plus the search's retry knob.
 func (cfg *Config) genConfig(h bench.Harness, scenario string) faults.GenConfig {
 	g := faults.GenConfig{Retries: cfg.Retries}
-	if cfg.Gen != nil {
-		g = *cfg.Gen
-		if g.Retries == 0 {
-			g.Retries = cfg.Retries
-		}
-	}
-	if len(g.Nodes) == 0 && len(g.Racks) == 0 {
-		g.Nodes, g.Racks = deriveTargets(h, scenario)
-	}
+	g.Nodes, g.Racks = deriveTargets(h, scenario)
 	return g
 }
 

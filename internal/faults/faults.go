@@ -24,7 +24,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"drrs/internal/cluster"
@@ -77,6 +76,9 @@ type Plan struct {
 	CheckpointEvery simtime.Duration
 	// RecoveryDelay is how long crashed instances stay down before the
 	// recovery path revives them (default 1s) — detection plus restart cost.
+	// A negative delay (spec "recovery=off") never revives them: the crash's
+	// victims stay dead and their state stays gone, which is how the chaos
+	// search's oracles are shown a genuine recovery defect to find.
 	RecoveryDelay simtime.Duration
 	// TransferRetries, when positive, arms the cluster's transfer retry
 	// policy: transient transfer failures (partitioned uplink, restartable
@@ -94,7 +96,7 @@ func (p *Plan) fillDefaults() {
 	if p.CheckpointEvery <= 0 {
 		p.CheckpointEvery = 2 * simtime.Second
 	}
-	if p.RecoveryDelay <= 0 {
+	if p.RecoveryDelay == 0 {
 		p.RecoveryDelay = simtime.Second
 	}
 	if p.TransferRetries > 0 {
@@ -105,37 +107,6 @@ func (p *Plan) fillDefaults() {
 			p.RetryCap = 2 * simtime.Second
 		}
 	}
-}
-
-// Summary renders the plan compactly for listings.
-func (p *Plan) Summary() string {
-	if p == nil {
-		return ""
-	}
-	parts := make([]string, 0, len(p.Faults))
-	for _, f := range p.Faults {
-		s := fmt.Sprintf("%s@%s", f.Kind, f.At)
-		switch f.Kind {
-		case Crash:
-			s += ":" + f.Node
-			if f.Restart > 0 {
-				s += fmt.Sprintf("+restart@%s", f.Restart)
-			}
-		case Straggle:
-			s += fmt.Sprintf(":%s×%.2g", f.Node, f.Factor)
-		case Uplink:
-			if f.Bandwidth <= 0 {
-				s += ":" + f.Rack + " partition"
-			} else {
-				s += fmt.Sprintf(":%s→%.3gMB/s", f.Rack, f.Bandwidth/1e6)
-			}
-		}
-		if f.Heal > 0 {
-			s += fmt.Sprintf("+heal@%s", f.Heal)
-		}
-		parts = append(parts, s)
-	}
-	return strings.Join(parts, "; ")
 }
 
 // Spec renders the plan in the exact grammar ParseSpec reads, knobs first,
@@ -150,7 +121,10 @@ func (p *Plan) Spec() string {
 	if p.CheckpointEvery > 0 {
 		parts = append(parts, "ckpt="+fmtDur(p.CheckpointEvery))
 	}
-	if p.RecoveryDelay > 0 {
+	switch {
+	case p.RecoveryDelay < 0:
+		parts = append(parts, "recovery=off")
+	case p.RecoveryDelay > 0:
 		parts = append(parts, "recovery="+fmtDur(p.RecoveryDelay))
 	}
 	if p.TransferRetries > 0 {
@@ -365,25 +339,10 @@ func (inj *Injector) crash(f Fault) {
 		restart := f.Restart
 		inj.rt.Sched.After(restart, func() { c.MarkAlive(f.Node) })
 	}
-	if disableRecovery.Load() {
-		// Test hook: the crash's victims stay dead and their state stays
-		// gone, so the chaos search's conservation/liveness oracles have a
-		// genuine defect to find and shrink.
+	if inj.plan.RecoveryDelay < 0 {
 		return
 	}
 	inj.rt.Sched.After(inj.plan.RecoveryDelay, func() { inj.recover(crashAt, victims, lost) })
-}
-
-// disableRecovery suppresses the crash-recovery re-plan (checkpoint restore,
-// replay, revive). It exists solely so chaos-search tests can verify the
-// harness catches a recovery regression; atomic because parallel bench
-// workers read it concurrently.
-var disableRecovery atomic.Bool
-
-// SetDisableRecovery toggles the recovery-suppression test hook and returns
-// the previous value so tests can restore it.
-func SetDisableRecovery(v bool) bool {
-	return disableRecovery.Swap(v)
 }
 
 // recover revives a crash's victims: re-place through the placement policy,
@@ -482,7 +441,7 @@ func (inj *Injector) uplink(f Fault) {
 //	straggle@15s:node=r0n1,factor=0.3,heal=10s
 //	uplink@14s:rack=r0,bw=0,heal=8s
 //	ckpt=2s          (plan knob: checkpoint cadence)
-//	recovery=1s      (plan knob: crash recovery delay)
+//	recovery=1s      (plan knob: crash recovery delay; "off" never revives)
 //	retry=3          (plan knob: transient-transfer retry budget)
 //	retrybase=250ms  (plan knob: first retry backoff)
 //	retrycap=2s      (plan knob: backoff ceiling)
@@ -504,6 +463,10 @@ func ParseSpec(spec string) (*Plan, error) {
 			continue
 		}
 		if v, ok := strings.CutPrefix(entry, "recovery="); ok {
+			if v == "off" {
+				p.RecoveryDelay = -1
+				continue
+			}
 			d, err := parseDur(v)
 			if err != nil {
 				return nil, fmt.Errorf("faults: recovery: %w", err)

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"strings"
 	"testing"
 
 	"drrs/internal/simtime"
@@ -34,9 +33,6 @@ func TestParseSpecFull(t *testing.T) {
 	s := p.Faults[2]
 	if s.Node != "r0n1" || s.Factor != 0.3 || s.Heal != simtime.Sec(10) {
 		t.Fatalf("straggle %+v", s)
-	}
-	if sum := p.Summary(); !strings.Contains(sum, "crash@") || !strings.Contains(sum, "partition") {
-		t.Fatalf("summary %q", sum)
 	}
 }
 
@@ -115,7 +111,7 @@ func TestNilInjectorIsSafe(t *testing.T) {
 		t.Fatal("nil Checkpointer must be nil")
 	}
 	var p *Plan
-	if p.Summary() != "" {
-		t.Fatal("nil plan summary must be empty")
+	if p.Spec() != "" {
+		t.Fatal("nil plan spec must be empty")
 	}
 }

@@ -21,6 +21,7 @@ func FuzzParseSpec(f *testing.F) {
 			"crash@16.125s:node=r0n2,restart=6.446s;crash@16.77s:node=r0n3,restart=6.23s;" +
 			"straggle@18.096s:node=r0n0,factor=0.2,heal=11.708s",
 		"retry=3;retrybase=250ms;retrycap=2s;crash@1s:node=n0,jitter=0.1",
+		"recovery=off;crash@1s:node=n0",
 		" ; crash@1s:node=n0 ; ",
 		"",
 	} {

@@ -32,26 +32,22 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-// TestGenerateBounds checks every drawn value lands inside the configured
-// (or default) bounds, across enough seeds to exercise all three kinds.
+// TestGenerateBounds checks every drawn value lands inside the generator's
+// bounds, across enough seeds to exercise all three kinds.
 func TestGenerateBounds(t *testing.T) {
 	cfg := genCfg()
-	cfg.MinFaults, cfg.MaxFaults = 2, 5
-	cfg.Onset, cfg.Window = 8*simtime.Second, 4*simtime.Second
-	cfg.HealMin, cfg.HealMax = simtime.Second, 3*simtime.Second
-	cfg.RestartMin, cfg.RestartMax = simtime.Second, 2*simtime.Second
 	nodes := map[string]bool{"r0n0": true, "r0n1": true, "r1n0": true}
 	racks := map[string]bool{"r0": true, "r1": true}
 	kinds := map[Kind]int{}
 	for seed := int64(0); seed < 40; seed++ {
 		p := Generate(simtime.NewRNG(seed, "bounds"), cfg)
-		if len(p.Faults) < 2 || len(p.Faults) > 5 {
-			t.Fatalf("seed %d: %d faults outside [2,5]", seed, len(p.Faults))
+		if len(p.Faults) < minFaults || len(p.Faults) > maxFaults {
+			t.Fatalf("seed %d: %d faults outside [%d,%d]", seed, len(p.Faults), minFaults, maxFaults)
 		}
 		for i, f := range p.Faults {
 			kinds[f.Kind]++
-			if f.At < cfg.Onset || f.At >= cfg.Onset+cfg.Window {
-				t.Fatalf("seed %d: onset %v outside [%v,%v)", seed, f.At, cfg.Onset, cfg.Onset+cfg.Window)
+			if f.At < onset || f.At >= onset+window {
+				t.Fatalf("seed %d: onset %v outside [%v,%v)", seed, f.At, onset, onset+window)
 			}
 			if f.At%simtime.Millisecond != 0 {
 				t.Fatalf("seed %d: onset %v not ms-quantized", seed, f.At)
@@ -67,7 +63,7 @@ func TestGenerateBounds(t *testing.T) {
 				if !nodes[f.Node] {
 					t.Fatalf("seed %d: crash target %q not in config", seed, f.Node)
 				}
-				if f.Restart != 0 && (f.Restart < cfg.RestartMin || f.Restart > cfg.RestartMax) {
+				if f.Restart != 0 && (f.Restart < restartMin || f.Restart > restartMax) {
 					t.Fatalf("seed %d: restart %v outside bounds", seed, f.Restart)
 				}
 			case Straggle:
@@ -77,14 +73,14 @@ func TestGenerateBounds(t *testing.T) {
 				if f.Factor < 0.2 || f.Factor > 0.6+1e-9 {
 					t.Fatalf("seed %d: factor %g outside menu", seed, f.Factor)
 				}
-				if f.Heal < cfg.HealMin || f.Heal > cfg.HealMax {
+				if f.Heal < healMin || f.Heal > healMax {
 					t.Fatalf("seed %d: heal %v outside bounds", seed, f.Heal)
 				}
 			case Uplink:
 				if !racks[f.Rack] {
 					t.Fatalf("seed %d: uplink target %q not in config", seed, f.Rack)
 				}
-				if f.Heal < cfg.HealMin || f.Heal > cfg.HealMax {
+				if f.Heal < healMin || f.Heal > healMax {
 					t.Fatalf("seed %d: heal %v outside bounds", seed, f.Heal)
 				}
 			}
@@ -129,7 +125,7 @@ func TestGenerateNoTargets(t *testing.T) {
 // TestGenerateNodesOnly: without racks, no uplink faults are drawn (and vice
 // versa) — the kind weights collapse to the available targets.
 func TestGenerateNodesOnly(t *testing.T) {
-	cfg := GenConfig{Nodes: []string{"n0"}, MinFaults: 3, MaxFaults: 3}
+	cfg := GenConfig{Nodes: []string{"n0"}}
 	for seed := int64(0); seed < 10; seed++ {
 		for _, f := range Generate(simtime.NewRNG(seed, "n"), cfg).Faults {
 			if f.Kind == Uplink {
@@ -137,7 +133,7 @@ func TestGenerateNodesOnly(t *testing.T) {
 			}
 		}
 	}
-	cfg = GenConfig{Racks: []string{"r0"}, MinFaults: 3, MaxFaults: 3}
+	cfg = GenConfig{Racks: []string{"r0"}}
 	for seed := int64(0); seed < 10; seed++ {
 		for _, f := range Generate(simtime.NewRNG(seed, "r"), cfg).Faults {
 			if f.Kind != Uplink {

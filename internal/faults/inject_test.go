@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"reflect"
 	"testing"
 
 	"drrs/internal/cluster"
@@ -10,9 +11,10 @@ import (
 )
 
 // injectorHarness builds the smallest runtime an injector can drive: one
-// silent source on a two-node, one-rack cluster. Fault mechanics (speed
-// factors, uplink state, heal timers, onset jitter) act on the cluster and
-// scheduler alone, so no traffic needs to flow.
+// silent source feeding a keyed operator "agg" (8 key groups) on the
+// cluster's default node "local", plus a two-node rack. Fault mechanics
+// (speed factors, uplink state, heal timers, onset jitter, crash wipes) act
+// on the cluster, scheduler and stores alone, so no traffic needs to flow.
 func injectorHarness(t *testing.T, plan *Plan, seed int64) (*simtime.Scheduler, *cluster.Cluster, *Injector) {
 	t.Helper()
 	s := simtime.NewScheduler()
@@ -25,6 +27,11 @@ func injectorHarness(t *testing.T, plan *Plan, seed int64) (*simtime.Scheduler, 
 		Name: "src", Parallelism: 1,
 		Source: func(ctx dataflow.SourceContext) {},
 	})
+	g.AddOperator(&dataflow.OperatorSpec{
+		Name: "agg", Parallelism: 1, KeyedInput: true, MaxKeyGroups: 8,
+		NewLogic: func() dataflow.Logic { return &engine.KeyedReduceLogic{} },
+	})
+	g.Connect("src", "agg", dataflow.ExchangeKeyed)
 	rt := engine.New(s, g, cl, engine.Config{Seed: seed, MarkerInterval: -1})
 	rt.Start()
 	inj := NewInjector(rt, plan, seed)
@@ -129,5 +136,47 @@ func TestJitterScheduling(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatal("seven seeds produced one identical jittered onset")
+	}
+}
+
+// TestRecoveryOffLeavesVictimsDead: a crash under "recovery=off" wipes the
+// keyed instance's groups and never revives it — nothing is recovered, lost
+// or relocated — while the same crash under the default delay is revived
+// with every wiped group accounted. The off plan round-trips through Spec.
+func TestRecoveryOffLeavesVictimsDead(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		dead bool
+	}{
+		{"recovery=off;crash@1s:node=local", true},
+		{"crash@1s:node=local", false},
+	} {
+		plan, err := ParseSpec(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q, err := ParseSpec(plan.Spec()); err != nil || !reflect.DeepEqual(plan, q) {
+			t.Fatalf("%q renders as %q, which parses to %+v (%v)", c.spec, plan.Spec(), q, err)
+		}
+		if off := plan.RecoveryDelay < 0; off != c.dead {
+			t.Fatalf("%q parsed to recovery delay %v", c.spec, plan.RecoveryDelay)
+		}
+		s, _, inj := injectorHarness(t, plan, 1)
+		s.RunUntil(simtime.Time(simtime.Sec(5)))
+		inj.Stop()
+		st := inj.Stats()
+		if st.WipedGroups != 8 {
+			t.Fatalf("%q: wiped %d groups, want all 8", c.spec, st.WipedGroups)
+		}
+		if dead := inj.rt.Instance("agg", 0).Dead(); dead != c.dead {
+			t.Fatalf("%q: victim dead=%v 4s after the crash, want %v", c.spec, dead, c.dead)
+		}
+		accounted := st.RecoveredGroups + st.LostGroups + st.RelocatedGroups
+		if c.dead && (st.RecoveredGroups != 0 || accounted != 0) {
+			t.Fatalf("%q: recovery ran anyway: %+v", c.spec, st)
+		}
+		if !c.dead && accounted != st.WipedGroups {
+			t.Fatalf("%q: recovery accounted %d of %d wiped groups", c.spec, accounted, st.WipedGroups)
+		}
 	}
 }

@@ -1,11 +1,11 @@
 // Package lint implements drrs's determinism analyzers: machine-checked
 // versions of the invariants that every golden digest, chaos scenario, and
 // policy comparison in this repo rests on. The simulator must be bit-for-bit
-// deterministic for a given seed, which bans three habits that are harmless
+// deterministic for a given seed, which bans four habits that are harmless
 // in ordinary Go programs — reading the wall clock, drawing from the shared
-// math/rand source, and letting map iteration order leak into simulation
-// effects — and requires that counters shared with the parallel runner stay
-// behind sync/atomic.
+// math/rand source, letting map iteration order leak into simulation
+// effects, and keeping mutable package-level state that the runs of the
+// parallel runner would share.
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Reportf) but is built purely on the standard library so
@@ -78,7 +78,7 @@ func (d Diagnostic) String() string {
 
 // All returns the full determinism suite in a fixed order.
 func All() []*Analyzer {
-	return []*Analyzer{NoWallClock, NoSharedRand, MapOrder, AtomicCounter}
+	return []*Analyzer{NoWallClock, NoSharedRand, MapOrder, GlobalState}
 }
 
 // Run applies the analyzers to one type-checked package and returns the

@@ -15,3 +15,9 @@ type Uint64 struct{ v uint64 }
 func (x *Uint64) Load() uint64            { return 0 }
 func (x *Uint64) Add(delta uint64) uint64 { return 0 }
 func (x *Uint64) Store(val uint64)        {}
+
+type Bool struct{ v uint32 }
+
+func (x *Bool) Load() bool         { return false }
+func (x *Bool) Store(val bool)     {}
+func (x *Bool) Swap(new bool) bool { return false }

@@ -268,9 +268,6 @@ func NewMigrator(rt *engine.Runtime, plan Plan, op *Tracked, onAll func()) *Migr
 	}
 }
 
-// Failed reports how many moves failed against an unhealthy destination.
-func (m *Migrator) Failed() int { return len(m.failed) }
-
 // settle re-homes a move whose transfer failed: the extracted state merges
 // back into the source store and every predecessor's routing entry is pointed
 // back at the source, so records keep flowing to where the state actually is.

@@ -44,18 +44,6 @@ func (r *RNG) Int64() int64 { return r.rand.Int64() }
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 { return r.rand.Float64() }
 
-// ExpFloat64 returns an exponentially distributed float64 with rate 1.
-func (r *RNG) ExpFloat64() float64 { return r.rand.ExpFloat64() }
-
-// NormFloat64 returns a standard normally distributed float64.
-func (r *RNG) NormFloat64() float64 { return r.rand.NormFloat64() }
-
-// Perm returns a uniform permutation of [0, n).
-func (r *RNG) Perm(n int) []int { return r.rand.Perm(n) }
-
-// Shuffle permutes n elements uniformly through swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.rand.Shuffle(n, swap) }
-
 // Jitter returns a duration uniformly drawn from [d*(1-f), d*(1+f)].
 func (r *RNG) Jitter(d Duration, f float64) Duration {
 	if f <= 0 {
@@ -69,7 +57,7 @@ func (r *RNG) Jitter(d Duration, f float64) Duration {
 // Exp returns an exponentially distributed duration with the given mean,
 // useful for Poisson arrival processes.
 func (r *RNG) Exp(mean Duration) Duration {
-	return Duration(r.ExpFloat64() * float64(mean))
+	return Duration(r.rand.ExpFloat64() * float64(mean))
 }
 
 // Gamma returns a gamma-distributed duration with the given mean and shape k
@@ -89,7 +77,7 @@ func (r *RNG) Gamma(mean Duration, k float64) Duration {
 	for {
 		var x, v float64
 		for {
-			x = r.NormFloat64()
+			x = r.rand.NormFloat64()
 			v = 1 + c*x
 			if v > 0 {
 				break

@@ -631,13 +631,6 @@ func (s *Store) mustGroup(key uint64) *Group {
 	return g
 }
 
-// Delete removes state for key if present.
-func (s *Store) Delete(key uint64) {
-	if g := s.Group(KeyGroupOf(key, s.MaxKeyGroups)); g != nil {
-		g.Delete(key)
-	}
-}
-
 // TotalBytes reports the accounted size of all local state.
 func (s *Store) TotalBytes() int {
 	var sum int
