@@ -128,7 +128,7 @@ func main() {
 				layout = "flat single node"
 			}
 			fmt.Printf("%-22s %-20s %-44s %s\n", def.Name, sc.ProgramString(), layout, def.Description)
-			fmt.Printf("%-22s %-20s traffic: %s\n", "", "", def.TrafficSummary())
+			fmt.Printf("%-22s %-20s traffic: %s\n", "", "", sc.TrafficString())
 			if fs := sc.Faults.Spec(); fs != "" {
 				fmt.Printf("%-22s %-20s faults: %s\n", "", "", fs)
 			}
@@ -402,7 +402,7 @@ type chaosViolation struct {
 // scenarios × mechanisms, every oracle on every run, shrinking armed.
 // Returns the process exit code: 0 clean, 1 violations found.
 func runChaos(h bench.Harness, n int, workloadName string, mechList []string, baseSeed int64, jsonOut string) int {
-	cfg := chaos.Config{Mechanisms: mechList, Workers: h.Workers, Overrides: h.Overrides, Shrink: true,
+	cfg := chaos.Config{Mechanisms: mechList, Workers: h.Workers, Overrides: h.Overrides,
 		Scenarios: workloads(workloadName, nil)}
 	for i := 0; i < n; i++ {
 		cfg.Seeds = append(cfg.Seeds, baseSeed+int64(i))

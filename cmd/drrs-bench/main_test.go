@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"drrs/internal/bench"
 	"drrs/internal/workload"
 )
 
@@ -75,6 +76,28 @@ func TestUsageErrorsExitTwoWithOneLine(t *testing.T) {
 		}
 		if !strings.Contains(stderr, c.want) || strings.Count(stderr, "\n") != 1 || strings.Contains(stderr, "goroutine") {
 			t.Errorf("%s: stderr should be one line containing %q, got:\n%s", name, c.want, stderr)
+		}
+	}
+}
+
+// TestListTrafficFollowsSeed: -list prints each scenario's traffic as built
+// at -seed, like the rest of its lines. million-users draws a different
+// client count at seeds 1 and 5, so a listing that builds the traffic line
+// at seed 1 fails here.
+func TestListTrafficFollowsSeed(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-list", "-seed", "5")
+	cmd.Env = append(os.Environ(), "DRRS_BENCH_AS_CLI=1")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("drrs-bench -list -seed 5: %v", err)
+	}
+	if a, b := bench.ScenarioByName("million-users", 1).TrafficString(),
+		bench.ScenarioByName("million-users", 5).TrafficString(); a == b {
+		t.Fatalf("million-users traffic is the same at seeds 1 and 5 (%s); the check below proves nothing", a)
+	}
+	for _, def := range bench.Definitions() {
+		if want := "traffic: " + def.New(5).TrafficString() + "\n"; !strings.Contains(string(out), want) {
+			t.Errorf("%s: listing lacks its seed-5 line %q", def.Name, want)
 		}
 	}
 }

@@ -20,12 +20,6 @@ type Definition struct {
 	New    func(seed int64) Scenario
 }
 
-// TrafficSummary is the listing's one-line arrival-stream summary: the
-// constructed scenario's own description.
-func (def Definition) TrafficSummary() string {
-	return def.New(1).TrafficString()
-}
-
 // definitions is every scenario reachable by name from drrs-bench (-list,
 // -workload, sweeps) and the figure harnesses, in listing order: the chaos
 // track, the paper and workload-shape scenarios, the closed-loop track, the

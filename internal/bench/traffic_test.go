@@ -89,7 +89,7 @@ func TestRecordWithRejectsCustomGenerator(t *testing.T) {
 // one-liner for drrs-bench -list, either declared or derived.
 func TestDefinitionsTrafficSummary(t *testing.T) {
 	for _, def := range Definitions() {
-		if def.TrafficSummary() == "" {
+		if def.New(1).TrafficString() == "" {
 			t.Errorf("scenario %s has no traffic summary", def.Name)
 		}
 	}

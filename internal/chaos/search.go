@@ -10,7 +10,7 @@ import (
 
 // Config bounds one chaos search. Zero values fall back to the CI defaults:
 // the three chaos scenarios, the three paper mechanisms, generated plans
-// with two transfer retries, no shrinking.
+// with two transfer retries.
 type Config struct {
 	// Scenarios are registered scenario names (default: the chaos trio).
 	Scenarios []string
@@ -25,12 +25,9 @@ type Config struct {
 	Workers int
 	// Overrides apply to each case's scenario before its generated plan.
 	Overrides bench.Overrides
-	// Shrink minimizes the plan of each violating case before reporting,
-	// in at most shrinkBudget re-executions.
-	Shrink bool
 }
 
-// shrinkBudget caps re-executions per shrink.
+// shrinkBudget caps re-executions per shrink of a violating case's plan.
 const shrinkBudget = 24
 
 func (cfg *Config) fillDefaults() {
@@ -83,8 +80,8 @@ type Result struct {
 
 // Search fans (scenario × mechanism × seed) cases — each executed twice for
 // the determinism oracle — over the parallel runner and evaluates every
-// oracle on each case. With cfg.Shrink, the first violation of each failing
-// case is minimized before reporting.
+// oracle on each case. The first violation of each failing case has its plan
+// minimized, in at most shrinkBudget re-executions, before reporting.
 func Search(cfg Config) Result {
 	cfg.fillDefaults()
 	if len(cfg.Seeds) == 0 {
@@ -135,7 +132,7 @@ func Search(cfg Config) Result {
 				Oracle: f.Oracle, Detail: f.Detail,
 				Plan: clonePlanVal(c.plan), Spec: specOf(c.plan),
 			}
-			if cfg.Shrink && j == 0 {
+			if j == 0 {
 				v = ShrinkViolation(v, h, shrinkBudget)
 			}
 			res.Violations = append(res.Violations, v)

@@ -213,7 +213,6 @@ func TestControllerSupersedesMidMigration(t *testing.T) {
 				// pre-cancellation owner — and a group the cancelled
 				// operation already delivered to its final p=8 owner must
 				// not be re-planned.
-				moved2 := plan.Moved()
 				for _, mv := range plan.Moves {
 					holder := rt.Instance("agg", mv.From)
 					if holder == nil || !holder.Store().HasGroup(mv.KeyGroup) {
@@ -221,7 +220,8 @@ func TestControllerSupersedesMidMigration(t *testing.T) {
 					}
 				}
 				for _, mv := range plans[0].Moves {
-					if ownerAt(rt, mv.KeyGroup) == state.OwnerOf(32, 8, mv.KeyGroup) && moved2.Has(mv.KeyGroup) {
+					_, replanned := plan.MoveIndex(mv.KeyGroup)
+					if ownerAt(rt, mv.KeyGroup) == state.OwnerOf(32, 8, mv.KeyGroup) && replanned {
 						t.Errorf("kg %d already at its final owner but re-planned", mv.KeyGroup)
 					}
 				}

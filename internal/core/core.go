@@ -91,10 +91,9 @@ func (o *Options) fillDefaults() {
 type subscale struct {
 	id     int
 	signal string
-	moves  []dataflow.Move
-	kgs    map[int]bool
-	srcs   []int // unique source instances, ascending
-	dsts   []int // unique destination instances, ascending
+	moves  []dataflow.Move // ascending key group, like plan.Moves
+	srcs   []int           // unique source instances, ascending
+	dsts   []int           // unique destination instances, ascending
 
 	triggered map[int]bool // src → migration started
 	// confirmSeen marks rerouted confirm consumption per
@@ -119,7 +118,6 @@ func (s *subscale) kgsFrom(src int) []int {
 			out = append(out, mv.KeyGroup)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -134,6 +132,28 @@ func (s *subscale) dstsOf(src int) []int {
 	}
 	sort.Ints(out)
 	return out
+}
+
+// kgPhase is where one planned key group stands in the DR migration.
+type kgPhase uint8
+
+const (
+	// planned: the group's state is still at its source.
+	planned kgPhase = iota
+	// extracted: the state left its source; records for the group re-route.
+	extracted
+	// landed: the state is installed at its destination.
+	landed
+	// reverted: the transfer failed (destination died mid-flight), the
+	// state is back at its source with routing reverted, and the group is
+	// left for a superseding recovery plan to move.
+	reverted
+)
+
+// kgStatus is one planned key group's entry in the coordinator's table.
+type kgStatus struct {
+	sub   *subscale
+	phase kgPhase
 }
 
 // confirmKey names one rerouted confirm channel: destination, source, and
@@ -152,22 +172,15 @@ type Mechanism struct {
 	plan    scaling.Plan
 	op      string
 	scaleID int64
-	done    func()
+	tracked *scaling.Tracked
 
+	// subs is indexed by subscale id.
 	subs    []*subscale
 	pending []*subscale
-	subByID map[int]*subscale
-	subOfKG map[int]*subscale
-	moveOf  map[int]dataflow.Move
-
-	// migratedOut marks key groups extracted from their source (records for
-	// them re-route); chunkAt marks key groups installed at their target.
-	migratedOut map[int]bool
-	chunkAt     map[int]bool
-	// reverted marks key groups whose chunk transfer failed (destination died
-	// mid-flight): state re-installed at the source, routing reverted, and the
-	// group left for a superseding recovery plan to move.
-	reverted map[int]bool
+	// kgs holds each planned key group's subscale and phase, by the
+	// group's move position in plan.Moves; nLanded counts landed entries.
+	kgs     []kgStatus
+	nLanded int
 
 	rerouteEdges  map[[2]int]*netsim.Edge
 	edgeIsReroute map[*netsim.Edge]bool
@@ -207,29 +220,18 @@ func (m *Mechanism) Name() string {
 	}
 }
 
-// operation is the lifecycle handle over the DRRS coordinator: progress maps
-// directly onto the coordinator's own bookkeeping, and Cancel is honored —
-// subscales not yet launched are dropped and the operation settles early
-// (the paper's concurrent-execution rule).
-type operation struct{ m *Mechanism }
-
-func (o operation) Progress() scaling.Progress {
-	p := scaling.Progress{Total: len(o.m.plan.Moves), Moved: len(o.m.chunkAt), Cancelled: o.m.cancelled}
-	switch {
-	case o.m.finished:
-		p.Phase = scaling.PhaseDone
-	case !o.m.deployed:
-		p.Phase = scaling.PhaseDeploy
-	case p.Moved < p.Total:
-		p.Phase = scaling.PhaseMigrate
-	default:
-		p.Phase = scaling.PhaseDrain
-	}
-	return p
+// operation is the lifecycle handle over the DRRS coordinator: the
+// coordinator reports its phases to the embedded Tracked, and Cancel is
+// honored — subscales not yet launched are dropped and the operation settles
+// early (the paper's concurrent-execution rule).
+type operation struct {
+	*scaling.Tracked
+	m *Mechanism
 }
 
 func (o operation) Cancel() bool {
-	o.m.Cancel()
+	o.Tracked.Cancel()
+	o.m.cancel()
 	return true
 }
 
@@ -245,32 +247,25 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 	m.rt = rt
 	m.plan = plan
 	m.op = plan.Operator
-	m.done = done
-	m.subByID = make(map[int]*subscale)
-	m.subOfKG = make(map[int]*subscale)
-	m.moveOf = make(map[int]dataflow.Move)
-	m.migratedOut = make(map[int]bool)
-	m.chunkAt = make(map[int]bool)
-	m.reverted = make(map[int]bool)
+	m.tracked = scaling.NewTracked(plan, done)
+	m.kgs = make([]kgStatus, len(plan.Moves))
 	m.rerouteEdges = make(map[[2]int]*netsim.Edge)
 	m.edgeIsReroute = make(map[*netsim.Edge]bool)
 	m.reroutesInto = make(map[int][]*netsim.Edge)
 	m.activeNode = make(map[string]int)
-	for _, mv := range plan.Moves {
-		m.moveOf[mv.KeyGroup] = mv
-	}
 	m.subs = m.divide()
 	m.pending = append([]*subscale(nil), m.subs...)
 	for _, s := range m.subs {
-		m.subByID[s.id] = s
 		for _, mv := range s.moves {
-			m.subOfKG[mv.KeyGroup] = s
+			_, st := m.entry(mv.KeyGroup)
+			st.sub = s
 			rt.Scale.UnitAssigned(mv.KeyGroup, s.signal)
 		}
 	}
 
 	scaling.Deploy(rt, plan, func(added []*engine.Instance) {
 		m.deployed = true
+		m.tracked.Deployed()
 		m.preds = rt.PredecessorInstances(m.op)
 		// Count expected confirms: one per (pred, src, dst) triple.
 		for _, s := range m.subs {
@@ -308,7 +303,17 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 		}
 		m.scheduleNext()
 	})
-	return operation{m}
+	return operation{m.tracked, m}
+}
+
+// entry returns kg's move and its entry in the coordinator's table; a nil
+// entry when kg is not moving.
+func (m *Mechanism) entry(kg int) (dataflow.Move, *kgStatus) {
+	i, ok := m.plan.MoveIndex(kg)
+	if !ok {
+		return dataflow.Move{}, nil
+	}
+	return m.plan.Moves[i], &m.kgs[i]
 }
 
 // divide implements the default Subscale Scheduler's partitioning (C1):
@@ -321,14 +326,12 @@ func (m *Mechanism) divide() []*subscale {
 			id:          id,
 			signal:      fmt.Sprintf("drrs:%d:sub%d", m.scaleID, id),
 			moves:       moves,
-			kgs:         make(map[int]bool),
 			triggered:   make(map[int]bool),
 			confirmSeen: make(map[confirmKey]bool),
 		}
 		srcs := map[int]bool{}
 		dsts := map[int]bool{}
 		for _, mv := range moves {
-			s.kgs[mv.KeyGroup] = true
 			srcs[mv.From] = true
 			dsts[mv.To] = true
 		}
@@ -343,9 +346,7 @@ func (m *Mechanism) divide() []*subscale {
 		return s
 	}
 	if !m.Opt.Subscale {
-		moves := append([]dataflow.Move(nil), m.plan.Moves...)
-		sort.Slice(moves, func(i, j int) bool { return moves[i].KeyGroup < moves[j].KeyGroup })
-		return []*subscale{mk(0, moves)}
+		return []*subscale{mk(0, m.plan.Moves)}
 	}
 	byPair := make(map[[2]int][]dataflow.Move)
 	var pairs [][2]int
@@ -366,7 +367,6 @@ func (m *Mechanism) divide() []*subscale {
 	id := 0
 	for _, key := range pairs {
 		moves := byPair[key]
-		sort.Slice(moves, func(i, j int) bool { return moves[i].KeyGroup < moves[j].KeyGroup })
 		// Equal-sized chunks bounded by SubscaleKGs.
 		n := (len(moves) + m.Opt.SubscaleKGs - 1) / m.Opt.SubscaleKGs
 		if n == 0 {
@@ -505,17 +505,23 @@ func (m *Mechanism) inject(p *engine.Instance, s *subscale) {
 		// concludes there).
 		take := func(msg netsim.Message) bool {
 			r, ok := msg.(*netsim.Record)
-			return ok && s.kgs[r.KeyGroup] && m.moveOf[r.KeyGroup].From == src
+			if !ok {
+				return false
+			}
+			mv, st := m.entry(r.KeyGroup)
+			return st != nil && st.sub == s && mv.From == src
 		}
 		for _, rec := range edgeOld.ExtractOutbox(take, isCkpt) {
 			r := rec.(*netsim.Record)
-			p.OutEdges(m.op)[m.moveOf[r.KeyGroup].To].ForceSend(r)
+			mv, _ := m.entry(r.KeyGroup)
+			p.OutEdges(m.op)[mv.To].ForceSend(r)
 		}
 		// The blocked-emission queue is the tail of the output cache.
 		for _, dst := range s.dstsOf(src) {
 			dst := dst
 			p.RedirectPending(edgeOld, p.OutEdges(m.op)[dst], func(r *netsim.Record) bool {
-				return s.kgs[r.KeyGroup] && m.moveOf[r.KeyGroup].To == dst
+				mv, st := m.entry(r.KeyGroup)
+				return st != nil && st.sub == s && mv.To == dst
 			})
 		}
 		trig := &netsim.TriggerBarrier{ScaleID: m.scaleID, Subscale: s.id, FromOp: p.Spec.Name, FromIdx: p.Index}
@@ -543,9 +549,10 @@ func (m *Mechanism) startMigration(s *subscale, src int) {
 			return
 		}
 		kg := kgs[i]
-		to := m.rt.Instance(m.op, m.moveOf[kg].To)
+		mv, st := m.entry(kg)
+		to := m.rt.Instance(m.op, mv.To)
 		g := from.Store().ExtractGroup(kg)
-		m.migratedOut[kg] = true
+		st.phase = extracted
 		m.rt.Scale.FirstMigration(s.signal, m.rt.Sched.Now())
 		from.Wake() // queued records for kg now re-route instead of waiting
 		bytes := 0
@@ -555,7 +562,9 @@ func (m *Mechanism) startMigration(s *subscale, src int) {
 		m.rt.Cluster.TransferChecked(from.Endpoint(), to.Endpoint(), bytes, func() {
 			m.rt.Sched.After(scaling.InstallCost, func() {
 				to.Store().InstallGroup(kg, g)
-				m.chunkAt[kg] = true
+				st.phase = landed
+				m.nLanded++
+				m.tracked.SetMoved(m.nLanded)
 				m.rt.Scale.UnitMigrated(kg, m.rt.Sched.Now())
 				s.chunksLeft--
 				to.Wake()
@@ -571,8 +580,7 @@ func (m *Mechanism) startMigration(s *subscale, src int) {
 			m.rt.Scale.AddCounter("drrs_reverts", 1)
 			from.Store().OwnGroup(kg)
 			from.Store().InstallGroup(kg, g)
-			delete(m.migratedOut, kg)
-			m.reverted[kg] = true
+			st.phase = reverted
 			for _, p := range m.preds {
 				p.Routing(m.op).SetOwner(kg, src)
 			}
@@ -628,9 +636,7 @@ func (m *Mechanism) maybeFinish() {
 	}
 	m.finished = true
 	m.rt.Scale.MarkScaleEnd(m.rt.Sched.Now())
-	if m.done != nil {
-		m.done()
-	}
+	m.tracked.Finish()
 	m.maybeCleanup()
 }
 
@@ -671,13 +677,13 @@ func (m *Mechanism) maybeCleanup() {
 	}
 }
 
-// Cancel supersedes this scaling operation (the paper's concurrent-request
+// cancel supersedes this scaling operation (the paper's concurrent-request
 // rule: a newer request on the same operator terminates the older one).
 // Subscales not yet launched are dropped; launched ones run to completion so
 // state is never stranded mid-flight. The superseding request must plan from
 // the resulting placement.
-func (m *Mechanism) Cancel() {
-	if m.cancelled || m.rt == nil {
+func (m *Mechanism) cancel() {
+	if m.cancelled {
 		return
 	}
 	m.cancelled = true

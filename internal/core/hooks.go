@@ -28,11 +28,11 @@ type opHook struct {
 
 func (h *opHook) Processable(in *engine.Instance, r *netsim.Record, e *netsim.Edge) bool {
 	m := h.m
-	s := m.subOfKG[r.KeyGroup]
-	if s == nil {
+	mv, st := m.entry(r.KeyGroup)
+	if st == nil {
 		return true
 	}
-	if m.reverted[r.KeyGroup] {
+	if st.phase == reverted {
 		// The chunk transfer failed and the group lives back at its source.
 		// Let records through everywhere: the source processes them normally;
 		// stragglers already routed at the dead destination fall to the
@@ -43,40 +43,35 @@ func (h *opHook) Processable(in *engine.Instance, r *netsim.Record, e *netsim.Ed
 	// Ep records arriving on a re-route path only need their state chunk:
 	// their order against the confirm barrier is preserved by the channel.
 	if m.edgeIsReroute[e] {
-		return m.chunkAt[r.KeyGroup]
+		return st.phase == landed
 	}
-	mv := m.moveOf[r.KeyGroup]
 	if mv.To != in.Index {
 		// Source role (or unrelated): process locally while the state is
 		// here; BeforeRecord re-routes once it is gone.
 		return true
 	}
 	// Destination role: Ef records wait for the chunk and the epoch switch.
-	if !m.chunkAt[r.KeyGroup] {
+	if st.phase != landed {
 		return false
 	}
 	if m.Opt.Schedule {
 		// Fluid confirmation: each channel switches epochs independently as
 		// soon as its own rerouted confirm arrived.
-		return s.confirmSeen[confirmKey{in.Index, mv.From, e.Src.Op, e.Src.Index}]
+		return st.sub.confirmSeen[confirmKey{in.Index, mv.From, e.Src.Op, e.Src.Index}]
 	}
-	return s.confirmsLeftAt[in.Index] == 0
+	return st.sub.confirmsLeftAt[in.Index] == 0
 }
 
 func (h *opHook) BeforeRecord(in *engine.Instance, r *netsim.Record, e *netsim.Edge) bool {
 	m := h.m
-	if !m.migratedOut[r.KeyGroup] {
+	mv, st := m.entry(r.KeyGroup)
+	if st == nil || (st.phase != extracted && st.phase != landed) || mv.From != in.Index {
 		return false
 	}
-	mv := m.moveOf[r.KeyGroup]
-	if mv.From != in.Index {
-		return false
-	}
-	s := m.subOfKG[r.KeyGroup]
 	// Re-route: forwarded as a special event, never suspended. ForceSend
 	// keeps it ordered behind earlier re-routes; the paper bounds this
 	// traffic by the input-cache size.
-	m.rerouteEdges[[2]int{mv.From, mv.To}].ForceSend(&netsim.Rerouted{Inner: r, Subscale: s.id})
+	m.rerouteEdges[[2]int{mv.From, mv.To}].ForceSend(&netsim.Rerouted{Inner: r, Subscale: st.sub.id})
 	return true
 }
 
@@ -87,7 +82,7 @@ func (h *opHook) OnScaleMessage(in *engine.Instance, msg netsim.Message, e *nets
 		if b.ScaleID != m.scaleID {
 			return false
 		}
-		s := m.subByID[b.Subscale]
+		s := m.subs[b.Subscale]
 		// Fig 9b: a checkpoint barrier already sitting in the input buffer
 		// must fire before migration starts — the trigger integrates into
 		// it and replays after the snapshot.
@@ -105,7 +100,7 @@ func (h *opHook) OnScaleMessage(in *engine.Instance, msg netsim.Message, e *nets
 		if b.ScaleID != m.scaleID {
 			return false
 		}
-		s := m.subByID[b.Subscale]
+		s := m.subs[b.Subscale]
 		// Re-route the confirm to every destination this source serves,
 		// duplicating across streams per the paper's compatibility rule.
 		for _, dst := range s.dstsOf(in.Index) {
@@ -119,10 +114,10 @@ func (h *opHook) OnScaleMessage(in *engine.Instance, msg netsim.Message, e *nets
 			// operation re-routed before it was cancelled; matching on the
 			// inner barrier's ScaleID keeps them from corrupting this one's
 			// alignment state.
-			s := m.subByID[b.Subscale]
-			if inner.ScaleID != m.scaleID || s == nil {
+			if inner.ScaleID != m.scaleID {
 				return true
 			}
+			s := m.subs[b.Subscale]
 			key := confirmKey{in.Index, e.Src.Index, inner.FromOp, inner.FromIdx}
 			if !s.confirmSeen[key] {
 				s.confirmSeen[key] = true

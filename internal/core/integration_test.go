@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"testing"
 
 	"drrs/internal/dataflow"
@@ -208,14 +207,10 @@ func TestSupersession(t *testing.T) {
 		inPlan2[mv.KeyGroup] = true
 	}
 	spec := g.Operator("agg")
-	migrated := make([]int, 0, len(first.chunkAt))
-	for kg := range first.chunkAt {
-		migrated = append(migrated, kg)
-	}
-	sort.Ints(migrated)
-	for _, kg := range migrated {
-		if state.OwnerOf(spec.MaxKeyGroups, 8, kg) == first.moveOf[kg].To && inPlan2[kg] {
-			t.Fatalf("kg %d already at its final owner but re-planned", kg)
+	for i, st := range first.kgs {
+		mv := first.plan.Moves[i]
+		if st.phase == landed && state.OwnerOf(spec.MaxKeyGroups, 8, mv.KeyGroup) == mv.To && inPlan2[mv.KeyGroup] {
+			t.Fatalf("kg %d already at its final owner but re-planned", mv.KeyGroup)
 		}
 	}
 	// Final placement: every key group at its p=8 contiguous owner.

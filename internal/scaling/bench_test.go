@@ -8,55 +8,23 @@ import (
 
 // bigclusterPlan mirrors the bigcluster-128 scenario's scale-out: 1024 key
 // groups repartitioned 256→320, the largest plan the registered scenarios
-// build. The migrators resolve MovesFrom once per source and a per-group
-// move per migration step, so this is the shape where the linear scan hurt.
+// build.
 func bigclusterPlan() Plan {
-	p := Plan{
-		Operator:       "agg",
-		OldParallelism: 256,
-		NewParallelism: 320,
-		Moves:          dataflow.UniformRepartition(1024, 256, 320),
-	}
-	p.Finalize()
-	return p
+	return newPlan("agg", 256, 320, 1024, dataflow.UniformRepartition(1024, 256, 320), 0)
 }
 
-// BenchmarkPlanMovesFrom measures one full per-source sweep plus a per-move
-// lookup over the bigcluster-128 plan — the per-operation access pattern of
-// the migrators (gated in bench_baseline.json).
-func BenchmarkPlanMovesFrom(b *testing.B) {
+// BenchmarkPlanMoveIndex measures one MoveIndex per move of the
+// bigcluster-128 plan — the lookup every mechanism's per-record gate and
+// the migrator make (gated in bench_baseline.json).
+func BenchmarkPlanMoveIndex(b *testing.B) {
 	plan := bigclusterPlan()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink int
 	for i := 0; i < b.N; i++ {
-		for src := 0; src < plan.OldParallelism; src++ {
-			sink += len(plan.MovesFrom(src))
-		}
 		for _, m := range plan.Moves {
-			if mv, ok := plan.Move(m.KeyGroup); ok {
-				sink += mv.To
-			}
-		}
-	}
-	_ = sink
-}
-
-// BenchmarkPlanMovesFromScan is the pre-index baseline for comparison: the
-// same sweep over an unindexed plan falls back to linear scans.
-func BenchmarkPlanMovesFromScan(b *testing.B) {
-	plan := bigclusterPlan()
-	plan.index = nil
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		for src := 0; src < plan.OldParallelism; src++ {
-			sink += len(plan.MovesFrom(src))
-		}
-		for _, m := range plan.Moves {
-			if mv, ok := plan.Move(m.KeyGroup); ok {
-				sink += mv.To
+			if at, ok := plan.MoveIndex(m.KeyGroup); ok {
+				sink += plan.Moves[at].To
 			}
 		}
 	}

@@ -55,7 +55,6 @@ type CoupledController struct {
 	nextInj int     // next round to inject
 	op      *Tracked
 
-	moved KeyGroupSet
 	// alignedBits marks which old instances aligned in which round (bit
 	// r*oldCount+idx); alignedN counts each round's marks.
 	alignedBits []uint64
@@ -72,7 +71,6 @@ func NewCoupledController(plan Plan, rounds [][]int) *CoupledController {
 	return &CoupledController{
 		plan:        plan,
 		rounds:      rounds,
-		moved:       plan.Moved(),
 		alignedBits: make([]uint64, (len(rounds)*plan.OldParallelism+63)/64),
 		alignedN:    make([]int, len(rounds)),
 		migDone:     make(map[int]bool),
@@ -87,7 +85,6 @@ func BatchRounds(plan Plan, n int) [][]int {
 	for _, m := range plan.Moves {
 		kgs = append(kgs, m.KeyGroup)
 	}
-	sort.Ints(kgs)
 	if n <= 0 {
 		n = len(kgs)
 	}
@@ -202,8 +199,8 @@ func (c *CoupledController) isPred(in *engine.Instance) bool {
 func (c *CoupledController) applyRouting(p *engine.Instance, r int) {
 	tbl := p.Routing(c.plan.Operator)
 	for _, kg := range c.rounds[r] {
-		if m, ok := c.plan.Move(kg); ok {
-			tbl.SetOwner(kg, m.To)
+		if i, ok := c.plan.MoveIndex(kg); ok {
+			tbl.SetOwner(kg, c.plan.Moves[i].To)
 		}
 	}
 }
@@ -236,11 +233,11 @@ func (c *CoupledController) oldInstanceAligned(idx, r int) {
 		bySrc := make(map[int][]int)
 		var srcs []int
 		for _, kg := range c.rounds[r] {
-			mv := c.moveOf(kg)
-			if _, seen := bySrc[mv.From]; !seen {
-				srcs = append(srcs, mv.From)
+			from := c.mig.move(kg).From
+			if _, seen := bySrc[from]; !seen {
+				srcs = append(srcs, from)
 			}
-			bySrc[mv.From] = append(bySrc[mv.From], kg)
+			bySrc[from] = append(bySrc[from], kg)
 		}
 		// Deterministic launch order: map iteration order would perturb event
 		// sequencing (and therefore run results) between identical runs.
@@ -257,13 +254,6 @@ func (c *CoupledController) oldInstanceAligned(idx, r int) {
 	} else {
 		c.mig.MigrateAllAtOnce(c.rounds[r], sig, onRoundDone)
 	}
-}
-
-func (c *CoupledController) moveOf(kg int) (mv struct{ From, To int }) {
-	if m, ok := c.plan.Move(kg); ok {
-		return struct{ From, To int }{m.From, m.To}
-	}
-	panic("scaling: unknown kg")
 }
 
 func (c *CoupledController) checkComplete() {
@@ -339,7 +329,7 @@ func (h *coupledOpHook) OnScaleMessage(in *engine.Instance, m netsim.Message, e 
 }
 
 func (h *coupledOpHook) Processable(in *engine.Instance, r *netsim.Record, _ *netsim.Edge) bool {
-	if !h.c.moved.Has(r.KeyGroup) {
+	if _, ok := h.c.plan.MoveIndex(r.KeyGroup); !ok {
 		return true
 	}
 	// A migrating group's records are processable wherever its state

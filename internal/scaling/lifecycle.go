@@ -66,10 +66,11 @@ type Operation interface {
 	Cancel() bool
 }
 
-// Tracked is the Operation of a mechanism that cannot stand down: the
+// Tracked is the Operation every mechanism reports its phases to: the
 // mechanism tells it the three facts a phase is made of — Deployed, SetMoved,
-// Finish — as they happen, and a Cancel is recorded (Progress().Cancelled) but
-// not honored.
+// Finish — as they happen. Its Cancel is recorded (Progress().Cancelled) but
+// not honored; a mechanism that can stand down (DRRS's DR coordinator) embeds
+// it and overrides Cancel.
 type Tracked struct {
 	total, moved int
 	done         func()

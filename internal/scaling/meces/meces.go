@@ -36,9 +36,8 @@ type Mechanism struct {
 	op   *scaling.Tracked
 
 	// A sub-unit's id is its move index × subKeyGroups + its sub-key-group,
-	// which is also the background pusher's scan order. moveOf maps a key
-	// group to its move index, -1 when the group is not moving.
-	moveOf []int
+	// which is also the background pusher's scan order.
+	//
 	// loc is each sub-unit's current owner instance index; inFlight marks
 	// sub-units on the wire; fetchCount counts transfers per sub-unit and
 	// maxFetch is its largest entry (the back-and-forth stat).
@@ -73,21 +72,12 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 	m.rt = rt
 	m.plan = plan
 	m.op = scaling.NewTracked(plan, done)
-	maxKG := -1
-	for _, mv := range plan.Moves {
-		maxKG = max(maxKG, mv.KeyGroup)
-	}
-	m.moveOf = make([]int, maxKG+1)
-	for kg := range m.moveOf {
-		m.moveOf[kg] = -1
-	}
 	n := len(plan.Moves) * subKeyGroups
 	m.loc = make([]int, n)
 	m.inFlight = make([]bool, n)
 	m.fetchCount = make([]int, n)
 	m.kgDone = make([]bool, len(plan.Moves))
 	for i, mv := range plan.Moves {
-		m.moveOf[mv.KeyGroup] = i
 		rt.Scale.UnitAssigned(mv.KeyGroup, signal)
 		for id := i * subKeyGroups; id < (i+1)*subKeyGroups; id++ {
 			m.loc[id] = mv.From
@@ -329,10 +319,11 @@ type hook struct {
 
 func (h *hook) Processable(in *engine.Instance, r *netsim.Record, _ *netsim.Edge) bool {
 	m := h.m
-	if r.KeyGroup < 0 || r.KeyGroup >= len(m.moveOf) || m.moveOf[r.KeyGroup] < 0 {
-		return true // not moving
+	mi, moving := m.plan.MoveIndex(r.KeyGroup)
+	if !moving {
+		return true
 	}
-	id := m.moveOf[r.KeyGroup]*subKeyGroups + state.SubUnitOf(r.Key, subKeyGroups)
+	id := mi*subKeyGroups + state.SubUnitOf(r.Key, subKeyGroups)
 	if m.loc[id] == in.Index && !m.inFlight[id] {
 		return true
 	}

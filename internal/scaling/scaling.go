@@ -21,41 +21,32 @@ type Plan struct {
 	Operator string
 	// OldParallelism and NewParallelism bound the instance set.
 	OldParallelism, NewParallelism int
-	// Moves lists the key groups changing owner.
+	// Moves lists the key groups changing owner, in ascending key-group
+	// order. Mechanisms keep per-group state in slices indexed by a move's
+	// position here (see MoveIndex).
 	Moves []dataflow.Move
 	// SetupDelay models physical resource initialization (container start,
 	// task deployment) before new instances are operational — part of the
 	// paper's inherent overhead Lo.
 	SetupDelay simtime.Duration
 
-	// index accelerates MovesFrom/Move lookups; built by Finalize (the plan
-	// constructors call it). Plans assembled literally fall back to scanning
-	// Moves. The index is shared by value copies of the plan, which is safe:
-	// it is read-only after Finalize.
-	index *planIndex
+	// at maps each key group to its move's position in Moves, -1 when the
+	// group is not moving. The constructors build it; value copies of the
+	// plan share it, which is safe because nothing writes it afterwards.
+	at []int
 }
 
-// planIndex is the precomputed lookup structure over Plan.Moves: the
-// migrators resolve per-source move lists and per-key-group moves on every
-// migration step, which was an O(moves) scan per call.
-type planIndex struct {
-	bySrc map[int][]dataflow.Move
-	byKG  map[int]int // key group → position in Moves
-}
-
-// Finalize builds the plan's move index. It is idempotent; call it after
-// assembling Moves by hand to get indexed lookups (the constructors in this
-// package already do).
-func (p *Plan) Finalize() {
-	idx := &planIndex{
-		bySrc: make(map[int][]dataflow.Move),
-		byKG:  make(map[int]int, len(p.Moves)),
+// newPlan assembles a plan over maxKG key groups and indexes its moves,
+// which must be in ascending key-group order.
+func newPlan(op string, oldP, newP, maxKG int, moves []dataflow.Move, setup simtime.Duration) Plan {
+	at := make([]int, maxKG)
+	for kg := range at {
+		at[kg] = -1
 	}
-	for i, m := range p.Moves {
-		idx.bySrc[m.From] = append(idx.bySrc[m.From], m)
-		idx.byKG[m.KeyGroup] = i
+	for i, m := range moves {
+		at[m.KeyGroup] = i
 	}
-	p.index = idx
+	return Plan{Operator: op, OldParallelism: oldP, NewParallelism: newP, Moves: moves, SetupDelay: setup, at: at}
 }
 
 // UniformPlan builds the paper's default plan: scale op to newP instances
@@ -68,24 +59,22 @@ func UniformPlan(g *dataflow.Graph, op string, newP int, setup simtime.Duration)
 	if !spec.KeyedInput {
 		panic(fmt.Sprintf("scaling: operator %s is not keyed", op))
 	}
-	p := Plan{
-		Operator:       op,
-		OldParallelism: spec.Parallelism,
-		NewParallelism: newP,
-		Moves:          dataflow.UniformRepartition(spec.MaxKeyGroups, spec.Parallelism, newP),
-		SetupDelay:     setup,
+	moves := dataflow.UniformRepartition(spec.MaxKeyGroups, spec.Parallelism, newP)
+	return newPlan(op, spec.Parallelism, newP, spec.MaxKeyGroups, moves, setup)
+}
+
+// MoveIndex returns the position in Moves of key group kg's move; false when
+// kg is not moving or is no key group of the operator.
+func (p Plan) MoveIndex(kg int) (int, bool) {
+	if uint(kg) >= uint(len(p.at)) || p.at[kg] < 0 {
+		return -1, false
 	}
-	p.Finalize()
-	return p
+	return p.at[kg], true
 }
 
 // MovesFrom returns the plan's moves leaving instance idx, in key-group
-// order. Finalized plans answer from the per-source index; hand-assembled
-// plans fall back to scanning Moves.
+// order.
 func (p Plan) MovesFrom(idx int) []dataflow.Move {
-	if p.index != nil {
-		return p.index.bySrc[idx]
-	}
 	var out []dataflow.Move
 	for _, m := range p.Moves {
 		if m.From == idx {
@@ -93,77 +82,6 @@ func (p Plan) MovesFrom(idx int) []dataflow.Move {
 		}
 	}
 	return out
-}
-
-// Move returns the plan's move for key group kg, if any.
-func (p Plan) Move(kg int) (dataflow.Move, bool) {
-	if p.index != nil {
-		if i, ok := p.index.byKG[kg]; ok {
-			return p.Moves[i], true
-		}
-		return dataflow.Move{}, false
-	}
-	for _, m := range p.Moves {
-		if m.KeyGroup == kg {
-			return m, true
-		}
-	}
-	return dataflow.Move{}, false
-}
-
-// KeyGroupSet is a bitset over key-group ids: O(1) membership, deterministic
-// ascending iteration, and no per-run map allocation churn — it replaces the
-// map[int]bool the per-record Processable gate used to consult.
-type KeyGroupSet struct {
-	bits []uint64
-	n    int
-}
-
-// Has reports membership. Out-of-range ids are simply absent.
-func (s KeyGroupSet) Has(kg int) bool {
-	w := kg >> 6
-	if kg < 0 || w >= len(s.bits) {
-		return false
-	}
-	return s.bits[w]&(1<<(uint(kg)&63)) != 0
-}
-
-// Len reports the number of key groups in the set.
-func (s KeyGroupSet) Len() int { return s.n }
-
-// Slice materializes the members in ascending order.
-func (s KeyGroupSet) Slice() []int {
-	out := make([]int, 0, s.n)
-	for w, bits := range s.bits {
-		for b := 0; bits != 0; b++ {
-			if bits&1 != 0 {
-				out = append(out, w<<6|b)
-			}
-			bits >>= 1
-		}
-	}
-	return out
-}
-
-func (s *KeyGroupSet) add(kg int) {
-	w := kg >> 6
-	for w >= len(s.bits) {
-		s.bits = append(s.bits, 0)
-	}
-	mask := uint64(1) << (uint(kg) & 63)
-	if s.bits[w]&mask == 0 {
-		s.bits[w] |= mask
-		s.n++
-	}
-}
-
-// Moved returns the set of migrating key groups.
-func (p Plan) Moved() KeyGroupSet {
-	var s KeyGroupSet
-	for _, m := range p.Moves {
-		s.add(m.KeyGroup)
-	}
-	return s
 }
 
 // PlanFromPlacement builds a plan from the *actual* current state placement
@@ -174,16 +92,9 @@ func (p Plan) Moved() KeyGroupSet {
 func PlanFromPlacement(rt *engine.Runtime, op string, newP int, setup simtime.Duration) Plan {
 	spec := rt.Graph.Operator(op)
 	cur := len(rt.Instances(op))
-	holder := make(map[int]int, spec.MaxKeyGroups)
-	for _, in := range rt.Instances(op) {
-		for kg := range in.Store().Groups() {
-			holder[kg] = in.Index
-		}
-	}
 	var moves []dataflow.Move
-	for kg := 0; kg < spec.MaxKeyGroups; kg++ {
-		from, ok := holder[kg]
-		if !ok {
+	for kg, from := range holders(rt, op) {
+		if from < 0 {
 			from = state.OwnerOf(spec.MaxKeyGroups, cur, kg)
 		}
 		to := state.OwnerOf(spec.MaxKeyGroups, newP, kg)
@@ -191,15 +102,23 @@ func PlanFromPlacement(rt *engine.Runtime, op string, newP int, setup simtime.Du
 			moves = append(moves, dataflow.Move{KeyGroup: kg, From: from, To: to})
 		}
 	}
-	p := Plan{
-		Operator:       op,
-		OldParallelism: cur,
-		NewParallelism: newP,
-		Moves:          moves,
-		SetupDelay:     setup,
+	return newPlan(op, cur, newP, spec.MaxKeyGroups, moves, setup)
+}
+
+// holders returns each of op's key groups' current holder instance index,
+// -1 for a group no instance holds. Instances are walked in order, so when
+// two hold a group the later one wins.
+func holders(rt *engine.Runtime, op string) []int {
+	h := make([]int, rt.Graph.Operator(op).MaxKeyGroups)
+	for kg := range h {
+		h[kg] = -1
 	}
-	p.Finalize()
-	return p
+	for _, in := range rt.Instances(op) {
+		for kg := range in.Store().Groups() {
+			h[kg] = in.Index
+		}
+	}
+	return h
 }
 
 // Mechanism is one rescaling approach, lifecycle-observable: Begin returns a
@@ -245,10 +164,9 @@ type Migrator struct {
 	plan Plan
 	op   *Tracked
 
-	migrated map[int]bool
-	failed   map[int]bool
-	total    int
-	onAll    func()
+	// migrated and failed count settled groups; each group settles once.
+	migrated, failed int
+	onAll            func()
 }
 
 // NewMigrator returns a migrator for the plan that tells op how many planned
@@ -257,15 +175,7 @@ type Migrator struct {
 // destination (the state then sits back at its source and the controller's
 // recovery path re-plans it).
 func NewMigrator(rt *engine.Runtime, plan Plan, op *Tracked, onAll func()) *Migrator {
-	return &Migrator{
-		rt:       rt,
-		plan:     plan,
-		op:       op,
-		migrated: make(map[int]bool),
-		failed:   make(map[int]bool),
-		onAll:    onAll,
-		total:    len(plan.Moves),
-	}
+	return &Migrator{rt: rt, plan: plan, op: op, onAll: onAll}
 }
 
 // settle re-homes a move whose transfer failed: the extracted state merges
@@ -281,7 +191,7 @@ func (m *Migrator) settleFailure(kg int, g *state.Group, mv dataflow.Move) {
 			tbl.SetOwner(kg, mv.From)
 		}
 	}
-	m.failed[kg] = true
+	m.failed++
 	m.rt.Scale.AddCounter("xfer_settled", 1)
 	from.Wake()
 	// Records for kg may already be parked at the destination, gated by the
@@ -297,12 +207,12 @@ func (m *Migrator) settleFailure(kg int, g *state.Group, mv dataflow.Move) {
 func (m *Migrator) install(to *engine.Instance, kg int, g *state.Group) {
 	to.Store().InstallGroup(kg, g)
 	m.rt.Scale.UnitMigrated(kg, m.rt.Sched.Now())
-	m.migrated[kg] = true
-	m.op.SetMoved(len(m.migrated))
+	m.migrated++
+	m.op.SetMoved(m.migrated)
 }
 
 func (m *Migrator) checkAll() {
-	if len(m.migrated)+len(m.failed) == m.total && m.onAll != nil {
+	if m.migrated+m.failed == len(m.plan.Moves) && m.onAll != nil {
 		all := m.onAll
 		m.onAll = nil
 		all()
@@ -314,7 +224,7 @@ func (m *Migrator) checkAll() {
 // destination installs it. The paper's Fig 12 metrics hang off the signal
 // label: FirstMigration on extraction, UnitMigrated on installation.
 func (m *Migrator) MigrateGroup(kg int, signal string, done func()) {
-	move := m.findMove(kg)
+	move := m.move(kg)
 	from := m.rt.Instance(m.plan.Operator, move.From)
 	to := m.rt.Instance(m.plan.Operator, move.To)
 	if from == nil || to == nil {
@@ -378,7 +288,7 @@ func (m *Migrator) MigrateAllAtOnce(kgs []int, signal string, done func()) {
 	bytes := make(map[pair]int)
 	var pairs []pair
 	for _, kg := range kgs {
-		mv := m.findMove(kg)
+		mv := m.move(kg)
 		from := m.rt.Instance(m.plan.Operator, mv.From)
 		g := from.Store().ExtractGroup(kg)
 		p := pair{from: mv.From, to: mv.To}
@@ -428,11 +338,13 @@ func (m *Migrator) MigrateAllAtOnce(kgs []int, signal string, done func()) {
 	}
 }
 
-func (m *Migrator) findMove(kg int) dataflow.Move {
-	if mv, ok := m.plan.Move(kg); ok {
-		return mv
+// move returns kg's move; kg must be moving.
+func (m *Migrator) move(kg int) dataflow.Move {
+	i, ok := m.plan.MoveIndex(kg)
+	if !ok {
+		panic(fmt.Sprintf("scaling: kg %d not in plan", kg))
 	}
-	panic(fmt.Sprintf("scaling: kg %d not in plan", kg))
+	return m.plan.Moves[i]
 }
 
 // ReconcileRouting points every predecessor's routing entry for op at each
@@ -445,24 +357,16 @@ func (m *Migrator) findMove(kg int) dataflow.Move {
 // holder and target owner differ, so such a stale route would otherwise never
 // be corrected; the control plane calls this before planning every operation.
 func ReconcileRouting(rt *engine.Runtime, op string) {
-	holder := make(map[int]int)
-	for _, in := range rt.Instances(op) {
-		for kg := range in.Store().Groups() {
-			holder[kg] = in.Index
-		}
-	}
-	kgs := make([]int, 0, len(holder))
-	for kg := range holder {
-		kgs = append(kgs, kg)
-	}
-	sort.Ints(kgs)
+	held := holders(rt, op)
 	for _, p := range rt.PredecessorInstances(op) {
 		tbl := p.Routing(op)
 		if tbl == nil {
 			continue
 		}
-		for _, kg := range kgs {
-			tbl.SetOwner(kg, holder[kg])
+		for kg, h := range held {
+			if h >= 0 {
+				tbl.SetOwner(kg, h)
+			}
 		}
 	}
 }

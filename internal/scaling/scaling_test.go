@@ -53,89 +53,38 @@ func TestUniformPlanPanicsOnNonKeyed(t *testing.T) {
 func TestNewRoutingMatchesMoves(t *testing.T) {
 	plan, g := testPlan(t)
 	rt := plan.NewRouting(g.Operator("agg").MaxKeyGroups)
-	moved := plan.Moved()
 	for _, m := range plan.Moves {
 		if rt.Owner(m.KeyGroup) != m.To {
 			t.Fatalf("kg %d routed to %d, want %d", m.KeyGroup, rt.Owner(m.KeyGroup), m.To)
 		}
 	}
 	for kg := 0; kg < 32; kg++ {
-		if !moved.Has(kg) && rt.Owner(kg) >= 4 {
+		if _, moving := plan.MoveIndex(kg); !moving && rt.Owner(kg) >= 4 {
 			t.Fatalf("unmoved kg %d routed to new instance %d", kg, rt.Owner(kg))
 		}
 	}
 }
 
-func TestKeyGroupSet(t *testing.T) {
-	plan, _ := testPlan(t)
-	moved := plan.Moved()
-	if moved.Len() != len(plan.Moves) {
-		t.Fatalf("Len %d, want %d", moved.Len(), len(plan.Moves))
-	}
-	want := map[int]bool{}
-	for _, m := range plan.Moves {
-		want[m.KeyGroup] = true
-	}
-	for kg := -1; kg < 200; kg++ {
-		if moved.Has(kg) != want[kg] {
-			t.Fatalf("Has(%d) = %v, want %v", kg, moved.Has(kg), want[kg])
-		}
-	}
-	last := -1
-	for _, kg := range moved.Slice() {
-		if kg <= last {
-			t.Fatalf("Slice not ascending: %d after %d", kg, last)
-		}
-		if !want[kg] {
-			t.Fatalf("Slice contains %d, not in plan", kg)
-		}
-		last = kg
-	}
-	if got := len(moved.Slice()); got != moved.Len() {
-		t.Fatalf("Slice length %d vs Len %d", got, moved.Len())
-	}
-}
-
+// TestMovesFrom: the per-source lists partition the plan's moves, each in
+// key-group order.
 func TestMovesFrom(t *testing.T) {
 	plan, _ := testPlan(t)
 	var total int
-	for idx := 0; idx < plan.OldParallelism; idx++ {
+	for idx := 0; idx < plan.NewParallelism; idx++ {
+		last := -1
 		for _, m := range plan.MovesFrom(idx) {
 			if m.From != idx {
 				t.Fatalf("MovesFrom(%d) returned move from %d", idx, m.From)
 			}
+			if m.KeyGroup <= last {
+				t.Fatalf("MovesFrom(%d) not in key-group order: %d after %d", idx, m.KeyGroup, last)
+			}
+			last = m.KeyGroup
 			total++
 		}
 	}
 	if total != len(plan.Moves) {
 		t.Fatalf("MovesFrom partition lost moves: %d vs %d", total, len(plan.Moves))
-	}
-}
-
-// TestMovesFromIndexMatchesScan pins the indexed lookups to the linear-scan
-// semantics: a finalized plan and an unindexed copy must agree on every
-// per-source list and per-group move.
-func TestMovesFromIndexMatchesScan(t *testing.T) {
-	plan, _ := testPlan(t)
-	bare := Plan{Operator: plan.Operator, OldParallelism: plan.OldParallelism,
-		NewParallelism: plan.NewParallelism, Moves: plan.Moves}
-	for idx := 0; idx < plan.NewParallelism; idx++ {
-		a, b := plan.MovesFrom(idx), bare.MovesFrom(idx)
-		if len(a) != len(b) {
-			t.Fatalf("MovesFrom(%d): indexed %d moves, scan %d", idx, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("MovesFrom(%d)[%d]: %+v vs %+v", idx, i, a[i], b[i])
-			}
-		}
-	}
-	for kg := 0; kg < 32; kg++ {
-		am, aok := plan.Move(kg)
-		bm, bok := bare.Move(kg)
-		if aok != bok || am != bm {
-			t.Fatalf("Move(%d): indexed %+v/%v, scan %+v/%v", kg, am, aok, bm, bok)
-		}
 	}
 }
 
