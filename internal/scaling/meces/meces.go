@@ -54,9 +54,12 @@ type Mechanism struct {
 	finished               bool
 	bgActive               bool
 	bgCursor               int
+	// spare holds chunks no transfer owns. A transfer takes one at
+	// extraction and returns it in its install or failure callback.
+	spare []*state.Chunk
 	// afterTransfer, when set, runs after every transfer's install or
-	// failure callback (a test seam).
-	afterTransfer func()
+	// failure callback with the transfer's chunk (a test seam).
+	afterTransfer func(*state.Chunk)
 }
 
 // Name implements scaling.Mechanism.
@@ -154,15 +157,13 @@ func (m *Mechanism) transfer(id, dst int) {
 	from := m.rt.Instance(m.plan.Operator, src)
 	to := m.rt.Instance(m.plan.Operator, dst)
 	m.rt.Sched.After(engine.ControlLatency, func() {
-		g := from.Store().ExtractSubUnit(kg, sub, subKeyGroups)
+		c := m.takeChunk()
+		from.Store().ExtractSubUnit(kg, sub, subKeyGroups, c)
 		m.rt.Scale.FirstMigration(signal, m.rt.Sched.Now())
-		bytes := 128 // sub-unit framing overhead
-		if g != nil {
-			bytes += g.Bytes
-		}
+		bytes := 128 + c.Bytes // sub-unit framing overhead plus the state
 		m.rt.Cluster.TransferChecked(from.Endpoint(), to.Endpoint(), bytes, func() {
-			to.Store().OwnGroup(kg)
-			to.Store().InstallGroup(kg, g)
+			to.Store().InstallChunk(kg, c)
+			m.spare = append(m.spare, c)
 			m.setUnit(id, dst, false)
 			m.checkUnit(mi)
 			// Wake every instance, not just the endpoints: a third instance
@@ -174,7 +175,7 @@ func (m *Mechanism) transfer(id, dst int) {
 			// background pusher is running to re-migrate it.
 			m.ensureBackground()
 			if m.afterTransfer != nil {
-				m.afterTransfer()
+				m.afterTransfer(c)
 			}
 		}, func(error) {
 			// Destination unreachable: the sub-unit merges back into its
@@ -182,8 +183,8 @@ func (m *Mechanism) transfer(id, dst int) {
 			// retrying; once the node restarts (or the group is re-planned
 			// away), the push converges.
 			m.rt.Scale.AddCounter("meces_fails", 1)
-			from.Store().OwnGroup(kg)
-			from.Store().InstallGroup(kg, g)
+			from.Store().InstallChunk(kg, c)
+			m.spare = append(m.spare, c)
 			m.setUnit(id, src, false)
 			// Every waiter re-evaluates: the demanding side re-issues its
 			// fetch (the retry converges once the fault heals or recovery
@@ -191,10 +192,21 @@ func (m *Mechanism) transfer(id, dst int) {
 			m.wakeAll()
 			m.ensureBackground()
 			if m.afterTransfer != nil {
-				m.afterTransfer()
+				m.afterTransfer(c)
 			}
 		})
 	})
+}
+
+// takeChunk returns a spare chunk, or a new one when none is spare.
+func (m *Mechanism) takeChunk() *state.Chunk {
+	n := len(m.spare)
+	if n == 0 {
+		return &state.Chunk{}
+	}
+	c := m.spare[n-1]
+	m.spare = m.spare[:n-1]
+	return c
 }
 
 // wakeAll wakes every instance of the scaled operator in index order.

@@ -73,3 +73,39 @@ func BenchmarkStateMigrateGroup(b *testing.B) {
 		src.InstallGroup(kg, dst.ExtractGroup(kg))
 	}
 }
+
+// BenchmarkStateSubUnitMigrate measures the Meces-style migration unit: one
+// sub-unit of a populated key group extracted into a reused chunk, installed
+// into another store, then moved back the same way. Groups of 64 keys give
+// sub-units of about 16, the order of the ten-key mean of the chunks Meces
+// moves in a faulted run.
+func BenchmarkStateSubUnitMigrate(b *testing.B) {
+	const keys, subUnits = 512, 4
+	src := NewStore(8)
+	dst := NewStore(8)
+	for kg := 0; kg < 8; kg++ {
+		src.OwnGroup(kg)
+		dst.OwnGroup(kg)
+	}
+	for k := uint64(1); k <= keys; k++ {
+		src.PutF64(k, float64(k), 64)
+	}
+	var c Chunk
+	round := func(i int) {
+		kg, sub := i%8, i/8%subUnits
+		src.ExtractSubUnit(kg, sub, subUnits, &c)
+		dst.InstallChunk(kg, &c)
+		dst.ExtractSubUnit(kg, sub, subUnits, &c)
+		src.InstallChunk(kg, &c)
+	}
+	// One pass over every sub-unit grows the chunk and both stores' groups
+	// to fit, so the timed loop measures the steady state.
+	for i := 0; i < 8*subUnits; i++ {
+		round(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(i)
+	}
+}

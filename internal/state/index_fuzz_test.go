@@ -2,6 +2,7 @@ package state
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -196,16 +197,18 @@ func fuzzKey(kind, t byte) uint64 {
 }
 
 // FuzzGroupIndex runs Group and the map-indexed reference through the same
-// operations — Put, PutF64, Delete, Get, GetF64, Merge, ExtractSubUnit, an
-// in-place append to a cloneable payload, checkpoints held across later
-// writes, checkpoint round trips, and snapshots taken and released through a
+// operations — Put, PutF64, Delete, Get, GetF64, Merge, a sub-unit moved
+// through one reused Chunk by ExtractSubUnit and InstallChunk, an in-place
+// append to a cloneable payload, checkpoints held across later writes,
+// checkpoint round trips, and snapshots taken and released through a
 // FrozenPool — on two groups, and after each one requires the same length,
 // bytes, lookups for every key seen so far, and slab order, which also pins
 // free-list reuse. It also requires a group frozen twice without a write in
 // between to share one copy, a write to force a fresh one, every held
 // checkpoint and snapshot to thaw to the reference's copy taken at the same
-// instant however often the pool has recycled copies since, and the pool to
-// hold only copies that nothing holds.
+// instant however often the pool has recycled copies since, the pool to hold
+// only copies that nothing holds, each filed under its own size class, and no
+// copy's slab to be replaced once made, so a refill never regrows it.
 func FuzzGroupIndex(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 2, 3, 2, 1, 2, 1, 1, 9, 7, 0, 0})
 	f.Add([]byte{0x21, 1, 0, 0x21, 2, 0, 2, 1, 3, 0x02, 2, 5, 7, 0, 0, 1, 1, 4})
@@ -220,8 +223,15 @@ func FuzzGroupIndex(f *testing.F) {
 	if hashInverse*hashMul != 1 {
 		f.Fatalf("hashInverse %#x is not the inverse of hashMul", hashInverse)
 	}
+	// A chunk has no key index and no free list: nothing in it can be
+	// looked up, so none is kept up to date.
+	for _, fld := range reflect.VisibleFields(reflect.TypeFor[Chunk]()) {
+		if fld.Type == reflect.TypeFor[keyIndex]() || fld.Type == reflect.TypeFor[[]int32]() {
+			f.Fatalf("Chunk.%s is a %v", fld.Name, fld.Type)
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		gs := [2]*Group{NewGroup(), NewGroup()}
+		gs := [2]*Group{{}, {}}
 		refs := [2]*mapGroup{newMapGroup(), newMapGroup()}
 		// held[i] is a checkpoint of group i kept across later steps, and
 		// heldRefs[i] the reference's copy taken at the same instant.
@@ -235,6 +245,10 @@ func FuzzGroupIndex(f *testing.F) {
 			ref *mapGroup
 		}
 		var snaps []snapshot
+		// slabs records the slab of every copy seen in the pool.
+		slabs := map[*FrozenGroup]*slot{}
+		// chunk carries every sub-unit of the input in turn.
+		var chunk Chunk
 		// seen lists every key drawn so far, once, in the order drawn.
 		var seen []uint64
 		drawn := map[uint64]bool{}
@@ -321,16 +335,28 @@ func FuzzGroupIndex(f *testing.F) {
 				g.Merge(gs[b])
 				ref.Merge(refs[b])
 			case 6:
+				// A sub-unit of group a moves to group b, or, with bit 5
+				// set, goes back into group a the way a failed transfer
+				// returns it.
 				n := int(arg%4) + 1
 				sub := int(kind) % n
-				s := NewStore(1)
+				s := NewStore(2)
 				s.InstallGroup(0, g)
-				gs[b] = s.ExtractSubUnit(0, sub, n)
-				refs[b] = ref.extractSubUnit(sub, n)
-				// The extracted group was sized once: its index never
-				// doubled past the size its keys need.
-				if out := gs[b]; out.Len() > 0 && len(out.index.table) != indexLen(out.Len()) {
-					t.Fatalf("step %d: %d extracted keys in a %d-bucket index, want %d", step, out.Len(), len(out.index.table), indexLen(out.Len()))
+				s.InstallGroup(1, gs[b])
+				s.ExtractSubUnit(0, sub, n, &chunk)
+				out := ref.extractSubUnit(sub, n)
+				if chunk.Len() != len(out.index) || chunk.Bytes != out.Bytes {
+					t.Fatalf("step %d: a chunk of %d keys in %d bytes, reference %d in %d", step, chunk.Len(), chunk.Bytes, len(out.index), out.Bytes)
+				}
+				if op>>5&1 == 0 {
+					s.InstallChunk(1, &chunk)
+					refs[b].Merge(out)
+				} else {
+					s.InstallChunk(0, &chunk)
+					ref.Merge(out)
+				}
+				if chunk.Len() != 0 || chunk.Bytes != 0 {
+					t.Fatalf("step %d: InstallChunk left %d keys in %d bytes in the chunk", step, chunk.Len(), chunk.Bytes)
 				}
 			case 7:
 				// A restore: the old group lets go of its copy, and the
@@ -402,13 +428,26 @@ func FuzzGroupIndex(f *testing.F) {
 			for i, sn := range snaps {
 				matchFrozen(step, "snapshot "+string(rune('0'+i)), sn.f, sn.ref)
 			}
-			for _, f := range pool.free {
-				inUse := f == held[0] || f == held[1] || f == gs[0].frozen || f == gs[1].frozen
-				for _, sn := range snaps {
-					inUse = inUse || f == sn.f
+			for c, class := range pool.free {
+				for _, f := range class {
+					inUse := f == held[0] || f == held[1] || f == gs[0].frozen || f == gs[1].frozen
+					for _, sn := range snaps {
+						inUse = inUse || f == sn.f
+					}
+					if f.holds != 0 || inUse {
+						t.Fatalf("step %d: the pool holds a copy with %d holders (in use: %v)", step, f.holds, inUse)
+					}
+					if cap(f.slots) != 1<<c {
+						t.Fatalf("step %d: a copy of slab capacity %d is filed under size class %d", step, cap(f.slots), c)
+					}
+					if _, ok := slabs[f]; !ok {
+						slabs[f] = &f.slots[:1][0]
+					}
 				}
-				if f.holds != 0 || inUse {
-					t.Fatalf("step %d: the pool holds a copy with %d holders (in use: %v)", step, f.holds, inUse)
+			}
+			for f, slab := range slabs {
+				if &f.slots[:1][0] != slab {
+					t.Fatalf("step %d: a pooled copy's slab was regrown to capacity %d", step, cap(f.slots))
 				}
 			}
 		}

@@ -3,7 +3,7 @@
 // Following Flink's model (and the paper's), keyed state is partitioned into
 // a fixed number of key groups; a key group is the atomic unit of state
 // migration. Meces additionally splits key groups into sub-key-groups
-// ("hierarchical state organization"), which ExtractSubUnit supports.
+// ("hierarchical state organization"), which travel as Chunks.
 //
 // Storage layout: a key group keeps its entries in a contiguous slab of
 // 24-byte slots (key, float64 value, int32 size, live flag) that holds no
@@ -20,16 +20,17 @@
 // owns, so an instance of a wide job holds about MaxKeyGroups/parallelism
 // pointers, not MaxKeyGroups. Nothing iterates the key index: ForEach,
 // AppendKeys, Merge, ExtractSubUnit and checkpoints walk the slab in slot
-// order, and Groups walks the window in key-group order. Migration slabs
-// (ExtractSubUnit's output, Merge's target) are sized once before entries
-// are copied in.
+// order, and Groups walks the window in key-group order. A Chunk is a slab
+// with no key index that its owner refills for each sub-unit, and a merge
+// target is reserved once before entries are copied in.
 //
 // Checkpoints: a group's frozen copy is cached on the group until its next
 // write, so a checkpoint of a group untouched since the previous one shares
 // that one's copy instead of copying the slab again. Frozen copies are never
 // mutated while anything holds them; Thaw copies out of them. A copy counts
 // its holders (snapshots and groups caching it), and one no longer held goes
-// back to the FrozenPool it came from, whose next freeze refills it in place.
+// back to the FrozenPool it came from, filed by slab size class, whose next
+// freeze of a slab that size refills it in place without regrowing it.
 //
 // Byte accounting is per entry and per group; migration chunking,
 // sub-key-group slicing and serialized-bytes accounting all read it.
@@ -243,9 +244,6 @@ type Group struct {
 	Bytes int
 }
 
-// NewGroup returns an empty key-group container.
-func NewGroup() *Group { return &Group{} }
-
 // Len reports the number of keys with state in the group.
 func (g *Group) Len() int { return g.index.n }
 
@@ -396,13 +394,21 @@ func (g *Group) reserve(n int) {
 	g.index.reserve(g.index.n + n)
 }
 
-// Merge folds other into g (used when a migrated chunk arrives), entry by
-// entry with Put accounting, without boxing fast-lane values.
-func (g *Group) Merge(other *Group) {
-	g.reserve(other.Len())
-	for i := range other.slots {
-		if s := &other.slots[i]; s.live {
-			g.put(s.key, s.val, other.auxAt(int32(i)), int(s.bytes))
+// Merge folds other into g (InstallGroup onto a group already local), entry
+// by entry with Put accounting, without boxing fast-lane values.
+func (g *Group) Merge(other *Group) { g.merge(other.slots, other.aux, other.Len()) }
+
+// merge puts the n live entries of a slab into g in slab order, reserving
+// room for them once. aux is the slab's aux lane: empty, or as long as slots.
+func (g *Group) merge(slots []slot, aux []any, n int) {
+	g.reserve(n)
+	for i := range slots {
+		if s := &slots[i]; s.live {
+			var a any
+			if len(aux) > 0 {
+				a = aux[i]
+			}
+			g.put(s.key, s.val, a, int(s.bytes))
 		}
 	}
 }
@@ -433,24 +439,35 @@ type FrozenGroup struct {
 func (f *FrozenGroup) release() {
 	if f.holds--; f.holds == 0 && f.pool != nil {
 		clear(f.aux) // drop the payloads; the lane's storage stays
-		f.pool.free = append(f.pool.free, f)
+		c := sizeClass(cap(f.slots))
+		f.pool.free[c] = append(f.pool.free[c], f)
 	}
 }
 
 // FrozenPool takes back frozen copies that nothing holds any more, so that
-// checkpoints refill them instead of allocating fresh ones. The zero value is
-// ready to use; a nil pool recycles nothing.
-type FrozenPool struct{ free []*FrozenGroup }
+// checkpoints refill them instead of allocating fresh ones. free[c] holds the
+// copies of slab capacity 1<<c, which a refill never outgrows. The zero value
+// is ready to use; a nil pool recycles nothing.
+type FrozenPool struct{ free [32][]*FrozenGroup }
 
-// get returns a copy for freeze to refill: a pooled one, or a new one when
-// the pool is nil or empty.
-func (p *FrozenPool) get() *FrozenGroup {
-	if p == nil || len(p.free) == 0 {
-		return &FrozenGroup{pool: p}
+// sizeClass returns the size class of an n-slot slab: the smallest c with
+// n <= 1<<c. A slab's int32 slot numbers keep it below 32.
+func sizeClass(n int) int { return bits.Len(uint(max(n, 1) - 1)) }
+
+// get returns a copy for freeze to refill with n slots: a pooled one from n's
+// size class, or a new one made at that class's capacity when the class is
+// empty. A nil pool returns an empty copy, which the refill sizes exactly.
+func (p *FrozenPool) get(n int) *FrozenGroup {
+	if p == nil {
+		return &FrozenGroup{}
 	}
-	f := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	return f
+	c := sizeClass(n)
+	if free := p.free[c]; len(free) > 0 {
+		f := free[len(free)-1]
+		p.free[c] = free[:len(free)-1]
+		return f
+	}
+	return &FrozenGroup{slots: make([]slot, 0, 1<<c), pool: p}
 }
 
 // freeze returns the group's checkpoint copy with one hold taken for the
@@ -463,7 +480,7 @@ func (p *FrozenPool) get() *FrozenGroup {
 func (g *Group) freeze(pool *FrozenPool) *FrozenGroup {
 	f := g.frozen
 	if f == nil {
-		f = pool.get()
+		f = pool.get(len(g.slots))
 		f.slots = append(f.slots[:0], g.slots...)
 		f.aux = cloneAux(f.aux, g.aux)
 		f.free = append(f.free[:0], g.free...)
@@ -556,7 +573,7 @@ func (s *Store) OwnGroup(kg int) *Group {
 	if g := s.Group(kg); g != nil {
 		return g
 	}
-	g := NewGroup()
+	g := &Group{}
 	*s.cell(kg) = g
 	s.owned++
 	return g
@@ -672,7 +689,7 @@ func (s *Store) ExtractGroup(kg int) *Group {
 // already exists (fetch-back paths can interleave with background chunks).
 func (s *Store) InstallGroup(kg int, g *Group) {
 	if g == nil {
-		g = NewGroup()
+		g = &Group{}
 	}
 	if cur := s.Group(kg); cur != nil {
 		cur.Merge(g)
@@ -683,32 +700,56 @@ func (s *Store) InstallGroup(kg int, g *Group) {
 	s.owned++
 }
 
-// ExtractSubUnit removes the keys of kg that fall into sub-unit sub of n and
-// returns them as a group, whose slab and key index are sized for them up
-// front. The key group itself stays local (Meces keeps serving the
-// remainder). Returns nil if kg is not local.
-func (s *Store) ExtractSubUnit(kg, sub, n int) *Group {
+// Chunk is a sub-unit in transit: slots in their source's slab order, an aux
+// lane (empty, or as long as slots) and a byte total, with no key index and
+// no free list. ExtractSubUnit fills it and InstallChunk empties it, keeping
+// its storage for the next sub-unit. The zero value is an empty chunk.
+type Chunk struct {
+	slots []slot
+	aux   []any
+	// Bytes is the chunk's accounted size (the sum of entry sizes).
+	Bytes int
+}
+
+// Len reports the number of keys in the chunk.
+func (c *Chunk) Len() int { return len(c.slots) }
+
+// reset empties the chunk, dropping its payloads and keeping its storage.
+func (c *Chunk) reset() {
+	clear(c.aux)
+	c.slots, c.aux, c.Bytes = c.slots[:0], c.aux[:0], 0
+}
+
+// ExtractSubUnit moves the keys of kg that fall into sub-unit sub of n into
+// dst, replacing what dst held, in slot order, deleting each from kg as it
+// goes. The key group itself stays local (Meces keeps serving the
+// remainder). dst is left empty if kg is not local.
+func (s *Store) ExtractSubUnit(kg, sub, n int, dst *Chunk) {
+	dst.reset()
 	g := s.Group(kg)
 	if g == nil {
-		return nil
+		return
 	}
-	var count int
 	for i := range g.slots {
-		if sl := &g.slots[i]; sl.live && SubUnitOf(sl.key, n) == sub {
-			count++
+		sl := &g.slots[i]
+		if !sl.live || SubUnitOf(sl.key, n) != sub {
+			continue
 		}
-	}
-	out := NewGroup()
-	out.reserve(count)
-	for i := range g.slots {
-		if sl := &g.slots[i]; sl.live && SubUnitOf(sl.key, n) == sub {
-			out.put(sl.key, sl.val, g.auxAt(int32(i)), int(sl.bytes))
+		dst.slots = append(dst.slots, *sl)
+		if g.aux != nil {
+			dst.aux = append(dst.aux, g.aux[i])
 		}
+		dst.Bytes += int(sl.bytes)
+		g.Delete(sl.key)
 	}
-	for i := range out.slots {
-		g.Delete(out.slots[i].key)
-	}
-	return out
+}
+
+// InstallChunk makes kg local, creating an empty group if absent, and moves
+// the chunk's entries into it in the chunk's order with Put accounting,
+// reserving room for them once. The chunk is left empty for reuse.
+func (s *Store) InstallChunk(kg int, c *Chunk) {
+	s.OwnGroup(kg).merge(c.slots, c.aux, len(c.slots))
+	c.reset()
 }
 
 // Snapshot is a frozen copy of a store's groups. Like Store, it is a window

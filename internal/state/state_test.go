@@ -43,7 +43,7 @@ func TestSubUnitOfRange(t *testing.T) {
 }
 
 func TestGroupPutDeleteAccounting(t *testing.T) {
-	g := NewGroup()
+	g := &Group{}
 	g.Put(1, "a", 10)
 	g.Put(2, "b", 20)
 	if g.Bytes != 30 {
@@ -131,7 +131,7 @@ func TestStoreExtractInstall(t *testing.T) {
 func TestStoreInstallMerges(t *testing.T) {
 	s := NewStore(8)
 	s.OwnGroup(2)
-	g := NewGroup()
+	g := &Group{}
 	var k uint64
 	for ; KeyGroupOf(k, 8) != 2; k++ {
 	}
@@ -158,27 +158,84 @@ func TestExtractSubUnitPartition(t *testing.T) {
 		}
 	}
 	total := s.GroupBytes(kg)
-	var gotKeys int
+	var gotKeys, gotBytes int
+	var c Chunk // one chunk, refilled for every sub-unit
 	for sub := 0; sub < 4; sub++ {
-		g := s.ExtractSubUnit(kg, sub, 4)
-		if g == nil {
-			t.Fatal("nil sub unit")
-		}
-		gotKeys += g.Len()
-		for _, k := range g.Keys() {
-			if SubUnitOf(k, 4) != sub {
-				t.Fatalf("key %d in wrong sub unit", k)
+		s.ExtractSubUnit(kg, sub, 4, &c)
+		gotKeys += c.Len()
+		gotBytes += c.Bytes
+		for _, sl := range c.slots {
+			if SubUnitOf(sl.key, 4) != sub {
+				t.Fatalf("key %d in wrong sub unit", sl.key)
 			}
 		}
 	}
-	if gotKeys != len(keys) {
-		t.Fatalf("sub units lost keys: %d vs %d", gotKeys, len(keys))
+	if gotKeys != len(keys) || gotBytes != total {
+		t.Fatalf("sub units hold %d keys in %d bytes, want %d in %d", gotKeys, gotBytes, len(keys), total)
 	}
 	if s.GroupBytes(kg) != 0 {
 		t.Fatalf("residual bytes %d of %d", s.GroupBytes(kg), total)
 	}
-	if s.ExtractSubUnit(99, 0, 4) != nil {
-		t.Fatal("non-local sub unit extraction should return nil")
+	s.ExtractSubUnit(3, 0, 4, &c)
+	if c.Len() != 0 || c.Bytes != 0 {
+		t.Fatalf("extraction from a non-local key group left %d keys in %d bytes", c.Len(), c.Bytes)
+	}
+}
+
+// TestSubUnitRoundTripAllocs checks that moving sub-units back and forth
+// through one reused chunk allocates nothing once the chunk and both groups
+// have grown to fit.
+func TestSubUnitRoundTripAllocs(t *testing.T) {
+	src, dst := NewStore(1), NewStore(1)
+	for k := uint64(1); k <= 400; k++ {
+		src.OwnGroup(0).PutF64(k, float64(k), 8)
+	}
+	var c Chunk
+	sub := 0
+	round := func() {
+		src.ExtractSubUnit(0, sub, 4, &c)
+		dst.InstallChunk(0, &c)
+		dst.ExtractSubUnit(0, sub, 4, &c)
+		src.InstallChunk(0, &c)
+		sub = (sub + 1) % 4
+	}
+	for range 4 {
+		round()
+	}
+	if avg := testing.AllocsPerRun(40, round); avg != 0 {
+		t.Fatalf("a sub-unit round trip allocates %v times", avg)
+	}
+	if n := src.KeyCount(); n != 400 {
+		t.Fatalf("%d keys after the round trips, want 400", n)
+	}
+}
+
+// TestFrozenPoolRefillAllocs checks that checkpoint copies of a small and a
+// large group, refilled in turn through one pool, allocate nothing once each
+// size class holds a copy: a refill draws from its own class and never
+// regrows a copy the other group left.
+func TestFrozenPoolRefillAllocs(t *testing.T) {
+	var pool FrozenPool
+	small, large := &Group{}, &Group{}
+	for k := uint64(1); k <= 300; k++ {
+		if k <= 10 {
+			small.PutF64(k, 0, 8)
+		}
+		large.PutF64(k, 0, 8)
+	}
+	var step float64
+	order := []*Group{small, large, large, small}
+	round := func() {
+		for _, g := range order {
+			f := g.freeze(&pool)
+			step++
+			g.PutF64(1, step, 8) // the write drops the group's hold
+			f.release()          // and this the last, pooling the copy
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(40, round); avg != 0 {
+		t.Fatalf("a round of refills allocates %v times", avg)
 	}
 }
 
@@ -380,7 +437,7 @@ func TestStoreKeyGroupWindow(t *testing.T) {
 		call       func()
 	}{
 		{"OwnGroup(1024)", "key group 1024", func() { s.OwnGroup(1024) }},
-		{"InstallGroup(-1)", "key group -1", func() { s.InstallGroup(-1, NewGroup()) }},
+		{"InstallGroup(-1)", "key group -1", func() { s.InstallGroup(-1, &Group{}) }},
 	} {
 		func() {
 			defer func() {
@@ -452,5 +509,5 @@ func TestPutRejectsEntryOverInt32(t *testing.T) {
 			t.Fatalf("panic %q, want the int32 slot-size message", msg)
 		}
 	}()
-	NewGroup().PutF64(1, 0, math.MaxInt32+1)
+	(&Group{}).PutF64(1, 0, math.MaxInt32+1)
 }
