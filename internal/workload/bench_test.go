@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"testing"
 
 	"drrs/internal/engine"
@@ -32,6 +33,54 @@ func BenchmarkWorkloadGen(b *testing.B) {
 		if rt.Throughput.Total() < 50000 {
 			b.Fatalf("generated only %d records", rt.Throughput.Total())
 		}
+	}
+}
+
+// BenchmarkTraceRecordReplay follows one trace through its life: record a
+// Live spec of over 100 k arrivals as a run's sources would consume it,
+// write the file, read it back and replay every stream. Its allocations are
+// the recording, the decoded copy and the replay, with the Live generator's
+// own cost underneath.
+func BenchmarkTraceRecordReplay(b *testing.B) {
+	spec := testSpec(7)
+	spec.Duration = simtime.Sec(70)
+	live := Live(spec)
+	const p = 2
+	var buf bytes.Buffer
+	pass := func() {
+		rec := NewRecorder(live)
+		var ev Event
+		for inst := 0; inst < p; inst++ {
+			st := rec.Stream(inst, p, 0)
+			for st.Next(&ev) {
+			}
+		}
+		buf.Reset()
+		if err := rec.Trace().Write(&buf); err != nil {
+			b.Fatal(err)
+		}
+		tr, err := ReadTrace(&buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		replay := Replay(tr)
+		for inst := 0; inst < p; inst++ {
+			st := replay.Stream(inst, p, 0)
+			for st.Next(&ev) {
+				if !ev.Stop {
+					n++
+				}
+			}
+		}
+		if n != tr.Events() || n < 100_000 {
+			b.Fatalf("replayed %d of %d recorded arrivals, want at least 100000", n, tr.Events())
+		}
+	}
+	pass() // sizes the file buffer, which every pass reuses
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
 	}
 }
 

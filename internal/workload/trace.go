@@ -14,13 +14,16 @@ import (
 // Trace is a recorded arrival-stream set: exactly what a run's source
 // instances consumed, in a versioned format that round-trips bit-for-bit.
 // Replaying a Trace against the same job reproduces the run's OutcomeDigest.
+// In memory each stream is already in the file's encoding, so a trace costs
+// what it does on disk (about 6.6 bytes per recorded arrival), and Write only
+// frames and checksums it.
 type Trace struct {
 	// SourceParallelism is the source instance count the trace was recorded
 	// under. Replay re-partitions by cohort when the target differs.
 	SourceParallelism int
-	// Streams holds each instance's arrivals with At relative to the
+	// streams holds each instance's arrivals with At relative to the
 	// stream's start; a bounded stream ends with a single Stop event.
-	Streams [][]Event
+	streams []traceStream
 }
 
 // traceMagic identifies the format; the trailing byte is the version.
@@ -33,35 +36,162 @@ const (
 	tfSize  = 1 << 2 // Size differs from the default 100 and is encoded
 )
 
-// Bounds on what a trace header may declare before any checksum can vouch
-// for it. A stream longer than traceMaxEvents is rejected outright; one
-// shorter is believed only up to tracePrealloc events of reserved memory
-// (40 MB — every trace this repo writes decodes in one allocation), beyond
-// which the slice grows as the file actually delivers events.
+// traceMaxEvents bounds the event count a stream header may declare before
+// any checksum can vouch for it. Nothing is reserved per declared event:
+// a stream's memory grows only as the file delivers its bytes.
+const traceMaxEvents = 1 << 32
+
+// A stream body lives in blocks that never split an event, so decoding needs
+// no bounds juggling and growing a body copies nothing. Blocks double from
+// traceBlockMin to traceBlockMax, which keeps a small stream small and a
+// large one within one block of its encoded size.
 const (
-	traceMaxEvents = 1 << 32
-	tracePrealloc  = 1 << 20
+	traceBlockMin = 256
+	traceBlockMax = 64 << 10
+	// maxEventLen is the longest encoding of one event: four uvarints (the
+	// At delta, Key, Cohort and Size), the flags byte and the 8-byte Value.
+	maxEventLen = 4*binary.MaxVarintLen64 + 1 + 8
 )
+
+// traceStream is one instance's arrivals exactly as Write emits them: the
+// delta-varint body plus the counts the header and Describe need.
+type traceStream struct {
+	blocks [][]byte
+	n      int          // encoded events, Stop markers included
+	data   int          // arrivals, Stop markers excluded
+	last   simtime.Time // At of the last encoded event
+	// bad is one plus the index of the first event whose At went backwards,
+	// or 0. Such an event has no delta encoding, so the stream stops
+	// encoding there and the trace cannot be written or replayed.
+	bad int
+}
+
+// add encodes ev at the end of the stream.
+func (s *traceStream) add(ev *Event) {
+	if !ev.Stop {
+		s.data++
+	}
+	if s.bad != 0 {
+		return
+	}
+	if ev.At < s.last {
+		s.bad = s.n + 1
+		return
+	}
+	k := len(s.blocks)
+	if k == 0 || cap(s.blocks[k-1])-len(s.blocks[k-1]) < maxEventLen {
+		c := traceBlockMin
+		if k > 0 {
+			c = min(2*cap(s.blocks[k-1]), traceBlockMax)
+		}
+		s.blocks = append(s.blocks, make([]byte, 0, c))
+		k++
+	}
+	s.blocks[k-1] = appendEvent(s.blocks[k-1], s.last, ev)
+	s.last = ev.At
+	s.n++
+}
+
+// appendEvent appends ev's encoding, its At a delta from prev <= ev.At. This
+// is the trace format's one encoder: recording, Synthesize, re-partitioning
+// and ReadTrace all build stream bodies through it, and Write emits them.
+func appendEvent(b []byte, prev simtime.Time, ev *Event) []byte {
+	b = binary.AppendUvarint(b, uint64(ev.At-prev))
+	if ev.Stop {
+		return append(b, tfStop)
+	}
+	flags := byte(0)
+	if ev.Value != 1.0 {
+		flags |= tfValue
+	}
+	if ev.Size != 100 {
+		flags |= tfSize
+	}
+	b = append(b, flags)
+	b = binary.AppendUvarint(b, ev.Key)
+	b = binary.AppendUvarint(b, uint64(ev.Cohort))
+	if flags&tfSize != 0 {
+		b = binary.AppendUvarint(b, uint64(ev.Size))
+	}
+	if flags&tfValue != 0 {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ev.Value))
+	}
+	return b
+}
+
+// traceCursor decodes a stream body that appendEvent wrote, one event per
+// next, with At relative to the stream's start.
+type traceCursor struct {
+	blocks [][]byte
+	b, off int
+	prev   simtime.Time
+}
+
+func (c *traceCursor) next(ev *Event) bool {
+	for c.b < len(c.blocks) && c.off == len(c.blocks[c.b]) {
+		c.b++
+		c.off = 0
+	}
+	if c.b == len(c.blocks) {
+		return false
+	}
+	blk := c.blocks[c.b][c.off:]
+	delta, i := binary.Uvarint(blk)
+	c.prev = c.prev.Add(simtime.Duration(delta))
+	flags := blk[i]
+	i++
+	if flags == tfStop {
+		*ev = Event{At: c.prev, Stop: true}
+		c.off += i
+		return true
+	}
+	key, k := binary.Uvarint(blk[i:])
+	i += k
+	cohort, k := binary.Uvarint(blk[i:])
+	i += k
+	*ev = Event{At: c.prev, Key: key, Size: 100, Value: 1.0, Cohort: uint32(cohort)}
+	if flags&tfSize != 0 {
+		size, k := binary.Uvarint(blk[i:])
+		i += k
+		ev.Size = int(size)
+	}
+	if flags&tfValue != 0 {
+		ev.Value = math.Float64frombits(binary.LittleEndian.Uint64(blk[i:]))
+		i += 8
+	}
+	c.off += i
+	return true
+}
 
 // Events counts the data events (excluding Stop markers) across all streams.
 func (t *Trace) Events() int {
 	n := 0
-	for _, st := range t.Streams {
-		for i := range st {
-			if !st[i].Stop {
-				n++
-			}
-		}
+	for i := range t.streams {
+		n += t.streams[i].data
 	}
 	return n
 }
 
-// Write encodes the trace: magic+version, then per-stream delta-encoded
-// events, then an FNV-1a checksum of everything after the magic.
-func (t *Trace) Write(w io.Writer) error {
-	if t.SourceParallelism <= 0 || len(t.Streams) != t.SourceParallelism {
+// check reports why the trace cannot be written or replayed, if it cannot.
+func (t *Trace) check() error {
+	if t.SourceParallelism <= 0 || len(t.streams) != t.SourceParallelism {
 		return fmt.Errorf("workload: trace has %d streams for source parallelism %d",
-			len(t.Streams), t.SourceParallelism)
+			len(t.streams), t.SourceParallelism)
+	}
+	for i := range t.streams {
+		if bad := t.streams[i].bad; bad != 0 {
+			return fmt.Errorf("workload: trace stream not time-ordered at event %d", bad-1)
+		}
+	}
+	return nil
+}
+
+// Write encodes the trace: magic+version, the source parallelism, then each
+// stream's event count and delta-encoded events, then an FNV-1a checksum of
+// everything after the magic.
+func (t *Trace) Write(w io.Writer) error {
+	if err := t.check(); err != nil {
+		return err
 	}
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(traceMagic); err != nil {
@@ -69,36 +199,11 @@ func (t *Trace) Write(w io.Writer) error {
 	}
 	hw := &sumWriter{w: bw, sum: fnvOffset}
 	hw.uvarint(uint64(t.SourceParallelism))
-	for _, st := range t.Streams {
-		hw.uvarint(uint64(len(st)))
-		prev := simtime.Time(0)
-		for i := range st {
-			ev := &st[i]
-			if ev.At < prev {
-				return fmt.Errorf("workload: trace stream not time-ordered at event %d", i)
-			}
-			hw.uvarint(uint64(ev.At - prev))
-			prev = ev.At
-			if ev.Stop {
-				hw.byte(tfStop)
-				continue
-			}
-			flags := byte(0)
-			if ev.Value != 1.0 {
-				flags |= tfValue
-			}
-			if ev.Size != 100 {
-				flags |= tfSize
-			}
-			hw.byte(flags)
-			hw.uvarint(ev.Key)
-			hw.uvarint(uint64(ev.Cohort))
-			if flags&tfSize != 0 {
-				hw.uvarint(uint64(ev.Size))
-			}
-			if flags&tfValue != 0 {
-				hw.u64(math.Float64bits(ev.Value))
-			}
+	for i := range t.streams {
+		st := &t.streams[i]
+		hw.uvarint(uint64(st.n))
+		for _, b := range st.blocks {
+			hw.write(b)
 		}
 	}
 	var foot [8]byte
@@ -115,7 +220,8 @@ func (t *Trace) Write(w io.Writer) error {
 // ReadTrace decodes a trace written by Write, verifying version and checksum.
 // It accepts only Write's own encoding — minimal varints, no default Value or
 // Size spelled out, nothing after the footer — so a trace that decodes
-// re-encodes to the same bytes.
+// re-encodes to the same bytes, and each validated event is kept by encoding
+// it again.
 func ReadTrace(r io.Reader) (*Trace, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(traceMagic))
@@ -140,7 +246,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if hr.err == nil && n > traceMaxEvents {
 			return nil, fmt.Errorf("workload: trace stream %d declares implausible length %d", s, n)
 		}
-		st := make([]Event, 0, min(n, tracePrealloc))
+		t.streams = append(t.streams, traceStream{})
+		st := &t.streams[s]
 		prev := simtime.Time(0)
 		stopped := false
 		for i := uint64(0); i < n && hr.err == nil; i++ {
@@ -154,7 +261,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("workload: trace stream %d has events after its stop marker", s)
 			}
 			if flags == tfStop {
-				st = append(st, Event{At: prev, Stop: true})
+				st.add(&Event{At: prev, Stop: true})
 				stopped = true
 				continue
 			}
@@ -179,9 +286,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 					return nil, fmt.Errorf("workload: trace stream %d event %d encodes the default value", s, i)
 				}
 			}
-			st = append(st, ev)
+			st.add(&ev)
 		}
-		t.Streams = append(t.Streams, st)
 	}
 	if hr.err != nil {
 		return nil, fmt.Errorf("workload: reading trace: %w", hr.err)
@@ -238,27 +344,18 @@ type sumWriter struct {
 	err error
 }
 
-func (h *sumWriter) byte(b byte) {
-	h.sum = (h.sum ^ uint64(b)) * fnvPrime
+func (h *sumWriter) write(p []byte) {
+	for _, b := range p {
+		h.sum = (h.sum ^ uint64(b)) * fnvPrime
+	}
 	if h.err == nil {
-		h.err = h.w.WriteByte(b)
+		_, h.err = h.w.Write(p)
 	}
 }
 
 func (h *sumWriter) uvarint(v uint64) {
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	for _, b := range buf[:n] {
-		h.byte(b)
-	}
-}
-
-func (h *sumWriter) u64(v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	for _, b := range buf {
-		h.byte(b)
-	}
+	h.write(binary.AppendUvarint(buf[:0], v))
 }
 
 // sumReader mirrors sumWriter for decoding.
@@ -318,10 +415,13 @@ func (h *sumReader) u64() uint64 {
 // job's source parallelism matches the recording, each instance replays its
 // exact stream; otherwise arrivals are re-partitioned by cohort (cohort i
 // feeds instance i mod parallelism, matching Live) with recorded order
-// preserved inside each instance.
+// preserved inside each instance. It panics on a trace Write would refuse.
 func Replay(t *Trace) Traffic {
 	if t == nil {
 		panic("workload: Replay needs a non-nil Trace")
+	}
+	if err := t.check(); err != nil {
+		panic(err)
 	}
 	return replayTraffic{t: t}
 }
@@ -330,10 +430,8 @@ type replayTraffic struct{ t *Trace }
 
 func (rt replayTraffic) Describe() string {
 	var end simtime.Time
-	for _, st := range rt.t.Streams {
-		if n := len(st); n > 0 && st[n-1].At > end {
-			end = st[n-1].At
-		}
+	for i := range rt.t.streams {
+		end = max(end, rt.t.streams[i].last)
 	}
 	return fmt.Sprintf("replay: %d events over %d streams, %v recorded",
 		rt.t.Events(), rt.t.SourceParallelism, simtime.Duration(end))
@@ -341,64 +439,69 @@ func (rt replayTraffic) Describe() string {
 
 func (rt replayTraffic) Stream(instance, parallelism int, start simtime.Time) Stream {
 	if parallelism == rt.t.SourceParallelism {
-		return &sliceStream{events: rt.t.Streams[instance], start: start}
+		return &replayStream{cur: traceCursor{blocks: rt.t.streams[instance].blocks}, start: start}
 	}
-	return &sliceStream{events: rt.repartition(instance, parallelism), start: start}
+	return rt.repartition(instance, parallelism, start)
 }
 
 // repartition merges the recorded streams by (At, stream) and keeps the
 // arrivals whose cohort routes to this instance, ending with a Stop at the
-// latest recorded stop time.
-func (rt replayTraffic) repartition(instance, parallelism int) []Event {
-	idx := make([]int, len(rt.t.Streams))
-	var out []Event
-	var stopAt simtime.Time
-	sawStop := false
+// latest recorded stop time. That Stop is held beside the body: when streams
+// stop at different times it may fall before the last arrival, which has no
+// delta encoding.
+func (rt replayTraffic) repartition(instance, parallelism int, start simtime.Time) *replayStream {
+	streams := rt.t.streams
+	curs := make([]traceCursor, len(streams))
+	heads := make([]Event, len(streams))
+	live := make([]bool, len(streams))
+	for s := range streams {
+		curs[s].blocks = streams[s].blocks
+		live[s] = curs[s].next(&heads[s])
+	}
+	var out traceStream
+	rs := &replayStream{start: start}
 	for {
 		best := -1
-		for s, st := range rt.t.Streams {
-			if idx[s] >= len(st) {
-				continue
-			}
-			if best < 0 || st[idx[s]].At < rt.t.Streams[best][idx[best]].At {
+		for s := range heads {
+			if live[s] && (best < 0 || heads[s].At < heads[best].At) {
 				best = s
 			}
 		}
 		if best < 0 {
 			break
 		}
-		ev := rt.t.Streams[best][idx[best]]
-		idx[best]++
+		ev := heads[best]
+		live[best] = curs[best].next(&heads[best])
 		if ev.Stop {
-			if ev.At > stopAt {
-				stopAt = ev.At
-			}
-			sawStop = true
+			rs.stop = max(rs.stop, ev.At)
+			rs.held = true
 			continue
 		}
 		if int(ev.Cohort)%parallelism == instance {
-			out = append(out, ev)
+			out.add(&ev)
 		}
 	}
-	if sawStop {
-		out = append(out, Event{At: stopAt, Stop: true})
-	}
-	return out
+	rs.cur.blocks = out.blocks
+	return rs
 }
 
-// sliceStream replays a recorded event slice, re-anchoring times at start.
-type sliceStream struct {
-	events []Event
-	start  simtime.Time
-	next   int
+// replayStream replays a stream body, then the held Stop if there is one,
+// re-anchoring times at start.
+type replayStream struct {
+	cur   traceCursor
+	start simtime.Time
+	stop  simtime.Time // At of the held Stop
+	held  bool
 }
 
-func (s *sliceStream) Next(ev *Event) bool {
-	if s.next >= len(s.events) {
-		return false
+func (s *replayStream) Next(ev *Event) bool {
+	if !s.cur.next(ev) {
+		if !s.held {
+			return false
+		}
+		s.held = false
+		*ev = Event{At: s.stop, Stop: true}
 	}
-	*ev = s.events[s.next]
-	s.next++
 	ev.At = s.start.Add(simtime.Duration(ev.At))
 	return true
 }
@@ -421,11 +524,11 @@ func (r *Recorder) Describe() string { return "record(" + r.inner.Describe() + "
 func (r *Recorder) Stream(instance, parallelism int, start simtime.Time) Stream {
 	if r.trace.SourceParallelism == 0 {
 		r.trace.SourceParallelism = parallelism
-		r.trace.Streams = make([][]Event, parallelism)
+		r.trace.streams = make([]traceStream, parallelism)
 	}
 	return &teeStream{
 		inner: r.inner.Stream(instance, parallelism, start),
-		rec:   &r.trace.Streams[instance],
+		rec:   &r.trace.streams[instance],
 		start: start,
 	}
 }
@@ -435,7 +538,7 @@ func (r *Recorder) Trace() *Trace { return &r.trace }
 
 type teeStream struct {
 	inner Stream
-	rec   *[]Event
+	rec   *traceStream
 	start simtime.Time
 }
 
@@ -443,9 +546,9 @@ func (s *teeStream) Next(ev *Event) bool {
 	if !s.inner.Next(ev) {
 		return false
 	}
-	stored := *ev
-	stored.At = simtime.Time(stored.At.Sub(s.start))
-	*s.rec = append(*s.rec, stored)
+	rel := *ev
+	rel.At = simtime.Time(ev.At.Sub(s.start))
+	s.rec.add(&rel)
 	return true
 }
 
@@ -453,12 +556,12 @@ func (s *teeStream) Next(ev *Event) bool {
 // into the Trace a run over the same (traffic, parallelism) would consume.
 // Unbounded traffic would never return; callers pass Specs with a Duration.
 func Synthesize(traffic Traffic, parallelism int) *Trace {
-	t := &Trace{SourceParallelism: parallelism, Streams: make([][]Event, parallelism)}
-	for i := 0; i < parallelism; i++ {
+	t := &Trace{SourceParallelism: parallelism, streams: make([]traceStream, parallelism)}
+	for i := range t.streams {
 		st := traffic.Stream(i, parallelism, 0)
 		var ev Event
 		for st.Next(&ev) {
-			t.Streams[i] = append(t.Streams[i], ev)
+			t.streams[i].add(&ev)
 		}
 	}
 	return t

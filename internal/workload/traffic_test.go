@@ -57,6 +57,30 @@ func drain(s Stream) []Event {
 	return out
 }
 
+// streamsOf decodes each of the trace's streams, At relative to its start.
+func streamsOf(tr *Trace) [][]Event {
+	out := make([][]Event, len(tr.streams))
+	for i := range tr.streams {
+		c := traceCursor{blocks: tr.streams[i].blocks}
+		var ev Event
+		for c.next(&ev) {
+			out[i] = append(out[i], ev)
+		}
+	}
+	return out
+}
+
+// traceOf encodes one stream per element of streams, as a recording would.
+func traceOf(streams ...[]Event) *Trace {
+	tr := &Trace{SourceParallelism: len(streams), streams: make([]traceStream, len(streams))}
+	for i, st := range streams {
+		for k := range st {
+			tr.streams[i].add(&st[k])
+		}
+	}
+	return tr
+}
+
 func dropStops(events []Event) []Event {
 	out := events[:0:0]
 	for _, ev := range events {
@@ -144,7 +168,7 @@ func TestLiveDeterminism(t *testing.T) {
 		t.Fatal("same seed synthesized different traces")
 	}
 	c := Synthesize(Live(testSpec(4)), 2)
-	if reflect.DeepEqual(a.Streams, c.Streams) {
+	if reflect.DeepEqual(streamsOf(a), streamsOf(c)) {
 		t.Fatal("different seeds synthesized identical traces")
 	}
 }
@@ -201,7 +225,7 @@ func TestLiveStreamChecksums(t *testing.T) {
 	} {
 		tr := Synthesize(Live(tc.spec), tc.p)
 		per := make([]int, len(tc.spec.Cohorts))
-		for _, st := range tr.Streams {
+		for _, st := range streamsOf(tr) {
 			for _, ev := range dropStops(st) {
 				per[ev.Cohort]++
 			}
@@ -346,7 +370,7 @@ func TestTraceRejectsCorruption(t *testing.T) {
 func TestReplayReproducesTraffic(t *testing.T) {
 	tr := Synthesize(Live(testSpec(3)), 2)
 	same := Synthesize(Replay(tr), 2)
-	if !reflect.DeepEqual(tr.Streams, same.Streams) {
+	if !reflect.DeepEqual(streamsOf(tr), streamsOf(same)) {
 		t.Fatal("replay at the recorded parallelism is not exact")
 	}
 
@@ -354,7 +378,7 @@ func TestReplayReproducesTraffic(t *testing.T) {
 	if got, want := one.Events(), tr.Events(); got != want {
 		t.Fatalf("repartition dropped events: %d vs %d", got, want)
 	}
-	evs := one.Streams[0]
+	evs := streamsOf(one)[0]
 	for k := 1; k < len(evs); k++ {
 		if evs[k].At < evs[k-1].At {
 			t.Fatalf("repartitioned stream not time-ordered at %d", k)
@@ -364,8 +388,9 @@ func TestReplayReproducesTraffic(t *testing.T) {
 		t.Fatal("repartitioned bounded stream must end with a Stop")
 	}
 	// The same arrivals, regardless of how they were partitioned.
-	a := dropStops(append([]Event(nil), tr.Streams[0]...))
-	a = append(a, dropStops(tr.Streams[1])...)
+	recorded := streamsOf(tr)
+	a := dropStops(append([]Event(nil), recorded[0]...))
+	a = append(a, dropStops(recorded[1])...)
 	sortArrivals(a)
 	b := dropStops(append([]Event(nil), evs...))
 	sortArrivals(b)
@@ -374,7 +399,7 @@ func TestReplayReproducesTraffic(t *testing.T) {
 	}
 	// Cohort routing matches Live's partitioning on the new parallelism.
 	three := Synthesize(Replay(tr), 3)
-	for inst, st := range three.Streams {
+	for inst, st := range streamsOf(three) {
 		for _, ev := range dropStops(st) {
 			if int(ev.Cohort)%3 != inst {
 				t.Fatalf("cohort %d landed on instance %d", ev.Cohort, inst)
