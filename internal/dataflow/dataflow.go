@@ -74,13 +74,16 @@ type SourceContext interface {
 	Now() simtime.Time
 	// After schedules fn on the instance's scheduler.
 	After(d simtime.Duration, fn func())
-	// Ingest stamps IngestTime, queues r behind the source's backlog and
-	// drains that backlog in place, in order, as far as downstream capacity
-	// allows; what does not fit leaves when capacity frees.
+	// Ingest stamps IngestTime (and Seq) where unset, queues a copy of r
+	// behind the source's backlog and drains that backlog in place, in order,
+	// as far as downstream capacity allows; what does not fit leaves when
+	// capacity frees. The copy keeps every field but KeyGroup, which routing
+	// sets. Ingest recycles r itself at once: the caller must not touch it
+	// after the call.
 	Ingest(r *netsim.Record)
 	// NewRecord returns a zeroed record from the engine's recycling pool.
-	// Sources should draw records here rather than allocating: the engine
-	// returns every record to the pool once it has been fully processed.
+	// Sources should draw records here rather than allocating, fill one and
+	// hand it to Ingest, which returns it to the pool.
 	NewRecord() *netsim.Record
 	// EmitWatermark queues an event-time watermark behind the backlog and
 	// drains in place, like Ingest.

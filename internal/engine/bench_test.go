@@ -235,3 +235,16 @@ func TestEmitSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("processed %d records, want every one of %d on both ports", processed, 2*key)
 	}
 }
+
+// BenchmarkSourceBacklogBurst is TestSourceBacklogBurstAllocs as a gated
+// benchmark: one op is a burst of 1 000 arrivals queued behind a paused
+// source and drained, allocation-free once warm.
+func BenchmarkSourceBacklogBurst(b *testing.B) {
+	burst := sourceBurst(1000)
+	burst()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		burst()
+	}
+}

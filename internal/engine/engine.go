@@ -96,10 +96,15 @@ type Runtime struct {
 	// on a healthy run.
 	lostRecords uint64
 
-	// recPool recycles Record values on the ingest path: sources and marker
-	// injection draw from it, and records are returned when they die (applied
+	// recPool recycles Record values: sources and marker injection fill one
+	// and ingest returns it at once, a source's backlog draws one as each
+	// queued arrival leaves, and records are returned when they die (applied
 	// without being forwarded, or a marker reaching its sink).
 	recPool netsim.RecordPool
+	// arrivalSegs and sideSegs are the free segment chains every source
+	// backlog of this run grows from and retires to.
+	arrivalSegs netsim.SegChain[arrival]
+	sideSegs    netsim.SegChain[any]
 
 	markerTimer simtime.Timer
 }

@@ -125,7 +125,9 @@ type Instance struct {
 	aligners  map[AlignKey][]*netsim.Edge
 	spareSets [][]*netsim.Edge
 
-	backlog netsim.Deque[netsim.Message]
+	// src is the source-only part of the instance (nil for operators that
+	// are not sources).
+	src *source
 
 	suspended  bool
 	wakeQueued bool
@@ -187,6 +189,12 @@ func (rt *Runtime) newInstance(spec *dataflow.OperatorSpec, idx int) *Instance {
 	in.store = state.NewStore(maxKG)
 	if spec.NewLogic != nil {
 		in.logic = spec.NewLogic()
+	}
+	if spec.Source != nil {
+		in.src = &source{
+			backlog: netsim.NewDeque(&rt.arrivalSegs),
+			side:    netsim.NewDeque(&rt.sideSegs),
+		}
 	}
 	in.handler = &NativeHandler{}
 	in.stepFn = in.step
@@ -306,7 +314,12 @@ func (in *Instance) NextReady(from, to int) int {
 }
 
 // BacklogLen reports the source backlog size (0 for non-sources).
-func (in *Instance) BacklogLen() int { return in.backlog.Len() }
+func (in *Instance) BacklogLen() int {
+	if in.src == nil {
+		return 0
+	}
+	return in.src.backlog.Len()
+}
 
 // Suspended reports whether the instance is currently suspension-blocked.
 func (in *Instance) Suspended() bool { return in.suspended }
@@ -358,7 +371,7 @@ func (in *Instance) wakeTail() {
 
 func (in *Instance) step() {
 	in.wakeQueued = false
-	if in.Spec.Source != nil {
+	if in.src != nil {
 		// A source's step is the same gated drain that ingest and
 		// EmitWatermark run in place.
 		in.drainBacklog()
@@ -929,7 +942,7 @@ func (c sourceContext) NewRecord() *netsim.Record {
 	return c.in.rt.recPool.Get()
 }
 func (c sourceContext) EmitWatermark(wm simtime.Time) {
-	c.in.backlog.PushBack(&netsim.Watermark{WM: wm})
+	c.in.src.pushControl(&netsim.Watermark{WM: wm})
 	c.in.drainBacklog()
 }
 func (c sourceContext) InstanceIndex() int { return c.in.Index }
@@ -939,7 +952,72 @@ func (in *Instance) startSource() {
 	in.Spec.Source(sourceContext{in: in})
 }
 
-// ingest stamps r, queues it behind the source's backlog and drains in place.
+// source is what only a source instance keeps: its ingest backlog, the
+// records Kafka holds that the consumer has not polled yet. An arrival waits
+// there by value, so a queued record costs one compact entry and no pooled
+// Record. A record's Aux and each control message (watermark, checkpoint
+// barrier) wait in order in side; an entry's kind says when to take from it.
+// Every source of a run grows both deques from the runtime's shared segment
+// chains.
+type source struct {
+	backlog netsim.Deque[arrival]
+	side    netsim.Deque[any]
+}
+
+// arrival is one backlog entry: a record's fields by value, or (kind
+// arrControl) the place of a control message waiting in source.side.
+// KeyGroup is not kept: routing sets it as the record leaves.
+type arrival struct {
+	key        uint64
+	eventTime  simtime.Time
+	ingestTime simtime.Time
+	seq        uint64
+	value      float64
+	size       int32
+	kind       arrivalKind
+}
+
+// arrivalKind flags what an arrival is and what waits for it in the side
+// lane.
+type arrivalKind uint8
+
+const (
+	arrMarker  arrivalKind = 1 << iota // the record is a latency marker
+	arrAux                             // the record's Aux waits in the side lane
+	arrControl                         // a control message waits in the side lane
+)
+
+// pushRecord queues r's fields. r itself is not kept.
+func (s *source) pushRecord(r *netsim.Record) {
+	a := arrival{
+		key:        r.Key,
+		eventTime:  r.EventTime,
+		ingestTime: r.IngestTime,
+		seq:        r.Seq,
+		value:      r.Value,
+		size:       int32(r.Size),
+	}
+	if int(a.size) != r.Size {
+		panic(fmt.Sprintf("engine: record size %d does not fit a backlog entry", r.Size))
+	}
+	if r.Marker {
+		a.kind |= arrMarker
+	}
+	if r.Aux != nil {
+		a.kind |= arrAux
+		s.side.PushBack(r.Aux)
+	}
+	s.backlog.PushBack(a)
+}
+
+// pushControl queues a control message behind every queued arrival.
+func (s *source) pushControl(m netsim.Message) {
+	s.side.PushBack(m)
+	s.backlog.PushBack(arrival{kind: arrControl})
+}
+
+// ingest stamps r, queues a copy behind the source's backlog, recycles r and
+// drains in place.
 func (in *Instance) ingest(r *netsim.Record) {
 	if r.IngestTime == 0 {
 		r.IngestTime = in.rt.Sched.Now()
@@ -947,14 +1025,16 @@ func (in *Instance) ingest(r *netsim.Record) {
 	if r.Seq == 0 {
 		r.Seq = in.rt.NextSeq()
 	}
-	in.backlog.PushBack(r)
+	in.src.pushRecord(r)
+	in.rt.recPool.Put(r)
 	in.drainBacklog()
 }
 
 // drainBacklog emits queued source messages in order, in place, until the
 // source is halted or busy, backpressure bites, or data is paused. It is the
 // one source drain: step, ingest, EmitWatermark and marker injection call it,
-// so no queued record waits for a wake event of its own.
+// so no queued record waits for a wake event of its own. A record is drawn
+// from the pool only here, as its entry leaves.
 func (in *Instance) drainBacklog() {
 	if in.Halted || in.busy {
 		return
@@ -962,31 +1042,34 @@ func (in *Instance) drainBacklog() {
 	if len(in.pending) > 0 && !in.drainPending() {
 		return // blocked on output; edge wake will retry
 	}
-	for in.backlog.Len() > 0 {
+	s := in.src
+	for s.backlog.Len() > 0 {
 		if len(in.pending) > 0 && !in.drainPending() {
 			return
 		}
-		if in.PauseData {
-			if _, isRec := in.backlog.At(0).(*netsim.Record); isRec {
-				return
-			}
+		if in.PauseData && s.backlog.At(0).kind&arrControl == 0 {
+			return
 		}
-		m := in.backlog.PopFront()
-		switch msg := m.(type) {
-		case *netsim.Record:
-			if !msg.Marker {
-				in.rt.Throughput.Observe(in.rt.Sched.Now(), 1)
-			}
-			in.Emit(msg)
-		case *netsim.Watermark:
-			in.broadcastControl(msg)
-		default:
+		a := s.backlog.PopFront()
+		if a.kind&arrControl != 0 {
+			m := s.side.PopFront().(netsim.Message)
 			in.broadcastControl(m)
 			if cb, ok := m.(*netsim.CheckpointBarrier); ok && in.PauseAfterCkpt != 0 && cb.ID == in.PauseAfterCkpt {
 				in.PauseData = true
 				in.PauseAfterCkpt = 0
 			}
+			continue
 		}
+		r := in.rt.recPool.Get()
+		r.Key, r.EventTime, r.IngestTime, r.Seq = a.key, a.eventTime, a.ingestTime, a.seq
+		r.Value, r.Size, r.Marker = a.value, int(a.size), a.kind&arrMarker != 0
+		if a.kind&arrAux != 0 {
+			r.Aux = s.side.PopFront()
+		}
+		if !r.Marker {
+			in.rt.Throughput.Observe(in.rt.Sched.Now(), 1)
+		}
+		in.Emit(r)
 	}
 }
 
@@ -997,7 +1080,7 @@ func (in *Instance) drainBacklog() {
 // arm PauseAfterCkpt with the returned id after it returns, so an in-place
 // drain would emit the barrier before the pause is armed and change the run.
 func (in *Instance) sourceEmitBarrier(b *netsim.CheckpointBarrier) {
-	in.backlog.PushBack(b)
+	in.src.pushControl(b)
 	in.rt.ackCheckpoint(b.ID, in.Name())
 	in.Wake()
 }

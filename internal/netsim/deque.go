@@ -1,27 +1,58 @@
 package netsim
 
-// dequeSeg is the number of entries in one Deque segment.
-const dequeSeg = 64
+// dequeSeg is the number of entries in one Deque segment. With its link, a
+// segment of 16-byte entries fits the 1 KB allocation size class and one of
+// 48-byte entries the 3 KB class; 64 entries would spill both into the next.
+const dequeSeg = 63
 
-// segment is one fixed block of a Deque, linked to the next-newer block.
+// segment is one fixed block of a Deque, linked to the next-newer block (or,
+// on a SegChain, to the next free block).
 type segment[T any] struct {
 	buf  [dequeSeg]T
 	next *segment[T]
 }
 
+// SegChain is a free list of emptied Deque segments. Deques that share a
+// chain grow from it and retire to it, so one that drains while another
+// rises allocates nothing: a run's deques together allocate their peak
+// combined length in segments, once.
+type SegChain[T any] struct {
+	free *segment[T]
+}
+
+// get unlinks a free segment, or allocates one when the chain is empty.
+func (c *SegChain[T]) get() *segment[T] {
+	s := c.free
+	if s == nil {
+		return new(segment[T])
+	}
+	c.free, s.next = s.next, nil
+	return s
+}
+
+// put links an emptied segment onto the chain.
+func (c *SegChain[T]) put(s *segment[T]) {
+	s.next = c.free
+	c.free = s
+}
+
 // Deque is a FIFO queue with positional peeking (the engine's source ingest
 // backlog), kept as a linked list of fixed segments of dequeSeg entries.
-// Growing adds a segment and never copies queued entries; a segment emptied
-// at the front is kept as the one spare for the next growth, so a backlog
-// that rises and falls within a segment's worth allocates nothing. PushBack,
-// PopFront and At(0) are O(1); At(i) walks i/dequeSeg segments.
+// Growing takes a segment from the deque's SegChain and never copies queued
+// entries; a segment emptied at the front goes back to the chain. A deque
+// built by NewDeque shares the given chain; a zero Deque makes its own on
+// first growth. PushBack, PopFront and At(0) are O(1); At(i) walks
+// i/dequeSeg segments.
 type Deque[T any] struct {
 	front, back *segment[T]
 	head        int // index of the front entry in front.buf
 	tail        int // index past the last entry in back.buf
 	n           int
-	spare       *segment[T]
+	chain       *SegChain[T]
 }
+
+// NewDeque returns an empty deque that grows from and retires to c.
+func NewDeque[T any](c *SegChain[T]) Deque[T] { return Deque[T]{chain: c} }
 
 // Len reports the number of queued elements.
 func (d *Deque[T]) Len() int { return d.n }
@@ -29,12 +60,10 @@ func (d *Deque[T]) Len() int { return d.n }
 // PushBack appends v at the tail.
 func (d *Deque[T]) PushBack(v T) {
 	if d.back == nil || d.tail == dequeSeg {
-		s := d.spare
-		if s != nil {
-			d.spare = nil
-		} else {
-			s = new(segment[T])
+		if d.chain == nil {
+			d.chain = new(SegChain[T])
 		}
+		s := d.chain.get()
 		if d.back == nil {
 			d.front = s
 		} else {
@@ -61,21 +90,12 @@ func (d *Deque[T]) PopFront() T {
 	switch {
 	case d.n == 0:
 		d.front, d.back, d.head, d.tail = nil, nil, 0, 0
-		d.retire(s)
+		d.chain.put(s)
 	case d.head == dequeSeg:
 		d.front, d.head = s.next, 0
-		d.retire(s)
+		d.chain.put(s)
 	}
 	return v
-}
-
-// retire keeps an emptied segment as the spare, or drops it when there is
-// one already.
-func (d *Deque[T]) retire(s *segment[T]) {
-	if d.spare == nil {
-		s.next = nil
-		d.spare = s
-	}
 }
 
 // At returns the element at depth i (0 = head) without removing it.

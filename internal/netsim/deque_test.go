@@ -1,6 +1,9 @@
 package netsim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestDequeSegmentBoundary pushes and pops across the boundary between two
 // segments and peeks into the later one from the head.
@@ -30,8 +33,8 @@ func TestDequeSegmentBoundary(t *testing.T) {
 	if got := d.PopFront(); got != dequeSeg-1 {
 		t.Fatalf("pop across the boundary = %d", got)
 	}
-	if d.front != d.back || d.head != 0 || d.spare == nil {
-		t.Fatal("the emptied first segment was not retired as the spare")
+	if d.front != d.back || d.head != 0 || d.chain.free == nil {
+		t.Fatal("the emptied first segment was not retired to the chain")
 	}
 	for i := dequeSeg; i < dequeSeg+10; i++ {
 		if got := d.PopFront(); got != i {
@@ -61,8 +64,8 @@ func TestDequeAtLaterSegment(t *testing.T) {
 }
 
 // TestDequeReuseAfterEmpty: a deque emptied and refilled within one segment
-// reuses its spare and allocates nothing, and a pop clears the slot it
-// empties so the queue keeps no popped value alive.
+// reuses the segment its chain got back and allocates nothing, and a pop
+// clears the slot it empties so the queue keeps no popped value alive.
 func TestDequeReuseAfterEmpty(t *testing.T) {
 	var d Deque[*int]
 	v := new(int)
@@ -77,12 +80,12 @@ func TestDequeReuseAfterEmpty(t *testing.T) {
 		}
 	}
 	cycle()
-	spare := d.spare
+	spare := d.chain.free
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("filling and emptying one segment allocates %.2f objects, want 0", avg)
 	}
-	if d.spare != spare {
-		t.Fatal("the spare segment was replaced")
+	if d.chain.free != spare || spare.next != nil {
+		t.Fatal("the chain's one free segment was replaced")
 	}
 	for i, p := range spare.buf {
 		if p != nil {
@@ -91,9 +94,11 @@ func TestDequeReuseAfterEmpty(t *testing.T) {
 	}
 }
 
-// FuzzDequeOps runs Deque and a slice model through the same operations and
-// requires the same length and the same element at every depth after each.
-// One opcode byte and one argument byte per operation:
+// FuzzDequeOps runs two Deques that share one SegChain, each beside its own
+// slice model, through the same operations, and requires after each the
+// same length and the same element at every depth, and that no segment is
+// both queued in a deque and free on the chain. One opcode byte and one
+// argument byte per operation; the argument's low bit picks the deque:
 //
 //	0  push 1 to 130 values (so a single push can cross two segments)
 //	1  pop up to 130 values
@@ -102,49 +107,69 @@ func TestDequeReuseAfterEmpty(t *testing.T) {
 func FuzzDequeOps(f *testing.F) {
 	f.Add([]byte{0, 70, 1, 60, 2, 5, 0, 129, 1, 129, 3, 0, 0, 3})
 	f.Add([]byte{0, 63, 1, 63, 0, 0, 1, 0, 0, 64, 2, 63, 1, 1, 2, 0})
+	f.Add([]byte{0, 128, 0, 127, 3, 0, 0, 129, 1, 64, 3, 1, 0, 2, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var d Deque[int]
-		var model []int
+		var chain SegChain[int]
+		ds := [2]Deque[int]{NewDeque(&chain), NewDeque(&chain)}
+		var models [2][]int
 		next := 0
 		for step := 0; step < 64 && len(data) >= 2; step++ {
 			op, arg := data[0], int(data[1])
 			data = data[2:]
+			d, model := &ds[arg&1], &models[arg&1]
 			switch op % 4 {
 			case 0:
 				for i := 0; i <= arg%130; i++ {
 					d.PushBack(next)
-					model = append(model, next)
+					*model = append(*model, next)
 					next++
 				}
 			case 1:
-				for i := 0; i <= arg%130 && len(model) > 0; i++ {
-					if got := d.PopFront(); got != model[0] {
-						t.Fatalf("step %d: pop %d, model %d", step, got, model[0])
+				for i := 0; i <= arg%130 && len(*model) > 0; i++ {
+					if got := d.PopFront(); got != (*model)[0] {
+						t.Fatalf("step %d: pop %d, model %d", step, got, (*model)[0])
 					}
-					model = model[1:]
+					*model = (*model)[1:]
 				}
 			case 2:
-				if len(model) > 0 {
-					i := arg % len(model)
-					if got := d.At(i); got != model[i] {
-						t.Fatalf("step %d: At(%d) = %d, model %d", step, i, got, model[i])
+				if len(*model) > 0 {
+					i := arg % len(*model)
+					if got := d.At(i); got != (*model)[i] {
+						t.Fatalf("step %d: At(%d) = %d, model %d", step, i, got, (*model)[i])
 					}
 				}
 			case 3:
-				for len(model) > 0 {
-					if got := d.PopFront(); got != model[0] {
-						t.Fatalf("step %d: pop %d, model %d", step, got, model[0])
+				for len(*model) > 0 {
+					if got := d.PopFront(); got != (*model)[0] {
+						t.Fatalf("step %d: pop %d, model %d", step, got, (*model)[0])
 					}
-					model = model[1:]
+					*model = (*model)[1:]
 				}
 			}
-			if d.Len() != len(model) {
-				t.Fatalf("step %d: length %d, model %d", step, d.Len(), len(model))
-			}
-			for i, v := range model {
-				if got := d.At(i); got != v {
-					t.Fatalf("step %d: At(%d) = %d, model %d", step, i, got, v)
+			for k := range ds {
+				if ds[k].Len() != len(models[k]) {
+					t.Fatalf("step %d: deque %d length %d, model %d", step, k, ds[k].Len(), len(models[k]))
 				}
+				for i, v := range models[k] {
+					if got := ds[k].At(i); got != v {
+						t.Fatalf("step %d: deque %d At(%d) = %d, model %d", step, k, i, got, v)
+					}
+				}
+			}
+			seen := make(map[*segment[int]]string)
+			mark := func(s *segment[int], where string) {
+				if prev, ok := seen[s]; ok {
+					t.Fatalf("step %d: a segment is both %s and %s", step, prev, where)
+				}
+				seen[s] = where
+			}
+			for k := range ds {
+				for s := ds[k].front; s != nil; s = s.next {
+					mark(s, fmt.Sprintf("queued in deque %d", k))
+				}
+			}
+			for s := chain.free; s != nil; s = s.next {
+				mark(s, "free")
 			}
 		}
 	})

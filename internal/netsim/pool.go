@@ -15,7 +15,11 @@ type RecordPool struct {
 	n    int
 }
 
-// poolCap bounds retained records (~64K records ≈ a few MB of headers).
+// poolCap bounds retained records (64K records ≈ 5 MB). A source backlog
+// holds its arrivals by value and draws a record only as one leaves, so the
+// records a pool sees are those in flight on edges and in queues, and the
+// cap bounds those: a run that holds more in flight at once drops the
+// surplus on return and allocates it again later.
 const poolCap = 1 << 16
 
 // Get returns a zeroed record, recycling a dead one when available.

@@ -54,6 +54,8 @@ type Mechanism struct {
 	finished               bool
 	bgActive               bool
 	bgCursor               int
+	// xfers holds each sub-unit's transfer record, by id.
+	xfers []subTransfer
 	// spare holds chunks no transfer owns. A transfer takes one at
 	// extraction and returns it in its install or failure callback.
 	spare []*state.Chunk
@@ -80,6 +82,12 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 	m.inFlight = make([]bool, n)
 	m.fetchCount = make([]int, n)
 	m.kgDone = make([]bool, len(plan.Moves))
+	m.xfers = make([]subTransfer, n)
+	for id := range m.xfers {
+		x := &m.xfers[id]
+		x.m, x.id = m, id
+		x.startFn, x.doneFn, x.failFn = x.start, x.installed, x.failed
+	}
 	for i, mv := range plan.Moves {
 		rt.Scale.UnitAssigned(mv.KeyGroup, signal)
 		for id := i * subKeyGroups; id < (i+1)*subKeyGroups; id++ {
@@ -136,6 +144,23 @@ func (m *Mechanism) setUnit(id, loc int, inFlight bool) {
 	m.count(id, 1)
 }
 
+// subTransfer is one sub-unit's transfer record. inFlight admits one
+// transfer per sub-unit at a time, so each id keeps one record, and the
+// three callbacks bound to it at Begin serve every transfer of the id in
+// turn.
+type subTransfer struct {
+	m  *Mechanism
+	id int
+	// src and dst are the current transfer's endpoints by instance index,
+	// from and to the instances, and c the chunk it extracted.
+	src, dst int
+	from, to *engine.Instance
+	c        *state.Chunk
+
+	startFn, doneFn func()
+	failFn          func(error)
+}
+
 // transfer moves sub-unit id to instance dst and invokes after installation.
 func (m *Mechanism) transfer(id, dst int) {
 	src := m.loc[id]
@@ -152,50 +177,67 @@ func (m *Mechanism) transfer(id, dst int) {
 		m.maxFetch = m.fetchCount[id]
 		m.rt.Scale.AddCounter("meces_max_transfers", 1)
 	}
-	mi, sub := id/subKeyGroups, id%subKeyGroups
-	kg := m.plan.Moves[mi].KeyGroup
-	from := m.rt.Instance(m.plan.Operator, src)
-	to := m.rt.Instance(m.plan.Operator, dst)
-	m.rt.Sched.After(engine.ControlLatency, func() {
-		c := m.takeChunk()
-		from.Store().ExtractSubUnit(kg, sub, subKeyGroups, c)
-		m.rt.Scale.FirstMigration(signal, m.rt.Sched.Now())
-		bytes := 128 + c.Bytes // sub-unit framing overhead plus the state
-		m.rt.Cluster.TransferChecked(from.Endpoint(), to.Endpoint(), bytes, func() {
-			to.Store().InstallChunk(kg, c)
-			m.spare = append(m.spare, c)
-			m.setUnit(id, dst, false)
-			m.checkUnit(mi)
-			// Wake every instance, not just the endpoints: a third instance
-			// can be suspended on this same sub-unit (its records were routed
-			// there under an older wave's plan), and without a wake it parks
-			// those records forever. Wakes coalesce, so this is cheap.
-			m.wakeAll()
-			// A fetch-back may have regressed progress; make sure the
-			// background pusher is running to re-migrate it.
-			m.ensureBackground()
-			if m.afterTransfer != nil {
-				m.afterTransfer(c)
-			}
-		}, func(error) {
-			// Destination unreachable: the sub-unit merges back into its
-			// source shell and stays where it was. The background pusher keeps
-			// retrying; once the node restarts (or the group is re-planned
-			// away), the push converges.
-			m.rt.Scale.AddCounter("meces_fails", 1)
-			from.Store().InstallChunk(kg, c)
-			m.spare = append(m.spare, c)
-			m.setUnit(id, src, false)
-			// Every waiter re-evaluates: the demanding side re-issues its
-			// fetch (the retry converges once the fault heals or recovery
-			// re-places the source), and third-party waiters unpark.
-			m.wakeAll()
-			m.ensureBackground()
-			if m.afterTransfer != nil {
-				m.afterTransfer(c)
-			}
-		})
-	})
+	x := &m.xfers[id]
+	x.src, x.dst = src, dst
+	x.from = m.rt.Instance(m.plan.Operator, src)
+	x.to = m.rt.Instance(m.plan.Operator, dst)
+	m.rt.Sched.After(engine.ControlLatency, x.startFn)
+}
+
+// start extracts the sub-unit into a spare chunk and puts it on the wire.
+func (x *subTransfer) start() {
+	m := x.m
+	kg := m.plan.Moves[x.id/subKeyGroups].KeyGroup
+	x.c = m.takeChunk()
+	x.from.Store().ExtractSubUnit(kg, x.id%subKeyGroups, subKeyGroups, x.c)
+	m.rt.Scale.FirstMigration(signal, m.rt.Sched.Now())
+	bytes := 128 + x.c.Bytes // sub-unit framing overhead plus the state
+	m.rt.Cluster.TransferChecked(x.from.Endpoint(), x.to.Endpoint(), bytes, x.doneFn, x.failFn)
+}
+
+// installed lands the chunk at the destination. It reads what it needs of
+// the record first: once setUnit clears inFlight, the record belongs to the
+// id's next transfer.
+func (x *subTransfer) installed() {
+	m, id, dst, to, c := x.m, x.id, x.dst, x.to, x.c
+	x.c = nil
+	mi := id / subKeyGroups
+	to.Store().InstallChunk(m.plan.Moves[mi].KeyGroup, c)
+	m.spare = append(m.spare, c)
+	m.setUnit(id, dst, false)
+	m.checkUnit(mi)
+	// Wake every instance, not just the endpoints: a third instance can be
+	// suspended on this same sub-unit (its records were routed there under
+	// an older wave's plan), and without a wake it parks those records
+	// forever. Wakes coalesce, so this is cheap.
+	m.wakeAll()
+	// A fetch-back may have regressed progress; make sure the background
+	// pusher is running to re-migrate it.
+	m.ensureBackground()
+	if m.afterTransfer != nil {
+		m.afterTransfer(c)
+	}
+}
+
+// failed handles an unreachable destination: the sub-unit merges back into
+// its source shell and stays where it was. The background pusher keeps
+// retrying; once the node restarts (or the group is re-planned away), the
+// push converges. Like installed, it reads the record first.
+func (x *subTransfer) failed(error) {
+	m, id, src, from, c := x.m, x.id, x.src, x.from, x.c
+	x.c = nil
+	m.rt.Scale.AddCounter("meces_fails", 1)
+	from.Store().InstallChunk(m.plan.Moves[id/subKeyGroups].KeyGroup, c)
+	m.spare = append(m.spare, c)
+	m.setUnit(id, src, false)
+	// Every waiter re-evaluates: the demanding side re-issues its fetch (the
+	// retry converges once the fault heals or recovery re-places the
+	// source), and third-party waiters unpark.
+	m.wakeAll()
+	m.ensureBackground()
+	if m.afterTransfer != nil {
+		m.afterTransfer(c)
+	}
 }
 
 // takeChunk returns a spare chunk, or a new one when none is spare.
