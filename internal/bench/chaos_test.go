@@ -2,6 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"testing"
 
 	"drrs/internal/engine"
@@ -210,11 +212,65 @@ func TestLegacyCancelDuringDeployAndMigrate(t *testing.T) {
 	}
 }
 
-// TestMechanismLifecycleContract states the Operation contract once, for every
-// registered mechanism, on a cluster slow enough that each phase is observable
-// at a 1 ms poll: the phase never steps backwards, Moved never exceeds Total
-// and equals it at done, and "deploy" means the new instances do not exist
-// yet — right after SetupDelay the operation is migrating with nothing landed.
+// TestZeroMovePlanWedge pins a known defect rather than fixing it: a plan
+// with no moves — the controller's same-target recovery re-plan, e.g.
+// `drrs-sim -workload flaky-uplink -mechanism unbound -seed 1`, decision #2
+// (13→13) — never completes under the mechanisms that check for completion
+// only from transfer or barrier callbacks. Each wedged entry carries ROADMAP
+// item 1(f); the fix must flip it to done.
+func TestZeroMovePlanWedge(t *testing.T) {
+	const wedged = "ROADMAP item 1(f)"
+	want := map[string]string{
+		"meces":          "done",
+		"stop-restart":   "done",
+		"drrs":           wedged,
+		"drrs-dr":        wedged,
+		"drrs-schedule":  wedged,
+		"drrs-subscale":  wedged,
+		"megaphone":      wedged,
+		"otfs":           wedged,
+		"otfs-allatonce": wedged,
+		"unbound":        wedged,
+	}
+	for _, name := range MechanismNames() {
+		if _, ok := want[name]; !ok && name != "no-scale" {
+			t.Errorf("mechanism %s has no zero-move entry", name)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(want)) {
+		t.Run(name, func(t *testing.T) {
+			job := workload.DefaultJob()
+			job.MaxKeyGroups = 32
+			g, _ := workload.BuildJob(job, workload.Classic(workload.ClassicSpec{
+				Keys: 400, RatePerSec: 2000, Duration: simtime.Sec(2), Seed: 7,
+			}))
+			s := simtime.NewScheduler()
+			rt := engine.New(s, g, nil, engine.Config{Seed: 7, MarkerInterval: -1})
+			rt.Start()
+			done := false
+			s.After(simtime.Sec(1), func() {
+				plan := scaling.PlanFromPlacement(rt, "agg", len(rt.Instances("agg")), simtime.Ms(20))
+				if len(plan.Moves) != 0 {
+					t.Fatalf("same-parallelism plan has %d moves", len(plan.Moves))
+				}
+				Mechanisms(name).Begin(rt, plan, func() { done = true })
+			})
+			s.Run()
+			if got := map[bool]string{true: "done", false: wedged}[done]; got != want[name] {
+				t.Fatalf("zero-move plan: got %q, want %q", got, want[name])
+			}
+		})
+	}
+}
+
+// TestMechanismLifecycleContract states the operation-handle contract once,
+// for every registered mechanism, on a cluster slow enough that each phase is
+// observable at a 1 ms poll: the phase never steps backwards, Moved never
+// exceeds Total and equals it at done, and "deploy" means the new instances do
+// not exist yet — right after SetupDelay the operation is migrating with
+// nothing landed. The handle is also the one reporter of the scale metrics:
+// at done the scale started at Begin, ended at done, and counted exactly the
+// groups the handle did.
 func TestMechanismLifecycleContract(t *testing.T) {
 	const setup = 20 * simtime.Millisecond
 	for _, tc := range []struct {
@@ -245,9 +301,10 @@ func TestMechanismLifecycleContract(t *testing.T) {
 			rt.Cluster.Node("local").MigrationBandwidth = 1 << 20
 			rt.Start()
 			var (
-				op   scaling.Operation
-				done bool
-				seen []scaling.Phase
+				op              *scaling.Tracked
+				done            bool
+				seen            []scaling.Phase
+				beginAt, doneAt simtime.Time
 			)
 			var poll func()
 			poll = func() {
@@ -268,7 +325,8 @@ func TestMechanismLifecycleContract(t *testing.T) {
 			}
 			s.After(simtime.Sec(1), func() {
 				plan := scaling.UniformPlan(g, "agg", 6, setup)
-				op = Mechanisms(tc.mech).Begin(rt, plan, func() { done = true })
+				beginAt = s.Now()
+				op = Mechanisms(tc.mech).Begin(rt, plan, func() { done, doneAt = true, s.Now() })
 				if pr := op.Progress(); pr.Phase != scaling.PhaseDeploy || pr.Moved != 0 || pr.Total != len(plan.Moves) {
 					t.Fatalf("at Begin: %+v, want deploy 0/%d", pr, len(plan.Moves))
 				}
@@ -284,8 +342,18 @@ func TestMechanismLifecycleContract(t *testing.T) {
 			if !done {
 				t.Fatal("done never fired")
 			}
-			if pr := op.Progress(); pr.Phase != scaling.PhaseDone || pr.Moved != pr.Total {
+			pr := op.Progress()
+			if pr.Phase != scaling.PhaseDone || pr.Moved != pr.Total {
 				t.Fatalf("at done: %+v", pr)
+			}
+			if rt.Scale.ScaleStart != beginAt {
+				t.Fatalf("scale start %v, want the Begin instant %v", rt.Scale.ScaleStart, beginAt)
+			}
+			if rt.Scale.ScaleEnd != doneAt {
+				t.Fatalf("scale end %v, want the done instant %v", rt.Scale.ScaleEnd, doneAt)
+			}
+			if n := rt.Scale.UnitsMigrated(); n != pr.Moved || n != pr.Total {
+				t.Fatalf("metrics count %d units migrated, handle %d of %d", n, pr.Moved, pr.Total)
 			}
 			if tc.afterSetup == scaling.PhaseMigrate && (len(seen) < 3 || seen[1] != scaling.PhaseMigrate) {
 				t.Fatalf("phases seen %v, want deploy → migrate → … → done", seen)

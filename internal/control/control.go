@@ -135,7 +135,7 @@ type Controller struct {
 	hooks   Hooks
 
 	decisions  []Decision
-	cur        scaling.Operation
+	cur        *scaling.Tracked
 	curIdx     int // decision index of the in-flight operation
 	pending    int // decision index waiting on supersession, -1 when none
 	curP       int // logical parallelism (target of the last completed op)
@@ -408,7 +408,7 @@ func (c *Controller) launch(di int) {
 	c.curIdx = di
 	target := d.To
 	mech := c.newMech()
-	var op scaling.Operation
+	var op *scaling.Tracked
 	op = mech.Begin(c.rt, plan, func() {
 		d := &c.decisions[di]
 		d.Done = true

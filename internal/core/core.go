@@ -178,9 +178,8 @@ type Mechanism struct {
 	subs    []*subscale
 	pending []*subscale
 	// kgs holds each planned key group's subscale and phase, by the
-	// group's move position in plan.Moves; nLanded counts landed entries.
-	kgs     []kgStatus
-	nLanded int
+	// group's move position in plan.Moves.
+	kgs []kgStatus
 
 	rerouteEdges  map[[2]int]*netsim.Edge
 	edgeIsReroute map[*netsim.Edge]bool
@@ -220,26 +219,12 @@ func (m *Mechanism) Name() string {
 	}
 }
 
-// operation is the lifecycle handle over the DRRS coordinator: the
-// coordinator reports its phases to the embedded Tracked, and Cancel is
-// honored — subscales not yet launched are dropped and the operation settles
-// early (the paper's concurrent-execution rule).
-type operation struct {
-	*scaling.Tracked
-	m *Mechanism
-}
-
-func (o operation) Cancel() bool {
-	o.Tracked.Cancel()
-	o.m.cancel()
-	return true
-}
-
 // Begin implements scaling.Mechanism. The DR coordinator reports its own
-// phases and honors cancellation; the coupled ablation variants (no DR)
-// return the coupled controller's handle, since the coupled barrier protocol
-// has no cancellation path.
-func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
+// phases and honors cancellation — subscales not yet launched are dropped and
+// the operation settles early (the paper's concurrent-execution rule); the
+// coupled ablation variants (no DR) return the coupled controller's handle,
+// since the coupled barrier protocol has no cancellation path.
+func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *scaling.Tracked {
 	if !m.Opt.DR {
 		return m.beginCoupled(rt, plan, done)
 	}
@@ -247,7 +232,8 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 	m.rt = rt
 	m.plan = plan
 	m.op = plan.Operator
-	m.tracked = scaling.NewTracked(plan, done)
+	m.tracked = scaling.NewTracked(rt, plan, done)
+	m.tracked.OnCancel(m.cancel)
 	m.kgs = make([]kgStatus, len(plan.Moves))
 	m.rerouteEdges = make(map[[2]int]*netsim.Edge)
 	m.edgeIsReroute = make(map[*netsim.Edge]bool)
@@ -303,7 +289,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 		}
 		m.scheduleNext()
 	})
-	return operation{m.tracked, m}
+	return m.tracked
 }
 
 // entry returns kg's move and its entry in the coordinator's table; a nil
@@ -563,9 +549,7 @@ func (m *Mechanism) startMigration(s *subscale, src int) {
 			m.rt.Sched.After(scaling.InstallCost, func() {
 				to.Store().InstallGroup(kg, g)
 				st.phase = landed
-				m.nLanded++
-				m.tracked.SetMoved(m.nLanded)
-				m.rt.Scale.UnitMigrated(kg, m.rt.Sched.Now())
+				m.tracked.Landed(kg)
 				s.chunksLeft--
 				to.Wake()
 				m.checkSubscale(s)
@@ -635,7 +619,6 @@ func (m *Mechanism) maybeFinish() {
 		}
 	}
 	m.finished = true
-	m.rt.Scale.MarkScaleEnd(m.rt.Sched.Now())
 	m.tracked.Finish()
 	m.maybeCleanup()
 }
@@ -695,7 +678,7 @@ func (m *Mechanism) cancel() {
 // controller: Schedule-only is a single coupled round plus Record
 // Scheduling; Subscale-only is Naive Division — concurrently launched
 // coupled rounds that interfere through alignment blocking.
-func (m *Mechanism) beginCoupled(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
+func (m *Mechanism) beginCoupled(rt *engine.Runtime, plan scaling.Plan, done func()) *scaling.Tracked {
 	rounds := scaling.BatchRounds(plan, 0)
 	if m.Opt.Subscale {
 		rounds = scaling.BatchRounds(plan, m.Opt.SubscaleKGs)

@@ -153,7 +153,7 @@ func TestSupersession(t *testing.T) {
 	rt.Start()
 
 	first := New(FullDRRS())
-	var firstOp scaling.Operation
+	var firstOp *scaling.Tracked
 	var firstDone, secondDone bool
 	var progressAtCancel scaling.Progress
 	s.After(simtime.Sec(1), func() {

@@ -94,14 +94,14 @@ func TestAlignmentRoundAllocs(t *testing.T) {
 		k++
 		for i := 0; i < fanIn; i++ {
 			e := in.ins[i*97%fanIn]
-			if in.alignOn(key, e) != (i == fanIn-1) {
+			if in.AlignOn(key, e) != (i == fanIn-1) {
 				panic(fmt.Sprintf("arrival %d of %d reported the wrong alignment", i+1, fanIn))
 			}
-			if i == 0 && in.alignOn(key, e) {
+			if i == 0 && in.AlignOn(key, e) {
 				panic("a repeated arrival completed the alignment")
 			}
 		}
-		in.releaseAlignment(key)
+		in.ReleaseAlignment(key)
 		rt.Sched.Run()
 	}
 	round()
@@ -114,7 +114,7 @@ func TestAlignmentRoundAllocs(t *testing.T) {
 		}
 	}
 	for i := 0; i < fanIn; i++ {
-		in.alignOn(AlignKey{Kind: "order"}, in.ins[(fanIn-1-i)*97%fanIn])
+		in.AlignOn(AlignKey{Kind: "order"}, in.ins[(fanIn-1-i)*97%fanIn])
 	}
 	for i, e := range in.aligners[AlignKey{Kind: "order"}] {
 		if e.Src.Index != i {

@@ -91,11 +91,6 @@ type Runtime struct {
 	ckptSeq   int64
 	ckpt      *checkpointRound
 
-	// lostRecords counts data records dropped by faults: mid-service at a
-	// crashed instance, or stranded behind a recovery re-route. Always zero
-	// on a healthy run.
-	lostRecords uint64
-
 	// recPool recycles Record values: sources and marker injection fill one
 	// and ingest returns it at once, a source's backlog draws one as each
 	// queued arrival leaves, and records are returned when they die (applied
@@ -354,11 +349,15 @@ func (rt *Runtime) SourceBacklog() int {
 	return n
 }
 
-func (rt *Runtime) noteLostRecords(n uint64) { rt.lostRecords += n }
-
-// LostRecords reports how many data records faults have destroyed so far
-// (zero on healthy runs).
-func (rt *Runtime) LostRecords() uint64 { return rt.lostRecords }
+// LostRecords reports how many data records faults have destroyed so far:
+// mid-service at a crashed instance, or stranded behind a recovery re-route
+// (zero on healthy runs). It sums the instances' tallies; instances are never
+// removed, so no loss drops out of the sum.
+func (rt *Runtime) LostRecords() uint64 {
+	var n uint64
+	rt.EachInstance(func(in *Instance) { n += in.LostRecords() })
+	return n
+}
 
 // TotalStateBytes sums keyed state across an operator's instances.
 func (rt *Runtime) TotalStateBytes(op string) int {

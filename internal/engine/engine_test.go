@@ -425,6 +425,48 @@ func TestAddInstanceWiring(t *testing.T) {
 	}
 }
 
+// TestAddInstanceCopiesKeyedRouting scales an operator whose output exchange
+// is keyed: the new instance must route like its sibling A[0] — including a
+// group A[0]'s table already repoints — through its own copy of the table.
+func TestAddInstanceCopiesKeyedRouting(t *testing.T) {
+	g := dataflow.NewGraph()
+	g.AddOperator(&dataflow.OperatorSpec{
+		Name: "src", Parallelism: 1,
+		Source: fixedRateSource(10, simtime.Ms(1), 16),
+	})
+	for _, name := range []string{"a", "b"} {
+		g.AddOperator(&dataflow.OperatorSpec{
+			Name: name, Parallelism: 2, KeyedInput: true, MaxKeyGroups: 32,
+			NewLogic: func() dataflow.Logic { return &KeyedReduceLogic{EmitUpdates: true} },
+		})
+	}
+	g.Connect("src", "a", dataflow.ExchangeKeyed)
+	g.Connect("a", "b", dataflow.ExchangeKeyed)
+	rt := New(simtime.NewScheduler(), g, nil, Config{Seed: 7})
+	sib := rt.Instance("a", 0).Routing("b")
+	const kg = 3
+	moved := 1 - sib.Owner(kg)
+	sib.SetOwner(kg, moved)
+
+	in := rt.AddInstance("a", 2)
+	tbl := in.Routing("b")
+	if tbl == nil || tbl == sib {
+		t.Fatalf("new instance's table %p, sibling's %p: want its own copy", tbl, sib)
+	}
+	for k := 0; k < 32; k++ {
+		if tbl.Owner(k) != sib.Owner(k) {
+			t.Fatalf("kg %d routes to b[%d], sibling to b[%d]", k, tbl.Owner(k), sib.Owner(k))
+		}
+	}
+	if tbl.Owner(kg) != moved {
+		t.Fatalf("repointed kg %d routes to b[%d], want b[%d]", kg, tbl.Owner(kg), moved)
+	}
+	tbl.SetOwner(kg, 1-moved)
+	if sib.Owner(kg) != moved {
+		t.Fatal("writing the new instance's table changed its sibling's")
+	}
+}
+
 func TestAddInstanceOutOfOrderPanics(t *testing.T) {
 	rt, _ := buildSimpleJob(t, 1, 2, 10)
 	defer func() {

@@ -508,12 +508,8 @@ func (in *Instance) processDone() {
 	}
 }
 
-// noteLost records n data records destroyed by a fault at this instance,
-// keeping the per-instance and runtime-wide tallies in lockstep.
-func (in *Instance) noteLost(n uint64) {
-	in.lost += n
-	in.rt.noteLostRecords(n)
-}
+// noteLost records n data records destroyed by a fault at this instance.
+func (in *Instance) noteLost(n uint64) { in.lost += n }
 
 // LostRecords reports how many data records faults destroyed at this
 // instance (mid-service at a crash, or stranded after a routing repair).
@@ -579,7 +575,7 @@ func (in *Instance) apply(m netsim.Message, e *netsim.Edge) {
 			return
 		}
 		if msg.Marker {
-			in.forwardMarker(msg)
+			in.ForwardMarker(msg)
 			return
 		}
 		in.ApplyRecord(msg)
@@ -743,9 +739,9 @@ func (in *Instance) RedirectPending(from, to *netsim.Edge, take func(*netsim.Rec
 	return n
 }
 
-// broadcastControl enqueues a control message to every output edge of every
+// BroadcastControl enqueues a control message to every output edge of every
 // downstream operator, preserving order relative to pending records.
-func (in *Instance) broadcastControl(m netsim.Message) {
+func (in *Instance) BroadcastControl(m netsim.Message) {
 	for _, p := range in.ports {
 		for _, e := range p.edges {
 			in.send(e, m)
@@ -754,12 +750,9 @@ func (in *Instance) broadcastControl(m netsim.Message) {
 }
 
 // ForwardMarker passes a latency marker downstream, or records its latency at
-// a sink; exported for scaling hooks that consume rerouted markers.
-func (in *Instance) ForwardMarker(r *netsim.Record) { in.forwardMarker(r) }
-
-// forwardMarker passes a latency marker downstream, or records its latency at
-// a sink (no outputs).
-func (in *Instance) forwardMarker(r *netsim.Record) {
+// a sink (no outputs); scaling hooks that consume rerouted markers call it
+// too.
+func (in *Instance) ForwardMarker(r *netsim.Record) {
 	if len(in.ports) == 0 {
 		in.rt.Latency.Observe(in.rt.Sched.Now(), r.IngestTime)
 		// The marker's journey ends at the sink; recycle it.
@@ -791,7 +784,7 @@ func (in *Instance) onWatermark(w *netsim.Watermark, e *netsim.Edge) {
 		if in.logic != nil {
 			in.logic.OnWatermark(in, min)
 		}
-		in.broadcastControl(&netsim.Watermark{WM: min})
+		in.BroadcastControl(&netsim.Watermark{WM: min})
 	}
 }
 
@@ -816,23 +809,12 @@ type AlignKey struct {
 	Round int
 }
 
-// AlignOn is the exported alignment primitive for scaling mechanisms: it
-// records that the barrier identified by key arrived on e, blocks e, and
-// reports whether every current input channel has delivered it.
-func (in *Instance) AlignOn(key AlignKey, e *netsim.Edge) bool { return in.alignOn(key, e) }
-
-// ReleaseAlignment unblocks the channels captured under key.
-func (in *Instance) ReleaseAlignment(key AlignKey) { in.releaseAlignment(key) }
-
-// BroadcastControl enqueues a control message on every output edge,
-// preserving order relative to pending emissions.
-func (in *Instance) BroadcastControl(m netsim.Message) { in.broadcastControl(m) }
-
-// alignOn records that barrier key arrived on e, blocks e, and reports
-// whether all current input channels have now delivered it. The key's set
-// stays sorted by (src, dst) endpoint, so a channel is found by binary search
-// and the set is already in release order.
-func (in *Instance) alignOn(key AlignKey, e *netsim.Edge) bool {
+// AlignOn records that barrier key arrived on e, blocks e, and reports
+// whether all current input channels have now delivered it; checkpoints and
+// scaling mechanisms align through it. The key's set stays sorted by (src,
+// dst) endpoint, so a channel is found by binary search and the set is
+// already in release order.
+func (in *Instance) AlignOn(key AlignKey, e *netsim.Edge) bool {
 	set, ok := in.aligners[key]
 	if !ok {
 		if n := len(in.spareSets); n > 0 {
@@ -868,10 +850,10 @@ func compareEndpoints(a, b *netsim.Edge) int {
 	return cmp.Compare(a.Dst.Index, b.Dst.Index)
 }
 
-// releaseAlignment unblocks the channels captured under key, in sorted
+// ReleaseAlignment unblocks the channels captured under key, in sorted
 // (src, dst) endpoint order: unblocking re-arms delivery timers, and any
 // order that varied between runs would vary the same-instant FIFO sequence.
-func (in *Instance) releaseAlignment(key AlignKey) {
+func (in *Instance) ReleaseAlignment(key AlignKey) {
 	set, ok := in.aligners[key]
 	if !ok {
 		return
@@ -886,7 +868,7 @@ func (in *Instance) releaseAlignment(key AlignKey) {
 
 func (in *Instance) onCheckpointBarrier(b *netsim.CheckpointBarrier, e *netsim.Edge) {
 	key := AlignKey{Kind: "ckpt", ID: b.ID}
-	in.alignOn(key, e)
+	in.AlignOn(key, e)
 	// A checkpoint expects barriers only on the ordinary channels that
 	// existed when it was triggered: channels wired mid-scaling (new
 	// instances, re-route paths) never carry this barrier.
@@ -905,8 +887,8 @@ func (in *Instance) onCheckpointBarrier(b *netsim.CheckpointBarrier, e *netsim.E
 	in.busy = true
 	in.rt.Sched.After(snapCost, func() {
 		in.busy = false
-		in.broadcastControl(&netsim.CheckpointBarrier{ID: b.ID})
-		in.releaseAlignment(key)
+		in.BroadcastControl(&netsim.CheckpointBarrier{ID: b.ID})
+		in.ReleaseAlignment(key)
 		in.rt.ackCheckpoint(b.ID, in.Name())
 		// Replay any integrated DRRS signals behind the barrier (Fig 9a).
 		for _, im := range b.Integrated {
@@ -922,11 +904,11 @@ func (in *Instance) onCheckpointBarrier(b *netsim.CheckpointBarrier, e *netsim.E
 // scaling signals: align, then forward (no state action).
 func (in *Instance) defaultScaleBarrier(b *netsim.ScaleBarrier, e *netsim.Edge) {
 	key := AlignKey{Kind: "scale", ID: b.ScaleID, Round: b.Round}
-	if !in.alignOn(key, e) {
+	if !in.AlignOn(key, e) {
 		return
 	}
-	in.broadcastControl(&netsim.ScaleBarrier{ScaleID: b.ScaleID, Round: b.Round})
-	in.releaseAlignment(key)
+	in.BroadcastControl(&netsim.ScaleBarrier{ScaleID: b.ScaleID, Round: b.Round})
+	in.ReleaseAlignment(key)
 }
 
 // --- Source machinery ---
@@ -1053,7 +1035,7 @@ func (in *Instance) drainBacklog() {
 		a := s.backlog.PopFront()
 		if a.kind&arrControl != 0 {
 			m := s.side.PopFront().(netsim.Message)
-			in.broadcastControl(m)
+			in.BroadcastControl(m)
 			if cb, ok := m.(*netsim.CheckpointBarrier); ok && in.PauseAfterCkpt != 0 && cb.ID == in.PauseAfterCkpt {
 				in.PauseData = true
 				in.PauseAfterCkpt = 0

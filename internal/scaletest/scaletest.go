@@ -58,8 +58,8 @@ type Result struct {
 	ByKey    map[uint64]float64
 	Plan     scaling.Plan
 	Mech     scaling.Mechanism
-	Op       scaling.Operation // lifecycle handle of the scaling operation
-	Done     bool              // the mechanism reported completion
+	Op       *scaling.Tracked // lifecycle handle of the scaling operation
+	Done     bool             // the mechanism reported completion
 	ScaleAt  simtime.Time
 	Duration simtime.Duration // virtual time simulated
 }

@@ -2,7 +2,6 @@ package scaling
 
 import (
 	"fmt"
-	"sort"
 
 	"drrs/internal/engine"
 	"drrs/internal/netsim"
@@ -107,10 +106,10 @@ func (c *CoupledController) signal(round int) string {
 // Begin implements the mechanism flow — deploy, install hooks, run rounds —
 // and returns the operation's handle. The barrier protocol cannot stand down
 // mid-round, so the handle records a Cancel without honoring it.
-func (c *CoupledController) Begin(rt *engine.Runtime, done func()) Operation {
+func (c *CoupledController) Begin(rt *engine.Runtime, done func()) *Tracked {
 	c.rt = rt
 	c.scaleID = rt.NextScaleID()
-	c.op = NewTracked(c.plan, done)
+	c.op = NewTracked(rt, c.plan, done)
 	// Units are assigned to their round's signal for Fig 12b accounting.
 	for r, kgs := range c.rounds {
 		for _, kg := range kgs {
@@ -229,28 +228,7 @@ func (c *CoupledController) oldInstanceAligned(idx, r int) {
 		}
 	}
 	if c.Fluid {
-		// Per-source sequential chains run in parallel across sources.
-		bySrc := make(map[int][]int)
-		var srcs []int
-		for _, kg := range c.rounds[r] {
-			from := c.mig.move(kg).From
-			if _, seen := bySrc[from]; !seen {
-				srcs = append(srcs, from)
-			}
-			bySrc[from] = append(bySrc[from], kg)
-		}
-		// Deterministic launch order: map iteration order would perturb event
-		// sequencing (and therefore run results) between identical runs.
-		sort.Ints(srcs)
-		remaining := len(bySrc)
-		for _, src := range srcs {
-			c.mig.MigrateSequence(bySrc[src], sig, func() {
-				remaining--
-				if remaining == 0 {
-					onRoundDone()
-				}
-			})
-		}
+		c.mig.MigrateFluid(c.rounds[r], sig, onRoundDone)
 	} else {
 		c.mig.MigrateAllAtOnce(c.rounds[r], sig, onRoundDone)
 	}
@@ -261,7 +239,6 @@ func (c *CoupledController) checkComplete() {
 		return
 	}
 	c.finished = true
-	c.rt.Scale.MarkScaleEnd(c.rt.Sched.Now())
 	// Remove hooks; scaling machinery leaves the runtime.
 	for _, in := range c.rt.Instances(c.plan.Operator) {
 		in.SetHook(nil)

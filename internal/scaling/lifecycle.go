@@ -1,5 +1,7 @@
 package scaling
 
+import "drrs/internal/engine"
+
 // Phase identifies where an in-flight scaling operation stands in its
 // lifecycle. Every mechanism moves through the same coarse phases — physical
 // deployment, state migration, protocol drain — even though the fine
@@ -49,57 +51,64 @@ type Progress struct {
 	Cancelled bool
 }
 
-// Operation is the live handle Begin returns: observers poll Progress on the
-// simulated clock, and a superseding request Cancels the operation per the
-// paper's concurrent-execution rule 1. After a Cancel, the superseding plan
-// must come from PlanFromPlacement so key groups the cancelled operation
-// already moved are not migrated twice.
-type Operation interface {
-	// Progress reports the operation's current phase and migration counts.
-	Progress() Progress
-	// Cancel asks the operation to stand down: stop launching new migration
-	// work, finish what is in flight, then report done. It returns true when
-	// the mechanism honors cancellation; mechanisms that cannot stand down
-	// (everything but DRRS's DR coordinator) record the request, return false
-	// and run their plan to completion — the supersessor then launches once
-	// the old operation's done fires.
-	Cancel() bool
-}
-
-// Tracked is the Operation every mechanism reports its phases to: the
-// mechanism tells it the three facts a phase is made of — Deployed, SetMoved,
-// Finish — as they happen. Its Cancel is recorded (Progress().Cancelled) but
-// not honored; a mechanism that can stand down (DRRS's DR coordinator) embeds
-// it and overrides Cancel.
+// Tracked is the live handle every mechanism's Begin returns and the one
+// place a mechanism reports a lifecycle fact, as it happens: NewTracked marks
+// the scale start, Deployed ends the deploy phase, Landed and Unlanded count
+// planned key groups at their destination, and Finish marks the scale end
+// and fires done. Observers poll Progress on the simulated clock, and a
+// superseding request Cancels the operation per the paper's
+// concurrent-execution rule 1. After a Cancel, the superseding plan must come
+// from PlanFromPlacement so key groups the cancelled operation already moved
+// are not migrated twice.
 type Tracked struct {
+	rt           *engine.Runtime
 	total, moved int
 	done         func()
+	standDown    func()
 	deployed     bool
 	finished     bool
 	cancelled    bool
 }
 
-// NewTracked returns the handle for plan; done (optional) fires from Finish.
-func NewTracked(plan Plan, done func()) *Tracked {
-	return &Tracked{total: len(plan.Moves), done: done}
+// NewTracked returns the handle for plan and marks the scale start in rt's
+// metrics; done (optional) fires from Finish.
+func NewTracked(rt *engine.Runtime, plan Plan, done func()) *Tracked {
+	rt.Scale.MarkScaleStart(rt.Sched.Now())
+	return &Tracked{rt: rt, total: len(plan.Moves), done: done}
 }
+
+// OnCancel makes Cancel honored: after recording the request, Cancel runs
+// standDown, which must stop launching new migration work and let the
+// operation settle early (DRRS's DR coordinator drops its unlaunched
+// subscales).
+func (o *Tracked) OnCancel(standDown func()) { o.standDown = standDown }
 
 // Deployed records that the new instances exist and migration may begin.
 func (o *Tracked) Deployed() { o.deployed = true }
 
-// SetMoved records how many planned key groups sit at their destination. The
-// count may fall: a Meces fetch-back regresses a group that had landed.
-func (o *Tracked) SetMoved(n int) { o.moved = n }
+// Landed records that planned key group kg sits at its destination, and the
+// instant it first did.
+func (o *Tracked) Landed(kg int) {
+	o.moved++
+	o.rt.Scale.UnitMigrated(kg, o.rt.Sched.Now())
+}
 
-// Finish records completion and fires the done callback.
+// Unlanded records that a landed group left its destination again (a Meces
+// fetch-back); the instant it first landed stands.
+func (o *Tracked) Unlanded() { o.moved-- }
+
+// Finish records completion, marks the scale end on the runtime's current
+// metrics collector, and then fires the done callback — in that order,
+// because done may launch the next operation and swap the collector.
 func (o *Tracked) Finish() {
 	o.finished = true
+	o.rt.Scale.MarkScaleEnd(o.rt.Sched.Now())
 	if o.done != nil {
 		o.done()
 	}
 }
 
-// Progress implements Operation.
+// Progress reports the operation's current phase and migration counts.
 func (o *Tracked) Progress() Progress {
 	p := Progress{Moved: o.moved, Total: o.total, Cancelled: o.cancelled}
 	switch {
@@ -115,8 +124,17 @@ func (o *Tracked) Progress() Progress {
 	return p
 }
 
-// Cancel implements Operation: the request is recorded, never honored.
+// Cancel asks the operation to stand down: stop launching new migration
+// work, finish what is in flight, then report done. The request is always
+// recorded (Progress().Cancelled). Cancel returns true only when the
+// mechanism registered a stand-down with OnCancel; the others run their plan
+// to completion, and the supersessor launches once the old operation's done
+// fires.
 func (o *Tracked) Cancel() bool {
 	o.cancelled = true
-	return false
+	if o.standDown == nil {
+		return false
+	}
+	o.standDown()
+	return true
 }

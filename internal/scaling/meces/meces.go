@@ -50,7 +50,6 @@ type Mechanism struct {
 	// setUnit keeps them current.
 	away, moving, idleAway int
 	kgDone                 []bool // by move index
-	nDone                  int
 	finished               bool
 	bgActive               bool
 	bgCursor               int
@@ -73,10 +72,10 @@ const signal = "meces"
 // locations demand-driven, so a cancelled operation still migrates its
 // remaining background units to completion rather than stranding
 // sub-key-groups mid-split.
-func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
+func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *scaling.Tracked {
 	m.rt = rt
 	m.plan = plan
-	m.op = scaling.NewTracked(plan, done)
+	m.op = scaling.NewTracked(rt, plan, done)
 	n := len(plan.Moves) * subKeyGroups
 	m.loc = make([]int, n)
 	m.inFlight = make([]bool, n)
@@ -281,8 +280,7 @@ func (m *Mechanism) checkUnit(mi int) {
 		// will push it again.
 		if !m.atTarget(mi) {
 			m.kgDone[mi] = false
-			m.nDone--
-			m.op.SetMoved(m.nDone)
+			m.op.Unlanded()
 		}
 		return
 	}
@@ -290,18 +288,15 @@ func (m *Mechanism) checkUnit(mi int) {
 		return
 	}
 	m.kgDone[mi] = true
-	m.nDone++
-	m.op.SetMoved(m.nDone)
-	m.rt.Scale.UnitMigrated(m.plan.Moves[mi].KeyGroup, m.rt.Sched.Now())
+	m.op.Landed(m.plan.Moves[mi].KeyGroup)
 	m.maybeFinish()
 }
 
 func (m *Mechanism) maybeFinish() {
-	if m.finished || m.nDone < len(m.plan.Moves) || !m.settled() {
+	if pr := m.op.Progress(); m.finished || pr.Moved < pr.Total || !m.settled() {
 		return
 	}
 	m.finished = true
-	m.rt.Scale.MarkScaleEnd(m.rt.Sched.Now())
 	// Unlike barrier-synchronized mechanisms, Meces cannot tear its ownership
 	// machinery down at this point: records for moved groups may still be
 	// queued or in flight toward the *old* instances, and serving them

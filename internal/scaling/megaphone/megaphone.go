@@ -31,7 +31,7 @@ func (m *Mechanism) Name() string { return "megaphone" }
 // Begin implements scaling.Mechanism. Megaphone announces its whole
 // reconfiguration schedule up front, so a Cancel is recorded but the
 // announced rounds run to completion.
-func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
+func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *scaling.Tracked {
 	batch := m.BatchKGs
 	if batch <= 0 {
 		batch = 1

@@ -29,7 +29,7 @@ func (m *Mechanism) Name() string {
 
 // Begin implements scaling.Mechanism: one coupled round over the whole plan,
 // which runs to completion on Cancel.
-func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
+func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *scaling.Tracked {
 	c := scaling.NewCoupledController(plan, scaling.BatchRounds(plan, 0))
 	c.Fluid = m.Fluid
 	c.InjectAtSources = true

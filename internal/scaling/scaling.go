@@ -6,7 +6,9 @@
 package scaling
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"drrs/internal/dataflow"
@@ -121,28 +123,25 @@ func holders(rt *engine.Runtime, op string) []int {
 	return h
 }
 
-// Mechanism is one rescaling approach, lifecycle-observable: Begin returns a
-// live Operation handle that reports phase progress (deploy → migrate →
-// drain) and accepts supersession via Cancel. Begin is the only entry point;
-// mechanisms that cannot stand down run their plan to completion and return a
-// Tracked handle (see lifecycle.go).
+// Mechanism is one rescaling approach, lifecycle-observable: Begin returns the
+// operation's Tracked handle, which reports phase progress (deploy → migrate
+// → drain) and accepts supersession via Cancel (see lifecycle.go). Begin is
+// the only entry point.
 type Mechanism interface {
 	// Name identifies the mechanism in reports.
 	Name() string
 	// Begin starts scaling per plan and returns the operation handle; done
 	// (optional) fires when the operation has fully completed — or, after a
 	// Cancel, when the work it could not abandon has settled.
-	Begin(rt *engine.Runtime, plan Plan, done func()) Operation
+	Begin(rt *engine.Runtime, plan Plan, done func()) *Tracked
 }
 
 // Deploy performs the physical half of scaling shared by every mechanism:
 // after plan.SetupDelay (resource initialization), it places the new
 // instances through the cluster's placement policy (rack-local scale-out vs
 // spread is decided here, before wiring, so channel latencies reflect the
-// topology path), creates them, wires them, and hands them to then. It also
-// marks the scale start in the runtime's metrics.
+// topology path), creates them, wires them, and hands them to then.
 func Deploy(rt *engine.Runtime, plan Plan, then func(added []*engine.Instance)) {
-	rt.Scale.MarkScaleStart(rt.Sched.Now())
 	rt.Sched.After(plan.SetupDelay, func() {
 		rt.Cluster.PlaceInstances(plan.Operator, plan.OldParallelism, plan.NewParallelism)
 		var added []*engine.Instance
@@ -164,16 +163,17 @@ type Migrator struct {
 	plan Plan
 	op   *Tracked
 
-	// migrated and failed count settled groups; each group settles once.
-	migrated, failed int
-	onAll            func()
+	// failed counts groups settled back at their source; with op's landed
+	// count it tells when every group has settled (each settles once).
+	failed int
+	onAll  func()
 }
 
-// NewMigrator returns a migrator for the plan that tells op how many planned
-// groups have landed, each time one does. onAll (optional) fires when every
-// planned move has settled — completed, or failed against an unhealthy
-// destination (the state then sits back at its source and the controller's
-// recovery path re-plans it).
+// NewMigrator returns a migrator for the plan that tells op each time a
+// planned group lands. onAll (optional) fires when every planned move has
+// settled — completed, or failed against an unhealthy destination (the state
+// then sits back at its source and the controller's recovery path re-plans
+// it).
 func NewMigrator(rt *engine.Runtime, plan Plan, op *Tracked, onAll func()) *Migrator {
 	return &Migrator{rt: rt, plan: plan, op: op, onAll: onAll}
 }
@@ -206,24 +206,22 @@ func (m *Migrator) settleFailure(kg int, g *state.Group, mv dataflow.Move) {
 // install lands kg's state at its destination and accounts for it.
 func (m *Migrator) install(to *engine.Instance, kg int, g *state.Group) {
 	to.Store().InstallGroup(kg, g)
-	m.rt.Scale.UnitMigrated(kg, m.rt.Sched.Now())
-	m.migrated++
-	m.op.SetMoved(m.migrated)
+	m.op.Landed(kg)
 }
 
 func (m *Migrator) checkAll() {
-	if m.migrated+m.failed == len(m.plan.Moves) && m.onAll != nil {
+	if m.op.moved+m.failed == len(m.plan.Moves) && m.onAll != nil {
 		all := m.onAll
 		m.onAll = nil
 		all()
 	}
 }
 
-// MigrateGroup extracts kg from its source instance and transfers it to the
+// migrateGroup extracts kg from its source instance and transfers it to the
 // destination under the given signal label; done (optional) fires after the
 // destination installs it. The paper's Fig 12 metrics hang off the signal
-// label: FirstMigration on extraction, UnitMigrated on installation.
-func (m *Migrator) MigrateGroup(kg int, signal string, done func()) {
+// label: FirstMigration on extraction, Landed on installation.
+func (m *Migrator) migrateGroup(kg int, signal string, done func()) {
 	move := m.move(kg)
 	from := m.rt.Instance(m.plan.Operator, move.From)
 	to := m.rt.Instance(m.plan.Operator, move.To)
@@ -254,17 +252,50 @@ func (m *Migrator) MigrateGroup(kg int, signal string, done func()) {
 	})
 }
 
-// MigrateSequence migrates the given key groups one after another (fluid
-// migration's per-unit serial dependency); done fires after the last one.
-func (m *Migrator) MigrateSequence(kgs []int, signal string, done func()) {
-	if len(kgs) == 0 {
+// MigrateFluid runs fluid migration (Fig 1c): the given key groups leaving
+// one source travel one after another, in the given order, while the chains
+// of different sources run in parallel. Chains launch in ascending source
+// order, so runs replay bit-for-bit. done (optional) fires once every chain
+// has ended, at once when kgs is empty.
+func (m *Migrator) MigrateFluid(kgs []int, signal string, done func()) {
+	bySrc := slices.Clone(kgs)
+	slices.SortStableFunc(bySrc, func(a, b int) int { return cmp.Compare(m.move(a).From, m.move(b).From) })
+	var chains [][]int
+	for len(bySrc) > 0 {
+		n := 1
+		for n < len(bySrc) && m.move(bySrc[n]).From == m.move(bySrc[0]).From {
+			n++
+		}
+		chains = append(chains, bySrc[:n])
+		bySrc = bySrc[n:]
+	}
+	if len(chains) == 0 {
 		if done != nil {
 			done()
 		}
 		return
 	}
-	m.MigrateGroup(kgs[0], signal, func() {
-		m.MigrateSequence(kgs[1:], signal, done)
+	remaining := len(chains)
+	chainDone := func() {
+		remaining--
+		if remaining == 0 && done != nil {
+			done()
+		}
+	}
+	for _, c := range chains {
+		m.migrateSequence(c, signal, chainDone)
+	}
+}
+
+// migrateSequence migrates the given key groups one after another (fluid
+// migration's per-unit serial dependency); done fires after the last one.
+func (m *Migrator) migrateSequence(kgs []int, signal string, done func()) {
+	if len(kgs) == 0 {
+		done()
+		return
+	}
+	m.migrateGroup(kgs[0], signal, func() {
+		m.migrateSequence(kgs[1:], signal, done)
 	})
 }
 

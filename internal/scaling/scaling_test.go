@@ -160,17 +160,15 @@ func TestMigratorSequenceOrderAndCompletion(t *testing.T) {
 	s := simtime.NewScheduler()
 	rt := engine.New(s, g, nil, engine.Config{Seed: 1, MarkerInterval: -1})
 	plan := UniformPlan(g, "agg", 6, 0)
-	op := NewTracked(plan, nil)
+	op := NewTracked(rt, plan, nil)
 	var allDone bool
 	Deploy(rt, plan, func([]*engine.Instance) {
 		mig := NewMigrator(rt, plan, op, func() { allDone = true })
-		bySrc := map[int][]int{}
-		for _, m := range plan.Moves {
-			bySrc[m.From] = append(bySrc[m.From], m.KeyGroup)
+		kgs := make([]int, len(plan.Moves))
+		for i, m := range plan.Moves {
+			kgs[i] = m.KeyGroup
 		}
-		for _, kgs := range bySrc {
-			mig.MigrateSequence(kgs, "test", nil)
-		}
+		mig.MigrateFluid(kgs, "test", nil)
 	})
 	s.Run()
 	if !allDone {
@@ -193,15 +191,32 @@ func TestMigratorSequenceOrderAndCompletion(t *testing.T) {
 	}
 }
 
-// TestTrackedPhases pins the shared operation of the mechanisms that cannot
-// stand down: deploy until told deployed, migrate while fewer groups than
-// planned sit at their destination, drain when all have landed but the
-// mechanism has not finished, done afterwards (firing the callback once) — and
-// Cancel is recorded but reported as not honored.
+// TestTrackedPhases pins the operation handle every mechanism reports to:
+// deploy until told deployed, migrate while fewer groups than planned sit at
+// their destination, drain when all have landed but the mechanism has not
+// finished, done afterwards (firing the callback once). The scale start is
+// marked at NewTracked, each group's landing instant at its first Landed, and
+// the scale end at Finish. Without a stand-down Cancel is recorded but
+// reported as not honored; with one, Cancel runs it after recording.
 func TestTrackedPhases(t *testing.T) {
-	plan, _ := testPlan(t)
+	plan, g := testPlan(t)
+	s := simtime.NewScheduler()
+	rt := engine.New(s, g, nil, engine.Config{Seed: 1, MarkerInterval: -1})
+	advance := func(d simtime.Duration) {
+		s.After(d, func() {})
+		s.Run()
+	}
+	advance(simtime.Ms(5))
 	fired := 0
-	op := NewTracked(plan, func() { fired++ })
+	op := NewTracked(rt, plan, func() {
+		fired++
+		if !rt.Scale.Ended() {
+			t.Fatal("done fired before the scale end was marked")
+		}
+	})
+	if rt.Scale.ScaleStart != simtime.Time(simtime.Ms(5)) {
+		t.Fatalf("scale start %v, want 5ms", rt.Scale.ScaleStart)
+	}
 	want := func(ph Phase, moved int) {
 		t.Helper()
 		if pr := op.Progress(); pr.Phase != ph || pr.Moved != moved || pr.Total != len(plan.Moves) {
@@ -211,7 +226,7 @@ func TestTrackedPhases(t *testing.T) {
 	want(PhaseDeploy, 0)
 	op.Deployed()
 	want(PhaseMigrate, 0)
-	op.SetMoved(1)
+	op.Landed(plan.Moves[0].KeyGroup)
 	want(PhaseMigrate, 1)
 	if op.Cancel() {
 		t.Fatal("a mechanism that cannot stand down must report Cancel as not honored")
@@ -219,22 +234,45 @@ func TestTrackedPhases(t *testing.T) {
 	if !op.Progress().Cancelled {
 		t.Fatal("cancellation not recorded")
 	}
-	op.SetMoved(len(plan.Moves))
+	advance(simtime.Ms(5))
+	for _, m := range plan.Moves[1:] {
+		op.Landed(m.KeyGroup)
+	}
 	want(PhaseDrain, len(plan.Moves))
-	// A Meces fetch-back regresses a landed group.
-	op.SetMoved(len(plan.Moves) - 1)
+	// A Meces fetch-back regresses a landed group; landing it again keeps
+	// its first landing instant.
+	last := plan.Moves[len(plan.Moves)-1].KeyGroup
+	op.Unlanded()
 	want(PhaseMigrate, len(plan.Moves)-1)
-	op.SetMoved(len(plan.Moves))
-	if fired != 0 {
-		t.Fatal("done fired before Finish")
+	advance(simtime.Ms(5))
+	op.Landed(last)
+	if at := rt.Scale.UnitDoneTimes()[last]; at != simtime.Time(simtime.Ms(10)) {
+		t.Fatalf("kg %d landed at %v, want its first landing at 10ms", last, at)
+	}
+	if rt.Scale.UnitsMigrated() != len(plan.Moves) {
+		t.Fatalf("%d units migrated, want %d", rt.Scale.UnitsMigrated(), len(plan.Moves))
+	}
+	if fired != 0 || rt.Scale.Ended() {
+		t.Fatal("done fired or scale end marked before Finish")
 	}
 	op.Finish()
 	want(PhaseDone, len(plan.Moves))
 	if fired != 1 || !op.Progress().Cancelled {
 		t.Fatalf("after Finish: done fired %d times, progress %+v", fired, op.Progress())
 	}
+	if rt.Scale.ScaleEnd != simtime.Time(simtime.Ms(15)) {
+		t.Fatalf("scale end %v, want 15ms", rt.Scale.ScaleEnd)
+	}
 	// done is optional.
-	NewTracked(plan, nil).Finish()
+	NewTracked(rt, plan, nil).Finish()
+	// A registered stand-down makes Cancel honored; it runs after the
+	// request is recorded.
+	standing := NewTracked(rt, plan, nil)
+	stoodDown := false
+	standing.OnCancel(func() { stoodDown = standing.Progress().Cancelled })
+	if !standing.Cancel() || !stoodDown {
+		t.Fatalf("honored Cancel: returned false or stand-down ran before the request was recorded (%v)", stoodDown)
+	}
 }
 
 func TestPlanFromPlacementAfterPartialMove(t *testing.T) {

@@ -28,10 +28,9 @@ func (m *Mechanism) Name() string { return "stop-restart" }
 // before resuming, so Cancel is recorded but the restart runs to completion.
 // The operation reads as deploying until the restore ends; every planned
 // group lands in that one instant.
-func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
-	op := scaling.NewTracked(plan, done)
+func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *scaling.Tracked {
+	op := scaling.NewTracked(rt, plan, done)
 	const signal = "stop-restart"
-	rt.Scale.MarkScaleStart(rt.Sched.Now())
 	rt.Scale.SignalInjected(signal, rt.Sched.Now())
 	for _, mv := range plan.Moves {
 		rt.Scale.UnitAssigned(mv.KeyGroup, signal)
@@ -72,9 +71,8 @@ func (m *Mechanism) restart(rt *engine.Runtime, plan scaling.Plan, signal string
 			from := rt.Instance(plan.Operator, mv.From)
 			to := rt.Instance(plan.Operator, mv.To)
 			to.Store().InstallGroup(mv.KeyGroup, from.Store().ExtractGroup(mv.KeyGroup))
-			rt.Scale.UnitMigrated(mv.KeyGroup, rt.Sched.Now())
+			op.Landed(mv.KeyGroup)
 		}
-		op.SetMoved(len(plan.Moves))
 		for _, p := range rt.PredecessorInstances(plan.Operator) {
 			tbl := p.Routing(plan.Operator)
 			for _, mv := range plan.Moves {
@@ -93,7 +91,6 @@ func (m *Mechanism) restart(rt *engine.Runtime, plan scaling.Plan, signal string
 			}
 			in.Wake()
 		})
-		rt.Scale.MarkScaleEnd(rt.Sched.Now())
 		op.Finish()
 	})
 }

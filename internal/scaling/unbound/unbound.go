@@ -12,8 +12,6 @@
 package unbound
 
 import (
-	"sort"
-
 	"drrs/internal/engine"
 	"drrs/internal/netsim"
 	"drrs/internal/scaling"
@@ -27,16 +25,13 @@ func (m *Mechanism) Name() string { return "unbound" }
 
 // Begin implements scaling.Mechanism. Cancel is recorded but not honored:
 // Unbound has no protocol to stand down.
-func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) scaling.Operation {
-	op := scaling.NewTracked(plan, done)
+func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *scaling.Tracked {
+	op := scaling.NewTracked(rt, plan, done)
 	const signal = "unbound"
 	for _, mv := range plan.Moves {
 		rt.Scale.UnitAssigned(mv.KeyGroup, signal)
 	}
-	mig := scaling.NewMigrator(rt, plan, op, func() {
-		rt.Scale.MarkScaleEnd(rt.Sched.Now())
-		op.Finish()
-	})
+	mig := scaling.NewMigrator(rt, plan, op, op.Finish)
 	scaling.Deploy(rt, plan, func(added []*engine.Instance) {
 		op.Deployed()
 		rt.Scale.SignalInjected(signal, rt.Sched.Now())
@@ -61,19 +56,11 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) sc
 		// Background migration of the old state; InstallGroup merges into the
 		// live shells (overwriting concurrent updates — the correctness hole
 		// Unbound deliberately accepts).
-		bySrc := make(map[int][]int)
-		var srcs []int
-		for _, mv := range plan.Moves {
-			if _, seen := bySrc[mv.From]; !seen {
-				srcs = append(srcs, mv.From)
-			}
-			bySrc[mv.From] = append(bySrc[mv.From], mv.KeyGroup)
+		kgs := make([]int, len(plan.Moves))
+		for i, mv := range plan.Moves {
+			kgs[i] = mv.KeyGroup
 		}
-		// Launch in sorted source order so runs are replayable bit-for-bit.
-		sort.Ints(srcs)
-		for _, src := range srcs {
-			mig.MigrateSequence(bySrc[src], signal, nil)
-		}
+		mig.MigrateFluid(kgs, signal, nil)
 	})
 	return op
 }
