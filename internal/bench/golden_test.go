@@ -45,6 +45,10 @@ var goldenDigests = []struct {
 	{"twitch", "stop-restart", 7, 0xd216e998602b35ab},
 	{"twitch", "unbound", 7, 0xa4d4f098d8e9ad87},
 	{"twitch", "drrs-schedule", 7, 0x632d373536fbe533},
+	// The DR-only and subscale-only ablations, recorded before the coupled
+	// configurations were folded into one mechanism.
+	{"twitch", "drrs-dr", 7, 0xe1dd9eec4800dae6},
+	{"twitch", "drrs-subscale", 7, 0x8d772ce595076b83},
 	{"bigcluster-128", "drrs", 3, 0x621a6ee9520614fc},
 	// Closed-loop: the digest additionally folds in the controller's
 	// decision audit trail, so a policy or controller change that shifts any
