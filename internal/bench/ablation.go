@@ -6,7 +6,6 @@ import (
 
 	"drrs/internal/core"
 	"drrs/internal/scaling"
-	"drrs/internal/scaling/megaphone"
 	"drrs/internal/simtime"
 )
 
@@ -90,7 +89,7 @@ func nodeConcurrency(l int) (string, func() scaling.Mechanism) {
 // trade-off between suspension (grows with batch) and scaling duration /
 // propagation (shrink with batch).
 func megaphoneBatch(b int) (string, func() scaling.Mechanism) {
-	return fmt.Sprintf("batch=%d", b), func() scaling.Mechanism { return &megaphone.Mechanism{BatchKGs: b} }
+	return fmt.Sprintf("batch=%d", b), func() scaling.Mechanism { return scaling.Megaphone(b) }
 }
 
 // Ablation runs the four sweeps as one figure: the DRRS knobs on Twitch, node

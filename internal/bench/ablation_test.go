@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"drrs/internal/core"
+	"drrs/internal/scaling"
 )
 
 func TestSweepMegaphoneBatchTradeoff(t *testing.T) {
@@ -59,6 +60,27 @@ func TestSweepSubscaleSize(t *testing.T) {
 	for _, p := range pts {
 		if p.PeakMs > 10*pts[1].PeakMs {
 			t.Fatalf("setting %s destabilized latency: %+v", p.Label, p)
+		}
+	}
+}
+
+// TestKnobPointsBuildFullDRRS: each DRRS knob point labels its setting and
+// builds full DRRS with exactly that one option changed.
+func TestKnobPointsBuildFullDRRS(t *testing.T) {
+	for _, c := range []struct {
+		point func(int) (string, func() scaling.Mechanism)
+		v     int
+		label string
+		set   func(*core.Options)
+	}{
+		{bufferDepth, 20, "depth=20", func(o *core.Options) { o.BufferDepth = 20 }},
+		{nodeConcurrency, 4, "conc=4", func(o *core.Options) { o.NodeConcurrency = 4 }},
+	} {
+		label, newMech := c.point(c.v)
+		want := core.FullDRRS()
+		c.set(&want)
+		if got, want := newMech().(*core.Mechanism).Opt, core.New(want).Opt; label != c.label || got != want {
+			t.Errorf("%s builds %+v, want %s building %+v", label, got, c.label, want)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // whole control loop, not of an identical fixed schedule.
 func (h Harness) ControlFigure(workloadName string, mechs []string, seeds []int64) (FigureResult, error) {
 	if len(mechs) == 0 {
-		mechs = []string{"drrs", "meces", "megaphone"}
+		mechs = headToHead
 	}
 	outs, err := h.byMech("Control", workloadName, mechs, seeds)
 	if err != nil {

@@ -9,8 +9,6 @@ import (
 	"drrs/internal/core"
 	"drrs/internal/scaling"
 	"drrs/internal/scaling/meces"
-	"drrs/internal/scaling/megaphone"
-	"drrs/internal/scaling/otfs"
 	"drrs/internal/scaling/stopre"
 	"drrs/internal/scaling/unbound"
 	"drrs/internal/simtime"
@@ -24,15 +22,15 @@ var mechanisms = []struct {
 	new  func() scaling.Mechanism
 }{
 	{"drrs", func() scaling.Mechanism { return core.New(core.FullDRRS()) }},
-	{"drrs-dr", func() scaling.Mechanism { return core.New(core.Variant("dr")) }},
-	{"drrs-schedule", func() scaling.Mechanism { return core.New(core.Variant("schedule")) }},
-	{"drrs-subscale", func() scaling.Mechanism { return core.New(core.Variant("subscale")) }},
+	{"drrs-dr", func() scaling.Mechanism { return core.New(core.Options{}) }},
+	{"drrs-schedule", func() scaling.Mechanism { return core.ScheduleOnly() }},
+	{"drrs-subscale", func() scaling.Mechanism { return core.SubscaleOnly() }},
 	{"meces", func() scaling.Mechanism { return &meces.Mechanism{} }},
 	// A batch of 4 key groups keeps the sequential-round signature while the
 	// scaled-down runs stay tractable.
-	{"megaphone", func() scaling.Mechanism { return &megaphone.Mechanism{BatchKGs: 4} }},
-	{"otfs", func() scaling.Mechanism { return &otfs.Mechanism{Fluid: true} }},
-	{"otfs-allatonce", func() scaling.Mechanism { return &otfs.Mechanism{Fluid: false} }},
+	{"megaphone", func() scaling.Mechanism { return scaling.Megaphone(4) }},
+	{"otfs", func() scaling.Mechanism { return scaling.OTFS(true) }},
+	{"otfs-allatonce", func() scaling.Mechanism { return scaling.OTFS(false) }},
 	{"stop-restart", func() scaling.Mechanism { return &stopre.Mechanism{} }},
 	{"unbound", func() scaling.Mechanism { return &unbound.Mechanism{} }},
 	{"no-scale", func() scaling.Mechanism { return nil }},
@@ -292,11 +290,15 @@ func (h Harness) Fig2(seeds []int64) (FigureResult, error) {
 	return FigureResult{Title: "fig2", Text: b.String(), Rows: rows}, nil
 }
 
+// headToHead is the paper's head-to-head mechanism set (Figs 10–13): DRRS
+// against Meces and Megaphone. The multi-run figures default to it.
+var headToHead = []string{"drrs", "meces", "megaphone"}
+
 // HeadToHead runs the Fig 10–13 experiment set for one workload (q7, q8,
 // twitch) against Meces and Megaphone, producing all four figures' data from
 // the same runs, as the paper does.
 func (h Harness) HeadToHead(workloadName string, seeds []int64) (FigureResult, error) {
-	outs, err := h.byMech("HeadToHead", workloadName, []string{"drrs", "meces", "megaphone"}, seeds)
+	outs, err := h.byMech("HeadToHead", workloadName, headToHead, seeds)
 	if err != nil {
 		return FigureResult{}, err
 	}
@@ -306,18 +308,18 @@ func (h Harness) HeadToHead(workloadName string, seeds []int64) (FigureResult, e
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fig 10 (%s) — End-to-End Latency, window [%v, %v]\n", workloadName, from, to)
 	fmt.Fprintf(&b, "%-10s %20s %20s %16s %16s\n", "", "Peak(ms)", "Average(ms)", "Scaling(s)", "Migration(s)")
-	for _, mech := range []string{"drrs", "meces", "megaphone"} {
+	for _, mech := range headToHead {
 		r := rows[mech]
 		fmt.Fprintf(&b, "%-10s %20s %20s %16s %16s\n", mech, r.PeakMs, r.AvgMs, r.ScalingSec, r.MigrationSec)
 	}
 	b.WriteString("\nlatency timelines (1 s means):\n")
-	for _, mech := range []string{"drrs", "meces", "megaphone"} {
+	for _, mech := range headToHead {
 		fmt.Fprintf(&b, "%-10s %s\n", mech, Sparkline(outs[mech][0], simtime.Second, from, to))
 	}
 	b.WriteString("\n")
 
 	fmt.Fprintf(&b, "Fig 11 (%s) — Throughput (records/s) timeline (1 s buckets, during scaling)\n", workloadName)
-	for _, mech := range []string{"drrs", "meces", "megaphone"} {
+	for _, mech := range headToHead {
 		o := outs[mech][0]
 		pts := o.Throughput.Series().Slice(from, to)
 		fmt.Fprintf(&b, "%-10s", mech)
@@ -332,14 +334,14 @@ func (h Harness) HeadToHead(workloadName string, seeds []int64) (FigureResult, e
 
 	fmt.Fprintf(&b, "Fig 12 (%s) — Cumulative Propagation Delay / Avg Dependency Overhead (ms)\n", workloadName)
 	fmt.Fprintf(&b, "%-10s %20s %20s\n", "", "Prop. Delay", "Dep. Overhead")
-	for _, mech := range []string{"drrs", "meces", "megaphone"} {
+	for _, mech := range headToHead {
 		r := rows[mech]
 		fmt.Fprintf(&b, "%-10s %20s %20s\n", mech, r.PropDelayMs, r.DepOverheadMs)
 	}
 	b.WriteString("\n")
 
 	fmt.Fprintf(&b, "Fig 13 (%s) — Cumulative Suspension Time (ms)\n", workloadName)
-	for _, mech := range []string{"drrs", "meces", "megaphone"} {
+	for _, mech := range headToHead {
 		r := rows[mech]
 		fmt.Fprintf(&b, "%-10s %20s\n", mech, r.SuspensionMs)
 	}
@@ -377,7 +379,7 @@ func (h Harness) Fig14(seeds []int64) (FigureResult, error) {
 // decomposition single-wave figures cannot show.
 func (h Harness) MultiWave(workloadName string, mechs []string, seeds []int64) (FigureResult, error) {
 	if len(mechs) == 0 {
-		mechs = []string{"drrs", "meces", "megaphone"}
+		mechs = headToHead
 	}
 	outs, err := h.byMech("MultiWave", workloadName, mechs, seeds)
 	if err != nil {
@@ -449,7 +451,7 @@ func (h Harness) Sweep(scenarioNames []string, mechs []string, seeds []int64) (F
 		scenarioNames = ScenarioNames()
 	}
 	if len(mechs) == 0 {
-		mechs = []string{"drrs", "meces", "megaphone"}
+		mechs = headToHead
 	}
 	byRow, err := h.runs("Sweep", scenarioNames, []string{""}, mechs, seeds)
 	if err != nil {

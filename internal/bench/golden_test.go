@@ -34,10 +34,10 @@ var goldenDigests = []struct {
 }{
 	{"twitch", "drrs", 7, 0xd58e53c0cc71a727},
 	{"twitch", "no-scale", 7, 0x1cdda90cf2a13cac},
-	// One pin per baseline mechanism (and the schedule-only ablation, which
-	// takes core's non-DR path), recorded at commit 2ac2be7 — before they
-	// moved to the single Begin contract, which these pins show changed
-	// nothing. Stable across two in-process runs each.
+	// One pin per baseline mechanism (and the schedule-only ablation, a
+	// configuration of the coupled-barrier mechanism), recorded at commit
+	// 2ac2be7 — before they moved to the single Begin contract, which these
+	// pins show changed nothing. Stable across two in-process runs each.
 	{"twitch", "meces", 7, 0xd966d644c95711f8},
 	{"twitch", "megaphone", 7, 0xb646570bbf85b7b8},
 	{"twitch", "otfs", 7, 0xfb944932b6cb6cc4},

@@ -197,7 +197,7 @@ func HeteroTiersScenario(seed int64) Scenario {
 // launched waves of multi-wave programs.
 func (h Harness) TopologyFigure(workloadName string, mechs []string, seeds []int64) (FigureResult, error) {
 	if len(mechs) == 0 {
-		mechs = []string{"drrs", "meces", "megaphone"}
+		mechs = headToHead
 	}
 	placements := []string{"rack-local", "spread"}
 	byRow, err := h.runs("TopologyFigure", []string{workloadName}, placements, mechs, seeds)

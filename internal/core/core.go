@@ -13,11 +13,11 @@
 //     lexicographic subscale divider and the greedy fewest-keys-first
 //     subscale scheduler with the per-node concurrency threshold (C0/C1).
 //
-// The three Options flags correspond to the paper's Fig 14 ablation: the
-// full system enables all three; each variant keeps exactly one. Variants
-// without DR fall back to coupled-barrier synchronization (the generalized
-// OTFS framework), with Subscale Division degrading to Naive Division —
-// concurrently launched coupled rounds whose alignments interfere (Fig 7a).
+// The paper's Fig 14 ablation keeps one of the three techniques at a time.
+// The Mechanism always runs Decoupling & Re-routing, with Record Scheduling
+// and Subscale Division as Options; the variants without DR are
+// configurations of the coupled-barrier mechanism (ScheduleOnly,
+// SubscaleOnly).
 package core
 
 import (
@@ -32,12 +32,11 @@ import (
 	"drrs/internal/scaling"
 )
 
-// Options selects which DRRS mechanisms are active.
+// Options selects which DRRS techniques run alongside Decoupling and
+// Re-routing (trigger/confirm barriers with predecessor injection,
+// output-cache redirection, and Ep-record re-routing), which always runs.
+// Options{} is Fig 14's DR-only variant.
 type Options struct {
-	// DR enables Decoupling and Re-routing: trigger/confirm barriers with
-	// predecessor injection, output-cache redirection, and Ep-record
-	// re-routing. Without it, synchronization uses coupled barriers.
-	DR bool
 	// Schedule enables Record Scheduling (inter- and intra-channel).
 	Schedule bool
 	// Subscale enables Subscale Division.
@@ -48,42 +47,46 @@ type Options struct {
 	// NodeConcurrency caps concurrent subscales touching one node
 	// (default 2, the paper's threshold).
 	NodeConcurrency int
-	// BufferDepth bounds the intra-channel scan (default 200, the paper's
-	// pre-serialized record buffer).
+	// BufferDepth bounds the intra-channel scan (SchedulingHandler.Depth;
+	// default 200, the paper's pre-serialized record buffer).
 	BufferDepth int
 }
 
+// subscaleKGs is the default subscale size in key groups.
+const subscaleKGs = 8
+
 // FullDRRS returns the complete system's options.
 func FullDRRS() Options {
-	return Options{DR: true, Schedule: true, Subscale: true}
+	return Options{Schedule: true, Subscale: true}
 }
 
-// Variant returns options for Fig 14's ablation variants: "drrs", "dr",
-// "schedule", or "subscale".
-func Variant(name string) Options {
-	switch name {
-	case "drrs":
-		return FullDRRS()
-	case "dr":
-		return Options{DR: true}
-	case "schedule":
-		return Options{Schedule: true}
-	case "subscale":
-		return Options{Subscale: true}
-	default:
-		panic(fmt.Sprintf("core: unknown variant %q", name))
+// ScheduleOnly is Fig 14's Schedule-only variant: DRRS without Decoupling &
+// Re-routing or Subscale Division. Synchronization falls back to the
+// generalized OTFS framework's coupled barrier — one fluid round, injected
+// at the predecessors — with Record Scheduling installed on the scaling
+// instances.
+func ScheduleOnly() *scaling.Coupled {
+	return &scaling.Coupled{
+		Label:      "drrs-schedule",
+		Fluid:      true,
+		Scheduling: func() engine.InputHandler { return &SchedulingHandler{} },
 	}
+}
+
+// SubscaleOnly is Fig 14's Subscale-only variant: DRRS without Decoupling &
+// Re-routing or Record Scheduling. Without DR, Subscale Division degrades to
+// Naive Division — coupled rounds of subscaleKGs key groups, all launched
+// at once, whose alignments interfere through blocked channels (Fig 7a).
+func SubscaleOnly() *scaling.Coupled {
+	return &scaling.Coupled{Label: "drrs-subscale", BatchKGs: subscaleKGs, Fluid: true, Concurrent: true}
 }
 
 func (o *Options) fillDefaults() {
 	if o.SubscaleKGs <= 0 {
-		o.SubscaleKGs = 8
+		o.SubscaleKGs = subscaleKGs
 	}
 	if o.NodeConcurrency <= 0 {
 		o.NodeConcurrency = 2
-	}
-	if o.BufferDepth <= 0 {
-		o.BufferDepth = 200
 	}
 }
 
@@ -203,31 +206,19 @@ func New(opt Options) *Mechanism {
 	return &Mechanism{Opt: opt}
 }
 
-// Name implements scaling.Mechanism.
+// Name implements scaling.Mechanism: "drrs" for the full system, "drrs-dr"
+// otherwise.
 func (m *Mechanism) Name() string {
-	switch {
-	case m.Opt.DR && m.Opt.Schedule && m.Opt.Subscale:
+	if m.Opt.Schedule && m.Opt.Subscale {
 		return "drrs"
-	case m.Opt.DR:
-		return "drrs-dr"
-	case m.Opt.Schedule:
-		return "drrs-schedule"
-	case m.Opt.Subscale:
-		return "drrs-subscale"
-	default:
-		return "drrs-none"
 	}
+	return "drrs-dr"
 }
 
-// Begin implements scaling.Mechanism. The DR coordinator reports its own
-// phases and honors cancellation — subscales not yet launched are dropped and
-// the operation settles early (the paper's concurrent-execution rule); the
-// coupled ablation variants (no DR) return the coupled controller's handle,
-// since the coupled barrier protocol has no cancellation path.
+// Begin implements scaling.Mechanism. The coordinator reports its own phases
+// and honors cancellation — subscales not yet launched are dropped and the
+// operation settles early (the paper's concurrent-execution rule).
 func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *scaling.Tracked {
-	if !m.Opt.DR {
-		return m.beginCoupled(rt, plan, done)
-	}
 	m.scaleID = rt.NextScaleID()
 	m.rt = rt
 	m.plan = plan
@@ -672,24 +663,4 @@ func (m *Mechanism) cancel() {
 	m.cancelled = true
 	m.pending = nil
 	m.maybeFinish()
-}
-
-// beginCoupled runs the non-DR ablation variants on the coupled-barrier
-// controller: Schedule-only is a single coupled round plus Record
-// Scheduling; Subscale-only is Naive Division — concurrently launched
-// coupled rounds that interfere through alignment blocking.
-func (m *Mechanism) beginCoupled(rt *engine.Runtime, plan scaling.Plan, done func()) *scaling.Tracked {
-	rounds := scaling.BatchRounds(plan, 0)
-	if m.Opt.Subscale {
-		rounds = scaling.BatchRounds(plan, m.Opt.SubscaleKGs)
-	}
-	c := scaling.NewCoupledController(plan, rounds)
-	c.Fluid = true
-	c.InjectAtSources = false
-	c.Concurrent = m.Opt.Subscale
-	if m.Opt.Schedule {
-		depth := m.Opt.BufferDepth
-		c.Scheduling = func() engine.InputHandler { return &SchedulingHandler{Depth: depth} }
-	}
-	return c.Begin(rt, done)
 }

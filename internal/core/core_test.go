@@ -4,14 +4,22 @@ import (
 	"testing"
 
 	"drrs/internal/scaletest"
-	"drrs/internal/scaling/otfs"
+	"drrs/internal/scaling"
 	"drrs/internal/simtime"
 )
 
-func execDRRS(seed int64, opt Options, tune func(*scaletest.Run)) scaletest.Result {
+// variants builds Fig 14's ablation variants by name.
+var variants = map[string]func() scaling.Mechanism{
+	"drrs":     func() scaling.Mechanism { return New(FullDRRS()) },
+	"dr":       func() scaling.Mechanism { return New(Options{}) },
+	"schedule": func() scaling.Mechanism { return ScheduleOnly() },
+	"subscale": func() scaling.Mechanism { return SubscaleOnly() },
+}
+
+func execDRRS(seed int64, mech scaling.Mechanism, tune func(*scaletest.Run)) scaletest.Result {
 	r := scaletest.Run{
 		Workload:       scaletest.DefaultWorkload(seed),
-		Mechanism:      New(opt),
+		Mechanism:      mech,
 		ScaleAt:        simtime.Sec(1),
 		NewParallelism: 6,
 	}
@@ -26,7 +34,7 @@ func TestVariantsExactlyOnce(t *testing.T) {
 		v := v
 		t.Run(v, func(t *testing.T) {
 			base := scaletest.Run{Workload: scaletest.DefaultWorkload(71)}.Execute()
-			scaled := execDRRS(71, Variant(v), nil)
+			scaled := execDRRS(71, variants[v](), nil)
 			if !scaled.Done {
 				t.Fatal("scaling never completed")
 			}
@@ -52,7 +60,7 @@ func TestVariantsExactlyOnceUnderSlowMigration(t *testing.T) {
 			wl := scaletest.DefaultWorkload(72)
 			wl.RatePerSec = 6000
 			base := scaletest.Run{Workload: wl}.Execute()
-			scaled := execDRRS(72, Variant(v), func(r *scaletest.Run) {
+			scaled := execDRRS(72, variants[v](), func(r *scaletest.Run) {
 				r.Workload = wl
 				r.Cluster = scaletest.SlowMigrationCluster(2 << 20)
 			})
@@ -70,7 +78,7 @@ func TestVariantsExactlyOnceUnderSlowMigration(t *testing.T) {
 }
 
 func TestSubscaleDivisionEmitsManySignals(t *testing.T) {
-	scaled := execDRRS(73, FullDRRS(), nil)
+	scaled := execDRRS(73, New(FullDRRS()), nil)
 	// 4→6 over 32 groups: multiple (src,dst) pairs, chunked ≤8 per subscale;
 	// every subscale injects its own signal and first-migration marker.
 	prop := scaled.RT.Scale.CumulativePropagationDelay()
@@ -92,7 +100,7 @@ func TestSubscaleDivisionEmitsManySignals(t *testing.T) {
 }
 
 func TestSingleSubscaleWithoutDivision(t *testing.T) {
-	scaled := execDRRS(74, Options{DR: true}, nil)
+	scaled := execDRRS(74, New(Options{}), nil)
 	m := scaled.Mech.(*Mechanism)
 	if len(m.subs) != 1 {
 		t.Fatalf("DR-only should run one subscale, got %d", len(m.subs))
@@ -107,11 +115,11 @@ func TestTriggerBypassBeatsCoupledPropagation(t *testing.T) {
 	wl.RatePerSec = 9000
 	wl.CostPerRecord = 200 * simtime.Microsecond
 	drrs := scaletest.Run{
-		Workload: wl, Mechanism: New(Options{DR: true}),
+		Workload: wl, Mechanism: New(Options{}),
 		ScaleAt: simtime.Sec(1), NewParallelism: 6,
 	}.Execute()
 	coupled := scaletest.Run{
-		Workload: wl, Mechanism: &otfs.Mechanism{Fluid: true},
+		Workload: wl, Mechanism: scaling.OTFS(true),
 		ScaleAt: simtime.Sec(1), NewParallelism: 6,
 	}.Execute()
 	if !drrs.Done || !coupled.Done {
@@ -141,7 +149,7 @@ func TestSchedulingReducesSuspension(t *testing.T) {
 		return res.RT.Scale.CumulativeSuspension()
 	}
 	full := mk(FullDRRS())
-	drOnly := mk(Options{DR: true})
+	drOnly := mk(Options{})
 	if full >= drOnly {
 		t.Fatalf("full DRRS suspension %v should beat DR-only %v", full, drOnly)
 	}
@@ -152,7 +160,7 @@ func TestNodeConcurrencyRespected(t *testing.T) {
 	opt := FullDRRS()
 	opt.NodeConcurrency = 1
 	opt.SubscaleKGs = 4
-	scaled := execDRRS(77, opt, func(r *scaletest.Run) {
+	scaled := execDRRS(77, New(opt), func(r *scaletest.Run) {
 		r.Cluster = scaletest.SlowMigrationCluster(16 << 20)
 	})
 	if !scaled.Done {
@@ -172,17 +180,8 @@ func TestNames(t *testing.T) {
 		"drrs": "drrs", "dr": "drrs-dr", "schedule": "drrs-schedule", "subscale": "drrs-subscale",
 	}
 	for v, want := range cases {
-		if got := New(Variant(v)).Name(); got != want {
+		if got := variants[v]().Name(); got != want {
 			t.Fatalf("variant %s name %s", v, got)
 		}
 	}
-}
-
-func TestVariantPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Variant("bogus")
 }

@@ -26,10 +26,14 @@ import (
 // The instance suspends only when every queued record is unprocessable —
 // exactly the paper's Suspend Manager rule.
 type SchedulingHandler struct {
-	// Depth bounds the intra-channel scan (default 200).
+	// Depth bounds the intra-channel scan (default bufferDepth).
 	Depth int
 	rr    int
 }
+
+// bufferDepth is Record Scheduling's default intra-channel scan depth, the
+// paper's 200-record pre-serialized buffer.
+const bufferDepth = 200
 
 // Next implements engine.InputHandler.
 func (h *SchedulingHandler) Next(in *engine.Instance) (netsim.Message, *netsim.Edge, engine.NextStatus) {
@@ -40,7 +44,7 @@ func (h *SchedulingHandler) Next(in *engine.Instance) (netsim.Message, *netsim.E
 	}
 	depth := h.Depth
 	if depth <= 0 {
-		depth = 200
+		depth = bufferDepth
 	}
 	queued := false
 	// Pass 1 — inter-channel: serve the first channel whose head is

@@ -18,7 +18,7 @@ func TestConfirmGateAllocs(t *testing.T) {
 	mv := plan.Moves[0]
 	s := &subscale{confirmSeen: map[confirmKey]bool{}}
 	m := &Mechanism{
-		Opt:           Options{DR: true, Schedule: true, Subscale: true},
+		Opt:           Options{Schedule: true, Subscale: true},
 		plan:          plan,
 		kgs:           make([]kgStatus, len(plan.Moves)),
 		edgeIsReroute: map[*netsim.Edge]bool{},

@@ -784,7 +784,9 @@ func (in *Instance) onWatermark(w *netsim.Watermark, e *netsim.Edge) {
 		if in.logic != nil {
 			in.logic.OnWatermark(in, min)
 		}
-		in.BroadcastControl(&netsim.Watermark{WM: min})
+		if len(in.ports) > 0 { // a sink has no one to tell
+			in.BroadcastControl(&netsim.Watermark{WM: min})
+		}
 	}
 }
 

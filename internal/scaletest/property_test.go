@@ -7,8 +7,6 @@ import (
 	"drrs/internal/core"
 	"drrs/internal/scaling"
 	"drrs/internal/scaling/meces"
-	"drrs/internal/scaling/megaphone"
-	"drrs/internal/scaling/otfs"
 	"drrs/internal/scaling/stopre"
 	"drrs/internal/simtime"
 )
@@ -17,12 +15,12 @@ import (
 func mechanismsUnderTest() map[string]func() scaling.Mechanism {
 	return map[string]func() scaling.Mechanism{
 		"drrs":          func() scaling.Mechanism { return core.New(core.FullDRRS()) },
-		"drrs-dr":       func() scaling.Mechanism { return core.New(core.Variant("dr")) },
-		"drrs-schedule": func() scaling.Mechanism { return core.New(core.Variant("schedule")) },
-		"drrs-subscale": func() scaling.Mechanism { return core.New(core.Variant("subscale")) },
-		"otfs-fluid":    func() scaling.Mechanism { return &otfs.Mechanism{Fluid: true} },
-		"otfs-batch":    func() scaling.Mechanism { return &otfs.Mechanism{Fluid: false} },
-		"megaphone":     func() scaling.Mechanism { return &megaphone.Mechanism{BatchKGs: 3} },
+		"drrs-dr":       func() scaling.Mechanism { return core.New(core.Options{}) },
+		"drrs-schedule": func() scaling.Mechanism { return core.ScheduleOnly() },
+		"drrs-subscale": func() scaling.Mechanism { return core.SubscaleOnly() },
+		"otfs-fluid":    func() scaling.Mechanism { return scaling.OTFS(true) },
+		"otfs-batch":    func() scaling.Mechanism { return scaling.OTFS(false) },
+		"megaphone":     func() scaling.Mechanism { return scaling.Megaphone(3) },
 		"meces":         func() scaling.Mechanism { return &meces.Mechanism{} },
 		"stop-restart":  func() scaling.Mechanism { return &stopre.Mechanism{} },
 	}

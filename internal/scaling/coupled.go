@@ -7,13 +7,13 @@ import (
 	"drrs/internal/netsim"
 )
 
-// CoupledController implements the generalized OTFS synchronization the paper
-// describes in Section II-B: a coupled scaling barrier that serves as both
+// Coupled is the generalized OTFS synchronization the paper describes in
+// Section II-B, as a Mechanism: a coupled scaling barrier that serves as both
 // routing confirmation and migration trigger, propagated in-band and aligned
 // with channel blocking at the scaling operator.
 //
-// One controller drives one scaling operation as a sequence of rounds, each
-// reconfiguring a batch of key groups:
+// One operation runs as a sequence of rounds, each reconfiguring a batch of
+// key groups. The paper's coupled baselines are configurations of it:
 //   - OTFS:        one round covering every move, injected at the sources.
 //   - Megaphone:   many sequential rounds (timestamp-driven reconfigurations)
 //     injected at the predecessors.
@@ -23,8 +23,15 @@ import (
 //
 // Rounds are always injected in the same order at every predecessor, which
 // keeps concurrent alignment deadlock-free (each channel delivers round r's
-// barrier before round r+1's).
-type CoupledController struct {
+// barrier before round r+1's). The barrier protocol cannot stand down
+// mid-round, so the handle Begin returns records a Cancel without honoring
+// it. A Coupled value runs one operation.
+type Coupled struct {
+	// Label is the report name Name returns.
+	Label string
+	// BatchKGs is the number of key groups per round, in key-group order;
+	// <= 0 means one round over every move.
+	BatchKGs int
 	// Fluid selects per-key-group fluid migration (Fig 1c) over all-at-once
 	// (Fig 1b).
 	Fluid bool
@@ -51,62 +58,80 @@ type CoupledController struct {
 	scaleID int64
 	mig     *Migrator
 	rounds  [][]int // key groups per round
-	nextInj int     // next round to inject
 	op      *Tracked
 
 	// alignedBits marks which old instances aligned in which round (bit
-	// r*oldCount+idx); alignedN counts each round's marks.
+	// r*plan.OldParallelism+idx); alignedN counts each round's marks.
 	alignedBits []uint64
 	alignedN    []int
 	migDone     map[int]bool // round → migration complete
-	oldCount    int
 	finished    bool
 }
 
-// NewCoupledController builds a controller over the plan with the given
-// round batches (each a slice of key groups). Batches must cover the plan's
-// moves exactly.
-func NewCoupledController(plan Plan, rounds [][]int) *CoupledController {
-	return &CoupledController{
-		plan:        plan,
-		rounds:      rounds,
-		alignedBits: make([]uint64, (len(rounds)*plan.OldParallelism+63)/64),
-		alignedN:    make([]int, len(rounds)),
-		migDone:     make(map[int]bool),
-		oldCount:    plan.OldParallelism,
+// OTFS is the paper's generalized on-the-fly scaling framework (Section
+// II-B, Fig 1): a single coupled scaling barrier injected at the sources,
+// propagated with alignment, followed by state migration — fluid (Fig 1c)
+// or all-at-once (Fig 1b). It is the "OTFS" baseline of Fig 2 and the
+// conceptual frame the paper's three challenges (propagation delay,
+// suspension, dependency overhead) are defined against.
+func OTFS(fluid bool) *Coupled {
+	label := "otfs-allatonce"
+	if fluid {
+		label = "otfs-fluid"
 	}
+	return &Coupled{Label: label, Fluid: fluid, InjectAtSources: true}
 }
 
-// BatchRounds splits the plan's moves into round batches of at most n key
-// groups, in key-group order.
-func BatchRounds(plan Plan, n int) [][]int {
+// Megaphone reimplements Megaphone (Hoffmann et al., VLDB 2019) the way the
+// DRRS paper's evaluation does: predecessor-injected scaling signals
+// (matching Megaphone's separated control plane) driving a timestamp-ordered
+// sequence of small reconfigurations, each migrating one batch of batchKGs
+// key groups (Megaphone's migration "bin"; <= 0 means 1, the original
+// system's finest configuration) with full routing-update + alignment
+// synchronization (the paper's Naive Division strategy). The whole schedule
+// is announced up front.
+//
+// The behavioural signature the paper measures: suspension grows slowly
+// (each round blocks little), but cumulative propagation delay and average
+// dependency overhead dwarf the other mechanisms because every batch waits
+// for all earlier batches, stretching the scaling duration by up to 7.24×
+// DRRS's.
+func Megaphone(batchKGs int) *Coupled {
+	return &Coupled{Label: "megaphone", BatchKGs: max(batchKGs, 1), Fluid: true, AnnounceUpfront: true}
+}
+
+// Name implements Mechanism.
+func (c *Coupled) Name() string { return c.Label }
+
+// prepare splits plan's moves into rounds of at most BatchKGs key groups,
+// in key-group order, and sizes the alignment bookkeeping.
+func (c *Coupled) prepare(plan Plan) {
 	kgs := make([]int, 0, len(plan.Moves))
 	for _, m := range plan.Moves {
 		kgs = append(kgs, m.KeyGroup)
 	}
+	n := c.BatchKGs
 	if n <= 0 {
 		n = len(kgs)
 	}
-	var out [][]int
 	for len(kgs) > 0 {
-		k := n
-		if k > len(kgs) {
-			k = len(kgs)
-		}
-		out = append(out, kgs[:k])
+		k := min(n, len(kgs))
+		c.rounds = append(c.rounds, kgs[:k])
 		kgs = kgs[k:]
 	}
-	return out
+	c.plan = plan
+	c.alignedBits = make([]uint64, (len(c.rounds)*plan.OldParallelism+63)/64)
+	c.alignedN = make([]int, len(c.rounds))
+	c.migDone = make(map[int]bool)
 }
 
-func (c *CoupledController) signal(round int) string {
+func (c *Coupled) signal(round int) string {
 	return fmt.Sprintf("coupled:%d:r%d", c.scaleID, round)
 }
 
-// Begin implements the mechanism flow — deploy, install hooks, run rounds —
-// and returns the operation's handle. The barrier protocol cannot stand down
-// mid-round, so the handle records a Cancel without honoring it.
-func (c *CoupledController) Begin(rt *engine.Runtime, done func()) *Tracked {
+// Begin implements Mechanism: deploy, install hooks, run rounds.
+func (c *Coupled) Begin(rt *engine.Runtime, plan Plan, done func()) *Tracked {
+	c.prepare(plan)
 	c.rt = rt
 	c.scaleID = rt.NextScaleID()
 	c.op = NewTracked(rt, c.plan, done)
@@ -147,11 +172,10 @@ func (c *CoupledController) Begin(rt *engine.Runtime, done func()) *Tracked {
 }
 
 // injectRound starts round r's synchronization.
-func (c *CoupledController) injectRound(r int) {
+func (c *Coupled) injectRound(r int) {
 	if r >= len(c.rounds) {
 		return
 	}
-	c.nextInj = r + 1
 	if !c.AnnounceUpfront {
 		c.rt.Scale.SignalInjected(c.signal(r), c.rt.Sched.Now())
 	}
@@ -185,7 +209,7 @@ func (c *CoupledController) injectRound(r int) {
 	}
 }
 
-func (c *CoupledController) isPred(in *engine.Instance) bool {
+func (c *Coupled) isPred(in *engine.Instance) bool {
 	for _, p := range c.rt.Graph.Predecessors(c.plan.Operator) {
 		if in.Spec.Name == p {
 			return true
@@ -195,7 +219,7 @@ func (c *CoupledController) isPred(in *engine.Instance) bool {
 }
 
 // applyRouting repoints round r's key groups in one predecessor's table.
-func (c *CoupledController) applyRouting(p *engine.Instance, r int) {
+func (c *Coupled) applyRouting(p *engine.Instance, r int) {
 	tbl := p.Routing(c.plan.Operator)
 	for _, kg := range c.rounds[r] {
 		if i, ok := c.plan.MoveIndex(kg); ok {
@@ -207,13 +231,13 @@ func (c *CoupledController) applyRouting(p *engine.Instance, r int) {
 // oldInstanceAligned is called when an original scaling instance finishes
 // alignment for round r; migration for the round starts once every original
 // instance aligned. A repeated index counts once.
-func (c *CoupledController) oldInstanceAligned(idx, r int) {
-	bit := r*c.oldCount + idx
+func (c *Coupled) oldInstanceAligned(idx, r int) {
+	bit := r*c.plan.OldParallelism + idx
 	if w, m := bit/64, uint64(1)<<(bit%64); c.alignedBits[w]&m == 0 {
 		c.alignedBits[w] |= m
 		c.alignedN[r]++
 	}
-	if c.alignedN[r] < c.oldCount {
+	if c.alignedN[r] < c.plan.OldParallelism {
 		return
 	}
 	// All original instances aligned: migrate this round's groups.
@@ -234,7 +258,7 @@ func (c *CoupledController) oldInstanceAligned(idx, r int) {
 	}
 }
 
-func (c *CoupledController) checkComplete() {
+func (c *Coupled) checkComplete() {
 	if c.finished || len(c.migDone) < len(c.rounds) {
 		return
 	}
@@ -258,7 +282,7 @@ func (c *CoupledController) checkComplete() {
 // routing at injection instead and the hook only forwards).
 type coupledPredHook struct {
 	engine.BaseHook
-	c *CoupledController
+	c *Coupled
 }
 
 func (h *coupledPredHook) OnScaleMessage(in *engine.Instance, m netsim.Message, e *netsim.Edge) bool {
@@ -285,7 +309,7 @@ func (h *coupledPredHook) OnScaleMessage(in *engine.Instance, m netsim.Message, 
 // state at the new instances.
 type coupledOpHook struct {
 	engine.BaseHook
-	c *CoupledController
+	c *Coupled
 }
 
 func (h *coupledOpHook) OnScaleMessage(in *engine.Instance, m netsim.Message, e *netsim.Edge) bool {

@@ -1,8 +1,8 @@
 // Package scaling defines the mechanism framework every rescaling approach
-// plugs into: scale plans, physical deployment, the shared state-migration
-// machinery with delay accounting, and the "coupled round" primitive that the
-// generalized OTFS framework, Megaphone, and DRRS's ablation variants build
-// on.
+// plugs into — scale plans, physical deployment, the shared state-migration
+// machinery with delay accounting — and the coupled-barrier mechanism whose
+// configurations are the generalized OTFS framework, Megaphone, and DRRS's
+// non-DR ablation variants.
 package scaling
 
 import (

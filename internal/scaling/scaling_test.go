@@ -90,7 +90,9 @@ func TestMovesFrom(t *testing.T) {
 
 func TestBatchRounds(t *testing.T) {
 	plan, _ := testPlan(t)
-	rounds := BatchRounds(plan, 3)
+	c := &Coupled{BatchKGs: 3}
+	c.prepare(plan)
+	rounds := c.rounds
 	var total int
 	last := -1
 	for _, r := range rounds {
@@ -109,8 +111,9 @@ func TestBatchRounds(t *testing.T) {
 		t.Fatalf("rounds cover %d of %d moves", total, len(plan.Moves))
 	}
 	// Zero batch size = single round.
-	if rounds := BatchRounds(plan, 0); len(rounds) != 1 {
-		t.Fatalf("zero batch should give one round, got %d", len(rounds))
+	one := &Coupled{}
+	if one.prepare(plan); len(one.rounds) != 1 {
+		t.Fatalf("zero batch should give one round, got %d", len(one.rounds))
 	}
 }
 
@@ -120,7 +123,8 @@ func TestBatchRounds(t *testing.T) {
 // controller has no runtime here, so starting one would panic).
 func TestOldInstanceAlignedCountsEachOnce(t *testing.T) {
 	const old = 70 // the bitset's rounds straddle a word boundary
-	c := NewCoupledController(Plan{OldParallelism: old}, [][]int{{0}, {1}})
+	c := &Coupled{BatchKGs: 1}
+	c.prepare(Plan{OldParallelism: old, Moves: []dataflow.Move{{KeyGroup: 0}, {KeyGroup: 1}}})
 	for idx := 0; idx < old-1; idx++ {
 		c.oldInstanceAligned(idx, 1)
 		c.oldInstanceAligned(idx, 1)
