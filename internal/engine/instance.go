@@ -3,7 +3,6 @@ package engine
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"strconv"
 
@@ -70,10 +69,6 @@ type outPort struct {
 	rr int
 }
 
-// wmUnset marks an input channel that has not delivered a watermark yet. It
-// is below every real or seeded watermark (seeds are -1 and 1<<62).
-const wmUnset = simtime.Time(math.MinInt64)
-
 // Instance is one parallel subtask of an operator.
 type Instance struct {
 	rt    *Runtime
@@ -88,8 +83,9 @@ type Instance struct {
 	// ready holds the slots whose inbox is non-empty (the edges maintain it),
 	// blocked the alignment-blocked slots; handlers poll ready &^ blocked.
 	ready, blocked netsim.SlotSet
-	// wm is the last watermark seen per slot, wmUnset before the first.
-	wm    []simtime.Time
+	// wm holds the last watermark seen per slot (wmUnset before the first)
+	// and keeps their aligned minimum.
+	wm    wmSlots
 	curWM simtime.Time
 
 	// ports are the downstream operators in Graph.Outputs order, resolved
@@ -262,7 +258,7 @@ func (in *Instance) SetRouting(op string, rt *dataflow.RoutingTable) {
 func (in *Instance) addInput(e *netsim.Edge) {
 	slot := len(in.ins)
 	in.ins = append(in.ins, e)
-	in.wm = append(in.wm, wmUnset)
+	in.wm.add()
 	in.ready.Grow(slot + 1)
 	in.blocked.Grow(slot + 1)
 	e.BindInput(&in.ready, slot)
@@ -767,19 +763,11 @@ func (in *Instance) ForwardMarker(r *netsim.Record) {
 func (in *Instance) onWatermark(w *netsim.Watermark, e *netsim.Edge) {
 	if e != nil {
 		if s := in.slotOf(e); s >= 0 {
-			in.wm[s] = w.WM
+			in.wm.set(s, w.WM)
 		}
 	}
-	min := simtime.Time(-1)
-	for _, wm := range in.wm {
-		if wm == wmUnset {
-			return // some channel has no watermark yet
-		}
-		if min == -1 || wm < min {
-			min = wm
-		}
-	}
-	if min > in.curWM {
+	min, ok := in.wm.aligned()
+	if ok && min > in.curWM {
 		in.curWM = min
 		if in.logic != nil {
 			in.logic.OnWatermark(in, min)
@@ -793,8 +781,8 @@ func (in *Instance) onWatermark(w *netsim.Watermark, e *netsim.Edge) {
 // SeedWatermark initializes a channel's watermark (used when a scaling
 // mechanism wires a new instance so its windows don't stall forever).
 func (in *Instance) SeedWatermark(e *netsim.Edge, wm simtime.Time) {
-	if s := in.slotOf(e); s >= 0 && in.wm[s] == wmUnset {
-		in.wm[s] = wm
+	if s := in.slotOf(e); s >= 0 {
+		in.wm.seed(s, wm)
 	}
 }
 

@@ -82,7 +82,7 @@ func (rt *Runtime) DetachInput(dst *Instance, e *netsim.Edge) {
 		return
 	}
 	dst.ins = slices.Delete(dst.ins, i, i+1)
-	dst.wm = slices.Delete(dst.wm, i, i+1)
+	dst.wm.remove(i)
 	e.UnbindInput()
 	n := len(dst.ins)
 	for j := i; j < n; j++ {

@@ -61,8 +61,8 @@ func TestStaleEdgeIsHarmless(t *testing.T) {
 	if !in.EdgeBlocked(e2) {
 		t.Fatal("unblocking a detached channel released its neighbour")
 	}
-	if in.wm[0] != 10 || in.wm[1] != 30 || in.curWM != 10 {
-		t.Fatalf("stale watermark leaked: wm %v cur %v", in.wm, in.curWM)
+	if in.wm.v[0] != 10 || in.wm.v[1] != 30 || in.curWM != 10 {
+		t.Fatalf("stale watermark leaked: wm %v cur %v", in.wm.v, in.curWM)
 	}
 	rt.DetachInput(in, e1) // a second detach is a no-op
 	if len(in.ins) != 2 {
@@ -81,9 +81,9 @@ func TestStaleEdgeIsHarmless(t *testing.T) {
 
 // TestWatermarkAlignmentAcrossAttachSeedDetach follows the aligned watermark
 // through every way the input list changes: an auxiliary channel seeded
-// transparent, a predecessor instance added without a seed, a late -1 seed (the
-// AddInstance convention, under which -1 restarts the minimum), and detaches
-// that renumber the channels behind them.
+// transparent, a predecessor instance added without a seed, a late -1 seed
+// (AddInstance's seed, under which -1 restarts the minimum: a known defect,
+// ROADMAP item 18), and detaches that renumber the channels behind them.
 func TestWatermarkAlignmentAcrossAttachSeedDetach(t *testing.T) {
 	rt, in := fanInRig(2)
 	e0, e1 := in.ins[0], in.ins[1]
@@ -106,7 +106,7 @@ func TestWatermarkAlignmentAcrossAttachSeedDetach(t *testing.T) {
 		}, 20},
 		{"and stalls alignment until seeded", wm(&e1, 40), 20},
 		{"seed it -1", func() { in.SeedWatermark(e3, -1) }, 20},
-		{"a -1 seed restarts the minimum at the channels behind it (none)", wm(&e1, 41), 20},
+		{"known defect, item 18: a -1 seed restarts the minimum at the channels behind it (none)", wm(&e1, 41), 20},
 		{"its first real watermark", wm(&e3, 35), 30},
 		{"a second seed is ignored", func() { in.SeedWatermark(e3, 99) }, 30},
 		{"minimum moves to the new channel", wm(&e0, 50), 35},
@@ -119,7 +119,7 @@ func TestWatermarkAlignmentAcrossAttachSeedDetach(t *testing.T) {
 	for _, s := range steps {
 		s.do()
 		if in.curWM != s.want {
-			t.Fatalf("%s: watermark %v, want %v (per slot %v)", s.name, in.curWM, s.want, in.wm)
+			t.Fatalf("%s: watermark %v, want %v (per slot %v)", s.name, in.curWM, s.want, in.wm.v)
 		}
 	}
 	if len(in.ins) != 2 || in.ins[0] != e0 || in.ins[1] != e3 || e3.Slot() != 1 {

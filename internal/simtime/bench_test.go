@@ -298,3 +298,19 @@ func BenchmarkNewRNG(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkZipfNext measures one key draw over 30 000 keys at s = 0.5, the
+// widest and flattest key space the workloads draw from, where the guide
+// table does the most work. Gated on allocations: a draw makes none.
+func BenchmarkZipfNext(b *testing.B) {
+	z := NewZipf(NewRNG(1, "zipf"), 30000, 0.5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		sum += z.Next()
+	}
+	if sum < 0 {
+		b.Fatal("negative rank")
+	}
+}

@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 )
 
@@ -171,5 +172,56 @@ func TestZipfCDFValidation(t *testing.T) {
 			}()
 			NewZipfTable(n, 1)
 		}()
+	}
+}
+
+// searchCDF is the unguided reference for ZipfTable.rank: a binary search
+// over the whole CDF for the first index whose value reaches u (n-1 when u
+// exceeds every entry, which only floating-point rounding can produce).
+func searchCDF(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideTableExact: the guided search returns searchCDF's rank over
+// the whole CDF for every u — at random, at every bucket edge b/nb and one
+// ulp either side of it — for key spaces below, at and above the table's
+// bucket bounds, so sizing the table to the key space changes no draw.
+func TestZipfGuideTableExact(t *testing.T) {
+	r := NewRNG(3, "guide")
+	for _, n := range []int{1, 2, 255, 256, 257, 4095, 4096, 4097, 30000} {
+		wantNB := min(max(1<<bits.Len(uint(n-1)), zipfMinBuckets), zipfMaxBuckets)
+		for _, s := range []float64{0.5, 0.8, 1.2} {
+			table := NewZipfTable(n, s)
+			nb := len(table.jump) - 1
+			if nb != wantNB || table.scale != float64(nb) {
+				t.Fatalf("n=%d s=%v: %d buckets (scale %v), want %d", n, s, nb, table.scale, wantNB)
+			}
+			check := func(u float64) {
+				if u < 0 || u >= 1 {
+					return
+				}
+				if got, want := table.rank(u), searchCDF(table.cdf, u); got != want {
+					t.Fatalf("n=%d s=%v u=%v: guided rank %d, full search %d", n, s, u, got, want)
+				}
+			}
+			for b := 0; b <= nb; b++ {
+				edge := float64(b) / float64(nb)
+				check(edge)
+				check(math.Nextafter(edge, -1))
+				check(math.Nextafter(edge, 2))
+			}
+			for i := 0; i < 100_000; i++ {
+				check(r.Float64())
+			}
+		}
 	}
 }

@@ -13,6 +13,11 @@ import (
 // the one constructor in the tree; drrs-lint's nosharedrand forbids any
 // other. RNG exposes only the draws the simulator uses. It must not be
 // copied after NewRNG: its Rand view points at its own PCG.
+//
+// The draws wrap float products in explicit float64 conversions. The Go spec
+// lets a compiler fuse x*y + z into one rounding, and arm64's does; the
+// conversion forces the product's own rounding, so a draw gives the same bits
+// on every architecture. CI checks that the arm64 build has no fused ops.
 type RNG struct {
 	pcg  rand.PCG
 	rand rand.Rand
@@ -49,9 +54,9 @@ func (r *RNG) Jitter(d Duration, f float64) Duration {
 	if f <= 0 {
 		return d
 	}
-	lo := float64(d) * (1 - f)
-	hi := float64(d) * (1 + f)
-	return Duration(lo + r.Float64()*(hi-lo))
+	lo := float64(float64(d) * (1 - f))
+	hi := float64(float64(d) * (1 + f))
+	return Duration(lo + float64(r.Float64()*(hi-lo)))
 }
 
 // Exp returns an exponentially distributed duration with the given mean,
@@ -78,14 +83,14 @@ func (r *RNG) Gamma(mean Duration, k float64) Duration {
 		var x, v float64
 		for {
 			x = r.rand.NormFloat64()
-			v = 1 + c*x
+			v = 1 + float64(c*x)
 			if v > 0 {
 				break
 			}
 		}
-		v = v * v * v
+		v = float64(v * v * v)
 		u := r.Float64()
-		if u < 1-0.0331*x*x*x*x || math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
+		if u < 1-float64(0.0331*x*x*x*x) || math.Log(u) < float64(0.5*x*x)+float64(d*(1-v+math.Log(v))) {
 			// d*v*boost ~ Gamma(k, 1); scale mean/k makes the mean exact.
 			return Duration(d * v * boost * float64(mean) / k)
 		}
@@ -100,7 +105,7 @@ func (r *RNG) Weibull(mean Duration, k float64) Duration {
 		panic("simtime: Weibull needs shape k > 0")
 	}
 	scale := float64(mean) / math.Gamma(1+1/k)
-	u := 1 - r.Float64() // (0, 1]: keeps Log finite
+	u := 1 - float64(r.Float64()) // (0, 1]: keeps Log finite
 	return Duration(scale * math.Pow(-math.Log(u), 1/k))
 }
 
@@ -115,26 +120,33 @@ type Zipf struct {
 }
 
 // ZipfTable is everything about a Zipf distribution that depends only on
-// (n, s): the CDF and a jump index into it. It is never written after
+// (n, s): the CDF and a guide table into it. It is never written after
 // NewZipfTable returns, so any number of samplers, on any number of
-// goroutines, may share one — building it is O(n) plus zipfJumpBuckets
-// binary searches, which matters when thousands of cohorts reuse a handful
-// of distributions.
+// goroutines, may share one — building it is O(n), which matters when
+// thousands of cohorts reuse a handful of distributions.
 type ZipfTable struct {
 	n int
 	// cdf is the generalized harmonic CDF over [0, n); nil for s <= 0, where
 	// draws are uniform and need no table.
 	cdf []float64
-	// jump[b] is the first rank whose CDF reaches b/zipfJumpBuckets, so a
-	// draw only binary-searches the [jump[b], jump[b+1]] sliver of cdf. The
-	// rank found for a given u is identical with or without the accelerator,
-	// so seeded draw sequences are unaffected.
-	jump [zipfJumpBuckets + 1]int32
+	// jump is a guide table (Chen and Asau's indexed search): with nb =
+	// len(jump)-1 buckets, jump[b] is the first rank whose CDF reaches b/nb,
+	// so a draw u only binary-searches the [jump[b], jump[b+1]] sliver of cdf
+	// for b = floor(u*nb). nb is a power of two, so u*scale and b/scale are
+	// exact and b is the true bucket of u: the rank found is identical with
+	// or without the table, and seeded draw sequences are unaffected.
+	jump  []int32
+	scale float64 // nb, as a float
 }
 
-// zipfJumpBuckets sizes the search accelerator; 256 keeps the per-draw
-// search inside a couple of cache lines even for large key spaces.
-const zipfJumpBuckets = 256
+// The guide table has one bucket per rank, rounded up to a power of two and
+// clamped to [zipfMinBuckets, zipfMaxBuckets], so a draw probes O(1) ranks
+// on average. The cap bounds a table at 16 KB, because every table counts
+// towards every run's allocations.
+const (
+	zipfMinBuckets = 256
+	zipfMaxBuckets = 4096
+)
 
 // NewZipfTable precomputes the distribution over [0, n) with skewness s.
 func NewZipfTable(n int, s float64) *ZipfTable {
@@ -154,8 +166,22 @@ func NewZipfTable(n int, s float64) *ZipfTable {
 	for i := range t.cdf {
 		t.cdf[i] /= sum
 	}
-	for b := 1; b <= zipfJumpBuckets; b++ {
-		t.jump[b] = int32(searchCDF(t.cdf, float64(b)/zipfJumpBuckets))
+	nb := zipfMinBuckets
+	for nb < n && nb < zipfMaxBuckets {
+		nb <<= 1
+	}
+	t.scale = float64(nb)
+	t.jump = make([]int32, nb+1)
+	// One sweep: the CDF is non-decreasing, so each bucket edge's first
+	// reaching rank is at or past the previous edge's. An edge above every
+	// entry, which only rounding can produce, maps to the last rank.
+	i := 0
+	for b := 1; b <= nb; b++ {
+		u := float64(b) / t.scale
+		for i < n-1 && t.cdf[i] < u {
+			i++
+		}
+		t.jump[b] = int32(i)
 	}
 	return t
 }
@@ -172,29 +198,19 @@ func NewZipfFrom(r *RNG, t *ZipfTable) *Zipf {
 	return &Zipf{t: t, r: r}
 }
 
-// searchCDF returns the first index whose CDF value reaches u (n-1 when u
-// exceeds every entry, which only floating-point rounding can produce).
-func searchCDF(cdf []float64, u float64) int {
-	lo, hi := 0, len(cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // Next draws one rank in [0, n).
 func (z *Zipf) Next() int {
 	t := z.t
 	if t.cdf == nil {
 		return int(z.r.Int64N(int64(t.n)))
 	}
-	u := z.r.Float64()
-	b := int(u * zipfJumpBuckets)
+	return t.rank(z.r.Float64())
+}
+
+// rank returns the first rank whose CDF value reaches u in [0, 1) (the last
+// rank when u exceeds every entry), searching only u's guide-table bucket.
+func (t *ZipfTable) rank(u float64) int {
+	b := int(u * t.scale)
 	lo, hi := int(t.jump[b]), int(t.jump[b+1])
 	for lo < hi {
 		mid := (lo + hi) / 2

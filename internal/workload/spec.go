@@ -227,11 +227,12 @@ func (lt *liveTraffic) Stream(instance, parallelism int, start simtime.Time) Str
 		if i%parallelism != instance {
 			continue
 		}
-		ms.states = append(ms.states, newCohortState(&lt.spec.Cohorts[i], lt.zipfs[i], uint32(i), lt.spec.Seed, start))
+		cs := newCohortState(&lt.spec.Cohorts[i], lt.zipfs[i], uint32(i), lt.spec.Seed, start)
+		ms.heap = append(ms.heap, cohortEntry{at: cs.nextAt(), idx: cs.idx, cs: cs})
 	}
-	// states were appended in ascending cohort order with their first batch
-	// already drawn; establish the heap invariant over (nextAt, cohort).
-	for i := len(ms.states)/2 - 1; i >= 0; i-- {
+	// Entries were appended in ascending cohort order with their first batch
+	// already drawn; establish the heap invariant over (at, cohort).
+	for i := len(ms.heap)/2 - 1; i >= 0; i-- {
 		ms.siftDown(i)
 	}
 	return ms
@@ -257,9 +258,6 @@ const cohortBatch = 32
 // Arrivals drawn past the Spec deadline are never emitted; that is
 // unobservable because both streams are private to the cohort.
 type cohortState struct {
-	// nextAt mirrors batch[head].at so the heap orders cohorts without
-	// touching the batch.
-	nextAt  simtime.Time
 	idx     uint32
 	head    int
 	c       *Cohort
@@ -303,7 +301,6 @@ func (cs *cohortState) refill(prev simtime.Time) {
 		cs.batch[i].key = cs.drawKey(cs.batch[i].at)
 	}
 	cs.head = 0
-	cs.nextAt = cs.batch[0].at
 }
 
 // pop returns the cohort's next arrival and steps past it, refilling when the
@@ -313,11 +310,12 @@ func (cs *cohortState) pop() (at simtime.Time, key uint64) {
 	cs.head++
 	if cs.head == cohortBatch {
 		cs.refill(a.at)
-	} else {
-		cs.nextAt = cs.batch[cs.head].at
 	}
 	return a.at, a.key
 }
+
+// nextAt is the time of the cohort's next arrival.
+func (cs *cohortState) nextAt() simtime.Time { return cs.batch[cs.head].at }
 
 // gap draws the next interarrival for the cohort's merged client stream,
 // modulated by the load shape at the draw's position in the run.
@@ -364,20 +362,29 @@ func (cs *cohortState) drawKey(at simtime.Time) uint64 {
 	return c.KeyBase + uint64(c.Load.MapRank(rank, el, c.KeyCount))
 }
 
-// mergedStream k-way-merges its cohorts by (nextAt, cohort index) — the
+// mergedStream k-way-merges its cohorts by (next arrival, cohort index) — the
 // index breaks ties deterministically — and clamps the whole stream at the
 // Spec deadline with a single Stop event.
 type mergedStream struct {
-	states   []*cohortState
+	heap     []cohortEntry
 	deadline simtime.Time
 	done     bool
+}
+
+// cohortEntry is one cohort in the merge heap. It copies the cohort's sort
+// key, so sifting compares entries in place instead of dereferencing a ≈ 10
+// KB cohortState per comparison; at is refreshed after every pop.
+type cohortEntry struct {
+	at  simtime.Time
+	idx uint32
+	cs  *cohortState
 }
 
 func (ms *mergedStream) Next(ev *Event) bool {
 	if ms.done {
 		return false
 	}
-	if len(ms.states) == 0 || (ms.deadline >= 0 && ms.states[0].nextAt >= ms.deadline) {
+	if len(ms.heap) == 0 || (ms.deadline >= 0 && ms.heap[0].at >= ms.deadline) {
 		// No cohorts on this instance, or every remaining arrival lands past
 		// the deadline: the stream ends. Unbounded cohortless streams end
 		// silently; bounded ones stop at the deadline so the source still
@@ -389,8 +396,10 @@ func (ms *mergedStream) Next(ev *Event) bool {
 		*ev = Event{At: ms.deadline, Stop: true}
 		return true
 	}
-	cs := ms.states[0]
+	top := &ms.heap[0]
+	cs := top.cs
 	at, key := cs.pop()
+	top.at = cs.nextAt()
 	*ev = Event{
 		At:     at,
 		Key:    key,
@@ -402,29 +411,30 @@ func (ms *mergedStream) Next(ev *Event) bool {
 	return true
 }
 
-// less orders the heap by (nextAt, cohort index).
-func (ms *mergedStream) less(a, b *cohortState) bool {
-	if a.nextAt != b.nextAt {
-		return a.nextAt < b.nextAt
+// less orders the heap by (at, cohort index).
+func (a *cohortEntry) less(b *cohortEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
 	return a.idx < b.idx
 }
 
 func (ms *mergedStream) siftDown(i int) {
-	n := len(ms.states)
+	h := ms.heap
+	n := len(h)
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < n && ms.less(ms.states[l], ms.states[min]) {
+		if l < n && h[l].less(&h[min]) {
 			min = l
 		}
-		if r < n && ms.less(ms.states[r], ms.states[min]) {
+		if r < n && h[r].less(&h[min]) {
 			min = r
 		}
 		if min == i {
 			return
 		}
-		ms.states[i], ms.states[min] = ms.states[min], ms.states[i]
+		h[i], h[min] = h[min], h[i]
 		i = min
 	}
 }
