@@ -306,12 +306,10 @@ func main() {
 	}()
 
 	fig15 := func() (bench.FigureResult, error) {
-		_, res, err := h.Fig15(*baseSeed,
+		return h.Fig15(*baseSeed,
 			[]float64{6000, 10000, 12000},
 			[]int{5 << 20, 15 << 20, 30 << 20},
-			[]float64{0, 0.5, 1.0, 1.5},
-			nil)
-		return res, err
+			[]float64{0, 0.5, 1.0, 1.5})
 	}
 	switch *experiment {
 	case "fig2":

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"os/exec"
@@ -99,5 +100,26 @@ func TestListTrafficFollowsSeed(t *testing.T) {
 		if want := "traffic: " + def.New(5).TrafficString() + "\n"; !strings.Contains(string(out), want) {
 			t.Errorf("%s: listing lacks its seed-5 line %q", def.Name, want)
 		}
+	}
+}
+
+// TestRunChaosWritesRecord runs the -chaos mode in process on one seed of
+// node-loss-mid-migrate under drrs: a clean search exits 0 and its -json
+// artifact parses with one case.
+func TestRunChaosWritesRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "chaos.json")
+	if code := runChaos(bench.Harness{Workers: 1}, 1, "node-loss-mid-migrate", []string{"drrs"}, 1, path); code != 0 {
+		t.Fatalf("exit code %d, want 0", code)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec chaosJSON
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatalf("%v in:\n%s", err, data)
+	}
+	if rec.Cases != 1 {
+		t.Fatalf("cases = %d, want 1", rec.Cases)
 	}
 }

@@ -15,117 +15,115 @@ import (
 // are paper figures; they answer the "why these defaults?" questions a
 // downstream user will ask.
 
-// SweepPoint is one configuration's outcome in a knob sweep.
-type SweepPoint struct {
-	Label        string
-	PeakMs       float64
-	AvgMs        float64
-	ScalingSec   float64
-	SuspMs       float64
-	PropMs       float64
-	MigrationSec float64
+// knob is one ablation setting: a tuning option by name and its value. The
+// subscale, depth and conc knobs tune full DRRS, batch tunes Megaphone. The
+// zero knob is the registered mechanism, and setting maps a knob at its
+// registered value to it, so subscale=8 is the registered drrs cell.
+type knob struct {
+	Name  string
+	Value int
 }
 
-// sweep runs one knob sweep: per setting, the registered scenario driven by
-// the mechanisms point builds (labelled with the setting), the settings in
-// parallel across Workers.
-func (h Harness) sweep(scenario string, seed int64, vals []int, point func(v int) (string, func() scaling.Mechanism)) ([]SweepPoint, error) {
-	sc, err := h.Scenario(scenario, seed)
-	if err != nil {
-		return nil, err
+// registered is each knob's value in the registered mechanism: the paper's,
+// which core defaults to (a zero BufferDepth scans 200), and Megaphone's 4.
+var registered = map[string]int{"subscale": 8, "depth": 200, "conc": 2, "batch": 4}
+
+// setting is the knob name=v, or the zero knob when v is the registered value.
+func setting(name string, v int) knob {
+	if v == registered[name] {
+		return knob{}
 	}
-	out := make([]SweepPoint, len(vals))
-	parallel(len(vals), h.Workers, func(i int) {
-		label, newMech := point(vals[i])
-		out[i] = sweepPoint(label, sc.RunWith(newMech))
-	})
-	return out, nil
+	return knob{Name: name, Value: v}
 }
 
-// sweepPoint projects one run onto a sweep row: latency and scaling period
-// from the first request on, delays from the first wave.
-func sweepPoint(label string, o Outcome) SweepPoint {
-	return SweepPoint{
-		Label:        label,
-		PeakMs:       o.PeakIn(o.ScaleAt, o.EndAt),
-		AvgMs:        o.AvgIn(o.ScaleAt, o.EndAt),
-		ScalingSec:   o.ScalingPeriod().Seconds(),
-		SuspMs:       o.Scale.CumulativeSuspension().Millis(),
-		PropMs:       o.Scale.CumulativePropagationDelay().Millis(),
-		MigrationSec: o.Scale.MigrationDuration().Seconds(),
+// mechanism builds mech with k set: full DRRS with one option changed, or
+// Megaphone with another reconfiguration batch.
+func (k knob) mechanism(mech string) scaling.Mechanism {
+	opt := core.FullDRRS()
+	switch k.Name {
+	case "":
+		return Mechanisms(mech)
+	case "batch":
+		return scaling.Megaphone(k.Value)
+	case "subscale":
+		opt.SubscaleKGs = k.Value
+	case "depth":
+		opt.BufferDepth = k.Value
+	case "conc":
+		opt.NodeConcurrency = k.Value
+	default:
+		panic(fmt.Sprintf("bench: unknown knob %q", k.Name))
 	}
+	return core.New(opt)
 }
 
-// drrsWith builds full-DRRS mechanisms with one option changed.
-func drrsWith(set func(*core.Options)) func() scaling.Mechanism {
-	return func() scaling.Mechanism {
-		opt := core.FullDRRS()
-		set(&opt)
-		return core.New(opt)
-	}
+// ablation is the figure's four knob sweeps: the DRRS knobs on Twitch (one
+// giant subscale degenerates to DR-only, size 1 to per-group scheduling),
+// node concurrency on the 4-node sensitivity cluster (where it actually
+// binds), and Megaphone's batch on Twitch (suspension grows with it, scaling
+// duration and propagation shrink).
+var ablation = []struct {
+	title, scenario, mechanism, knob string
+	vals                             []int
+}{
+	{"DRRS subscale size (Twitch)", "twitch", "drrs", "subscale", []int{1, 4, 8, 32, 128}},
+	{"DRRS record-scheduling buffer depth (Twitch)", "twitch", "drrs", "depth", []int{1, 20, 200}},
+	{"DRRS node concurrency (sensitivity cluster)", "sensitivity", "drrs", "conc", []int{1, 2, 4}},
+	{"Megaphone batch size (Twitch)", "twitch", "megaphone", "batch", []int{1, 4, 16, 111}},
 }
 
-// subscaleSize varies full DRRS's subscale granularity (key groups per
-// subscale). The paper's default is small subscales; degenerate settings
-// recover DR-only behaviour (one giant subscale) or pure per-group scheduling
-// (size 1).
-func subscaleSize(size int) (string, func() scaling.Mechanism) {
-	return fmt.Sprintf("subscale=%d", size), drrsWith(func(o *core.Options) { o.SubscaleKGs = size })
-}
-
-// bufferDepth varies Record Scheduling's intra-channel buffer (the paper
-// fixes 200 records ≈ 200 KB per scaling instance).
-func bufferDepth(d int) (string, func() scaling.Mechanism) {
-	return fmt.Sprintf("depth=%d", d), drrsWith(func(o *core.Options) { o.BufferDepth = d })
-}
-
-// nodeConcurrency varies the subscale scheduler's per-node concurrency
-// threshold (the paper fixes 2 "to avoid potential resource contention").
-func nodeConcurrency(l int) (string, func() scaling.Mechanism) {
-	return fmt.Sprintf("conc=%d", l), drrsWith(func(o *core.Options) { o.NodeConcurrency = l })
-}
-
-// megaphoneBatch varies Megaphone's reconfiguration bin size: its fundamental
-// trade-off between suspension (grows with batch) and scaling duration /
-// propagation (shrink with batch).
-func megaphoneBatch(b int) (string, func() scaling.Mechanism) {
-	return fmt.Sprintf("batch=%d", b), func() scaling.Mechanism { return scaling.Megaphone(b) }
-}
-
-// Ablation runs the four sweeps as one figure: the DRRS knobs on Twitch, node
-// concurrency on the 4-node sensitivity cluster (where it actually binds).
+// Ablation runs the four sweeps as one figure, with a row per point labelled
+// by its setting ("subscale=8").
 func (h Harness) Ablation(seed int64) (FigureResult, error) {
-	res := FigureResult{Title: "ablation"}
-	var tables []string
-	for _, sw := range []struct {
-		title, scenario string
-		vals            []int
-		point           func(int) (string, func() scaling.Mechanism)
-	}{
-		{"DRRS subscale size (Twitch)", "twitch", []int{1, 4, 8, 32, 128}, subscaleSize},
-		{"DRRS record-scheduling buffer depth (Twitch)", "twitch", []int{1, 20, 200}, bufferDepth},
-		{"DRRS node concurrency (sensitivity cluster)", "sensitivity", []int{1, 2, 4}, nodeConcurrency},
-		{"Megaphone batch size (Twitch)", "twitch", []int{1, 4, 16, 111}, megaphoneBatch},
-	} {
-		pts, err := h.sweep(sw.scenario, seed, sw.vals, sw.point)
-		if err != nil {
-			return res, err
+	var cells []cell
+	for _, sw := range ablation {
+		for _, v := range sw.vals {
+			cells = append(cells, cell{Scenario: sw.scenario, Seed: seed, Mechanism: sw.mechanism, Knob: setting(sw.knob, v)})
 		}
-		tables = append(tables, FormatSweep(sw.title, pts))
+	}
+	outs, err := h.outcomes(cells)
+	if err != nil {
+		return FigureResult{}, err
+	}
+	res := FigureResult{Title: "ablation", Rows: make(map[string]Row)}
+	var tables []string
+	for _, sw := range ablation {
+		var labels []string
+		for _, v := range sw.vals {
+			label := fmt.Sprintf("%s=%d", sw.knob, v)
+			labels = append(labels, label)
+			res.Rows[label] = sweepRow(outs[0])
+			outs = outs[1:]
+		}
+		tables = append(tables, FormatSweep(sw.title, labels, res.Rows))
 	}
 	res.Text = strings.Join(tables, "\n")
 	return res, nil
 }
 
-// FormatSweep renders sweep points as a table.
-func FormatSweep(title string, pts []SweepPoint) string {
+// sweepRow projects one run onto a row: latency and scaling period from the
+// first request on, delays from the first wave.
+func sweepRow(o Outcome) Row {
+	return Row{
+		PeakMs:       Stat{Mean: o.PeakIn(o.ScaleAt, o.EndAt)},
+		AvgMs:        Stat{Mean: o.AvgIn(o.ScaleAt, o.EndAt)},
+		ScalingSec:   Stat{Mean: o.ScalingPeriod().Seconds()},
+		SuspensionMs: Stat{Mean: o.Scale.CumulativeSuspension().Millis()},
+		PropDelayMs:  Stat{Mean: o.Scale.CumulativePropagationDelay().Millis()},
+		MigrationSec: Stat{Mean: o.Scale.MigrationDuration().Seconds()},
+	}
+}
+
+// FormatSweep renders the rows named by labels, in order, as a table.
+func FormatSweep(title string, labels []string, rows map[string]Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%-14s %10s %10s %10s %12s %12s %12s\n",
 		"", "peak(ms)", "avg(ms)", "scaling(s)", "susp(ms)", "prop(ms)", "migration(s)")
-	for _, p := range pts {
+	for _, l := range labels {
+		r := rows[l]
 		fmt.Fprintf(&b, "%-14s %10.1f %10.1f %10.2f %12.1f %12.1f %12.2f\n",
-			p.Label, p.PeakMs, p.AvgMs, p.ScalingSec, p.SuspMs, p.PropMs, p.MigrationSec)
+			l, r.PeakMs.Mean, r.AvgMs.Mean, r.ScalingSec.Mean, r.SuspensionMs.Mean, r.PropDelayMs.Mean, r.MigrationSec.Mean)
 	}
 	return b.String()
 }

@@ -85,6 +85,9 @@ type Row struct {
 	// Fitness carries the multi-objective fitness components and the weighted
 	// score, so -json artifacts are self-describing inputs to policy search.
 	Fitness *FitnessStats `json:",omitempty"`
+	// Deviation is Fig 15's throughput shortfall below the offered rate
+	// (records/s; lower is better); nil, and left out of -json, elsewhere.
+	Deviation *Stat `json:",omitempty"`
 }
 
 // ControlStats are one mechanism's closed-loop headline numbers: how the
@@ -494,45 +497,46 @@ func (h Harness) Sweep(scenarioNames []string, mechs []string, seeds []int64) (F
 	return FigureResult{Title: "sweep", Text: b.String(), Rows: rows}, nil
 }
 
-// SensitivityPoint is one cell of the Fig 15 grid.
-type SensitivityPoint struct {
-	Mechanism  string
-	RatePerSec float64
+// gridPoint is one Fig 15 setting of the sensitivity scenario: offered rate
+// (records/s), total state bytes across keys, and Zipf skew. The zero value
+// is the registered scenario, so a grid's rates must be positive.
+type gridPoint struct {
+	Rate       float64
 	StateBytes int
 	Skew       float64
-	// Deviation is the mean throughput shortfall below the offered rate over
-	// the measurement window (records/s; lower is better).
-	Deviation float64
+}
+
+// row labels g's Fig 15 row for mech.
+func (g gridPoint) row(mech string) string {
+	return fmt.Sprintf("%s/rate=%g/state=%d/skew=%g", mech, g.Rate, g.StateBytes, g.Skew)
 }
 
 // Fig15 regenerates the sensitivity grid: input rate × state size × skew →
 // throughput deviation for DRRS, Megaphone, and Meces on the simulated
-// 4-node cluster. Rates in records/s, stateBytes total across keys.
-func (h Harness) Fig15(seed int64, rates []float64, stateBytes []int, skews []float64, mechs []string) ([]SensitivityPoint, FigureResult, error) {
-	if len(mechs) == 0 {
-		mechs = []string{"drrs", "megaphone", "meces"}
-	}
-	// The grid cells are independent runs: fan them out across Workers.
-	var specs []RunSpec
-	var pts []SensitivityPoint
+// 4-node cluster, with a sweep row per mechanism and grid point. Rates in
+// records/s, stateBytes total across keys.
+func (h Harness) Fig15(seed int64, rates []float64, stateBytes []int, skews []float64) (FigureResult, error) {
+	mechs := []string{"drrs", "megaphone", "meces"}
+	var cells []cell
 	for _, mech := range mechs {
 		for _, skew := range skews {
 			for _, sb := range stateBytes {
 				for _, rate := range rates {
-					sc, err := h.Overrides.Apply(SensitivityScenario(seed, rate, sb, skew))
-					if err != nil {
-						return nil, FigureResult{}, err
-					}
-					specs = append(specs, RunSpec{Scenario: sc, Mechanism: mech})
-					pts = append(pts, SensitivityPoint{
-						Mechanism: mech, RatePerSec: rate, StateBytes: sb, Skew: skew,
-					})
+					cells = append(cells, cell{Scenario: "sensitivity", Seed: seed, Mechanism: mech, Grid: gridPoint{rate, sb, skew}})
 				}
 			}
 		}
 	}
-	for i, o := range RunParallel(specs, h.Workers) {
-		pts[i].Deviation = o.Throughput.DeviationFrom(pts[i].RatePerSec, o.ScaleAt, o.EndAt)
+	outs, err := h.outcomes(cells)
+	if err != nil {
+		return FigureResult{}, err
+	}
+	rows := make(map[string]Row, len(cells))
+	for i, c := range cells {
+		o := outs[i]
+		r := sweepRow(o)
+		r.Deviation = &Stat{Mean: o.Throughput.DeviationFrom(c.Grid.Rate, o.ScaleAt, o.EndAt)}
+		rows[c.Grid.row(c.Mechanism)] = r
 	}
 	var b strings.Builder
 	b.WriteString("Fig 15 — Sensitivity: throughput deviation (records/s below offered load; lower is better)\n")
@@ -548,15 +552,11 @@ func (h Harness) Fig15(seed int64, rates []float64, stateBytes []int, skews []fl
 			for _, sb := range stateBytes {
 				fmt.Fprintf(&b, "    %10dMB", sb>>20)
 				for _, rate := range rates {
-					for _, p := range pts {
-						if p.Mechanism == mech && p.Skew == skew && p.StateBytes == sb && p.RatePerSec == rate {
-							fmt.Fprintf(&b, " %8.0f", p.Deviation)
-						}
-					}
+					fmt.Fprintf(&b, " %8.0f", rows[gridPoint{rate, sb, skew}.row(mech)].Deviation.Mean)
 				}
 				b.WriteString("\n")
 			}
 		}
 	}
-	return pts, FigureResult{Title: "fig15", Text: b.String()}, nil
+	return FigureResult{Title: "fig15", Text: b.String(), Rows: rows}, nil
 }

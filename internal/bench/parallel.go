@@ -37,11 +37,15 @@ func (h Harness) WithTable() Harness {
 
 // cell names one figure run: a registered scenario at a seed under a
 // mechanism, redeployed under Placement when that is set (WithPlacement).
+// Grid (a Fig 15 point of the sensitivity scenario) and Knob (an ablation
+// setting of the mechanism) are zero for the registered run.
 type cell struct {
 	Scenario  string
 	Seed      int64
 	Mechanism string
 	Placement string
+	Grid      gridPoint
+	Knob      knob
 }
 
 // tableEntry is one cell's outcome, run by whichever caller asks first;
@@ -55,16 +59,19 @@ type tableEntry struct {
 // alone when h has none), running the missing ones across Workers. An unknown scenario or an override it cannot take
 // fails the request before anything runs.
 func (h Harness) outcomes(cells []cell) ([]Outcome, error) {
-	specs := make([]RunSpec, len(cells))
+	runs := make([]func() Outcome, len(cells))
 	for i, c := range cells {
 		sc, err := h.Scenario(c.Scenario, c.Seed)
+		if err == nil && c.Grid != (gridPoint{}) {
+			sc, err = h.Overrides.Apply(SensitivityScenario(c.Seed, c.Grid.Rate, c.Grid.StateBytes, c.Grid.Skew))
+		}
 		if err != nil {
 			return nil, err
 		}
 		if c.Placement != "" {
 			sc = sc.WithPlacement(c.Placement)
 		}
-		specs[i] = RunSpec{Scenario: sc, Mechanism: c.Mechanism}
+		runs[i] = func() Outcome { return sc.RunWith(func() scaling.Mechanism { return c.Knob.mechanism(c.Mechanism) }) }
 	}
 	t := h.table
 	if t == nil {
@@ -74,7 +81,7 @@ func (h Harness) outcomes(cells []cell) ([]Outcome, error) {
 	parallel(len(cells), h.Workers, func(i int) {
 		v, _ := t.LoadOrStore(cells[i], new(tableEntry))
 		e := v.(*tableEntry)
-		e.once.Do(func() { e.out = specs[i].run() })
+		e.once.Do(func() { e.out = runs[i]() })
 		outs[i] = e.out
 	})
 	return outs, nil
@@ -100,17 +107,12 @@ type RunSpec struct {
 	Mechanism string
 }
 
-// run executes one spec with a fresh mechanism per wave.
-func (sp RunSpec) run() Outcome {
-	return sp.Scenario.RunWith(func() scaling.Mechanism { return Mechanisms(sp.Mechanism) })
-}
-
 // RunParallel executes specs across a worker pool and returns outcomes in
 // spec order. workers <= 0 selects GOMAXPROCS.
 func RunParallel(specs []RunSpec, workers int) []Outcome {
 	out := make([]Outcome, len(specs))
 	parallel(len(specs), workers, func(i int) {
-		out[i] = specs[i].run()
+		out[i] = specs[i].Scenario.RunWith(func() scaling.Mechanism { return Mechanisms(specs[i].Mechanism) })
 	})
 	return out
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -93,6 +94,99 @@ func TestTableRunsEachCellOnce(t *testing.T) {
 	}
 	if n, _ := tableLen(nil); n != filled {
 		t.Fatalf("repeated and failed requests added %d cells", n-filled)
+	}
+}
+
+// TestFiguresReadGoldenCells: Fig 2, the Twitch head-to-head and Fig 14 at
+// seed 7 read only golden twitch cells, so none adds a cell, and each returns
+// a row for every mechanism it names. Not parallel: the table's size is read
+// while no other test adds to it, and the golden cells, which the golden test
+// reads anyway, run first across every core.
+func TestFiguresReadGoldenCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the golden twitch/7 cells")
+	}
+	var golden []cell
+	for _, g := range goldenDigests {
+		if g.scenario == "twitch" && g.seed == 7 {
+			golden = append(golden, cell{Scenario: g.scenario, Seed: g.seed, Mechanism: g.mech})
+		}
+	}
+	h := shared
+	h.Workers = 0
+	if _, err := h.outcomes(golden); err != nil {
+		t.Fatal(err)
+	}
+	seeds := []int64{7}
+	for _, f := range []struct {
+		name  string
+		mechs []string
+		run   func() (FigureResult, error)
+	}{
+		{"Fig2", []string{"otfs", "unbound", "no-scale"}, func() (FigureResult, error) { return shared.Fig2(seeds) }},
+		{"HeadToHead", headToHead, func() (FigureResult, error) { return shared.HeadToHead("twitch", seeds) }},
+		{"Fig14", []string{"drrs", "drrs-dr", "drrs-schedule", "drrs-subscale"}, func() (FigureResult, error) { return shared.Fig14(seeds) }},
+	} {
+		before, _ := tableLen(nil)
+		res, err := f.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := tableLen(nil); n != before {
+			t.Errorf("%s added %d cells to the golden ones", f.name, n-before)
+		}
+		for _, mech := range f.mechs {
+			if _, ok := res.Rows[mech]; !ok {
+				t.Errorf("%s has no %s row", f.name, mech)
+			}
+		}
+	}
+}
+
+// TestFig15Rows: Fig 15 on a grid of one rate, one state size and two skews
+// has one row per mechanism and point, each with the deviation column that
+// other figures' rows leave out of -json, and a second call on the same table
+// runs nothing. Not parallel: the table's size is read while no other test
+// adds to it, and the cells run across every core.
+func TestFig15Rows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs six sensitivity-grid cells")
+	}
+	h := shared
+	h.Workers = 0
+	rates, sizes, skews := []float64{6000}, []int{5 << 20}, []float64{0, 1.5}
+	res, err := h.Fig15(1, rates, sizes, skews)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled, _ := tableLen(nil)
+	if len(res.Rows) != 6 {
+		t.Errorf("%d rows, want 3 mechanisms × 2 points", len(res.Rows))
+	}
+	for _, mech := range []string{"drrs", "megaphone", "meces"} {
+		for _, skew := range skews {
+			label := gridPoint{rates[0], sizes[0], skew}.row(mech)
+			if r, ok := res.Rows[label]; !ok || r.Deviation == nil {
+				t.Errorf("no %s row with a deviation: %+v", label, r)
+			}
+		}
+	}
+	if _, err := h.Fig15(1, rates, sizes, skews); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := tableLen(nil); n != filled {
+		t.Fatalf("a second Fig15 added %d cells", n-filled)
+	}
+	with, err := json.Marshal(res.Rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	without, err := json.Marshal(Row{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(with), `"Deviation"`) || strings.Contains(string(without), `"Deviation"`) {
+		t.Errorf("-json should carry Deviation on Fig 15 rows only:\n%s\n%s", with, without)
 	}
 }
 

@@ -46,10 +46,10 @@ func (rt *Runtime) AddInstance(op string, idx int) *Instance {
 			}
 		}
 	}
-	// Seed watermarks on the new instance's inputs with the predecessors'
-	// current output watermark view so event-time processing can make
-	// progress; affected data-driven messages are duplicated to both streams
-	// per the paper's compatibility rule.
+	// Seed each input with -1, "no watermark yet", not with the upstream
+	// watermark: alignment then takes the minimum over the slots after the
+	// last -1 slot only, so the result depends on slot order. The fix moves
+	// digests (ROADMAP item 18, queued change 6).
 	for _, e := range in.ins {
 		in.SeedWatermark(e, -1)
 	}
