@@ -78,6 +78,13 @@ var goldenDigests = []struct {
 	{"node-loss-mid-migrate", "meces", 2, 0x2a3ca01a26bd34ca},
 	{"flaky-uplink", "meces", 1, 0x7f0235abb8b34098},
 	{"flaky-uplink", "meces", 2, 0x7e011825017a231c},
+	// scaling.Migrator's failure paths under a node lost mid-migration: the
+	// fluid chain's settle (45 failed transfers), MigrateAllAtOnce's
+	// per-batch settle, and Unbound, the one Migrator user with an onAll
+	// callback.
+	{"node-loss-mid-migrate", "otfs", 1, 0xb88d52d66c439d67},
+	{"node-loss-mid-migrate", "otfs-allatonce", 1, 0x93dad5508912067e},
+	{"node-loss-mid-migrate", "unbound", 2, 0x20f717eacb33dde8},
 	// Graceful degradation: the retry scenario partitions r1 right before
 	// the scale-out's cross-rack transfers launch, so every chunk toward r1
 	// rides the capped-backoff retry loop (3 deterministic re-attempts per
