@@ -137,26 +137,10 @@ func (s *subscale) dstsOf(src int) []int {
 	return out
 }
 
-// kgPhase is where one planned key group stands in the DR migration.
-type kgPhase uint8
-
-const (
-	// planned: the group's state is still at its source.
-	planned kgPhase = iota
-	// extracted: the state left its source; records for the group re-route.
-	extracted
-	// landed: the state is installed at its destination.
-	landed
-	// reverted: the transfer failed (destination died mid-flight), the
-	// state is back at its source with routing reverted, and the group is
-	// left for a superseding recovery plan to move.
-	reverted
-)
-
 // kgStatus is one planned key group's entry in the coordinator's table.
 type kgStatus struct {
 	sub   *subscale
-	phase kgPhase
+	phase scaling.MovePhase
 }
 
 // confirmKey names one rerouted confirm channel: destination, source, and
@@ -176,6 +160,7 @@ type Mechanism struct {
 	op      string
 	scaleID int64
 	tracked *scaling.Tracked
+	mig     *scaling.Migrator
 
 	// subs is indexed by subscale id.
 	subs    []*subscale
@@ -225,6 +210,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 	m.op = plan.Operator
 	m.tracked = scaling.NewTracked(rt, plan, done)
 	m.tracked.OnCancel(m.cancel)
+	m.mig = scaling.NewMigrator(rt, plan, m.tracked, nil, m.observe)
 	m.kgs = make([]kgStatus, len(plan.Moves))
 	m.rerouteEdges = make(map[[2]int]*netsim.Edge)
 	m.edgeIsReroute = make(map[*netsim.Edge]bool)
@@ -240,7 +226,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 		}
 	}
 
-	scaling.Deploy(rt, plan, func(added []*engine.Instance) {
+	scaling.Deploy(rt, plan, func() {
 		m.deployed = true
 		m.tracked.Deployed()
 		m.preds = rt.PredecessorInstances(m.op)
@@ -516,67 +502,22 @@ func (m *Mechanism) inject(p *engine.Instance, s *subscale) {
 	}
 }
 
-// startMigration runs one source's fluid migration chain for a subscale.
-func (m *Mechanism) startMigration(s *subscale, src int) {
-	kgs := s.kgsFrom(src)
-	from := m.rt.Instance(m.op, src)
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(kgs) {
-			return
-		}
-		kg := kgs[i]
-		mv, st := m.entry(kg)
-		to := m.rt.Instance(m.op, mv.To)
-		g := from.Store().ExtractGroup(kg)
-		st.phase = extracted
-		m.rt.Scale.FirstMigration(s.signal, m.rt.Sched.Now())
-		from.Wake() // queued records for kg now re-route instead of waiting
-		bytes := 0
-		if g != nil {
-			bytes = g.Bytes
-		}
-		m.rt.Cluster.TransferChecked(from.Endpoint(), to.Endpoint(), bytes, func() {
-			m.rt.Sched.After(scaling.InstallCost, func() {
-				to.Store().InstallGroup(kg, g)
-				st.phase = landed
-				m.tracked.Landed(kg)
-				s.chunksLeft--
-				to.Wake()
-				m.checkSubscale(s)
-				step(i + 1)
-			})
-		}, func(error) {
-			// Destination unreachable: the chunk returns to its source, the
-			// predecessors' routing reverts, and the group is surrendered to a
-			// superseding recovery plan (PlanFromPlacement sees it where it
-			// actually is). Records already routed toward the dead destination
-			// are dropped by the keyed-state backstop and counted lost.
-			m.rt.Scale.AddCounter("drrs_reverts", 1)
-			from.Store().OwnGroup(kg)
-			from.Store().InstallGroup(kg, g)
-			st.phase = reverted
-			for _, p := range m.preds {
-				p.Routing(m.op).SetOwner(kg, src)
-			}
-			s.chunksLeft--
-			from.Wake()
-			// Rerouted records for kg may already be parked at the live
-			// destination, suspension-blocked on the chunk that will now never
-			// arrive — and the rerouted confirm queued behind them. The revert
-			// made them processable; a suspended destination never re-evaluates
-			// without a wake, so without one the confirm never drains and the
-			// operation wedges. Only a suspended instance needs it: waking
-			// unconditionally would insert a scheduler event into runs that
-			// were never stuck.
-			if to.Suspended() && !to.Dead() {
-				to.Wake()
-			}
-			m.checkSubscale(s)
-			step(i + 1)
-		})
+// observe keeps the coordinator's table in step with the Migrator. A failed
+// transfer leaves its group Reverted: back at its source with routing
+// reverted, surrendered to a superseding recovery plan (PlanFromPlacement
+// sees it where it actually is), and records already routed toward the dead
+// destination are dropped by the keyed-state backstop and counted lost.
+func (m *Mechanism) observe(kg int, p scaling.MovePhase) {
+	mv, st := m.entry(kg)
+	st.phase = p
+	switch p {
+	case scaling.Extracted:
+		// Queued records for kg now re-route instead of waiting.
+		m.rt.Instance(m.op, mv.From).Wake()
+	case scaling.Landed, scaling.Reverted:
+		st.sub.chunksLeft--
+		m.checkSubscale(st.sub)
 	}
-	step(0)
 }
 
 func (m *Mechanism) checkSubscale(s *subscale) {

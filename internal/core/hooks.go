@@ -3,6 +3,7 @@ package core
 import (
 	"drrs/internal/engine"
 	"drrs/internal/netsim"
+	"drrs/internal/scaling"
 )
 
 // opHook is DRRS's per-instance executor on the scaling operator. An
@@ -32,7 +33,7 @@ func (h *opHook) Processable(in *engine.Instance, r *netsim.Record, e *netsim.Ed
 	if st == nil {
 		return true
 	}
-	if st.phase == reverted {
+	if st.phase == scaling.Reverted {
 		// The chunk transfer failed and the group lives back at its source.
 		// Let records through everywhere: the source processes them normally;
 		// stragglers already routed at the dead destination fall to the
@@ -43,7 +44,7 @@ func (h *opHook) Processable(in *engine.Instance, r *netsim.Record, e *netsim.Ed
 	// Ep records arriving on a re-route path only need their state chunk:
 	// their order against the confirm barrier is preserved by the channel.
 	if m.edgeIsReroute[e] {
-		return st.phase == landed
+		return st.phase == scaling.Landed
 	}
 	if mv.To != in.Index {
 		// Source role (or unrelated): process locally while the state is
@@ -51,7 +52,7 @@ func (h *opHook) Processable(in *engine.Instance, r *netsim.Record, e *netsim.Ed
 		return true
 	}
 	// Destination role: Ef records wait for the chunk and the epoch switch.
-	if st.phase != landed {
+	if st.phase != scaling.Landed {
 		return false
 	}
 	if m.Opt.Schedule {
@@ -65,7 +66,7 @@ func (h *opHook) Processable(in *engine.Instance, r *netsim.Record, e *netsim.Ed
 func (h *opHook) BeforeRecord(in *engine.Instance, r *netsim.Record, e *netsim.Edge) bool {
 	m := h.m
 	mv, st := m.entry(r.KeyGroup)
-	if st == nil || (st.phase != extracted && st.phase != landed) || mv.From != in.Index {
+	if st == nil || (st.phase != scaling.Extracted && st.phase != scaling.Landed) || mv.From != in.Index {
 		return false
 	}
 	// Re-route: forwarded as a special event, never suspended. ForceSend
@@ -93,7 +94,8 @@ func (h *opHook) OnScaleMessage(in *engine.Instance, msg netsim.Message, e *nets
 		}
 		if !s.triggered[in.Index] {
 			s.triggered[in.Index] = true
-			m.startMigration(s, in.Index)
+			// This source's fluid migration chain for the subscale.
+			m.mig.MigrateFluid(s.kgsFrom(in.Index), s.signal, nil)
 		}
 		return true
 	case *netsim.ConfirmBarrier:

@@ -23,7 +23,7 @@ func TestConfirmGateAllocs(t *testing.T) {
 		kgs:           make([]kgStatus, len(plan.Moves)),
 		edgeIsReroute: map[*netsim.Edge]bool{},
 	}
-	m.kgs[0] = kgStatus{sub: s, phase: landed}
+	m.kgs[0] = kgStatus{sub: s, phase: scaling.Landed}
 	h := &opHook{m: m}
 	e := rig.rt.Instance("srcA", 0).OutEdges("agg")[dst.Index]
 	r := &netsim.Record{Key: 1, KeyGroup: mv.KeyGroup, Size: 64}

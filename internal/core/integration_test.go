@@ -209,7 +209,7 @@ func TestSupersession(t *testing.T) {
 	spec := g.Operator("agg")
 	for i, st := range first.kgs {
 		mv := first.plan.Moves[i]
-		if st.phase == landed && state.OwnerOf(spec.MaxKeyGroups, 8, mv.KeyGroup) == mv.To && inPlan2[mv.KeyGroup] {
+		if st.phase == scaling.Landed && state.OwnerOf(spec.MaxKeyGroups, 8, mv.KeyGroup) == mv.To && inPlan2[mv.KeyGroup] {
 			t.Fatalf("kg %d already at its final owner but re-planned", mv.KeyGroup)
 		}
 	}

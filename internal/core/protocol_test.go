@@ -180,7 +180,7 @@ func TestMigrationStartsWhileOldInstanceBlocked(t *testing.T) {
 	rig.s.RunUntil(simtime.Time(simtime.Ms(8))) // ~3 records' worth of work
 	started := false
 	for _, st := range mech.kgs {
-		started = started || st.phase != planned
+		started = started || st.phase != scaling.Planned
 	}
 	if mech.rt.Scale.UnitsMigrated() == 0 && !started {
 		t.Fatal("migration never started while the queue was deep — trigger priority broken")

@@ -141,13 +141,13 @@ func (c *Coupled) Begin(rt *engine.Runtime, plan Plan, done func()) *Tracked {
 			rt.Scale.UnitAssigned(kg, c.signal(r))
 		}
 	}
-	c.mig = NewMigrator(rt, c.plan, c.op, nil)
+	c.mig = NewMigrator(rt, c.plan, c.op, nil, nil)
 	if c.AnnounceUpfront {
 		for r := range c.rounds {
 			rt.Scale.SignalInjected(c.signal(r), rt.Sched.Now())
 		}
 	}
-	Deploy(rt, c.plan, func(added []*engine.Instance) {
+	Deploy(rt, c.plan, func() {
 		c.op.Deployed()
 		// Hooks on the scaling operator's instances.
 		for _, in := range rt.Instances(c.plan.Operator) {

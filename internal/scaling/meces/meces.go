@@ -94,7 +94,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 			m.count(id, 1)
 		}
 	}
-	scaling.Deploy(rt, plan, func(added []*engine.Instance) {
+	scaling.Deploy(rt, plan, func() {
 		m.op.Deployed()
 		for _, in := range rt.Instances(plan.Operator) {
 			in.SetHook(&hook{m: m})
@@ -102,12 +102,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 		// Single synchronization: flip every predecessor's routing at once.
 		rt.Scale.SignalInjected(signal, rt.Sched.Now())
 		rt.Sched.After(engine.ControlLatency, func() {
-			for _, p := range rt.PredecessorInstances(plan.Operator) {
-				tbl := p.Routing(plan.Operator)
-				for _, mv := range plan.Moves {
-					tbl.SetOwner(mv.KeyGroup, mv.To)
-				}
-			}
+			scaling.RouteToDestinations(rt, plan)
 			// New instances own (initially empty) shells of their incoming
 			// groups so partially fetched groups can serve state.
 			for _, mv := range plan.Moves {

@@ -136,28 +136,61 @@ type Mechanism interface {
 	Begin(rt *engine.Runtime, plan Plan, done func()) *Tracked
 }
 
-// Deploy performs the physical half of scaling shared by every mechanism:
-// after plan.SetupDelay (resource initialization), it places the new
-// instances through the cluster's placement policy (rack-local scale-out vs
-// spread is decided here, before wiring, so channel latencies reflect the
-// topology path), creates them, wires them, and hands them to then.
-func Deploy(rt *engine.Runtime, plan Plan, then func(added []*engine.Instance)) {
+// Deploy performs the physical half of scaling shared by every on-the-fly
+// mechanism: after plan.SetupDelay (resource initialization) it adds the new
+// instances (AddInstances) and calls then.
+func Deploy(rt *engine.Runtime, plan Plan, then func()) {
 	rt.Sched.After(plan.SetupDelay, func() {
-		rt.Cluster.PlaceInstances(plan.Operator, plan.OldParallelism, plan.NewParallelism)
-		var added []*engine.Instance
-		for idx := plan.OldParallelism; idx < plan.NewParallelism; idx++ {
-			added = append(added, rt.AddInstance(plan.Operator, idx))
-		}
-		then(added)
+		AddInstances(rt, plan)
+		then()
 	})
+}
+
+// AddInstances places plan's new instances through the cluster's placement
+// policy (rack-local scale-out vs spread is decided here, before wiring, so
+// channel latencies reflect the topology path), then creates and wires them.
+func AddInstances(rt *engine.Runtime, plan Plan) {
+	rt.Cluster.PlaceInstances(plan.Operator, plan.OldParallelism, plan.NewParallelism)
+	for idx := plan.OldParallelism; idx < plan.NewParallelism; idx++ {
+		rt.AddInstance(plan.Operator, idx)
+	}
+}
+
+// RouteToDestinations points every predecessor's routing entry for each
+// planned key group at the group's destination: the instant routing flip of
+// the mechanisms that synchronize without barriers.
+func RouteToDestinations(rt *engine.Runtime, plan Plan) {
+	for _, p := range rt.PredecessorInstances(plan.Operator) {
+		tbl := p.Routing(plan.Operator)
+		for _, mv := range plan.Moves {
+			tbl.SetOwner(mv.KeyGroup, mv.To)
+		}
+	}
 }
 
 // InstallCost is charged at the receiver per migrated chunk
 // (deserialization).
 const InstallCost = 200 * simtime.Microsecond
 
+// MovePhase is where one planned key group stands in its migration.
+type MovePhase uint8
+
+const (
+	// Planned: the group's state is still at its source.
+	Planned MovePhase = iota
+	// Extracted: the state left its source and is on the wire.
+	Extracted
+	// Landed: the state is installed at its destination.
+	Landed
+	// Reverted: the transfer failed (the destination died or was cut off
+	// mid-flight); the state is back at its source, every predecessor routes
+	// the group there, and a superseding recovery plan is left to move it.
+	Reverted
+)
+
 // Migrator moves key groups between instances with full delay accounting.
-// One Migrator serves one scaling operation.
+// One Migrator serves one scaling operation. DRRS, the coupled
+// configurations and Unbound all transfer whole key groups through it.
 type Migrator struct {
 	rt   *engine.Runtime
 	plan Plan
@@ -165,24 +198,34 @@ type Migrator struct {
 
 	// failed counts groups settled back at their source; with op's landed
 	// count it tells when every group has settled (each settles once).
-	failed int
-	onAll  func()
+	failed  int
+	onAll   func()
+	observe func(kg int, p MovePhase)
 }
 
 // NewMigrator returns a migrator for the plan that tells op each time a
 // planned group lands. onAll (optional) fires when every planned move has
 // settled — completed, or failed against an unhealthy destination (the state
 // then sits back at its source and the controller's recovery path re-plans
-// it).
-func NewMigrator(rt *engine.Runtime, plan Plan, op *Tracked, onAll func()) *Migrator {
-	return &Migrator{rt: rt, plan: plan, op: op, onAll: onAll}
+// it). observe (optional) hears each group's phases as they happen:
+// Extracted right after the state leaves its source, then Landed after the
+// install and the destination's wake, or Reverted after the failure settled.
+func NewMigrator(rt *engine.Runtime, plan Plan, op *Tracked, onAll func(), observe func(kg int, p MovePhase)) *Migrator {
+	return &Migrator{rt: rt, plan: plan, op: op, onAll: onAll, observe: observe}
 }
 
-// settle re-homes a move whose transfer failed: the extracted state merges
-// back into the source store and every predecessor's routing entry is pointed
-// back at the source, so records keep flowing to where the state actually is.
-// The move then counts as settled — sequences continue past it and onAll can
-// fire — leaving the re-plan to the control plane's recovery supersession.
+func (m *Migrator) report(kg int, p MovePhase) {
+	if m.observe != nil {
+		m.observe(kg, p)
+	}
+}
+
+// settleFailure re-homes a move whose transfer failed: the extracted state
+// merges back into the source store and every predecessor's routing entry is
+// pointed back at the source, so records keep flowing to where the state
+// actually is. The move then counts as settled — sequences continue past it
+// and onAll can fire — leaving the re-plan to the control plane's recovery
+// supersession.
 func (m *Migrator) settleFailure(kg int, g *state.Group, mv dataflow.Move) {
 	from := m.rt.Instance(m.plan.Operator, mv.From)
 	from.Store().InstallGroup(kg, g)
@@ -194,13 +237,15 @@ func (m *Migrator) settleFailure(kg int, g *state.Group, mv dataflow.Move) {
 	m.failed++
 	m.rt.Scale.AddCounter("xfer_settled", 1)
 	from.Wake()
-	// Records for kg may already be parked at the destination, gated by the
-	// mechanism's Processable; now that the repair re-pointed the group away
-	// from it, wake it so those records drain (ApplyRecord counts them as
-	// stranded losses) instead of suspending the instance forever.
-	if to := m.rt.Instance(m.plan.Operator, mv.To); to != nil {
+	// Records for kg may be parked at a live destination, gated on a chunk
+	// that will now never arrive (under DRRS, a rerouted confirm behind
+	// them). The repair made them drainable (ApplyRecord counts them as
+	// stranded losses), but a suspended instance never re-evaluates without
+	// a wake; any other destination's wake would be a no-op step.
+	if to := m.rt.Instance(m.plan.Operator, mv.To); to != nil && to.Suspended() && !to.Dead() {
 		to.Wake()
 	}
+	m.report(kg, Reverted)
 }
 
 // install lands kg's state at its destination and accounts for it.
@@ -219,8 +264,9 @@ func (m *Migrator) checkAll() {
 
 // migrateGroup extracts kg from its source instance and transfers it to the
 // destination under the given signal label; done (optional) fires after the
-// destination installs it. The paper's Fig 12 metrics hang off the signal
-// label: FirstMigration on extraction, Landed on installation.
+// destination installs it, or after a failed transfer settled. The paper's
+// Fig 12 metrics hang off the signal label: FirstMigration on extraction,
+// Landed on installation.
 func (m *Migrator) migrateGroup(kg int, signal string, done func()) {
 	move := m.move(kg)
 	from := m.rt.Instance(m.plan.Operator, move.From)
@@ -230,6 +276,7 @@ func (m *Migrator) migrateGroup(kg int, signal string, done func()) {
 	}
 	g := from.Store().ExtractGroup(kg)
 	m.rt.Scale.FirstMigration(signal, m.rt.Sched.Now())
+	m.report(kg, Extracted)
 	bytes := 0
 	if g != nil {
 		bytes = g.Bytes
@@ -238,6 +285,7 @@ func (m *Migrator) migrateGroup(kg int, signal string, done func()) {
 		m.rt.Sched.After(InstallCost, func() {
 			m.install(to, kg, g)
 			to.Wake()
+			m.report(kg, Landed)
 			if done != nil {
 				done()
 			}
@@ -339,6 +387,9 @@ func (m *Migrator) MigrateAllAtOnce(kgs []int, signal string, done func()) {
 		return pairs[i].to < pairs[j].to
 	})
 	m.rt.Scale.FirstMigration(signal, m.rt.Sched.Now())
+	for _, kg := range kgs {
+		m.report(kg, Extracted)
+	}
 	remaining := len(batches)
 	for _, p := range pairs {
 		p, items := p, batches[p]
@@ -350,6 +401,9 @@ func (m *Migrator) MigrateAllAtOnce(kgs []int, signal string, done func()) {
 					m.install(to, it.kg, it.g)
 				}
 				to.Wake()
+				for _, it := range items {
+					m.report(it.kg, Landed)
+				}
 				remaining--
 				if remaining == 0 && done != nil {
 					done()

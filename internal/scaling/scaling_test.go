@@ -1,10 +1,13 @@
 package scaling
 
 import (
+	"slices"
 	"testing"
 
+	"drrs/internal/cluster"
 	"drrs/internal/dataflow"
 	"drrs/internal/engine"
+	"drrs/internal/netsim"
 	"drrs/internal/simtime"
 	"drrs/internal/workload"
 )
@@ -143,9 +146,9 @@ func TestDeployCreatesInstancesAfterSetup(t *testing.T) {
 	plan := UniformPlan(g, "agg", 6, simtime.Ms(50))
 	var deployedAt simtime.Time
 	var got int
-	Deploy(rt, plan, func(added []*engine.Instance) {
+	Deploy(rt, plan, func() {
 		deployedAt = s.Now()
-		got = len(added)
+		got = len(rt.Instances("agg")) - plan.OldParallelism
 	})
 	s.Run()
 	if got != 2 {
@@ -166,8 +169,8 @@ func TestMigratorSequenceOrderAndCompletion(t *testing.T) {
 	plan := UniformPlan(g, "agg", 6, 0)
 	op := NewTracked(rt, plan, nil)
 	var allDone bool
-	Deploy(rt, plan, func([]*engine.Instance) {
-		mig := NewMigrator(rt, plan, op, func() { allDone = true })
+	Deploy(rt, plan, func() {
+		mig := NewMigrator(rt, plan, op, func() { allDone = true }, nil)
 		kgs := make([]int, len(plan.Moves))
 		for i, m := range plan.Moves {
 			kgs[i] = m.KeyGroup
@@ -294,5 +297,96 @@ func TestPlanFromPlacementAfterPartialMove(t *testing.T) {
 	// nothing else.
 	if len(plan.Moves) != 1 || plan.Moves[0].KeyGroup != 0 || plan.Moves[0].From != 3 || plan.Moves[0].To != 0 {
 		t.Fatalf("plan %+v", plan.Moves)
+	}
+}
+
+// TestMigratorPhases: a fluid chain whose destination node dies mid-chain.
+// The observer hears Extracted and then Landed or Reverted for every group,
+// each chain's groups one after another in chain order; xfer_settled counts
+// exactly the reverted groups; each reverted group is back in its source's
+// store with every predecessor routing it there; and done fires once.
+func TestMigratorPhases(t *testing.T) {
+	g := testGraph()
+	s := simtime.NewScheduler()
+	cl := cluster.New(s)
+	cl.AddNode("far", 1, 0)
+	plan := UniformPlan(g, "agg", 6, 0)
+	for idx := plan.OldParallelism; idx < plan.NewParallelism; idx++ {
+		cl.Place(netsim.Endpoint{Op: "agg", Index: idx}, "far")
+	}
+	rt := engine.New(s, g, cl, engine.Config{Seed: 1, MarkerInterval: -1})
+	op := NewTracked(rt, plan, nil)
+	type event struct {
+		kg int
+		p  MovePhase
+	}
+	bySrc := map[int][]event{}
+	final := map[int]MovePhase{}
+	done := 0
+	Deploy(rt, plan, func() {
+		mig := NewMigrator(rt, plan, op, nil, func(kg int, p MovePhase) {
+			from := plan.Moves[plan.at[kg]].From
+			bySrc[from] = append(bySrc[from], event{kg, p})
+			final[kg] = p
+		})
+		kgs := make([]int, len(plan.Moves))
+		for i, m := range plan.Moves {
+			kgs[i] = m.KeyGroup
+		}
+		mig.MigrateFluid(kgs, "test", func() { done++ })
+		// A cross-node group takes 700µs (transfer latency plus install), so
+		// the node dies with its third group on the wire.
+		s.After(1500*simtime.Microsecond, func() {
+			cl.MarkDead("far")
+			for idx := plan.OldParallelism; idx < plan.NewParallelism; idx++ {
+				rt.Instance("agg", idx).Fail()
+			}
+		})
+	})
+	s.Run()
+
+	if done != 1 {
+		t.Fatalf("done fired %d times, want once", done)
+	}
+	for src := 0; src < plan.OldParallelism; src++ {
+		evs := bySrc[src]
+		var want []event
+		for _, m := range plan.MovesFrom(src) {
+			want = append(want, event{m.KeyGroup, Extracted}, event{m.KeyGroup, final[m.KeyGroup]})
+		}
+		if !slices.Equal(evs, want) {
+			t.Fatalf("source %d reported %v, want %v", src, evs, want)
+		}
+	}
+	landedFar, reverted := 0, 0
+	for _, m := range plan.Moves {
+		far := m.To >= plan.OldParallelism
+		switch final[m.KeyGroup] {
+		case Landed:
+			if far {
+				landedFar++
+			}
+		case Reverted:
+			reverted++
+			if !far {
+				t.Fatalf("kg %d reverted, but its destination %d never died", m.KeyGroup, m.To)
+			}
+			if !rt.Instance("agg", m.From).Store().HasGroup(m.KeyGroup) {
+				t.Fatalf("reverted kg %d is not back at its source %d", m.KeyGroup, m.From)
+			}
+			for _, p := range rt.PredecessorInstances("agg") {
+				if got := p.Routing("agg").Owner(m.KeyGroup); got != m.From {
+					t.Fatalf("%s routes reverted kg %d to %d, want its source %d", p.Name(), m.KeyGroup, got, m.From)
+				}
+			}
+		default:
+			t.Fatalf("kg %d ended in phase %d", m.KeyGroup, final[m.KeyGroup])
+		}
+	}
+	if landedFar == 0 || reverted == 0 {
+		t.Fatalf("%d groups landed at the dead node and %d reverted: the node did not die mid-chain", landedFar, reverted)
+	}
+	if got := rt.Scale.Counter("xfer_settled"); got != int64(reverted) {
+		t.Fatalf("xfer_settled = %d, want the %d reverted groups", got, reverted)
 	}
 }

@@ -60,10 +60,7 @@ func (m *Mechanism) restart(rt *engine.Runtime, plan scaling.Plan, signal string
 	restore := plan.SetupDelay +
 		simtime.Duration(float64(totalState)/restoreBytesPerSec*float64(simtime.Second))
 	rt.Sched.After(restore, func() {
-		rt.Cluster.PlaceInstances(plan.Operator, plan.OldParallelism, plan.NewParallelism)
-		for idx := plan.OldParallelism; idx < plan.NewParallelism; idx++ {
-			rt.AddInstance(plan.Operator, idx)
-		}
+		scaling.AddInstances(rt, plan)
 		op.Deployed()
 		rt.Scale.FirstMigration(signal, rt.Sched.Now())
 		// Redistribute state directly: restore time was already charged.
@@ -73,12 +70,7 @@ func (m *Mechanism) restart(rt *engine.Runtime, plan scaling.Plan, signal string
 			to.Store().InstallGroup(mv.KeyGroup, from.Store().ExtractGroup(mv.KeyGroup))
 			op.Landed(mv.KeyGroup)
 		}
-		for _, p := range rt.PredecessorInstances(plan.Operator) {
-			tbl := p.Routing(plan.Operator)
-			for _, mv := range plan.Moves {
-				tbl.SetOwner(mv.KeyGroup, mv.To)
-			}
-		}
+		scaling.RouteToDestinations(rt, plan)
 		rt.EachInstance(func(in *engine.Instance) {
 			if in.Dead() {
 				// Crashed mid-restart: only the fault injector's recovery path

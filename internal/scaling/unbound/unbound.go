@@ -31,8 +31,8 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 	for _, mv := range plan.Moves {
 		rt.Scale.UnitAssigned(mv.KeyGroup, signal)
 	}
-	mig := scaling.NewMigrator(rt, plan, op, op.Finish)
-	scaling.Deploy(rt, plan, func(added []*engine.Instance) {
+	mig := scaling.NewMigrator(rt, plan, op, op.Finish, nil)
+	scaling.Deploy(rt, plan, func() {
 		op.Deployed()
 		rt.Scale.SignalInjected(signal, rt.Sched.Now())
 		// Universal keys: any instance processes any record, creating local
@@ -47,12 +47,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 			rt.Instance(plan.Operator, mv.To).Store().OwnGroup(mv.KeyGroup)
 		}
 		// Instant routing flip, no propagation, no alignment.
-		for _, p := range rt.PredecessorInstances(plan.Operator) {
-			tbl := p.Routing(plan.Operator)
-			for _, mv := range plan.Moves {
-				tbl.SetOwner(mv.KeyGroup, mv.To)
-			}
-		}
+		scaling.RouteToDestinations(rt, plan)
 		// Background migration of the old state; InstallGroup merges into the
 		// live shells (overwriting concurrent updates — the correctness hole
 		// Unbound deliberately accepts).
