@@ -273,22 +273,33 @@ func TestZeroMovePlanWedge(t *testing.T) {
 // groups the handle did.
 func TestMechanismLifecycleContract(t *testing.T) {
 	const setup = 20 * simtime.Millisecond
-	for _, tc := range []struct {
+	type contractCase struct {
 		mech       string
 		afterSetup scaling.Phase
 		// mayRegress: a Meces fetch-back pulls a sub-unit of a finished group
 		// back to its old instance, so drain → migrate is legal there alone.
 		mayRegress bool
-	}{
+	}
+	cases := []contractCase{
 		{mech: "drrs", afterSetup: scaling.PhaseMigrate},
+		{mech: "drrs-dr", afterSetup: scaling.PhaseMigrate},
+		{mech: "drrs-schedule", afterSetup: scaling.PhaseMigrate},
+		{mech: "drrs-subscale", afterSetup: scaling.PhaseMigrate},
 		{mech: "otfs", afterSetup: scaling.PhaseMigrate},
+		{mech: "otfs-allatonce", afterSetup: scaling.PhaseMigrate},
 		{mech: "megaphone", afterSetup: scaling.PhaseMigrate},
 		{mech: "meces", afterSetup: scaling.PhaseMigrate, mayRegress: true},
 		{mech: "unbound", afterSetup: scaling.PhaseMigrate},
 		// Stop-restart's instances appear only when the restore ends, in the
 		// same event that lands every group and finishes.
 		{mech: "stop-restart", afterSetup: scaling.PhaseDeploy},
-	} {
+	}
+	for _, name := range MechanismNames() {
+		if name != "no-scale" && !slices.ContainsFunc(cases, func(tc contractCase) bool { return tc.mech == name }) {
+			t.Errorf("mechanism %s has no lifecycle-contract row", name)
+		}
+	}
+	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.mech, func(t *testing.T) {
 			job := workload.DefaultJob()

@@ -223,3 +223,52 @@ func TestSupersession(t *testing.T) {
 		}
 	}
 }
+
+// TestCancelDuringDeploySettlesAtDeploy: DRRS cancelled inside its
+// SetupDelay honors the cancel and drops every subscale, but reports done
+// only once the new instances exist — at the deploy instant, not at the
+// cancel — so a superseding plan is never computed against an instance set
+// that is about to change. With or without Subscale Division and Record
+// Scheduling.
+func TestCancelDuringDeploySettlesAtDeploy(t *testing.T) {
+	for _, v := range []string{"drrs", "dr"} {
+		t.Run(v, func(t *testing.T) {
+			wl := scaletest.DefaultWorkload(83)
+			wl.Duration = simtime.Sec(1)
+			g, _ := wl.Build()
+			s := simtime.NewScheduler()
+			rt := engine.New(s, g, nil, engine.Config{Seed: wl.Seed, MarkerInterval: -1})
+			rt.Start()
+			const setup = 20 * simtime.Millisecond
+			var (
+				beginAt, doneAt simtime.Time
+				fired, atDone   int
+				honored         bool
+			)
+			s.After(simtime.Ms(500), func() {
+				beginAt = s.Now()
+				op := variants[v]().Begin(rt, scaling.UniformPlan(g, "agg", 6, setup), func() {
+					fired++
+					doneAt, atDone = s.Now(), len(rt.Instances("agg"))
+				})
+				s.After(simtime.Ms(5), func() {
+					honored = op.Cancel()
+					if fired != 0 {
+						t.Error("done fired at the cancel, before the instances exist")
+					}
+				})
+			})
+			s.Run()
+			if !honored {
+				t.Fatal("DRRS must honor a cancel during deploy")
+			}
+			if fired != 1 {
+				t.Fatalf("done fired %d times, want once", fired)
+			}
+			if beginAt != simtime.Time(simtime.Ms(500)) || doneAt != beginAt.Add(setup) || atDone != 6 {
+				t.Fatalf("begin %v, done %v with %d instances; want done at the deploy instant %v with 6",
+					beginAt, doneAt, atDone, beginAt.Add(setup))
+			}
+		})
+	}
+}
