@@ -157,7 +157,7 @@ func (p *Backlog) Observe(s Snapshot) []Action {
 	if p.RatedRPS <= 0 || s.ThroughputRPS <= 0 {
 		return nil
 	}
-	demand := s.ThroughputRPS + float64(s.SourceBacklog)/drainWindow.Seconds()
+	demand := s.ThroughputRPS + float64(float64(s.SourceBacklog)/drainWindow.Seconds())
 	need := int(math.Ceil(demand / (p.RatedRPS * targetUtil)))
 	if need < 1 {
 		need = 1
@@ -294,16 +294,16 @@ func (p *Predictive) extrapolate(at simtime.Time) float64 {
 		t := h.at.Sub(t0).Seconds()
 		st += t
 		sy += h.rps
-		stt += t * t
-		sty += t * h.rps
+		stt += float64(t * t)
+		sty += float64(t * h.rps)
 	}
-	den := n*stt - st*st
+	den := float64(n*stt) - float64(st*st)
 	if den == 0 {
 		return p.hist[len(p.hist)-1].rps
 	}
-	b := (n*sty - st*sy) / den
-	a := (sy - b*st) / n
-	v := a + b*at.Sub(t0).Seconds()
+	b := (float64(n*sty) - float64(st*sy)) / den
+	a := (sy - float64(b*st)) / n
+	v := a + float64(b*at.Sub(t0).Seconds())
 	if v < 0 {
 		return 0
 	}

@@ -70,7 +70,7 @@ func Generate(rng *simtime.RNG, cfg GenConfig) Plan {
 			}
 		case Straggle:
 			f.Node = cfg.Nodes[rng.IntN(len(cfg.Nodes))]
-			f.Factor = 0.2 + 0.1*float64(rng.IntN(5)) // 0.2 .. 0.6
+			f.Factor = 0.2 + float64(0.1*float64(rng.IntN(5))) // 0.2 .. 0.6
 			f.Heal = durRange(rng, healMin, healMax)
 		case Uplink:
 			f.Rack = cfg.Racks[rng.IntN(len(cfg.Racks))]
