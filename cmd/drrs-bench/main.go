@@ -44,8 +44,8 @@
 // figure's placement columns.
 //
 // -chaos N is the deterministic chaos search: N seeds (from -seed) ×
-// scenarios (-workload, default the chaos trio) × mechanisms (-mechanisms)
-// with randomized generated fault plans, every oracle checked on every run,
+// scenarios (-workload, default the chaos trio) × mechanisms (-mechanisms,
+// default every mechanism except no-scale) with randomized generated fault plans, every oracle checked on every run,
 // each case executed twice for the determinism oracle, and any failing plan
 // shrunk to a minimal self-reproducing spec string. Exits 1 when violations
 // are found; -json writes them as a machine-readable artifact. -faults with
@@ -103,7 +103,7 @@ type figureJSON struct {
 func main() {
 	experiment := flag.String("experiment", "all", "fig2 | fig10 | fig14 | fig15 | multiwave | sweep | topology | search | ablation | all")
 	workloadName := flag.String("workload", "all", "registered scenario name, comma list, or all (see -list)")
-	mechanisms := flag.String("mechanisms", "", "comma list of mechanisms for multiwave/sweep/topology (default drrs,meces,megaphone) from: "+strings.Join(bench.MechanismNames(), " | "))
+	mechanisms := flag.String("mechanisms", "", "comma list of mechanisms for multiwave/sweep/topology (default drrs,meces,megaphone) and -chaos (default all but no-scale) from: "+strings.Join(bench.MechanismNames(), " | "))
 	seeds := flag.Int("seeds", 3, "number of repeated runs per configuration")
 	baseSeed := flag.Int64("seed", 1, "base seed")
 	parallel := flag.Int("parallel", 0, "worker goroutines for independent runs (0 = GOMAXPROCS, 1 = sequential)")

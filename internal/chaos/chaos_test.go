@@ -41,8 +41,8 @@ func TestSearchCleanAtHead(t *testing.T) {
 		t.Skip("chaos search simulates minutes of virtual time")
 	}
 	res := Search(Config{Seeds: []int64{1, 2}})
-	if res.Cases != 18 || res.Runs != 36 {
-		t.Fatalf("cases=%d runs=%d, want 18/36 (trio × 3 mechanisms × 2 seeds × pair)", res.Cases, res.Runs)
+	if res.Cases != 60 || res.Runs != 120 {
+		t.Fatalf("cases=%d runs=%d, want 60/120 (trio × 10 mechanisms × 2 seeds × pair)", res.Cases, res.Runs)
 	}
 	for _, v := range res.Violations {
 		t.Errorf("[%s/%s seed=%d] %s: %s\n  repro: %s",

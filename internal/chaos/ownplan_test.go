@@ -27,8 +27,6 @@ type knownWedge struct {
 // fault plans, keyed "scenario/mechanism". Reproduce a cell with
 // `drrs-sim -workload <scenario> -mechanism <mechanism> -seed <seed>`. The
 // classes are ROADMAP item 1's:
-//   - Z: a plan with no moves (the controller's same-target recovery
-//     re-plan) never fires done.
 //   - C: a coupled round waits for an old instance that is dead or cut off.
 //   - S: stop-restart's checkpoint never completes.
 //   - D: DRRS, with transfer retry off, leaves a failed transfer's operation
@@ -46,15 +44,6 @@ var knownWedges = map[string]knownWedge{
 	"flaky-uplink/drrs-subscale":           {"C", []int64{1, 2, 3, 4}},
 	"node-loss-mid-migrate/stop-restart":   {"S", []int64{1, 3, 4}},
 	"flaky-uplink/drrs":                    {"D", []int64{4}},
-
-	"node-loss-mid-migrate/drrs-dr":     {"Z", []int64{1, 2, 3, 4}},
-	"node-loss-mid-migrate/unbound":     {"Z", []int64{1}},
-	"flaky-uplink/unbound":              {"Z", []int64{1, 2, 3, 4}},
-	"flaky-uplink-retry/drrs-dr":        {"Z", []int64{1, 3}},
-	"flaky-uplink-retry/drrs-schedule":  {"Z", []int64{4}},
-	"flaky-uplink-retry/drrs-subscale":  {"Z", []int64{2, 3, 4}},
-	"flaky-uplink-retry/otfs":           {"Z", []int64{2, 3, 4}},
-	"flaky-uplink-retry/otfs-allatonce": {"Z", []int64{1, 2, 3, 4}},
 }
 
 // TestOwnPlanLiveness runs every chaos scenario under its own fault plan —

@@ -9,12 +9,13 @@ import (
 )
 
 // Config bounds one chaos search. Zero values fall back to the CI defaults:
-// the three chaos scenarios, the three paper mechanisms, generated plans
+// the three chaos scenarios, every mechanism that scales, generated plans
 // with two transfer retries.
 type Config struct {
 	// Scenarios are registered scenario names (default: the chaos trio).
 	Scenarios []string
-	// Mechanisms are rescaling mechanisms (default: drrs, meces, megaphone).
+	// Mechanisms are rescaling mechanisms (default: every registered one
+	// except no-scale).
 	Mechanisms []string
 	// Seeds drive both the workload and the generated fault plan; required.
 	Seeds []int64
@@ -35,7 +36,11 @@ func (cfg *Config) fillDefaults() {
 		cfg.Scenarios = []string{"node-loss-mid-migrate", "straggler-rack", "flaky-uplink"}
 	}
 	if len(cfg.Mechanisms) == 0 {
-		cfg.Mechanisms = []string{"drrs", "meces", "megaphone"}
+		for _, m := range bench.MechanismNames() {
+			if m != "no-scale" {
+				cfg.Mechanisms = append(cfg.Mechanisms, m)
+			}
+		}
 	}
 	if cfg.Retries == 0 {
 		cfg.Retries = 2

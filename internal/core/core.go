@@ -108,7 +108,6 @@ type subscale struct {
 	confirmsLeft   int
 	chunksLeft     int
 	completed      bool
-	launched       bool
 	// held is the subscale's heldKeys score, set before each scheduling
 	// sort.
 	held int
@@ -179,10 +178,8 @@ type Mechanism struct {
 	// MaxActive records the peak number of concurrently running subscales
 	// (observable evidence for the scheduler's concurrency threshold).
 	MaxActive int
-	deployed  bool
 	finished  bool
 	cleaned   bool
-	cancelled bool
 }
 
 // New returns a DRRS mechanism with the given options.
@@ -200,23 +197,32 @@ func (m *Mechanism) Name() string {
 	return "drrs-dr"
 }
 
-// Begin implements scaling.Mechanism. The coordinator reports its own phases
-// and honors cancellation — subscales not yet launched are dropped and the
-// operation settles early (the paper's concurrent-execution rule).
+// Begin implements scaling.Mechanism. The operation owes one unit per
+// subscale, paid when the subscale completes, and honors cancellation —
+// subscales not yet launched are dropped and the operation settles early
+// (the paper's concurrent-execution rule). Once it finishes, the machinery
+// is torn down as soon as the re-route paths have drained.
 func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *scaling.Tracked {
 	m.scaleID = rt.NextScaleID()
 	m.rt = rt
 	m.plan = plan
 	m.op = plan.Operator
-	m.tracked = scaling.NewTracked(rt, plan, done)
+	m.tracked = scaling.NewTracked(rt, plan, func() {
+		m.finished = true
+		if done != nil {
+			done()
+		}
+		m.maybeCleanup()
+	})
 	m.tracked.OnCancel(m.cancel)
-	m.mig = scaling.NewMigrator(rt, plan, m.tracked, nil, m.observe)
+	m.mig = scaling.NewMigrator(rt, plan, m.tracked, m.observe)
 	m.kgs = make([]kgStatus, len(plan.Moves))
 	m.rerouteEdges = make(map[[2]int]*netsim.Edge)
 	m.edgeIsReroute = make(map[*netsim.Edge]bool)
 	m.reroutesInto = make(map[int][]*netsim.Edge)
 	m.activeNode = make(map[string]int)
 	m.subs = m.divide()
+	m.tracked.Owe(len(m.subs))
 	m.pending = append([]*subscale(nil), m.subs...)
 	for _, s := range m.subs {
 		for _, mv := range s.moves {
@@ -227,8 +233,6 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 	}
 
 	scaling.Deploy(rt, plan, func() {
-		m.deployed = true
-		m.tracked.Deployed()
 		m.preds = rt.PredecessorInstances(m.op)
 		// Count expected confirms: one per (pred, src, dst) triple.
 		for _, s := range m.subs {
@@ -265,6 +269,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 			})
 		}
 		m.scheduleNext()
+		m.tracked.Deployed()
 	})
 	return m.tracked
 }
@@ -282,7 +287,8 @@ func (m *Mechanism) entry(kg int) (dataflow.Move, *kgStatus) {
 // divide implements the default Subscale Scheduler's partitioning (C1):
 // moves grouped per (source, destination) pair, lexicographically chunked
 // into subsets as equally sized as possible, bounded by SubscaleKGs. Without
-// Subscale Division the whole plan forms a single subscale.
+// Subscale Division the whole plan forms a single subscale; a plan with no
+// moves forms none.
 func (m *Mechanism) divide() []*subscale {
 	mk := func(id int, moves []dataflow.Move) *subscale {
 		s := &subscale{
@@ -307,6 +313,9 @@ func (m *Mechanism) divide() []*subscale {
 		sort.Ints(s.srcs)
 		sort.Ints(s.dsts)
 		return s
+	}
+	if len(m.plan.Moves) == 0 {
+		return nil
 	}
 	if !m.Opt.Subscale {
 		return []*subscale{mk(0, m.plan.Moves)}
@@ -353,10 +362,6 @@ func (m *Mechanism) divide() []*subscale {
 // subscales migrating to instances holding the fewest keys (activating new
 // instances fastest), subject to the per-node concurrency threshold.
 func (m *Mechanism) scheduleNext() {
-	if m.cancelled {
-		m.maybeFinish()
-		return
-	}
 	for {
 		for _, s := range m.pending {
 			s.held = m.heldKeys(s)
@@ -434,7 +439,6 @@ func (m *Mechanism) reserveNodes(s *subscale, delta int) {
 
 // launch injects one subscale's decoupled signals at every predecessor.
 func (m *Mechanism) launch(s *subscale) {
-	s.launched = true
 	m.active++
 	if m.active > m.MaxActive {
 		m.MaxActive = m.active
@@ -528,31 +532,7 @@ func (m *Mechanism) checkSubscale(s *subscale) {
 	m.active--
 	m.reserveNodes(s, -1)
 	m.scheduleNext()
-	m.maybeFinish()
-}
-
-func (m *Mechanism) maybeFinish() {
-	if m.finished {
-		m.maybeCleanup()
-		return
-	}
-	if !m.deployed {
-		// A cancellation before deployment completes cannot settle yet: the
-		// physical deployment is already in flight (scaling.Deploy's timer
-		// will add the instances regardless), so reporting done here would
-		// let a superseding operation plan against an instance set that is
-		// about to change under it. The deploy callback re-runs the
-		// scheduler, which lands back here once the instances exist.
-		return
-	}
-	for _, s := range m.subs {
-		if !s.completed && !(m.cancelled && !s.launched) {
-			return
-		}
-	}
-	m.finished = true
-	m.tracked.Finish()
-	m.maybeCleanup()
+	m.tracked.Pay(1)
 }
 
 // maybeCleanup tears the scaling machinery down once the re-route paths have
@@ -594,14 +574,13 @@ func (m *Mechanism) maybeCleanup() {
 
 // cancel supersedes this scaling operation (the paper's concurrent-request
 // rule: a newer request on the same operator terminates the older one).
-// Subscales not yet launched are dropped; launched ones run to completion so
-// state is never stranded mid-flight. The superseding request must plan from
-// the resulting placement.
+// Subscales not yet launched are dropped, and the units they owed with them;
+// launched ones run to completion so state is never stranded mid-flight. A
+// cancel before deployment still finishes no earlier than the deploy: the
+// instances are added regardless, and a superseding request must plan
+// against them, from the resulting placement.
 func (m *Mechanism) cancel() {
-	if m.cancelled {
-		return
-	}
-	m.cancelled = true
+	dropped := len(m.pending)
 	m.pending = nil
-	m.maybeFinish()
+	m.tracked.Pay(dropped)
 }

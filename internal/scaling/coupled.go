@@ -64,8 +64,6 @@ type Coupled struct {
 	// r*plan.OldParallelism+idx); alignedN counts each round's marks.
 	alignedBits []uint64
 	alignedN    []int
-	migDone     map[int]bool // round → migration complete
-	finished    bool
 }
 
 // OTFS is the paper's generalized on-the-fly scaling framework (Section
@@ -122,33 +120,38 @@ func (c *Coupled) prepare(plan Plan) {
 	c.plan = plan
 	c.alignedBits = make([]uint64, (len(c.rounds)*plan.OldParallelism+63)/64)
 	c.alignedN = make([]int, len(c.rounds))
-	c.migDone = make(map[int]bool)
 }
 
 func (c *Coupled) signal(round int) string {
 	return fmt.Sprintf("coupled:%d:r%d", c.scaleID, round)
 }
 
-// Begin implements Mechanism: deploy, install hooks, run rounds.
+// Begin implements Mechanism: deploy, install hooks, run rounds. The
+// operation owes one unit per round, paid when the round's migration ends.
 func (c *Coupled) Begin(rt *engine.Runtime, plan Plan, done func()) *Tracked {
 	c.prepare(plan)
 	c.rt = rt
 	c.scaleID = rt.NextScaleID()
-	c.op = NewTracked(rt, c.plan, done)
+	c.op = NewTracked(rt, c.plan, func() {
+		c.teardown()
+		if done != nil {
+			done()
+		}
+	})
+	c.op.Owe(len(c.rounds))
 	// Units are assigned to their round's signal for Fig 12b accounting.
 	for r, kgs := range c.rounds {
 		for _, kg := range kgs {
 			rt.Scale.UnitAssigned(kg, c.signal(r))
 		}
 	}
-	c.mig = NewMigrator(rt, c.plan, c.op, nil, nil)
+	c.mig = NewMigrator(rt, c.plan, c.op, nil)
 	if c.AnnounceUpfront {
 		for r := range c.rounds {
 			rt.Scale.SignalInjected(c.signal(r), rt.Sched.Now())
 		}
 	}
 	Deploy(rt, c.plan, func() {
-		c.op.Deployed()
 		// Hooks on the scaling operator's instances.
 		for _, in := range rt.Instances(c.plan.Operator) {
 			in.SetHook(&coupledOpHook{c: c})
@@ -167,6 +170,7 @@ func (c *Coupled) Begin(rt *engine.Runtime, plan Plan, done func()) *Tracked {
 		} else {
 			c.injectRound(0)
 		}
+		c.op.Deployed()
 	})
 	return c.op
 }
@@ -243,12 +247,9 @@ func (c *Coupled) oldInstanceAligned(idx, r int) {
 	// All original instances aligned: migrate this round's groups.
 	sig := c.signal(r)
 	onRoundDone := func() {
-		c.migDone[r] = true
-		c.checkComplete()
+		c.op.Pay(1)
 		if !c.Concurrent {
-			if r+1 < len(c.rounds) {
-				c.injectRound(r + 1)
-			}
+			c.injectRound(r + 1)
 		}
 	}
 	if c.Fluid {
@@ -258,12 +259,9 @@ func (c *Coupled) oldInstanceAligned(idx, r int) {
 	}
 }
 
-func (c *Coupled) checkComplete() {
-	if c.finished || len(c.migDone) < len(c.rounds) {
-		return
-	}
-	c.finished = true
-	// Remove hooks; scaling machinery leaves the runtime.
+// teardown removes the hooks once the operation finishes: the scaling
+// machinery leaves the runtime.
+func (c *Coupled) teardown() {
 	for _, in := range c.rt.Instances(c.plan.Operator) {
 		in.SetHook(nil)
 		if c.Scheduling != nil {
@@ -274,7 +272,6 @@ func (c *Coupled) checkComplete() {
 	for _, p := range c.rt.PredecessorInstances(c.plan.Operator) {
 		p.SetHook(nil)
 	}
-	c.op.Finish()
 }
 
 // coupledPredHook updates routing tables at predecessor operators when the

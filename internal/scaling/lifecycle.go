@@ -54,15 +54,18 @@ type Progress struct {
 // Tracked is the live handle every mechanism's Begin returns and the one
 // place a mechanism reports a lifecycle fact, as it happens: NewTracked marks
 // the scale start, Deployed ends the deploy phase, Landed and Unlanded count
-// planned key groups at their destination, and Finish marks the scale end
-// and fires done. Observers poll Progress on the simulated clock, and a
-// superseding request Cancels the operation per the paper's
-// concurrent-execution rule 1. After a Cancel, the superseding plan must come
-// from PlanFromPlacement so key groups the cancelled operation already moved
-// are not migrated twice.
+// planned key groups at their destination, and Owe and Pay count the units
+// of work the mechanism must settle. Tracked alone decides completion: the
+// operation finishes once it is deployed and nothing is owed, so a plan with
+// no work finishes at deploy. Finishing marks the scale end and fires done.
+// Observers poll Progress on the simulated clock, and a superseding request
+// Cancels the operation per the paper's concurrent-execution rule 1. After a
+// Cancel, the superseding plan must come from PlanFromPlacement so key groups
+// the cancelled operation already moved are not migrated twice.
 type Tracked struct {
 	rt           *engine.Runtime
 	total, moved int
+	owed         int
 	done         func()
 	standDown    func()
 	deployed     bool
@@ -71,7 +74,7 @@ type Tracked struct {
 }
 
 // NewTracked returns the handle for plan and marks the scale start in rt's
-// metrics; done (optional) fires from Finish.
+// metrics; done (optional) fires once, when the operation finishes.
 func NewTracked(rt *engine.Runtime, plan Plan, done func()) *Tracked {
 	rt.Scale.MarkScaleStart(rt.Sched.Now())
 	return &Tracked{rt: rt, total: len(plan.Moves), done: done}
@@ -83,8 +86,34 @@ func NewTracked(rt *engine.Runtime, plan Plan, done func()) *Tracked {
 // subscales).
 func (o *Tracked) OnCancel(standDown func()) { o.standDown = standDown }
 
-// Deployed records that the new instances exist and migration may begin.
-func (o *Tracked) Deployed() { o.deployed = true }
+// Deployed records that the new instances exist and migration may begin,
+// and finishes the operation if nothing is owed. It finishes and fires done
+// right here, so a mechanism calls it last in its deploy step, after its
+// hooks are installed.
+func (o *Tracked) Deployed() {
+	o.deployed = true
+	o.settle()
+}
+
+// Owe declares n more units of work (subscales, barrier rounds, key-group
+// moves) the operation must settle before it can finish.
+func (o *Tracked) Owe(n int) { o.owed += n }
+
+// Pay settles n units of owed work, and finishes the operation if it is
+// deployed and nothing else is owed. Paying more than is owed panics.
+func (o *Tracked) Pay(n int) {
+	if o.owed -= n; o.owed < 0 {
+		panic("scaling: operation paid more work than it owed")
+	}
+	o.settle()
+}
+
+// settle finishes the operation, once, when it is deployed and owes nothing.
+func (o *Tracked) settle() {
+	if !o.finished && o.deployed && o.owed == 0 {
+		o.finish()
+	}
+}
 
 // Landed records that planned key group kg sits at its destination, and the
 // instant it first did.
@@ -97,10 +126,10 @@ func (o *Tracked) Landed(kg int) {
 // fetch-back); the instant it first landed stands.
 func (o *Tracked) Unlanded() { o.moved-- }
 
-// Finish records completion, marks the scale end on the runtime's current
+// finish records completion, marks the scale end on the runtime's current
 // metrics collector, and then fires the done callback — in that order,
 // because done may launch the next operation and swap the collector.
-func (o *Tracked) Finish() {
+func (o *Tracked) finish() {
 	o.finished = true
 	o.rt.Scale.MarkScaleEnd(o.rt.Sched.Now())
 	if o.done != nil {

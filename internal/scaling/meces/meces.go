@@ -76,6 +76,9 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 	m.rt = rt
 	m.plan = plan
 	m.op = scaling.NewTracked(rt, plan, done)
+	// Meces settles as a whole: maybeFinish pays this once every sub-unit
+	// sits at its target.
+	m.op.Owe(1)
 	n := len(plan.Moves) * subKeyGroups
 	m.loc = make([]int, n)
 	m.inFlight = make([]bool, n)
@@ -95,7 +98,6 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 		}
 	}
 	scaling.Deploy(rt, plan, func() {
-		m.op.Deployed()
 		for _, in := range rt.Instances(plan.Operator) {
 			in.SetHook(&hook{m: m})
 		}
@@ -110,6 +112,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 			}
 			m.ensureBackground()
 		})
+		m.op.Deployed()
 	})
 	return m.op
 }
@@ -299,7 +302,7 @@ func (m *Mechanism) maybeFinish() {
 	// installed; the background pusher keeps re-settling any post-completion
 	// ping-pong. This mirrors the real system, where state ownership lives in
 	// the external store for the job's lifetime.
-	m.op.Finish()
+	m.op.Pay(1)
 }
 
 // ensureBackground (re)starts the background pusher if it is not running.

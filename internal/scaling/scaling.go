@@ -192,26 +192,21 @@ const (
 // One Migrator serves one scaling operation. DRRS, the coupled
 // configurations and Unbound all transfer whole key groups through it.
 type Migrator struct {
-	rt   *engine.Runtime
-	plan Plan
-	op   *Tracked
-
-	// failed counts groups settled back at their source; with op's landed
-	// count it tells when every group has settled (each settles once).
-	failed  int
-	onAll   func()
+	rt      *engine.Runtime
+	plan    Plan
+	op      *Tracked
 	observe func(kg int, p MovePhase)
 }
 
 // NewMigrator returns a migrator for the plan that tells op each time a
-// planned group lands. onAll (optional) fires when every planned move has
-// settled — completed, or failed against an unhealthy destination (the state
-// then sits back at its source and the controller's recovery path re-plans
-// it). observe (optional) hears each group's phases as they happen:
-// Extracted right after the state leaves its source, then Landed after the
-// install and the destination's wake, or Reverted after the failure settled.
-func NewMigrator(rt *engine.Runtime, plan Plan, op *Tracked, onAll func(), observe func(kg int, p MovePhase)) *Migrator {
-	return &Migrator{rt: rt, plan: plan, op: op, onAll: onAll, observe: observe}
+// planned group lands. observe (optional) hears each group's phases as they
+// happen: Extracted right after the state leaves its source, then Landed
+// after the install and the destination's wake, or Reverted after a failed
+// transfer settled (the state then sits back at its source and the
+// controller's recovery path re-plans it). Each group settles once, Landed
+// or Reverted.
+func NewMigrator(rt *engine.Runtime, plan Plan, op *Tracked, observe func(kg int, p MovePhase)) *Migrator {
+	return &Migrator{rt: rt, plan: plan, op: op, observe: observe}
 }
 
 func (m *Migrator) report(kg int, p MovePhase) {
@@ -224,8 +219,7 @@ func (m *Migrator) report(kg int, p MovePhase) {
 // merges back into the source store and every predecessor's routing entry is
 // pointed back at the source, so records keep flowing to where the state
 // actually is. The move then counts as settled — sequences continue past it
-// and onAll can fire — leaving the re-plan to the control plane's recovery
-// supersession.
+// — leaving the re-plan to the control plane's recovery supersession.
 func (m *Migrator) settleFailure(kg int, g *state.Group, mv dataflow.Move) {
 	from := m.rt.Instance(m.plan.Operator, mv.From)
 	from.Store().InstallGroup(kg, g)
@@ -234,7 +228,6 @@ func (m *Migrator) settleFailure(kg int, g *state.Group, mv dataflow.Move) {
 			tbl.SetOwner(kg, mv.From)
 		}
 	}
-	m.failed++
 	m.rt.Scale.AddCounter("xfer_settled", 1)
 	from.Wake()
 	// Records for kg may be parked at a live destination, gated on a chunk
@@ -252,14 +245,6 @@ func (m *Migrator) settleFailure(kg int, g *state.Group, mv dataflow.Move) {
 func (m *Migrator) install(to *engine.Instance, kg int, g *state.Group) {
 	to.Store().InstallGroup(kg, g)
 	m.op.Landed(kg)
-}
-
-func (m *Migrator) checkAll() {
-	if m.op.moved+m.failed == len(m.plan.Moves) && m.onAll != nil {
-		all := m.onAll
-		m.onAll = nil
-		all()
-	}
 }
 
 // migrateGroup extracts kg from its source instance and transfers it to the
@@ -289,14 +274,12 @@ func (m *Migrator) migrateGroup(kg int, signal string, done func()) {
 			if done != nil {
 				done()
 			}
-			m.checkAll()
 		})
 	}, func(error) {
 		m.settleFailure(kg, g, move)
 		if done != nil {
 			done()
 		}
-		m.checkAll()
 	})
 }
 
@@ -408,7 +391,6 @@ func (m *Migrator) MigrateAllAtOnce(kgs []int, signal string, done func()) {
 				if remaining == 0 && done != nil {
 					done()
 				}
-				m.checkAll()
 			})
 		}, func(error) {
 			for _, it := range items {
@@ -418,7 +400,6 @@ func (m *Migrator) MigrateAllAtOnce(kgs []int, signal string, done func()) {
 			if remaining == 0 && done != nil {
 				done()
 			}
-			m.checkAll()
 		})
 	}
 }

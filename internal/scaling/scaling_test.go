@@ -170,16 +170,16 @@ func TestMigratorSequenceOrderAndCompletion(t *testing.T) {
 	op := NewTracked(rt, plan, nil)
 	var allDone bool
 	Deploy(rt, plan, func() {
-		mig := NewMigrator(rt, plan, op, func() { allDone = true }, nil)
+		mig := NewMigrator(rt, plan, op, nil)
 		kgs := make([]int, len(plan.Moves))
 		for i, m := range plan.Moves {
 			kgs[i] = m.KeyGroup
 		}
-		mig.MigrateFluid(kgs, "test", nil)
+		mig.MigrateFluid(kgs, "test", func() { allDone = true })
 	})
 	s.Run()
 	if !allDone {
-		t.Fatal("migrator onAll never fired")
+		t.Fatal("MigrateFluid's done never fired")
 	}
 	if rt.Scale.UnitsMigrated() != len(plan.Moves) {
 		t.Fatalf("migrated %d of %d", rt.Scale.UnitsMigrated(), len(plan.Moves))
@@ -200,11 +200,13 @@ func TestMigratorSequenceOrderAndCompletion(t *testing.T) {
 
 // TestTrackedPhases pins the operation handle every mechanism reports to:
 // deploy until told deployed, migrate while fewer groups than planned sit at
-// their destination, drain when all have landed but the mechanism has not
-// finished, done afterwards (firing the callback once). The scale start is
-// marked at NewTracked, each group's landing instant at its first Landed, and
-// the scale end at Finish. Without a stand-down Cancel is recorded but
-// reported as not honored; with one, Cancel runs it after recording.
+// their destination, drain when all have landed but work is still owed, done
+// once it is deployed and nothing is owed (firing the callback once). A Pay
+// before Deployed does not finish, and Deployed with nothing owed finishes,
+// once. The scale start is marked at NewTracked, each group's landing instant
+// at its first Landed, and the scale end at the finish. Without a stand-down
+// Cancel is recorded but reported as not honored; with one, Cancel runs it
+// after recording.
 func TestTrackedPhases(t *testing.T) {
 	plan, g := testPlan(t)
 	s := simtime.NewScheduler()
@@ -231,6 +233,12 @@ func TestTrackedPhases(t *testing.T) {
 		}
 	}
 	want(PhaseDeploy, 0)
+	op.Owe(2)
+	op.Pay(1)
+	want(PhaseDeploy, 0)
+	if fired != 0 {
+		t.Fatal("a Pay before Deployed finished the operation")
+	}
 	op.Deployed()
 	want(PhaseMigrate, 0)
 	op.Landed(plan.Moves[0].KeyGroup)
@@ -260,18 +268,37 @@ func TestTrackedPhases(t *testing.T) {
 		t.Fatalf("%d units migrated, want %d", rt.Scale.UnitsMigrated(), len(plan.Moves))
 	}
 	if fired != 0 || rt.Scale.Ended() {
-		t.Fatal("done fired or scale end marked before Finish")
+		t.Fatal("done fired or scale end marked while work is owed")
 	}
-	op.Finish()
+	op.Pay(1)
 	want(PhaseDone, len(plan.Moves))
+	op.Deployed()
+	op.Pay(0)
 	if fired != 1 || !op.Progress().Cancelled {
-		t.Fatalf("after Finish: done fired %d times, progress %+v", fired, op.Progress())
+		t.Fatalf("after the last Pay: done fired %d times, progress %+v", fired, op.Progress())
 	}
 	if rt.Scale.ScaleEnd != simtime.Time(simtime.Ms(15)) {
 		t.Fatalf("scale end %v, want 15ms", rt.Scale.ScaleEnd)
 	}
+	// Paying more than is owed is a mechanism bug.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("overpaying did not panic")
+			}
+		}()
+		op.Pay(1)
+	}()
+	// With nothing owed, Deployed finishes at once, and only once.
+	empty := 0
+	idle := NewTracked(rt, plan, func() { empty++ })
+	idle.Deployed()
+	idle.Deployed()
+	if empty != 1 || idle.Progress().Phase != PhaseDone {
+		t.Fatalf("Deployed with nothing owed: done fired %d times, phase %v", empty, idle.Progress().Phase)
+	}
 	// done is optional.
-	NewTracked(rt, plan, nil).Finish()
+	NewTracked(rt, plan, nil).Deployed()
 	// A registered stand-down makes Cancel honored; it runs after the
 	// request is recorded.
 	standing := NewTracked(rt, plan, nil)
@@ -324,7 +351,7 @@ func TestMigratorPhases(t *testing.T) {
 	final := map[int]MovePhase{}
 	done := 0
 	Deploy(rt, plan, func() {
-		mig := NewMigrator(rt, plan, op, nil, func(kg int, p MovePhase) {
+		mig := NewMigrator(rt, plan, op, func(kg int, p MovePhase) {
 			from := plan.Moves[plan.at[kg]].From
 			bySrc[from] = append(bySrc[from], event{kg, p})
 			final[kg] = p

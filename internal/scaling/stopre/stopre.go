@@ -27,7 +27,8 @@ func (m *Mechanism) Name() string { return "stop-restart" }
 // cancelled once the checkpoint fires: the job is halted and must restore
 // before resuming, so Cancel is recorded but the restart runs to completion.
 // The operation reads as deploying until the restore ends; every planned
-// group lands in that one instant.
+// group lands in that one instant, and the operation, which owes no other
+// work, finishes as it is deployed.
 func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *scaling.Tracked {
 	op := scaling.NewTracked(rt, plan, done)
 	const signal = "stop-restart"
@@ -61,7 +62,6 @@ func (m *Mechanism) restart(rt *engine.Runtime, plan scaling.Plan, signal string
 		simtime.Duration(float64(totalState)/restoreBytesPerSec*float64(simtime.Second))
 	rt.Sched.After(restore, func() {
 		scaling.AddInstances(rt, plan)
-		op.Deployed()
 		rt.Scale.FirstMigration(signal, rt.Sched.Now())
 		// Redistribute state directly: restore time was already charged.
 		for _, mv := range plan.Moves {
@@ -83,6 +83,6 @@ func (m *Mechanism) restart(rt *engine.Runtime, plan scaling.Plan, signal string
 			}
 			in.Wake()
 		})
-		op.Finish()
+		op.Deployed()
 	})
 }

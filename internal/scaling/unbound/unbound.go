@@ -23,17 +23,22 @@ type Mechanism struct{}
 // Name implements scaling.Mechanism.
 func (m *Mechanism) Name() string { return "unbound" }
 
-// Begin implements scaling.Mechanism. Cancel is recorded but not honored:
-// Unbound has no protocol to stand down.
+// Begin implements scaling.Mechanism. The operation owes one unit per move,
+// paid when the group lands or its failed transfer reverts. Cancel is
+// recorded but not honored: Unbound has no protocol to stand down.
 func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *scaling.Tracked {
 	op := scaling.NewTracked(rt, plan, done)
+	op.Owe(len(plan.Moves))
 	const signal = "unbound"
 	for _, mv := range plan.Moves {
 		rt.Scale.UnitAssigned(mv.KeyGroup, signal)
 	}
-	mig := scaling.NewMigrator(rt, plan, op, op.Finish, nil)
+	mig := scaling.NewMigrator(rt, plan, op, func(_ int, p scaling.MovePhase) {
+		if p == scaling.Landed || p == scaling.Reverted {
+			op.Pay(1)
+		}
+	})
 	scaling.Deploy(rt, plan, func() {
-		op.Deployed()
 		rt.Scale.SignalInjected(signal, rt.Sched.Now())
 		// Universal keys: any instance processes any record, creating local
 		// state shells on demand, so nothing ever suspends — including old
@@ -56,6 +61,7 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 			kgs[i] = mv.KeyGroup
 		}
 		mig.MigrateFluid(kgs, signal, nil)
+		op.Deployed()
 	})
 	return op
 }
