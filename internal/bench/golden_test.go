@@ -80,8 +80,8 @@ var goldenDigests = []struct {
 	{"flaky-uplink", "meces", 2, 0x7e011825017a231c},
 	// scaling.Migrator's failure paths under a node lost mid-migration: the
 	// fluid chain's settle (45 failed transfers), MigrateAllAtOnce's
-	// per-batch settle, and Unbound, the one Migrator user with an onAll
-	// callback.
+	// per-batch settle, and Unbound, whose operation is paid one unit per
+	// settled move.
 	{"node-loss-mid-migrate", "otfs", 1, 0xb88d52d66c439d67},
 	{"node-loss-mid-migrate", "otfs-allatonce", 1, 0x93dad5508912067e},
 	{"node-loss-mid-migrate", "unbound", 2, 0x20f717eacb33dde8},
