@@ -103,10 +103,10 @@ func (w Weights) Validate() {
 // Score collapses the components to a weighted scalar cost; lower is better.
 func (c Components) Score(w Weights) float64 {
 	w.Validate()
-	return w.SLO*c.SLOViolations +
-		w.MigrationMB*c.MigrationMB +
-		w.InstanceSeconds*c.InstanceSeconds +
-		w.Oscillation*c.Oscillations
+	return float64(w.SLO*c.SLOViolations) +
+		float64(w.MigrationMB*c.MigrationMB) +
+		float64(w.InstanceSeconds*c.InstanceSeconds) +
+		float64(w.Oscillation*c.Oscillations)
 }
 
 // Measure reduces one run to its objective vector.

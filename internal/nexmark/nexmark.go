@@ -148,7 +148,7 @@ func bidSource(cfg Q7Config) dataflow.SourceFunc {
 			r.Key = auction
 			r.EventTime = now
 			r.Size = 120
-			r.Value = 10 + rng.Float64()*990
+			r.Value = 10 + float64(rng.Float64()*990)
 			ctx.Ingest(r)
 			if now >= nextWM {
 				ctx.EmitWatermark(now - simtime.Time(simtime.Ms(1)))

@@ -221,7 +221,7 @@ func traceSource(cfg Config) dataflow.SourceFunc {
 			r.Key = user
 			r.EventTime = now
 			r.Size = 140
-			r.Value = 5 + rng.Float64()*55
+			r.Value = 5 + float64(rng.Float64()*55)
 			ctx.Ingest(r)
 			if now >= nextWM {
 				ctx.EmitWatermark(now)

@@ -68,7 +68,7 @@ func (s Shape) FactorAt(el simtime.Duration) float64 {
 	for _, p := range s.Phases {
 		if el < p.Duration {
 			frac := float64(el) / float64(p.Duration)
-			return clampFactor(p.StartFactor + (p.EndFactor-p.StartFactor)*frac)
+			return clampFactor(p.StartFactor + float64((p.EndFactor-p.StartFactor)*frac))
 		}
 		el -= p.Duration
 	}

@@ -199,7 +199,7 @@ func (lt *liveTraffic) Describe() string {
 	var kinds [4]int
 	for _, c := range lt.spec.Cohorts {
 		clients += c.Clients
-		rate += float64(c.Clients) * c.RatePerClient
+		rate += float64(float64(c.Clients) * c.RatePerClient)
 		if int(c.Arrival) < len(kinds) {
 			kinds[c.Arrival]++
 		}
