@@ -51,6 +51,24 @@ func BenchmarkStatePutGetWide(b *testing.B) {
 	}
 }
 
+// BenchmarkStateFill measures keyed state's growth: each op fills a fresh
+// 128-group store with 4096 keys, so every group's slab grows from empty and
+// its key index rehashes through its doublings, as a keyed operator's first
+// pass over its key space does. Its B/op is the bytes that growth allocates.
+func BenchmarkStateFill(b *testing.B) {
+	const keys = 4096
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := NewStore(128)
+		for kg := 0; kg < 128; kg++ {
+			s.OwnGroup(kg)
+		}
+		for k := uint64(1); k <= keys; k++ {
+			s.PutF64(k, float64(k), 64)
+		}
+	}
+}
+
 // BenchmarkStateMigrateGroup measures the migration unit operations every
 // scaling mechanism is built from: extract a populated key group from one
 // store, install it into another, then move it back.

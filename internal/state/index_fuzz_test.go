@@ -2,6 +2,7 @@ package state
 
 import (
 	"bytes"
+	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -179,8 +180,8 @@ var hashInverse = func() uint64 {
 }()
 
 // fuzzKey draws a key from two bytes. Besides small plain keys it makes keys
-// whose hash is a small number (home bucket 0 at every table size, so they
-// collide), keys whose hash is just below 2^64 (home in the last bucket, so
+// whose hash is a small number (tag 0, so they collide at every table size
+// and only the slot's key tells them apart), keys whose hash is just below 2^64 (home in the last bucket, so
 // their probes wrap past the end of the table), and keys that collide in
 // tables of up to 256 buckets.
 func fuzzKey(kind, t byte) uint64 {
@@ -220,6 +221,10 @@ func FuzzGroupIndex(f *testing.F) {
 	// group, to a Thaw-made group, and while other snapshots are held.
 	f.Add([]byte{1, 0, 1, 12, 0, 0, 1, 0, 2, 12, 0, 0, 13, 0, 0, 1, 0, 3, 12, 0, 0, 13, 0, 1, 1, 0, 4, 12, 0, 0, 8, 1, 5, 12, 0, 0})
 	f.Add([]byte{0x21, 1, 7, 7, 0, 0, 12, 0, 0, 0x1c, 0, 0, 1, 0, 9, 13, 0, 0, 12, 0, 0, 0x11, 1, 7, 13, 0, 0, 12, 0, 0, 7, 0, 0, 1, 2, 3, 12, 0, 0})
+	// Keys of kind 1 share tag 0: a 16-key run of them in group 1, some in
+	// group 0, then Delete, Get, re-insert, a restore, a Merge and a moved
+	// sub-unit, each of which must tell them apart by the slot's key.
+	f.Add([]byte{0x31, 1, 0, 1, 1, 5, 1, 1, 9, 2, 1, 5, 4, 1, 5, 4, 1, 9, 1, 1, 5, 7, 0, 0, 0x15, 1, 0, 6, 1, 3, 0x12, 1, 9, 0x14, 1, 9, 0x16, 1, 2})
 	if hashInverse*hashMul != 1 {
 		f.Fatalf("hashInverse %#x is not the inverse of hashMul", hashInverse)
 	}
@@ -282,7 +287,7 @@ func FuzzGroupIndex(f *testing.F) {
 					t.Fatalf("step %d %s: slab keys %x, reference %x", step, what, got, want)
 				}
 			}
-			checkIndex(t, &g.index)
+			checkIndex(t, g)
 		}
 		// matchFrozen thaws f into a throwaway group, matches it, and drops
 		// the throwaway's hold the way a write would.
@@ -455,13 +460,16 @@ func FuzzGroupIndex(f *testing.F) {
 }
 
 // checkIndex requires the key index's counter to match its occupied buckets,
-// the load to stay within its limit, and every key to be reachable from its home
-// bucket without crossing an empty one.
-func checkIndex(t *testing.T, x *keyIndex) {
+// the load to stay within its limit, every entry to name a distinct live slot
+// of g under that slot's key's tag, and every key to be reachable from its
+// home bucket without crossing an empty one.
+func checkIndex(t *testing.T, g *Group) {
 	t.Helper()
+	x := &g.index
 	if loadDen*x.n > loadNum*len(x.table) {
 		t.Fatalf("index holds %d keys in %d buckets", x.n, len(x.table))
 	}
+	named := make([]bool, len(g.slots))
 	var n int
 	mask := len(x.table) - 1
 	for b, e := range x.table {
@@ -469,13 +477,105 @@ func checkIndex(t *testing.T, x *keyIndex) {
 			continue
 		}
 		n++
-		for h := x.home(e.key); h != b; h = (h + 1) & mask {
+		i := int(e.ref) - 1
+		if i < 0 || i >= len(g.slots) || !g.slots[i].live || named[i] {
+			t.Fatalf("bucket %d names slot %d, not a live slot of %d named once", b, i, len(g.slots))
+		}
+		named[i] = true
+		if key := g.slots[i].key; e.tag != tagOf(key) {
+			t.Fatalf("bucket %d holds tag %#x for slot %d, whose key %#x has tag %#x", b, e.tag, i, key, tagOf(key))
+		}
+		for h := x.home(e.tag); h != b; h = (h + 1) & mask {
 			if x.table[h].ref == 0 {
-				t.Fatalf("key %#x in bucket %d is cut off from its home %d by empty bucket %d", e.key, b, x.home(e.key), h)
+				t.Fatalf("slot %d in bucket %d is cut off from its home %d by empty bucket %d", i, b, x.home(e.tag), h)
 			}
 		}
 	}
 	if n != x.n {
 		t.Fatalf("index counts %d keys, its table holds %d", x.n, n)
 	}
+}
+
+// TestIndexTagCollision runs distinct keys that share one tag through every
+// path that looks a key up or moves it: Put, Get, Delete, re-insert, Thaw,
+// Merge, and a sub-unit moved by ExtractSubUnit and InstallChunk. The keys
+// share a home bucket at every table size and the index cannot tell them
+// apart, so only the slot's key says which of them a bucket holds.
+func TestIndexTagCollision(t *testing.T) {
+	const n = 40                // three table doublings
+	keys := make([]uint64, n+4) // the last four are never stored
+	for i := range keys {
+		keys[i] = hashInverse * (0x5bd1e995<<32 | uint64(i)*0x01000193)
+		if keys[i] == keys[0] && i > 0 || tagOf(keys[i]) != tagOf(keys[0]) {
+			t.Fatalf("key %d (%#x) does not share key 0's tag as a distinct key", i, keys[i])
+		}
+	}
+	check := func(what string, g *Group, want map[uint64]float64) {
+		t.Helper()
+		checkIndex(t, g)
+		if g.Len() != len(want) {
+			t.Fatalf("%s: %d keys, want %d", what, g.Len(), len(want))
+		}
+		for _, k := range keys {
+			v, ok := g.GetF64(k)
+			a, aok := g.Get(k)
+			w, wok := want[k]
+			if v != w || ok != wok || aok != wok || wok && a != any(w) {
+				t.Fatalf("%s: key %#x reads %v %v (boxed %v %v), want %v %v", what, k, v, ok, a, aok, w, wok)
+			}
+		}
+	}
+	g, want := &Group{}, map[uint64]float64{}
+	put := func(g *Group, want map[uint64]float64, k uint64, v float64) {
+		g.PutF64(k, v, 8)
+		want[k] = v
+	}
+	for i := 0; i < n; i++ {
+		put(g, want, keys[i], float64(i))
+	}
+	check("put", g, want)
+	for i := 0; i < n; i += 2 {
+		put(g, want, keys[i], float64(100+i))
+	}
+	check("replace", g, want)
+	for i := 0; i < len(keys); i += 3 {
+		g.Delete(keys[i])
+		delete(want, keys[i])
+	}
+	check("delete", g, want)
+	for i := 0; i < n; i += 3 {
+		put(g, want, keys[i], float64(200+i))
+	}
+	check("re-insert", g, want)
+
+	f := g.freeze(nil)
+	th := f.Thaw()
+	check("thaw", th, want)
+	other, wantOther := &Group{}, map[uint64]float64{}
+	for i := 1; i < n+2; i += 4 {
+		put(other, wantOther, keys[i], float64(300+i))
+	}
+	th.Merge(other)
+	maps.Copy(want, wantOther)
+	check("merge", th, want)
+
+	s := NewStore(2)
+	s.InstallGroup(0, th)
+	var c Chunk
+	s.ExtractSubUnit(0, 1, 3, &c)
+	moved := map[uint64]float64{}
+	for k, v := range want {
+		if SubUnitOf(k, 3) == 1 {
+			moved[k] = v
+			delete(want, k)
+		}
+	}
+	if len(moved) == 0 || len(want) == 0 {
+		t.Fatalf("sub-unit 1 of 3 holds %d of the %d keys; the test needs a split", len(moved), len(moved)+len(want))
+	}
+	check("extract", th, want)
+	s.InstallChunk(1, &c)
+	check("install", s.Group(1), moved)
+	s.InstallChunk(0, &c)
+	check("empty chunk", th, want)
 }

@@ -7,22 +7,27 @@
 //
 // Storage layout: a key group keeps its entries in a contiguous slab of
 // 24-byte slots (key, float64 value, int32 size, live flag) that holds no
-// pointer, so the garbage collector never scans it. Slots are found through
-// an open-addressing key index (linear probing over a power-of-two table at
-// most 3/4 full, a multiplicative hash, and backward-shift deletion, so no
-// tombstones build up). The common payload — one float64 accumulator — lives
-// unboxed in the slot. Rare structured payloads (window panes, join buffers)
-// ride in a parallel aux lane indexed by slot, which stays nil until the
-// group first stores one, so keyed-reduce jobs never allocate it. Deleted
-// slots go on a free list and are reused, so steady-state Put/Get/Delete
-// allocate nothing. A store keeps its groups in a window: a slice over the
-// key groups [lo, lo+len) that grows at either end to cover what the store
-// owns, so an instance of a wide job holds about MaxKeyGroups/parallelism
-// pointers, not MaxKeyGroups. Nothing iterates the key index: ForEach,
-// AppendKeys, Merge, ExtractSubUnit and checkpoints walk the slab in slot
-// order, and Groups walks the window in key-group order. A Chunk is a slab
-// with no key index that its owner refills for each sub-unit, and a merge
-// target is reserved once before entries are copied in.
+// pointer, so the garbage collector never scans it. An insert that finds the
+// slab full doubles it, from 8 slots, so a slab grown by inserts has a
+// power-of-two capacity, one of the FrozenPool's size classes. Slots are found
+// through an open-addressing key index (linear probing over a power-of-two
+// table at most 3/4 full, a multiplicative hash, and backward-shift deletion,
+// so no tombstones build up). An index entry is 8 bytes: the top 32 bits of
+// the key's hash, which place it, and its slot number. A lookup confirms a tag
+// match against the slot's key; growing, rebuilding and a delete's backward
+// shift move tags only and never read the slab. The common payload — one
+// float64 accumulator — lives unboxed in the slot. Rare structured payloads
+// (window panes, join buffers) ride in a parallel aux lane indexed by slot,
+// which stays nil until the group first stores one, so keyed-reduce jobs never
+// allocate it. Deleted slots go on a free list and are reused, so steady-state
+// Put/Get/Delete allocate nothing. A store keeps its groups in a window: a
+// slice over the key groups [lo, lo+len) that grows at either end to cover
+// what the store owns, so an instance of a wide job holds about
+// MaxKeyGroups/parallelism pointers, not MaxKeyGroups. Nothing iterates the
+// key index: ForEach, AppendKeys, Merge, ExtractSubUnit and checkpoints walk
+// the slab in slot order, and Groups walks the window in key-group order. A
+// Chunk is a slab with no key index that its owner refills for each sub-unit,
+// and a merge target is reserved once before entries are copied in.
 //
 // Checkpoints: a group's frozen copy is cached on the group until its next
 // write, so a checkpoint of a group untouched since the previous one shares
@@ -112,21 +117,29 @@ const (
 	loadNum, loadDen = 3, 4
 	// minIndexLen is the smallest key-index table.
 	minIndexLen = 8
+	// minSlab is the capacity of a group's first slab. An insert into a full
+	// slab doubles it, so its capacities are the FrozenPool's size classes.
+	minSlab = 8
 )
 
-// indexEntry maps a key to its slot. ref is the slot number plus one, so the
-// zero entry is an empty bucket.
+// indexEntry maps a key to its slot. tag is the top half of the key's hash,
+// which picks its home bucket; the slot itself confirms the key. ref is the
+// slot number plus one, so the zero entry is an empty bucket.
 type indexEntry struct {
-	key uint64
+	tag uint32
 	ref int32
 }
 
+// tagOf returns key's tag: the top 32 bits of key*hashMul.
+func tagOf(key uint64) uint32 { return uint32(key * hashMul >> 32) }
+
 // keyIndex is an open-addressing table from key to slot: linear probing over
-// a power-of-two table. Deletion shifts later entries of the probe run back
-// instead of leaving tombstones.
+// a power-of-two table. It stores tags, not keys, so a lookup confirms a tag
+// match against the group's slab. Deletion shifts later entries of the probe
+// run back instead of leaving tombstones.
 type keyIndex struct {
 	table []indexEntry
-	shift uint // 64 - log2(len(table))
+	shift uint // 32 - log2(len(table))
 	n     int
 }
 
@@ -143,32 +156,36 @@ func indexLen(n int) int {
 // alloc replaces the table with an empty one of size buckets, a power of two.
 func (x *keyIndex) alloc(size int) {
 	x.table = make([]indexEntry, size)
-	x.shift = uint(65 - bits.Len(uint(size)))
+	x.shift = uint(33 - bits.Len(uint(size)))
 }
 
-func (x *keyIndex) home(key uint64) int { return int(key * hashMul >> x.shift) }
+// home returns a tag's home bucket: the top log2(len(table)) bits of the
+// hash, as for a full 64-bit key.
+func (x *keyIndex) home(tag uint32) int { return int(tag >> x.shift) }
 
 // find returns the bucket holding key and true, or the empty bucket that
-// ends key's probe sequence and false (-1 when there is no table yet).
-func (x *keyIndex) find(key uint64) (int, bool) {
+// ends key's probe sequence and false (-1 when there is no table yet). slots
+// is the slab the index points into.
+func (x *keyIndex) find(key uint64, slots []slot) (int, bool) {
 	if len(x.table) == 0 {
 		return -1, false
 	}
+	tag := tagOf(key)
 	mask := len(x.table) - 1
-	for b := x.home(key); ; b = (b + 1) & mask {
+	for b := x.home(tag); ; b = (b + 1) & mask {
 		e := &x.table[b]
 		if e.ref == 0 {
 			return b, false
 		}
-		if e.key == key {
+		if e.tag == tag && slots[e.ref-1].key == key {
 			return b, true
 		}
 	}
 }
 
-// get returns key's slot.
-func (x *keyIndex) get(key uint64) (int32, bool) {
-	b, ok := x.find(key)
+// get returns key's slot in slots.
+func (x *keyIndex) get(key uint64, slots []slot) (int32, bool) {
+	b, ok := x.find(key, slots)
 	if !ok {
 		return 0, false
 	}
@@ -179,11 +196,12 @@ func (x *keyIndex) get(key uint64) (int32, bool) {
 // returned for it, first doubling the table when one more key would fill it
 // past the load limit.
 func (x *keyIndex) set(b int, key uint64, i int32) {
+	tag := tagOf(key)
 	if loadDen*(x.n+1) > loadNum*len(x.table) {
 		x.reserve(x.n + 1)
-		b = x.empty(key)
+		b = x.empty(tag)
 	}
-	x.table[b] = indexEntry{key: key, ref: i + 1}
+	x.table[b] = indexEntry{tag: tag, ref: i + 1}
 	x.n++
 }
 
@@ -197,15 +215,15 @@ func (x *keyIndex) reserve(n int) {
 	x.alloc(indexLen(n))
 	for _, e := range old {
 		if e.ref != 0 {
-			x.table[x.empty(e.key)] = e
+			x.table[x.empty(e.tag)] = e
 		}
 	}
 }
 
-// empty returns the first empty bucket of key's probe sequence.
-func (x *keyIndex) empty(key uint64) int {
+// empty returns the first empty bucket of tag's probe sequence.
+func (x *keyIndex) empty(tag uint32) int {
 	mask := len(x.table) - 1
-	b := x.home(key)
+	b := x.home(tag)
 	for x.table[b].ref != 0 {
 		b = (b + 1) & mask
 	}
@@ -218,7 +236,7 @@ func (x *keyIndex) empty(key uint64) int {
 func (x *keyIndex) remove(b int) {
 	mask := len(x.table) - 1
 	for j := (b + 1) & mask; x.table[j].ref != 0; j = (j + 1) & mask {
-		if (j-x.home(x.table[j].key))&mask >= (j-b)&mask {
+		if (j-x.home(x.table[j].tag))&mask >= (j-b)&mask {
 			x.table[b] = x.table[j]
 			b = j
 		}
@@ -262,7 +280,7 @@ func (g *Group) put(key uint64, val float64, aux any, bytes int) {
 		panic(fmt.Sprintf("state: entry of %d bytes for key %d exceeds the int32 slot size", bytes, key))
 	}
 	g.unfreeze()
-	b, ok := g.index.find(key)
+	b, ok := g.index.find(key, g.slots)
 	var i int32
 	if ok {
 		i = g.index.table[b].ref - 1
@@ -274,6 +292,9 @@ func (g *Group) put(key uint64, val float64, aux any, bytes int) {
 			i = g.free[n-1]
 			g.free = g.free[:n-1]
 		} else {
+			if len(g.slots) == cap(g.slots) {
+				g.slots = append(make([]slot, 0, max(2*len(g.slots), minSlab)), g.slots...)
+			}
 			g.slots = append(g.slots, slot{})
 			if g.aux != nil {
 				g.aux = append(g.aux, nil)
@@ -312,7 +333,7 @@ func (g *Group) Put(key uint64, value any, bytes int) {
 // GetF64 returns the fast-lane value for key. ok is false when the key is
 // absent or holds an aux payload.
 func (g *Group) GetF64(key uint64) (float64, bool) {
-	i, ok := g.index.get(key)
+	i, ok := g.index.get(key, g.slots)
 	if !ok || g.auxAt(i) != nil {
 		return 0, false
 	}
@@ -322,7 +343,7 @@ func (g *Group) GetF64(key uint64) (float64, bool) {
 // Get returns the state for key: the aux payload if present, else the boxed
 // fast-lane value. Hot paths should call GetF64 to avoid the boxing.
 func (g *Group) Get(key uint64) (any, bool) {
-	i, ok := g.index.get(key)
+	i, ok := g.index.get(key, g.slots)
 	if !ok {
 		return nil, false
 	}
@@ -334,7 +355,7 @@ func (g *Group) Get(key uint64) (any, bool) {
 
 // Delete removes a key's state, recycling its slot.
 func (g *Group) Delete(key uint64) {
-	b, ok := g.index.find(key)
+	b, ok := g.index.find(key, g.slots)
 	if !ok {
 		return
 	}
@@ -520,7 +541,8 @@ func (f *FrozenGroup) Thaw() *Group {
 		g.index.alloc(indexLen(n))
 		for i := range g.slots {
 			if s := &g.slots[i]; s.live {
-				g.index.table[g.index.empty(s.key)] = indexEntry{key: s.key, ref: int32(i) + 1}
+				tag := tagOf(s.key)
+				g.index.table[g.index.empty(tag)] = indexEntry{tag: tag, ref: int32(i) + 1}
 			}
 		}
 		g.index.n = n

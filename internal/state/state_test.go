@@ -308,8 +308,8 @@ func TestRestoredGroupMatchesDeepClone(t *testing.T) {
 		g.PutF64(1001, 1, 8)
 	}
 	for _, k := range []uint64{1000, 1001} {
-		gi, _ := got.index.get(k)
-		wi, _ := want.index.get(k)
+		gi, _ := got.index.get(k, got.slots)
+		wi, _ := want.index.get(k, want.slots)
 		if gi != wi {
 			t.Fatalf("key %d took slot %d, deep clone slot %d", k, gi, wi)
 		}
