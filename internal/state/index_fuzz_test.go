@@ -181,9 +181,9 @@ var hashInverse = func() uint64 {
 
 // fuzzKey draws a key from two bytes. Besides small plain keys it makes keys
 // whose hash is a small number (tag 0, so they collide at every table size
-// and only the slot's key tells them apart), keys whose hash is just below 2^64 (home in the last bucket, so
-// their probes wrap past the end of the table), and keys that collide in
-// tables of up to 256 buckets.
+// and only the slot's key tells them apart), keys whose hash is just below
+// 2^64 (home in the last bucket, so their probes wrap past the end of the
+// table), and keys that collide in tables of up to 256 buckets.
 func fuzzKey(kind, t byte) uint64 {
 	switch kind % 4 {
 	case 0:
