@@ -412,7 +412,7 @@ func NewStat(samples []float64) Stat {
 	mean := sum / float64(len(samples))
 	var sq float64
 	for _, v := range samples {
-		sq += (v - mean) * (v - mean)
+		sq += float64((v - mean) * (v - mean))
 	}
 	return Stat{Mean: mean, Std: math.Sqrt(sq / float64(len(samples)))}
 }

@@ -22,7 +22,7 @@ func instanceSeconds(p0 int, waves []WaveOutcome, end simtime.Time) float64 {
 			continue
 		}
 		if w.ScaleAt > t {
-			total += float64(cur) * w.ScaleAt.Sub(t).Seconds()
+			total += float64(float64(cur) * w.ScaleAt.Sub(t).Seconds())
 			t = w.ScaleAt
 		}
 		alive := cur
@@ -34,7 +34,7 @@ func instanceSeconds(p0 int, waves []WaveOutcome, end simtime.Time) float64 {
 			stop = w.DoneAt
 		}
 		if stop > t {
-			total += float64(alive) * stop.Sub(t).Seconds()
+			total += float64(float64(alive) * stop.Sub(t).Seconds())
 			t = stop
 		}
 		if w.Done {
@@ -44,7 +44,7 @@ func instanceSeconds(p0 int, waves []WaveOutcome, end simtime.Time) float64 {
 		}
 	}
 	if end > t {
-		total += float64(cur) * end.Sub(t).Seconds()
+		total += float64(float64(cur) * end.Sub(t).Seconds())
 	}
 	return total
 }

@@ -4,10 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"drrs/internal/dataflow"
+	"drrs/internal/engine"
+	"drrs/internal/netsim"
+	"drrs/internal/nexmark"
 	"drrs/internal/scaling"
+	"drrs/internal/simtime"
+	"drrs/internal/twitch"
 	"drrs/internal/workload"
 )
 
@@ -159,6 +166,86 @@ func BenchmarkLiveGen(b *testing.B) {
 		}
 		if arrivals < 200_000 {
 			b.Fatalf("generated only %d arrivals", arrivals)
+		}
+	}
+}
+
+// idleSource is a SourceContext on which a source starts and stops: it draws
+// its first arrival, and the follow-up it schedules never runs.
+type idleSource struct {
+	index, parallelism int
+	rec                netsim.Record
+}
+
+func (c *idleSource) Now() simtime.Time              { return 0 }
+func (c *idleSource) After(simtime.Duration, func()) {}
+func (c *idleSource) Ingest(*netsim.Record)          {}
+func (c *idleSource) NewRecord() *netsim.Record      { c.rec = netsim.Record{}; return &c.rec }
+func (c *idleSource) EmitWatermark(simtime.Time)     {}
+func (c *idleSource) InstanceIndex() int             { return c.index }
+func (c *idleSource) Parallelism() int               { return c.parallelism }
+
+// heapBytes reports how many heap bytes f allocates.
+func heapBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestRunSharesZipfTable: a run's Zipf tables are built with its graph and
+// shared by all of its source instances. Under Classic traffic, twitch, Q7
+// and Q8, over a 30 000-id space (a 240 KB table), building the graph
+// allocates at least one table each time it is built, so two runs build two
+// tables; starting every source instance allocates less than one table, so
+// no instance builds its own.
+func TestRunSharesZipfTable(t *testing.T) {
+	const ids = 30000
+	const table = 8 * ids // the table's CDF alone
+	classic := workload.Classic(workload.ClassicSpec{Keys: ids, RatePerSec: 100, Skew: 0.8, Seed: 1})
+	job := workload.DefaultJob()
+	job.SourceParallelism = 4
+	builds := []struct {
+		name  string
+		build func() (*dataflow.Graph, *engine.CollectSink)
+	}{
+		{"classic", func() (*dataflow.Graph, *engine.CollectSink) { return workload.BuildJob(job, classic) }},
+		{"twitch", func() (*dataflow.Graph, *engine.CollectSink) {
+			return twitch.Build(twitch.Config{Users: ids, SourceParallelism: 4, Seed: 1})
+		}},
+		{"q7", func() (*dataflow.Graph, *engine.CollectSink) {
+			return nexmark.BuildQ7(nexmark.Q7Config{Auctions: ids, SourceParallelism: 4, Seed: 1})
+		}},
+		{"q8", func() (*dataflow.Graph, *engine.CollectSink) {
+			return nexmark.BuildQ8(nexmark.Q8Config{People: ids, Seed: 1})
+		}},
+	}
+	for _, b := range builds {
+		for run := 1; run <= 2; run++ {
+			var g *dataflow.Graph
+			if n := heapBytes(func() { g, _ = b.build() }); n < table {
+				t.Fatalf("%s run %d: building the graph allocates %d B, less than one %d B table", b.name, run, n, table)
+			}
+			sources := 0
+			started := heapBytes(func() {
+				for _, name := range g.Topological() {
+					spec := g.Operator(name)
+					if spec.Source == nil {
+						continue
+					}
+					for i := 0; i < spec.Parallelism; i++ {
+						spec.Source(&idleSource{index: i, parallelism: spec.Parallelism})
+						sources++
+					}
+				}
+			})
+			if sources < 2 {
+				t.Fatalf("%s: %d source instances, want several to share a table", b.name, sources)
+			}
+			if started >= table {
+				t.Fatalf("%s run %d: starting %d source instances allocates %d B, at least one %d B table", b.name, run, sources, started, table)
+			}
 		}
 	}
 }

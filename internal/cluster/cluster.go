@@ -151,6 +151,9 @@ type Cluster struct {
 	// (attempt numbers the re-attempt, starting at 1). It fires at the
 	// instant the failure was detected, before the backoff elapses.
 	OnTransferRetry func(from, to netsim.Endpoint, bytes int, err error, attempt int)
+
+	// spare is the free list of transfer records.
+	spare *transfer
 }
 
 // New returns a cluster with a single infinite-bandwidth node "local", which
@@ -278,21 +281,57 @@ func (c *Cluster) Transfer(from, to netsim.Endpoint, bytes int, done func()) {
 // bandwidth for the re-sent bytes — until it succeeds or exhausts the retry
 // budget. done/fail still fire exactly once.
 func (c *Cluster) TransferChecked(from, to netsim.Endpoint, bytes int, done func(), fail func(error)) {
-	c.attemptTransfer(from, to, bytes, 0, done, fail)
+	t := c.spare
+	if t == nil {
+		t = &transfer{c: c}
+		t.deliverFn, t.concludeFn, t.launchFn = t.deliver, t.concludeFail, t.launch
+	} else {
+		c.spare, t.next = t.next, nil
+	}
+	t.from, t.to, t.bytes, t.attempt, t.done, t.fail = from, to, bytes, 0, done, fail
+	t.launch()
 }
 
-// attemptTransfer launches attempt number attempt (0-based) of a transfer.
-func (c *Cluster) attemptTransfer(from, to netsim.Endpoint, bytes, attempt int, done func(), fail func(error)) {
-	src := c.NodeOf(from)
+// transfer is one state transfer across all its attempts. Its scheduler
+// callbacks are bound once, when the record is first built; the record goes
+// back to its cluster's free list as done or fail fires, so once the list is
+// warm neither a transfer nor a retry allocates.
+type transfer struct {
+	c        *Cluster
+	from, to netsim.Endpoint
+	bytes    int
+	// attempt numbers the attempt in flight (0-based); cause is why it
+	// failed, once it has.
+	attempt int
+	cause   error
+	done    func()
+	fail    func(error)
+
+	deliverFn, concludeFn, launchFn func()
+	// next links the free list while the record sits in it.
+	next *transfer
+}
+
+// recycle returns t to the free list; the caller has copied what it still
+// needs out of it.
+func (c *Cluster) recycle(t *transfer) {
+	t.cause, t.done, t.fail = nil, nil, nil
+	t.next, c.spare = c.spare, t
+}
+
+// launch starts attempt number t.attempt.
+func (t *transfer) launch() {
+	c := t.c
+	src := c.NodeOf(t.from)
 	if src.Dead {
-		c.failTransfer(c.sched.Now(), from, to, bytes, attempt, ErrInstanceDead, done, fail)
+		t.failAt(c.sched.Now(), ErrInstanceDead)
 		return
 	}
-	dst := c.NodeOf(to)
-	src.TransferredBytes += int64(bytes)
-	ready := src.reserve(c.sched.Now(), bytes)
+	dst := c.NodeOf(t.to)
+	src.TransferredBytes += int64(t.bytes)
+	ready := src.reserve(c.sched.Now(), t.bytes)
 	if src == dst {
-		c.sched.At(ready, func() { c.deliver(from, to, bytes, attempt, done, fail) })
+		c.sched.At(ready, t.deliverFn)
 		return
 	}
 	lat := transferLatency
@@ -300,15 +339,15 @@ func (c *Cluster) attemptTransfer(from, to netsim.Endpoint, bytes, attempt int, 
 		if sr.Down || dr.Down {
 			// The path is partitioned: the transfer times out after the base
 			// hop latency without ever occupying the uplink.
-			c.failTransfer(ready.Add(lat), from, to, bytes, attempt, ErrPartitioned, done, fail)
+			t.failAt(ready.Add(lat), ErrPartitioned)
 			return
 		}
-		ready = sr.reserveUplink(ready, bytes)
-		sr.OutBytes += int64(bytes)
-		dr.InBytes += int64(bytes)
+		ready = sr.reserveUplink(ready, t.bytes)
+		sr.OutBytes += int64(t.bytes)
+		dr.InBytes += int64(t.bytes)
 		lat += sr.UplinkLatency + dr.UplinkLatency
 	}
-	c.sched.At(ready.Add(lat), func() { c.deliver(from, to, bytes, attempt, done, fail) })
+	c.sched.At(ready.Add(lat), t.deliverFn)
 }
 
 // rackPath returns the source and destination racks when the transfer crosses
@@ -322,33 +361,40 @@ func (c *Cluster) rackPath(src, dst *Node) (*Rack, *Rack) {
 
 // deliver lands the bytes at the destination, re-resolving its node at
 // delivery time.
-func (c *Cluster) deliver(from, to netsim.Endpoint, bytes, attempt int, done func(), fail func(error)) {
-	switch {
-	case c.NodeOf(to).Dead:
-		c.concludeFail(from, to, bytes, attempt, ErrInstanceDead, done, fail)
-	case done != nil:
+func (t *transfer) deliver() {
+	if t.c.NodeOf(t.to).Dead {
+		t.cause = ErrInstanceDead
+		t.concludeFail()
+		return
+	}
+	done := t.done
+	t.c.recycle(t)
+	if done != nil {
 		done()
 	}
 }
 
-// failTransfer schedules the failure's conclusion (retry or report) for at.
-func (c *Cluster) failTransfer(at simtime.Time, from, to netsim.Endpoint, bytes, attempt int, cause error, done func(), fail func(error)) {
-	c.sched.At(at, func() { c.concludeFail(from, to, bytes, attempt, cause, done, fail) })
+// failAt schedules the failure's conclusion (retry or report) for at.
+func (t *transfer) failAt(at simtime.Time, cause error) {
+	t.cause = cause
+	t.c.sched.At(at, t.concludeFn)
 }
 
 // concludeFail runs at the instant a failed attempt was detected: under an
 // armed retry policy with budget left it re-launches the whole attempt after
 // the backoff; otherwise it reports the failure.
-func (c *Cluster) concludeFail(from, to netsim.Endpoint, bytes, attempt int, cause error, done func(), fail func(error)) {
-	if p := c.TransferRetry; p.Enabled() && attempt < p.Max {
+func (t *transfer) concludeFail() {
+	c := t.c
+	if p := c.TransferRetry; p.Enabled() && t.attempt < p.Max {
 		if c.OnTransferRetry != nil {
-			c.OnTransferRetry(from, to, bytes, cause, attempt+1)
+			c.OnTransferRetry(t.from, t.to, t.bytes, t.cause, t.attempt+1)
 		}
-		c.sched.After(p.Backoff(attempt), func() {
-			c.attemptTransfer(from, to, bytes, attempt+1, done, fail)
-		})
+		c.sched.After(p.Backoff(t.attempt), t.launchFn)
+		t.attempt++
 		return
 	}
+	from, to, bytes, cause, fail := t.from, t.to, t.bytes, t.cause, t.fail
+	c.recycle(t)
 	c.noteFail(from, to, bytes, cause, fail)
 }
 

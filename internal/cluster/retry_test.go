@@ -157,3 +157,65 @@ func TestTransferRetryDisabledIsFailFast(t *testing.T) {
 		t.Fatalf("fail fired %d times, want 1", fails)
 	}
 }
+
+// TestTransferAttemptAllocs: once the cluster's free list of transfer records
+// is warm, a transfer allocates nothing on each of its paths — a delivery, a
+// partition failure retried into a delivery, and a retry that fails again —
+// and a failure reported after its retries allocates only what the
+// failure's error does, the same as one reported on the first attempt.
+func TestTransferAttemptAllocs(t *testing.T) {
+	s := simtime.NewScheduler()
+	c := New(s)
+	c.AddRack("r0", 1<<20, 0)
+	c.AddRack("r1", 1<<20, 0)
+	c.AddNode("n0", 1, 1<<20).Rack = "r0"
+	c.AddNode("n1", 1, 1<<20).Rack = "r1"
+	c.Place(ep("a", 0), "n0")
+	c.Place(ep("b", 0), "n1")
+	r1 := c.Rack("r1")
+	var dones, fails, retries int
+	done := func() { dones++ }
+	fail := func(error) { fails++ }
+	heal := func(_, _ netsim.Endpoint, _ int, _ error, _ int) { retries++; r1.Down = false }
+	keepDown := func(_, _ netsim.Endpoint, _ int, _ error, _ int) { retries++ }
+	transfer := func() {
+		c.TransferChecked(ep("a", 0), ep("b", 0), 1000, done, fail)
+		s.Run()
+	}
+	partitioned := func() {
+		r1.Down = true
+		transfer()
+	}
+	allocs := func(name string, cycle func()) float64 {
+		t.Helper()
+		cycle()
+		d, f, r := dones, fails, retries
+		avg := testing.AllocsPerRun(20, cycle)
+		if dones == d && fails == f {
+			t.Fatalf("%s: no transfer concluded", name)
+		}
+		if dones != d && fails != f {
+			t.Fatalf("%s: transfers both delivered and failed", name)
+		}
+		if c.OnTransferRetry != nil && retries == r {
+			t.Fatalf("%s: no attempt was retried", name)
+		}
+		return avg
+	}
+
+	if avg := allocs("delivery", transfer); avg != 0 {
+		t.Fatalf("a delivered transfer allocates %.2f objects, want 0", avg)
+	}
+	c.TransferRetry = RetryPolicy{Max: 3, Base: simtime.Millisecond, Cap: simtime.Millisecond}
+	c.OnTransferRetry = heal
+	if avg := allocs("retry then delivery", partitioned); avg != 0 || fails != 0 {
+		t.Fatalf("a partitioned transfer retried into a delivery allocates %.2f objects (%d failed), want 0", avg, fails)
+	}
+	c.OnTransferRetry = keepDown
+	retried := allocs("retries exhausted", partitioned)
+	c.TransferRetry, c.OnTransferRetry = RetryPolicy{}, nil
+	first := allocs("no retry", partitioned)
+	if first == 0 || retried != first {
+		t.Fatalf("a failure reported after 3 retries allocates %.2f objects, one reported at once %.2f; want equal and non-zero (the error)", retried, first)
+	}
+}

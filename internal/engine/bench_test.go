@@ -196,6 +196,19 @@ func BenchmarkWatermarkFanIn256(b *testing.B) {
 	}
 }
 
+// BenchmarkWatermarkFanOut is TestWatermarkBroadcastAllocs as a gated
+// benchmark: one op is a source watermark advanced at an instance with 128
+// output edges and taken by all 128 receivers, allocation-free once warm.
+func BenchmarkWatermarkFanOut(b *testing.B) {
+	_, cycle := fanOutRig(128)
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
 // TestEmitSteadyStateAllocs is the allocation guard for the per-record
 // emission path: once queues and pools are warm, a record emitted through a
 // keyed port and a rebalance port (two outputs, so it is also copied), carried

@@ -96,6 +96,10 @@ type Runtime struct {
 	// queued arrival leaves, and records are returned when they die (applied
 	// without being forwarded, or a marker reaching its sink).
 	recPool netsim.RecordPool
+	// wmPool recycles watermarks: an instance sends one per advance down
+	// all its output edges, holding it once per edge, and each receiver
+	// puts it back once it has read it.
+	wmPool netsim.WatermarkPool
 	// arrivalSegs and sideSegs are the free segment chains every source
 	// backlog of this run grows from and retires to.
 	arrivalSegs netsim.SegChain[arrival]

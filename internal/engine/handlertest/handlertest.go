@@ -44,6 +44,8 @@ func (discard) OnWatermark(dataflow.OpContext, simtime.Time) {}
 // rig is one halted instance op[0] fed by fanIn source instances; only the
 // test polls its handler. serial numbers every channel ever attached, so
 // channels of the two rigs can be compared after detaches made them stale.
+// Watermarks come from wms with one hold each, and a poll that takes one
+// puts it back after reading it, as the instance would.
 type rig struct {
 	s      *simtime.Scheduler
 	rt     *engine.Runtime
@@ -51,6 +53,7 @@ type rig struct {
 	gate   *gate
 	probe  Probe
 	serial map[*netsim.Edge]int
+	wms    netsim.WatermarkPool
 }
 
 func newRig(fanIn int, probe Probe) *rig {
@@ -113,7 +116,7 @@ func (r *rig) apply(o op) {
 	case opRecord:
 		ins[o.ch].TrySend(&netsim.Record{Key: o.id, KeyGroup: o.kg, Size: 64})
 	case opWatermark:
-		ins[o.ch].TrySend(&netsim.Watermark{WM: simtime.Time(o.id)})
+		ins[o.ch].TrySend(r.wms.Get(simtime.Time(o.id), 1))
 	case opRequeue:
 		// A handler that peeked a message it could not consume puts it back.
 		ins[o.ch].PushFrontInbox(&netsim.Record{Key: o.id, KeyGroup: o.kg, Size: 64})
@@ -153,6 +156,7 @@ func (r *rig) poll() observation {
 		o.msg = fmt.Sprintf("record %d", v.Key)
 	case *netsim.Watermark:
 		o.msg = fmt.Sprintf("watermark %d", v.WM)
+		r.wms.Put(v)
 	default:
 		o.msg = fmt.Sprintf("%T", m)
 	}

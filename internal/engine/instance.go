@@ -761,9 +761,11 @@ func (in *Instance) ForwardMarker(r *netsim.Record) {
 // --- Watermarks ---
 
 func (in *Instance) onWatermark(w *netsim.Watermark, e *netsim.Edge) {
+	wm := w.WM
+	in.rt.wmPool.Put(w)
 	if e != nil {
 		if s := in.slotOf(e); s >= 0 {
-			in.wm.set(s, w.WM)
+			in.wm.set(s, wm)
 		}
 	}
 	min, ok := in.wm.aligned()
@@ -772,9 +774,19 @@ func (in *Instance) onWatermark(w *netsim.Watermark, e *netsim.Edge) {
 		if in.logic != nil {
 			in.logic.OnWatermark(in, min)
 		}
-		if len(in.ports) > 0 { // a sink has no one to tell
-			in.BroadcastControl(&netsim.Watermark{WM: min})
-		}
+		in.broadcastWatermark(min)
+	}
+}
+
+// broadcastWatermark sends one pooled watermark down every output edge,
+// held once per edge; a sink has no one to tell.
+func (in *Instance) broadcastWatermark(wm simtime.Time) {
+	n := 0
+	for _, p := range in.ports {
+		n += len(p.edges)
+	}
+	if n > 0 {
+		in.BroadcastControl(in.rt.wmPool.Get(wm, n))
 	}
 }
 
@@ -897,7 +909,7 @@ func (in *Instance) defaultScaleBarrier(b *netsim.ScaleBarrier, e *netsim.Edge) 
 	if !in.AlignOn(key, e) {
 		return
 	}
-	in.BroadcastControl(&netsim.ScaleBarrier{ScaleID: b.ScaleID, Round: b.Round})
+	in.BroadcastControl(b)
 	in.ReleaseAlignment(key)
 }
 
@@ -914,7 +926,7 @@ func (c sourceContext) NewRecord() *netsim.Record {
 	return c.in.rt.recPool.Get()
 }
 func (c sourceContext) EmitWatermark(wm simtime.Time) {
-	c.in.src.pushControl(&netsim.Watermark{WM: wm})
+	c.in.src.backlog.PushBack(arrival{eventTime: wm, kind: arrWatermark})
 	c.in.drainBacklog()
 }
 func (c sourceContext) InstanceIndex() int { return c.in.Index }
@@ -927,8 +939,9 @@ func (in *Instance) startSource() {
 // source is what only a source instance keeps: its ingest backlog, the
 // records Kafka holds that the consumer has not polled yet. An arrival waits
 // there by value, so a queued record costs one compact entry and no pooled
-// Record. A record's Aux and each control message (watermark, checkpoint
-// barrier) wait in order in side; an entry's kind says when to take from it.
+// Record; so does a watermark. A record's Aux and each other control message
+// (a checkpoint barrier) wait in order in side; an entry's kind says when to
+// take from it.
 // Every source of a run grows both deques from the runtime's shared segment
 // chains.
 type source struct {
@@ -936,8 +949,9 @@ type source struct {
 	side    netsim.Deque[any]
 }
 
-// arrival is one backlog entry: a record's fields by value, or (kind
-// arrControl) the place of a control message waiting in source.side.
+// arrival is one backlog entry: a record's fields by value, a watermark
+// (kind arrWatermark, its time in eventTime), or (kind arrControl) the place
+// of a control message waiting in source.side.
 // KeyGroup is not kept: routing sets it as the record leaves.
 type arrival struct {
 	key        uint64
@@ -954,9 +968,10 @@ type arrival struct {
 type arrivalKind uint8
 
 const (
-	arrMarker  arrivalKind = 1 << iota // the record is a latency marker
-	arrAux                             // the record's Aux waits in the side lane
-	arrControl                         // a control message waits in the side lane
+	arrMarker    arrivalKind = 1 << iota // the record is a latency marker
+	arrAux                               // the record's Aux waits in the side lane
+	arrControl                           // a control message waits in the side lane
+	arrWatermark                         // a watermark at eventTime; nothing waits
 )
 
 // pushRecord queues r's fields. r itself is not kept.
@@ -1019,10 +1034,14 @@ func (in *Instance) drainBacklog() {
 		if len(in.pending) > 0 && !in.drainPending() {
 			return
 		}
-		if in.PauseData && s.backlog.At(0).kind&arrControl == 0 {
+		if in.PauseData && s.backlog.At(0).kind&(arrControl|arrWatermark) == 0 {
 			return
 		}
 		a := s.backlog.PopFront()
+		if a.kind&arrWatermark != 0 {
+			in.broadcastWatermark(a.eventTime)
+			continue
+		}
 		if a.kind&arrControl != 0 {
 			m := s.side.PopFront().(netsim.Message)
 			in.BroadcastControl(m)

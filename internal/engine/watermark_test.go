@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"drrs/internal/dataflow"
 	"drrs/internal/netsim"
 	"drrs/internal/simtime"
 )
@@ -196,5 +197,108 @@ func checkSlots(t *testing.T, step int, w *wmSlots, vals []simtime.Time) {
 	if w.unset != unset || w.neg1 != neg1 || w.atMin != atMin || (atMin > 0 && w.min != min) {
 		t.Fatalf("step %d: unset %d neg1 %d min %v×%d, recount %d %d %v×%d",
 			step, w.unset, w.neg1, w.min, w.atMin, unset, neg1, min, atMin)
+	}
+}
+
+// fanOutRig builds src → fan → sink×width: the source's watermarks reach the
+// one fan instance, and each advance there goes out once to every sink. It
+// returns the source's context and a cycle that emits the next watermark and
+// runs until every sink has taken it.
+func fanOutRig(width int) (*Runtime, func()) {
+	var ctx dataflow.SourceContext
+	discard := func() dataflow.Logic {
+		return &MapLogic{Fn: func(*netsim.Record) *netsim.Record { return nil }}
+	}
+	g := dataflow.NewGraph()
+	g.AddOperator(&dataflow.OperatorSpec{Name: "src", Parallelism: 1, Source: func(sc dataflow.SourceContext) { ctx = sc }})
+	g.AddOperator(&dataflow.OperatorSpec{Name: "fan", Parallelism: 1, NewLogic: discard})
+	g.AddOperator(&dataflow.OperatorSpec{Name: "sink", Parallelism: width, NewLogic: discard})
+	g.Connect("src", "fan", dataflow.ExchangeRebalance)
+	g.Connect("fan", "sink", dataflow.ExchangeRebalance)
+	rt := New(simtime.NewScheduler(), g, nil, Config{Seed: 1, MarkerInterval: -1})
+	rt.Start()
+	var wm simtime.Time
+	return rt, func() {
+		wm += 10
+		ctx.EmitWatermark(wm)
+		rt.Sched.Run()
+		for _, in := range rt.Instances("sink") {
+			if in.curWM != wm {
+				panic("a sink did not take the watermark")
+			}
+		}
+	}
+}
+
+// TestWatermarkBroadcastAllocs: once warm, a watermark emitted by a source,
+// advanced at an instance with 128 output edges, broadcast and taken by all
+// 128 receivers allocates nothing: one pooled watermark per advance serves
+// every edge and returns to the run's pool after the last receiver read it.
+func TestWatermarkBroadcastAllocs(t *testing.T) {
+	rt, cycle := fanOutRig(128)
+	cycle()
+	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
+		t.Fatalf("a watermark broadcast-and-receive cycle over 128 edges allocates %.2f objects, want 0", avg)
+	}
+	// The fan instance puts the source's watermark back before it
+	// broadcasts its own advance, which reuses it: one watermark serves both
+	// hops.
+	if n := rt.wmPool.Len(); n != 1 {
+		t.Fatalf("the pool holds %d watermarks after the cycles, want 1", n)
+	}
+}
+
+// TestWatermarkHolds: a watermark sent down k edges goes back to the pool
+// only after the k-th receiver has read it, and until then every receiver
+// still reads the value it was sent. A watermark built outside the pool is
+// never recycled.
+func TestWatermarkHolds(t *testing.T) {
+	const k = 4
+	rt, _ := fanOutRig(k)
+	fan := rt.Instance("fan", 0)
+	sinks := rt.Instances("sink")
+	for _, in := range sinks {
+		in.Halted = true
+	}
+	fan.broadcastWatermark(42)
+	rt.Sched.Run()
+	var w *netsim.Watermark
+	for i, in := range sinks {
+		e := in.InEdges()[0]
+		m, ok := e.InboxAt(0).(*netsim.Watermark)
+		if !ok || m.WM != 42 {
+			t.Fatalf("sink %d: inbox head %+v, want the watermark 42", i, e.InboxAt(0))
+		}
+		if w == nil {
+			w = m
+		} else if m != w {
+			t.Fatalf("sink %d received a watermark of its own; want one shared by every edge", i)
+		}
+	}
+	for i, in := range sinks {
+		if n := rt.wmPool.Len(); n != 0 {
+			t.Fatalf("the watermark went back to the pool after %d of %d receivers read it", i, k)
+		}
+		e := in.InEdges()[0]
+		if m := e.PopInbox().(*netsim.Watermark); m.WM != 42 {
+			t.Fatalf("receiver %d of %d reads %v, want 42", i+1, k, m.WM)
+		}
+		in.onWatermark(w, e)
+		if in.curWM != 42 {
+			t.Fatalf("receiver %d of %d aligned to %v, want 42", i+1, k, in.curWM)
+		}
+	}
+	if n := rt.wmPool.Len(); n != 1 {
+		t.Fatalf("the pool holds %d watermarks after all %d receivers read it, want 1", n, k)
+	}
+	if got := rt.wmPool.Get(43, 1); got != w {
+		t.Fatal("the next watermark is a new one, not the recycled one")
+	}
+
+	own := &netsim.Watermark{WM: 50}
+	in := sinks[0]
+	in.onWatermark(own, in.InEdges()[0])
+	if n := rt.wmPool.Len(); n != 0 || own.WM != 50 || in.curWM != 50 {
+		t.Fatalf("a watermark built outside the pool: pool %d, value %v, aligned %v; want 0, 50, 50", n, own.WM, in.curWM)
 	}
 }

@@ -94,9 +94,16 @@ func (r *Record) SizeBytes() int {
 	return r.Size
 }
 
-// Watermark carries event-time progress.
+// Watermark carries event-time progress. A sender hands one watermark to
+// every output edge at once; a watermark from a WatermarkPool counts the
+// receivers yet to read it and goes back to the pool after the last.
 type Watermark struct {
 	WM simtime.Time
+	// holds counts the receivers that have not yet read WM; it is 0 for a
+	// watermark built outside a pool, which is never recycled.
+	holds int
+	// next links the pool's free list while the watermark sits in it.
+	next *Watermark
 }
 
 // MsgKind implements Message.
@@ -152,7 +159,9 @@ func (*ConfirmBarrier) SizeBytes() int { return 24 }
 
 // ScaleBarrier is the coupled scaling signal used by the generalized OTFS
 // framework and Megaphone: routing confirmation and migration trigger in one
-// message, aligned like a checkpoint barrier.
+// message, aligned like a checkpoint barrier. Nothing writes a barrier once
+// it is built, so one barrier serves a whole round: every hop forwards the
+// one it received.
 type ScaleBarrier struct {
 	ScaleID int64
 	Round   int // Megaphone reconfiguration round (0 for single-shot OTFS)

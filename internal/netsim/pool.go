@@ -1,5 +1,7 @@
 package netsim
 
+import "drrs/internal/simtime"
+
 // RecordPool is a free-list recycler for Record values on the ingest path.
 // A simulation is single-threaded, so the pool is deliberately unsynchronized;
 // each run (engine runtime) owns its own pool. Get falls back to allocation
@@ -50,3 +52,44 @@ func (p *RecordPool) Put(r *Record) {
 
 // Len reports how many records the pool currently holds (for tests).
 func (p *RecordPool) Len() int { return p.n }
+
+// WatermarkPool is a free list of watermarks, threaded through the
+// watermarks' own next field, so recycling allocates nothing. Like
+// RecordPool it is unsynchronized and owned by one run. It needs no cap: a
+// watermark is out of the pool only while an edge or a blocked-emission
+// queue still holds it, and that is all the pool ever grows to.
+type WatermarkPool struct {
+	head *Watermark
+	n    int
+}
+
+// Get returns a watermark carrying wm that holds receivers must each Put
+// back once, after reading WM. holds must be positive.
+func (p *WatermarkPool) Get(wm simtime.Time, holds int) *Watermark {
+	w := p.head
+	if w == nil {
+		w = &Watermark{}
+	} else {
+		p.head, w.next = w.next, nil
+		p.n--
+	}
+	w.WM, w.holds = wm, holds
+	return w
+}
+
+// Put drops one receiver's hold on w; the caller has read WM and must not
+// touch w again. The last hold returns w to the pool. A watermark built
+// outside a pool holds nothing, and Put leaves it alone.
+func (p *WatermarkPool) Put(w *Watermark) {
+	if w.holds == 0 {
+		return
+	}
+	if w.holds--; w.holds == 0 {
+		w.next = p.head
+		p.head = w
+		p.n++
+	}
+}
+
+// Len reports how many watermarks the pool currently holds (for tests).
+func (p *WatermarkPool) Len() int { return p.n }

@@ -124,11 +124,13 @@ func BuildQ7(cfg Q7Config) (*dataflow.Graph, *engine.CollectSink) {
 	return g, sink
 }
 
+// bidSource generates Q7's bids. Hot auctions follow NEXMark's skewed
+// popularity, from one Zipf table the run's source instances share.
 func bidSource(cfg Q7Config) dataflow.SourceFunc {
+	auctions := simtime.NewZipfTable(cfg.Auctions, 0.8)
 	return func(ctx dataflow.SourceContext) {
 		rng := simtime.NewRNG(cfg.Seed, "nexmark/bids")
-		// Hot auctions follow NEXMark's skewed popularity.
-		zipf := simtime.NewZipf(simtime.NewRNG(cfg.Seed, "nexmark/auctions"), cfg.Auctions, 0.8)
+		zipf := simtime.NewZipfFrom(simtime.NewRNG(cfg.Seed, "nexmark/auctions"), auctions)
 		period := simtime.Duration(float64(simtime.Second) / cfg.RatePerSec)
 		start := ctx.Now()
 		var nextWM simtime.Time
@@ -222,16 +224,18 @@ func (c *Q8Config) fillDefaults() {
 func BuildQ8(cfg Q8Config) (*dataflow.Graph, *engine.CollectSink) {
 	cfg.fillDefaults()
 	sink := engine.NewCollectSink()
+	// Both sides draw person ids from one distribution: one table per run.
+	people := simtime.NewZipfTable(cfg.People, 0.5)
 	g := dataflow.NewGraph()
 	g.AddOperator(&dataflow.OperatorSpec{
 		Name:        "persons",
 		Parallelism: 1,
-		Source:      q8Source(cfg, true, cfg.PersonsPerSec, "persons"),
+		Source:      q8Source(cfg, people, true, cfg.PersonsPerSec, "persons"),
 	})
 	g.AddOperator(&dataflow.OperatorSpec{
 		Name:        "auctions",
 		Parallelism: 1,
-		Source:      q8Source(cfg, false, cfg.AuctionsPerSec, "auctions"),
+		Source:      q8Source(cfg, people, false, cfg.AuctionsPerSec, "auctions"),
 	})
 	g.AddOperator(&dataflow.OperatorSpec{
 		Name:          "join",
@@ -259,10 +263,10 @@ func BuildQ8(cfg Q8Config) (*dataflow.Graph, *engine.CollectSink) {
 	return g, sink
 }
 
-func q8Source(cfg Q8Config, left bool, rate float64, name string) dataflow.SourceFunc {
+func q8Source(cfg Q8Config, people *simtime.ZipfTable, left bool, rate float64, name string) dataflow.SourceFunc {
 	return func(ctx dataflow.SourceContext) {
 		rng := simtime.NewRNG(cfg.Seed, "nexmark/"+name)
-		zipf := simtime.NewZipf(simtime.NewRNG(cfg.Seed, "nexmark/zipf/"+name), cfg.People, 0.5)
+		zipf := simtime.NewZipfFrom(simtime.NewRNG(cfg.Seed, "nexmark/zipf/"+name), people)
 		period := simtime.Duration(float64(simtime.Second) / rate)
 		start := ctx.Now()
 		// Join inputs are two-sided, the one payload shape that does not

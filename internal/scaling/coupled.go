@@ -183,9 +183,7 @@ func (c *Coupled) injectRound(r int) {
 	if !c.AnnounceUpfront {
 		c.rt.Scale.SignalInjected(c.signal(r), c.rt.Sched.Now())
 	}
-	barrier := func() *netsim.ScaleBarrier {
-		return &netsim.ScaleBarrier{ScaleID: c.scaleID, Round: r}
-	}
+	barrier := &netsim.ScaleBarrier{ScaleID: c.scaleID, Round: r}
 	if c.InjectAtSources {
 		c.rt.Sched.After(engine.ControlLatency, func() {
 			for _, name := range c.rt.Graph.Topological() {
@@ -199,7 +197,7 @@ func (c *Coupled) injectRound(r int) {
 					if c.isPred(src) {
 						c.applyRouting(src, r)
 					}
-					src.BroadcastControl(barrier())
+					src.BroadcastControl(barrier)
 				}
 			}
 		})
@@ -207,7 +205,7 @@ func (c *Coupled) injectRound(r int) {
 		c.rt.Sched.After(engine.ControlLatency, func() {
 			for _, p := range c.rt.PredecessorInstances(c.plan.Operator) {
 				c.applyRouting(p, r)
-				p.BroadcastControl(barrier())
+				p.BroadcastControl(barrier)
 			}
 		})
 	}
@@ -296,7 +294,7 @@ func (h *coupledPredHook) OnScaleMessage(in *engine.Instance, m netsim.Message, 
 		// propagating, per the generalized OTFS framework.
 		h.c.applyRouting(in, sb.Round)
 	}
-	in.BroadcastControl(&netsim.ScaleBarrier{ScaleID: sb.ScaleID, Round: sb.Round})
+	in.BroadcastControl(sb)
 	in.ReleaseAlignment(key)
 	return true
 }
@@ -318,7 +316,7 @@ func (h *coupledOpHook) OnScaleMessage(in *engine.Instance, m netsim.Message, e 
 	if !in.AlignOn(key, e) {
 		return true
 	}
-	in.BroadcastControl(&netsim.ScaleBarrier{ScaleID: sb.ScaleID, Round: sb.Round})
+	in.BroadcastControl(sb)
 	in.ReleaseAlignment(key)
 	if in.Index < h.c.plan.OldParallelism {
 		h.c.oldInstanceAligned(in.Index, sb.Round)

@@ -182,12 +182,16 @@ func Build(cfg Config) (*dataflow.Graph, *engine.CollectSink) {
 }
 
 // traceSource generates the synthetic viewing trace: users arrive in
-// sessions, streamer choice is Zipf-skewed, and watch intervals vary.
+// sessions, streamer choice is Zipf-skewed, and watch intervals vary. The
+// run's source instances share its two Zipf tables, built here with the
+// graph.
 func traceSource(cfg Config) dataflow.SourceFunc {
+	users := simtime.NewZipfTable(cfg.Users, 0.6)
+	streams := simtime.NewZipfTable(cfg.Streamers, streamerSkew)
 	return func(ctx dataflow.SourceContext) {
 		rng := simtime.NewRNG(cfg.Seed, "twitch/trace")
-		userZipf := simtime.NewZipf(simtime.NewRNG(cfg.Seed, "twitch/users"), cfg.Users, 0.6)
-		streamZipf := simtime.NewZipf(simtime.NewRNG(cfg.Seed, "twitch/streams"), cfg.Streamers, streamerSkew)
+		userZipf := simtime.NewZipfFrom(simtime.NewRNG(cfg.Seed, "twitch/users"), users)
+		streamZipf := simtime.NewZipfFrom(simtime.NewRNG(cfg.Seed, "twitch/streams"), streams)
 		period := simtime.Duration(float64(simtime.Second) / cfg.RatePerSec)
 		start := ctx.Now()
 		var nextWM simtime.Time

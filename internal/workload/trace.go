@@ -523,6 +523,8 @@ func (r *Recorder) Describe() string { return "record(" + r.inner.Describe() + "
 
 func (r *Recorder) Stream(instance, parallelism int, start simtime.Time) Stream {
 	if r.trace.SourceParallelism == 0 {
+		// The run's first stream: its instances share what the run builds.
+		r.inner = forRun(r.inner)
 		r.trace.SourceParallelism = parallelism
 		r.trace.streams = make([]traceStream, parallelism)
 	}
@@ -557,6 +559,7 @@ func (s *teeStream) Next(ev *Event) bool {
 // Unbounded traffic would never return; callers pass Specs with a Duration.
 func Synthesize(traffic Traffic, parallelism int) *Trace {
 	t := &Trace{SourceParallelism: parallelism, streams: make([]traceStream, parallelism)}
+	traffic = forRun(traffic)
 	for i := range t.streams {
 		st := traffic.Stream(i, parallelism, 0)
 		var ev Event

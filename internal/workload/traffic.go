@@ -36,6 +36,17 @@ type Traffic interface {
 	Describe() string
 }
 
+// forRun returns the traffic one run's source instances draw from. Traffic
+// whose streams share run-wide state (Classic's Zipf table) builds that state
+// here, so it lives and dies with the run rather than with each stream or
+// with the scenario that holds the traffic.
+func forRun(t Traffic) Traffic {
+	if r, ok := t.(interface{ forRun() Traffic }); ok {
+		return r.forRun()
+	}
+	return t
+}
+
 // watermarkEvery is the sources' watermark cadence.
 const watermarkEvery = 100 * simtime.Millisecond
 
@@ -43,6 +54,7 @@ const watermarkEvery = 100 * simtime.Millisecond
 // pump walks the stream: each firing ingests the due record (which drains in
 // place) and stamps watermark crossings every watermarkEvery.
 func driveSource(traffic Traffic) dataflow.SourceFunc {
+	traffic = forRun(traffic)
 	return func(ctx dataflow.SourceContext) {
 		start := ctx.Now()
 		st := traffic.Stream(ctx.InstanceIndex(), ctx.Parallelism(), start)
@@ -133,7 +145,10 @@ type ClassicSpec struct {
 
 // Classic is the original single-generator traffic: Zipf-keyed records at the
 // shape-modulated per-instance rate with ±5% interarrival jitter. Every
-// source instance emits an identical copy of the stream (seeded identically).
+// source instance draws the same seeded sequence, anchored at its own start,
+// so instances started together emit identical streams; each instance still
+// generates its copy itself. A run's instances share one Zipf table, built
+// with the run's graph (BuildJob), never held by the Classic value.
 // Panics on an empty key space or a non-positive rate.
 func Classic(cfg ClassicSpec) Traffic {
 	if cfg.Keys <= 0 {
@@ -155,12 +170,28 @@ func (c classicTraffic) Describe() string {
 	return d
 }
 
+// Stream serves a caller outside a run with a table of the stream's own.
 func (c classicTraffic) Stream(instance, parallelism int, start simtime.Time) Stream {
+	return c.forRun().Stream(instance, parallelism, start)
+}
+
+func (c classicTraffic) forRun() Traffic {
+	return classicRun{classicTraffic: c, zipf: simtime.NewZipfTable(c.cfg.Keys, c.cfg.Skew)}
+}
+
+// classicRun is Classic traffic bound to one run: every stream it makes
+// samples from its one Zipf table.
+type classicRun struct {
+	classicTraffic
+	zipf *simtime.ZipfTable
+}
+
+func (c classicRun) Stream(instance, parallelism int, start simtime.Time) Stream {
 	cfg := c.cfg
 	s := &classicStream{
 		cfg:      cfg,
 		rng:      simtime.NewRNG(cfg.Seed, "workload/gen"),
-		zipf:     simtime.NewZipf(simtime.NewRNG(cfg.Seed, "workload/zipf"), cfg.Keys, cfg.Skew),
+		zipf:     simtime.NewZipfFrom(simtime.NewRNG(cfg.Seed, "workload/zipf"), c.zipf),
 		start:    start,
 		deadline: -1,
 		events:   make([]genEvent, 0, genBatch),
