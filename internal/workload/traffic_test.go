@@ -408,6 +408,24 @@ func TestReplayReproducesTraffic(t *testing.T) {
 	}
 }
 
+// TestClassicStreamOutsideRun: a Classic stream drawn outside a run, with a
+// Zipf table of its own (as the benchmark's traffic kernel draws it), yields
+// exactly what every source instance of a run draws from the run's shared
+// table.
+func TestClassicStreamOutsideRun(t *testing.T) {
+	spec := ClassicSpec{Keys: 500, RatePerSec: 2000, Skew: 0.9, Duration: simtime.Sec(1), Seed: 4}
+	run := streamsOf(Synthesize(Classic(spec), 2))
+	alone := drain(Classic(spec).Stream(0, 2, 0))
+	if len(alone) < 1000 || !alone[len(alone)-1].Stop {
+		t.Fatalf("the stream yielded %d events, want over 1000 ending in a Stop", len(alone))
+	}
+	for i, got := range run {
+		if !reflect.DeepEqual(got, alone) {
+			t.Fatalf("instance %d of a run draws another stream than one drawn outside a run", i)
+		}
+	}
+}
+
 // TestSpecValidation: malformed cohorts panic with the cohort named.
 func TestSpecValidation(t *testing.T) {
 	cases := map[string]func(*Cohort){
