@@ -97,14 +97,18 @@ type subscale struct {
 	moves  []dataflow.Move // ascending key group, like plan.Moves
 	srcs   []int           // unique source instances, ascending
 	dsts   []int           // unique destination instances, ascending
+	// srcDsts lists, by position in srcs, the destinations that source's
+	// moves go to, ascending.
+	srcDsts [][]int
 
-	triggered map[int]bool // src → migration started
-	// confirmSeen marks rerouted confirm consumption per
-	// (dst, src, predOp, predIdx) — the per-channel "fluid confirmation".
-	confirmSeen map[confirmKey]bool
-	// confirmsLeftAt counts outstanding confirms per destination (implicit
-	// alignment without Record Scheduling).
-	confirmsLeftAt map[int]int
+	triggered []bool // by position in srcs: migration started
+	// confirmSeen marks rerouted confirm consumption per (dst, src, pred)
+	// channel — the per-channel "fluid confirmation" — at the position
+	// Mechanism.confirmAt gives it.
+	confirmSeen []bool
+	// confirmsLeftAt counts outstanding confirms per destination, by
+	// position in dsts (implicit alignment without Record Scheduling).
+	confirmsLeftAt []int
 	confirmsLeft   int
 	chunksLeft     int
 	completed      bool
@@ -123,31 +127,27 @@ func (s *subscale) kgsFrom(src int) []int {
 	return out
 }
 
+// dstsOf lists the destinations src's moves go to, ascending; none when src
+// is not one of the subscale's sources.
 func (s *subscale) dstsOf(src int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, mv := range s.moves {
-		if mv.From == src && !seen[mv.To] {
-			seen[mv.To] = true
-			out = append(out, mv.To)
-		}
+	if i := position(s.srcs, src); i >= 0 {
+		return s.srcDsts[i]
 	}
-	sort.Ints(out)
-	return out
+	return nil
+}
+
+// position returns x's index in the ascending xs, or -1.
+func position(xs []int, x int) int {
+	if i, ok := slices.BinarySearch(xs, x); ok {
+		return i
+	}
+	return -1
 }
 
 // kgStatus is one planned key group's entry in the coordinator's table.
 type kgStatus struct {
 	sub   *subscale
 	phase scaling.MovePhase
-}
-
-// confirmKey names one rerouted confirm channel: destination, source, and
-// the predecessor instance whose confirm it carries.
-type confirmKey struct {
-	dst, src int
-	predOp   string
-	predIdx  int
 }
 
 // Mechanism is the DRRS scale coordinator.
@@ -172,7 +172,9 @@ type Mechanism struct {
 	edgeIsReroute map[*netsim.Edge]bool
 	reroutesInto  map[int][]*netsim.Edge
 
-	preds      []*engine.Instance
+	preds []*engine.Instance
+	// predAt maps each predecessor instance to its position in preds.
+	predAt     map[netsim.Endpoint]int
 	activeNode map[string]int
 	active     int
 	// MaxActive records the peak number of concurrently running subscales
@@ -234,12 +236,17 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 
 	scaling.Deploy(rt, plan, func() {
 		m.preds = rt.PredecessorInstances(m.op)
+		m.predAt = make(map[netsim.Endpoint]int, len(m.preds))
+		for i, p := range m.preds {
+			m.predAt[netsim.Endpoint{Op: p.Spec.Name, Index: p.Index}] = i
+		}
 		// Count expected confirms: one per (pred, src, dst) triple.
 		for _, s := range m.subs {
-			s.confirmsLeftAt = make(map[int]int)
-			for _, src := range s.srcs {
-				for _, dst := range s.dstsOf(src) {
-					s.confirmsLeftAt[dst] += len(m.preds)
+			s.confirmSeen = make([]bool, len(s.dsts)*len(s.srcs)*len(m.preds))
+			s.confirmsLeftAt = make([]int, len(s.dsts))
+			for _, dsts := range s.srcDsts {
+				for _, dst := range dsts {
+					s.confirmsLeftAt[position(s.dsts, dst)] += len(m.preds)
 					s.confirmsLeft += len(m.preds)
 				}
 			}
@@ -274,6 +281,18 @@ func (m *Mechanism) Begin(rt *engine.Runtime, plan scaling.Plan, done func()) *s
 	return m.tracked
 }
 
+// confirmAt returns the position in s.confirmSeen of the channel that
+// carries predecessor pred's confirm from source instance src to
+// destination instance dst, or -1 when the channel is not one of s's.
+func (m *Mechanism) confirmAt(s *subscale, dst, src int, pred netsim.Endpoint) int {
+	d, i := position(s.dsts, dst), position(s.srcs, src)
+	p, ok := m.predAt[pred]
+	if d < 0 || i < 0 || !ok {
+		return -1
+	}
+	return (d*len(s.srcs)+i)*len(m.preds) + p
+}
+
 // entry returns kg's move and its entry in the coordinator's table; a nil
 // entry when kg is not moving.
 func (m *Mechanism) entry(kg int) (dataflow.Move, *kgStatus) {
@@ -292,26 +311,24 @@ func (m *Mechanism) entry(kg int) (dataflow.Move, *kgStatus) {
 func (m *Mechanism) divide() []*subscale {
 	mk := func(id int, moves []dataflow.Move) *subscale {
 		s := &subscale{
-			id:          id,
-			signal:      fmt.Sprintf("drrs:%d:sub%d", m.scaleID, id),
-			moves:       moves,
-			triggered:   make(map[int]bool),
-			confirmSeen: make(map[confirmKey]bool),
+			id:     id,
+			signal: fmt.Sprintf("drrs:%d:sub%d", m.scaleID, id),
+			moves:  moves,
 		}
-		srcs := map[int]bool{}
-		dsts := map[int]bool{}
+		srcs, dsts := make([]int, len(moves)), make([]int, len(moves))
+		for i, mv := range moves {
+			srcs[i], dsts[i] = mv.From, mv.To
+		}
+		s.srcs, s.dsts = sortedUnique(srcs), sortedUnique(dsts)
+		s.srcDsts = make([][]int, len(s.srcs))
 		for _, mv := range moves {
-			srcs[mv.From] = true
-			dsts[mv.To] = true
+			i := position(s.srcs, mv.From)
+			s.srcDsts[i] = append(s.srcDsts[i], mv.To)
 		}
-		for src := range srcs {
-			s.srcs = append(s.srcs, src)
+		for i, dsts := range s.srcDsts {
+			s.srcDsts[i] = sortedUnique(dsts)
 		}
-		for dst := range dsts {
-			s.dsts = append(s.dsts, dst)
-		}
-		sort.Ints(s.srcs)
-		sort.Ints(s.dsts)
+		s.triggered = make([]bool, len(s.srcs))
 		return s
 	}
 	if len(m.plan.Moves) == 0 {
@@ -356,6 +373,12 @@ func (m *Mechanism) divide() []*subscale {
 		}
 	}
 	return out
+}
+
+// sortedUnique sorts xs and drops repeats, in place.
+func sortedUnique(xs []int) []int {
+	slices.Sort(xs)
+	return slices.Compact(xs)
 }
 
 // scheduleNext implements the greedy subscale scheduler: prioritize

@@ -55,12 +55,14 @@ func (h *opHook) Processable(in *engine.Instance, r *netsim.Record, e *netsim.Ed
 	if st.phase != scaling.Landed {
 		return false
 	}
+	s := st.sub
 	if m.Opt.Schedule {
 		// Fluid confirmation: each channel switches epochs independently as
 		// soon as its own rerouted confirm arrived.
-		return st.sub.confirmSeen[confirmKey{in.Index, mv.From, e.Src.Op, e.Src.Index}]
+		i := m.confirmAt(s, in.Index, mv.From, e.Src)
+		return i >= 0 && s.confirmSeen[i]
 	}
-	return st.sub.confirmsLeftAt[in.Index] == 0
+	return s.confirmsLeftAt[position(s.dsts, in.Index)] == 0
 }
 
 func (h *opHook) BeforeRecord(in *engine.Instance, r *netsim.Record, e *netsim.Edge) bool {
@@ -92,8 +94,9 @@ func (h *opHook) OnScaleMessage(in *engine.Instance, msg netsim.Message, e *nets
 			cb.Integrated = append(cb.Integrated, b)
 			return true
 		}
-		if !s.triggered[in.Index] {
-			s.triggered[in.Index] = true
+		// Trigger barriers reach only the subscale's sources.
+		if i := position(s.srcs, in.Index); i >= 0 && !s.triggered[i] {
+			s.triggered[i] = true
 			// This source's fluid migration chain for the subscale.
 			m.mig.MigrateFluid(s.kgsFrom(in.Index), s.signal, nil)
 		}
@@ -120,10 +123,13 @@ func (h *opHook) OnScaleMessage(in *engine.Instance, msg netsim.Message, e *nets
 				return true
 			}
 			s := m.subs[b.Subscale]
-			key := confirmKey{in.Index, e.Src.Index, inner.FromOp, inner.FromIdx}
-			if !s.confirmSeen[key] {
-				s.confirmSeen[key] = true
-				s.confirmsLeftAt[in.Index]--
+			// Confirms come only from the predecessors, over the re-route
+			// path from one of the subscale's sources to one of its
+			// destinations.
+			i := m.confirmAt(s, in.Index, e.Src.Index, netsim.Endpoint{Op: inner.FromOp, Index: inner.FromIdx})
+			if i >= 0 && !s.confirmSeen[i] {
+				s.confirmSeen[i] = true
+				s.confirmsLeftAt[position(s.dsts, in.Index)]--
 				s.confirmsLeft--
 				in.Wake()
 				m.checkSubscale(s)

@@ -16,12 +16,18 @@ func TestConfirmGateAllocs(t *testing.T) {
 	plan := scaling.UniformPlan(rig.rt.Graph, "agg", 2, 0)
 	dst := rig.rt.AddInstance("agg", 1)
 	mv := plan.Moves[0]
-	s := &subscale{confirmSeen: map[confirmKey]bool{}}
+	preds := rig.rt.PredecessorInstances("agg")
+	s := &subscale{srcs: []int{mv.From}, dsts: []int{mv.To}, confirmSeen: make([]bool, len(preds))}
 	m := &Mechanism{
 		Opt:           Options{Schedule: true, Subscale: true},
 		plan:          plan,
 		kgs:           make([]kgStatus, len(plan.Moves)),
 		edgeIsReroute: map[*netsim.Edge]bool{},
+		preds:         preds,
+		predAt:        map[netsim.Endpoint]int{},
+	}
+	for i, p := range preds {
+		m.predAt[netsim.Endpoint{Op: p.Spec.Name, Index: p.Index}] = i
 	}
 	m.kgs[0] = kgStatus{sub: s, phase: scaling.Landed}
 	h := &opHook{m: m}
@@ -33,7 +39,7 @@ func TestConfirmGateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, func() { h.Processable(dst, r, e) }); avg != 0 {
 		t.Fatalf("confirm gate allocates %.2f objects per probe, want 0", avg)
 	}
-	s.confirmSeen[confirmKey{dst.Index, mv.From, e.Src.Op, e.Src.Index}] = true
+	s.confirmSeen[m.confirmAt(s, dst.Index, mv.From, e.Src)] = true
 	if !h.Processable(dst, r, e) {
 		t.Fatal("record still gated after its channel's confirm arrived")
 	}

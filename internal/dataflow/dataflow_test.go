@@ -209,3 +209,17 @@ func TestDiamondGraphTopology(t *testing.T) {
 		t.Fatal("join should have two predecessors")
 	}
 }
+
+// TestExchangeString names each exchange kind and numbers an unknown one.
+func TestExchangeString(t *testing.T) {
+	for e, want := range map[Exchange]string{
+		ExchangeKeyed:     "keyed",
+		ExchangeRebalance: "rebalance",
+		ExchangeBroadcast: "broadcast",
+		Exchange(7):       "exchange(7)",
+	} {
+		if got := e.String(); got != want {
+			t.Errorf("Exchange(%d).String() = %q, want %q", int(e), got, want)
+		}
+	}
+}

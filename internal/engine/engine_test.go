@@ -631,3 +631,35 @@ func TestMarkerBypassesWindowing(t *testing.T) {
 		t.Fatal("no markers reached the sink through the window operator")
 	}
 }
+
+// TestBaseHookLeavesScaleBarriers: a hook that embeds BaseHook consumes no
+// scale barrier, so the instance aligns and forwards one the default way.
+func TestBaseHookLeavesScaleBarriers(t *testing.T) {
+	pass := func() dataflow.Logic {
+		return &MapLogic{Fn: func(r *netsim.Record) *netsim.Record { return r }}
+	}
+	g := dataflow.NewGraph()
+	g.AddOperator(&dataflow.OperatorSpec{
+		Name: "src", Parallelism: 1,
+		Source: func(dataflow.SourceContext) {},
+	})
+	g.AddOperator(&dataflow.OperatorSpec{Name: "mid", Parallelism: 1, NewLogic: pass})
+	g.AddOperator(&dataflow.OperatorSpec{Name: "sink", Parallelism: 1, NewLogic: pass})
+	g.Connect("src", "mid", dataflow.ExchangeRebalance)
+	g.Connect("mid", "sink", dataflow.ExchangeRebalance)
+	rt := New(simtime.NewScheduler(), g, nil, Config{Seed: 1, MarkerInterval: -1})
+	rt.Start()
+	rt.Instance("mid", 0).SetHook(&gateHook{})
+	sink := rt.Instance("sink", 0)
+	sink.Halted = true
+
+	rt.Instance("src", 0).BroadcastControl(&netsim.ScaleBarrier{ScaleID: 7, Round: 2})
+	rt.Sched.Run()
+	in := sink.InEdges()[0]
+	if in.InboxLen() != 1 {
+		t.Fatalf("sink inbox holds %d messages, want the forwarded barrier", in.InboxLen())
+	}
+	if b, ok := in.InboxAt(0).(*netsim.ScaleBarrier); !ok || b.ScaleID != 7 || b.Round != 2 {
+		t.Fatalf("sink received %+v, want scale barrier 7 round 2", in.InboxAt(0))
+	}
+}

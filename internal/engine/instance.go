@@ -3,6 +3,7 @@ package engine
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -926,7 +927,7 @@ func (c sourceContext) NewRecord() *netsim.Record {
 	return c.in.rt.recPool.Get()
 }
 func (c sourceContext) EmitWatermark(wm simtime.Time) {
-	c.in.src.backlog.PushBack(arrival{eventTime: wm, kind: arrWatermark})
+	c.in.src.backlog.PushBack(arrival{at: wm, meta: uint32(arrWatermark)})
 	c.in.drainBacklog()
 }
 func (c sourceContext) InstanceIndex() int { return c.in.Index }
@@ -938,10 +939,10 @@ func (in *Instance) startSource() {
 
 // source is what only a source instance keeps: its ingest backlog, the
 // records Kafka holds that the consumer has not polled yet. An arrival waits
-// there by value, so a queued record costs one compact entry and no pooled
-// Record; so does a watermark. A record's Aux and each other control message
-// (a checkpoint barrier) wait in order in side; an entry's kind says when to
-// take from it.
+// there by value, so a queued record costs one 32-byte entry and no pooled
+// Record; so does a watermark. A record's Aux, a record whose fields do not
+// fit an entry, and each other control message (a checkpoint barrier) wait
+// in order in side; an entry's kind says when to take from it.
 // Every source of a run grows both deques from the runtime's shared segment
 // chains.
 type source struct {
@@ -950,17 +951,19 @@ type source struct {
 }
 
 // arrival is one backlog entry: a record's fields by value, a watermark
-// (kind arrWatermark, its time in eventTime), or (kind arrControl) the place
-// of a control message waiting in source.side.
+// (kind arrWatermark, its time in at), or the place of a message waiting in
+// source.side (kind arrControl: a control message; kind arrRecord: a whole
+// record). For a record, at is its ingest time and also its event time, as
+// every source stamps both with the ingest instant; a marker's event time
+// is 0. meta packs size<<8 | kind. A record whose event time, Seq or Size
+// the entry cannot carry waits whole in the side lane instead.
 // KeyGroup is not kept: routing sets it as the record leaves.
 type arrival struct {
-	key        uint64
-	eventTime  simtime.Time
-	ingestTime simtime.Time
-	seq        uint64
-	value      float64
-	size       int32
-	kind       arrivalKind
+	key   uint64
+	at    simtime.Time
+	value float64
+	seq   uint32
+	meta  uint32
 }
 
 // arrivalKind flags what an arrival is and what waits for it in the side
@@ -971,36 +974,48 @@ const (
 	arrMarker    arrivalKind = 1 << iota // the record is a latency marker
 	arrAux                               // the record's Aux waits in the side lane
 	arrControl                           // a control message waits in the side lane
-	arrWatermark                         // a watermark at eventTime; nothing waits
+	arrWatermark                         // a watermark at time at; nothing waits
+	arrRecord                            // the whole record waits in the side lane
 )
 
-// pushRecord queues r's fields. r itself is not kept.
-func (s *source) pushRecord(r *netsim.Record) {
-	a := arrival{
-		key:        r.Key,
-		eventTime:  r.EventTime,
-		ingestTime: r.IngestTime,
-		seq:        r.Seq,
-		value:      r.Value,
-		size:       int32(r.Size),
-	}
-	if int(a.size) != r.Size {
-		panic(fmt.Sprintf("engine: record size %d does not fit a backlog entry", r.Size))
-	}
+// maxEntrySize bounds the record sizes an entry's meta carries.
+const maxEntrySize = 1 << 24
+
+// kind reads the kind from meta's low byte.
+func (a arrival) kind() arrivalKind { return arrivalKind(a.meta) }
+
+// pushRecord queues r and reports whether it kept r itself: a record that
+// fits an entry is copied and r is not kept; one that does not waits whole
+// in the side lane.
+func (s *source) pushRecord(r *netsim.Record) (kept bool) {
+	eventTime := r.IngestTime
+	kind := arrivalKind(0)
 	if r.Marker {
-		a.kind |= arrMarker
+		eventTime, kind = 0, arrMarker
+	}
+	if r.EventTime != eventTime || r.Seq > math.MaxUint32 || r.Size < 0 || r.Size >= maxEntrySize {
+		s.side.PushBack(r)
+		s.backlog.PushBack(arrival{meta: uint32(arrRecord)})
+		return true
 	}
 	if r.Aux != nil {
-		a.kind |= arrAux
+		kind |= arrAux
 		s.side.PushBack(r.Aux)
 	}
-	s.backlog.PushBack(a)
+	s.backlog.PushBack(arrival{
+		key:   r.Key,
+		at:    r.IngestTime,
+		value: r.Value,
+		seq:   uint32(r.Seq),
+		meta:  uint32(r.Size)<<8 | uint32(kind),
+	})
+	return false
 }
 
 // pushControl queues a control message behind every queued arrival.
 func (s *source) pushControl(m netsim.Message) {
 	s.side.PushBack(m)
-	s.backlog.PushBack(arrival{kind: arrControl})
+	s.backlog.PushBack(arrival{meta: uint32(arrControl)})
 }
 
 // ingest stamps r, queues a copy behind the source's backlog, recycles r and
@@ -1012,8 +1027,9 @@ func (in *Instance) ingest(r *netsim.Record) {
 	if r.Seq == 0 {
 		r.Seq = in.rt.NextSeq()
 	}
-	in.src.pushRecord(r)
-	in.rt.recPool.Put(r)
+	if !in.src.pushRecord(r) {
+		in.rt.recPool.Put(r)
+	}
 	in.drainBacklog()
 }
 
@@ -1034,15 +1050,16 @@ func (in *Instance) drainBacklog() {
 		if len(in.pending) > 0 && !in.drainPending() {
 			return
 		}
-		if in.PauseData && s.backlog.At(0).kind&(arrControl|arrWatermark) == 0 {
+		if in.PauseData && s.backlog.At(0).kind()&(arrControl|arrWatermark) == 0 {
 			return
 		}
 		a := s.backlog.PopFront()
-		if a.kind&arrWatermark != 0 {
-			in.broadcastWatermark(a.eventTime)
+		kind := a.kind()
+		if kind&arrWatermark != 0 {
+			in.broadcastWatermark(a.at)
 			continue
 		}
-		if a.kind&arrControl != 0 {
+		if kind&arrControl != 0 {
 			m := s.side.PopFront().(netsim.Message)
 			in.BroadcastControl(m)
 			if cb, ok := m.(*netsim.CheckpointBarrier); ok && in.PauseAfterCkpt != 0 && cb.ID == in.PauseAfterCkpt {
@@ -1051,11 +1068,19 @@ func (in *Instance) drainBacklog() {
 			}
 			continue
 		}
-		r := in.rt.recPool.Get()
-		r.Key, r.EventTime, r.IngestTime, r.Seq = a.key, a.eventTime, a.ingestTime, a.seq
-		r.Value, r.Size, r.Marker = a.value, int(a.size), a.kind&arrMarker != 0
-		if a.kind&arrAux != 0 {
-			r.Aux = s.side.PopFront()
+		var r *netsim.Record
+		if kind&arrRecord != 0 {
+			r = s.side.PopFront().(*netsim.Record)
+		} else {
+			r = in.rt.recPool.Get()
+			r.Key, r.IngestTime, r.Seq = a.key, a.at, uint64(a.seq)
+			r.Value, r.Size, r.Marker = a.value, int(a.meta>>8), kind&arrMarker != 0
+			if !r.Marker {
+				r.EventTime = a.at
+			}
+			if kind&arrAux != 0 {
+				r.Aux = s.side.PopFront()
+			}
 		}
 		if !r.Marker {
 			in.rt.Throughput.Observe(in.rt.Sched.Now(), 1)

@@ -118,3 +118,16 @@ func f() {
 		t.Fatalf("diagnostics reported in a _test.go file: %v", diags)
 	}
 }
+
+// TestDiagnosticString prints a diagnostic as position, analyzer, message,
+// the form go vet shows.
+func TestDiagnosticString(t *testing.T) {
+	d := Diagnostic{
+		Analyzer: "nowallclock",
+		Pos:      token.Position{Filename: "run.go", Line: 12, Column: 5},
+		Message:  "time.Now reads the wall clock",
+	}
+	if got, want := d.String(), "run.go:12:5: nowallclock: time.Now reads the wall clock"; got != want {
+		t.Fatalf("Diagnostic.String() = %q, want %q", got, want)
+	}
+}

@@ -1,8 +1,10 @@
 package netsim
 
 // dequeSeg is the number of entries in one Deque segment. With its link, a
-// segment of 16-byte entries fits the 1 KB allocation size class and one of
-// 48-byte entries the 3 KB class; 64 entries would spill both into the next.
+// segment of 16-byte entries (the source side lane's interfaces) fits the
+// 1 KB allocation size class and one of 32-byte entries (the engine's
+// source backlog) the 2 KB class, at 2 024 bytes; 64 entries would spill
+// both into the next.
 const dequeSeg = 63
 
 // segment is one fixed block of a Deque, linked to the next-newer block (or,

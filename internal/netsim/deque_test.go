@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 // TestDequeSegmentBoundary pushes and pops across the boundary between two
@@ -173,4 +174,26 @@ func FuzzDequeOps(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDequeSegmentSizeClass pins dequeSeg against the allocation size
+// classes the dequeSeg comment names: with its link, a segment of 16-byte
+// entries (the engine's side lane) fits 1 KB and one of 32-byte entries
+// (the engine's source backlog) 2 KB, and one more entry would spill
+// either into the next class.
+func TestDequeSegmentSizeClass(t *testing.T) {
+	for _, c := range []struct {
+		size, class uintptr
+	}{
+		{unsafe.Sizeof(segment[any]{}), 1024},
+		{unsafe.Sizeof(segment[[4]uint64]{}), 2048},
+	} {
+		if c.size > c.class {
+			t.Errorf("a %d-byte segment overflows the %d-byte class", c.size, c.class)
+		}
+		entry := (c.size - unsafe.Sizeof(uintptr(0))) / dequeSeg
+		if c.size+entry <= c.class {
+			t.Errorf("a %d-byte segment leaves room in the %d-byte class for entry %d", c.size, c.class, dequeSeg+1)
+		}
+	}
 }

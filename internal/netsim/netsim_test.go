@@ -407,3 +407,10 @@ func TestMessageKindsAndSizes(t *testing.T) {
 		t.Fatal("rerouted size should wrap inner")
 	}
 }
+
+// TestEndpointString prints an endpoint as op[index].
+func TestEndpointString(t *testing.T) {
+	if got := (Endpoint{Op: "agg", Index: 3}).String(); got != "agg[3]" {
+		t.Fatalf("Endpoint.String() = %q, want %q", got, "agg[3]")
+	}
+}
